@@ -1,7 +1,8 @@
 //! Hot-path source lint.
 //!
-//! The allocation-free hot loops (interp/dbt dispatch, the decoders,
-//! the obs record paths) were made free of per-event heap traffic and
+//! The allocation-free hot loops (the shared execution core and the
+//! engine policies over it, dbt dispatch, the decoders, the obs record
+//! paths) were made free of per-event heap traffic and
 //! of formatted panic machinery; this lint keeps them that way. It is a
 //! line-based scan of a fixed list of designated files, not a parser —
 //! deliberately simple, so a violation message points at a line a
@@ -31,12 +32,14 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/alu.rs",
     "crates/core/src/exec.rs",
     "crates/core/src/ir.rs",
+    "crates/core/src/run.rs",
     "crates/core/src/tlb.rs",
     "crates/dbt/src/cache.rs",
     "crates/dbt/src/lib.rs",
     "crates/dbt/src/opt.rs",
     "crates/dbt/src/tlb.rs",
     "crates/dbt/src/versions.rs",
+    "crates/detailed/src/lib.rs",
     "crates/interp/src/lib.rs",
     "crates/isa-armlet/src/decode.rs",
     "crates/isa-armlet/src/decode_gen.rs",
@@ -46,6 +49,7 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/isa-riscle/src/decode_gen.rs",
     "crates/obs/src/metrics.rs",
     "crates/obs/src/ring.rs",
+    "crates/virt/src/lib.rs",
 ];
 
 /// One lint violation.

@@ -433,7 +433,7 @@ pub fn predict<I: Isa>(image: &GuestImage, fuel: u64) -> Prediction {
             match step_op(&mut ctx, op) {
                 OpOutcome::Next => {}
                 OpOutcome::Jump { target, flavor } => {
-                    simbench_interp::count_branch(ctx.counters, pc, target, flavor);
+                    simbench_core::run::count_branch(ctx.counters, pc, target, flavor);
                     new_pc = target;
                     break;
                 }

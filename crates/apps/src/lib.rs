@@ -3,7 +3,7 @@
 //! Synthetic SPEC-CPU2006-INT-like guest application workloads.
 //!
 //! SPEC itself is proprietary and targets real ISAs, so — per the
-//! substitution rules in `DESIGN.md` — these nine programs reproduce the
+//! README's "Substitutions" notes — these nine programs reproduce the
 //! *instruction-mix shapes* that drive the paper's aggregate-benchmark
 //! argument (Figs 2, 3 and 8): each app weights the simulator mechanisms
 //! differently, so engine-version changes move them in different

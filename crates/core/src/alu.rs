@@ -51,7 +51,8 @@ fn sub_with(a: u32, b: u32, carry_in: bool) -> AluResult {
 ///
 /// Shift amounts use only the low five bits of `b`; a shift amount of
 /// zero leaves C unchanged, and logical/move ops never touch C or V,
-/// mirroring the simplified shifter model described in `DESIGN.md`.
+/// mirroring the simplified shifter model described under "Substitutions"
+/// in the README.
 #[inline]
 pub fn eval(op: AluOp, a: u32, b: u32, flags: Flags) -> AluResult {
     match op {

@@ -66,7 +66,8 @@ pub struct Status {
 ///
 /// The program counter is held separately from the GPR file: neither guest
 /// ISA exposes the PC as a general register (this deviates from classic
-/// ARM but keeps the IR engine-agnostic, as documented in `DESIGN.md`).
+/// ARM but keeps the IR engine-agnostic, as documented under
+/// "Substitutions" in the README).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CpuState {
     /// General-purpose registers. Unused high registers stay zero on ISAs

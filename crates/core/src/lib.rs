@@ -41,6 +41,7 @@ pub mod ir;
 pub mod isa;
 pub mod machine;
 pub mod mmu;
+pub mod run;
 pub mod tlb;
 
 pub use cpu::{CpuState, Flags, Privilege, Status};

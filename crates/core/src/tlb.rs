@@ -4,12 +4,15 @@
 //!
 //! * [`DirectTlb`] — direct-mapped array, the "multi-level page cache"
 //!   building block of the DBT engine (QEMU analogue),
-//! * [`SingleEntryCache`] — one entry per access class, the fast
-//!   interpreter's "single level cache" (SimIt-ARM analogue),
+//! * [`SingleEntryCache`] — one entry per access class ([`SplitCache`]
+//!   pairs the two), the fast interpreter's "single level cache"
+//!   (SimIt-ARM analogue),
 //! * [`SetAssocTlb`] — a small set-associative structure with FIFO
 //!   replacement, the detailed engine's "modelled TLB" (Gem5 analogue).
 
+use crate::fault::AccessKind;
 use crate::mmu::TlbEntry;
+use crate::run::Tlb;
 
 const INVALID_TAG: u32 = u32::MAX;
 
@@ -41,40 +44,6 @@ impl DirectTlb {
         }
     }
 
-    /// Look up a virtual page.
-    #[inline]
-    pub fn lookup(&mut self, vpage: u32) -> Option<TlbEntry> {
-        let slot = &self.slots[(vpage & self.mask) as usize];
-        if slot.0 == vpage {
-            self.hits += 1;
-            Some(slot.1)
-        } else {
-            self.misses += 1;
-            None
-        }
-    }
-
-    /// Install a translation (evicting whatever shared its slot).
-    #[inline]
-    pub fn insert(&mut self, e: TlbEntry) {
-        self.slots[(e.vpage & self.mask) as usize] = (e.vpage, e);
-    }
-
-    /// Invalidate the entry covering `vpage`, if cached.
-    pub fn invalidate_page(&mut self, vpage: u32) {
-        let slot = &mut self.slots[(vpage & self.mask) as usize];
-        if slot.0 == vpage {
-            slot.0 = INVALID_TAG;
-        }
-    }
-
-    /// Drop every entry.
-    pub fn flush(&mut self) {
-        for s in &mut self.slots {
-            s.0 = INVALID_TAG;
-        }
-    }
-
     /// (hits, misses) since construction.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
@@ -83,6 +52,39 @@ impl DirectTlb {
     /// Number of currently valid entries (test/diagnostic aid).
     pub fn valid_entries(&self) -> usize {
         self.slots.iter().filter(|s| s.0 != INVALID_TAG).count()
+    }
+}
+
+impl Tlb for DirectTlb {
+    #[inline]
+    fn lookup(&mut self, vpage: u32, _access: AccessKind) -> Option<(TlbEntry, bool)> {
+        let slot = &self.slots[(vpage & self.mask) as usize];
+        if slot.0 == vpage {
+            self.hits += 1;
+            Some((slot.1, true))
+        } else {
+            self.misses += 1;
+            None
+        }
+    }
+
+    /// Evicts whatever shared the slot.
+    #[inline]
+    fn insert(&mut self, e: TlbEntry, _access: AccessKind, _holds_code: bool) {
+        self.slots[(e.vpage & self.mask) as usize] = (e.vpage, e);
+    }
+
+    fn invalidate_page(&mut self, vpage: u32) {
+        let slot = &mut self.slots[(vpage & self.mask) as usize];
+        if slot.0 == vpage {
+            slot.0 = INVALID_TAG;
+        }
+    }
+
+    fn flush(&mut self) {
+        for s in &mut self.slots {
+            s.0 = INVALID_TAG;
+        }
     }
 }
 
@@ -124,6 +126,43 @@ impl SingleEntryCache {
     }
 }
 
+/// The fast interpreter's translation cache: one [`SingleEntryCache`]
+/// for instruction fetch and one for data accesses.
+#[derive(Debug, Clone, Default)]
+pub struct SplitCache {
+    insn: SingleEntryCache,
+    data: SingleEntryCache,
+}
+
+impl SplitCache {
+    #[inline]
+    fn class(&mut self, access: AccessKind) -> &mut SingleEntryCache {
+        match access {
+            AccessKind::Execute => &mut self.insn,
+            AccessKind::Read | AccessKind::Write => &mut self.data,
+        }
+    }
+}
+
+impl Tlb for SplitCache {
+    #[inline]
+    fn lookup(&mut self, vpage: u32, access: AccessKind) -> Option<(TlbEntry, bool)> {
+        self.class(access).lookup(vpage).map(|e| (e, true))
+    }
+    #[inline]
+    fn insert(&mut self, e: TlbEntry, access: AccessKind, _holds_code: bool) {
+        self.class(access).insert(e);
+    }
+    fn invalidate_page(&mut self, vpage: u32) {
+        self.insn.invalidate_page(vpage);
+        self.data.invalidate_page(vpage);
+    }
+    fn flush(&mut self) {
+        self.insn.flush();
+        self.data.flush();
+    }
+}
+
 /// A modelled set-associative TLB with FIFO replacement and hit/miss
 /// accounting, used by the detailed (timing) engine.
 #[derive(Debug, Clone)]
@@ -150,14 +189,20 @@ impl SetAssocTlb {
         }
     }
 
-    /// Look up a virtual page.
+    /// (hits, misses) since construction.
+    pub fn stats(&self) -> (u64, u64) {
+        (self.hits, self.misses)
+    }
+}
+
+impl Tlb for SetAssocTlb {
     #[inline]
-    pub fn lookup(&mut self, vpage: u32) -> Option<TlbEntry> {
+    fn lookup(&mut self, vpage: u32, _access: AccessKind) -> Option<(TlbEntry, bool)> {
         let set = &self.sets[(vpage & self.set_mask) as usize];
         match set.iter().find(|e| e.vpage == vpage) {
             Some(e) => {
                 self.hits += 1;
-                Some(*e)
+                Some((*e, true))
             }
             None => {
                 self.misses += 1;
@@ -166,8 +211,8 @@ impl SetAssocTlb {
         }
     }
 
-    /// Install a translation, evicting FIFO within the set if full.
-    pub fn insert(&mut self, e: TlbEntry) {
+    /// Evicts FIFO within the set if full.
+    fn insert(&mut self, e: TlbEntry, _access: AccessKind, _holds_code: bool) {
         let ways = self.ways;
         let set = &mut self.sets[(e.vpage & self.set_mask) as usize];
         set.retain(|x| x.vpage != e.vpage);
@@ -177,22 +222,15 @@ impl SetAssocTlb {
         set.push(e);
     }
 
-    /// Invalidate the entry for `vpage`, if present.
-    pub fn invalidate_page(&mut self, vpage: u32) {
+    fn invalidate_page(&mut self, vpage: u32) {
         let set = &mut self.sets[(vpage & self.set_mask) as usize];
         set.retain(|x| x.vpage != vpage);
     }
 
-    /// Drop every entry.
-    pub fn flush(&mut self) {
+    fn flush(&mut self) {
         for s in &mut self.sets {
             s.clear();
         }
-    }
-
-    /// (hits, misses) since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
     }
 }
 
@@ -200,6 +238,8 @@ impl SetAssocTlb {
 mod tests {
     use super::*;
     use crate::mmu::Perms;
+
+    const R: AccessKind = AccessKind::Read;
 
     fn e(vpage: u32, ppage: u32) -> TlbEntry {
         TlbEntry {
@@ -213,13 +253,13 @@ mod tests {
     #[test]
     fn direct_tlb_basic() {
         let mut t = DirectTlb::new(16);
-        assert!(t.lookup(5).is_none());
-        t.insert(e(5, 50));
-        assert_eq!(t.lookup(5).unwrap().ppage, 50);
+        assert!(t.lookup(5, R).is_none());
+        t.insert(e(5, 50), R, false);
+        assert_eq!(t.lookup(5, R).unwrap().0.ppage, 50);
         // Aliasing page evicts.
-        t.insert(e(5 + 16, 99));
-        assert!(t.lookup(5).is_none());
-        assert_eq!(t.lookup(21).unwrap().ppage, 99);
+        t.insert(e(5 + 16, 99), R, false);
+        assert!(t.lookup(5, R).is_none());
+        assert_eq!(t.lookup(21, R).unwrap().0.ppage, 99);
         let (h, m) = t.stats();
         assert_eq!((h, m), (2, 2));
     }
@@ -227,14 +267,14 @@ mod tests {
     #[test]
     fn direct_tlb_invalidate_and_flush() {
         let mut t = DirectTlb::new(8);
-        t.insert(e(1, 10));
-        t.insert(e(2, 20));
+        t.insert(e(1, 10), R, false);
+        t.insert(e(2, 20), R, false);
         t.invalidate_page(1);
-        assert!(t.lookup(1).is_none());
-        assert!(t.lookup(2).is_some());
+        assert!(t.lookup(1, R).is_none());
+        assert!(t.lookup(2, R).is_some());
         // Invalidating an absent page must not disturb an alias.
         t.invalidate_page(2 + 8);
-        assert!(t.lookup(2).is_some());
+        assert!(t.lookup(2, R).is_some());
         t.flush();
         assert_eq!(t.valid_entries(), 0);
     }
@@ -253,26 +293,43 @@ mod tests {
     }
 
     #[test]
+    fn split_cache_keeps_one_entry_per_access_class() {
+        let mut c = SplitCache::default();
+        c.insert(e(7, 70), AccessKind::Execute, false);
+        c.insert(e(9, 90), AccessKind::Write, false);
+        assert_eq!(c.lookup(7, AccessKind::Execute).unwrap().0.ppage, 70);
+        assert!(
+            c.lookup(7, AccessKind::Read).is_none(),
+            "classes are separate"
+        );
+        assert_eq!(c.lookup(9, AccessKind::Read).unwrap().0.ppage, 90);
+        c.invalidate_page(7);
+        assert!(c.lookup(7, AccessKind::Execute).is_none());
+        c.flush();
+        assert!(c.lookup(9, AccessKind::Write).is_none());
+    }
+
+    #[test]
     fn set_assoc_fifo() {
         let mut t = SetAssocTlb::new(1, 2);
-        t.insert(e(1, 10));
-        t.insert(e(2, 20));
-        assert!(t.lookup(1).is_some());
-        t.insert(e(3, 30)); // evicts vpage 1 (FIFO)
-        assert!(t.lookup(1).is_none());
-        assert!(t.lookup(2).is_some());
-        assert!(t.lookup(3).is_some());
+        t.insert(e(1, 10), R, false);
+        t.insert(e(2, 20), R, false);
+        assert!(t.lookup(1, R).is_some());
+        t.insert(e(3, 30), R, false); // evicts vpage 1 (FIFO)
+        assert!(t.lookup(1, R).is_none());
+        assert!(t.lookup(2, R).is_some());
+        assert!(t.lookup(3, R).is_some());
     }
 
     #[test]
     fn set_assoc_reinsert_no_duplicate() {
         let mut t = SetAssocTlb::new(1, 2);
-        t.insert(e(1, 10));
-        t.insert(e(1, 11));
-        assert_eq!(t.lookup(1).unwrap().ppage, 11);
-        t.insert(e(2, 20));
-        t.insert(e(3, 30));
+        t.insert(e(1, 10), R, false);
+        t.insert(e(1, 11), R, false);
+        assert_eq!(t.lookup(1, R).unwrap().0.ppage, 11);
+        t.insert(e(2, 20), R, false);
+        t.insert(e(3, 30), R, false);
         // vpage 1 (oldest) evicted, not duplicated.
-        assert!(t.lookup(1).is_none());
+        assert!(t.lookup(1, R).is_none());
     }
 }

@@ -27,17 +27,16 @@ pub use versions::{VersionProfile, QEMU_VERSIONS};
 use std::marker::PhantomData;
 use std::time::Instant;
 
-use simbench_core::bus::{Bus, BusEvent};
-use simbench_core::cpu::{CpuState, Flags};
+use simbench_core::bus::Bus;
 use simbench_core::engine::{Engine, EngineInfo, ExitReason, PhaseTracker, RunLimits, RunOutcome};
 use simbench_core::events::Counters;
-use simbench_core::exec::{step_op, BranchFlavor, ExecCtx, OpOutcome, Trap};
-use simbench_core::fault::{AccessKind, CopFault, ExcInfo, ExceptionKind, FaultKind, MemFault};
-use simbench_core::ir::{MemSize, Op};
-use simbench_core::isa::{CopEffect, Isa};
+use simbench_core::exec::{step_op, BranchFlavor, OpOutcome, Trap};
+use simbench_core::fault::{AccessKind, MemFault};
+use simbench_core::ir::{Decoded, Op};
+use simbench_core::isa::Isa;
 use simbench_core::machine::Machine;
-use simbench_core::mmu::TlbEntry;
 use simbench_core::page_of;
+use simbench_core::run::{count_branch, Event, ExecCore, Policy, PolicyObs, Tlb};
 
 use cache::{CodeCache, TbId, TbStep};
 use tlb::DbtTlb;
@@ -95,44 +94,43 @@ impl<I: Isa> Dbt<I> {
         self.code.live_blocks()
     }
 
+    /// Run `f` against the shared execution core, under this engine's
+    /// below-the-block-level [`Hooks`].
+    fn with_core<B: Bus, R>(
+        &mut self,
+        m: &mut Machine<I, B>,
+        counters: &mut Counters,
+        f: impl FnOnce(&mut ExecCore<'_, I, B, Hooks<'_>>) -> R,
+    ) -> R {
+        let mut hooks = Hooks {
+            tlb: &mut self.tlb,
+            code: &self.code,
+            code_write: None,
+        };
+        f(&mut ExecCore::new(m, counters, &mut hooks))
+    }
+
     /// Translate a fetch address, filling the TLB on miss.
     fn translate_exec<B: Bus>(
         &mut self,
-        cpu: &CpuState,
-        sys: &I::Sys,
-        bus: &mut B,
+        m: &mut Machine<I, B>,
+        counters: &mut Counters,
         va: u32,
     ) -> Result<u32, MemFault> {
-        if !I::mmu_enabled(sys) {
-            return Ok(va);
-        }
-        let vpage = page_of(va);
-        let entry = match self.tlb.lookup(vpage) {
-            Some(e) => e.entry,
-            None => {
-                let e = I::walk(sys, bus, va).map_err(|mut f| {
-                    f.access = AccessKind::Execute;
-                    f
-                })?;
-                self.tlb.insert(e, self.code.page_has_code(e.ppage));
-                e
-            }
-        };
-        entry.check(va, AccessKind::Execute, cpu.level.is_kernel(), false)
+        self.with_core(m, counters, |core| core.translate_exec(va))
     }
 
     /// Per-block-entry revalidation guard: later version profiles re-check
     /// the code mapping on every dispatch of a chained block.
     fn entry_guard<B: Bus>(
         &mut self,
-        cpu: &CpuState,
-        sys: &I::Sys,
-        bus: &mut B,
+        m: &mut Machine<I, B>,
+        counters: &mut Counters,
         pc: u32,
         ppage: u32,
     ) -> bool {
         for _ in 0..self.profile.entry_guard_level {
-            match self.translate_exec(cpu, sys, bus, pc) {
+            match self.translate_exec(m, counters, pc) {
                 Ok(pa) if page_of(pa) == ppage => {}
                 _ => return false,
             }
@@ -143,43 +141,26 @@ impl<I: Isa> Dbt<I> {
     /// Fetch raw instruction bytes at `pc`, possibly crossing a page.
     fn fetch_bytes<B: Bus>(
         &mut self,
-        cpu: &CpuState,
-        sys: &I::Sys,
-        bus: &mut B,
+        m: &mut Machine<I, B>,
+        counters: &mut Counters,
         pc: u32,
         buf: &mut [u8; 8],
     ) -> Result<usize, MemFault> {
-        let want = I::MAX_INSN_BYTES;
-        let mut have = 0usize;
-        let mut va = pc;
-        while have < want {
-            let pa = match self.translate_exec(cpu, sys, bus, va) {
-                Ok(pa) => pa,
-                Err(f) => {
-                    if have > 0 {
-                        break;
-                    }
-                    return Err(f);
-                }
-            };
-            let page_left = (0x1000 - (va & 0xFFF)) as usize;
-            let n = page_left.min(want - have);
-            let ram = bus.ram();
-            if (pa as usize) + n > ram.len() {
-                if have == 0 {
-                    return Err(MemFault {
-                        addr: pc,
-                        access: AccessKind::Execute,
-                        kind: FaultKind::BusError,
-                    });
-                }
-                break;
-            }
-            buf[have..have + n].copy_from_slice(&ram[pa as usize..pa as usize + n]);
-            have += n;
-            va = va.wrapping_add(n as u32);
-        }
-        Ok(have)
+        self.with_core(m, counters, |core| {
+            let pa = core.translate_exec(pc)?;
+            core.fetch_bytes(pc, pa, buf)
+        })
+    }
+
+    /// Deliver an exception-class event through the shared core.
+    fn deliver<B: Bus>(
+        &mut self,
+        m: &mut Machine<I, B>,
+        counters: &mut Counters,
+        event: Event,
+        return_pc: u32,
+    ) {
+        self.with_core(m, counters, |core| core.deliver(event, return_pc));
     }
 
     /// Translate a new block starting at `pc`.
@@ -190,7 +171,7 @@ impl<I: Isa> Dbt<I> {
         pc: u32,
     ) -> Result<TbId, MemFault> {
         let _obs = simbench_obs::span!("dbt.translate");
-        let first_pa = self.translate_exec(&m.cpu, &m.sys, &mut m.bus, pc)?;
+        let first_pa = self.translate_exec(m, counters, pc)?;
         let ppage = page_of(first_pa);
         self.scratch.clear();
         let mut cur = pc;
@@ -198,7 +179,7 @@ impl<I: Isa> Dbt<I> {
         let mut buf = [0u8; 8];
 
         for _ in 0..MAX_BLOCK_INSNS {
-            let have = match self.fetch_bytes(&m.cpu, &m.sys, &mut m.bus, cur, &mut buf) {
+            let have = match self.fetch_bytes(m, counters, cur, &mut buf) {
                 Ok(n) => n,
                 Err(f) => {
                     if self.scratch.is_empty() {
@@ -273,7 +254,7 @@ impl<I: Isa> Dbt<I> {
         counters: &mut Counters,
         pc: u32,
     ) -> Result<TbId, MemFault> {
-        let pa = self.translate_exec(&m.cpu, &m.sys, &mut m.bus, pc)?;
+        let pa = self.translate_exec(m, counters, pc)?;
         let ppage = page_of(pa);
         if let Some(id) = self.code.lookup(pc, ppage) {
             counters.block_cache_hits += 1;
@@ -293,6 +274,7 @@ impl<I: Isa> Dbt<I> {
     fn exception_sync<B: Bus>(
         &mut self,
         m: &mut Machine<I, B>,
+        counters: &mut Counters,
         block_pc: u32,
         is_data_fault: bool,
     ) {
@@ -302,18 +284,23 @@ impl<I: Isa> Dbt<I> {
         if is_data_fault && self.profile.data_fault_fast_path {
             return;
         }
-        self.recover_state(m, block_pc);
+        self.recover_state(m, counters, block_pc);
         self.code.unchain_all();
     }
 
     /// State recovery: re-decode the faulting block (without caching the
     /// result), exactly the work `cpu_restore_state` re-does in a real
     /// DBT to map host state back to guest state.
-    fn recover_state<B: Bus>(&mut self, m: &mut Machine<I, B>, block_pc: u32) {
+    fn recover_state<B: Bus>(
+        &mut self,
+        m: &mut Machine<I, B>,
+        counters: &mut Counters,
+        block_pc: u32,
+    ) {
         let mut buf = [0u8; 8];
         let mut cur = block_pc;
         for _ in 0..MAX_BLOCK_INSNS {
-            let Ok(have) = self.fetch_bytes(&m.cpu, &m.sys, &mut m.bus, cur, &mut buf) else {
+            let Ok(have) = self.fetch_bytes(m, counters, cur, &mut buf) else {
                 return;
             };
             let Ok(d) = I::decode(&buf[..have], cur) else {
@@ -358,7 +345,7 @@ impl<I: Isa> Dbt<I> {
         let id = match self.lookup_or_translate(m, counters, target) {
             Ok(id) => id,
             Err(f) => {
-                take_prefetch_abort::<I, B>(m, counters, f, target);
+                self.deliver(m, counters, Event::PrefetchAbort(f), target);
                 return None;
             }
         };
@@ -385,7 +372,7 @@ impl<I: Isa> Dbt<I> {
             if !tb.dead && tb.pc == target {
                 let ppage = tb.ppage;
                 // Validate the mapping still matches before trusting it.
-                if let Ok(pa) = self.translate_exec(&m.cpu, &m.sys, &mut m.bus, target) {
+                if let Ok(pa) = self.translate_exec(m, counters, target) {
                     if page_of(pa) == ppage {
                         return Some(id);
                     }
@@ -398,152 +385,63 @@ impl<I: Isa> Dbt<I> {
                 Some(id)
             }
             Err(f) => {
-                take_prefetch_abort::<I, B>(m, counters, f, target);
+                self.deliver(m, counters, Event::PrefetchAbort(f), target);
                 None
             }
         }
     }
 }
 
-/// Execution context for one block run.
-struct Ctx<'a, I: Isa, B: Bus> {
-    cpu: &'a mut CpuState,
-    sys: &'a mut I::Sys,
-    bus: &'a mut B,
+static OBS: PolicyObs = PolicyObs::new("dbt.tlb_refills", "dbt.dispatch_batches");
+
+/// The DBT's mechanisms below the block level, as a policy of the
+/// shared execution core: the write-protecting soft TLB, QEMU's
+/// `tlb_fill` slow path, and store detection of self-modifying code.
+/// Built per block (and per translation-time fetch) because it borrows
+/// the code cache the block's steps are read from.
+struct Hooks<'a> {
     tlb: &'a mut DbtTlb,
     code: &'a CodeCache,
-    counters: &'a mut Counters,
-    phase_mark: Option<u8>,
     /// Physical page whose translations a store just dirtied.
     code_write: Option<u32>,
 }
 
-impl<I: Isa, B: Bus> Ctx<'_, I, B> {
-    fn translate_data(
-        &mut self,
-        va: u32,
-        size: MemSize,
-        access: AccessKind,
-        nonpriv: bool,
-    ) -> Result<(u32, bool), MemFault> {
-        if !size.aligned(va) {
-            return Err(MemFault {
-                addr: va,
-                access,
-                kind: FaultKind::Unaligned,
-            });
-        }
-        if !I::mmu_enabled(self.sys) {
-            return Ok((va, self.code.page_has_code(page_of(va))));
-        }
-        let vpage = page_of(va);
-        let (entry, flag) = match self.tlb.lookup(vpage) {
-            Some(e) => {
-                self.counters.tlb_hits += 1;
-                (e.entry, e.contains_code)
-            }
-            None => {
-                self.counters.tlb_misses += 1;
-                static OBS_TLB_REFILLS: simbench_obs::Counter =
-                    simbench_obs::Counter::new("dbt.tlb_refills");
-                OBS_TLB_REFILLS.add(1);
-                let e: TlbEntry = I::walk(self.sys, self.bus, va).map_err(|mut f| {
-                    f.access = access;
-                    f
-                })?;
-                let flag = self.code.page_has_code(e.ppage);
-                self.tlb.insert(e, flag);
-                // QEMU-style tlb_fill: the helper validates the fill with
-                // a second walk and the memory op then *retries* through
-                // the TLB — the cold-path overhead the paper measures.
-                let _ = I::walk(self.sys, self.bus, va);
-                let refilled = self.tlb.lookup(vpage).expect("entry just filled");
-                (refilled.entry, refilled.contains_code)
-            }
-        };
-        let pa = entry.check(va, access, self.cpu.level.is_kernel(), nonpriv)?;
-        Ok((pa, flag))
-    }
-}
+impl Policy for Hooks<'_> {
+    type Tlb = DbtTlb;
+    type Insn = Decoded;
 
-impl<I: Isa, B: Bus> ExecCtx for Ctx<'_, I, B> {
-    fn reg(&self, r: u8) -> u32 {
-        self.cpu.regs[r as usize]
-    }
-    fn set_reg(&mut self, r: u8, v: u32) {
-        self.cpu.regs[r as usize] = v;
-    }
-    fn flags(&self) -> Flags {
-        self.cpu.flags
-    }
-    fn set_flags(&mut self, f: Flags) {
-        self.cpu.flags = f;
-    }
-    fn privileged(&self) -> bool {
-        self.cpu.level.is_kernel()
+    const COUNTS_FETCH_PROBES: bool = false;
+
+    #[inline]
+    fn tlb(&mut self) -> &mut DbtTlb {
+        self.tlb
     }
 
-    fn read(&mut self, va: u32, size: MemSize, nonpriv: bool) -> Result<u32, MemFault> {
-        self.counters.mem_reads += 1;
-        if nonpriv {
-            self.counters.nonpriv_accesses += 1;
-        }
-        let (pa, _) = self.translate_data(va, size, AccessKind::Read, nonpriv)?;
-        if self.bus.is_mmio(pa) {
-            self.counters.mmio_accesses += 1;
-        }
-        self.bus.read(pa, size).map_err(|mut f| {
-            f.addr = va;
-            f
-        })
+    fn obs(&self) -> &'static PolicyObs {
+        &OBS
     }
 
-    fn write(&mut self, va: u32, val: u32, size: MemSize, nonpriv: bool) -> Result<(), MemFault> {
-        self.counters.mem_writes += 1;
-        if nonpriv {
-            self.counters.nonpriv_accesses += 1;
-        }
-        let (pa, contains_code) = self.translate_data(va, size, AccessKind::Write, nonpriv)?;
-        if self.bus.is_mmio(pa) {
-            self.counters.mmio_accesses += 1;
-        }
-        match self.bus.write(pa, val, size) {
-            Ok(Some(BusEvent::PhaseMark(m))) => self.phase_mark = Some(m),
-            Ok(_) => {}
-            Err(mut f) => {
-                f.addr = va;
-                return Err(f);
-            }
-        }
-        // Write-protect slow path: the page may hold translations.
-        if contains_code && self.code.page_has_code(page_of(pa)) {
+    #[inline]
+    fn page_holds_code(&self, ppage: u32) -> bool {
+        self.code.page_has_code(ppage)
+    }
+
+    /// QEMU-style `tlb_fill`: the helper validates the fill with a
+    /// second walk and the memory op then *retries* through the TLB —
+    /// the cold-path overhead the paper measures.
+    #[inline]
+    fn data_tlb_filled<I: Isa, B: Bus>(&mut self, sys: &I::Sys, bus: &mut B, va: u32) {
+        let _ = I::walk(sys, bus, va);
+        let refilled = self.tlb.lookup(page_of(va), AccessKind::Read);
+        debug_assert!(refilled.is_some(), "entry just filled");
+    }
+
+    /// Write-protect slow path: the page may hold translations.
+    #[inline]
+    fn store(&mut self, pa: u32, holds_code: bool, _counters: &mut Counters) {
+        if holds_code && self.code.page_has_code(page_of(pa)) {
             self.code_write = Some(page_of(pa));
         }
-        Ok(())
-    }
-
-    fn cop_read(&mut self, cp: u8, reg: u8) -> Result<u32, CopFault> {
-        self.counters.coproc_accesses += 1;
-        I::cop_read(self.cpu, self.sys, cp, reg)
-    }
-
-    fn cop_write(&mut self, cp: u8, reg: u8, val: u32) -> Result<(), CopFault> {
-        self.counters.coproc_accesses += 1;
-        match I::cop_write(self.cpu, self.sys, cp, reg, val)? {
-            CopEffect::None => {}
-            CopEffect::TlbInvPage(va) => {
-                self.counters.tlb_invalidate_page += 1;
-                self.tlb.invalidate_page(page_of(va));
-            }
-            CopEffect::TlbFlush => {
-                self.counters.tlb_flushes += 1;
-                self.tlb.flush();
-            }
-            CopEffect::ContextChanged => {
-                self.tlb.flush();
-            }
-        }
-        Ok(())
     }
 }
 
@@ -597,29 +495,23 @@ impl<I: Isa, B: Bus> Engine<I, B> for Dbt<I> {
                 break ExitReason::InsnLimit;
             }
             self.blocks_executed += 1;
-            if let Some(wall) = limits.wall_limit {
-                if self.blocks_executed.is_multiple_of(WALL_CHECK_BLOCKS) && t0.elapsed() >= wall {
-                    break ExitReason::WallLimit;
+            if self.blocks_executed.is_multiple_of(WALL_CHECK_BLOCKS) {
+                OBS.dispatch_batches.add(1);
+                if let Some(wall) = limits.wall_limit {
+                    if t0.elapsed() >= wall {
+                        break ExitReason::WallLimit;
+                    }
                 }
             }
 
             // Interrupts are only taken at block boundaries.
+            let pc = m.cpu.pc;
             if m.cpu.irq_enabled && m.bus.irq_pending() {
-                counters.irqs_delivered += 1;
-                let resume = m.cpu.pc;
-                let vec = I::enter_exception(
-                    &mut m.cpu,
-                    &mut m.sys,
-                    ExceptionKind::Irq,
-                    ExcInfo::default(),
-                    resume,
-                );
-                m.cpu.pc = vec;
+                self.deliver(m, &mut counters, Event::Irq, pc);
                 chained_next = None;
                 continue;
             }
 
-            let pc = m.cpu.pc;
             let cur: TbId = match chained_next.take() {
                 Some(id)
                     if !self.code.blocks[id as usize].dead
@@ -627,13 +519,13 @@ impl<I: Isa, B: Bus> Engine<I, B> for Dbt<I> {
                 {
                     counters.block_chain_follows += 1;
                     let ppage = self.code.blocks[id as usize].ppage;
-                    if self.entry_guard(&m.cpu, &m.sys, &mut m.bus, pc, ppage) {
+                    if self.entry_guard(m, &mut counters, pc, ppage) {
                         id
                     } else {
                         match self.lookup_or_translate(m, &mut counters, pc) {
                             Ok(id) => id,
                             Err(f) => {
-                                take_prefetch_abort::<I, B>(m, &mut counters, f, pc);
+                                self.deliver(m, &mut counters, Event::PrefetchAbort(f), pc);
                                 continue;
                             }
                         }
@@ -642,7 +534,7 @@ impl<I: Isa, B: Bus> Engine<I, B> for Dbt<I> {
                 _ => match self.lookup_or_translate(m, &mut counters, pc) {
                     Ok(id) => id,
                     Err(f) => {
-                        take_prefetch_abort::<I, B>(m, &mut counters, f, pc);
+                        self.deliver(m, &mut counters, Event::PrefetchAbort(f), pc);
                         continue;
                     }
                 },
@@ -653,23 +545,18 @@ impl<I: Isa, B: Bus> Engine<I, B> for Dbt<I> {
                 (tb.pc, tb.end_pc, tb.taken_target)
             };
             // Dispatch is a pure slice walk over the shared step arena.
-            // The slice and `ctx.code` are both immutable borrows of
+            // The slice and `hooks.code` are both immutable borrows of
             // `self.code` (coexisting fine with the mutable `self.tlb`
             // borrow), so the arena cannot move or be invalidated
             // mid-block; each step is copied out by value (`TbStep` is
             // small and `Copy`).
             let steps = self.code.steps_of(cur);
-
-            let mut ctx = Ctx::<I, B> {
-                cpu: &mut m.cpu,
-                sys: &mut m.sys,
-                bus: &mut m.bus,
+            let mut hooks = Hooks {
                 tlb: &mut self.tlb,
                 code: &self.code,
-                counters: &mut counters,
-                phase_mark: None,
                 code_write: None,
             };
+            let mut ctx = ExecCore::new(m, &mut counters, &mut hooks);
 
             let mut exit = BlockExit::Fallthrough;
             // Track the current instruction's own address (the previous
@@ -686,7 +573,7 @@ impl<I: Isa, B: Bus> Engine<I, B> for Dbt<I> {
                 ctx.counters.uops += 1;
                 match step_op(&mut ctx, &step.op) {
                     OpOutcome::Next => {
-                        if ctx.code_write.is_some() {
+                        if ctx.policy.code_write.is_some() {
                             exit = BlockExit::CodeWrite {
                                 resume_pc: step.next_pc,
                             };
@@ -712,7 +599,7 @@ impl<I: Isa, B: Bus> Engine<I, B> for Dbt<I> {
                 }
             }
             let mark = ctx.phase_mark.take();
-            let dirty_page = ctx.code_write.take();
+            let dirty_page = hooks.code_write.take();
 
             if let Some(mark) = mark {
                 phase.on_mark(mark, &counters);
@@ -759,47 +646,11 @@ impl<I: Isa, B: Bus> Engine<I, B> for Dbt<I> {
                 }
                 BlockExit::Trap { trap, next_pc } => {
                     chained_next = None;
-                    match trap {
-                        Trap::Eret => {
-                            m.cpu.pc = I::leave_exception(&mut m.cpu, &mut m.sys);
-                        }
-                        Trap::Syscall(n) => {
-                            counters.syscalls += 1;
-                            self.exception_sync(m, tb_pc, false);
-                            let vec = I::enter_exception(
-                                &mut m.cpu,
-                                &mut m.sys,
-                                ExceptionKind::Syscall,
-                                ExcInfo::syscall(n),
-                                next_pc,
-                            );
-                            m.cpu.pc = vec;
-                        }
-                        Trap::Undef => {
-                            counters.undef_insns += 1;
-                            self.exception_sync(m, tb_pc, false);
-                            let vec = I::enter_exception(
-                                &mut m.cpu,
-                                &mut m.sys,
-                                ExceptionKind::Undef,
-                                ExcInfo::default(),
-                                next_pc,
-                            );
-                            m.cpu.pc = vec;
-                        }
-                        Trap::DataFault(f) => {
-                            counters.data_faults += 1;
-                            self.exception_sync(m, tb_pc, true);
-                            let vec = I::enter_exception(
-                                &mut m.cpu,
-                                &mut m.sys,
-                                ExceptionKind::DataAbort,
-                                ExcInfo::from_fault(f),
-                                next_pc,
-                            );
-                            m.cpu.pc = vec;
-                        }
+                    if trap != Trap::Eret {
+                        let is_data_fault = matches!(trap, Trap::DataFault(_));
+                        self.exception_sync(m, &mut counters, tb_pc, is_data_fault);
                     }
+                    self.deliver(m, &mut counters, Event::Trap(trap), next_pc);
                 }
             }
         };
@@ -810,35 +661,6 @@ impl<I: Isa, B: Bus> Engine<I, B> for Dbt<I> {
             counters,
             kernel: phase.into_kernel(),
         }
-    }
-}
-
-/// Take a prefetch abort (used from several dispatch points).
-fn take_prefetch_abort<I: Isa, B: Bus>(
-    m: &mut Machine<I, B>,
-    counters: &mut Counters,
-    f: MemFault,
-    pc: u32,
-) {
-    counters.insn_faults += 1;
-    let vec = I::enter_exception(
-        &mut m.cpu,
-        &mut m.sys,
-        ExceptionKind::PrefetchAbort,
-        ExcInfo::from_fault(f),
-        pc,
-    );
-    m.cpu.pc = vec;
-}
-
-/// Classify and count a taken branch.
-fn count_branch(counters: &mut Counters, from_pc: u32, target: u32, flavor: BranchFlavor) {
-    let same_page = page_of(from_pc) == page_of(target);
-    match (flavor, same_page) {
-        (BranchFlavor::Direct, true) => counters.branch_intra_direct += 1,
-        (BranchFlavor::Direct, false) => counters.branch_inter_direct += 1,
-        (BranchFlavor::Indirect, true) => counters.branch_intra_indirect += 1,
-        (BranchFlavor::Indirect, false) => counters.branch_inter_indirect += 1,
     }
 }
 

@@ -8,7 +8,9 @@
 //! flushes this TLB so stale unflagged entries cannot miss an
 //! invalidation.
 
+use simbench_core::fault::AccessKind;
 use simbench_core::mmu::TlbEntry;
+use simbench_core::run::Tlb;
 
 const INVALID: u32 = u32::MAX;
 
@@ -55,30 +57,36 @@ impl DbtTlb {
         }
     }
 
-    /// Look up a virtual page: main array first, then the victim buffer
-    /// (promoting on a victim hit).
+    /// (hits, misses).
+    pub fn stats(&self) -> (u64, u64) {
+        (self.hits, self.misses)
+    }
+}
+
+impl Tlb for DbtTlb {
+    /// Main array first, then the victim buffer (promoting on a victim
+    /// hit).
     #[inline]
-    pub fn lookup(&mut self, vpage: u32) -> Option<DbtTlbEntry> {
+    fn lookup(&mut self, vpage: u32, access: AccessKind) -> Option<(TlbEntry, bool)> {
         let slot = &self.slots[(vpage & self.mask) as usize];
         if slot.0 == vpage {
             self.hits += 1;
-            return Some(slot.1);
+            return Some((slot.1.entry, slot.1.contains_code));
         }
         if let Some(i) = self.victims.iter().position(|v| v.0 == vpage) {
             let (tag, entry) = self.victims.swap_remove(i);
-            self.insert(entry.entry, entry.contains_code);
+            self.insert(entry.entry, access, entry.contains_code);
             self.hits += 1;
             debug_assert_eq!(tag, vpage);
-            return Some(entry);
+            return Some((entry.entry, entry.contains_code));
         }
         self.misses += 1;
         None
     }
 
-    /// Install a translation, spilling any evicted entry to the victim
-    /// buffer.
+    /// Spills any evicted entry to the victim buffer.
     #[inline]
-    pub fn insert(&mut self, entry: TlbEntry, contains_code: bool) {
+    fn insert(&mut self, entry: TlbEntry, _access: AccessKind, contains_code: bool) {
         let vpage = entry.vpage;
         let slot = &mut self.slots[(vpage & self.mask) as usize];
         if slot.0 != INVALID && slot.0 != vpage {
@@ -96,8 +104,7 @@ impl DbtTlb {
         );
     }
 
-    /// Invalidate the entry covering `vpage` if cached.
-    pub fn invalidate_page(&mut self, vpage: u32) {
+    fn invalidate_page(&mut self, vpage: u32) {
         let slot = &mut self.slots[(vpage & self.mask) as usize];
         if slot.0 == vpage {
             slot.0 = INVALID;
@@ -105,17 +112,11 @@ impl DbtTlb {
         self.victims.retain(|v| v.0 != vpage);
     }
 
-    /// Drop everything.
-    pub fn flush(&mut self) {
+    fn flush(&mut self) {
         for s in &mut self.slots {
             s.0 = INVALID;
         }
         self.victims.clear();
-    }
-
-    /// (hits, misses).
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
     }
 }
 
@@ -123,6 +124,8 @@ impl DbtTlb {
 mod tests {
     use super::*;
     use simbench_core::mmu::Perms;
+
+    const R: AccessKind = AccessKind::Read;
 
     fn e(vpage: u32) -> TlbEntry {
         TlbEntry {
@@ -136,39 +139,39 @@ mod tests {
     #[test]
     fn flag_round_trip() {
         let mut t = DbtTlb::new(4);
-        t.insert(e(3), true);
-        let got = t.lookup(3).unwrap();
-        assert!(got.contains_code);
-        assert_eq!(got.entry.ppage, 103);
-        t.insert(e(3), false);
-        assert!(!t.lookup(3).unwrap().contains_code);
+        t.insert(e(3), R, true);
+        let (entry, contains_code) = t.lookup(3, R).unwrap();
+        assert!(contains_code);
+        assert_eq!(entry.ppage, 103);
+        t.insert(e(3), R, false);
+        assert!(!t.lookup(3, R).unwrap().1);
     }
 
     #[test]
     fn aliasing_spills_to_victims() {
         let mut t = DbtTlb::new(2); // 4 slots
-        t.insert(e(1), false);
-        t.insert(e(5), false); // aliases slot 1 → 1 goes to the victims
-        assert!(t.lookup(5).is_some());
-        assert!(t.lookup(1).is_some(), "victim buffer holds the alias");
+        t.insert(e(1), R, false);
+        t.insert(e(5), R, false); // aliases slot 1 → 1 goes to the victims
+        assert!(t.lookup(5, R).is_some());
+        assert!(t.lookup(1, R).is_some(), "victim buffer holds the alias");
         // The victim hit re-promoted 1, spilling 5.
-        assert!(t.lookup(5).is_some());
+        assert!(t.lookup(5, R).is_some());
         t.invalidate_page(5);
-        assert!(t.lookup(5).is_none());
-        t.insert(e(2), false);
+        assert!(t.lookup(5, R).is_none());
+        t.insert(e(2), R, false);
         t.flush();
-        assert!(t.lookup(2).is_none());
+        assert!(t.lookup(2, R).is_none());
     }
 
     #[test]
     fn victim_capacity_bounded() {
         let mut t = DbtTlb::new(0); // 1 slot: every insert evicts
         for v in 0..20 {
-            t.insert(e(v), false);
+            t.insert(e(v), R, false);
         }
         // Only the last 8 victims plus the resident entry survive.
-        assert!(t.lookup(19).is_some());
-        assert!(t.lookup(0).is_none());
-        assert!(t.lookup(12).is_some());
+        assert!(t.lookup(19, R).is_some());
+        assert!(t.lookup(0, R).is_none());
+        assert!(t.lookup(12, R).is_some());
     }
 }

@@ -1,7 +1,8 @@
 //! Fig 5: the measurement environment. The paper lists its two physical
-//! testbeds; our substitution (see `DESIGN.md`) runs every engine on the
-//! host this harness executes on, so the honest equivalent is a
-//! description of that host plus the engine configurations.
+//! testbeds; our substitution (see "Substitutions" in the README) runs
+//! every engine on the host this harness executes on, so the honest
+//! equivalent is a description of that host plus the engine
+//! configurations.
 
 use crate::table::Table;
 

@@ -2,85 +2,37 @@
 //!
 //! A hardware-assisted-virtualization cost-model engine — the QEMU-KVM
 //! analogue of the paper's evaluation — plus a `native` configuration
-//! standing in for the bare-metal hardware rows of Fig 7 (see the
-//! substitution notes in `DESIGN.md`).
+//! standing in for the bare-metal hardware rows of Fig 7 (see
+//! "Substitutions" under "Hot-loop architecture" in the README).
 //!
 //! Guest code executes on a *direct* fast path: instructions are decoded
 //! once per physical page and cached (the hardware's decoder), and
 //! address translation uses a large, cheap "hardware TLB". Sensitive
 //! operations — MMIO, coprocessor accesses, undefined instructions,
-//! interrupt injection — trigger simulated **VM exits** with a
-//! configurable latency, reproducing the trap-and-emulate costs the
-//! paper highlights for the External Software Interrupt and Memory
-//! Mapped Device benchmarks. The `native` configuration runs the same
-//! engine with zero exit cost.
+//! interrupt injection — trigger simulated **VM exits** with a fixed
+//! latency, reproducing the trap-and-emulate costs the paper highlights
+//! for the External Software Interrupt and Memory Mapped Device
+//! benchmarks. The `native` configuration runs the same engine with no
+//! exits at all.
 
 use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::rc::Rc;
 use std::time::Instant;
 
-use simbench_core::bus::{Bus, BusEvent};
-use simbench_core::cpu::{CpuState, Flags};
-use simbench_core::engine::{Engine, EngineInfo, ExitReason, PhaseTracker, RunLimits, RunOutcome};
+use simbench_core::bus::Bus;
+use simbench_core::engine::{Engine, EngineInfo, RunLimits, RunOutcome};
 use simbench_core::events::Counters;
-use simbench_core::exec::{step_op, ExecCtx, OpOutcome, Trap};
-use simbench_core::fault::{AccessKind, CopFault, ExcInfo, ExceptionKind, FaultKind, MemFault};
-use simbench_core::ir::{Decoded, MemSize, Op, MAX_OPS_PER_INSN};
-use simbench_core::isa::{CopEffect, Isa};
+use simbench_core::ir::Decoded;
+use simbench_core::isa::Isa;
 use simbench_core::machine::Machine;
 use simbench_core::page_of;
+use simbench_core::run::{self, Policy, PolicyObs, Sensitive, Tlb};
 use simbench_core::tlb::DirectTlb;
 
-/// Main-loop iterations between wall-clock checks. Iterations, not
-/// retired instructions: IRQ-delivery and prefetch-abort iterations
-/// retire nothing, and a storm of them must still honor `--wall-limit`.
-const WALL_CHECK_PERIOD: u64 = 0x2_0000;
-
-/// Configuration of the virtualization layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VirtConfig {
-    /// Engine display name.
-    pub name: &'static str,
-    /// Simulated cost of one VM exit, in nanoseconds (busy-waited, the
-    /// honest stand-in for a world switch we cannot perform).
-    pub exit_cost_ns: u32,
-    /// MMIO accesses exit to the hypervisor.
-    pub mmio_exits: bool,
-    /// Coprocessor accesses exit to the hypervisor.
-    pub coproc_exits: bool,
-    /// Undefined instructions exit (the paper's "Hypercall" row).
-    pub undef_exits: bool,
-    /// Interrupt injection exits.
-    pub irq_exits: bool,
-}
-
-impl VirtConfig {
-    /// KVM-like: traps cost ~1.5 µs.
-    pub fn kvm() -> Self {
-        VirtConfig {
-            name: "virt",
-            exit_cost_ns: 1500,
-            mmio_exits: true,
-            coproc_exits: true,
-            undef_exits: true,
-            irq_exits: true,
-        }
-    }
-
-    /// Native hardware stand-in: the same direct execution path with
-    /// zero exit cost.
-    pub fn native() -> Self {
-        VirtConfig {
-            name: "native",
-            exit_cost_ns: 0,
-            mmio_exits: false,
-            coproc_exits: false,
-            undef_exits: false,
-            irq_exits: false,
-        }
-    }
-}
+/// Simulated cost of one KVM-like VM exit, in nanoseconds (busy-waited,
+/// the honest stand-in for a world switch we cannot perform).
+const KVM_EXIT_COST_NS: u32 = 1500;
 
 /// Pre-decoded instructions for one physical page, indexed by byte
 /// offset (the hardware front-end's decoded-instruction cache).
@@ -90,6 +42,7 @@ struct PageCode {
 }
 
 impl Default for PageCode {
+    #[cold]
     fn default() -> Self {
         PageCode {
             slots: vec![None; 4096],
@@ -100,7 +53,9 @@ impl Default for PageCode {
 /// The virtualization / native engine.
 #[derive(Debug)]
 pub struct Virt<I: Isa> {
-    cfg: VirtConfig,
+    /// Cost of one VM exit in nanoseconds; `None` is the native
+    /// configuration, where sensitive operations do not exit.
+    exit_cost_ns: Option<u32>,
     /// "Hardware" TLB: large and cheap.
     tlb: DirectTlb,
     /// Per-physical-page decoded-instruction cache (the hardware
@@ -110,29 +65,25 @@ pub struct Virt<I: Isa> {
 }
 
 impl<I: Isa> Virt<I> {
-    /// A KVM-configured engine.
+    /// A KVM-configured engine: every sensitive operation exits to the
+    /// hypervisor at ~1.5 µs.
     pub fn kvm() -> Self {
-        Self::with_config(VirtConfig::kvm())
+        Self::with_exit_cost(Some(KVM_EXIT_COST_NS))
     }
 
-    /// A native-configured engine.
+    /// Native hardware stand-in: the same direct execution path with no
+    /// exits.
     pub fn native() -> Self {
-        Self::with_config(VirtConfig::native())
+        Self::with_exit_cost(None)
     }
 
-    /// An engine with an explicit configuration.
-    pub fn with_config(cfg: VirtConfig) -> Self {
+    fn with_exit_cost(exit_cost_ns: Option<u32>) -> Self {
         Virt {
-            cfg,
+            exit_cost_ns,
             tlb: DirectTlb::new(4096),
             pages: HashMap::new(),
             _isa: PhantomData,
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &VirtConfig {
-        &self.cfg
     }
 }
 
@@ -148,243 +99,68 @@ fn spin_exit(cost_ns: u32) {
     }
 }
 
-/// Fixed-capacity set of physical pages whose cached decodes one
-/// instruction's op list dirtied. Each op performs at most one store,
-/// so [`MAX_OPS_PER_INSN`] bounds the set — no heap, and no page is
-/// lost when a single op list stores into several code-holding pages.
-#[derive(Debug, Clone, Copy, Default)]
-struct DirtyCodePages {
-    pages: [u32; MAX_OPS_PER_INSN],
-    len: usize,
-}
+/// The virt policy: decodes are cached per physical page, stores keep
+/// that cache coherent, and (under KVM) every sensitive operation pays
+/// a VM exit.
+impl<I: Isa> Policy for Virt<I> {
+    type Tlb = DirectTlb;
+    type Insn = Rc<Decoded>;
 
-impl DirtyCodePages {
-    fn push(&mut self, ppage: u32) {
-        if !self.as_slice().contains(&ppage) {
-            self.pages[self.len] = ppage;
-            self.len += 1;
-        }
+    #[inline]
+    fn tlb(&mut self) -> &mut DirectTlb {
+        &mut self.tlb
     }
 
-    fn as_slice(&self) -> &[u32] {
-        &self.pages[..self.len]
-    }
-}
-
-struct Ctx<'a, I: Isa, B: Bus> {
-    cpu: &'a mut CpuState,
-    sys: &'a mut I::Sys,
-    bus: &'a mut B,
-    tlb: &'a mut DirectTlb,
-    counters: &'a mut Counters,
-    cfg: VirtConfig,
-    phase_mark: Option<u8>,
-    /// Physical pages whose decoded instructions a store dirtied.
-    code_write: DirtyCodePages,
-    /// Pages with cached decodes (read-only coherency check).
-    code_pages: &'a HashMap<u32, PageCode>,
-}
-
-impl<I: Isa, B: Bus> Ctx<'_, I, B> {
-    fn vm_exit(&mut self) {
-        self.counters.vm_exits += 1;
-        spin_exit(self.cfg.exit_cost_ns);
-    }
-
-    fn translate_data(
-        &mut self,
-        va: u32,
-        size: MemSize,
-        access: AccessKind,
-        nonpriv: bool,
-    ) -> Result<u32, MemFault> {
-        if !size.aligned(va) {
-            return Err(MemFault {
-                addr: va,
-                access,
-                kind: FaultKind::Unaligned,
-            });
-        }
-        if !I::mmu_enabled(self.sys) {
-            return Ok(va);
-        }
-        let vpage = page_of(va);
-        let entry = match self.tlb.lookup(vpage) {
-            Some(e) => {
-                self.counters.tlb_hits += 1;
-                e
-            }
-            None => {
-                self.counters.tlb_misses += 1;
-                let e = I::walk(self.sys, self.bus, va).map_err(|mut f| {
-                    f.access = access;
-                    f
-                })?;
-                self.tlb.insert(e);
-                e
-            }
-        };
-        entry.check(va, access, self.cpu.level.is_kernel(), nonpriv)
-    }
-}
-
-impl<I: Isa, B: Bus> ExecCtx for Ctx<'_, I, B> {
-    fn reg(&self, r: u8) -> u32 {
-        self.cpu.regs[r as usize]
-    }
-    fn set_reg(&mut self, r: u8, v: u32) {
-        self.cpu.regs[r as usize] = v;
-    }
-    fn flags(&self) -> Flags {
-        self.cpu.flags
-    }
-    fn set_flags(&mut self, f: Flags) {
-        self.cpu.flags = f;
-    }
-    fn privileged(&self) -> bool {
-        self.cpu.level.is_kernel()
-    }
-
-    fn read(&mut self, va: u32, size: MemSize, nonpriv: bool) -> Result<u32, MemFault> {
-        self.counters.mem_reads += 1;
-        if nonpriv {
-            self.counters.nonpriv_accesses += 1;
-        }
-        let pa = self.translate_data(va, size, AccessKind::Read, nonpriv)?;
-        if self.bus.is_mmio(pa) {
-            self.counters.mmio_accesses += 1;
-            if self.cfg.mmio_exits {
-                self.vm_exit();
-            }
-        }
-        self.bus.read(pa, size).map_err(|mut f| {
-            f.addr = va;
-            f
-        })
-    }
-
-    fn write(&mut self, va: u32, val: u32, size: MemSize, nonpriv: bool) -> Result<(), MemFault> {
-        self.counters.mem_writes += 1;
-        if nonpriv {
-            self.counters.nonpriv_accesses += 1;
-        }
-        let pa = self.translate_data(va, size, AccessKind::Write, nonpriv)?;
-        if self.bus.is_mmio(pa) {
-            self.counters.mmio_accesses += 1;
-            if self.cfg.mmio_exits {
-                self.vm_exit();
-            }
-        }
-        match self.bus.write(pa, val, size) {
-            Ok(Some(BusEvent::PhaseMark(m))) => self.phase_mark = Some(m),
-            Ok(_) => {}
-            Err(mut f) => {
-                f.addr = va;
-                return Err(f);
-            }
-        }
-        // Instruction-cache coherency: dirty pages with cached decodes.
-        let ppage = page_of(pa);
-        if self.code_pages.contains_key(&ppage) {
-            self.code_write.push(ppage);
-        }
-        Ok(())
-    }
-
-    fn cop_read(&mut self, cp: u8, reg: u8) -> Result<u32, CopFault> {
-        self.counters.coproc_accesses += 1;
-        if self.cfg.coproc_exits {
-            self.vm_exit();
-        }
-        I::cop_read(self.cpu, self.sys, cp, reg)
-    }
-
-    fn cop_write(&mut self, cp: u8, reg: u8, val: u32) -> Result<(), CopFault> {
-        self.counters.coproc_accesses += 1;
-        if self.cfg.coproc_exits {
-            self.vm_exit();
-        }
-        match I::cop_write(self.cpu, self.sys, cp, reg, val)? {
-            CopEffect::None => {}
-            CopEffect::TlbInvPage(va) => {
-                self.counters.tlb_invalidate_page += 1;
-                self.tlb.invalidate_page(page_of(va));
-            }
-            CopEffect::TlbFlush => {
-                self.counters.tlb_flushes += 1;
-                self.tlb.flush();
-            }
-            CopEffect::ContextChanged => self.tlb.flush(),
-        }
-        Ok(())
-    }
-}
-
-impl<I: Isa> Virt<I> {
-    /// Translate a fetch and return the decoded instruction at `pc`,
-    /// decoding and caching the page slot on first touch.
-    fn fetch<B: Bus>(
-        &mut self,
-        cpu: &CpuState,
-        sys: &mut I::Sys,
-        bus: &mut B,
-        counters: &mut Counters,
-        pc: u32,
-    ) -> Result<Rc<Decoded>, MemFault> {
-        let pa = if !I::mmu_enabled(sys) {
-            pc
+    fn obs(&self) -> &'static PolicyObs {
+        static VIRT: PolicyObs = PolicyObs::new("virt.tlb_refills", "virt.dispatch_batches");
+        static NATIVE: PolicyObs = PolicyObs::new("native.tlb_refills", "native.dispatch_batches");
+        if self.exit_cost_ns.is_some() {
+            &VIRT
         } else {
-            let vpage = page_of(pc);
-            let entry = match self.tlb.lookup(vpage) {
-                Some(e) => {
-                    counters.tlb_hits += 1;
-                    e
-                }
-                None => {
-                    counters.tlb_misses += 1;
-                    let e = I::walk(sys, bus, pc).map_err(|mut f| {
-                        f.access = AccessKind::Execute;
-                        f
-                    })?;
-                    self.tlb.insert(e);
-                    e
-                }
-            };
-            entry.check(pc, AccessKind::Execute, cpu.level.is_kernel(), false)?
-        };
-        let ppage = page_of(pa);
+            &NATIVE
+        }
+    }
+
+    #[inline]
+    fn cached_decode(&mut self, pa: u32) -> Option<Rc<Decoded>> {
+        self.pages.get(&page_of(pa))?.slots[(pa & 0xFFF) as usize].clone()
+    }
+
+    #[inline]
+    fn hold_decode(&mut self, pa: u32, d: Decoded) -> Rc<Decoded> {
         let off = (pa & 0xFFF) as usize;
-        if let Some(Some(d)) = self.pages.get(&ppage).map(|p| &p.slots[off]) {
-            return Ok(Rc::clone(d));
+        let d = Rc::new(d);
+        // An instruction that continues on the next page depends on that
+        // page's mapping and contents, which this page's coherency
+        // tracking does not see: decode it afresh every time.
+        if off + d.len as usize <= 0x1000 {
+            self.pages.entry(page_of(pa)).or_default().slots[off] = Some(Rc::clone(&d));
         }
-        // Decode from RAM (instruction fetch from MMIO is a bus error).
-        let ram = bus.ram();
-        if pa as usize >= ram.len() {
-            return Err(MemFault {
-                addr: pc,
-                access: AccessKind::Execute,
-                kind: FaultKind::BusError,
-            });
+        d
+    }
+
+    #[inline]
+    fn sensitive(&mut self, _what: Sensitive, counters: &mut Counters) -> Result<(), &'static str> {
+        if let Some(cost_ns) = self.exit_cost_ns {
+            counters.vm_exits += 1;
+            spin_exit(cost_ns);
         }
-        let end = ((pa as usize) + I::MAX_INSN_BYTES).min(ram.len());
-        let bytes = &ram[pa as usize..end];
-        let decoded = match I::decode(bytes, pc) {
-            Ok(d) => d,
-            Err(_) => Decoded::new(
-                I::MAX_INSN_BYTES as u8,
-                [Op::Udf],
-                simbench_core::ir::InsnClass::System,
-            ),
-        };
-        let rc = Rc::new(decoded);
-        self.pages.entry(ppage).or_default().slots[off] = Some(Rc::clone(&rc));
-        Ok(rc)
+        Ok(())
+    }
+
+    /// Instruction-cache coherency: a store into a page with cached
+    /// decodes drops them.
+    #[inline]
+    fn store(&mut self, pa: u32, _holds_code: bool, counters: &mut Counters) {
+        if self.pages.remove(&page_of(pa)).is_some() {
+            counters.code_invalidations += 1;
+        }
     }
 }
 
 impl<I: Isa, B: Bus> Engine<I, B> for Virt<I> {
     fn info(&self) -> EngineInfo {
-        if self.cfg.exit_cost_ns == 0 && !self.cfg.mmio_exits {
+        if self.exit_cost_ns.is_none() {
             EngineInfo {
                 name: "native",
                 execution_model: "Direct",
@@ -412,152 +188,9 @@ impl<I: Isa, B: Bus> Engine<I, B> for Virt<I> {
     }
 
     fn run(&mut self, m: &mut Machine<I, B>, limits: &RunLimits) -> RunOutcome {
-        let t0 = Instant::now();
-        let mut counters = Counters::default();
-        let mut phase = PhaseTracker::new();
         self.tlb.flush();
         self.pages.clear();
-
-        let mut iters: u64 = 0;
-        let exit = 'outer: loop {
-            if counters.instructions >= limits.max_insns {
-                break ExitReason::InsnLimit;
-            }
-            if let Some(wall) = limits.wall_limit {
-                if iters.is_multiple_of(WALL_CHECK_PERIOD) && t0.elapsed() >= wall {
-                    break ExitReason::WallLimit;
-                }
-            }
-            iters += 1;
-
-            if m.cpu.irq_enabled && m.bus.irq_pending() {
-                counters.irqs_delivered += 1;
-                if self.cfg.irq_exits {
-                    counters.vm_exits += 1;
-                    spin_exit(self.cfg.exit_cost_ns);
-                }
-                let resume = m.cpu.pc;
-                let vec = I::enter_exception(
-                    &mut m.cpu,
-                    &mut m.sys,
-                    ExceptionKind::Irq,
-                    ExcInfo::default(),
-                    resume,
-                );
-                m.cpu.pc = vec;
-                continue;
-            }
-
-            let pc = m.cpu.pc;
-            let decoded = match self.fetch(&m.cpu, &mut m.sys, &mut m.bus, &mut counters, pc) {
-                Ok(d) => d,
-                Err(f) => {
-                    counters.insn_faults += 1;
-                    let vec = I::enter_exception(
-                        &mut m.cpu,
-                        &mut m.sys,
-                        ExceptionKind::PrefetchAbort,
-                        ExcInfo::from_fault(f),
-                        pc,
-                    );
-                    m.cpu.pc = vec;
-                    continue;
-                }
-            };
-
-            counters.instructions += 1;
-            let next_pc = pc.wrapping_add(decoded.len as u32);
-            let mut ctx = Ctx::<I, B> {
-                cpu: &mut m.cpu,
-                sys: &mut m.sys,
-                bus: &mut m.bus,
-                tlb: &mut self.tlb,
-                counters: &mut counters,
-                cfg: self.cfg,
-                phase_mark: None,
-                code_write: DirtyCodePages::default(),
-                code_pages: &self.pages,
-            };
-
-            let mut new_pc = next_pc;
-            let mut trap: Option<Trap> = None;
-            for op in &decoded.ops {
-                ctx.counters.uops += 1;
-                match step_op(&mut ctx, op) {
-                    OpOutcome::Next => {}
-                    OpOutcome::Jump { target, flavor } => {
-                        simbench_interp::count_branch(ctx.counters, pc, target, flavor);
-                        new_pc = target;
-                        break;
-                    }
-                    OpOutcome::Trap(t) => {
-                        trap = Some(t);
-                        break;
-                    }
-                    OpOutcome::Halt => break 'outer ExitReason::Halted,
-                }
-            }
-            let mark = ctx.phase_mark.take();
-            let dirty = ctx.code_write;
-
-            for &ppage in dirty.as_slice() {
-                counters.code_invalidations += 1;
-                self.pages.remove(&ppage);
-            }
-
-            match trap {
-                None => m.cpu.pc = new_pc,
-                Some(Trap::Eret) => m.cpu.pc = I::leave_exception(&mut m.cpu, &mut m.sys),
-                Some(Trap::Syscall(n)) => {
-                    counters.syscalls += 1;
-                    let vec = I::enter_exception(
-                        &mut m.cpu,
-                        &mut m.sys,
-                        ExceptionKind::Syscall,
-                        ExcInfo::syscall(n),
-                        next_pc,
-                    );
-                    m.cpu.pc = vec;
-                }
-                Some(Trap::Undef) => {
-                    counters.undef_insns += 1;
-                    if self.cfg.undef_exits {
-                        counters.vm_exits += 1;
-                        spin_exit(self.cfg.exit_cost_ns);
-                    }
-                    let vec = I::enter_exception(
-                        &mut m.cpu,
-                        &mut m.sys,
-                        ExceptionKind::Undef,
-                        ExcInfo::default(),
-                        next_pc,
-                    );
-                    m.cpu.pc = vec;
-                }
-                Some(Trap::DataFault(f)) => {
-                    counters.data_faults += 1;
-                    let vec = I::enter_exception(
-                        &mut m.cpu,
-                        &mut m.sys,
-                        ExceptionKind::DataAbort,
-                        ExcInfo::from_fault(f),
-                        next_pc,
-                    );
-                    m.cpu.pc = vec;
-                }
-            }
-
-            if let Some(mark) = mark {
-                phase.on_mark(mark, &counters);
-            }
-        };
-
-        RunOutcome {
-            exit,
-            wall: t0.elapsed(),
-            counters,
-            kernel: phase.into_kernel(),
-        }
+        run::run(self, m, limits)
     }
 }
 
@@ -566,6 +199,7 @@ mod tests {
     use super::*;
     use simbench_core::asm::{PReg, PortableAsm};
     use simbench_core::bus::FlatRam;
+    use simbench_core::engine::ExitReason;
     use simbench_core::ir::AluOp;
     use simbench_isa_armlet::{Armlet, ArmletAsm};
 
@@ -604,11 +238,8 @@ mod tests {
         a.halt();
         let img = a.finish(0x8000);
         let mut m = Machine::<Armlet, _>::boot(&img, FlatRam::new(1 << 20));
-        let cfg = VirtConfig {
-            exit_cost_ns: 0,
-            ..VirtConfig::kvm()
-        };
-        let mut e = Virt::<Armlet>::with_config(cfg);
+        // KVM exits at zero cost: the count is under test, not the spin.
+        let mut e = Virt::<Armlet>::with_exit_cost(Some(0));
         let out = e.run(&mut m, &RunLimits::insns(1000));
         assert_eq!(out.exit, ExitReason::Halted);
         assert_eq!(out.counters.vm_exits, 1);
@@ -633,106 +264,26 @@ mod tests {
     }
 
     #[test]
-    fn non_retiring_storm_honors_wall_limit() {
-        use simbench_isa_armlet::sys::{cp14, cp15, CP_BANK, CP_SYS};
-        use simbench_platform::devices::{INTC_ENABLE, INTC_TRIGGER};
-        use simbench_platform::{Platform, INTC_BASE};
-        use std::time::Duration;
-        let mut a = ArmletAsm::new();
-        a.org(0x8000);
-        a.mov_imm(PReg::A, INTC_BASE + INTC_ENABLE);
-        a.mov_imm(PReg::B, 1);
-        a.store(PReg::B, PReg::A, 0);
-        a.mov_imm(PReg::A, INTC_BASE + INTC_TRIGGER);
-        a.store(PReg::B, PReg::A, 0);
-        // Vector table beyond RAM: the IRQ handler can never fetch, so
-        // delivery degenerates into a prefetch-abort storm in which no
-        // iteration retires an instruction.
-        a.mov_imm(PReg::C, 0x0800_0000);
-        a.mcr(CP_SYS, cp15::VBAR, PReg::C);
-        a.mcr(CP_BANK, cp14::IRQ_CTL, PReg::B);
-        a.nop();
-        a.halt();
-        let img = a.finish(0x8000);
-        let mut m = Machine::<Armlet, _>::boot(&img, Platform::with_ram(1 << 20));
-        let mut e = Virt::<Armlet>::native();
-        let out = e.run(
-            &mut m,
-            &RunLimits {
-                max_insns: u64::MAX,
-                wall_limit: Some(Duration::from_millis(30)),
-            },
-        );
-        assert_eq!(out.exit, ExitReason::WallLimit);
-        assert_eq!(out.counters.irqs_delivered, 1);
-        assert!(out.counters.insn_faults > 0, "abort storm was spinning");
-    }
-
-    #[test]
-    fn fetch_path_counts_tlb_hits() {
-        use simbench_isa_armlet::sys::{cp15, CP_SYS};
-        use simbench_isa_armlet::{Access, TableBuilder};
-        let mut a = ArmletAsm::new();
-        a.org(0x8000);
-        a.mov_imm(PReg::A, 0x0010_0000);
-        a.mcr(CP_SYS, cp15::TTBR, PReg::A);
-        a.mov_imm(PReg::B, 1);
-        a.mcr(CP_SYS, cp15::SCTLR, PReg::B); // MMU on
-        a.nop();
-        a.nop();
-        a.nop();
-        a.halt();
-        let mut img = a.finish(0x8000);
-        let mut tb = TableBuilder::new(0x0010_0000);
-        tb.map_section(0, 0, Access::KernelOnly);
-        let (load_at, blob) = tb.into_blob();
-        img.push_section(load_at, blob);
-        let mut m = Machine::<Armlet, _>::boot(&img, FlatRam::new(1 << 21));
-        let mut e = Virt::<Armlet>::native();
-        let out = e.run(&mut m, &RunLimits::insns(1000));
-        assert_eq!(out.exit, ExitReason::Halted);
-        // No loads or stores after the MMU comes on, so every TLB probe
-        // below comes from the fetch path.
-        assert_eq!(out.counters.mem_reads, 0);
-        assert_eq!(out.counters.mem_writes, 0);
-        assert!(out.counters.tlb_misses >= 1, "first fetch walks");
-        assert!(out.counters.tlb_hits >= 2, "later fetches hit the TLB");
-    }
-
-    #[test]
     fn smc_in_one_op_list_dirties_both_pages() {
-        use simbench_core::events::Counters;
+        use simbench_core::exec::ExecCtx;
         use simbench_core::ir::MemSize;
+        use simbench_core::run::ExecCore;
         // Two physical pages hold cached decodes; one instruction's op
-        // list stores into both. Both must be queued for invalidation —
-        // the old single-slot tracker kept only the last.
-        let mut pages: HashMap<u32, PageCode> = HashMap::new();
-        pages.insert(0x10, PageCode::default());
-        pages.insert(0x11, PageCode::default());
-        let mut cpu = CpuState::at_reset(0);
-        let mut sys = simbench_isa_armlet::ArmletSys::default();
-        let mut bus = FlatRam::new(1 << 20);
-        let mut tlb = DirectTlb::new(16);
+        // list stores into both. Both must be invalidated, and a repeat
+        // store into an already-dropped page must not count again.
+        let mut e = Virt::<Armlet>::native();
+        e.pages.insert(0x10, PageCode::default());
+        e.pages.insert(0x11, PageCode::default());
+        let img = ArmletAsm::new().finish(0);
+        let mut m = Machine::<Armlet, _>::boot(&img, FlatRam::new(1 << 20));
         let mut counters = Counters::default();
-        let mut ctx = Ctx::<Armlet, _> {
-            cpu: &mut cpu,
-            sys: &mut sys,
-            bus: &mut bus,
-            tlb: &mut tlb,
-            counters: &mut counters,
-            cfg: VirtConfig::native(),
-            phase_mark: None,
-            code_write: DirtyCodePages::default(),
-            code_pages: &pages,
-        };
-        ctx.write(0x10_004, 0xAA, MemSize::B4, false).unwrap();
-        ctx.write(0x11_008, 0xBB, MemSize::B4, false).unwrap();
-        // A repeat store must not grow the set past its capacity bound.
-        ctx.write(0x10_00C, 0xCC, MemSize::B4, false).unwrap();
-        let dirty = ctx.code_write;
-        assert!(dirty.as_slice().contains(&0x10), "first page kept");
-        assert!(dirty.as_slice().contains(&0x11), "second page kept");
-        assert_eq!(dirty.as_slice().len(), 2, "set deduplicates");
+        let mut core = ExecCore::new(&mut m, &mut counters, &mut e);
+        core.write(0x10_004, 0xAA, MemSize::B4, false).unwrap();
+        core.write(0x11_008, 0xBB, MemSize::B4, false).unwrap();
+        core.write(0x10_00C, 0xCC, MemSize::B4, false).unwrap();
+        assert!(!e.pages.contains_key(&0x10), "first page dropped");
+        assert!(!e.pages.contains_key(&0x11), "second page dropped");
+        assert_eq!(counters.code_invalidations, 2, "one per dirtied page");
     }
 
     #[test]

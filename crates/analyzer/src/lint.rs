@@ -31,6 +31,7 @@ use std::path::Path;
 pub const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/alu.rs",
     "crates/core/src/exec.rs",
+    "crates/core/src/frontend.rs",
     "crates/core/src/ir.rs",
     "crates/core/src/run.rs",
     "crates/core/src/tlb.rs",

@@ -36,6 +36,7 @@ pub mod engine;
 pub mod events;
 pub mod exec;
 pub mod fault;
+pub mod frontend;
 pub mod image;
 pub mod ir;
 pub mod isa;

@@ -12,7 +12,8 @@
 //!
 //! What *does* depend on the mechanism enters through one
 //! monomorphised trait, [`Policy`]: which TLB structure caches
-//! translations, whether decoded instructions are cached, what each
+//! translations, whether it executes from a decoded-page front end
+//! ([`crate::frontend`]), what each
 //! fetch / walk / data access / instruction / op costs in the engine's
 //! timing model, what happens on a sensitive operation, and what a
 //! store does to cached code. Every hook defaults to a no-op, so an
@@ -22,7 +23,6 @@
 //! keeps its block-granular outer loop and builds an [`ExecCore`] per
 //! block for everything below the block level.
 
-use std::borrow::Borrow;
 use std::time::Instant;
 
 use simbench_obs::Counter;
@@ -33,11 +33,12 @@ use crate::engine::{ExitReason, PhaseTracker, RunLimits, RunOutcome};
 use crate::events::Counters;
 use crate::exec::{step_op, BranchFlavor, ExecCtx, OpOutcome, Trap};
 use crate::fault::{AccessKind, CopFault, ExcInfo, ExceptionKind, FaultKind, MemFault};
+use crate::frontend::FrontEnd;
 use crate::ir::{Decoded, InsnClass, MemSize, Op};
 use crate::isa::{CopEffect, Isa};
 use crate::machine::Machine;
 use crate::mmu::TlbEntry;
-use crate::page_of;
+use crate::{page_base, page_of};
 
 /// Main-loop iterations between wall-clock limit checks. Iterations,
 /// not retired instructions: IRQ-delivery and prefetch-abort iterations
@@ -104,14 +105,6 @@ pub trait Policy {
     /// The translation-cache structure.
     type Tlb: Tlb;
 
-    /// How a fetched instruction is held while it executes: [`Decoded`]
-    /// itself for engines that decode every time, a shared pointer for
-    /// engines whose decode cache must survive the instruction
-    /// invalidating its own entry. (Copying a whole `Decoded` out of a
-    /// cache per executed instruction measured 8–14 % slower than a
-    /// reference count.)
-    type Insn: Borrow<Decoded> + From<Decoded>;
-
     /// Whether fetch-side TLB probes are architectural events. The DBT
     /// translates fetch addresses while building and looking up blocks,
     /// not per executed instruction, and does not count them.
@@ -123,19 +116,12 @@ pub trait Policy {
     /// This engine's named telemetry counters.
     fn obs(&self) -> &'static PolicyObs;
 
-    /// Decoded-instruction source: a previously decoded instruction at
-    /// physical address `pa`, if the engine caches decodes.
+    /// Decoded-instruction source: the decoded-page front end this
+    /// engine executes from. `None` decodes every instruction every
+    /// time it executes.
     #[inline]
-    fn cached_decode(&mut self, _pa: u32) -> Option<Self::Insn> {
+    fn front_end(&mut self) -> Option<&mut FrontEnd> {
         None
-    }
-
-    /// Decoded-instruction source: take a fresh decode of the
-    /// instruction at `pa` for execution, remembering it if the engine
-    /// caches decodes.
-    #[inline]
-    fn hold_decode(&mut self, _pa: u32, d: Decoded) -> Self::Insn {
-        d.into()
     }
 
     /// Cost hook: instruction bytes are read from the page at `pa`.
@@ -201,6 +187,33 @@ pub enum Event {
     Irq,
 }
 
+/// A fetched instruction: where its micro-ops are read from while it
+/// executes.
+#[derive(Debug, Clone, Copy)]
+pub enum Insn {
+    /// Decoded for this execution only.
+    Fresh(Decoded),
+    /// A slot of the policy's [`FrontEnd`] arena. Ops are copied out
+    /// one at a time, as the DBT copies steps out of its arena: a store
+    /// that dirties the instruction's own page leaves the slot intact.
+    Slot(u16),
+}
+
+/// The front end of a policy that has one.
+#[inline]
+fn front_end_of<P: Policy>(policy: &mut P) -> &mut FrontEnd {
+    match policy.front_end() {
+        Some(fe) => fe,
+        None => no_front_end(),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn no_front_end() -> ! {
+    panic!("Insn::Slot fetched by a policy without a front end")
+}
+
 /// Classify and count a taken branch.
 #[inline]
 pub fn count_branch(counters: &mut Counters, from_pc: u32, target: u32, flavor: BranchFlavor) {
@@ -244,6 +257,18 @@ impl<'a, I: Isa, B: Bus, P: Policy> ExecCore<'a, I, B, P> {
         }
     }
 
+    /// The policy's TLB, for mutation. Every insert, invalidate and
+    /// flush the core performs goes through here, because the front
+    /// end's fetch memo stands in for a TLB probe and must not outlive
+    /// the state that probe would have seen.
+    #[inline]
+    fn tlb_mut(&mut self) -> &mut P::Tlb {
+        if let Some(fe) = self.policy.front_end() {
+            fe.forget_memo();
+        }
+        self.policy.tlb()
+    }
+
     /// Translate `va` for `access` through the policy's TLB, walking and
     /// refilling on a miss. Returns the physical address and the TLB
     /// entry's write-protect flag. Always inlined — miss path included —
@@ -280,7 +305,7 @@ impl<'a, I: Isa, B: Bus, P: Policy> ExecCore<'a, I, B, P> {
                     f
                 })?;
                 let holds_code = self.policy.page_holds_code(e.ppage);
-                self.policy.tlb().insert(e, access, holds_code);
+                self.tlb_mut().insert(e, access, holds_code);
                 if access != AccessKind::Execute {
                     self.policy.data_tlb_filled::<I, B>(self.sys, self.bus, va);
                 }
@@ -384,27 +409,82 @@ impl<'a, I: Isa, B: Bus, P: Policy> ExecCore<'a, I, B, P> {
         Ok(have)
     }
 
-    /// Fetch and decode the instruction at `pc`, through the policy's
+    /// Read and decode the instruction at `pc`, whose first byte
+    /// translates to `pa`.
+    #[inline]
+    fn decode_at(&mut self, pc: u32, pa: u32) -> Result<Decoded, MemFault> {
+        let mut buf = [0u8; 8];
+        let have = self.fetch_bytes(pc, pa, &mut buf)?;
+        Ok(match I::decode(&buf[..have], pc) {
+            Ok(d) => d,
+            // Undecodable: raise Undef via an explicit op so the run
+            // loop handles it uniformly. Length is nominal.
+            Err(_) => Decoded::new(I::MAX_INSN_BYTES as u8, [Op::Udf], InsnClass::System),
+        })
+    }
+
+    /// Fetch the instruction at `pc`, through the policy's
     /// decoded-instruction source.
     ///
     /// # Errors
     ///
     /// The prefetch abort to deliver.
     #[inline]
-    pub fn fetch(&mut self, pc: u32) -> Result<P::Insn, MemFault> {
-        let pa = self.translate_exec(pc)?;
-        if let Some(insn) = self.policy.cached_decode(pa) {
-            return Ok(insn);
+    pub fn fetch(&mut self, pc: u32) -> Result<Insn, MemFault> {
+        if self.policy.front_end().is_none() {
+            let pa = self.translate_exec(pc)?;
+            return self.decode_at(pc, pa).map(Insn::Fresh);
         }
-        let mut buf = [0u8; 8];
-        let have = self.fetch_bytes(pc, pa, &mut buf)?;
-        let d = match I::decode(&buf[..have], pc) {
-            Ok(d) => d,
-            // Undecodable: raise Undef via an explicit op so the run
-            // loop handles it uniformly. Length is nominal.
-            Err(_) => Decoded::new(I::MAX_INSN_BYTES as u8, [Op::Udf], InsnClass::System),
+        let key = FrontEnd::memo_key(pc, self.cpu.level.is_kernel());
+        debug_assert!(self.memo_is_sound(key, pc));
+        let pa = match front_end_of(self.policy).probe_memo(key, pc) {
+            Some((tlb_hits, found)) => {
+                self.counters.tlb_hits += tlb_hits;
+                match found {
+                    Ok(slot) => return Ok(Insn::Slot(slot)),
+                    Err(pa) => pa,
+                }
+            }
+            None => {
+                let pa = self.translate_exec(pc)?;
+                let tlb_hits = u64::from(P::COUNTS_FETCH_PROBES && I::mmu_enabled(self.sys));
+                if let Some(slot) = front_end_of(self.policy).enter_page(key, pc, pa, tlb_hits) {
+                    return Ok(Insn::Slot(slot));
+                }
+                pa
+            }
         };
-        Ok(self.policy.hold_decode(pa, d))
+        let d = self.decode_at(pc, pa)?;
+        Ok(Insn::Slot(front_end_of(self.policy).insert(pc, pa, d)))
+    }
+
+    /// Whether the fetch memo, if it answers for `key`, agrees with the
+    /// translation it stands in for.
+    fn memo_is_sound(&mut self, key: u32, pc: u32) -> bool {
+        let Some((pbase, tlb_hits)) = front_end_of(self.policy).memo_claim(key) else {
+            return true;
+        };
+        if !I::mmu_enabled(self.sys) {
+            return (pbase, tlb_hits) == (page_base(pc), 0);
+        }
+        let kernel = self.cpu.level.is_kernel();
+        self.policy
+            .tlb()
+            .lookup(page_of(pc), AccessKind::Execute)
+            .is_some_and(|(e, _)| {
+                e.check(pc, AccessKind::Execute, kernel, false) == Ok(pbase | (pc & 0xFFF))
+                    && tlb_hits == u64::from(P::COUNTS_FETCH_PROBES)
+            })
+    }
+
+    /// The decoded form of a fetched instruction. The borrow covers the
+    /// policy, so callers read what they need by value and let go.
+    #[inline]
+    fn decoded<'s>(&'s mut self, insn: &'s Insn) -> &'s Decoded {
+        match insn {
+            Insn::Fresh(d) => d,
+            Insn::Slot(slot) => front_end_of(self.policy).decoded(*slot),
+        }
     }
 
     /// Deliver `event`, leaving `cpu.pc` at the handler vector (or, for
@@ -413,6 +493,11 @@ impl<'a, I: Isa, B: Bus, P: Policy> ExecCore<'a, I, B, P> {
     /// faulting or interrupted instruction otherwise.
     #[inline]
     pub fn deliver(&mut self, event: Event, return_pc: u32) {
+        // Privilege, and with it what a fetch may touch, is about to
+        // change.
+        if let Some(fe) = self.policy.front_end() {
+            fe.forget_memo();
+        }
         let (kind, info) = match event {
             Event::Trap(Trap::Eret) => {
                 self.cpu.pc = I::leave_exception(self.cpu, self.sys);
@@ -535,13 +620,13 @@ impl<I: Isa, B: Bus, P: Policy> ExecCtx for ExecCore<'_, I, B, P> {
             CopEffect::None => {}
             CopEffect::TlbInvPage(va) => {
                 self.counters.tlb_invalidate_page += 1;
-                self.policy.tlb().invalidate_page(page_of(va));
+                self.tlb_mut().invalidate_page(page_of(va));
             }
             CopEffect::TlbFlush => {
                 self.counters.tlb_flushes += 1;
-                self.policy.tlb().flush();
+                self.tlb_mut().flush();
             }
-            CopEffect::ContextChanged => self.policy.tlb().flush(),
+            CopEffect::ContextChanged => self.tlb_mut().flush(),
         }
         Ok(())
     }
@@ -590,16 +675,26 @@ pub fn run<I: Isa, B: Bus, P: Policy>(
             }
         };
 
-        let decoded: &Decoded = insn.borrow();
         core.counters.instructions += 1;
-        core.policy.insn_cost(decoded);
-        let next_pc = pc.wrapping_add(decoded.len as u32);
+        match &insn {
+            Insn::Fresh(d) => core.policy.insn_cost(d),
+            Insn::Slot(_) => {
+                let d = *core.decoded(&insn);
+                core.policy.insn_cost(&d);
+            }
+        }
+        let (len, n_ops) = {
+            let d = core.decoded(&insn);
+            (d.len, d.ops.len())
+        };
+        let next_pc = pc.wrapping_add(len as u32);
         let mut new_pc = next_pc;
         let mut trap: Option<Trap> = None;
-        for op in &decoded.ops {
+        for i in 0..n_ops {
+            let op = core.decoded(&insn).ops[i];
             core.counters.uops += 1;
-            let outcome = step_op(&mut core, op);
-            core.policy.op_cost(pc, op, &outcome);
+            let outcome = step_op(&mut core, &op);
+            core.policy.op_cost(pc, &op, &outcome);
             match outcome {
                 OpOutcome::Next => {
                     if core.unsupported.is_some() {

@@ -11,79 +11,94 @@
 //!   replacement, the detailed engine's "modelled TLB" (Gem5 analogue).
 
 use crate::fault::AccessKind;
-use crate::mmu::TlbEntry;
+use crate::mmu::{Perms, TlbEntry};
 use crate::run::Tlb;
 
-const INVALID_TAG: u32 = u32::MAX;
-
 /// A direct-mapped software TLB indexed by virtual page number.
+///
+/// A slot is four words — epoch, virtual page, physical page, packed
+/// permissions — and is valid only while its epoch is the live one.
+/// Live epochs start at 1, so the all-zero slot is invalid:
+/// construction is a zeroed allocation and a flush is an epoch bump.
+/// Slots are swept only when the epoch wraps.
 #[derive(Debug, Clone)]
 pub struct DirectTlb {
-    slots: Vec<(u32, TlbEntry)>,
+    slots: Vec<[u32; 4]>,
     mask: u32,
-    hits: u64,
-    misses: u64,
+    epoch: u32,
+}
+
+/// [`Perms`] as three bits.
+#[inline]
+fn pack(p: Perms) -> u32 {
+    u32::from(p.r) | u32::from(p.w) << 1 | u32::from(p.x) << 2
+}
+
+#[inline]
+fn unpack(bits: u32) -> Perms {
+    Perms {
+        r: bits & 1 != 0,
+        w: bits & 2 != 0,
+        x: bits & 4 != 0,
+    }
 }
 
 impl DirectTlb {
     /// Create with `entries` slots (rounded up to a power of two).
     pub fn new(entries: usize) -> Self {
         let n = entries.next_power_of_two().max(1);
-        let dummy = TlbEntry {
-            vpage: 0,
-            ppage: 0,
-            user: crate::mmu::Perms::NONE,
-            kernel: crate::mmu::Perms::NONE,
-        };
         DirectTlb {
             // lint:allow(hot-path): one-time constructor allocation
-            slots: vec![(INVALID_TAG, dummy); n],
+            slots: vec![[0; 4]; n],
             mask: n as u32 - 1,
-            hits: 0,
-            misses: 0,
+            epoch: 1,
         }
-    }
-
-    /// (hits, misses) since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
     }
 
     /// Number of currently valid entries (test/diagnostic aid).
     pub fn valid_entries(&self) -> usize {
-        self.slots.iter().filter(|s| s.0 != INVALID_TAG).count()
+        self.slots.iter().filter(|s| s[0] == self.epoch).count()
     }
 }
 
 impl Tlb for DirectTlb {
     #[inline]
     fn lookup(&mut self, vpage: u32, _access: AccessKind) -> Option<(TlbEntry, bool)> {
-        let slot = &self.slots[(vpage & self.mask) as usize];
-        if slot.0 == vpage {
-            self.hits += 1;
-            Some((slot.1, true))
-        } else {
-            self.misses += 1;
-            None
-        }
+        let [epoch, tag, ppage, perms] = self.slots[(vpage & self.mask) as usize];
+        (epoch == self.epoch && tag == vpage).then(|| {
+            let entry = TlbEntry {
+                vpage,
+                ppage,
+                user: unpack(perms),
+                kernel: unpack(perms >> 3),
+            };
+            (entry, true)
+        })
     }
 
     /// Evicts whatever shared the slot.
     #[inline]
     fn insert(&mut self, e: TlbEntry, _access: AccessKind, _holds_code: bool) {
-        self.slots[(e.vpage & self.mask) as usize] = (e.vpage, e);
+        self.slots[(e.vpage & self.mask) as usize] = [
+            self.epoch,
+            e.vpage,
+            e.ppage,
+            pack(e.user) | pack(e.kernel) << 3,
+        ];
     }
 
     fn invalidate_page(&mut self, vpage: u32) {
         let slot = &mut self.slots[(vpage & self.mask) as usize];
-        if slot.0 == vpage {
-            slot.0 = INVALID_TAG;
+        if slot[1] == vpage {
+            slot[0] = 0;
         }
     }
 
     fn flush(&mut self) {
-        for s in &mut self.slots {
-            s.0 = INVALID_TAG;
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.slots.fill([0; 4]);
+            self.epoch = 1;
         }
     }
 }
@@ -237,7 +252,6 @@ impl Tlb for SetAssocTlb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mmu::Perms;
 
     const R: AccessKind = AccessKind::Read;
 
@@ -260,8 +274,37 @@ mod tests {
         t.insert(e(5 + 16, 99), R, false);
         assert!(t.lookup(5, R).is_none());
         assert_eq!(t.lookup(21, R).unwrap().0.ppage, 99);
-        let (h, m) = t.stats();
-        assert_eq!((h, m), (2, 2));
+    }
+
+    #[test]
+    fn direct_tlb_entries_round_trip() {
+        let mut t = DirectTlb::new(16);
+        let entry = TlbEntry {
+            vpage: 3,
+            ppage: 0xABCDE,
+            user: Perms::R,
+            kernel: Perms::RX,
+        };
+        t.insert(entry, R, false);
+        assert_eq!(t.lookup(3, R), Some((entry, true)));
+    }
+
+    #[test]
+    fn direct_tlb_flush_is_an_epoch_bump() {
+        let mut t = DirectTlb::new(8);
+        assert_eq!(t.valid_entries(), 0, "zeroed slots are invalid");
+        t.insert(e(1, 10), R, false);
+        t.flush();
+        assert!(t.lookup(1, R).is_none());
+        assert_eq!(t.slots[1][1], 1, "the stale slot was not swept");
+        // Page 0 in slot 0 must not read as valid after the wrap, when
+        // stale epochs could otherwise come round again.
+        t.epoch = u32::MAX;
+        t.insert(e(2, 20), R, false);
+        t.flush();
+        assert_eq!(t.epoch, 1);
+        assert!(t.slots.iter().all(|s| *s == [0; 4]), "swept on wrap");
+        assert!(t.lookup(2, R).is_none() && t.lookup(0, R).is_none());
     }
 
     #[test]

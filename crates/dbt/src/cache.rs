@@ -15,6 +15,7 @@
 
 use std::collections::HashMap;
 
+use simbench_core::frontend::PageTable;
 use simbench_core::ir::Op;
 
 /// Index of a block in the arena.
@@ -114,11 +115,11 @@ pub struct CodeCache {
     pub steps: Vec<TbStep>,
     /// Lookup: (virtual pc, physical page) → block.
     map: HashMap<(u32, u32), TbId>,
-    /// Physical page → blocks whose code lives there. Entries are
-    /// cleared in place (not removed) so their capacity survives
-    /// invalidation and flushes — steady-state retranslation after
-    /// warm-up touches no allocator.
-    page_blocks: HashMap<u32, Vec<TbId>>,
+    /// Physical page → blocks whose code lives there, indexed directly
+    /// (the table the decoded-page front end uses). Lists are cleared
+    /// in place so their capacity survives invalidation and flushes —
+    /// steady-state retranslation after warm-up touches no allocator.
+    page_blocks: PageTable<Vec<TbId>>,
     /// Indirect-branch target cache.
     pub ibtc: Ibtc,
     /// Arena size triggering a full flush (models a fixed-size
@@ -135,7 +136,7 @@ impl CodeCache {
             blocks: Vec::new(),
             steps: Vec::new(),
             map: HashMap::new(),
-            page_blocks: HashMap::new(),
+            page_blocks: PageTable::default(),
             ibtc: Ibtc::new(ibtc_bits),
             flush_threshold: 1 << 16,
             full_flushes: 0,
@@ -160,8 +161,9 @@ impl CodeCache {
 
     /// True if `ppage` holds any live translations. Used to set the
     /// write-protect flag on TLB fills.
+    #[inline]
     pub fn page_has_code(&self, ppage: u32) -> bool {
-        self.page_blocks.get(&ppage).is_some_and(|v| !v.is_empty())
+        self.page_blocks.get(ppage).is_some_and(|v| !v.is_empty())
     }
 
     /// Insert a freshly translated block, copying its steps into the
@@ -188,7 +190,8 @@ impl CodeCache {
             simbench_obs::event!("dbt.arena_growth");
         }
         self.map.insert((pc, ppage), id);
-        self.page_blocks.entry(ppage).or_default().push(id);
+        let record = self.page_blocks.claim(ppage);
+        self.page_blocks.record_mut(record).push(id);
         self.blocks.push(Tb {
             pc,
             ppage,
@@ -213,7 +216,7 @@ impl CodeCache {
     /// arena until the next full flush. All chains and the IBTC are
     /// conservatively dropped, as unlinking is global in real DBTs.
     pub fn invalidate_page(&mut self, ppage: u32) -> usize {
-        let Some(ids) = self.page_blocks.get_mut(&ppage) else {
+        let Some(ids) = self.page_blocks.get_mut(ppage) else {
             return 0;
         };
         let n = ids.len();
@@ -248,9 +251,10 @@ impl CodeCache {
         self.blocks.clear();
         self.steps.clear();
         self.map.clear();
-        for ids in self.page_blocks.values_mut() {
+        for ids in self.page_blocks.linked_mut() {
             ids.clear();
         }
+        self.page_blocks.clear();
         self.ibtc.clear();
         self.full_flushes += 1;
         static OBS_FULL_FLUSHES: simbench_obs::Counter =

@@ -32,7 +32,7 @@ use simbench_core::engine::{Engine, EngineInfo, ExitReason, PhaseTracker, RunLim
 use simbench_core::events::Counters;
 use simbench_core::exec::{step_op, BranchFlavor, OpOutcome, Trap};
 use simbench_core::fault::{AccessKind, MemFault};
-use simbench_core::ir::{Decoded, Op};
+use simbench_core::ir::Op;
 use simbench_core::isa::Isa;
 use simbench_core::machine::Machine;
 use simbench_core::page_of;
@@ -408,7 +408,6 @@ struct Hooks<'a> {
 
 impl Policy for Hooks<'_> {
     type Tlb = DbtTlb;
-    type Insn = Decoded;
 
     const COUNTS_FETCH_PROBES: bool = false;
 

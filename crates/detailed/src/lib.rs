@@ -123,7 +123,6 @@ fn through_l2(l1: &mut CacheModel, l2: &mut CacheModel, pa: u32) -> (u64, u64) {
 /// modelled caches, scoreboard and branch predictor.
 impl<I: Isa> Policy for Detailed<I> {
     type Tlb = SetAssocTlb;
-    type Insn = Decoded;
 
     #[inline]
     fn tlb(&mut self) -> &mut SetAssocTlb {

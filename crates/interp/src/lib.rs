@@ -15,7 +15,6 @@ use std::marker::PhantomData;
 
 use simbench_core::bus::Bus;
 use simbench_core::engine::{Engine, EngineInfo, RunLimits, RunOutcome};
-use simbench_core::ir::Decoded;
 use simbench_core::isa::Isa;
 use simbench_core::machine::Machine;
 use simbench_core::run::{self, Policy, PolicyObs, Tlb};
@@ -42,7 +41,6 @@ impl<I: Isa> Interp<I> {
 
 impl<I: Isa> Policy for Interp<I> {
     type Tlb = SplitCache;
-    type Insn = Decoded;
 
     #[inline]
     fn tlb(&mut self) -> &mut SplitCache {

@@ -6,8 +6,9 @@
 //! "Substitutions" under "Hot-loop architecture" in the README).
 //!
 //! Guest code executes on a *direct* fast path: instructions are decoded
-//! once per physical page and cached (the hardware's decoder), and
-//! address translation uses a large, cheap "hardware TLB". Sensitive
+//! once per physical page into the core's decoded-page front end (the
+//! hardware's decoder and coherent instruction cache), and address
+//! translation uses a large, cheap "hardware TLB". Sensitive
 //! operations — MMIO, coprocessor accesses, undefined instructions,
 //! interrupt injection — trigger simulated **VM exits** with a fixed
 //! latency, reproducing the trap-and-emulate costs the paper highlights
@@ -15,40 +16,21 @@
 //! benchmarks. The `native` configuration runs the same engine with no
 //! exits at all.
 
-use std::collections::HashMap;
 use std::marker::PhantomData;
-use std::rc::Rc;
 use std::time::Instant;
 
 use simbench_core::bus::Bus;
 use simbench_core::engine::{Engine, EngineInfo, RunLimits, RunOutcome};
 use simbench_core::events::Counters;
-use simbench_core::ir::Decoded;
+use simbench_core::frontend::FrontEnd;
 use simbench_core::isa::Isa;
 use simbench_core::machine::Machine;
-use simbench_core::page_of;
 use simbench_core::run::{self, Policy, PolicyObs, Sensitive, Tlb};
 use simbench_core::tlb::DirectTlb;
 
 /// Simulated cost of one KVM-like VM exit, in nanoseconds (busy-waited,
 /// the honest stand-in for a world switch we cannot perform).
 const KVM_EXIT_COST_NS: u32 = 1500;
-
-/// Pre-decoded instructions for one physical page, indexed by byte
-/// offset (the hardware front-end's decoded-instruction cache).
-#[derive(Debug)]
-struct PageCode {
-    slots: Vec<Option<Rc<Decoded>>>,
-}
-
-impl Default for PageCode {
-    #[cold]
-    fn default() -> Self {
-        PageCode {
-            slots: vec![None; 4096],
-        }
-    }
-}
 
 /// The virtualization / native engine.
 #[derive(Debug)]
@@ -58,9 +40,8 @@ pub struct Virt<I: Isa> {
     exit_cost_ns: Option<u32>,
     /// "Hardware" TLB: large and cheap.
     tlb: DirectTlb,
-    /// Per-physical-page decoded-instruction cache (the hardware
-    /// front-end; invalidated on writes like a coherent icache).
-    pages: HashMap<u32, PageCode>,
+    /// Decoded-instruction cache, kept coherent with stores.
+    front: FrontEnd,
     _isa: PhantomData<I>,
 }
 
@@ -81,7 +62,7 @@ impl<I: Isa> Virt<I> {
         Virt {
             exit_cost_ns,
             tlb: DirectTlb::new(4096),
-            pages: HashMap::new(),
+            front: FrontEnd::new(),
             _isa: PhantomData,
         }
     }
@@ -104,7 +85,6 @@ fn spin_exit(cost_ns: u32) {
 /// a VM exit.
 impl<I: Isa> Policy for Virt<I> {
     type Tlb = DirectTlb;
-    type Insn = Rc<Decoded>;
 
     #[inline]
     fn tlb(&mut self) -> &mut DirectTlb {
@@ -122,21 +102,8 @@ impl<I: Isa> Policy for Virt<I> {
     }
 
     #[inline]
-    fn cached_decode(&mut self, pa: u32) -> Option<Rc<Decoded>> {
-        self.pages.get(&page_of(pa))?.slots[(pa & 0xFFF) as usize].clone()
-    }
-
-    #[inline]
-    fn hold_decode(&mut self, pa: u32, d: Decoded) -> Rc<Decoded> {
-        let off = (pa & 0xFFF) as usize;
-        let d = Rc::new(d);
-        // An instruction that continues on the next page depends on that
-        // page's mapping and contents, which this page's coherency
-        // tracking does not see: decode it afresh every time.
-        if off + d.len as usize <= 0x1000 {
-            self.pages.entry(page_of(pa)).or_default().slots[off] = Some(Rc::clone(&d));
-        }
-        d
+    fn front_end(&mut self) -> Option<&mut FrontEnd> {
+        Some(&mut self.front)
     }
 
     #[inline]
@@ -152,7 +119,7 @@ impl<I: Isa> Policy for Virt<I> {
     /// decodes drops them.
     #[inline]
     fn store(&mut self, pa: u32, _holds_code: bool, counters: &mut Counters) {
-        if self.pages.remove(&page_of(pa)).is_some() {
+        if self.front.store(pa) {
             counters.code_invalidations += 1;
         }
     }
@@ -189,7 +156,7 @@ impl<I: Isa, B: Bus> Engine<I, B> for Virt<I> {
 
     fn run(&mut self, m: &mut Machine<I, B>, limits: &RunLimits) -> RunOutcome {
         self.tlb.flush();
-        self.pages.clear();
+        self.front.reset();
         run::run(self, m, limits)
     }
 }
@@ -244,46 +211,6 @@ mod tests {
         assert_eq!(out.exit, ExitReason::Halted);
         assert_eq!(out.counters.vm_exits, 1);
         assert_eq!(out.counters.undef_insns, 1);
-    }
-
-    #[test]
-    fn decode_cache_invalidated_by_smc() {
-        let mut a = ArmletAsm::new();
-        a.org(0x8000);
-        let slot = a.new_label();
-        a.mov_label(PReg::A, slot);
-        a.mov_imm(PReg::B, 0x3030_0000 | 9); // movw r3, #9
-        a.store(PReg::B, PReg::A, 0);
-        a.bind(slot);
-        a.mov_imm(PReg::D, 1);
-        a.halt();
-        let (m, out) = run_native(a, 0x8000);
-        assert_eq!(out.exit, ExitReason::Halted);
-        assert_eq!(m.cpu.regs[3], 9, "rewritten instruction executed");
-        assert!(out.counters.code_invalidations >= 1);
-    }
-
-    #[test]
-    fn smc_in_one_op_list_dirties_both_pages() {
-        use simbench_core::exec::ExecCtx;
-        use simbench_core::ir::MemSize;
-        use simbench_core::run::ExecCore;
-        // Two physical pages hold cached decodes; one instruction's op
-        // list stores into both. Both must be invalidated, and a repeat
-        // store into an already-dropped page must not count again.
-        let mut e = Virt::<Armlet>::native();
-        e.pages.insert(0x10, PageCode::default());
-        e.pages.insert(0x11, PageCode::default());
-        let img = ArmletAsm::new().finish(0);
-        let mut m = Machine::<Armlet, _>::boot(&img, FlatRam::new(1 << 20));
-        let mut counters = Counters::default();
-        let mut core = ExecCore::new(&mut m, &mut counters, &mut e);
-        core.write(0x10_004, 0xAA, MemSize::B4, false).unwrap();
-        core.write(0x11_008, 0xBB, MemSize::B4, false).unwrap();
-        core.write(0x10_00C, 0xCC, MemSize::B4, false).unwrap();
-        assert!(!e.pages.contains_key(&0x10), "first page dropped");
-        assert!(!e.pages.contains_key(&0x11), "second page dropped");
-        assert_eq!(counters.code_invalidations, 2, "one per dirtied page");
     }
 
     #[test]

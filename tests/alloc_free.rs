@@ -1,10 +1,11 @@
 //! Allocation audit of the engine hot loops.
 //!
 //! A test-only counting `#[global_allocator]` wrapper proves the
-//! PR-level claim behind `OpList`, the DBT step arena and the reusable
-//! translation scratch buffer: once an engine is warm, executing guest
-//! code touches the allocator **zero** times — decode, dispatch and
-//! execute run entirely on inline storage and pre-grown capacity.
+//! PR-level claim behind `OpList`, the DBT step arena, the reusable
+//! translation scratch buffer and the decoded-page front end: once an
+//! engine is warm, executing guest code touches the allocator **zero**
+//! times — decode, dispatch and execute run entirely on inline storage
+//! and pre-grown capacity.
 //!
 //! The counter is thread-local: libtest's own harness threads (and any
 //! concurrently running test) allocate at unpredictable times, and only
@@ -35,6 +36,7 @@ use simbench_core::machine::Machine;
 use simbench_dbt::Dbt;
 use simbench_interp::Interp;
 use simbench_isa_armlet::{Armlet, ArmletAsm};
+use simbench_virt::Virt;
 
 /// Counts every allocation and reallocation made by the current
 /// thread; frees are not interesting (a hot loop that frees must have
@@ -94,6 +96,26 @@ fn hot_loop_image(iters: u32) -> GuestImage {
     a.finish(0x8000)
 }
 
+/// A loop that stores into its own code page every iteration: each
+/// store tombstones the page's decodes and the rest of the iteration
+/// is decoded again.
+fn self_dirtying_loop_image(iters: u32) -> GuestImage {
+    let mut a = ArmletAsm::new();
+    a.org(0x8000);
+    let (top, scratch) = (a.new_label(), a.new_label());
+    a.mov_imm(PReg::B, iters);
+    a.mov_label(PReg::C, scratch);
+    a.bind(top);
+    a.store(PReg::B, PReg::C, 0);
+    a.alu_ri(AluOp::Sub, PReg::B, PReg::B, 1);
+    a.cmp_ri(PReg::B, 0);
+    a.b_cond(Cond::Ne, top);
+    a.halt();
+    a.bind(scratch);
+    a.word(0);
+    a.finish(0x8000)
+}
+
 /// Run `engine` over a fresh machine (booted outside the measured
 /// window) and return the allocation count of the run itself.
 fn measured_run<E: Engine<Armlet, FlatRam>>(engine: &mut E, img: &GuestImage) -> (u64, RunOutcome) {
@@ -150,6 +172,30 @@ fn warm_hot_loops_allocate_nothing() {
         "the loop must actually run via chained blocks: {}",
         out.counters.block_chain_follows
     );
+
+    // Native and virt: the first run grows the front end's decode
+    // arena, slot tables and page index. The run-start reset keeps all
+    // of it, so a second run re-decodes into retained capacity — and so
+    // does a loop that dirties its own code page every iteration, whose
+    // tombstoned decodes overflow the arena several times per run.
+    let smc_iters = 20_000;
+    let smc = self_dirtying_loop_image(smc_iters);
+    for (name, mut engine) in [
+        ("native", Virt::<Armlet>::native()),
+        ("virt", Virt::<Armlet>::kvm()),
+    ] {
+        for (what, img, invalidations) in [("hot", &img, 0), ("self-dirtying", &smc, smc_iters)] {
+            let (_warmup, out) = measured_run(&mut engine, img);
+            assert_eq!(out.exit, ExitReason::Halted);
+            let (steady, out) = measured_run(&mut engine, img);
+            assert_eq!(out.exit, ExitReason::Halted);
+            assert_eq!(
+                steady, 0,
+                "{name} allocated {steady} times in a warm {what} loop"
+            );
+            assert_eq!(out.counters.code_invalidations, u64::from(invalidations));
+        }
+    }
 
     // Enabled telemetry: the first instrumented run pays one-time costs
     // (per-thread ring creation, metric registration in the process

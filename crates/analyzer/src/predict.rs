@@ -126,6 +126,9 @@ impl Bus for WatchedBus {
     fn ram_mut(&mut self) -> &mut [u8] {
         self.inner.ram_mut()
     }
+    fn load(&mut self, addr: u32, bytes: &[u8]) {
+        self.inner.load(addr, bytes)
+    }
     fn ram_size(&self) -> u32 {
         self.inner.ram_size()
     }

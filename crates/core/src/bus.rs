@@ -27,6 +27,18 @@ pub trait Bus {
     /// Mutable view of RAM.
     fn ram_mut(&mut self) -> &mut [u8];
 
+    /// Copy `bytes` into RAM at physical address `addr`, outside guest
+    /// execution (image loading). A bus that tracks which of its pages
+    /// were written overrides this to record the range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range lies outside RAM.
+    fn load(&mut self, addr: u32, bytes: &[u8]) {
+        let start = addr as usize;
+        self.ram_mut()[start..start + bytes.len()].copy_from_slice(bytes);
+    }
+
     /// RAM size in bytes. Physical addresses at or above this decode to
     /// devices (or nothing).
     fn ram_size(&self) -> u32 {
@@ -158,6 +170,20 @@ mod tests {
         assert!(b.read(13, MemSize::B4).is_err());
         assert!(b.write(u32::MAX, 0, MemSize::B4).is_err());
         assert_eq!(b.read(15, MemSize::B1).unwrap(), 0);
+    }
+
+    #[test]
+    fn load_copies_into_ram() {
+        let mut b = FlatRam::new(16);
+        b.load(6, &[1, 2, 3]);
+        b.load(16, &[]);
+        assert_eq!(b.ram()[5..10], [0, 1, 2, 3, 0]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn load_outside_ram_panics() {
+        FlatRam::new(16).load(14, &[1, 2, 3]);
     }
 
     #[test]

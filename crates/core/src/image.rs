@@ -17,6 +17,18 @@ impl Section {
     pub fn end(&self) -> u32 {
         self.addr + self.bytes.len() as u32
     }
+
+    /// # Panics
+    ///
+    /// Panics if the section lies outside a RAM of `ram_len` bytes.
+    pub(crate) fn assert_fits(&self, ram_len: usize) {
+        let end = self.addr as usize + self.bytes.len();
+        assert!(
+            end <= ram_len,
+            "image section {:#x}..{end:#x} exceeds RAM",
+            self.addr
+        );
+    }
 }
 
 /// A bare-metal bootable guest image: what the assembler/linker produces
@@ -74,14 +86,9 @@ impl GuestImage {
     /// Panics if any section lies outside `ram`.
     pub fn load_into(&self, ram: &mut [u8]) {
         for s in &self.sections {
+            s.assert_fits(ram.len());
             let start = s.addr as usize;
-            let end = start + s.bytes.len();
-            assert!(
-                end <= ram.len(),
-                "image section {:#x}..{end:#x} exceeds RAM",
-                s.addr
-            );
-            ram[start..end].copy_from_slice(&s.bytes);
+            ram[start..start + s.bytes.len()].copy_from_slice(&s.bytes);
         }
     }
 }

@@ -29,7 +29,10 @@ impl<I: Isa, B: crate::bus::Bus> Machine<I, B> {
     ///
     /// Panics if the image does not fit in the bus's RAM.
     pub fn boot(image: &GuestImage, mut bus: B) -> Self {
-        image.load_into(bus.ram_mut());
+        for s in &image.sections {
+            s.assert_fits(bus.ram().len());
+            bus.load(s.addr, &s.bytes);
+        }
         Machine {
             cpu: CpuState::at_reset(image.entry),
             sys: I::Sys::default(),

@@ -125,7 +125,7 @@ pub struct CodeCache {
     /// Arena size triggering a full flush (models a fixed-size
     /// translation cache overflowing).
     pub flush_threshold: usize,
-    /// Number of full flushes performed.
+    /// Number of overflow flushes performed.
     pub full_flushes: u64,
 }
 
@@ -244,10 +244,12 @@ impl CodeCache {
         self.ibtc.clear();
     }
 
-    /// Full code-cache flush: the arena compacts back to empty. Every
-    /// container keeps its capacity, so post-flush retranslation is
+    /// Empty the cache: the arena compacts back to empty. Every
+    /// container keeps its capacity, so retranslation afterwards is
     /// allocation-free once the caches have reached steady-state size.
-    pub fn flush_all(&mut self) {
+    /// This is what a run starts from; an overflow is a
+    /// [`CodeCache::flush_all`].
+    pub fn reset(&mut self) {
         self.blocks.clear();
         self.steps.clear();
         self.map.clear();
@@ -256,6 +258,12 @@ impl CodeCache {
         }
         self.page_blocks.clear();
         self.ibtc.clear();
+    }
+
+    /// Full code-cache flush, counted: the modelled translation cache
+    /// overflowed.
+    pub fn flush_all(&mut self) {
+        self.reset();
         self.full_flushes += 1;
         static OBS_FULL_FLUSHES: simbench_obs::Counter =
             simbench_obs::Counter::new("dbt.full_flushes");
@@ -359,5 +367,16 @@ mod tests {
         assert_eq!(c.live_blocks(), 0);
         assert_eq!(c.full_flushes, 1);
         assert!(!c.page_has_code(8), "cleared-in-place page index is empty");
+    }
+
+    #[test]
+    fn reset_empties_without_counting_a_flush() {
+        let mut c = CodeCache::new(4);
+        insert(&mut c, 0x8000, 8);
+        c.reset();
+        assert_eq!(c.lookup(0x8000, 8), None);
+        assert_eq!((c.live_blocks(), c.arena_steps()), (0, 0));
+        assert!(!c.page_has_code(8));
+        assert_eq!(c.full_flushes, 0, "only an overflow counts");
     }
 }

@@ -45,6 +45,8 @@ use tlb::DbtTlb;
 const MAX_BLOCK_INSNS: usize = 128;
 /// Blocks between wall-clock limit checks.
 const WALL_CHECK_BLOCKS: u64 = 4096;
+/// Software TLB size in bits.
+const TLB_BITS: u8 = 10;
 
 /// The DBT engine.
 #[derive(Debug)]
@@ -76,7 +78,7 @@ impl<I: Isa> Dbt<I> {
     pub fn with_profile(profile: VersionProfile) -> Self {
         Dbt {
             profile,
-            tlb: DbtTlb::new(profile.tlb_bits),
+            tlb: DbtTlb::new(TLB_BITS),
             code: CodeCache::new(profile.ibtc_bits),
             scratch: Vec::new(),
             blocks_executed: 0,
@@ -336,12 +338,6 @@ impl<I: Isa> Dbt<I> {
                 return Some(id);
             }
         }
-        let same_page = page_of(self.code.blocks[cur as usize].pc) == page_of(target);
-        let allowed = if same_page {
-            self.profile.chain_intra
-        } else {
-            self.profile.chain_inter
-        };
         let id = match self.lookup_or_translate(m, counters, target) {
             Ok(id) => id,
             Err(f) => {
@@ -349,7 +345,9 @@ impl<I: Isa> Dbt<I> {
                 return None;
             }
         };
-        if allowed {
+        // Only branches within a page chain; one that leaves the page
+        // goes through the block cache every time.
+        if page_of(self.code.blocks[cur as usize].pc) == page_of(target) {
             let tb = &mut self.code.blocks[cur as usize];
             if taken_edge {
                 tb.chain_taken = Some(id);
@@ -485,8 +483,7 @@ impl<I: Isa, B: Bus> Engine<I, B> for Dbt<I> {
         let mut counters = Counters::default();
         let mut phase = PhaseTracker::new();
         self.tlb.flush();
-        self.code.flush_all();
-        self.code.full_flushes = 0;
+        self.code.reset();
         let mut chained_next: Option<TbId> = None;
 
         let exit = 'outer: loop {
@@ -603,6 +600,15 @@ impl<I: Isa, B: Bus> Engine<I, B> for Dbt<I> {
             if let Some(mark) = mark {
                 phase.on_mark(mark, &counters);
             }
+            // A store dirtied a page that holds translations: an
+            // `Op::Store`, which leaves the block by `CodeWrite`, or the
+            // return-address push of a call, which leaves it by `Jump`.
+            // Either way the page's blocks die before the successor is
+            // resolved.
+            if let Some(p) = dirty_page {
+                counters.code_invalidations += 1;
+                self.code.invalidate_page(p);
+            }
 
             match exit {
                 BlockExit::Halt { pc } => {
@@ -632,14 +638,6 @@ impl<I: Isa, B: Bus> Engine<I, B> for Dbt<I> {
                     }
                 }
                 BlockExit::CodeWrite { resume_pc } => {
-                    counters.code_invalidations += 1;
-                    if let Some(p) = dirty_page {
-                        if self.profile.smc_full_flush {
-                            self.code.flush_all();
-                        } else {
-                            self.code.invalidate_page(p);
-                        }
-                    }
                     m.cpu.pc = resume_pc;
                     chained_next = None;
                 }

@@ -26,10 +26,6 @@ pub struct VersionProfile {
     pub name: &'static str,
     /// IR optimizer level, 0–2. Higher = slower translation, faster code.
     pub optimizer_level: u8,
-    /// Chain direct branches within a page.
-    pub chain_intra: bool,
-    /// Chain direct branches across pages.
-    pub chain_inter: bool,
     /// Per-block-entry revalidation passes (0–3). Models accumulated
     /// safety checks on the hot dispatch path.
     pub entry_guard_level: u8,
@@ -40,11 +36,6 @@ pub struct VersionProfile {
     pub eager_exception_sync: bool,
     /// Data aborts skip the eager sync (QEMU 2.5.0-rc0's fast path).
     pub data_fault_fast_path: bool,
-    /// Self-modifying code flushes the whole code cache rather than one
-    /// page.
-    pub smc_full_flush: bool,
-    /// Software TLB size in bits.
-    pub tlb_bits: u8,
 }
 
 impl VersionProfile {
@@ -68,14 +59,10 @@ impl Default for VersionProfile {
 const BASE: VersionProfile = VersionProfile {
     name: "base",
     optimizer_level: 1,
-    chain_intra: true,
-    chain_inter: false,
     entry_guard_level: 0,
     ibtc_bits: 6,
     eager_exception_sync: false,
     data_fault_fast_path: false,
-    smc_full_flush: false,
-    tlb_bits: 10,
 };
 
 /// The twenty benchmarked engine versions, named after the QEMU releases
@@ -199,7 +186,6 @@ pub const QEMU_VERSIONS: &[VersionProfile] = &[
         ibtc_bits: 8,
         eager_exception_sync: true,
         data_fault_fast_path: true,
-        ..BASE
     },
     VersionProfile {
         name: "v2.5.0-rc1",
@@ -208,7 +194,6 @@ pub const QEMU_VERSIONS: &[VersionProfile] = &[
         ibtc_bits: 8,
         eager_exception_sync: true,
         data_fault_fast_path: true,
-        ..BASE
     },
     VersionProfile {
         name: "v2.5.0-rc2",
@@ -217,7 +202,6 @@ pub const QEMU_VERSIONS: &[VersionProfile] = &[
         ibtc_bits: 8,
         eager_exception_sync: true,
         data_fault_fast_path: true,
-        ..BASE
     },
 ];
 

@@ -31,12 +31,14 @@
 //! ```
 
 pub mod devices;
+mod ram;
 
-use simbench_core::bus::{bus_error, ram_read, ram_write, Bus, BusEvent};
+use simbench_core::bus::{bus_error, ram_read, Bus, BusEvent};
 use simbench_core::fault::{AccessKind, MemFault};
 use simbench_core::ir::MemSize;
 
 use devices::{Ctl, Intc, SafeDev, Timer, Uart};
+use ram::Ram;
 
 /// Base physical address of the device region.
 pub const DEVICE_BASE: u32 = 0xF000_0000;
@@ -63,7 +65,7 @@ pub const DEFAULT_RAM: u32 = 96 << 20;
 /// The platform: RAM plus devices, implementing [`Bus`].
 #[derive(Debug)]
 pub struct Platform {
-    ram: Vec<u8>,
+    ram: Ram,
     /// Serial port.
     pub uart: Uart,
     /// Interrupt controller.
@@ -93,7 +95,7 @@ impl Platform {
             "RAM overlaps device region"
         );
         Platform {
-            ram: vec![0; ram_size],
+            ram: Ram::take(ram_size),
             uart: Uart::new(),
             intc: Intc::new(),
             timer: Timer::new(),
@@ -162,16 +164,20 @@ impl Default for Platform {
 
 impl Bus for Platform {
     fn ram(&self) -> &[u8] {
-        &self.ram
+        self.ram.bytes()
     }
 
     fn ram_mut(&mut self) -> &mut [u8] {
-        &mut self.ram
+        self.ram.untracked()
+    }
+
+    fn load(&mut self, addr: u32, bytes: &[u8]) {
+        self.ram.load(addr, bytes);
     }
 
     fn read(&mut self, pa: u32, size: MemSize) -> Result<u32, MemFault> {
-        if (pa as u64) + size.bytes() as u64 <= self.ram.len() as u64 {
-            Ok(ram_read(&self.ram, pa, size))
+        if (pa as u64) + size.bytes() as u64 <= self.ram.bytes().len() as u64 {
+            Ok(ram_read(self.ram.bytes(), pa, size))
         } else if pa >= DEVICE_BASE {
             self.device_read(pa, size)
         } else {
@@ -180,8 +186,8 @@ impl Bus for Platform {
     }
 
     fn write(&mut self, pa: u32, val: u32, size: MemSize) -> Result<Option<BusEvent>, MemFault> {
-        if (pa as u64) + size.bytes() as u64 <= self.ram.len() as u64 {
-            ram_write(&mut self.ram, pa, val, size);
+        if (pa as u64) + size.bytes() as u64 <= self.ram.bytes().len() as u64 {
+            self.ram.write(pa, val, size);
             Ok(None)
         } else if pa >= DEVICE_BASE {
             self.device_write(pa, val, size)

@@ -12,6 +12,10 @@
 //! allocations made *by the measuring thread* are evidence about the
 //! hot loop.
 //!
+//! What surrounds the hot loop is held to the same rule where it
+//! recurs per cell-run: a platform on recycled guest RAM, and booting
+//! an image into it.
+//!
 //! Since the telemetry PR the engines are instrumented with
 //! `simbench-obs` spans and metrics, so this test also pins the
 //! observability contract both ways: compiled-in-but-disabled telemetry
@@ -36,6 +40,7 @@ use simbench_core::machine::Machine;
 use simbench_dbt::Dbt;
 use simbench_interp::Interp;
 use simbench_isa_armlet::{Armlet, ArmletAsm};
+use simbench_platform::Platform;
 use simbench_virt::Virt;
 
 /// Counts every allocation and reallocation made by the current
@@ -196,6 +201,16 @@ fn warm_hot_loops_allocate_nothing() {
             assert_eq!(out.counters.code_invalidations, u64::from(invalidations));
         }
     }
+
+    // A cell-run's platform: guest RAM comes back from the pool that
+    // the first platform's drop filled, loading the image copies into
+    // it, and the devices are plain fields.
+    let boot_and_drop = || drop(Machine::<Armlet, _>::boot(&img, Platform::new()));
+    boot_and_drop();
+    let before = allocs();
+    boot_and_drop();
+    let warm = allocs() - before;
+    assert_eq!(warm, 0, "a warm platform + boot allocated {warm} times");
 
     // Enabled telemetry: the first instrumented run pays one-time costs
     // (per-thread ring creation, metric registration in the process

@@ -1,13 +1,19 @@
 //! Regressions every engine's run loop must pass, written once and
-//! instantiated per engine. Both were found by the differ in several
-//! hand-written loops at the same time (PR 7); the per-instruction
-//! engines now share one loop, and this keeps the dbt's block loop and
-//! every policy honest against the same bodies.
+//! instantiated per engine. The first two were found by the differ in
+//! several hand-written loops at the same time (PR 7); the
+//! per-instruction engines now share one loop, and this keeps the dbt's
+//! block loop and every policy honest against the same bodies.
+
+// Only the lockstep sweep is used here, not the paging scaffolding.
+#[allow(dead_code)]
+mod common;
 
 use std::time::Duration;
 
 use simbench::prelude::*;
 use simbench_core::bus::FlatRam;
+use simbench_core::image::GuestImage;
+use simbench_core::ir::AluOp;
 use simbench_isa_armlet::sys::{cp14, cp15, CP_BANK, CP_SYS};
 use simbench_isa_armlet::{Access, TableBuilder};
 use simbench_platform::devices::{INTC_ENABLE, INTC_TRIGGER};
@@ -105,3 +111,65 @@ instantiate!(fetch_path_counts_tlb_probes:
     fetch_probes_virt => Virt::<Armlet>::kvm(),
     fetch_probes_native => Virt::<Armlet>::native(),
 );
+
+/// A petix `call` pushes its return address, and the op that stores it
+/// ends the block with a jump: a push into a page holding translations
+/// must invalidate them all the same. The dbt looked for dirtied code
+/// only after ops that fall through, kept the stale block of `leaf`
+/// and ran it a second time.
+#[test]
+fn call_push_into_a_code_page_invalidates() {
+    // Its pushes land in the page above the code.
+    const STACK_TOP: u32 = 0xA000;
+    let mut a = PetixAsm::new();
+    a.org(0x8000);
+    let (leaf, pusher, callee) = (a.new_label(), a.new_label(), a.new_label());
+    a.mov_imm(PReg::Sp, STACK_TOP);
+    a.mov_imm(PReg::C, 0);
+    a.call(leaf); // translated and run once: C = 1
+    a.mov_label(PReg::Sp, leaf);
+    a.alu_ri(AluOp::Add, PReg::Sp, PReg::Sp, 4);
+    a.b(pusher);
+    a.align(4); // the push below is a word store
+    a.bind(leaf);
+    let leaf_at = a.here();
+    a.alu_ri(AluOp::Add, PReg::C, PReg::C, 1);
+    a.ret();
+    // A five-byte call whose return address ends in 0x01, the encoding
+    // of `halt`: pushed with the stack pointer just above `leaf`, it
+    // replaces `leaf`'s first instruction.
+    a.org(0x8101 - 5);
+    a.bind(pusher);
+    a.call(callee);
+    assert_eq!(a.here() & 0xFF, 0x01);
+    a.mov_imm(PReg::Sp, STACK_TOP);
+    a.call(leaf); // now halts on entry
+    a.mov_imm(PReg::C, 100); // reached only through the stale block
+    a.halt();
+    a.bind(callee);
+    a.ret();
+    let image = a.finish(0x8000);
+
+    common::interp_then_every_engine::<Petix>(&image, "call-push", |m| {
+        assert_eq!(m.cpu.pc, leaf_at, "halted on the pushed byte");
+        assert_eq!(
+            m.cpu.regs[simbench_isa_petix::asm::reg(PReg::C) as usize],
+            1
+        );
+    });
+    // The lockstep above compares state; the invalidation itself shows
+    // only in the counter of an engine that caches translations.
+    for (name, out) in [
+        ("dbt", run_to_halt(Dbt::<Petix>::new(), &image)),
+        ("native", run_to_halt(Virt::<Petix>::native(), &image)),
+    ] {
+        assert_eq!(out.counters.code_invalidations, 1, "{name}");
+    }
+}
+
+fn run_to_halt<E: Engine<Petix, Platform>>(mut e: E, image: &GuestImage) -> RunOutcome {
+    let mut m = Machine::<Petix, _>::boot(image, Platform::new());
+    let out = e.run(&mut m, &RunLimits::insns(10_000));
+    assert_eq!(out.exit, ExitReason::Halted);
+    out
+}

@@ -1,7 +1,10 @@
 //! Translation-block cache: one contiguous step arena plus the block
-//! table, lookup map, per-page index for self-modifying-code
-//! invalidation, chaining slots, and the indirect-branch target cache
-//! (IBTC).
+//! table, the per-page slot tables that find a block by `(pc, physical
+//! page)`, the per-page block lists for self-modifying-code
+//! invalidation, chain links, and the indirect-branch target cache
+//! (IBTC). Every operation on the dispatch and invalidation paths is
+//! O(1) — invalidation, O(blocks of the one page written to) — and
+//! allocation-free once warm.
 //!
 //! Steps of every live block are stored back-to-back in a single slab
 //! ([`CodeCache::steps`]); a [`Tb`] holds an `(offset, len)` range into
@@ -12,11 +15,30 @@
 //! simply goes dark in the slab) until [`CodeCache::flush_all`]
 //! compacts everything back to empty — the same lifecycle as a real
 //! DBT's fixed-size translation cache.
-
-use std::collections::HashMap;
+//!
+//! **Slots are hints.** Each physical code page owns a table with one
+//! slot per byte offset (the decoded-page front end's layout, one level
+//! up), naming the block most recently translated at that offset.
+//! [`CodeCache::lookup`] believes a slot only after checking the block
+//! it names: in range, not dead, same `pc`, same physical page. So
+//! nothing ever clears a slot — not invalidation (the block is dead),
+//! not [`CodeCache::reset`] (the id is out of range or names another
+//! block), not a recycled page record (the page differs) — and a frame
+//! executed under a second virtual alias simply misses, retranslates
+//! and takes the slot over, while the first alias's blocks stay in the
+//! page's list and die with the page.
+//!
+//! **Link-epoch rule.** Chain slots and IBTC entries are [`Link`]s: a
+//! successor stamped with the cache's link epoch at the time it was
+//! recorded, followed only while that epoch is still the live one.
+//! [`CodeCache::unchain_all`] — called by the exception side-exit sync,
+//! by [`CodeCache::invalidate_page`] and by [`CodeCache::reset`] — is
+//! therefore one increment; live epochs start at 1, so a zeroed link is
+//! dead, and links are swept only if the 32-bit epoch ever wraps.
 
 use simbench_core::frontend::PageTable;
 use simbench_core::ir::Op;
+use simbench_core::PAGE_SIZE;
 
 /// Index of a block in the arena.
 pub type TbId = u32;
@@ -31,6 +53,20 @@ pub struct TbStep {
     /// True on the first step of each guest instruction (drives
     /// instruction retirement accounting).
     pub insn_start: bool,
+}
+
+/// A remembered successor: a chain slot or an IBTC entry. Made by
+/// `CodeCache::link`, believed only by `CodeCache::follow`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Link {
+    /// The link epoch this was recorded in; 0 is never live.
+    epoch: u32,
+    to: TbId,
+}
+
+impl Link {
+    /// The link that leads nowhere.
+    pub const NONE: Link = Link { epoch: 0, to: 0 };
 }
 
 /// A translated basic block. Its executable steps live in the owning
@@ -54,15 +90,15 @@ pub struct Tb {
     /// full flush.
     pub dead: bool,
     /// Chain slot for the taken direct-branch successor.
-    pub chain_taken: Option<TbId>,
+    pub chain_taken: Link,
     /// Chain slot for the fallthrough successor.
-    pub chain_fall: Option<TbId>,
+    pub chain_fall: Link,
 }
 
 /// Direct-mapped indirect-branch target cache mapping guest PC → block.
 #[derive(Debug)]
 pub struct Ibtc {
-    slots: Vec<(u32, TbId)>,
+    slots: Vec<(u32, Link)>,
     mask: u32,
 }
 
@@ -72,37 +108,48 @@ impl Ibtc {
         let n = if bits == 0 { 0 } else { 1usize << bits };
         Ibtc {
             // lint:allow(hot-path): one-time constructor allocation
-            slots: vec![(u32::MAX, 0); n],
+            slots: vec![(0, Link::NONE); n],
             mask: n.saturating_sub(1) as u32,
         }
     }
 
-    /// Predicted block for a target PC.
+    /// Predicted successor for a target PC ([`Link::NONE`] without one).
     #[inline]
-    pub fn lookup(&self, pc: u32) -> Option<TbId> {
-        if self.slots.is_empty() {
-            return None;
+    pub fn lookup(&self, pc: u32) -> Link {
+        match self.slots.get((pc >> 2 & self.mask) as usize) {
+            Some(&(tag, link)) if tag == pc => link,
+            _ => Link::NONE,
         }
-        let slot = &self.slots[(pc >> 2 & self.mask) as usize];
-        (slot.0 == pc).then_some(slot.1)
     }
 
     /// Record a resolved target.
     #[inline]
-    pub fn insert(&mut self, pc: u32, id: TbId) {
-        if self.slots.is_empty() {
-            return;
+    pub fn insert(&mut self, pc: u32, link: Link) {
+        if let Some(slot) = self.slots.get_mut((pc >> 2 & self.mask) as usize) {
+            *slot = (pc, link);
         }
-        let i = (pc >> 2 & self.mask) as usize;
-        self.slots[i] = (pc, id);
     }
+}
 
-    /// Drop all predictions.
-    pub fn clear(&mut self) {
-        for s in &mut self.slots {
-            s.0 = u32::MAX;
-        }
-    }
+/// Slots per page: one per byte offset.
+const SLOTS: usize = PAGE_SIZE as usize;
+
+/// The slot of a block starting at `pc`.
+#[inline]
+fn slot_of(pc: u32) -> usize {
+    (pc & (PAGE_SIZE - 1)) as usize
+}
+
+/// What the cache knows about one physical code page.
+#[derive(Debug, Default)]
+struct CodePage {
+    /// Live blocks translated from this page, for invalidation.
+    blocks: Vec<TbId>,
+    /// Byte offset → the block last translated there; a hint (see the
+    /// module docs). Empty until the record's first translation, then
+    /// [`SLOTS`] long for good. Block ids fit because
+    /// [`CodeCache::flush_threshold`] is at most `1 << 16`.
+    slots: Vec<u16>,
 }
 
 /// The code cache.
@@ -113,17 +160,19 @@ pub struct CodeCache {
     /// The step arena: every live block's steps, back to back. Ranges
     /// of tombstoned blocks stay allocated (dark) until `flush_all`.
     pub steps: Vec<TbStep>,
-    /// Lookup: (virtual pc, physical page) → block.
-    map: HashMap<(u32, u32), TbId>,
-    /// Physical page → blocks whose code lives there, indexed directly
-    /// (the table the decoded-page front end uses). Lists are cleared
-    /// in place so their capacity survives invalidation and flushes —
-    /// steady-state retranslation after warm-up touches no allocator.
-    page_blocks: PageTable<Vec<TbId>>,
+    /// Physical page → its block list and slot table, indexed directly
+    /// (the table the decoded-page front end uses). Records are reused
+    /// with everything they own, so their capacity survives
+    /// invalidation and flushes — steady-state retranslation after
+    /// warm-up touches no allocator.
+    pages: PageTable<CodePage>,
     /// Indirect-branch target cache.
     pub ibtc: Ibtc,
+    /// The live link epoch; never 0.
+    link_epoch: u32,
     /// Arena size triggering a full flush (models a fixed-size
-    /// translation cache overflowing).
+    /// translation cache overflowing). At most `1 << 16`: slot tables
+    /// hold block ids as `u16`.
     pub flush_threshold: usize,
     /// Number of overflow flushes performed.
     pub full_flushes: u64,
@@ -135,21 +184,55 @@ impl CodeCache {
         CodeCache {
             blocks: Vec::new(),
             steps: Vec::new(),
-            map: HashMap::new(),
-            page_blocks: PageTable::default(),
+            pages: PageTable::default(),
             ibtc: Ibtc::new(ibtc_bits),
+            link_epoch: 1,
             flush_threshold: 1 << 16,
             full_flushes: 0,
         }
     }
 
+    /// `id`, if it names a live block starting at `pc`.
+    #[inline]
+    fn live_at(&self, id: TbId, pc: u32) -> Option<&Tb> {
+        self.blocks
+            .get(id as usize)
+            .filter(|tb| !tb.dead && tb.pc == pc)
+    }
+
     /// Look up a live block by (pc, physical page).
     #[inline]
     pub fn lookup(&self, pc: u32, ppage: u32) -> Option<TbId> {
-        self.map
-            .get(&(pc, ppage))
-            .copied()
-            .filter(|&id| !self.blocks[id as usize].dead)
+        let slots = &self.pages.get(ppage)?.slots;
+        let id = TbId::from(*slots.get(slot_of(pc))?);
+        let tb = self.live_at(id, pc)?;
+        (tb.ppage == ppage).then_some(id)
+    }
+
+    /// The live link epoch. A caller that records a link *after* work
+    /// that may have flushed the cache compares this before and after.
+    #[inline]
+    pub(crate) fn link_epoch(&self) -> u32 {
+        self.link_epoch
+    }
+
+    /// A link to `to`, live until the next [`CodeCache::unchain_all`].
+    #[inline]
+    pub(crate) fn link(&self, to: TbId) -> Link {
+        Link {
+            epoch: self.link_epoch,
+            to,
+        }
+    }
+
+    /// The block `link` leads to, if the link is still live and the
+    /// block is live and starts at `pc`.
+    #[inline]
+    pub(crate) fn follow(&self, link: Link, pc: u32) -> Option<TbId> {
+        if link.epoch != self.link_epoch {
+            return None;
+        }
+        self.live_at(link.to, pc).map(|_| link.to)
     }
 
     /// The executable steps of a block.
@@ -163,7 +246,7 @@ impl CodeCache {
     /// write-protect flag on TLB fills.
     #[inline]
     pub fn page_has_code(&self, ppage: u32) -> bool {
-        self.page_blocks.get(ppage).is_some_and(|v| !v.is_empty())
+        self.pages.get(ppage).is_some_and(|p| !p.blocks.is_empty())
     }
 
     /// Insert a freshly translated block, copying its steps into the
@@ -179,7 +262,6 @@ impl CodeCache {
         steps: &[TbStep],
     ) -> (TbId, bool) {
         let id = self.blocks.len() as TbId;
-        let first_in_page = !self.page_has_code(ppage);
         let steps_start = self.steps.len() as u32;
         let cap_before = self.steps.capacity();
         self.steps.extend_from_slice(steps);
@@ -189,9 +271,16 @@ impl CodeCache {
             OBS_ARENA_GROWTHS.add(1);
             simbench_obs::event!("dbt.arena_growth");
         }
-        self.map.insert((pc, ppage), id);
-        let record = self.page_blocks.claim(ppage);
-        self.page_blocks.record_mut(record).push(id);
+        let record = self.pages.claim(ppage);
+        let page = self.pages.record_mut(record);
+        let first_in_page = page.blocks.is_empty();
+        if page.slots.is_empty() {
+            // lint:allow(hot-path): once per page record; reset and invalidation keep the table
+            page.slots.resize(SLOTS, 0);
+        }
+        debug_assert!(id <= TbId::from(u16::MAX), "flush_threshold above 1 << 16");
+        page.slots[slot_of(pc)] = id as u16;
+        page.blocks.push(id);
         self.blocks.push(Tb {
             pc,
             ppage,
@@ -200,8 +289,8 @@ impl CodeCache {
             end_pc,
             taken_target,
             dead: false,
-            chain_taken: None,
-            chain_fall: None,
+            chain_taken: Link::NONE,
+            chain_fall: Link::NONE,
         });
         (id, first_in_page)
     }
@@ -216,16 +305,14 @@ impl CodeCache {
     /// arena until the next full flush. All chains and the IBTC are
     /// conservatively dropped, as unlinking is global in real DBTs.
     pub fn invalidate_page(&mut self, ppage: u32) -> usize {
-        let Some(ids) = self.page_blocks.get_mut(ppage) else {
+        let Some(page) = self.pages.get_mut(ppage) else {
             return 0;
         };
-        let n = ids.len();
-        for &id in ids.iter() {
-            let tb = &mut self.blocks[id as usize];
-            tb.dead = true;
-            self.map.remove(&(tb.pc, tb.ppage));
+        let n = page.blocks.len();
+        for &id in &page.blocks {
+            self.blocks[id as usize].dead = true;
         }
-        ids.clear();
+        page.blocks.clear();
         self.unchain_all();
         static OBS_TOMBSTONES: simbench_obs::Counter =
             simbench_obs::Counter::new("dbt.tombstoned_blocks");
@@ -235,29 +322,42 @@ impl CodeCache {
     }
 
     /// Drop every chain link and IBTC entry (exception side-exit sync,
-    /// and part of page invalidation).
+    /// and part of page invalidation and of a reset): bump the epoch
+    /// they were stamped with.
+    #[inline]
     pub fn unchain_all(&mut self) {
-        for tb in &mut self.blocks {
-            tb.chain_taken = None;
-            tb.chain_fall = None;
+        self.link_epoch = self.link_epoch.wrapping_add(1);
+        if self.link_epoch == 0 {
+            self.sweep_links();
         }
-        self.ibtc.clear();
+    }
+
+    /// The link epoch wrapped: links of 2^32 bumps ago would read as
+    /// live, so this one time every link is cleared by hand.
+    #[cold]
+    fn sweep_links(&mut self) {
+        for tb in &mut self.blocks {
+            tb.chain_taken = Link::NONE;
+            tb.chain_fall = Link::NONE;
+        }
+        self.ibtc.slots.fill((0, Link::NONE));
+        self.link_epoch = 1;
     }
 
     /// Empty the cache: the arena compacts back to empty. Every
-    /// container keeps its capacity, so retranslation afterwards is
-    /// allocation-free once the caches have reached steady-state size.
-    /// This is what a run starts from; an overflow is a
-    /// [`CodeCache::flush_all`].
+    /// container keeps its capacity — slot tables keep their contents
+    /// too, as hints no block backs any more — so retranslation
+    /// afterwards is allocation-free once the caches have reached
+    /// steady-state size. This is what a run starts from; an overflow
+    /// is a [`CodeCache::flush_all`].
     pub fn reset(&mut self) {
         self.blocks.clear();
         self.steps.clear();
-        self.map.clear();
-        for ids in self.page_blocks.linked_mut() {
-            ids.clear();
+        for page in self.pages.linked_mut() {
+            page.blocks.clear();
         }
-        self.page_blocks.clear();
-        self.ibtc.clear();
+        self.pages.clear();
+        self.unchain_all();
     }
 
     /// Full code-cache flush, counted: the modelled translation cache
@@ -303,8 +403,19 @@ mod tests {
         assert!(first);
         assert_eq!(c.lookup(0x8000, 8), Some(id));
         assert_eq!(c.lookup(0x8000, 9), None, "different physical page");
+        assert_eq!(c.lookup(0x8004, 8), None, "different offset");
         let (_, first2) = insert(&mut c, 0x8010, 8);
         assert!(!first2, "page already had code");
+    }
+
+    #[test]
+    fn an_untouched_slot_is_not_block_zero() {
+        // A fresh slot table is all zeroes, and 0 is a block id.
+        let mut c = CodeCache::new(4);
+        insert(&mut c, 0x8000, 8);
+        insert(&mut c, 0x8010, 9);
+        assert_eq!(c.lookup(0x8000, 9), None, "block 0 is in another page");
+        assert_eq!(c.lookup(0x9000, 8), None, "block 0 starts elsewhere");
     }
 
     #[test]
@@ -320,18 +431,21 @@ mod tests {
     }
 
     #[test]
-    fn page_invalidation_kills_blocks_and_chains() {
+    fn page_invalidation_kills_slots_list_and_links() {
         let mut c = CodeCache::new(4);
         let (a, _) = insert(&mut c, 0x8000, 8);
         let (b, _) = insert(&mut c, 0x9000, 9);
-        c.blocks[a as usize].chain_taken = Some(b);
-        c.blocks[b as usize].chain_fall = Some(a);
+        c.blocks[a as usize].chain_taken = c.link(b);
+        c.blocks[b as usize].chain_fall = c.link(a);
+        assert_eq!(c.follow(c.blocks[a as usize].chain_taken, 0x9000), Some(b));
         assert_eq!(c.invalidate_page(8), 1);
         assert_eq!(c.lookup(0x8000, 8), None);
         assert_eq!(c.lookup(0x9000, 9), Some(b), "other page untouched");
-        assert!(c.blocks[b as usize].chain_fall.is_none(), "global unchain");
+        let live_to_live = c.blocks[b as usize].chain_fall;
+        assert_eq!(c.follow(live_to_live, 0x8000), None, "global unchain");
         assert!(!c.page_has_code(8));
         assert!(c.page_has_code(9));
+        assert_eq!(c.invalidate_page(8), 0, "the page's list went with them");
         // The dead block's range stays dark in the arena until a flush.
         assert_eq!(c.arena_steps(), 2);
         c.flush_all();
@@ -339,31 +453,89 @@ mod tests {
     }
 
     #[test]
+    fn a_second_alias_takes_the_slot_over() {
+        // One frame under two virtual pages: same offset, two pcs.
+        let mut c = CodeCache::new(4);
+        let (first, _) = insert(&mut c, 0x40_0010, 8);
+        assert_eq!(c.lookup(0x80_0010, 8), None, "the other alias's pc");
+        let (second, gained) = insert(&mut c, 0x80_0010, 8);
+        assert!(!gained);
+        assert_eq!(c.lookup(0x80_0010, 8), Some(second));
+        assert_eq!(c.lookup(0x40_0010, 8), None, "unreachable by lookup");
+        assert!(!c.blocks[first as usize].dead, "but not dead");
+        assert_eq!(c.invalidate_page(8), 2, "and still in the page's list");
+        assert!(c.blocks[first as usize].dead);
+    }
+
+    #[test]
+    fn unchain_all_is_one_epoch_bump() {
+        let mut c = CodeCache::new(4);
+        let (a, _) = insert(&mut c, 0x8000, 8);
+        let (b, _) = insert(&mut c, 0x8010, 8);
+        c.blocks[a as usize].chain_fall = c.link(b);
+        c.ibtc.insert(0x8010, c.link(b));
+        assert_eq!(c.follow(c.ibtc.lookup(0x8010), 0x8010), Some(b));
+        let stored = (c.blocks[a as usize].chain_fall, c.ibtc.lookup(0x8010));
+        c.unchain_all();
+        // Nothing was rewritten; the stamps are just out of date.
+        assert_eq!(
+            (c.blocks[a as usize].chain_fall, c.ibtc.lookup(0x8010)),
+            stored
+        );
+        assert_eq!(c.follow(stored.0, 0x8010), None, "chain");
+        assert_eq!(c.follow(stored.1, 0x8010), None, "ibtc");
+        assert_eq!(c.lookup(0x8010, 8), Some(b), "the block itself lives on");
+        // An edge recorded after the bump is live.
+        c.blocks[a as usize].chain_fall = c.link(b);
+        assert_eq!(c.follow(c.blocks[a as usize].chain_fall, 0x8010), Some(b));
+        assert_eq!(c.follow(c.link(b), 0x8000), None, "wrong pc");
+    }
+
+    #[test]
+    fn link_epoch_wrap_sweeps_the_links() {
+        let mut c = CodeCache::new(4);
+        let (a, _) = insert(&mut c, 0x8000, 8);
+        // Stamped with epoch 1 — the epoch the wrap returns to.
+        c.blocks[a as usize].chain_fall = c.link(a);
+        c.ibtc.insert(0x8000, c.link(a));
+        c.link_epoch = u32::MAX;
+        c.unchain_all();
+        assert_eq!(c.link_epoch(), 1);
+        assert_eq!(c.blocks[a as usize].chain_fall, Link::NONE);
+        assert_eq!(c.ibtc.lookup(0x8000), Link::NONE);
+    }
+
+    fn link_to(to: TbId) -> Link {
+        Link { epoch: 1, to }
+    }
+
+    #[test]
     fn ibtc_behaviour() {
         let mut i = Ibtc::new(4);
-        assert_eq!(i.lookup(0x8000), None);
-        i.insert(0x8000, 7);
-        assert_eq!(i.lookup(0x8000), Some(7));
+        assert_eq!(i.lookup(0x8000), Link::NONE);
+        i.insert(0x8000, link_to(7));
+        assert_eq!(i.lookup(0x8000), link_to(7));
         // Aliasing entry evicts.
-        i.insert(0x8000 + (1 << 6), 9);
-        assert_eq!(i.lookup(0x8000), None);
-        i.clear();
-        assert_eq!(i.lookup(0x8000 + (1 << 6)), None);
+        i.insert(0x8000 + (1 << 6), link_to(9));
+        assert_eq!(i.lookup(0x8000), Link::NONE);
+        assert_eq!(i.lookup(0x8000 + (1 << 6)), link_to(9));
     }
 
     #[test]
     fn disabled_ibtc() {
         let mut i = Ibtc::new(0);
-        i.insert(0x8000, 7);
-        assert_eq!(i.lookup(0x8000), None);
+        i.insert(0x8000, link_to(7));
+        assert_eq!(i.lookup(0x8000), Link::NONE);
     }
 
     #[test]
     fn flush_all_resets() {
         let mut c = CodeCache::new(4);
-        insert(&mut c, 0x8000, 8);
+        let (a, _) = insert(&mut c, 0x8000, 8);
+        let link = c.link(a);
         c.flush_all();
         assert_eq!(c.lookup(0x8000, 8), None);
+        assert_eq!(c.follow(link, 0x8000), None, "links die with the blocks");
         assert_eq!(c.live_blocks(), 0);
         assert_eq!(c.full_flushes, 1);
         assert!(!c.page_has_code(8), "cleared-in-place page index is empty");
@@ -378,5 +550,23 @@ mod tests {
         assert_eq!((c.live_blocks(), c.arena_steps()), (0, 0));
         assert!(!c.page_has_code(8));
         assert_eq!(c.full_flushes, 0, "only an overflow counts");
+    }
+
+    #[test]
+    fn slots_left_behind_by_a_reset_are_only_hints() {
+        let mut c = CodeCache::new(4);
+        insert(&mut c, 0x8000, 8);
+        let (old, _) = insert(&mut c, 0x8010, 8);
+        c.reset();
+        // Page 9 inherits page 8's record, slot table included; its
+        // slot for offset 0x10 still says `old`.
+        let (zero, first) = insert(&mut c, 0x9000, 9);
+        assert!(first, "a recycled record starts with an empty list");
+        assert_eq!(c.lookup(0x9010, 9), None, "`old` is out of range");
+        let (new, _) = insert(&mut c, 0x9020, 9);
+        assert_eq!(new, old, "ids repeat after a reset");
+        assert_eq!(c.lookup(0x9010, 9), None, "`old` is now another block");
+        assert_eq!(c.lookup(0x9020, 9), Some(new));
+        assert_eq!(c.lookup(0x9000, 9), Some(zero));
     }
 }

@@ -6,16 +6,28 @@
 //!
 //! * block-based code generation over the shared micro-op IR with a
 //!   translation-time optimizer ([`opt`]),
-//! * a translation-block cache keyed by (virtual PC, physical page)
-//!   with full-flush-on-overflow ([`cache`]),
+//! * a translation-block cache found by (virtual PC, physical page)
+//!   through per-page slot tables, with full-flush-on-overflow
+//!   ([`cache`]),
 //! * direct block chaining for intra-page branches, block-cache lookup
-//!   for inter-page branches, and an indirect-branch target cache,
+//!   for inter-page branches, and an indirect-branch target cache —
+//!   chain slots and IBTC entries are epoch-stamped links, so dropping
+//!   them all is one increment,
 //! * a software TLB with code-page write protection driving precise
-//!   self-modifying-code invalidation ([`tlb`]),
+//!   self-modifying-code invalidation, flushed by epoch ([`tlb`]),
 //! * interrupt delivery at block boundaries and synchronous exceptions
 //!   as side exits,
 //! * a [`versions::VersionProfile`] matrix reproducing the QEMU release
 //!   history studied by the paper (Figs 2, 6 and 8).
+//!
+//! The block boundary is where a DBT wins or loses, so everything on it
+//! is O(1) and stays in registers: a fetch address is first tried
+//! against the TLB's main array by reference
+//! ([`tlb::DbtTlb::probe_exec`]) and only a miss builds the shared
+//! core's context to walk, refill and fault; the entry guards of later
+//! version profiles are that many *real* probes per chained dispatch;
+//! the block is found by indexing its page's slot table; and nothing on
+//! the invalidation side — TLB flush, unchaining, IBTC flush — sweeps.
 
 pub mod cache;
 pub mod opt;
@@ -35,8 +47,8 @@ use simbench_core::fault::{AccessKind, MemFault};
 use simbench_core::ir::Op;
 use simbench_core::isa::Isa;
 use simbench_core::machine::Machine;
-use simbench_core::page_of;
 use simbench_core::run::{count_branch, Event, ExecCore, Policy, PolicyObs, Tlb};
+use simbench_core::{page_of, PAGE_SHIFT, PAGE_SIZE};
 
 use cache::{CodeCache, TbId, TbStep};
 use tlb::DbtTlb;
@@ -58,7 +70,6 @@ pub struct Dbt<I: Isa> {
     /// here, then copied into the code cache's step arena. Steady-state
     /// translation therefore allocates nothing.
     scratch: Vec<TbStep>,
-    blocks_executed: u64,
     _isa: PhantomData<I>,
 }
 
@@ -81,7 +92,6 @@ impl<I: Isa> Dbt<I> {
             tlb: DbtTlb::new(TLB_BITS),
             code: CodeCache::new(profile.ibtc_bits),
             scratch: Vec::new(),
-            blocks_executed: 0,
             _isa: PhantomData,
         }
     }
@@ -112,18 +122,39 @@ impl<I: Isa> Dbt<I> {
         f(&mut ExecCore::new(m, counters, &mut hooks))
     }
 
-    /// Translate a fetch address, filling the TLB on miss.
+    /// Translate a fetch address, filling the TLB on miss. A hit in the
+    /// TLB's main array with execute permission is answered by the
+    /// by-reference probe; anything else — MMU off, victim-resident,
+    /// miss, no permission — takes the one full path through the shared
+    /// core, which promotes, walks, refills and raises the fault.
+    #[inline(always)]
     fn translate_exec<B: Bus>(
         &mut self,
         m: &mut Machine<I, B>,
         counters: &mut Counters,
         va: u32,
     ) -> Result<u32, MemFault> {
+        if I::mmu_enabled(&m.sys) {
+            let kernel = m.cpu.level.is_kernel();
+            if let Some(ppage) = self.tlb.probe_exec(page_of(va), kernel) {
+                let pa = ppage << PAGE_SHIFT | va & (PAGE_SIZE - 1);
+                // Debug builds hold every probe hit to the full path (a
+                // main-array hit there has no side effect either).
+                debug_assert_eq!(
+                    self.tlb
+                        .lookup(page_of(va), AccessKind::Execute)
+                        .map(|(e, _)| e.check(va, AccessKind::Execute, kernel, false)),
+                    Some(Ok(pa))
+                );
+                return Ok(pa);
+            }
+        }
         self.with_core(m, counters, |core| core.translate_exec(va))
     }
 
     /// Per-block-entry revalidation guard: later version profiles re-check
-    /// the code mapping on every dispatch of a chained block.
+    /// the code mapping on every dispatch of a chained block, one real
+    /// TLB probe per level.
     fn entry_guard<B: Bus>(
         &mut self,
         m: &mut Machine<I, B>,
@@ -249,7 +280,10 @@ impl<I: Isa> Dbt<I> {
         Ok(id)
     }
 
-    /// Find or translate the block at `pc`.
+    /// Find or translate the block at `pc`. A miss may overflow the
+    /// cache and flush it: every [`TbId`] and link the caller held from
+    /// before is then gone (see [`Dbt::chain_to`]).
+    #[inline(always)]
     fn lookup_or_translate<B: Bus>(
         &mut self,
         m: &mut Machine<I, B>,
@@ -318,6 +352,7 @@ impl<I: Isa> Dbt<I> {
 
     /// Resolve and, policy permitting, record a chain edge from `cur` to
     /// `target`. Returns the successor to dispatch next.
+    #[inline(always)]
     fn chain_to<B: Bus>(
         &mut self,
         m: &mut Machine<I, B>,
@@ -326,18 +361,20 @@ impl<I: Isa> Dbt<I> {
         target: u32,
         taken_edge: bool,
     ) -> Option<TbId> {
+        let from = &self.code.blocks[cur as usize];
+        // Only branches within a page chain; one that leaves the page
+        // goes through the block cache every time.
+        let chains = page_of(from.pc) == page_of(target);
         // Existing chain?
         let slot = if taken_edge {
-            self.code.blocks[cur as usize].chain_taken
+            from.chain_taken
         } else {
-            self.code.blocks[cur as usize].chain_fall
+            from.chain_fall
         };
-        if let Some(id) = slot {
-            let tb = &self.code.blocks[id as usize];
-            if !tb.dead && tb.pc == target {
-                return Some(id);
-            }
+        if let Some(id) = self.code.follow(slot, target) {
+            return Some(id);
         }
+        let epoch = self.code.link_epoch();
         let id = match self.lookup_or_translate(m, counters, target) {
             Ok(id) => id,
             Err(f) => {
@@ -345,14 +382,16 @@ impl<I: Isa> Dbt<I> {
                 return None;
             }
         };
-        // Only branches within a page chain; one that leaves the page
-        // goes through the block cache every time.
-        if page_of(self.code.blocks[cur as usize].pc) == page_of(target) {
-            let tb = &mut self.code.blocks[cur as usize];
+        // If the lookup overflowed the cache, `cur` names nothing any
+        // more (or a block that is not the one left): the flush bumped
+        // the link epoch, and an edge is recorded only among live links.
+        if chains && epoch == self.code.link_epoch() {
+            let link = self.code.link(id);
+            let from = &mut self.code.blocks[cur as usize];
             if taken_edge {
-                tb.chain_taken = Some(id);
+                from.chain_taken = link;
             } else {
-                tb.chain_fall = Some(id);
+                from.chain_fall = link;
             }
         }
         Some(id)
@@ -365,21 +404,19 @@ impl<I: Isa> Dbt<I> {
         counters: &mut Counters,
         target: u32,
     ) -> Option<TbId> {
-        if let Some(id) = self.code.ibtc.lookup(target) {
-            let tb = &self.code.blocks[id as usize];
-            if !tb.dead && tb.pc == target {
-                let ppage = tb.ppage;
-                // Validate the mapping still matches before trusting it.
-                if let Ok(pa) = self.translate_exec(m, counters, target) {
-                    if page_of(pa) == ppage {
-                        return Some(id);
-                    }
+        if let Some(id) = self.code.follow(self.code.ibtc.lookup(target), target) {
+            let ppage = self.code.blocks[id as usize].ppage;
+            // Validate the mapping still matches before trusting it.
+            if let Ok(pa) = self.translate_exec(m, counters, target) {
+                if page_of(pa) == ppage {
+                    return Some(id);
                 }
             }
         }
         match self.lookup_or_translate(m, counters, target) {
             Ok(id) => {
-                self.code.ibtc.insert(target, id);
+                let link = self.code.link(id);
+                self.code.ibtc.insert(target, link);
                 Some(id)
             }
             Err(f) => {
@@ -485,13 +522,14 @@ impl<I: Isa, B: Bus> Engine<I, B> for Dbt<I> {
         self.tlb.flush();
         self.code.reset();
         let mut chained_next: Option<TbId> = None;
+        let mut blocks_executed: u64 = 0;
 
         let exit = 'outer: loop {
             if counters.instructions >= limits.max_insns {
                 break ExitReason::InsnLimit;
             }
-            self.blocks_executed += 1;
-            if self.blocks_executed.is_multiple_of(WALL_CHECK_BLOCKS) {
+            blocks_executed += 1;
+            if blocks_executed.is_multiple_of(WALL_CHECK_BLOCKS) {
                 OBS.dispatch_batches.add(1);
                 if let Some(wall) = limits.wall_limit {
                     if t0.elapsed() >= wall {
@@ -666,8 +704,10 @@ mod tests {
     use super::*;
     use simbench_core::asm::{PReg, PortableAsm};
     use simbench_core::bus::FlatRam;
-    use simbench_core::ir::AluOp;
-    use simbench_isa_armlet::{Armlet, ArmletAsm};
+    use simbench_core::image::GuestImage;
+    use simbench_core::ir::{AluOp, Cond};
+    use simbench_interp::Interp;
+    use simbench_isa_armlet::{Access, Armlet, ArmletAsm, TableBuilder};
 
     fn run_dbt(asm: ArmletAsm, entry: u32) -> (Machine<Armlet, FlatRam>, RunOutcome) {
         let img = asm.finish(entry);
@@ -852,5 +892,185 @@ mod tests {
             "translated {}",
             out.counters.blocks_translated
         );
+    }
+
+    /// `rounds` passes over `blocks` two-instruction blocks in one page,
+    /// each ending in a direct branch to the next: every edge chains.
+    fn block_chain_image(blocks: usize, rounds: u32) -> GuestImage {
+        let mut a = ArmletAsm::new();
+        a.org(0x8000);
+        a.mov_imm(PReg::A, 0);
+        a.mov_imm(PReg::B, rounds);
+        let top = a.new_label();
+        a.bind(top);
+        for _ in 0..blocks {
+            let next = a.new_label();
+            a.alu_ri(AluOp::Add, PReg::A, PReg::A, 1);
+            a.b(next);
+            a.bind(next);
+        }
+        a.alu_ri(AluOp::Sub, PReg::B, PReg::B, 1);
+        a.cmp_ri(PReg::B, 0);
+        a.b_cond(Cond::Ne, top);
+        a.halt();
+        a.finish(0x8000)
+    }
+
+    /// An engine whose code cache overflows at eight blocks.
+    fn small_cache_dbt() -> Dbt<Armlet> {
+        let mut e = Dbt::<Armlet>::new();
+        e.code.flush_threshold = 8;
+        e
+    }
+
+    #[test]
+    fn code_cache_overflow_while_chaining() {
+        // Regression: `chain_to` resolved its target through
+        // `lookup_or_translate`, which at the threshold flushed the
+        // cache, and then indexed the block table with the — now stale —
+        // id of the block it came from (index out of bounds; through
+        // the CLI, Small Blocks at a fifth of the paper's count).
+        let img = block_chain_image(40, 3);
+        let boot = || Machine::<Armlet, _>::boot(&img, FlatRam::new(1 << 20));
+        let (mut reference, mut m) = (boot(), boot());
+        let limits = RunLimits::insns(1_000_000);
+        let expected = Interp::<Armlet>::new().run(&mut reference, &limits);
+        assert_eq!(expected.exit, ExitReason::Halted);
+        assert_eq!(reference.cpu.regs[0], 120);
+
+        let mut e = small_cache_dbt();
+        let out = e.run(&mut m, &limits);
+        assert_eq!(out.exit, ExitReason::Halted);
+        assert!(
+            e.code.full_flushes >= 2,
+            "{} overflows",
+            e.code.full_flushes
+        );
+        assert_eq!(out.counters.instructions, expected.counters.instructions);
+        assert_eq!(
+            m.state_digest(),
+            reference.state_digest(),
+            "{:?}",
+            reference.state_diff(&m)
+        );
+    }
+
+    #[test]
+    fn lockstep_with_interp_across_overflows() {
+        let img = block_chain_image(40, 6);
+        let boot = || Machine::<Armlet, _>::boot(&img, FlatRam::new(1 << 20));
+        let (mut reference, mut m) = (boot(), boot());
+        let (mut interp, mut e) = (Interp::<Armlet>::new(), small_cache_dbt());
+        let mut checkpoints = 0;
+        loop {
+            // The dbt stops at the first block boundary past the limit;
+            // the interpreter then retires exactly as many.
+            let out = e.run(&mut m, &RunLimits::insns(100));
+            interp.run(&mut reference, &RunLimits::insns(out.counters.instructions));
+            assert_eq!(
+                m.state_digest(),
+                reference.state_digest(),
+                "checkpoint {checkpoints}: {:?}",
+                reference.state_diff(&m)
+            );
+            checkpoints += 1;
+            if out.exit == ExitReason::Halted {
+                break;
+            }
+        }
+        assert_eq!(m.cpu.regs[0], 240);
+        // Every run starts from an empty cache and fills it many times.
+        assert!(checkpoints >= 4, "{checkpoints} checkpoints");
+        assert!(
+            e.code.full_flushes >= 2 * checkpoints,
+            "{} overflows",
+            e.code.full_flushes
+        );
+    }
+
+    /// Where the guard test's page tables live.
+    const GUARD_TABLES: u32 = 0x4_0000;
+    /// The virtual page the guarded block runs at.
+    const GUARD_VA: u32 = 0x40_0000;
+
+    /// Point `GUARD_VA` at `frame` in the machine's page tables.
+    fn map_guarded_page(m: &mut Machine<Armlet, FlatRam>, frame: u32, access: Access) {
+        let mut tb = TableBuilder::new(GUARD_TABLES);
+        tb.map_page(GUARD_VA, frame, access);
+        let (base, blob) = tb.into_blob();
+        m.bus.load(base, &blob);
+    }
+
+    #[test]
+    fn entry_guards_are_real_probes() {
+        // Two frames of code; the virtual page starts out on the first.
+        let (frame_a, frame_b) = (0x8000, 0x9000);
+        let mut a = ArmletAsm::new();
+        for (frame, value) in [(frame_a, 1), (frame_b, 2)] {
+            a.org(frame);
+            a.mov_imm(PReg::A, value);
+            a.halt();
+        }
+        let img = a.finish(frame_a);
+        let mut m = Machine::<Armlet, _>::boot(&img, FlatRam::new(1 << 20));
+        map_guarded_page(&mut m, frame_a, Access::KernelOnly);
+        m.sys.ttbr = GUARD_TABLES;
+        m.sys.sctlr = 1;
+        assert!(Armlet::mmu_enabled(&m.sys) && m.cpu.level.is_kernel());
+
+        let mut e = Dbt::<Armlet>::new();
+        let mut counters = Counters::default();
+        let guard_at = |e: &mut Dbt<Armlet>, m: &mut _, level, ppage| {
+            e.profile.entry_guard_level = level;
+            e.entry_guard(m, &mut Counters::default(), GUARD_VA, ppage)
+        };
+
+        // Mapping intact: the guard passes at every level.
+        let first = e
+            .lookup_or_translate(&mut m, &mut counters, GUARD_VA)
+            .unwrap();
+        let ppage = e.code.blocks[first as usize].ppage;
+        assert_eq!(ppage, page_of(frame_a));
+        for level in 0..=3 {
+            assert!(guard_at(&mut e, &mut m, level, ppage), "level {level}");
+        }
+
+        // The page tables move the page to the other frame and the TLB
+        // is flushed (what the guest's TLB maintenance does): the probe
+        // misses, the full path walks, the frame differs.
+        map_guarded_page(&mut m, frame_b, Access::KernelOnly);
+        for level in 0..=3 {
+            e.tlb.flush();
+            assert_eq!(e.tlb.probe_exec(page_of(GUARD_VA), true), None);
+            let passes = guard_at(&mut e, &mut m, level, ppage);
+            assert_eq!(passes, level == 0, "level {level}: no probe, no refusal");
+        }
+        // The walk refilled the TLB: the refusal now comes from the probe.
+        assert_eq!(
+            e.tlb.probe_exec(page_of(GUARD_VA), true),
+            Some(page_of(frame_b))
+        );
+        assert!(!guard_at(&mut e, &mut m, 1, ppage));
+        // The dispatch falls back to the block cache, which translates
+        // the other frame's code.
+        let second = e
+            .lookup_or_translate(&mut m, &mut counters, GUARD_VA)
+            .unwrap();
+        assert_ne!(second, first);
+        let ppage = e.code.blocks[second as usize].ppage;
+        assert_eq!(ppage, page_of(frame_b));
+        assert!(guard_at(&mut e, &mut m, 3, ppage));
+
+        // The page loses execute permission: refused, and the fallback
+        // raises the prefetch abort.
+        map_guarded_page(&mut m, frame_b, Access::KernelDevice);
+        for level in 1..=3 {
+            e.tlb.flush();
+            assert!(!guard_at(&mut e, &mut m, level, ppage), "level {level}");
+        }
+        let fault = e
+            .lookup_or_translate(&mut m, &mut counters, GUARD_VA)
+            .unwrap_err();
+        assert_eq!(fault.kind, simbench_core::fault::FaultKind::Permission);
     }
 }

@@ -1,10 +1,11 @@
 //! Allocation audit of the engine hot loops.
 //!
 //! A test-only counting `#[global_allocator]` wrapper proves the
-//! PR-level claim behind `OpList`, the DBT step arena, the reusable
-//! translation scratch buffer and the decoded-page front end: once an
-//! engine is warm, executing guest code touches the allocator **zero**
-//! times — decode, dispatch and execute run entirely on inline storage
+//! PR-level claim behind `OpList`, the DBT step arena, slot tables and
+//! page lists, the reusable translation scratch buffer and the
+//! decoded-page front end: once an engine is warm, executing guest code
+//! touches the allocator **zero** times — decode, dispatch, execute,
+//! invalidation and code-cache overflow run entirely on inline storage
 //! and pre-grown capacity.
 //!
 //! The counter is thread-local: libtest's own harness threads (and any
@@ -131,6 +132,30 @@ fn measured_run<E: Engine<Armlet, FlatRam>>(engine: &mut E, img: &GuestImage) ->
     (delta, out)
 }
 
+/// Run each image twice on `engine`: the second, warm run must halt
+/// having allocated nothing and counted `invalidations` code
+/// invalidations. Returns the last warm run's outcome.
+fn warm_runs_allocate_nothing<E: Engine<Armlet, FlatRam>>(
+    name: &str,
+    engine: &mut E,
+    cases: &[(&str, &GuestImage, u32)],
+) -> RunOutcome {
+    let mut last = None;
+    for &(what, img, invalidations) in cases {
+        let (_warmup, out) = measured_run(engine, img);
+        assert_eq!(out.exit, ExitReason::Halted);
+        let (steady, out) = measured_run(engine, img);
+        assert_eq!(out.exit, ExitReason::Halted);
+        assert_eq!(
+            steady, 0,
+            "{name} allocated {steady} times in a warm {what} loop"
+        );
+        assert_eq!(out.counters.code_invalidations, u64::from(invalidations));
+        last = Some(out);
+    }
+    last.expect("at least one case")
+}
+
 #[test]
 fn warm_hot_loops_allocate_nothing() {
     let img = hot_loop_image(20_000);
@@ -158,11 +183,11 @@ fn warm_hot_loops_allocate_nothing() {
     assert_eq!(out.exit, ExitReason::Halted);
     assert_eq!(steady, 0, "interp steady state allocated {steady} times");
 
-    // DBT: the first run grows the step arena, block table, lookup maps
-    // and the translation scratch buffer (warm-up may allocate). Every
-    // later run retranslates the same program into that retained
+    // DBT: the first run grows the step arena, block table, page slot
+    // tables and the translation scratch buffer (warm-up may allocate).
+    // Every later run retranslates the same program into that retained
     // capacity, so the steady state is allocation-free — including the
-    // full re-translation after the run-start `flush_all`.
+    // full re-translation after the run-start reset.
     let mut dbt = Dbt::<Armlet>::new();
     let (_warmup, out) = measured_run(&mut dbt, &img);
     assert_eq!(out.exit, ExitReason::Halted);
@@ -182,25 +207,32 @@ fn warm_hot_loops_allocate_nothing() {
     // arena, slot tables and page index. The run-start reset keeps all
     // of it, so a second run re-decodes into retained capacity — and so
     // does a loop that dirties its own code page every iteration, whose
-    // tombstoned decodes overflow the arena several times per run.
+    // tombstoned decodes overflow the arena several times per run. The
+    // dbt is held to the same: each store kills the page's blocks and
+    // two are translated again, into the page record's retained list
+    // and slot table.
     let smc_iters = 20_000;
     let smc = self_dirtying_loop_image(smc_iters);
-    for (name, mut engine) in [
-        ("native", Virt::<Armlet>::native()),
-        ("virt", Virt::<Armlet>::kvm()),
-    ] {
-        for (what, img, invalidations) in [("hot", &img, 0), ("self-dirtying", &smc, smc_iters)] {
-            let (_warmup, out) = measured_run(&mut engine, img);
-            assert_eq!(out.exit, ExitReason::Halted);
-            let (steady, out) = measured_run(&mut engine, img);
-            assert_eq!(out.exit, ExitReason::Halted);
-            assert_eq!(
-                steady, 0,
-                "{name} allocated {steady} times in a warm {what} loop"
-            );
-            assert_eq!(out.counters.code_invalidations, u64::from(invalidations));
-        }
-    }
+    let cases = [("hot", &img, 0), ("self-dirtying", &smc, smc_iters)];
+    warm_runs_allocate_nothing("native", &mut Virt::<Armlet>::native(), &cases);
+    warm_runs_allocate_nothing("virt", &mut Virt::<Armlet>::kvm(), &cases);
+    warm_runs_allocate_nothing("dbt", &mut dbt, &cases[1..]);
+
+    // Enough rewrites to overflow the dbt's code cache (65 536 blocks,
+    // tombstones included) twice in one run: the overflow flush keeps
+    // every container's capacity too.
+    let overflow_iters = 70_000;
+    let overflowing = self_dirtying_loop_image(overflow_iters);
+    let out = warm_runs_allocate_nothing(
+        "dbt",
+        &mut dbt,
+        &[("cache-overflowing", &overflowing, overflow_iters)],
+    );
+    assert!(
+        out.counters.blocks_translated > 2 << 16,
+        "two overflows need more than 2 x 65 536 blocks: {}",
+        out.counters.blocks_translated
+    );
 
     // A cell-run's platform: guest RAM comes back from the pool that
     // the first platform's drop filled, loading the image copies into

@@ -49,8 +49,14 @@ pub struct Counters {
     pub tlb_flushes: u64,
     /// Non-privileged (`ldrt`/`strt`) accesses retired.
     pub nonpriv_accesses: u64,
-    /// Stores that hit a page holding cached translations (self-modifying
-    /// code events).
+    /// Stores that overlapped cached code (self-modifying code events):
+    /// bytes a live translation block was made from on the dbt, bytes of
+    /// a cached decode on virt / native; always 0 on the engines that
+    /// cache neither. A store next to code, on the same page, is not
+    /// one. The count depends on what is cached when the store lands —
+    /// code not yet executed is not, and a decode-arena overflow or a
+    /// code-cache flush forgets everything — so it is an engine event,
+    /// not an architectural one.
     pub code_invalidations: u64,
     /// Translation blocks built (DBT only).
     pub blocks_translated: u64,

@@ -9,12 +9,12 @@
 //! * a [`PageTable`] indexed directly by physical page number — no
 //!   hashing — points at a per-page **slot table** of `u16` arena
 //!   indices, one per byte offset (8 KiB a code page);
-//! * a store into a page holding decodes **tombstones** it in O(1):
-//!   the page's arena range goes dark (indices at or below the page's
-//!   `dark` mark no longer count), nothing is freed, cleared or
-//!   allocated, and the storing instruction keeps executing from its
-//!   still-valid arena index;
-//! * dark ranges are reclaimed all at once — at the run-start
+//! * a store forgets exactly the decodes whose bytes it overlaps
+//!   ([`FrontEnd::store`]): it looks at the few slots an instruction
+//!   covering the stored bytes could start at and zeroes those that do.
+//!   Nothing is freed or allocated, and an instruction that overwrites
+//!   itself keeps executing from its still-valid arena index;
+//! * forgotten decodes are reclaimed all at once — at the run-start
 //!   [`FrontEnd::reset`], or when the arena reaches `ARENA_CAP` — by
 //!   truncating the arena and zeroing the live slot tables. Every
 //!   container keeps its capacity, so a warm engine never allocates.
@@ -23,6 +23,9 @@
 //! under: decoders bake the virtual pc into absolute branch targets and
 //! return addresses, so a frame fetched through a second alias is
 //! decoded again rather than executed with the first alias's targets.
+//! That is the one event that still drops a whole page, in O(1): the
+//! page's arena range goes **dark** (slot values at or below the page's
+//! `dark` mark no longer count).
 //!
 //! The one-entry **fetch memo** remembers the last page fetched from
 //! (virtual page and privilege → physical page and slot table), so
@@ -31,11 +34,15 @@
 //! must be forgotten whenever that claim could become false: the core
 //! does so wherever it mutates a TLB and on every exception delivery.
 
-use crate::ir::{Decoded, InsnClass, Op};
+use crate::ir::{Decoded, InsnClass, MemSize, Op};
 use crate::{page_base, page_of, PAGE_SIZE};
 
 /// Slots per page: one per byte offset.
 const SLOTS: usize = PAGE_SIZE as usize;
+
+/// The longest instruction any decoder returns: what the core's fetch
+/// buffer holds.
+const MAX_INSN_BYTES: usize = 8;
 
 /// Arena length at which every decode is dropped: the fixed-size
 /// "hardware" decoded-instruction cache overflowing, at about the
@@ -145,11 +152,9 @@ impl<T: Default> PageTable<T> {
 struct CodePage {
     /// The virtual page the live decodes were made under.
     vpage: u32,
-    /// Slot values at or below this arena index are dead.
+    /// Slot values at or below this arena index are dead: decodes made
+    /// under another virtual alias of the frame.
     dark: u16,
-    /// Whether a decode was cached since the page was last dirtied
-    /// (what a store must see to count a code invalidation).
-    holds_decodes: bool,
 }
 
 /// The fetch memo: the last page fetched from.
@@ -214,8 +219,7 @@ impl FrontEnd {
         self.pages.clear();
     }
 
-    /// Reclaim the arena. Pages stay linked and keep `holds_decodes`,
-    /// so a later store still counts its invalidation.
+    /// Reclaim the arena. Pages stay linked, with empty slot tables.
     fn drop_decodes(&mut self) {
         self.arena.truncate(1);
         self.slots[..self.pages.linked() * SLOTS].fill(UNCACHED);
@@ -295,6 +299,7 @@ impl FrontEnd {
     /// is never cached.
     #[inline]
     pub(crate) fn insert(&mut self, pc: u32, pa: u32, d: Decoded) -> u16 {
+        debug_assert!(d.len as usize <= MAX_INSN_BYTES);
         let off = (pa & (PAGE_SIZE - 1)) as usize;
         if off + d.len as usize > SLOTS {
             self.arena[UNCACHED as usize] = d;
@@ -307,7 +312,6 @@ impl FrontEnd {
             Some(record) => record,
             None => self.first_touch(page_of(pc), page_of(pa)),
         };
-        self.pages.record_mut(record).holds_decodes = true;
         let slot = self.arena.len() as u16;
         self.arena.push(d);
         self.slots[record * SLOTS + off] = slot;
@@ -328,26 +332,37 @@ impl FrontEnd {
         record
     }
 
-    /// Instruction-cache coherency: a store to `pa` completed. True if
-    /// it dirtied a page that held decodes, which are now dark.
+    /// Instruction-cache coherency: a store of `size` bytes to `pa`
+    /// completed. Every cached decode it overlaps is forgotten; true if
+    /// there was one.
     #[inline]
-    pub fn store(&mut self, pa: u32) -> bool {
+    pub fn store(&mut self, pa: u32, size: MemSize) -> bool {
         match self.pages.find(page_of(pa)) {
-            Some(record) => self.tombstone(record),
+            Some(record) => self.forget_overlapped(record, pa, size),
             None => false,
         }
     }
 
-    fn tombstone(&mut self, record: usize) -> bool {
-        let dark_below = self.arena.len() as u16 - 1;
-        let page = self.pages.record_mut(record);
-        if !page.holds_decodes {
-            return false;
+    /// The store path on a page with a record: look at every slot whose
+    /// instruction could reach the stored bytes — those starting up to
+    /// `MAX_INSN_BYTES - 1` before them — and zero the ones that do.
+    /// The arena entries stay, so the storing instruction, if it is one
+    /// of them, finishes from its own slot; the fetch memo reads slots
+    /// through the table and needs no telling.
+    fn forget_overlapped(&mut self, record: usize, pa: u32, size: MemSize) -> bool {
+        let dark = self.pages.record_mut(record).dark;
+        let first = (pa & (PAGE_SIZE - 1)) as usize;
+        let from = first.saturating_sub(MAX_INSN_BYTES - 1);
+        // Stores are naturally aligned and never leave the page.
+        let end = (first + size.bytes() as usize).min(SLOTS);
+        let mut hit = false;
+        for (at, slot) in (from..).zip(&mut self.slots[record * SLOTS..][from..end]) {
+            if *slot > dark && at + self.arena[*slot as usize].len as usize > first {
+                *slot = UNCACHED;
+                hit = true;
+            }
         }
-        page.holds_decodes = false;
-        page.dark = dark_below;
-        self.forget_memo();
-        true
+        hit
     }
 
     /// The decoded instruction in `slot`.
@@ -367,7 +382,7 @@ mod tests {
     use crate::exec::ExecCtx;
     use crate::fault::{CopFault, ExcInfo, ExceptionKind};
     use crate::image::GuestImage;
-    use crate::ir::{DecodeError, MemSize};
+    use crate::ir::DecodeError;
     use crate::isa::{CopEffect, Isa};
     use crate::machine::Machine;
     use crate::mmu::{Perms, TlbEntry, WalkResult};
@@ -412,7 +427,7 @@ mod tests {
         }
         assert_eq!(fe.arena.len(), 1, "nothing was cached");
         assert_eq!(fe.pages.linked(), 0, "the page holds no decodes");
-        assert!(!fe.store(0x7000));
+        assert!(!fe.store(0x7ffe, MemSize::B2));
         // The last instruction that fits is cached like any other.
         assert_eq!(fe.insert(0x1ffc, 0x7ffc, nop()), 1);
         assert_eq!(
@@ -424,6 +439,7 @@ mod tests {
     #[test]
     fn a_second_alias_of_a_frame_decodes_again_without_an_invalidation() {
         let mut fe = FrontEnd::new();
+        fe.insert(0x40_0020, 0x2_0020, nop());
         let slot = fe.insert(0x40_0010, 0x2_0010, nop());
         assert_eq!(
             fe.enter_page(kernel_key(0x40_0010), 0x40_0010, 0x2_0010, 1),
@@ -440,7 +456,53 @@ mod tests {
             fe.probe_memo(kernel_key(0x80_0010), 0x80_0010),
             Some((1, Ok(again)))
         );
-        assert!(fe.store(0x2_0000), "the page held decodes throughout");
+        // The first alias's decodes are dark, not cached: a store over
+        // one is no invalidation, a store over the live one is.
+        assert!(!fe.store(0x2_0020, MemSize::B4));
+        assert!(fe.store(0x2_0010, MemSize::B4));
+        assert_eq!(
+            fe.probe_memo(kernel_key(0x80_0010), 0x80_0010),
+            Some((1, Err(0x2_0010))),
+            "the memo reads slots through the table"
+        );
+    }
+
+    #[test]
+    fn a_store_forgets_exactly_the_decodes_it_overlaps() {
+        let mut fe = FrontEnd::new();
+        let six = Decoded::new(6, [Op::Nop], InsnClass::Nop);
+        let cached = |fe: &mut FrontEnd, pa| fe.enter_page(kernel_key(pa), pa, pa, 0).is_some();
+        // [0x1000, 0x1006) [0x1010, 0x1016) [0x1016, 0x101a), and one
+        // ending with the page.
+        for (pa, d) in [
+            (0x1000, six),
+            (0x1010, six),
+            (0x1016, nop()),
+            (0x1ffc, nop()),
+        ] {
+            fe.insert(pa, pa, d);
+        }
+        for (pa, size) in [
+            (0x1006, MemSize::B2), // the bytes after the first
+            (0x100c, MemSize::B4), // the bytes before the second
+            (0x101a, MemSize::B2),
+            (0x1ff8, MemSize::B4),
+        ] {
+            assert!(!fe.store(pa, size), "{pa:#x}: between instructions");
+        }
+        // The last byte of one instruction: its neighbour, one byte on,
+        // stays.
+        assert!(fe.store(0x1015, MemSize::B1));
+        assert!(!cached(&mut fe, 0x1010) && cached(&mut fe, 0x1016));
+        assert!(!fe.store(0x1015, MemSize::B1), "already forgotten");
+        // A middle byte; the first and the last byte of the page.
+        assert!(fe.store(0x1003, MemSize::B1) && !cached(&mut fe, 0x1000));
+        assert!(fe.store(0x1fff, MemSize::B1) && !cached(&mut fe, 0x1ffc));
+        assert!(!fe.store(0x1000, MemSize::B1));
+        // One store across two instructions forgets both.
+        fe.insert(0x1010, 0x1010, six);
+        assert!(fe.store(0x1014, MemSize::B4));
+        assert!(!cached(&mut fe, 0x1010) && !cached(&mut fe, 0x1016));
     }
 
     #[test]
@@ -456,7 +518,10 @@ mod tests {
         assert_eq!((fe.pages.linked(), fe.arena.len()), (0, 1));
         assert_eq!((fe.pages.index.len(), fe.slots.len()), (index, slots));
         assert!(fe.slots.iter().all(|&s| s == UNCACHED));
-        assert!(!fe.store(0x1000), "no page holds decodes after a reset");
+        assert!(
+            !fe.store(0x1000, MemSize::B4),
+            "nothing is cached after a reset"
+        );
         assert_eq!(fe.enter_page(kernel_key(0x1000), 0x1000, 0x1000, 0), None);
         // The next run's first code page reuses record 0.
         fe.insert(0x9000, 0x9000, nop());
@@ -464,7 +529,7 @@ mod tests {
     }
 
     #[test]
-    fn a_full_arena_drops_decodes_but_not_what_stores_must_count() {
+    fn a_full_arena_forgets_every_decode_and_a_store_counts_only_what_is_cached() {
         let mut fe = FrontEnd::new();
         for i in 0..ARENA_CAP as u32 + 10 {
             let pa = 0x1000 + (i % 1024) * 4;
@@ -478,7 +543,10 @@ mod tests {
             None,
             "decodes from before the overflow are gone"
         );
-        assert!(fe.store(0x1000), "the page still counts as holding code");
+        // The overflow forgot that instruction, so overwriting it
+        // invalidates nothing; one decoded since counts.
+        assert!(!fe.store(0x17d0, MemSize::B4));
+        assert!(fe.store(0x1000 + (ARENA_CAP as u32 % 1024) * 4, MemSize::B4));
     }
 
     /// Four-byte toy ISA for driving the front end through the real
@@ -676,8 +744,8 @@ mod tests {
         fn front_end(&mut self) -> Option<&mut FrontEnd> {
             self.front.as_mut()
         }
-        fn store(&mut self, pa: u32, _holds_code: bool, counters: &mut Counters) {
-            if self.front.as_mut().is_some_and(|fe| fe.store(pa)) {
+        fn store(&mut self, pa: u32, size: MemSize, _holds_code: bool, counters: &mut Counters) {
+            if self.front.as_mut().is_some_and(|fe| fe.store(pa, size)) {
                 counters.code_invalidations += 1;
             }
         }
@@ -685,8 +753,12 @@ mod tests {
 
     /// Assemble `program` at `KERNEL_TEXT` with an `eret` at the vector.
     fn boot(program: &[[u8; 4]]) -> Machine<Toy, FlatRam> {
+        boot_with_handler(&[[ERET, 0, 0, 0]], program)
+    }
+
+    fn boot_with_handler(handler: &[[u8; 4]], program: &[[u8; 4]]) -> Machine<Toy, FlatRam> {
         let mut img = GuestImage::new(KERNEL_TEXT);
-        img.push_section(VECTOR, vec![ERET, 0, 0, 0]);
+        img.push_section(VECTOR, handler.concat());
         img.push_section(KERNEL_TEXT, program.concat());
         Machine::boot(&img, FlatRam::new(1 << 16))
     }
@@ -697,30 +769,38 @@ mod tests {
 
     #[test]
     fn a_store_into_its_own_page_completes_and_the_next_fetch_sees_it() {
-        // The STW2's first store lands on the halt that follows it,
-        // turning that into `movi r3, #9`; its second store, fetched
-        // from the arena after the page went dark, lands on data.
+        // The STW2's first store lands on the STW2 itself, turning it
+        // into `movi r3, #9`; its second store, fetched from the arena
+        // after its slot was zeroed, lands on data.
         let patch = u32::from_le_bytes([MOVI, 3, 9, 0]);
+        let stw2 = [STW2, 0, 2, 1];
+        let stw2_at = KERNEL_TEXT + 0xC;
         let mut m = boot(&[
             [MOVI, 1, 0x00, 0x40],
-            [MOVI, 2, 0x10, 0x10],
+            [MOVI, 2, 0x0C, 0x10],
             [NOP, 0, 0, 0],
-            [STW2, 0, 2, 1],
-            [HALT, 0, 0, 0],
+            stw2,
             [HALT, 0, 0, 0],
         ]);
         m.cpu.regs[0] = patch;
         let mut p = ToyPolicy::new(true);
         let out = step(&mut p, &mut m, 100);
         assert_eq!(out.exit, ExitReason::Halted);
-        assert_eq!(m.cpu.pc, KERNEL_TEXT + 0x14, "ran through the patched slot");
-        assert_eq!(m.cpu.regs[3], 9, "rewritten instruction executed");
+        assert_eq!(m.bus.read(stw2_at, MemSize::B4), Ok(patch));
         assert_eq!(
             m.bus.read(0x4000, MemSize::B4),
             Ok(patch),
             "second store ran"
         );
+        assert_eq!(m.cpu.regs[3], 0, "it ran as the store it was fetched as");
         assert_eq!(out.counters.code_invalidations, 1);
+        // Fetched again, it is what was stored; its neighbours were
+        // never forgotten.
+        let decodes = p.front.as_ref().unwrap().arena.len();
+        m.cpu.pc = stw2_at - 4;
+        assert_eq!(step(&mut p, &mut m, 100).exit, ExitReason::Halted);
+        assert_eq!(m.cpu.regs[3], 9, "rewritten instruction executed");
+        assert_eq!(p.front.as_ref().unwrap().arena.len(), decodes + 1);
 
         // A warm second run re-decodes into the same capacity.
         let fe = p.front.as_mut().unwrap();
@@ -728,7 +808,7 @@ mod tests {
         fe.reset();
         m.cpu.pc = KERNEL_TEXT;
         m.bus
-            .write(KERNEL_TEXT + 0x10, HALT.into(), MemSize::B4)
+            .write(stw2_at, u32::from_le_bytes(stw2), MemSize::B4)
             .unwrap();
         let again = step(&mut p, &mut m, 100);
         assert_eq!(again.counters, out.counters);
@@ -745,11 +825,13 @@ mod tests {
         let mut m = boot(&[]);
         let mut counters = Counters::default();
         let mut core = ExecCore::new(&mut m, &mut counters, &mut p);
-        core.write(0x2004, 0xAA, MemSize::B4, false).unwrap();
-        core.write(0x3008, 0xBB, MemSize::B4, false).unwrap();
-        // A repeat store into an already-dropped page counts nothing.
-        core.write(0x200C, 0xCC, MemSize::B4, false).unwrap();
-        assert_eq!(counters.code_invalidations, 2, "one per dirtied page");
+        core.write(0x2000, 0xAA, MemSize::B4, false).unwrap();
+        core.write(0x3002, 0xBB, MemSize::B2, false).unwrap();
+        // A repeat store over a forgotten decode counts nothing, and
+        // neither does one next to it.
+        core.write(0x2000, 0xCC, MemSize::B4, false).unwrap();
+        core.write(0x3004, 0xDD, MemSize::B4, false).unwrap();
+        assert_eq!(counters.code_invalidations, 2, "one per overwritten decode");
         let fe = p.front.as_mut().unwrap();
         assert_eq!(fe.enter_page(kernel_key(0x2000), 0x2000, 0x2000, 0), None);
         assert_eq!(fe.enter_page(kernel_key(0x3000), 0x3000, 0x3000, 0), None);
@@ -814,22 +896,23 @@ mod tests {
     #[test]
     fn counters_match_a_policy_without_a_front_end() {
         let patch = u32::from_le_bytes([MOVI, 3, 9, 0]);
+        let handler = [[NOP, 0, 0, 0], [ERET, 0, 0, 0]];
         let program = [
             [MOVI, 1, 1, 0],
             [COP, 2, 1, 0], // MMU on
             [MOVI, 1, 0x00, 0x50],
-            [MOVI, 2, 0x24, 0x10],
+            [MOVI, 2, 0x00, 0x01],
             [LDW, 3, 1, 0],
             [STW, 3, 1, 4],
-            [SVC, 0, 0, 0],
-            [STW, 0, 2, 0], // rewrites the nop two instructions on
+            [SVC, 0, 0, 0], // caches the handler
+            [STW, 0, 2, 0], // rewrites the handler's nop
             [COP, 1, 0, 0],
-            [NOP, 0, 0, 0],
+            [SVC, 0, 0, 0], // the handler now sets r3
             [COP, 0, 2, 0],
             [HALT, 0, 0, 0],
         ];
         let run_with = |cached| {
-            let mut m = boot(&program);
+            let mut m = boot_with_handler(&handler, &program);
             m.cpu.regs[0] = patch;
             let mut p = ToyPolicy::new(cached);
             let out = step(&mut p, &mut m, 1000);

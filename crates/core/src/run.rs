@@ -170,10 +170,18 @@ pub trait Policy {
     #[inline]
     fn data_tlb_filled<I: Isa, B: Bus>(&mut self, _sys: &I::Sys, _bus: &mut B, _va: u32) {}
 
-    /// Store hook: a store to `pa` completed; `holds_code` is the flag
-    /// of the TLB entry it went through (`true` with the MMU off).
+    /// Store hook: a store of `size` bytes to `pa` completed;
+    /// `holds_code` is the flag of the TLB entry it went through (`true`
+    /// with the MMU off).
     #[inline]
-    fn store(&mut self, _pa: u32, _holds_code: bool, _counters: &mut Counters) {}
+    fn store(&mut self, _pa: u32, _size: MemSize, _holds_code: bool, _counters: &mut Counters) {}
+
+    /// Mark hook: the store that just completed raised a phase mark
+    /// ([`ExecCore::phase_mark`]). The per-instruction loop applies it
+    /// after the instruction; an engine that runs further than that
+    /// before looking must stop here.
+    #[inline]
+    fn phase_marked(&mut self) {}
 }
 
 /// What [`ExecCore::deliver`] delivers.
@@ -590,14 +598,17 @@ impl<I: Isa, B: Bus, P: Policy> ExecCtx for ExecCore<'_, I, B, P> {
             self.policy.data_cost(pa);
         }
         match self.bus.write(pa, val, size) {
-            Ok(Some(BusEvent::PhaseMark(m))) => self.phase_mark = Some(m),
+            Ok(Some(BusEvent::PhaseMark(m))) => {
+                self.phase_mark = Some(m);
+                self.policy.phase_marked();
+            }
             Ok(_) => {}
             Err(mut f) => {
                 f.addr = va;
                 return Err(f);
             }
         }
-        self.policy.store(pa, holds_code, self.counters);
+        self.policy.store(pa, size, holds_code, self.counters);
         Ok(())
     }
 

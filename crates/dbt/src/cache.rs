@@ -6,6 +6,15 @@
 //! O(1) — invalidation, O(blocks of the one page written to) — and
 //! allocation-free once warm.
 //!
+//! **Invalidation is byte-precise.** A block is translated from the
+//! bytes `[pc, end_pc)`, all in one physical page, and a store kills
+//! exactly the blocks whose bytes it overlaps
+//! ([`CodeCache::invalidate_range`]) — as QEMU's
+//! `tb_invalidate_phys_page_range` does — so a kernel that rewrites
+//! code keeps its own translation. The one block that is not contained
+//! in its page, a lone instruction that continues on the next, is never
+//! entered in the cache at all (see [`CodeCache::insert`]).
+//!
 //! Steps of every live block are stored back-to-back in a single slab
 //! ([`CodeCache::steps`]); a [`Tb`] holds an `(offset, len)` range into
 //! it. Dispatch is therefore a pure index into one cache-friendly
@@ -26,19 +35,19 @@
 //! block), not a recycled page record (the page differs) — and a frame
 //! executed under a second virtual alias simply misses, retranslates
 //! and takes the slot over, while the first alias's blocks stay in the
-//! page's list and die with the page.
+//! page's list and die with their bytes.
 //!
 //! **Link-epoch rule.** Chain slots and IBTC entries are [`Link`]s: a
 //! successor stamped with the cache's link epoch at the time it was
 //! recorded, followed only while that epoch is still the live one.
 //! [`CodeCache::unchain_all`] — called by the exception side-exit sync,
-//! by [`CodeCache::invalidate_page`] and by [`CodeCache::reset`] — is
+//! by [`CodeCache::invalidate_range`] and by [`CodeCache::reset`] — is
 //! therefore one increment; live epochs start at 1, so a zeroed link is
 //! dead, and links are swept only if the 32-bit epoch ever wraps.
 
 use simbench_core::frontend::PageTable;
 use simbench_core::ir::Op;
-use simbench_core::PAGE_SIZE;
+use simbench_core::{page_of, PAGE_SIZE};
 
 /// Index of a block in the arena.
 pub type TbId = u32;
@@ -81,18 +90,31 @@ pub struct Tb {
     pub steps_start: u32,
     /// Number of steps.
     pub steps_len: u32,
-    /// Address following the last instruction (fallthrough target).
+    /// Address following the last instruction (fallthrough target):
+    /// the block was translated from the bytes `[pc, end_pc)`.
     pub end_pc: u32,
     /// Static target of the block-ending direct branch, if any (drives
     /// taken-edge chaining).
     pub taken_target: Option<u32>,
-    /// Tombstone: invalidated, its arena range is dead until the next
-    /// full flush.
+    /// Tombstone: invalidated — or never entered in the cache — and
+    /// found by nothing; its arena range is dead until the next full
+    /// flush.
     pub dead: bool,
     /// Chain slot for the taken direct-branch successor.
     pub chain_taken: Link,
     /// Chain slot for the fallthrough successor.
     pub chain_fall: Link,
+}
+
+impl Tb {
+    /// Whether the block was translated from any byte of `[lo, hi)`,
+    /// offsets into its physical page. Only asked of listed blocks,
+    /// which lie within that page.
+    #[inline]
+    fn overlaps(&self, lo: usize, hi: usize) -> bool {
+        let start = slot_of(self.pc);
+        start < hi && lo < start + self.end_pc.wrapping_sub(self.pc) as usize
+    }
 }
 
 /// Direct-mapped indirect-branch target cache mapping guest PC → block.
@@ -134,7 +156,7 @@ impl Ibtc {
 /// Slots per page: one per byte offset.
 const SLOTS: usize = PAGE_SIZE as usize;
 
-/// The slot of a block starting at `pc`.
+/// The offset of `pc` in its page: the slot of a block starting there.
 #[inline]
 fn slot_of(pc: u32) -> usize {
     (pc & (PAGE_SIZE - 1)) as usize
@@ -249,10 +271,28 @@ impl CodeCache {
         self.pages.get(ppage).is_some_and(|p| !p.blocks.is_empty())
     }
 
+    /// Whether a store to `[pa, pa + size)` overwrites bytes a live
+    /// block was translated from.
+    #[inline]
+    pub fn holds_code_at(&self, pa: u32, size: u32) -> bool {
+        let lo = slot_of(pa);
+        self.pages.get(page_of(pa)).is_some_and(|page| {
+            page.blocks
+                .iter()
+                .any(|&id| self.blocks[id as usize].overlaps(lo, lo + size as usize))
+        })
+    }
+
     /// Insert a freshly translated block, copying its steps into the
     /// arena. Returns its id and whether the page *gained* its first
     /// translation (the caller must then flush data TLBs so stale
     /// unprotected entries disappear).
+    ///
+    /// A block that runs past the end of its page — one instruction that
+    /// continues on the next — depends on that page's mapping and
+    /// contents, which nothing here tracks. It is born dead: in no page
+    /// list and no slot, refused by [`CodeCache::follow`], good for the
+    /// one dispatch of the id returned here.
     pub fn insert(
         &mut self,
         pc: u32,
@@ -271,16 +311,20 @@ impl CodeCache {
             OBS_ARENA_GROWTHS.add(1);
             simbench_obs::event!("dbt.arena_growth");
         }
-        let record = self.pages.claim(ppage);
-        let page = self.pages.record_mut(record);
-        let first_in_page = page.blocks.is_empty();
-        if page.slots.is_empty() {
-            // lint:allow(hot-path): once per page record; reset and invalidation keep the table
-            page.slots.resize(SLOTS, 0);
+        let cached = page_of(end_pc.wrapping_sub(1)) == page_of(pc);
+        let mut first_in_page = false;
+        if cached {
+            let record = self.pages.claim(ppage);
+            let page = self.pages.record_mut(record);
+            first_in_page = page.blocks.is_empty();
+            if page.slots.is_empty() {
+                // lint:allow(hot-path): once per page record; reset and invalidation keep the table
+                page.slots.resize(SLOTS, 0);
+            }
+            debug_assert!(id <= TbId::from(u16::MAX), "flush_threshold above 1 << 16");
+            page.slots[slot_of(pc)] = id as u16;
+            page.blocks.push(id);
         }
-        debug_assert!(id <= TbId::from(u16::MAX), "flush_threshold above 1 << 16");
-        page.slots[slot_of(pc)] = id as u16;
-        page.blocks.push(id);
         self.blocks.push(Tb {
             pc,
             ppage,
@@ -288,7 +332,7 @@ impl CodeCache {
             steps_len: steps.len() as u32,
             end_pc,
             taken_target,
-            dead: false,
+            dead: !cached,
             chain_taken: Link::NONE,
             chain_fall: Link::NONE,
         });
@@ -300,24 +344,30 @@ impl CodeCache {
         self.blocks.len() >= self.flush_threshold
     }
 
-    /// Invalidate every block in a physical page (self-modifying code).
-    /// Returns how many blocks died. Their step ranges stay dark in the
-    /// arena until the next full flush. All chains and the IBTC are
-    /// conservatively dropped, as unlinking is global in real DBTs.
-    pub fn invalidate_page(&mut self, ppage: u32) -> usize {
-        let Some(page) = self.pages.get_mut(ppage) else {
+    /// Invalidate the blocks translated from any byte of `[pa, pa +
+    /// size)` (self-modifying code). Returns how many died. Their step
+    /// ranges stay dark in the arena until the next full flush. If any
+    /// did, all chains and the IBTC are conservatively dropped, as
+    /// unlinking is global in real DBTs.
+    pub fn invalidate_range(&mut self, pa: u32, size: u32) -> usize {
+        let Some(page) = self.pages.get_mut(page_of(pa)) else {
             return 0;
         };
-        let n = page.blocks.len();
-        for &id in &page.blocks {
-            self.blocks[id as usize].dead = true;
+        let (lo, blocks) = (slot_of(pa), &mut self.blocks);
+        let listed = page.blocks.len();
+        page.blocks.retain(|&id| {
+            let tb = &mut blocks[id as usize];
+            tb.dead = tb.overlaps(lo, lo + size as usize);
+            !tb.dead
+        });
+        let n = listed - page.blocks.len();
+        if n > 0 {
+            self.unchain_all();
+            static OBS_TOMBSTONES: simbench_obs::Counter =
+                simbench_obs::Counter::new("dbt.tombstoned_blocks");
+            OBS_TOMBSTONES.add(n as u64);
+            simbench_obs::event!("dbt.invalidate_range");
         }
-        page.blocks.clear();
-        self.unchain_all();
-        static OBS_TOMBSTONES: simbench_obs::Counter =
-            simbench_obs::Counter::new("dbt.tombstoned_blocks");
-        OBS_TOMBSTONES.add(n as u64);
-        simbench_obs::event!("dbt.invalidate_page");
         n
     }
 
@@ -431,21 +481,23 @@ mod tests {
     }
 
     #[test]
-    fn page_invalidation_kills_slots_list_and_links() {
+    fn invalidation_kills_slot_list_entry_and_links() {
         let mut c = CodeCache::new(4);
         let (a, _) = insert(&mut c, 0x8000, 8);
         let (b, _) = insert(&mut c, 0x9000, 9);
         c.blocks[a as usize].chain_taken = c.link(b);
         c.blocks[b as usize].chain_fall = c.link(a);
         assert_eq!(c.follow(c.blocks[a as usize].chain_taken, 0x9000), Some(b));
-        assert_eq!(c.invalidate_page(8), 1);
+        assert!(c.holds_code_at(0x8000, 4) && !c.holds_code_at(0x8004, 4));
+        assert_eq!(c.invalidate_range(0x8000, 4), 1);
         assert_eq!(c.lookup(0x8000, 8), None);
         assert_eq!(c.lookup(0x9000, 9), Some(b), "other page untouched");
         let live_to_live = c.blocks[b as usize].chain_fall;
         assert_eq!(c.follow(live_to_live, 0x8000), None, "global unchain");
         assert!(!c.page_has_code(8));
         assert!(c.page_has_code(9));
-        assert_eq!(c.invalidate_page(8), 0, "the page's list went with them");
+        assert!(!c.holds_code_at(0x8000, 4));
+        assert_eq!(c.invalidate_range(0x8000, 4), 0, "left the page's list");
         // The dead block's range stays dark in the arena until a flush.
         assert_eq!(c.arena_steps(), 2);
         c.flush_all();
@@ -463,8 +515,58 @@ mod tests {
         assert_eq!(c.lookup(0x80_0010, 8), Some(second));
         assert_eq!(c.lookup(0x40_0010, 8), None, "unreachable by lookup");
         assert!(!c.blocks[first as usize].dead, "but not dead");
-        assert_eq!(c.invalidate_page(8), 2, "and still in the page's list");
+        assert_eq!(c.invalidate_range(0x8013, 1), 2, "still in the page's list");
         assert!(c.blocks[first as usize].dead);
+    }
+
+    #[test]
+    fn a_store_kills_only_the_blocks_it_overlaps() {
+        // Back to back: [0x8000, 0x8004) [0x8004, 0x8008), and the last
+        // word of the page next to the first of the next.
+        let mut c = CodeCache::new(4);
+        let (a, _) = insert(&mut c, 0x8000, 8);
+        let (b, _) = insert(&mut c, 0x8004, 8);
+        let (last, _) = insert(&mut c, 0x8ffc, 8);
+        let (next, _) = insert(&mut c, 0x9000, 9);
+        // One block's `hi` is its neighbour's `lo`.
+        assert_eq!(c.invalidate_range(0x8003, 1), 1);
+        assert!(c.blocks[a as usize].dead && !c.blocks[b as usize].dead);
+        // A store that hits nothing leaves the links alone.
+        let link = c.link(b);
+        assert_eq!(c.invalidate_range(0x8000, 4), 0, "`a` is gone already");
+        assert_eq!(c.invalidate_range(0x8008, 4), 0, "the bytes after `b`");
+        assert_eq!(c.lookup(0x8004, 8), Some(b));
+        assert_eq!(c.follow(link, 0x8004), Some(b));
+        assert_eq!(c.invalidate_range(0x8004, 1), 1);
+        assert_eq!(c.follow(link, 0x8004), None);
+        // Offset 4095 belongs to this page's last block, offset 0 of the
+        // next page to another.
+        assert!(!c.holds_code_at(0x8ff8, 4) && c.holds_code_at(0x8fff, 1));
+        assert_eq!(c.invalidate_range(0x9000, 4), 1);
+        assert!(c.blocks[next as usize].dead && !c.blocks[last as usize].dead);
+        assert_eq!(c.invalidate_range(0x8fff, 1), 1);
+        assert!(c.blocks[last as usize].dead);
+        assert!(!c.page_has_code(8) && !c.page_has_code(9));
+    }
+
+    #[test]
+    fn a_block_that_runs_past_its_page_is_never_cached() {
+        let mut c = CodeCache::new(4);
+        let steps = [TbStep {
+            op: Op::Nop,
+            next_pc: 0x9002,
+            insn_start: true,
+        }];
+        let (id, first) = c.insert(0x8ffe, 8, 0x9002, None, &steps);
+        assert!(!first && !c.page_has_code(8) && !c.page_has_code(9));
+        assert_eq!(c.lookup(0x8ffe, 8), None);
+        assert_eq!(c.follow(c.link(id), 0x8ffe), None);
+        assert!(!c.holds_code_at(0x8ffe, 2) && !c.holds_code_at(0x9000, 2));
+        assert_eq!(c.steps_of(id), steps, "but its id runs once");
+        // One that ends with the page is a block like any other.
+        let (id, first) = insert(&mut c, 0x8ffc, 8);
+        assert!(first);
+        assert_eq!(c.lookup(0x8ffc, 8), Some(id));
     }
 
     #[test]

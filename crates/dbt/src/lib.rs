@@ -13,10 +13,14 @@
 //!   for inter-page branches, and an indirect-branch target cache —
 //!   chain slots and IBTC entries are epoch-stamped links, so dropping
 //!   them all is one increment,
-//! * a software TLB with code-page write protection driving precise
-//!   self-modifying-code invalidation, flushed by epoch ([`tlb`]),
-//! * interrupt delivery at block boundaries and synchronous exceptions
-//!   as side exits,
+//! * a software TLB with code-page write protection, flushed by epoch
+//!   ([`tlb`]), filtering the stores that are checked against the byte
+//!   ranges blocks were translated from: a store kills exactly the
+//!   blocks it overlaps, and ends the running block only if it overlaps
+//!   a live one,
+//! * interrupt delivery at block boundaries, synchronous exceptions as
+//!   side exits, and a block exit at every phase-mark store, so the
+//!   kernel window is the one every other engine sees,
 //! * a [`versions::VersionProfile`] matrix reproducing the QEMU release
 //!   history studied by the paper (Figs 2, 6 and 8).
 //!
@@ -44,7 +48,7 @@ use simbench_core::engine::{Engine, EngineInfo, ExitReason, PhaseTracker, RunLim
 use simbench_core::events::Counters;
 use simbench_core::exec::{step_op, BranchFlavor, OpOutcome, Trap};
 use simbench_core::fault::{AccessKind, MemFault};
-use simbench_core::ir::Op;
+use simbench_core::ir::{Decoded, InsnClass, MemSize, Op};
 use simbench_core::isa::Isa;
 use simbench_core::machine::Machine;
 use simbench_core::run::{count_branch, Event, ExecCore, Policy, PolicyObs, Tlb};
@@ -117,7 +121,7 @@ impl<I: Isa> Dbt<I> {
         let mut hooks = Hooks {
             tlb: &mut self.tlb,
             code: &self.code,
-            code_write: None,
+            leave: None,
         };
         f(&mut ExecCore::new(m, counters, &mut hooks))
     }
@@ -171,8 +175,42 @@ impl<I: Isa> Dbt<I> {
         true
     }
 
-    /// Fetch raw instruction bytes at `pc`, possibly crossing a page.
-    fn fetch_bytes<B: Bus>(
+    /// Read the raw bytes of the instruction at `cur` for the block that
+    /// starts at `pc`, whose first byte translates to `first_pa`; `cur`
+    /// is in the same page.
+    ///
+    /// `first_pa` established the page's translation and execute
+    /// permission, so while the decoder's window lies inside the page
+    /// (and RAM) the bytes are read from it directly; only a window that
+    /// crosses the page end takes the shared core's cross-page fetch,
+    /// which translates the tail page (fetch-side probes are uncounted
+    /// here either way).
+    #[inline]
+    fn fetch_in_block<B: Bus>(
+        &mut self,
+        m: &mut Machine<I, B>,
+        counters: &mut Counters,
+        pc: u32,
+        first_pa: u32,
+        cur: u32,
+        buf: &mut [u8; 8],
+    ) -> Result<usize, MemFault> {
+        let want = I::MAX_INSN_BYTES;
+        let pa = first_pa.wrapping_add(cur.wrapping_sub(pc)) as usize;
+        let in_page = (cur & (PAGE_SIZE - 1)) as usize + want <= PAGE_SIZE as usize;
+        match m.bus.ram().get(pa..pa + want) {
+            Some(window) if in_page => {
+                buf[..want].copy_from_slice(window);
+                Ok(want)
+            }
+            _ => self.fetch_across_pages(m, counters, cur, buf),
+        }
+    }
+
+    /// Fetch raw instruction bytes at `pc` the long way: translate, and
+    /// translate again for a tail on the next page.
+    #[inline(never)]
+    fn fetch_across_pages<B: Bus>(
         &mut self,
         m: &mut Machine<I, B>,
         counters: &mut Counters,
@@ -212,30 +250,23 @@ impl<I: Isa> Dbt<I> {
         let mut buf = [0u8; 8];
 
         for _ in 0..MAX_BLOCK_INSNS {
-            let have = match self.fetch_bytes(m, counters, cur, &mut buf) {
+            let have = match self.fetch_in_block(m, counters, pc, first_pa, cur, &mut buf) {
                 Ok(n) => n,
-                Err(f) => {
-                    if self.scratch.is_empty() {
-                        return Err(f);
-                    }
-                    break;
-                }
+                Err(f) if self.scratch.is_empty() => return Err(f),
+                Err(_) => break,
             };
-            let decoded = match I::decode(&buf[..have], cur) {
-                Ok(d) => d,
-                Err(_) => {
-                    // Undecodable bytes translate to an explicit UDF trap.
-                    self.scratch.push(TbStep {
-                        op: Op::Udf,
-                        next_pc: cur.wrapping_add(I::MAX_INSN_BYTES as u32),
-                        insn_start: true,
-                    });
-                    cur = cur.wrapping_add(I::MAX_INSN_BYTES as u32);
-                    break;
-                }
-            };
+            // Undecodable bytes translate to an explicit UDF trap of
+            // nominal length.
+            let decoded = I::decode(&buf[..have], cur).unwrap_or_else(|_| {
+                Decoded::new(I::MAX_INSN_BYTES as u8, [Op::Udf], InsnClass::System)
+            });
             let next = cur.wrapping_add(decoded.len as u32);
-            let ends = decoded.ends_block();
+            // An instruction that continues on the next page is only
+            // ever a block of its own (which the cache refuses).
+            if page_of(next.wrapping_sub(1)) != page_of(pc) && cur != pc {
+                break;
+            }
+            cur = next;
             for (i, op) in decoded.ops.iter().enumerate() {
                 self.scratch.push(TbStep {
                     op: *op,
@@ -243,17 +274,15 @@ impl<I: Isa> Dbt<I> {
                     insn_start: i == 0,
                 });
             }
-            if ends {
+            if decoded.ends_block() {
                 taken_target = match decoded.ops.last() {
                     Some(Op::Branch { target }) => Some(*target),
                     Some(Op::BranchCond { target, .. }) => Some(*target),
                     Some(Op::Call { target, .. }) => Some(*target),
                     _ => None,
                 };
-                cur = next;
                 break;
             }
-            cur = next;
             // Blocks never span pages: stop before leaving the first one.
             if page_of(cur) != page_of(pc) {
                 break;
@@ -333,18 +362,21 @@ impl<I: Isa> Dbt<I> {
         counters: &mut Counters,
         block_pc: u32,
     ) {
+        let Ok(first_pa) = self.translate_exec(m, counters, block_pc) else {
+            return;
+        };
         let mut buf = [0u8; 8];
         let mut cur = block_pc;
         for _ in 0..MAX_BLOCK_INSNS {
-            let Ok(have) = self.fetch_bytes(m, counters, cur, &mut buf) else {
+            let Ok(have) = self.fetch_in_block(m, counters, block_pc, first_pa, cur, &mut buf)
+            else {
                 return;
             };
             let Ok(d) = I::decode(&buf[..have], cur) else {
                 return;
             };
-            let ends = d.ends_block();
             cur = cur.wrapping_add(d.len as u32);
-            if ends || page_of(cur) != page_of(block_pc) {
+            if d.ends_block() || page_of(cur) != page_of(block_pc) {
                 return;
             }
         }
@@ -432,13 +464,25 @@ static OBS: PolicyObs = PolicyObs::new("dbt.tlb_refills", "dbt.dispatch_batches"
 /// The DBT's mechanisms below the block level, as a policy of the
 /// shared execution core: the write-protecting soft TLB, QEMU's
 /// `tlb_fill` slow path, and store detection of self-modifying code.
-/// Built per block (and per translation-time fetch) because it borrows
-/// the code cache the block's steps are read from.
+/// Built per block (and per full-path translation, cross-page fetch or
+/// delivery) because it borrows the code cache the block's steps are
+/// read from.
 struct Hooks<'a> {
     tlb: &'a mut DbtTlb,
     code: &'a CodeCache,
-    /// Physical page whose translations a store just dirtied.
-    code_write: Option<u32>,
+    /// Why the store that just completed ends the block, if it does:
+    /// the one flag the step loop tests after an op that falls through.
+    leave: Option<Leave>,
+}
+
+/// A store after which the block cannot simply carry on.
+#[derive(Debug, Clone, Copy)]
+enum Leave {
+    /// It overwrote bytes that live blocks were translated from:
+    /// physical address and size.
+    CodeWrite(u32, MemSize),
+    /// It raised a phase mark, which counts from the next instruction.
+    PhaseMark,
 }
 
 impl Policy for Hooks<'_> {
@@ -470,12 +514,18 @@ impl Policy for Hooks<'_> {
         debug_assert!(refilled.is_some(), "entry just filled");
     }
 
-    /// Write-protect slow path: the page may hold translations.
+    /// Write-protect slow path: the page may hold translations, and
+    /// the store ends the block if it overwrote any.
     #[inline]
-    fn store(&mut self, pa: u32, holds_code: bool, _counters: &mut Counters) {
-        if holds_code && self.code.page_has_code(page_of(pa)) {
-            self.code_write = Some(page_of(pa));
+    fn store(&mut self, pa: u32, size: MemSize, holds_code: bool, _counters: &mut Counters) {
+        if holds_code && self.code.holds_code_at(pa, size.bytes()) {
+            self.leave = Some(Leave::CodeWrite(pa, size));
         }
+    }
+
+    #[inline]
+    fn phase_marked(&mut self) {
+        self.leave = Some(Leave::PhaseMark);
     }
 }
 
@@ -495,7 +545,8 @@ enum BlockExit {
     Halt {
         pc: u32,
     },
-    CodeWrite {
+    /// A store ended the block early (see [`Leave`]).
+    Left {
         resume_pc: u32,
     },
 }
@@ -546,11 +597,11 @@ impl<I: Isa, B: Bus> Engine<I, B> for Dbt<I> {
                 continue;
             }
 
+            // A block resolved by the previous exit was live then, and
+            // nothing ran since — or was made for this one dispatch (an
+            // uncached page-straddling instruction is born dead).
             let cur: TbId = match chained_next.take() {
-                Some(id)
-                    if !self.code.blocks[id as usize].dead
-                        && self.code.blocks[id as usize].pc == pc =>
-                {
+                Some(id) if self.code.blocks[id as usize].pc == pc => {
                     counters.block_chain_follows += 1;
                     let ppage = self.code.blocks[id as usize].ppage;
                     if self.entry_guard(m, &mut counters, pc, ppage) {
@@ -588,7 +639,7 @@ impl<I: Isa, B: Bus> Engine<I, B> for Dbt<I> {
             let mut hooks = Hooks {
                 tlb: &mut self.tlb,
                 code: &self.code,
-                code_write: None,
+                leave: None,
             };
             let mut ctx = ExecCore::new(m, &mut counters, &mut hooks);
 
@@ -607,8 +658,8 @@ impl<I: Isa, B: Bus> Engine<I, B> for Dbt<I> {
                 ctx.counters.uops += 1;
                 match step_op(&mut ctx, &step.op) {
                     OpOutcome::Next => {
-                        if ctx.policy.code_write.is_some() {
-                            exit = BlockExit::CodeWrite {
+                        if ctx.policy.leave.is_some() {
+                            exit = BlockExit::Left {
                                 resume_pc: step.next_pc,
                             };
                             break;
@@ -633,19 +684,21 @@ impl<I: Isa, B: Bus> Engine<I, B> for Dbt<I> {
                 }
             }
             let mark = ctx.phase_mark.take();
-            let dirty_page = hooks.code_write.take();
+            let left = hooks.leave.take();
 
+            // The marking store was the last thing to run (an `Op::Store`
+            // leaves the block there), so the kernel window opens and
+            // closes on the instruction it does in every other engine.
             if let Some(mark) = mark {
                 phase.on_mark(mark, &counters);
             }
-            // A store dirtied a page that holds translations: an
-            // `Op::Store`, which leaves the block by `CodeWrite`, or the
-            // return-address push of a call, which leaves it by `Jump`.
-            // Either way the page's blocks die before the successor is
-            // resolved.
-            if let Some(p) = dirty_page {
+            // A store overwrote translated code: an `Op::Store`, which
+            // leaves the block by `Left`, or the return-address push of
+            // a call, which leaves it by `Jump`. Either way the blocks
+            // it overlapped die before the successor is resolved.
+            if let Some(Leave::CodeWrite(pa, size)) = left {
                 counters.code_invalidations += 1;
-                self.code.invalidate_page(p);
+                self.code.invalidate_range(pa, size.bytes());
             }
 
             match exit {
@@ -675,7 +728,7 @@ impl<I: Isa, B: Bus> Engine<I, B> for Dbt<I> {
                         }
                     }
                 }
-                BlockExit::CodeWrite { resume_pc } => {
+                BlockExit::Left { resume_pc } => {
                     m.cpu.pc = resume_pc;
                     chained_next = None;
                 }

@@ -23,6 +23,7 @@ use simbench_core::bus::Bus;
 use simbench_core::engine::{Engine, EngineInfo, RunLimits, RunOutcome};
 use simbench_core::events::Counters;
 use simbench_core::frontend::FrontEnd;
+use simbench_core::ir::MemSize;
 use simbench_core::isa::Isa;
 use simbench_core::machine::Machine;
 use simbench_core::run::{self, Policy, PolicyObs, Sensitive, Tlb};
@@ -115,11 +116,11 @@ impl<I: Isa> Policy for Virt<I> {
         Ok(())
     }
 
-    /// Instruction-cache coherency: a store into a page with cached
-    /// decodes drops them.
+    /// Instruction-cache coherency: a store drops the cached decodes it
+    /// overlaps.
     #[inline]
-    fn store(&mut self, pa: u32, _holds_code: bool, counters: &mut Counters) {
-        if self.front.store(pa) {
+    fn store(&mut self, pa: u32, size: MemSize, _holds_code: bool, counters: &mut Counters) {
+        if self.front.store(pa, size) {
             counters.code_invalidations += 1;
         }
     }

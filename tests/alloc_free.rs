@@ -102,23 +102,24 @@ fn hot_loop_image(iters: u32) -> GuestImage {
     a.finish(0x8000)
 }
 
-/// A loop that stores into its own code page every iteration: each
-/// store tombstones the page's decodes and the rest of the iteration
-/// is decoded again.
-fn self_dirtying_loop_image(iters: u32) -> GuestImage {
+/// A loop that overwrites its own first instruction (with the same
+/// encoding) every iteration: each store forgets that decode, or kills
+/// the block that starts there, and it is decoded or translated again
+/// on the next trip round.
+fn self_rewriting_loop_image(iters: u32) -> GuestImage {
     let mut a = ArmletAsm::new();
     a.org(0x8000);
-    let (top, scratch) = (a.new_label(), a.new_label());
+    let top = a.new_label();
     a.mov_imm(PReg::B, iters);
-    a.mov_label(PReg::C, scratch);
+    a.mov_label(PReg::C, top);
+    a.load(PReg::D, PReg::C, 0);
     a.bind(top);
-    a.store(PReg::B, PReg::C, 0);
+    a.nop();
+    a.store(PReg::D, PReg::C, 0);
     a.alu_ri(AluOp::Sub, PReg::B, PReg::B, 1);
     a.cmp_ri(PReg::B, 0);
     a.b_cond(Cond::Ne, top);
     a.halt();
-    a.bind(scratch);
-    a.word(0);
     a.finish(0x8000)
 }
 
@@ -206,14 +207,15 @@ fn warm_hot_loops_allocate_nothing() {
     // Native and virt: the first run grows the front end's decode
     // arena, slot tables and page index. The run-start reset keeps all
     // of it, so a second run re-decodes into retained capacity — and so
-    // does a loop that dirties its own code page every iteration, whose
-    // tombstoned decodes overflow the arena several times per run. The
-    // dbt is held to the same: each store kills the page's blocks and
-    // two are translated again, into the page record's retained list
-    // and slot table.
+    // does a loop that rewrites one of its own instructions every
+    // iteration, whose forgotten decodes overflow the arena several
+    // times per run. The dbt is held to the same: each store kills the
+    // block that starts at the rewritten instruction (not the one the
+    // store resumes in) and it is translated again, into the page
+    // record's retained list and slot table.
     let smc_iters = 20_000;
-    let smc = self_dirtying_loop_image(smc_iters);
-    let cases = [("hot", &img, 0), ("self-dirtying", &smc, smc_iters)];
+    let smc = self_rewriting_loop_image(smc_iters);
+    let cases = [("hot", &img, 0), ("self-rewriting", &smc, smc_iters)];
     warm_runs_allocate_nothing("native", &mut Virt::<Armlet>::native(), &cases);
     warm_runs_allocate_nothing("virt", &mut Virt::<Armlet>::kvm(), &cases);
     warm_runs_allocate_nothing("dbt", &mut dbt, &cases[1..]);
@@ -221,8 +223,8 @@ fn warm_hot_loops_allocate_nothing() {
     // Enough rewrites to overflow the dbt's code cache (65 536 blocks,
     // tombstones included) twice in one run: the overflow flush keeps
     // every container's capacity too.
-    let overflow_iters = 70_000;
-    let overflowing = self_dirtying_loop_image(overflow_iters);
+    let overflow_iters = 140_000;
+    let overflowing = self_rewriting_loop_image(overflow_iters);
     let out = warm_runs_allocate_nothing(
         "dbt",
         &mut dbt,

@@ -5,7 +5,7 @@
 //! after the first frame; every engine now fetches through the shared
 //! cross-page `fetch_bytes`.
 //!
-//! Each image plants a decoy — the same instruction with a different
+//! Each of those images plants a decoy — the same instruction with a different
 //! immediate — right after the head's frame, so a contiguous read
 //! computes a different register value and the lockstep differ reports
 //! the divergence.
@@ -15,6 +15,7 @@ mod common;
 use common::{interp_then_every_engine, PagedGuest, TABLES};
 use simbench::prelude::*;
 use simbench_core::image::GuestImage;
+use simbench_core::ir::{AluOp, Cond};
 use simbench_isa_riscle::Riscle;
 
 /// Virtual page holding the instruction's head; its tail is on the next.
@@ -68,6 +69,83 @@ fn every_engine_fetches_both_pages<G: PagedGuest>(real: &[u8], decoy: &[u8]) {
     interp_then_every_engine::<G>(&straddle_image::<G>(real, decoy), "straddle", |m| {
         assert_eq!(m.cpu.regs[G::reg_a() as usize], REAL.into(), "{}", G::NAME);
     });
+}
+
+/// Paging off: loop twice over `mov A, #REAL` whose last bytes lie on
+/// the next page, adding A into B, and rewrite the immediate — those
+/// last bytes — to `DECOY` on each trip round.
+fn rewritten_tail_image<G: PagedGuest>(real: &[u8], decoy: &[u8]) -> GuestImage {
+    let tail = &real[HEAD_LEN..];
+    assert_eq!(tail[..2], REAL.to_le_bytes());
+    assert_eq!(decoy[HEAD_LEN..][..2], DECOY.to_le_bytes());
+    assert_eq!(tail[2..], decoy[HEAD_LEN..][2..], "two bytes to rewrite");
+    let (top, tail_at) = (0x8FF0, 0x9000);
+
+    let mut a = G::asm();
+    a.org(0x8000);
+    let top_label = a.new_label();
+    a.mov_imm(PReg::B, 0);
+    a.mov_imm(PReg::C, 2);
+    a.mov_imm(PReg::D, tail_at);
+    a.b(top_label);
+
+    a.org(top);
+    a.bind(top_label);
+    while a.here() < tail_at - HEAD_LEN as u32 {
+        a.nop();
+    }
+    a.bytes(real);
+    a.alu_rr(AluOp::Add, PReg::B, PReg::B, PReg::A);
+    for (i, byte) in DECOY.to_le_bytes().into_iter().enumerate() {
+        a.mov_imm(PReg::A, byte.into());
+        a.store8(PReg::A, PReg::D, i as i32);
+    }
+    a.alu_ri(AluOp::Sub, PReg::C, PReg::C, 1);
+    a.cmp_ri(PReg::C, 0);
+    a.b_cond(Cond::Ne, top_label);
+    a.alu_ri(AluOp::Add, PReg::A, PReg::B, 0);
+    a.halt();
+    a.finish(0x8000)
+}
+
+/// A block is found through the page of its first byte, but the bytes
+/// of its last instruction may continue on the next: a store there
+/// must still be seen. The dbt listed such a block under its first
+/// page only, kept it, and added `REAL` twice.
+fn a_store_to_the_tail_is_seen<G: PagedGuest>(real: &[u8], decoy: &[u8]) {
+    let image = rewritten_tail_image::<G>(real, decoy);
+    let sum = u32::from(REAL) + u32::from(DECOY);
+    let a_of = |m: &Machine<G, Platform>| m.cpu.regs[G::reg_a() as usize];
+    let halts_with_sum = |name: &str, run: &dyn Fn(&mut Machine<G, Platform>) -> RunOutcome| {
+        let mut m = Machine::<G, _>::boot(&image, Platform::new());
+        assert_eq!(run(&mut m).exit, ExitReason::Halted, "{} {name}", G::NAME);
+        assert_eq!(a_of(&m), sum, "{} {name}", G::NAME);
+    };
+    let limits = RunLimits::insns(10_000);
+    halts_with_sum("interp", &|m| Interp::<G>::new().run(m, &limits));
+    halts_with_sum("detailed", &|m| Detailed::<G>::new().run(m, &limits));
+    halts_with_sum("virt", &|m| Virt::<G>::kvm().run(m, &limits));
+    halts_with_sum("native", &|m| Virt::<G>::native().run(m, &limits));
+    halts_with_sum("dbt", &|m| Dbt::<G>::new().run(m, &limits));
+    interp_then_every_engine::<G>(&image, "straddle-tail", |m| assert_eq!(a_of(m), sum));
+}
+
+#[test]
+fn petix_store_to_the_tail_of_a_straddling_instruction() {
+    use simbench_isa_petix::encoding::mov_imm32;
+    a_store_to_the_tail_is_seen::<Petix>(
+        &mov_imm32(Petix::reg_a(), REAL.into()),
+        &mov_imm32(Petix::reg_a(), DECOY.into()),
+    );
+}
+
+#[test]
+fn riscle_store_to_the_tail_of_a_straddling_instruction() {
+    use simbench_isa_riscle::encoding::li;
+    a_store_to_the_tail_is_seen::<Riscle>(
+        &li(Riscle::reg_a(), REAL).to_le_bytes(),
+        &li(Riscle::reg_a(), DECOY).to_le_bytes(),
+    );
 }
 
 #[test]

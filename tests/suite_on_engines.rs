@@ -156,6 +156,48 @@ fn engines_agree_on_guest_visible_state() {
     }
 }
 
+/// The dbt leaves a block at the store that raises a phase mark, so its
+/// kernel window opens and closes on the instruction it does in every
+/// other engine: at the 16-iteration floor, where one instruction shows,
+/// every architectural counter of the kernel phase is the interpreter's
+/// on every guest and benchmark. (Translation probes are not counted on
+/// the fetch side, so the TLB hit/miss split is the dbt's own.)
+#[test]
+fn dbt_kernel_window_is_the_interpreters() {
+    use simbench_campaign::{run_suite_bench, Config, EngineKind, Guest};
+    use simbench_core::events::Counters;
+
+    let architectural = |c: &Counters| Counters {
+        tlb_hits: 0,
+        tlb_misses: 0,
+        code_invalidations: 0,
+        blocks_translated: 0,
+        block_cache_hits: 0,
+        block_chain_follows: 0,
+        ..*c
+    };
+    let cfg = Config::with_scale(u64::MAX);
+    let mut cells = 0;
+    for guest in Guest::ALL {
+        for bench in Benchmark::ALL {
+            let Some(interp) = run_suite_bench(guest, EngineKind::Interp, bench, &cfg) else {
+                continue;
+            };
+            let dbt = EngineKind::Dbt(VersionProfile::latest());
+            let dbt = run_suite_bench(guest, dbt, bench, &cfg).expect("runs on interp");
+            assert!(interp.ok() && dbt.ok(), "{guest:?} {bench:?}");
+            assert_eq!(interp.iterations, 16);
+            assert_eq!(
+                architectural(&dbt.counters),
+                architectural(&interp.counters),
+                "{guest:?} {bench:?}"
+            );
+            cells += 1;
+        }
+    }
+    assert_eq!(cells, 3 * 18 - 2, "only armlet has Nonprivileged Access");
+}
+
 #[test]
 fn phase_marks_reach_platform() {
     let s = ArmletSupport::new();

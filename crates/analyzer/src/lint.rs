@@ -19,6 +19,13 @@
 //!   and spills hot-loop registers (see `core/src/ir.rs`). Plain
 //!   string panics and `debug_assert*` (compiled out in release) are
 //!   fine.
+//! - Outside the decoders themselves, a `Decoded` taken or returned by
+//!   value (`: Decoded`, `-> Decoded`, `Result<Decoded`,
+//!   `Option<Decoded`) and `unwrap_or_else(|_| Decoded::new` are
+//!   flagged: the decoder fills its return slot with byte-wide stores,
+//!   and every move of that value reloads it with wide loads that cannot
+//!   be store-forwarded (see `Insn::Fresh` in `core/src/run.rs`). Bind
+//!   the decoder's result once and pass `&Decoded`.
 //! - A line carrying (or preceded by a line carrying)
 //!   `lint:allow(hot-path)` is exempt: constructors and other cold
 //!   set-up code inside hot-path files annotate themselves.
@@ -91,6 +98,31 @@ const PANIC_PATTERNS: &[(&str, &str)] = &[
     ("panic!(", "formatted panic"),
     ("unreachable!(", "formatted panic"),
 ];
+
+/// Ways a `Decoded` changes hands by value. Each ends in the type name,
+/// so a match must not run on into a longer identifier.
+const DECODED_BY_VALUE: &[&str] = &[
+    ": Decoded",
+    "-> Decoded",
+    "Result<Decoded",
+    "Option<Decoded",
+    "unwrap_or_else(|_| Decoded::new",
+];
+
+/// The generated decoders and their hand-written front doors: where a
+/// `Decoded` comes from, by value, through `Isa::decode`'s signature.
+fn is_decoder(file: &str) -> bool {
+    file.ends_with("/decode.rs") || file.ends_with("/decode_gen.rs")
+}
+
+/// True if `line` moves a `Decoded` by value ([`DECODED_BY_VALUE`]).
+fn moves_decoded(line: &str) -> bool {
+    DECODED_BY_VALUE.iter().any(|pat| {
+        line.match_indices(pat).any(|(at, _)| {
+            !line[at + pat.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '_')
+        })
+    })
+}
 
 /// True if `line` contains `pat` at a position not preceded by an
 /// identifier character (so `assert!(` does not match inside
@@ -170,6 +202,14 @@ pub fn lint_file(file: &str, text: &str) -> Vec<LintFinding> {
                 });
             }
         }
+        if !is_decoder(file) && moves_decoded(raw) {
+            findings.push(LintFinding {
+                file: file.to_string(),
+                line: i + 1,
+                what: "Decoded moved by value",
+                text: line.to_string(),
+            });
+        }
         for &(pat, what) in PANIC_PATTERNS {
             if let Some(at) = find_bare(raw, pat) {
                 // Formatted ⟺ the message string interpolates. Line-based:
@@ -245,6 +285,31 @@ mod tests {
             whats("assert_eq!(a, b, \"{a}\");"),
             vec!["formatted assert"]
         );
+    }
+
+    #[test]
+    fn flags_a_decoded_moved_by_value_outside_the_decoders() {
+        let by_value = [
+            "fn insert(&mut self, d: Decoded) -> u16 {",
+            "fn nop() -> Decoded {",
+            "fn decode_at(&mut self, pc: u32) -> Result<Decoded, MemFault> {",
+            "fn cached(&self, pc: u32) -> Option<Decoded> {",
+            "let d = I::decode(bytes, pc).unwrap_or_else(|_| Decoded::new(4, [Op::Udf], class));",
+        ];
+        for line in by_value {
+            assert_eq!(whats(line), vec!["Decoded moved by value"], "{line}");
+            assert!(lint_file("crates/isa-petix/src/decode.rs", line).is_empty());
+            assert!(whats(&format!("{line} // lint:allow(hot-path)")).is_empty());
+        }
+        for line in [
+            "fn insn_cost(&mut self, d: &Decoded) {}",
+            "fn undecodable<I: Isa>() -> &'static Decoded {",
+            "arena: Vec<Decoded>,",
+            "fn page(&self) -> DecodedPage {",
+            "let res = I::decode(bytes, pc);",
+        ] {
+            assert!(whats(line).is_empty(), "{line}");
+        }
     }
 
     #[test]

@@ -31,8 +31,8 @@ use simbench_core::events::Counters;
 use simbench_core::exec::{step_op, ExecCtx, OpOutcome, Trap};
 use simbench_core::fault::{AccessKind, CopFault, ExcInfo, ExceptionKind, FaultKind, MemFault};
 use simbench_core::image::GuestImage;
-use simbench_core::ir::{Decoded, InsnClass, MemSize, Op};
-use simbench_core::isa::{CopEffect, Isa};
+use simbench_core::ir::{Decoded, MemSize};
+use simbench_core::isa::{undecodable, CopEffect, Isa};
 use simbench_core::machine::Machine;
 use simbench_core::page_of;
 use simbench_core::tlb::SingleEntryCache;
@@ -357,9 +357,8 @@ fn fetch_insn<I: Isa>(
     }
     Ok(match I::decode(&bytes[..have], pc) {
         Ok(d) => d,
-        // Undecodable bytes raise Undef through an explicit op, length
-        // nominal — identical to the engines' convention.
-        Err(_) => Decoded::new(I::MAX_INSN_BYTES as u8, [Op::Udf], InsnClass::System),
+        // Undecodable bytes raise Undef through the engines' explicit op.
+        Err(_) => *undecodable::<I>(),
     })
 }
 

@@ -292,17 +292,17 @@ impl FrontEnd {
         (slot > self.memo.dark).then_some(slot)
     }
 
-    /// Take the fresh decode `d` of the instruction at `pc` / `pa` and
-    /// return the slot to execute it from. An instruction that
+    /// Copy the fresh decode `d` of the instruction at `pc` / `pa` into
+    /// the arena and return the slot to execute it from. An instruction that
     /// continues on the next page depends on that page's mapping and
     /// contents, which this page's coherency tracking does not see: it
     /// is never cached.
     #[inline]
-    pub(crate) fn insert(&mut self, pc: u32, pa: u32, d: Decoded) -> u16 {
+    pub(crate) fn insert(&mut self, pc: u32, pa: u32, d: &Decoded) -> u16 {
         debug_assert!(d.len as usize <= MAX_INSN_BYTES);
         let off = (pa & (PAGE_SIZE - 1)) as usize;
         if off + d.len as usize > SLOTS {
-            self.arena[UNCACHED as usize] = d;
+            self.arena[UNCACHED as usize] = *d;
             return UNCACHED;
         }
         if self.arena.len() == ARENA_CAP {
@@ -313,7 +313,7 @@ impl FrontEnd {
             None => self.first_touch(page_of(pc), page_of(pa)),
         };
         let slot = self.arena.len() as u16;
-        self.arena.push(d);
+        self.arena.push(*d);
         self.slots[record * SLOTS + off] = slot;
         slot
     }
@@ -422,14 +422,14 @@ mod tests {
         let mut fe = FrontEnd::new();
         let wide = Decoded::new(4, [Op::Halt], InsnClass::System);
         for _ in 0..3 {
-            assert_eq!(fe.insert(0x1ffe, 0x7ffe, wide), UNCACHED);
+            assert_eq!(fe.insert(0x1ffe, 0x7ffe, &wide), UNCACHED);
             assert_eq!(*fe.decoded(UNCACHED), wide);
         }
         assert_eq!(fe.arena.len(), 1, "nothing was cached");
         assert_eq!(fe.pages.linked(), 0, "the page holds no decodes");
         assert!(!fe.store(0x7ffe, MemSize::B2));
         // The last instruction that fits is cached like any other.
-        assert_eq!(fe.insert(0x1ffc, 0x7ffc, nop()), 1);
+        assert_eq!(fe.insert(0x1ffc, 0x7ffc, &nop()), 1);
         assert_eq!(
             fe.enter_page(kernel_key(0x1ffc), 0x1ffc, 0x7ffc, 1),
             Some(1)
@@ -439,8 +439,8 @@ mod tests {
     #[test]
     fn a_second_alias_of_a_frame_decodes_again_without_an_invalidation() {
         let mut fe = FrontEnd::new();
-        fe.insert(0x40_0020, 0x2_0020, nop());
-        let slot = fe.insert(0x40_0010, 0x2_0010, nop());
+        fe.insert(0x40_0020, 0x2_0020, &nop());
+        let slot = fe.insert(0x40_0010, 0x2_0010, &nop());
         assert_eq!(
             fe.enter_page(kernel_key(0x40_0010), 0x40_0010, 0x2_0010, 1),
             Some(slot)
@@ -450,7 +450,7 @@ mod tests {
             None,
             "decoded under the other alias"
         );
-        let again = fe.insert(0x80_0010, 0x2_0010, nop());
+        let again = fe.insert(0x80_0010, 0x2_0010, &nop());
         assert_ne!(again, slot);
         assert_eq!(
             fe.probe_memo(kernel_key(0x80_0010), 0x80_0010),
@@ -480,7 +480,7 @@ mod tests {
             (0x1016, nop()),
             (0x1ffc, nop()),
         ] {
-            fe.insert(pa, pa, d);
+            fe.insert(pa, pa, &d);
         }
         for (pa, size) in [
             (0x1006, MemSize::B2), // the bytes after the first
@@ -500,7 +500,7 @@ mod tests {
         assert!(fe.store(0x1fff, MemSize::B1) && !cached(&mut fe, 0x1ffc));
         assert!(!fe.store(0x1000, MemSize::B1));
         // One store across two instructions forgets both.
-        fe.insert(0x1010, 0x1010, six);
+        fe.insert(0x1010, 0x1010, &six);
         assert!(fe.store(0x1014, MemSize::B4));
         assert!(!cached(&mut fe, 0x1010) && !cached(&mut fe, 0x1016));
     }
@@ -508,8 +508,8 @@ mod tests {
     #[test]
     fn reset_visits_only_pages_that_held_code() {
         let mut fe = FrontEnd::new();
-        fe.insert(0x4fff_f000, 0x4fff_f000, nop());
-        fe.insert(0x1000, 0x1000, nop());
+        fe.insert(0x4fff_f000, 0x4fff_f000, &nop());
+        fe.insert(0x1000, 0x1000, &nop());
         assert_eq!(fe.pages.linked(), 2);
         let (index, slots) = (fe.pages.index.len(), fe.slots.len());
         assert_eq!((index, slots), (0x5_0000, 2 * SLOTS));
@@ -524,7 +524,7 @@ mod tests {
         );
         assert_eq!(fe.enter_page(kernel_key(0x1000), 0x1000, 0x1000, 0), None);
         // The next run's first code page reuses record 0.
-        fe.insert(0x9000, 0x9000, nop());
+        fe.insert(0x9000, 0x9000, &nop());
         assert_eq!(fe.pages.find(9), Some(0));
     }
 
@@ -533,7 +533,7 @@ mod tests {
         let mut fe = FrontEnd::new();
         for i in 0..ARENA_CAP as u32 + 10 {
             let pa = 0x1000 + (i % 1024) * 4;
-            let slot = fe.insert(pa, pa, nop());
+            let slot = fe.insert(pa, pa, &nop());
             assert!(fe.arena.len() <= ARENA_CAP);
             assert_eq!(fe.enter_page(kernel_key(pa), pa, pa, 0), Some(slot));
         }
@@ -775,24 +775,31 @@ mod tests {
         let patch = u32::from_le_bytes([MOVI, 3, 9, 0]);
         let stw2 = [STW2, 0, 2, 1];
         let stw2_at = KERNEL_TEXT + 0xC;
-        let mut m = boot(&[
-            [MOVI, 1, 0x00, 0x40],
-            [MOVI, 2, 0x0C, 0x10],
-            [NOP, 0, 0, 0],
-            stw2,
-            [HALT, 0, 0, 0],
-        ]);
-        m.cpu.regs[0] = patch;
-        let mut p = ToyPolicy::new(true);
-        let out = step(&mut p, &mut m, 100);
-        assert_eq!(out.exit, ExitReason::Halted);
-        assert_eq!(m.bus.read(stw2_at, MemSize::B4), Ok(patch));
-        assert_eq!(
-            m.bus.read(0x4000, MemSize::B4),
-            Ok(patch),
-            "second store ran"
-        );
-        assert_eq!(m.cpu.regs[3], 0, "it ran as the store it was fetched as");
+        // Decoded into a local of the run loop and read there, or
+        // executed from an arena slot: it finishes either way.
+        let run_from = |cached| {
+            let mut m = boot(&[
+                [MOVI, 1, 0x00, 0x40],
+                [MOVI, 2, 0x0C, 0x10],
+                [NOP, 0, 0, 0],
+                stw2,
+                [HALT, 0, 0, 0],
+            ]);
+            m.cpu.regs[0] = patch;
+            let mut p = ToyPolicy::new(cached);
+            let out = step(&mut p, &mut m, 100);
+            assert_eq!(out.exit, ExitReason::Halted);
+            assert_eq!(m.bus.read(stw2_at, MemSize::B4), Ok(patch));
+            assert_eq!(
+                m.bus.read(0x4000, MemSize::B4),
+                Ok(patch),
+                "second store ran"
+            );
+            assert_eq!(m.cpu.regs[3], 0, "it ran as the store it was fetched as");
+            (m, p, out)
+        };
+        assert_eq!(run_from(false).2.counters.code_invalidations, 0);
+        let (mut m, mut p, out) = run_from(true);
         assert_eq!(out.counters.code_invalidations, 1);
         // Fetched again, it is what was stored; its neighbours were
         // never forgotten.
@@ -820,8 +827,8 @@ mod tests {
     fn one_op_list_dirtying_two_code_pages_counts_two_invalidations() {
         let mut p = ToyPolicy::new(true);
         let fe = p.front.as_mut().unwrap();
-        fe.insert(0x2000, 0x2000, nop());
-        fe.insert(0x3000, 0x3000, nop());
+        fe.insert(0x2000, 0x2000, &nop());
+        fe.insert(0x3000, 0x3000, &nop());
         let mut m = boot(&[]);
         let mut counters = Counters::default();
         let mut core = ExecCore::new(&mut m, &mut counters, &mut p);

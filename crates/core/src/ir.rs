@@ -356,13 +356,14 @@ impl Op {
     }
 }
 
-/// Maximum micro-ops a single guest instruction may lower to.
-///
-/// Both decoders emit at most two ops per instruction today (movt and
-/// the petix push/pop sequences); the two spare slots are headroom for
-/// richer lowerings. Raising this is an IR change: it grows every
-/// [`Decoded`] and every engine structure that embeds one.
-pub const MAX_OPS_PER_INSN: usize = 4;
+/// Maximum micro-ops a single guest instruction may lower to: what the
+/// three ISA specs need (armlet `movt`, petix `push` / `pop`, riscle
+/// `lih`). Raising this is an IR change: it grows every [`Decoded`] and
+/// every engine structure that embeds one. The spec compiler, which
+/// cannot depend on this crate, checks emission templates against its
+/// own copy (`simbench_isa_spec::MAX_OPS_PER_INSN`); a workspace test
+/// holds the two equal.
+pub const MAX_OPS_PER_INSN: usize = 2;
 
 /// Fixed-capacity inline op storage for one decoded instruction.
 ///
@@ -569,6 +570,19 @@ impl Decoded {
             }
         }
         Decoded { len, ops, class }
+    }
+
+    /// What executes in place of bytes no decoder accepts: an explicit
+    /// [`Op::Udf`], so the undefined-instruction trap is raised by the
+    /// ordinary op walk. `len` is nominal.
+    pub const fn undecodable(len: u8) -> Self {
+        let mut ops = [Op::Nop; MAX_OPS_PER_INSN];
+        ops[0] = Op::Udf;
+        Decoded {
+            len,
+            ops: OpList { len: 1, ops },
+            class: InsnClass::System,
+        }
     }
 
     /// True if the final op may transfer control.

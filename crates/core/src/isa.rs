@@ -121,3 +121,11 @@ pub trait Isa: 'static {
     /// `"cr0"`, ...) used verbatim in state diffs.
     fn sys_regs(sys: &Self::Sys, visit: &mut dyn FnMut(&'static str, u32));
 }
+
+/// The instruction every engine executes where [`Isa::decode`] fails:
+/// one per ISA, borrowed rather than built, of nominal length
+/// [`Isa::MAX_INSN_BYTES`] (what an `Undef` handler returns past).
+#[inline]
+pub fn undecodable<I: Isa>() -> &'static Decoded {
+    const { &Decoded::undecodable(I::MAX_INSN_BYTES as u8) }
+}

@@ -34,8 +34,8 @@ use crate::events::Counters;
 use crate::exec::{step_op, BranchFlavor, ExecCtx, OpOutcome, Trap};
 use crate::fault::{AccessKind, CopFault, ExcInfo, ExceptionKind, FaultKind, MemFault};
 use crate::frontend::FrontEnd;
-use crate::ir::{Decoded, InsnClass, MemSize, Op};
-use crate::isa::{CopEffect, Isa};
+use crate::ir::{Decoded, MemSize, Op};
+use crate::isa::{undecodable, CopEffect, Isa};
 use crate::machine::Machine;
 use crate::mmu::TlbEntry;
 use crate::{page_base, page_of};
@@ -197,10 +197,16 @@ pub enum Event {
 
 /// A fetched instruction: where its micro-ops are read from while it
 /// executes.
-#[derive(Debug, Clone, Copy)]
-pub enum Insn {
-    /// Decoded for this execution only.
-    Fresh(Decoded),
+#[derive(Clone, Copy)]
+enum Insn<'d> {
+    /// Decoded for this execution only, and read where the decoder
+    /// wrote it. The decoder fills its return slot with byte-wide
+    /// stores; moving that value — through a `Result`, an enum payload,
+    /// a by-value argument — reloads it with wide loads that span
+    /// several of those stores, cannot be store-forwarded and stall
+    /// until they drain, on every instruction. So the run loop binds
+    /// the decoder's return value once and hands out this reference.
+    Fresh(&'d Decoded),
     /// A slot of the policy's [`FrontEnd`] arena. Ops are copied out
     /// one at a time, as the DBT copies steps out of its arena: a store
     /// that dirties the instruction's own page leaves the slot intact.
@@ -417,39 +423,33 @@ impl<'a, I: Isa, B: Bus, P: Policy> ExecCore<'a, I, B, P> {
         Ok(have)
     }
 
-    /// Read and decode the instruction at `pc`, whose first byte
-    /// translates to `pa`.
-    #[inline]
-    fn decode_at(&mut self, pc: u32, pa: u32) -> Result<Decoded, MemFault> {
-        let mut buf = [0u8; 8];
-        let have = self.fetch_bytes(pc, pa, &mut buf)?;
-        Ok(match I::decode(&buf[..have], pc) {
-            Ok(d) => d,
-            // Undecodable: raise Undef via an explicit op so the run
-            // loop handles it uniformly. Length is nominal.
-            Err(_) => Decoded::new(I::MAX_INSN_BYTES as u8, [Op::Udf], InsnClass::System),
-        })
-    }
-
-    /// Fetch the instruction at `pc`, through the policy's
-    /// decoded-instruction source.
+    /// Translate `pc` and read the raw instruction bytes there
+    /// ([`ExecCore::fetch_bytes`]).
     ///
     /// # Errors
     ///
     /// The prefetch abort to deliver.
     #[inline]
-    pub fn fetch(&mut self, pc: u32) -> Result<Insn, MemFault> {
-        if self.policy.front_end().is_none() {
-            let pa = self.translate_exec(pc)?;
-            return self.decode_at(pc, pa).map(Insn::Fresh);
-        }
+    pub fn fetch_at(&mut self, pc: u32, buf: &mut [u8; 8]) -> Result<usize, MemFault> {
+        let pa = self.translate_exec(pc)?;
+        self.fetch_bytes(pc, pa, buf)
+    }
+
+    /// Fetch the instruction at `pc` through the policy's decoded-page
+    /// front end: the arena slot to execute it from.
+    ///
+    /// # Errors
+    ///
+    /// The prefetch abort to deliver.
+    #[inline]
+    fn fetch_slot(&mut self, pc: u32) -> Result<u16, MemFault> {
         let key = FrontEnd::memo_key(pc, self.cpu.level.is_kernel());
         debug_assert!(self.memo_is_sound(key, pc));
         let pa = match front_end_of(self.policy).probe_memo(key, pc) {
             Some((tlb_hits, found)) => {
                 self.counters.tlb_hits += tlb_hits;
                 match found {
-                    Ok(slot) => return Ok(Insn::Slot(slot)),
+                    Ok(slot) => return Ok(slot),
                     Err(pa) => pa,
                 }
             }
@@ -457,13 +457,17 @@ impl<'a, I: Isa, B: Bus, P: Policy> ExecCore<'a, I, B, P> {
                 let pa = self.translate_exec(pc)?;
                 let tlb_hits = u64::from(P::COUNTS_FETCH_PROBES && I::mmu_enabled(self.sys));
                 if let Some(slot) = front_end_of(self.policy).enter_page(key, pc, pa, tlb_hits) {
-                    return Ok(Insn::Slot(slot));
+                    return Ok(slot);
                 }
                 pa
             }
         };
-        let d = self.decode_at(pc, pa)?;
-        Ok(Insn::Slot(front_end_of(self.policy).insert(pc, pa, d)))
+        // First touch: decode into the arena, read in place on the way.
+        let mut buf = [0u8; 8];
+        let have = self.fetch_bytes(pc, pa, &mut buf)?;
+        let res = I::decode(&buf[..have], pc);
+        let d = res.as_ref().unwrap_or(undecodable::<I>());
+        Ok(front_end_of(self.policy).insert(pc, pa, d))
     }
 
     /// Whether the fetch memo, if it answers for `key`, agrees with the
@@ -488,11 +492,75 @@ impl<'a, I: Isa, B: Bus, P: Policy> ExecCore<'a, I, B, P> {
     /// The decoded form of a fetched instruction. The borrow covers the
     /// policy, so callers read what they need by value and let go.
     #[inline]
-    fn decoded<'s>(&'s mut self, insn: &'s Insn) -> &'s Decoded {
+    fn decoded<'s>(&'s mut self, insn: Insn<'s>) -> &'s Decoded {
         match insn {
             Insn::Fresh(d) => d,
-            Insn::Slot(slot) => front_end_of(self.policy).decoded(*slot),
+            Insn::Slot(slot) => front_end_of(self.policy).decoded(slot),
         }
+    }
+
+    /// Execute the instruction `insn` fetched from `pc`: count and cost
+    /// it, walk its ops, dispatch a trap or commit the pc, apply a phase
+    /// mark. `Some` ends the run.
+    #[inline(always)]
+    fn execute(&mut self, pc: u32, insn: Insn<'_>, phase: &mut PhaseTracker) -> Option<ExitReason> {
+        self.counters.instructions += 1;
+        match insn {
+            Insn::Fresh(d) => self.policy.insn_cost(d),
+            Insn::Slot(_) => {
+                let d = *self.decoded(insn);
+                self.policy.insn_cost(&d);
+            }
+        }
+        let (len, n_ops) = {
+            let d = self.decoded(insn);
+            (d.len, d.ops.len())
+        };
+        let next_pc = pc.wrapping_add(len as u32);
+        let mut new_pc = next_pc;
+        let mut trap: Option<Trap> = None;
+        for i in 0..n_ops {
+            let copied;
+            let op = match insn {
+                Insn::Fresh(d) => &d.ops[i],
+                Insn::Slot(slot) => {
+                    copied = front_end_of(self.policy).decoded(slot).ops[i];
+                    &copied
+                }
+            };
+            self.counters.uops += 1;
+            let outcome = step_op(self, op);
+            self.policy.op_cost(pc, op, &outcome);
+            match outcome {
+                OpOutcome::Next => {
+                    if self.unsupported.is_some() {
+                        break;
+                    }
+                }
+                OpOutcome::Jump { target, flavor } => {
+                    count_branch(self.counters, pc, target, flavor);
+                    new_pc = target;
+                    break;
+                }
+                OpOutcome::Trap(t) => {
+                    trap = Some(t);
+                    break;
+                }
+                OpOutcome::Halt => return Some(ExitReason::Halted),
+            }
+        }
+        if let Some(why) = self.unsupported {
+            return Some(ExitReason::Unsupported(why));
+        }
+
+        match trap {
+            None => self.cpu.pc = new_pc,
+            Some(t) => self.deliver(Event::Trap(t), next_pc),
+        }
+        if let Some(mark) = self.phase_mark.take() {
+            phase.on_mark(mark, self.counters);
+        }
+        None
     }
 
     /// Deliver `event`, leaving `cpu.pc` at the handler vector (or, for
@@ -656,7 +724,7 @@ pub fn run<I: Isa, B: Bus, P: Policy>(
     let mut phase = PhaseTracker::new();
 
     let mut iters: u64 = 0;
-    let exit = 'outer: loop {
+    let exit = loop {
         if counters.instructions >= limits.max_insns {
             break ExitReason::InsnLimit;
         }
@@ -678,62 +746,24 @@ pub fn run<I: Isa, B: Bus, P: Policy>(
             core.deliver(Event::Irq, pc);
             continue;
         }
-        let insn = match core.fetch(pc) {
-            Ok(insn) => insn,
-            Err(f) => {
-                core.deliver(Event::PrefetchAbort(f), pc);
-                continue;
-            }
+        // One source of ops per policy, so one arm per monomorphisation.
+        let step = if core.policy.front_end().is_some() {
+            core.fetch_slot(pc)
+                .map(|slot| core.execute(pc, Insn::Slot(slot), &mut phase))
+        } else {
+            let mut buf = [0u8; 8];
+            core.fetch_at(pc, &mut buf).map(|have| {
+                // Bound once: the decoder's return slot *is* this local,
+                // and everything downstream reads it through `d`.
+                let res = I::decode(&buf[..have], pc);
+                let d = res.as_ref().unwrap_or(undecodable::<I>());
+                core.execute(pc, Insn::Fresh(d), &mut phase)
+            })
         };
-
-        core.counters.instructions += 1;
-        match &insn {
-            Insn::Fresh(d) => core.policy.insn_cost(d),
-            Insn::Slot(_) => {
-                let d = *core.decoded(&insn);
-                core.policy.insn_cost(&d);
-            }
-        }
-        let (len, n_ops) = {
-            let d = core.decoded(&insn);
-            (d.len, d.ops.len())
-        };
-        let next_pc = pc.wrapping_add(len as u32);
-        let mut new_pc = next_pc;
-        let mut trap: Option<Trap> = None;
-        for i in 0..n_ops {
-            let op = core.decoded(&insn).ops[i];
-            core.counters.uops += 1;
-            let outcome = step_op(&mut core, &op);
-            core.policy.op_cost(pc, &op, &outcome);
-            match outcome {
-                OpOutcome::Next => {
-                    if core.unsupported.is_some() {
-                        break;
-                    }
-                }
-                OpOutcome::Jump { target, flavor } => {
-                    count_branch(core.counters, pc, target, flavor);
-                    new_pc = target;
-                    break;
-                }
-                OpOutcome::Trap(t) => {
-                    trap = Some(t);
-                    break;
-                }
-                OpOutcome::Halt => break 'outer ExitReason::Halted,
-            }
-        }
-        if let Some(why) = core.unsupported {
-            break ExitReason::Unsupported(why);
-        }
-
-        match trap {
-            None => core.cpu.pc = new_pc,
-            Some(t) => core.deliver(Event::Trap(t), next_pc),
-        }
-        if let Some(mark) = core.phase_mark.take() {
-            phase.on_mark(mark, core.counters);
+        match step {
+            Ok(None) => {}
+            Ok(Some(exit)) => break exit,
+            Err(f) => core.deliver(Event::PrefetchAbort(f), pc),
         }
     };
 

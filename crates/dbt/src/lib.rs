@@ -48,8 +48,8 @@ use simbench_core::engine::{Engine, EngineInfo, ExitReason, PhaseTracker, RunLim
 use simbench_core::events::Counters;
 use simbench_core::exec::{step_op, BranchFlavor, OpOutcome, Trap};
 use simbench_core::fault::{AccessKind, MemFault};
-use simbench_core::ir::{Decoded, InsnClass, MemSize, Op};
-use simbench_core::isa::Isa;
+use simbench_core::ir::{MemSize, Op};
+use simbench_core::isa::{undecodable, Isa};
 use simbench_core::machine::Machine;
 use simbench_core::run::{count_branch, Event, ExecCore, Policy, PolicyObs, Tlb};
 use simbench_core::{page_of, PAGE_SHIFT, PAGE_SIZE};
@@ -217,10 +217,7 @@ impl<I: Isa> Dbt<I> {
         pc: u32,
         buf: &mut [u8; 8],
     ) -> Result<usize, MemFault> {
-        self.with_core(m, counters, |core| {
-            let pa = core.translate_exec(pc)?;
-            core.fetch_bytes(pc, pa, buf)
-        })
+        self.with_core(m, counters, |core| core.fetch_at(pc, buf))
     }
 
     /// Deliver an exception-class event through the shared core.
@@ -256,10 +253,9 @@ impl<I: Isa> Dbt<I> {
                 Err(_) => break,
             };
             // Undecodable bytes translate to an explicit UDF trap of
-            // nominal length.
-            let decoded = I::decode(&buf[..have], cur).unwrap_or_else(|_| {
-                Decoded::new(I::MAX_INSN_BYTES as u8, [Op::Udf], InsnClass::System)
-            });
+            // nominal length. Read in place, as `core::run` reads it.
+            let res = I::decode(&buf[..have], cur);
+            let decoded = res.as_ref().unwrap_or(undecodable::<I>());
             let next = cur.wrapping_add(decoded.len as u32);
             // An instruction that continues on the next page is only
             // ever a block of its own (which the cache refuses).
@@ -372,7 +368,8 @@ impl<I: Isa> Dbt<I> {
             else {
                 return;
             };
-            let Ok(d) = I::decode(&buf[..have], cur) else {
+            let res = I::decode(&buf[..have], cur);
+            let Ok(d) = &res else {
                 return;
             };
             cur = cur.wrapping_add(d.len as u32);

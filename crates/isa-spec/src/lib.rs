@@ -353,10 +353,12 @@ impl Spec {
     }
 }
 
-/// Capacity of the core IR's per-instruction op list; emission templates
-/// beyond this would overflow `OpList` at runtime, so the generator
-/// rejects them statically.
-pub const MAX_OPS_PER_INSN: usize = 4;
+/// Capacity of the core IR's per-instruction op list
+/// (`simbench_core::ir::MAX_OPS_PER_INSN`, repeated because this crate
+/// has no dependency on core; a workspace test holds the two equal).
+/// Emission templates beyond this would overflow `OpList` at runtime, so
+/// the generator rejects them statically.
+pub const MAX_OPS_PER_INSN: usize = 2;
 
 const INSN_CLASSES: &[&str] = &["Alu", "Mem", "Branch", "System", "Nop"];
 

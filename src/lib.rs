@@ -74,3 +74,16 @@ pub mod prelude {
     pub use simbench_suite::{ArmletSupport, Benchmark, Category, PetixSupport};
     pub use simbench_virt::Virt;
 }
+
+#[cfg(test)]
+mod tests {
+    /// The spec compiler rejects a group that emits more ops than an
+    /// `OpList` holds, by a constant of its own.
+    #[test]
+    fn the_spec_compiler_and_the_ir_agree_on_the_op_list_capacity() {
+        assert_eq!(
+            simbench_isa_spec::MAX_OPS_PER_INSN,
+            simbench_core::ir::MAX_OPS_PER_INSN
+        );
+    }
+}

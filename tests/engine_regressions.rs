@@ -308,3 +308,196 @@ fn byte_stores_into_and_after_a_variable_length_instruction() {
     });
     assert_eq!(code_invalidations::<Petix>(&image), [2; 3]);
 }
+
+/// Small enough that digesting it five times per test costs nothing.
+const BARE_RAM: usize = 1 << 20;
+
+/// Boot a fresh machine per engine and hold each to the interpreter:
+/// retired instructions and undefined-instruction traps of the whole run
+/// and of the kernel window, and the state digest. Returns what the
+/// interpreter left.
+fn every_engine_equals_interp<I: Isa>(
+    what: &str,
+    boot: impl Fn() -> Machine<I, Platform>,
+) -> (Machine<I, Platform>, RunOutcome) {
+    type Run<'a, I> = &'a dyn Fn(&mut Machine<I, Platform>) -> RunOutcome;
+    let limits = RunLimits::insns(10_000);
+    let observe = |run: Run<I>| {
+        let mut m = boot();
+        let out = run(&mut m);
+        assert_eq!(out.exit, ExitReason::Halted, "{what}");
+        let kernel = out.kernel.as_ref().map(|k| k.counters).unwrap_or_default();
+        let counts = [out.counters, kernel].map(|c| (c.instructions, c.undef_insns));
+        (counts, m.state_digest(), m, out)
+    };
+    let (counts, digest, m, out) = observe(&|m| Interp::<I>::new().run(m, &limits));
+    let others: [(&str, Run<I>); 4] = [
+        ("detailed", &|m| Detailed::<I>::new().run(m, &limits)),
+        ("virt", &|m| Virt::<I>::kvm().run(m, &limits)),
+        ("native", &|m| Virt::<I>::native().run(m, &limits)),
+        ("dbt", &|m| Dbt::<I>::new().run(m, &limits)),
+    ];
+    for (name, run) in others {
+        let (theirs, their_digest, ..) = observe(run);
+        assert_eq!(theirs, counts, "{what}: {name} counts");
+        assert_eq!(their_digest, digest, "{what}: {name} state");
+    }
+    (m, out)
+}
+
+fn sys_reg<I: Isa>(m: &Machine<I, Platform>, name: &str) -> u32 {
+    let mut found = None;
+    I::sys_regs(&m.sys, &mut |n, v| {
+        if n == name {
+            found = Some(v);
+        }
+    });
+    found.expect("a system register of that name")
+}
+
+/// Bytes no decoder accepts execute as an undefined instruction of
+/// nominal length `MAX_INSN_BYTES` — the `DecodeError` arm of every
+/// engine's fetch, which the suite's Undefined Instruction benchmark
+/// (an encoding that *decodes*, to `Op::Udf`) never takes. `insn` is
+/// `MAX_INSN_BYTES` long; whatever follows its undecodable head halts,
+/// so a handler sent back short of `pc + MAX_INSN_BYTES` never reaches
+/// the closing phase mark.
+fn undecodable_bytes_trap_past_their_nominal_length<I: Isa, A: PortableAsm>(
+    mut a: A,
+    vector_stride: u32,
+    insn: &[u8],
+) {
+    use simbench_core::fault::ExceptionKind;
+    use simbench_suite::support::{emit_phase_mark, Layout};
+
+    assert_eq!(insn.len(), I::MAX_INSN_BYTES);
+    assert!(I::decode(insn, 0x8000).is_err(), "{}: decodes", I::NAME);
+    let layout = Layout::default();
+    // Paging off, vector base at its reset value of 0.
+    a.org(vector_stride * ExceptionKind::Undef.vector_index() as u32);
+    a.eret();
+    a.org(0x8000);
+    emit_phase_mark(&mut a, &layout, 1);
+    let at = a.here();
+    a.bytes(insn);
+    emit_phase_mark(&mut a, &layout, 2);
+    a.halt();
+    let image = a.finish(0x8000);
+
+    let (m, out) = every_engine_equals_interp::<I>(I::NAME, || {
+        Machine::boot(&image, Platform::with_ram(BARE_RAM))
+    });
+    assert_eq!(out.counters.undef_insns, 1, "{}", I::NAME);
+    let kernel = out.kernel.expect("both phase marks").counters;
+    assert_eq!(kernel.undef_insns, 1, "{}", I::NAME);
+    assert_eq!(
+        sys_reg(&m, "saved_pc"),
+        at + I::MAX_INSN_BYTES as u32,
+        "{}: the handler's return address",
+        I::NAME
+    );
+}
+
+#[test]
+fn armlet_reserved_class_is_undefined_on_every_engine() {
+    undecodable_bytes_trap_past_their_nominal_length::<Armlet, _>(
+        ArmletAsm::new(),
+        simbench_isa_armlet::sys::VECTOR_STRIDE,
+        &0xF000_0000u32.to_le_bytes(),
+    );
+}
+
+#[test]
+fn petix_unassigned_opcode_is_undefined_on_every_engine() {
+    // One byte decides; the five after it are `halt`s.
+    undecodable_bytes_trap_past_their_nominal_length::<Petix, _>(
+        PetixAsm::new(),
+        simbench_isa_petix::sys::VECTOR_STRIDE,
+        &[0xFF, 1, 1, 1, 1, 1],
+    );
+}
+
+#[test]
+fn riscle_unassigned_wide_opcode_is_undefined_on_every_engine() {
+    use simbench_isa_riscle::{Riscle, RiscleAsm};
+    // Quadrant 3 (a 32-bit form) with op5 = 0x1F.
+    undecodable_bytes_trap_past_their_nominal_length::<Riscle, _>(
+        RiscleAsm::new(),
+        simbench_isa_riscle::sys::VECTOR_STRIDE,
+        &0x0000_007Fu32.to_le_bytes(),
+    );
+}
+
+/// A petix fetch cut short by the end of RAM: the three bytes that are
+/// there start a six-byte `mov imm32`, the decoder fails for want of
+/// the rest, and the instruction is undefined with the same nominal
+/// length — so its handler returns beyond RAM, and the prefetch abort
+/// that follows unwinds the call that got there.
+#[test]
+fn a_fetch_truncated_by_the_end_of_ram_is_undefined_on_every_engine() {
+    use simbench_core::fault::ExceptionKind;
+    use simbench_isa_petix::encoding::mov_imm32;
+    use simbench_isa_petix::sys::{cr, VECTOR_STRIDE};
+
+    let tail_at = BARE_RAM as u32 - 3;
+    let mut a = PetixAsm::new();
+    a.org(VECTOR_STRIDE * ExceptionKind::Undef.vector_index() as u32);
+    a.eret();
+    a.org(VECTOR_STRIDE * ExceptionKind::PrefetchAbort.vector_index() as u32);
+    a.pop(PReg::D);
+    a.mov_to_cr(cr::SAVED_PC, PReg::D);
+    a.eret();
+    a.org(0x8000);
+    a.mov_imm(PReg::Sp, 0xA000);
+    a.mov_imm(PReg::A, tail_at);
+    a.call_reg(PReg::A);
+    a.halt();
+    a.org(tail_at);
+    a.bytes(&mov_imm32(0, 0x1234_5678)[..3]);
+    let image = a.finish(0x8000);
+
+    let (m, out) = every_engine_equals_interp::<Petix>("truncated", || {
+        Machine::boot(&image, Platform::with_ram(BARE_RAM))
+    });
+    assert_eq!((out.counters.undef_insns, out.counters.insn_faults), (1, 1));
+    assert_eq!(
+        sys_reg(&m, "cr2"),
+        tail_at + Petix::MAX_INSN_BYTES as u32,
+        "the abort is the handler's return past the nominal length"
+    );
+}
+
+/// A petix `push` with the stack pointer inside the push itself: its
+/// second op stores over the instruction it belongs to (and the two
+/// bytes after it). It retires from the decode it started with —
+/// execution goes on at the length that decode gave, into the bytes
+/// just stored — and when control comes back to its address, what is
+/// there is what was pushed.
+#[test]
+fn an_instruction_that_overwrites_itself_finishes_from_the_decode_it_started_with() {
+    // `halt; halt` where the push was, `nop; nop` after it.
+    const PUSHED: u32 = 0x0000_0101;
+    let mut a = PetixAsm::new();
+    a.org(0x8000);
+    let push = a.new_label();
+    a.mov_imm(PReg::A, PUSHED);
+    a.mov_imm(PReg::B, 0);
+    a.mov_label(PReg::Sp, push);
+    a.alu_ri(AluOp::Add, PReg::Sp, PReg::Sp, 4);
+    a.align(4); // the push is a word store
+    a.bind(push);
+    let push_at = a.here();
+    a.push(PReg::A);
+    a.bytes(&[1, 1]); // halts, until the push turns them into nops
+    a.alu_ri(AluOp::Add, PReg::B, PReg::B, 1);
+    a.b(push);
+    let image = a.finish(0x8000);
+
+    let (m, _) = every_engine_equals_interp::<Petix>("self-push", || {
+        Machine::boot(&image, Platform::with_ram(BARE_RAM))
+    });
+    let reg = |r| m.cpu.regs[simbench_isa_petix::asm::reg(r) as usize];
+    assert_eq!(m.cpu.pc, push_at, "halted on the pushed bytes");
+    assert_eq!((reg(PReg::B), reg(PReg::Sp)), (1, push_at));
+    assert_eq!(code_invalidations::<Petix>(&image), [1; 3]);
+}

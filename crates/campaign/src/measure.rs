@@ -3,8 +3,12 @@
 //! These moved here from `simbench-harness` so the campaign runner is
 //! the one place that executes simulations; the harness re-exports them
 //! for backwards compatibility. Every run constructs its own
-//! [`Machine`] and engine, so measurements are independent and safe to
-//! execute concurrently.
+//! [`Machine`] and engine, so measurements are safe to execute
+//! concurrently. They are independent although guest RAM and the
+//! engines' tables are recycled from earlier runs (`simbench_core::pool`)
+//! because recycled RAM is all-zero and every engine empties its tables
+//! at run start; `tests/recycled_ram.rs` and `tests/recycled_engine.rs`
+//! hold a run on recycled parts equal to one on new ones.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};

@@ -189,17 +189,12 @@ pub struct FrontEnd {
 }
 
 impl Default for FrontEnd {
+    /// A front end that owns nothing, not even the reserved slot, and
+    /// must not be used: it is what `mem::take` leaves in an engine
+    /// that hands its tables on. [`FrontEnd::new`] makes a usable one.
     fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl FrontEnd {
-    /// An empty front end.
-    pub fn new() -> Self {
         FrontEnd {
-            // lint:allow(hot-path): one-time constructor allocation
-            arena: vec![Decoded::new(0, [Op::Nop], InsnClass::Nop)],
+            arena: Vec::new(),
             pages: PageTable::default(),
             slots: Vec::new(),
             memo: Memo {
@@ -210,6 +205,15 @@ impl FrontEnd {
                 tlb_hits: 0,
             },
         }
+    }
+}
+
+impl FrontEnd {
+    /// An empty front end.
+    pub fn new() -> Self {
+        let mut fe = FrontEnd::default();
+        fe.arena.push(Decoded::new(0, [Op::Nop], InsnClass::Nop));
+        fe
     }
 
     /// Forget every decode and every page, keeping all capacity: the

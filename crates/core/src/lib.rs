@@ -42,6 +42,7 @@ pub mod ir;
 pub mod isa;
 pub mod machine;
 pub mod mmu;
+pub mod pool;
 pub mod run;
 pub mod tlb;
 

@@ -21,7 +21,10 @@ use crate::run::Tlb;
 /// Live epochs start at 1, so the all-zero slot is invalid:
 /// construction is a zeroed allocation and a flush is an epoch bump.
 /// Slots are swept only when the epoch wraps.
-#[derive(Debug, Clone)]
+///
+/// The `Default` table has no slots and must not be probed: it is what
+/// `mem::take` leaves in an owner that hands its table on.
+#[derive(Debug, Clone, Default)]
 pub struct DirectTlb {
     slots: Vec<[u32; 4]>,
     mask: u32,

@@ -118,16 +118,26 @@ impl Tb {
 }
 
 /// Direct-mapped indirect-branch target cache mapping guest PC → block.
-#[derive(Debug)]
+/// The `Default` one has no slots: disabled, as `Ibtc::new(0)`.
+#[derive(Debug, Default)]
 pub struct Ibtc {
     slots: Vec<(u32, Link)>,
     mask: u32,
 }
 
 impl Ibtc {
+    /// How many slots [`Ibtc::new`] makes.
+    fn slots_for(bits: u8) -> usize {
+        if bits == 0 {
+            0
+        } else {
+            1 << bits
+        }
+    }
+
     /// An IBTC with `1 << bits` slots; `bits == 0` disables it.
     pub fn new(bits: u8) -> Self {
-        let n = if bits == 0 { 0 } else { 1usize << bits };
+        let n = Self::slots_for(bits);
         Ibtc {
             // lint:allow(hot-path): one-time constructor allocation
             slots: vec![(0, Link::NONE); n],
@@ -200,6 +210,25 @@ pub struct CodeCache {
     pub full_flushes: u64,
 }
 
+/// [`CodeCache::flush_threshold`] of a new cache.
+const FLUSH_THRESHOLD: usize = 1 << 16;
+
+/// A step arena that has grown past this is given back when the cache
+/// changes hands ([`CodeCache::rearm`]). Filling that much arena is
+/// hundreds of microseconds of translation, to which allocating a new
+/// one is nothing, and the megabytes a long rewriting run leaves (3 MiB
+/// of blocks and more of steps after one overflow) should not stay
+/// resident for the life of the process. Four times what the largest
+/// suite cell needs at the iteration floor, where recycling matters.
+const MAX_KEPT_ARENA_STEPS: usize = 1 << 14;
+
+impl Default for CodeCache {
+    /// A cache without an IBTC: it owns no memory.
+    fn default() -> Self {
+        Self::new(0)
+    }
+}
+
 impl CodeCache {
     /// A cache with the given IBTC size.
     pub fn new(ibtc_bits: u8) -> Self {
@@ -209,8 +238,27 @@ impl CodeCache {
             pages: PageTable::default(),
             ibtc: Ibtc::new(ibtc_bits),
             link_epoch: 1,
-            flush_threshold: 1 << 16,
+            flush_threshold: FLUSH_THRESHOLD,
             full_flushes: 0,
+        }
+    }
+
+    /// Make a cache another engine has used answer as
+    /// `CodeCache::new(ibtc_bits)` would, with the capacity it has —
+    /// up to [`MAX_KEPT_ARENA_STEPS`]: empty, nothing linked, the
+    /// threshold and the overflow count as new. The IBTC is kept if it
+    /// is the size asked for — its entries died with the link epoch —
+    /// and replaced if not.
+    pub fn rearm(&mut self, ibtc_bits: u8) {
+        self.reset();
+        self.flush_threshold = FLUSH_THRESHOLD;
+        self.full_flushes = 0;
+        if self.steps.capacity() > MAX_KEPT_ARENA_STEPS {
+            self.steps = Vec::new();
+            self.blocks = Vec::new();
+        }
+        if self.ibtc.slots.len() != Ibtc::slots_for(ibtc_bits) {
+            self.ibtc = Ibtc::new(ibtc_bits);
         }
     }
 
@@ -670,5 +718,42 @@ mod tests {
         assert_eq!(c.lookup(0x9010, 9), None, "`old` is now another block");
         assert_eq!(c.lookup(0x9020, 9), Some(new));
         assert_eq!(c.lookup(0x9000, 9), Some(zero));
+    }
+
+    #[test]
+    fn a_rearmed_cache_answers_as_a_new_one() {
+        let mut c = CodeCache::new(4);
+        c.flush_threshold = 2;
+        insert(&mut c, 0x8000, 8);
+        insert(&mut c, 0x8010, 8);
+        assert!(c.needs_flush());
+        c.flush_all();
+        let (id, _) = insert(&mut c, 0x8020, 8);
+        c.ibtc.insert(0x8020, c.link(id));
+        let (ibtc, steps) = (c.ibtc.slots.as_ptr(), c.steps.capacity());
+
+        c.rearm(4);
+        assert_eq!((c.flush_threshold, c.full_flushes), (1 << 16, 0));
+        assert_eq!((c.live_blocks(), c.arena_steps()), (0, 0));
+        assert!(!c.page_has_code(8) && c.lookup(0x8020, 8).is_none());
+        assert_eq!(c.follow(c.ibtc.lookup(0x8020), 0x8020), None);
+        // Same size: the allocations are the ones it came with.
+        assert_eq!((c.ibtc.slots.as_ptr(), c.steps.capacity()), (ibtc, steps));
+        // An arena that a long run grew is given back, with the block
+        // table; a page record keeps its list and slot table.
+        c.steps.reserve(MAX_KEPT_ARENA_STEPS + 1);
+        insert(&mut c, 0x8000, 8);
+        c.rearm(4);
+        assert_eq!((c.steps.capacity(), c.blocks.capacity()), (0, 0));
+        assert_eq!(insert(&mut c, 0x8000, 8), (0, true));
+        assert_eq!(c.lookup(0x8000, 8), Some(0));
+        // Another engine's profile: an IBTC of that profile's size.
+        for (bits, slots) in [(6, 64), (0, 0), (9, 512)] {
+            c.rearm(bits);
+            assert_eq!(
+                (c.ibtc.slots.len(), c.ibtc.mask as usize),
+                (slots, slots.max(1) - 1)
+            );
+        }
     }
 }

@@ -32,6 +32,11 @@
 //! version profiles are that many *real* probes per chained dispatch;
 //! the block is found by indexing its page's slot table; and nothing on
 //! the invalidation side — TLB flush, unchaining, IBTC flush — sweeps.
+//!
+//! The TLB, the code cache and the translation buffer are the same
+//! types for every guest and are emptied with their capacity kept, so
+//! they outlive the engine: dropping one leaves them in `SPARES` and
+//! [`Dbt::with_profile`] takes them from there before allocating.
 
 pub mod cache;
 pub mod opt;
@@ -41,6 +46,7 @@ pub mod versions;
 pub use versions::{VersionProfile, QEMU_VERSIONS};
 
 use std::marker::PhantomData;
+use std::mem;
 use std::time::Instant;
 
 use simbench_core::bus::Bus;
@@ -51,6 +57,7 @@ use simbench_core::fault::{AccessKind, MemFault};
 use simbench_core::ir::{MemSize, Op};
 use simbench_core::isa::{undecodable, Isa};
 use simbench_core::machine::Machine;
+use simbench_core::pool::Pool;
 use simbench_core::run::{count_branch, Event, ExecCore, Policy, PolicyObs, Tlb};
 use simbench_core::{page_of, PAGE_SHIFT, PAGE_SIZE};
 
@@ -63,6 +70,10 @@ const MAX_BLOCK_INSNS: usize = 128;
 const WALL_CHECK_BLOCKS: u64 = 4096;
 /// Software TLB size in bits.
 const TLB_BITS: u8 = 10;
+
+/// What dropped engines leave for the next one, in whatever state their
+/// last run ended: [`Dbt::with_profile`] makes them as new.
+static SPARES: Pool<(DbtTlb, CodeCache, Vec<TbStep>)> = Pool::new();
 
 /// The DBT engine.
 #[derive(Debug)]
@@ -91,11 +102,23 @@ impl<I: Isa> Dbt<I> {
 
     /// An engine configured as a specific version.
     pub fn with_profile(profile: VersionProfile) -> Self {
+        let (tlb, code, scratch) = match SPARES.take(|_| true) {
+            Some((mut tlb, mut code, scratch)) => {
+                tlb.flush();
+                code.rearm(profile.ibtc_bits);
+                (tlb, code, scratch)
+            }
+            None => (
+                DbtTlb::new(TLB_BITS),
+                CodeCache::new(profile.ibtc_bits),
+                Vec::new(),
+            ),
+        };
         Dbt {
             profile,
-            tlb: DbtTlb::new(TLB_BITS),
-            code: CodeCache::new(profile.ibtc_bits),
-            scratch: Vec::new(),
+            tlb,
+            code,
+            scratch,
             _isa: PhantomData,
         }
     }
@@ -452,6 +475,20 @@ impl<I: Isa> Dbt<I> {
                 self.deliver(m, counters, Event::PrefetchAbort(f), target);
                 None
             }
+        }
+    }
+}
+
+/// The tables go to the next engine, unless a panic is unwinding
+/// through this one: it may have stopped half-way through an update.
+impl<I: Isa> Drop for Dbt<I> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            SPARES.give((
+                mem::take(&mut self.tlb),
+                mem::take(&mut self.code),
+                mem::take(&mut self.scratch),
+            ));
         }
     }
 }
@@ -1003,6 +1040,26 @@ mod tests {
             "{:?}",
             reference.state_diff(&m)
         );
+    }
+
+    #[test]
+    fn an_engine_built_after_a_small_cache_one_has_a_whole_cache() {
+        let img = block_chain_image(40, 3);
+        let boot = || Machine::<Armlet, _>::boot(&img, FlatRam::new(1 << 20));
+        let limits = RunLimits::insns(1_000_000);
+        let mut e = small_cache_dbt();
+        let small = e.run(&mut boot(), &limits);
+        assert!(e.code.full_flushes >= 2);
+        drop(e);
+        // Whichever spare tables this one got — tests share the pool —
+        // the constructor made them as new.
+        let mut e = Dbt::<Armlet>::new();
+        let c = &e.code;
+        assert_eq!((c.flush_threshold, c.full_flushes), (1 << 16, 0));
+        assert_eq!((c.live_blocks(), c.arena_steps()), (0, 0));
+        let whole = e.run(&mut boot(), &limits);
+        assert_eq!(e.code.full_flushes, 0);
+        assert!(small.counters.blocks_translated > whole.counters.blocks_translated);
     }
 
     #[test]

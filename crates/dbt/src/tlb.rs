@@ -46,7 +46,10 @@ pub struct DbtTlbEntry {
 
 /// Direct-mapped software TLB with a small fully-associative victim
 /// buffer (as QEMU keeps per-mmu-idx victim TLBs).
-#[derive(Debug, Clone)]
+///
+/// The `Default` table has no slots and must not be probed: it is what
+/// `mem::take` leaves in an engine that hands its table on.
+#[derive(Debug, Clone, Default)]
 pub struct DbtTlb {
     slots: Vec<(u32, DbtTlbEntry)>,
     /// Entries evicted from `slots` in the live epoch, tagged like them.

@@ -125,7 +125,7 @@ impl CacheModel {
 }
 
 /// Accumulated pipeline timing for the run.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineStats {
     /// Total simulated cycles.
     pub cycles: u64,

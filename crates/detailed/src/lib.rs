@@ -96,12 +96,12 @@ impl<I: Isa> Detailed<I> {
         self
     }
 
-    /// Accumulated pipeline statistics.
+    /// Pipeline statistics of the last run.
     pub fn pipeline_stats(&self) -> PipelineStats {
         self.stats
     }
 
-    /// Retired-instruction histogram by [`InsnClass`].
+    /// The last run's retired-instruction histogram by [`InsnClass`].
     pub fn class_histogram(&self) -> [u64; 5] {
         self.class_histogram
     }
@@ -218,6 +218,9 @@ impl<I: Isa, B: Bus> Engine<I, B> for Detailed<I> {
         self.dcache.flush();
         self.l2.flush();
         self.scoreboard.reset();
+        self.bpred.reset();
+        self.stats = PipelineStats::default();
+        self.class_histogram = [0; 5];
         self.mem_cycles = 0;
         run::run(self, m, limits)
     }
@@ -262,6 +265,32 @@ mod tests {
             hist[0] > 0 && hist[2] > 0,
             "histogram tracks ALU and branches"
         );
+    }
+
+    #[test]
+    fn every_run_starts_from_a_cold_model() {
+        // A loop whose branch the predictor learns, so a model carried
+        // over would mispredict less and report cumulative cycles.
+        let mut a = ArmletAsm::new();
+        a.org(0x8000);
+        a.mov_imm(PReg::B, 50);
+        let top = a.new_label();
+        a.bind(top);
+        a.alu_ri(AluOp::Sub, PReg::B, PReg::B, 1);
+        a.cmp_ri(PReg::B, 0);
+        a.b_cond(simbench_core::ir::Cond::Ne, top);
+        a.halt();
+        let img = a.finish(0x8000);
+        let mut e = Detailed::<Armlet>::new();
+        let mut run = || {
+            let mut m = Machine::<Armlet, _>::boot(&img, FlatRam::new(1 << 20));
+            let out = e.run(&mut m, &RunLimits::insns(1_000_000));
+            assert_eq!(out.exit, ExitReason::Halted);
+            (e.pipeline_stats(), e.class_histogram(), e.bpred.stats())
+        };
+        let first = run();
+        assert!(first.0.branch_penalty > 0 && first.1[2] == 50);
+        assert_eq!(run(), first);
     }
 
     #[test]

@@ -170,6 +170,13 @@ impl BranchPredictor {
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
+
+    /// Untrain for a new run: every counter weakly not-taken again.
+    pub fn reset(&mut self) {
+        self.counters.fill(1);
+        self.hits = 0;
+        self.misses = 0;
+    }
 }
 
 #[cfg(test)]

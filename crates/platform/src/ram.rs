@@ -13,10 +13,10 @@
 //! hands out the raw slice and gives up on recycling the buffer.
 
 use std::mem;
-use std::sync::{Mutex, PoisonError};
 
 use simbench_core::bus::ram_write;
 use simbench_core::ir::MemSize;
+use simbench_core::pool::Pool;
 use simbench_core::{PAGE_SHIFT, PAGE_SIZE};
 
 const PAGE: usize = PAGE_SIZE as usize;
@@ -29,16 +29,9 @@ const PAGE: usize = PAGE_SIZE as usize;
 /// one run can leave resident in the pool, at 1 MiB.
 const MAX_POOLED_DIRTY_PAGES: usize = 256;
 
-/// Buffers between users. Process-wide rather than per thread: the
-/// campaign watchdog runs every repetition on a thread of its own. It
-/// cannot outgrow the peak number of simultaneously live platforms.
-static POOL: Mutex<Vec<Ram>> = Mutex::new(Vec::new());
-
-/// Every update of the pool is one `push` or `swap_remove`, so a
-/// panicking holder cannot leave it half-updated.
-fn pool() -> std::sync::MutexGuard<'static, Vec<Ram>> {
-    POOL.lock().unwrap_or_else(PoisonError::into_inner)
-}
+/// Buffers between users: at most as many as platforms were ever alive
+/// at once.
+static POOL: Pool<Ram> = Pool::new();
 
 #[derive(Debug)]
 pub(crate) struct Ram {
@@ -59,13 +52,7 @@ impl Ram {
         static OBS_FRESH: simbench_obs::Counter = simbench_obs::Counter::new("platform.ram_fresh");
         static OBS_REZEROED: simbench_obs::Counter =
             simbench_obs::Counter::new("platform.pages_rezeroed");
-        let pooled = {
-            let mut pool = pool();
-            pool.iter()
-                .position(|r| r.bytes.len() == size)
-                .map(|i| pool.swap_remove(i))
-        };
-        match pooled {
+        match POOL.take(|r| r.bytes.len() == size) {
             Some(mut ram) => {
                 OBS_REUSED.add(1);
                 OBS_REZEROED.add(ram.rezero());
@@ -156,7 +143,7 @@ impl Drop for Ram {
             dirty: mem::take(&mut self.dirty),
             tracked: true,
         };
-        pool().push(recycled);
+        POOL.give(recycled);
     }
 }
 
@@ -177,8 +164,13 @@ mod tests {
     const B2: MemSize = MemSize::B2;
     const B4: MemSize = MemSize::B4;
 
+    /// How many buffers of `size` bytes the pool holds. Counted by
+    /// taking them out, which is safe because no other test uses `size`.
     fn pooled(size: usize) -> usize {
-        pool().iter().filter(|r| r.bytes.len() == size).count()
+        let held: Vec<Ram> = std::iter::from_fn(|| POOL.take(|r| r.bytes.len() == size)).collect();
+        let n = held.len();
+        held.into_iter().for_each(|r| POOL.give(r));
+        n
     }
 
     fn all_zero(p: &Platform) -> bool {

@@ -15,8 +15,14 @@
 //! for the External Software Interrupt and Memory Mapped Device
 //! benchmarks. The `native` configuration runs the same engine with no
 //! exits at all.
+//!
+//! The TLB and the front end are the same types for every guest and
+//! start each run empty with their capacity kept, so they outlive the
+//! engine: dropping one leaves them in `SPARES` and the constructors
+//! take them from there before allocating.
 
 use std::marker::PhantomData;
+use std::mem;
 use std::time::Instant;
 
 use simbench_core::bus::Bus;
@@ -26,12 +32,18 @@ use simbench_core::frontend::FrontEnd;
 use simbench_core::ir::MemSize;
 use simbench_core::isa::Isa;
 use simbench_core::machine::Machine;
+use simbench_core::pool::Pool;
 use simbench_core::run::{self, Policy, PolicyObs, Sensitive, Tlb};
 use simbench_core::tlb::DirectTlb;
 
 /// Simulated cost of one KVM-like VM exit, in nanoseconds (busy-waited,
 /// the honest stand-in for a world switch we cannot perform).
 const KVM_EXIT_COST_NS: u32 = 1500;
+
+/// What dropped engines leave for the next one: `run` flushes the TLB
+/// and resets the front end before it looks at either, so a spare needs
+/// nothing done to it.
+static SPARES: Pool<(DirectTlb, FrontEnd)> = Pool::new();
 
 /// The virtualization / native engine.
 #[derive(Debug)]
@@ -60,11 +72,24 @@ impl<I: Isa> Virt<I> {
     }
 
     fn with_exit_cost(exit_cost_ns: Option<u32>) -> Self {
+        let (tlb, front) = SPARES
+            .take(|_| true)
+            .unwrap_or_else(|| (DirectTlb::new(4096), FrontEnd::new()));
         Virt {
             exit_cost_ns,
-            tlb: DirectTlb::new(4096),
-            front: FrontEnd::new(),
+            tlb,
+            front,
             _isa: PhantomData,
+        }
+    }
+}
+
+/// The tables go to the next engine, unless a panic is unwinding
+/// through this one: it may have stopped half-way through an update.
+impl<I: Isa> Drop for Virt<I> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            SPARES.give((mem::take(&mut self.tlb), mem::take(&mut self.front)));
         }
     }
 }

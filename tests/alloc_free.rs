@@ -14,8 +14,8 @@
 //! hot loop.
 //!
 //! What surrounds the hot loop is held to the same rule where it
-//! recurs per cell-run: a platform on recycled guest RAM, and booting
-//! an image into it.
+//! recurs per cell-run: a platform on recycled guest RAM, booting an
+//! image into it, and an engine made of the tables the last one left.
 //!
 //! Since the telemetry PR the engines are instrumented with
 //! `simbench-obs` spans and metrics, so this test also pins the
@@ -31,6 +31,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::panic::catch_unwind;
 
 use simbench_core::asm::{PReg, PortableAsm};
 use simbench_core::bus::FlatRam;
@@ -157,6 +158,59 @@ fn warm_runs_allocate_nothing<E: Engine<Armlet, FlatRam>>(
     last.expect("at least one case")
 }
 
+/// Build an engine; how many allocations that took.
+fn built<E>(make: fn() -> E) -> (E, u64) {
+    let before = allocs();
+    let engine = make();
+    (engine, allocs() - before)
+}
+
+/// The engine pool, seen through the allocator (this process has one
+/// test thread, so the pool holds what this function left in it). On
+/// entry it holds one set of tables.
+fn recycled_engines_allocate_nothing<E: Engine<Armlet, FlatRam>>(
+    name: &str,
+    make: fn() -> E,
+    img: &GuestImage,
+) {
+    // Once one engine has run the image and been dropped, constructing
+    // the next, running the image cold and dropping it allocates
+    // nothing.
+    for cell_run in 0..3 {
+        let mut m = Machine::<Armlet, _>::boot(img, FlatRam::new(1 << 20));
+        let before = allocs();
+        let mut engine = make();
+        let out = engine.run(&mut m, &RunLimits::insns(10_000_000));
+        drop(engine);
+        let cold = allocs() - before;
+        assert_eq!(out.exit, ExitReason::Halted);
+        assert!(
+            cell_run == 0 || cold == 0,
+            "{name}: a recycled cell-run allocated {cold} times"
+        );
+    }
+    // Two alive at once: the second finds the pool empty, and both sets
+    // of tables come back.
+    let ((a, first), (b, second)) = (built(make), built(make));
+    assert!(first == 0 && second > 0, "{name}: {first}, {second}");
+    drop((a, b));
+    let ((a, first), (b, second)) = (built(make), built(make));
+    assert_eq!((first, second), (0, 0), "{name}: a pair from the pool");
+    drop((a, b));
+    // One dropped by a panic returns nothing: of the two sets, the one
+    // it did not take is left.
+    let unwound = catch_unwind(|| {
+        let _doomed = make();
+        panic!("with an engine alive");
+    });
+    assert!(unwound.is_err());
+    let ((a, first), (b, second)) = (built(make), built(make));
+    assert!(first == 0 && second > 0, "{name}: {first}, {second}");
+    // Leave one set, as on entry.
+    drop(a);
+    std::mem::forget(b);
+}
+
 #[test]
 fn warm_hot_loops_allocate_nothing() {
     let img = hot_loop_image(20_000);
@@ -245,6 +299,18 @@ fn warm_hot_loops_allocate_nothing() {
     boot_and_drop();
     let warm = allocs() - before;
     assert_eq!(warm, 0, "a warm platform + boot allocated {warm} times");
+
+    // A cell-run's engine: a dropped `Dbt` or `Virt` leaves its tables
+    // in a pool, and the next one is made of them — less this engine's
+    // step arena, which held 65 536 blocks: one that big is given back
+    // when the tables change hands, and the next run grows its own.
+    drop(dbt);
+    let (regrown, _) = measured_run(&mut Dbt::<Armlet>::new(), &img);
+    assert!(regrown > 0, "an arena of megabytes stays in the pool");
+    recycled_engines_allocate_nothing("dbt", Dbt::<Armlet>::new, &img);
+    recycled_engines_allocate_nothing("native", Virt::<Armlet>::native, &img);
+    recycled_engines_allocate_nothing("virt", Virt::<Armlet>::kvm, &img);
+    let mut dbt = Dbt::<Armlet>::new();
 
     // Enabled telemetry: the first instrumented run pays one-time costs
     // (per-thread ring creation, metric registration in the process

@@ -29,9 +29,22 @@
 //! - A line carrying (or preceded by a line carrying)
 //!   `lint:allow(hot-path)` is exempt: constructors and other cold
 //!   set-up code inside hot-path files annotate themselves.
+//!
+//! Beside the hot-path rules, [`lint_root`] holds the whole workspace to
+//! [`LINE_BUDGET`].
 
 use std::fmt;
 use std::path::Path;
+
+/// The most lines of Rust the workspace may hold: every `.rs` file under
+/// `crates/`, `src/` and `tests/`, tests and generated code included
+/// (what `find crates src tests -name '*.rs' | xargs cat | wc -l`
+/// prints). A change that deletes code lowers it in the same commit; one
+/// that raises it says why in CHANGES.md.
+pub const LINE_BUDGET: usize = 41_844;
+
+/// Directories whose `.rs` files count against [`LINE_BUDGET`].
+const BUDGET_DIRS: &[&str] = &["crates", "src", "tests"];
 
 /// Files the lint guards, relative to the repository root. These are
 /// the modules on the per-instruction path of at least one engine.
@@ -230,8 +243,9 @@ pub fn lint_file(file: &str, text: &str) -> Vec<LintFinding> {
 }
 
 /// Lint every designated hot-path file under `root` (the repository
-/// root). A missing file is itself a finding: renaming a hot-path
-/// module must update the lint list, not silently escape it.
+/// root) and check the workspace against [`LINE_BUDGET`]. A missing
+/// file is itself a finding: renaming a hot-path module must update the
+/// lint list, not silently escape it.
 pub fn lint_root(root: &Path) -> Vec<LintFinding> {
     let mut findings = Vec::new();
     for &rel in HOT_PATH_FILES {
@@ -245,7 +259,41 @@ pub fn lint_root(root: &Path) -> Vec<LintFinding> {
             }),
         }
     }
+    findings.extend(check_budget(root, LINE_BUDGET));
     findings
+}
+
+/// A finding when the `.rs` files under [`BUDGET_DIRS`] hold more than
+/// `budget` lines.
+fn check_budget(root: &Path, budget: usize) -> Option<LintFinding> {
+    let lines: usize = BUDGET_DIRS.iter().map(|d| rust_lines(&root.join(d))).sum();
+    (lines > budget).then(|| LintFinding {
+        file: BUDGET_DIRS.join("/ ") + "/",
+        line: 0,
+        what: "line budget exceeded",
+        text: format!("{lines} lines of Rust > LINE_BUDGET {budget}"),
+    })
+}
+
+/// Newlines in every `.rs` file under `dir`, recursively; symlinks are
+/// not followed.
+fn rust_lines(dir: &Path) -> usize {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return 0;
+    };
+    entries
+        .flatten()
+        .map(|entry| {
+            let path = entry.path();
+            match entry.file_type() {
+                Ok(t) if t.is_dir() => rust_lines(&path),
+                Ok(t) if t.is_file() && path.extension().is_some_and(|x| x == "rs") => {
+                    std::fs::read(&path).map_or(0, |b| b.iter().filter(|&&c| c == b'\n').count())
+                }
+                _ => 0,
+            }
+        })
+        .sum()
 }
 
 #[cfg(test)]
@@ -343,9 +391,48 @@ mod tests {
     }
 
     #[test]
+    fn one_line_over_the_budget_is_a_finding() {
+        let root = std::env::temp_dir().join(format!("simbench-budget-{}", std::process::id()));
+        let src = root.join("crates/x/src");
+        std::fs::create_dir_all(&src).unwrap();
+        std::fs::create_dir_all(root.join("tests")).unwrap();
+        std::fs::write(src.join("lib.rs"), "fn a() {}\nfn b() {}\n").unwrap();
+        std::fs::write(src.join("notes.md"), "not\ncounted\n").unwrap();
+        std::fs::write(root.join("tests/t.rs"), "fn c() {}\n").unwrap();
+        let at_budget = check_budget(&root, 3);
+        let over = check_budget(&root, 2);
+        std::fs::remove_dir_all(&root).unwrap();
+        assert_eq!(at_budget, None);
+        let f = over.expect("one line over the budget");
+        assert_eq!(f.text, "3 lines of Rust > LINE_BUDGET 2");
+    }
+
+    #[test]
+    fn budget_counts_only_rs_files_under_the_listed_dirs() {
+        let root = std::env::temp_dir().join(format!("simbench-uncounted-{}", std::process::id()));
+        std::fs::create_dir_all(root.join("examples")).unwrap();
+        std::fs::write(root.join("examples/e.rs"), "fn e() {}\n").unwrap();
+        std::fs::write(root.join("build.rs"), "fn main() {}\n").unwrap();
+        let finding = check_budget(&root, 0);
+        std::fs::remove_dir_all(&root).unwrap();
+        assert_eq!(finding, None);
+    }
+
+    #[test]
+    fn lint_root_flags_every_missing_hot_path_file() {
+        let root = std::env::temp_dir().join(format!("simbench-empty-{}", std::process::id()));
+        std::fs::create_dir_all(&root).unwrap();
+        let findings = lint_root(&root);
+        std::fs::remove_dir_all(&root).unwrap();
+        let missing: Vec<&str> = findings.iter().map(|f| f.file.as_str()).collect();
+        assert_eq!(missing, HOT_PATH_FILES);
+        assert!(findings.iter().all(|f| f.what.ends_with("file missing")));
+    }
+
+    #[test]
     fn the_repo_hot_paths_are_clean() {
-        // The real rule run, as the CI job executes it. Walk up from the
-        // crate dir to the workspace root.
+        // The real rule run, budget included, as the CI job executes it.
+        // Walk up from the crate dir to the workspace root.
         let root = Path::new(env!("CARGO_MANIFEST_DIR"))
             .parent()
             .and_then(Path::parent)

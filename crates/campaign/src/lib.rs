@@ -32,9 +32,8 @@
 //!   for adaptive and retried runs, `quarantined` / `timed_out`
 //!   statuses for fault-isolated cells, a `journal` echo on journaled
 //!   runs, and an optional `telemetry` block carrying the engine
-//!   metrics snapshot of instrumented runs) with load/save, `v1`–`v5`
-//!   reader-side migrations, typed [`LoadError`]s and deterministic
-//!   cell ordering;
+//!   metrics snapshot of instrumented runs) with load/save, a `v5`
+//!   reader, typed [`LoadError`]s and deterministic cell ordering;
 //! * [`compare`] — regression detection against a stored baseline: the
 //!   noisy timing path (`ratio > 1 + threshold` ⇒ flagged) and the
 //!   machine-independent counter-exact path
@@ -159,8 +158,7 @@ pub use measure::{run_app, run_suite_bench, Config, EngineKind, Guest, Sample};
 pub use merge::{merge, MergeError};
 pub use registry::{dispatch_guest, GuestInfo, GuestSpec, GuestVisitor, GUESTS};
 pub use result::{
-    CampaignResult, CellResult, CellStatus, LoadError, StopReason, Telemetry, SCHEMA, SCHEMA_V1,
-    SCHEMA_V2, SCHEMA_V3, SCHEMA_V4, SCHEMA_V5,
+    CampaignResult, CellResult, CellStatus, LoadError, StopReason, Telemetry, SCHEMA, SCHEMA_V5,
 };
 pub use runner::{run, run_shard, run_shard_resumed, RunnerOpts};
 pub use spec::{CampaignSpec, CellKey, Job, PrecisionTarget, Shard, Workload};

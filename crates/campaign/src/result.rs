@@ -13,17 +13,11 @@
 //! string echoing the write-ahead journal directory the campaign
 //! appended to (`campaign run --journal DIR`).
 //!
-//! Readers accept the `v5` layout (identical but for the new optional
-//! fields; stored statistics and stop reasons are kept verbatim), the
-//! `v4` layout (additionally no `telemetry` block; also trusted
-//! verbatim), the `v3` layout (whose stats are recomputed from the raw
-//! per-repetition timings, upgrading the old normal-approximation
-//! `ci95` to Student-t in the process), the `v2` layout (which
-//! additionally lacked shard metadata), and the `v1` layout (which
-//! also lacked `tested_ops` / `counter_variants`), migrating them on
-//! load; anything else is rejected with a typed [`LoadError`] rather
-//! than guessed at, so future layout changes bump the version and add
-//! an explicit migration.
+//! Readers also accept the `v5` layout, which is identical but for the
+//! new optional fields, so its stored statistics and stop reasons are
+//! kept verbatim. Anything else is rejected with a typed [`LoadError`]
+//! rather than guessed at, so future layout changes bump the version
+//! and add an explicit migration.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -32,7 +26,7 @@ use std::path::Path;
 use simbench_core::events::Counters;
 
 use crate::json::{self, Value};
-use crate::spec::{CampaignSpec, CellKey, PrecisionTarget, Shard, Workload};
+use crate::spec::{CampaignSpec, CellKey, PrecisionTarget, Shard};
 use crate::stats::Stats;
 
 /// Schema identifier written to every result file.
@@ -44,25 +38,6 @@ pub const SCHEMA: &str = "simbench-campaign/v6";
 /// trusted verbatim — the new fields are strictly additive, so a v5
 /// document is a valid v6 document under the old schema string.
 pub const SCHEMA_V5: &str = "simbench-campaign/v5";
-
-/// The v4 schema identifier (additionally no `telemetry` block), still
-/// accepted on load. Unlike pre-v4 versions its statistics and stop
-/// reasons are trusted verbatim — v4 files may be adaptive runs whose
-/// `converged` / `max_reps` verdicts a recompute could not recover.
-pub const SCHEMA_V4: &str = "simbench-campaign/v4";
-
-/// The v3 schema identifier (no adaptive-measurement fields,
-/// normal-approximation CIs, a single `rejected` count), still accepted
-/// on load and migrated to the current layout.
-pub const SCHEMA_V3: &str = "simbench-campaign/v3";
-
-/// The v2 schema identifier (additionally: no shard metadata, no
-/// `skipped` status), still accepted on load and migrated.
-pub const SCHEMA_V2: &str = "simbench-campaign/v2";
-
-/// The original schema identifier, still accepted on load and migrated
-/// to the current layout.
-pub const SCHEMA_V1: &str = "simbench-campaign/v1";
 
 /// Why a campaign result failed to load. Every malformed input maps to
 /// a variant — loading never panics.
@@ -89,8 +64,7 @@ impl std::fmt::Display for LoadError {
             LoadError::Json(e) => write!(f, "invalid JSON: {e}"),
             LoadError::Schema { found } => write!(
                 f,
-                "unsupported schema {found:?} (expected {SCHEMA:?}, {SCHEMA_V5:?}, \
-                 {SCHEMA_V4:?}, {SCHEMA_V3:?}, {SCHEMA_V2:?} or {SCHEMA_V1:?})"
+                "unsupported schema {found:?} (expected {SCHEMA:?} or {SCHEMA_V5:?})"
             ),
             LoadError::Malformed(e) => write!(f, "malformed campaign result: {e}"),
         }
@@ -339,7 +313,7 @@ pub struct CampaignResult {
     /// Seconds since the Unix epoch when the campaign finished.
     pub created_unix: u64,
     /// Engine-telemetry snapshot, when the campaign ran with telemetry
-    /// enabled. `None` for plain runs, pre-v5 files and merged results.
+    /// enabled. `None` for plain runs and merged results.
     pub telemetry: Option<Telemetry>,
     /// One record per matrix cell, in spec cell order.
     pub cells: Vec<CellResult>,
@@ -419,32 +393,19 @@ impl CampaignResult {
     }
 
     /// Parse the versioned JSON format. Accepts the current `v6` layout
-    /// and migrates `v5`, `v4`, `v3`, `v2` and `v1` files in place.
-    /// `v5` and `v4` documents differ only by missing optional fields,
-    /// so their stored statistics and stop reasons are kept verbatim —
-    /// recomputing would clobber adaptive verdicts (`converged` /
-    /// `max_reps`) that cannot be recovered from the timings. Migration
-    /// of every pre-`v4` document recomputes each Ok cell's statistics
-    /// from its raw per-repetition timings — upgrading the stored
-    /// normal-approximation `ci95` to Student-t and splitting the old
-    /// `rejected` count into `rejected_invalid` / `outliers` — and
-    /// fills `reps_run` from the timing count with a `fixed` stop
-    /// reason (pre-`v4` campaigns were always fixed-reps). `v1`
-    /// additionally recomputes `tested_ops` from the stored event
-    /// profile. Any other schema is a typed error.
+    /// and `v5`, which differs only by missing optional fields, so its
+    /// stored statistics and stop reasons are kept verbatim. Any other
+    /// schema is a typed error.
     pub fn from_json(text: &str) -> Result<CampaignResult, LoadError> {
         let root = json::parse(text).map_err(LoadError::Json)?;
         let schema = root
             .get("schema")
             .and_then(Value::as_str)
-            .ok_or_else(|| LoadError::Malformed("missing string \"schema\"".to_string()))?
-            .to_string();
-        if ![
-            SCHEMA, SCHEMA_V5, SCHEMA_V4, SCHEMA_V3, SCHEMA_V2, SCHEMA_V1,
-        ]
-        .contains(&schema.as_str())
-        {
-            return Err(LoadError::Schema { found: schema });
+            .ok_or_else(|| LoadError::Malformed("missing string \"schema\"".to_string()))?;
+        if schema != SCHEMA && schema != SCHEMA_V5 {
+            return Err(LoadError::Schema {
+                found: schema.to_string(),
+            });
         }
         let malformed = LoadError::Malformed;
         let str_field = |key: &str| -> Result<String, LoadError> {
@@ -458,39 +419,14 @@ impl CampaignResult {
                 .and_then(Value::as_u64)
                 .ok_or_else(|| malformed(format!("missing integer \"{key}\"")))
         };
-        let mut cells = Vec::new();
-        for (i, cv) in root
+        let cells = root
             .get("cells")
             .and_then(Value::as_arr)
             .ok_or_else(|| malformed("missing \"cells\" array".to_string()))?
             .iter()
             .enumerate()
-        {
-            let mut cell = parse_cell(cv).map_err(|e| malformed(format!("cell {i}: {e}")))?;
-            if schema != SCHEMA && schema != SCHEMA_V5 && schema != SCHEMA_V4 {
-                // Pre-v4 migration: the raw timings are stored, so the
-                // statistics are recomputed rather than trusted — the
-                // old files carry normal-approximation CIs and a lumped
-                // `rejected` count that v4 retired. v4/v5 files are
-                // exempt: their stats are already current and their
-                // adaptive stop reasons must survive the round-trip.
-                cell.stats = crate::stats::stats(&cell.seconds);
-                if cell.status == CellStatus::Ok {
-                    cell.reps_run = cell.seconds.len() as u32;
-                    // Pre-v6 runs never retried, so every repetition
-                    // was exactly one execution.
-                    cell.attempts = cell.reps_run;
-                    cell.stop_reason = Some(StopReason::Fixed);
-                }
-            }
-            if schema == SCHEMA_V1 && cell.status == CellStatus::Ok {
-                // v1 predates `tested_ops`: recompute it from the stored
-                // event profile and the workload's counter mapping.
-                cell.tested_ops =
-                    Workload::by_id(&cell.workload).and_then(|w| w.tested_ops(&cell.counters));
-            }
-            cells.push(cell);
-        }
+            .map(|(i, cv)| parse_cell(cv).map_err(|e| malformed(format!("cell {i}: {e}"))))
+            .collect::<Result<Vec<_>, _>>()?;
         let shard = match root.get("shard") {
             None => None,
             Some(v) => {
@@ -543,8 +479,8 @@ impl CampaignResult {
             Some(v) => Some(parse_telemetry(v).map_err(|e| malformed(format!("telemetry: {e}")))?),
         };
         Ok(CampaignResult {
-            // Migrated results are current-schema in memory, so saving a
-            // loaded v1..v5 file produces a v6 file.
+            // Results are current-schema in memory, so saving a loaded
+            // v5 file produces a v6 file.
             schema: SCHEMA.to_string(),
             name: str_field("name")?,
             scale: u64_field("scale")?,
@@ -730,9 +666,6 @@ pub(crate) fn parse_cell(cv: &Value) -> Result<CellResult, String> {
         let u = |k: &str| m.get(k).and_then(Value::as_u64).unwrap_or(0) as usize;
         Stats {
             n: u("n"),
-            // Pre-v4 documents carry a single lumped "rejected" count;
-            // the caller recomputes their stats from the raw timings,
-            // so this parse only needs the v4 fields.
             rejected_invalid: u("rejected_invalid"),
             outliers: u("outliers"),
             min: f("min"),
@@ -1103,33 +1036,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_files_migrate_on_load() {
-        // A v2 document is the current layout minus shard support.
-        let text = demo().to_json().replace(SCHEMA, SCHEMA_V2);
-        let parsed = CampaignResult::from_json(&text).unwrap();
-        assert_eq!(parsed.schema, SCHEMA);
-        assert_eq!(parsed.shard, None);
-        assert_eq!(parsed.cells[0].tested_ops, Some(2500));
-        assert!(parsed.to_json().contains(SCHEMA));
-    }
-
-    #[test]
-    fn v1_files_migrate_on_load() {
-        // A v1 document: no tested_ops, no counter_variants.
-        let text = demo()
-            .to_json()
-            .replace(SCHEMA, SCHEMA_V1)
-            .replace(", \"tested_ops\": 2500", "");
-        let parsed = CampaignResult::from_json(&text).unwrap();
-        // Migration normalizes the in-memory schema and recomputes the
-        // tested-op count from the stored event profile.
-        assert_eq!(parsed.schema, SCHEMA);
-        assert_eq!(parsed.cells[0].tested_ops, Some(2500));
-        assert_eq!(parsed.cells[1].tested_ops, None);
-        assert!(parsed.to_json().contains(SCHEMA));
-    }
-
-    #[test]
     fn rejects_malformed_seconds() {
         // A corrupted timing entry must fail the load, not silently
         // shrink the sample set under an unchanged stats block.
@@ -1150,6 +1056,34 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("unsupported schema"), "{err}");
+    }
+
+    #[test]
+    fn schema_errors_name_both_readable_versions() {
+        let found = "simbench-campaign/v4".to_string();
+        let text = LoadError::Schema { found }.to_string();
+        let want = "\"simbench-campaign/v4\" (expected \"simbench-campaign/v6\" or \"simbench-campaign/v5\")";
+        assert_eq!(text, format!("unsupported schema {want}"));
+    }
+
+    #[test]
+    fn save_and_load_round_trip_through_a_file() {
+        let path = std::env::temp_dir().join(format!("simbench-save-{}.json", std::process::id()));
+        demo().save(&path).unwrap();
+        let loaded = CampaignResult::load(&path);
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(loaded.unwrap().to_json(), demo().to_json());
+    }
+
+    #[test]
+    fn wall_clock_fields_default_when_absent() {
+        let text = demo().to_json();
+        let text = text.replace("  \"wall_secs\": 1.25,\n", "");
+        let text = text.replace("  \"created_unix\": 1700000000,\n", "");
+        let mut parsed = CampaignResult::from_json(&text).unwrap();
+        assert_eq!((parsed.wall_secs, parsed.created_unix), (0.0, 0));
+        (parsed.wall_secs, parsed.created_unix) = (1.25, 1_700_000_000);
+        assert_eq!(parsed.to_json(), demo().to_json());
     }
 
     #[test]
@@ -1233,31 +1167,9 @@ mod tests {
     }
 
     #[test]
-    fn v4_files_migrate_without_recomputing_verdicts() {
-        // A v4 document is the current layout minus telemetry. Its
-        // adaptive stop reasons and stored stats must survive verbatim:
-        // a recompute would turn `converged` into `fixed`.
-        let mut r = demo();
-        r.precision = Some(PrecisionTarget::new(0.2, 2, 8).unwrap());
-        r.cells[0].stop_reason = Some(StopReason::Converged);
-        let text = r.to_json().replace(SCHEMA, SCHEMA_V4);
-        assert!(text.contains(SCHEMA_V4));
-        let parsed = CampaignResult::from_json(&text).unwrap();
-        assert_eq!(parsed.schema, SCHEMA);
-        assert_eq!(parsed.cells[0].stop_reason, Some(StopReason::Converged));
-        assert_eq!(
-            parsed.cells[0].stats.unwrap(),
-            r.cells[0].stats.unwrap(),
-            "v4 stats are trusted, not recomputed"
-        );
-        assert_eq!(parsed.telemetry, None);
-        assert!(parsed.to_json().contains(SCHEMA));
-    }
-
-    #[test]
     fn v5_files_migrate_without_recomputing_verdicts() {
         // A v5 document is the current layout minus the fault-tolerance
-        // fields; like v4, its stats and stop reasons survive verbatim.
+        // fields; its stats and stop reasons survive verbatim.
         let mut r = demo();
         r.precision = Some(PrecisionTarget::new(0.2, 2, 8).unwrap());
         r.cells[0].stop_reason = Some(StopReason::Converged);

@@ -1,33 +1,20 @@
 //! Golden-fixture tests for the persisted campaign schema.
 //!
-//! The committed fixtures pin the on-disk format: `campaign_v1.json`
-//! through `campaign_v5.json` are legacy documents,
-//! `campaign_v6.json` is their migrated `simbench-campaign/v6`
-//! rendering (pre-v4 statistics recomputed from the raw timings,
-//! `reps_run` / `stop_reason` filled in; v4/v5 documents pass through
-//! with stats and verdicts untouched), and `campaign_v3_shard.json` /
-//! `campaign_v4_shard.json` / `campaign_v5_shard.json` /
-//! `campaign_v6_shard.json` pin a partial (shard) result with shard
-//! metadata and `skipped` cells across generations. Any unintentional
-//! change to the serializer, the parser, or a migration shows up here
-//! as a byte diff; after an *intentional* schema change, regenerate
-//! the v6 fixtures with
+//! The committed fixtures pin the on-disk format: `campaign_v6.json` is
+//! a whole-matrix result in the current `simbench-campaign/v6` layout,
+//! `campaign_v6_shard.json` a partial (shard) result with shard metadata
+//! and `skipped` cells, and `campaign_v5.json` / `campaign_v5_shard.json`
+//! their `v5` forms, which load unchanged but for the schema line. Any
+//! unintentional change to the serializer or the parser shows up here as
+//! a byte diff; after an *intentional* schema change, regenerate the v6
+//! fixtures with
 //!
 //! ```sh
 //! cargo test -p simbench-campaign --test golden regen -- --ignored
 //! ```
 
-use simbench_campaign::{
-    CampaignResult, CellStatus, LoadError, Shard, StopReason, SCHEMA, SCHEMA_V1, SCHEMA_V2,
-    SCHEMA_V3, SCHEMA_V4, SCHEMA_V5,
-};
+use simbench_campaign::{CampaignResult, CellStatus, LoadError, Shard, SCHEMA, SCHEMA_V5};
 
-const V1: &str = include_str!("fixtures/campaign_v1.json");
-const V2: &str = include_str!("fixtures/campaign_v2.json");
-const V3: &str = include_str!("fixtures/campaign_v3.json");
-const V3_SHARD: &str = include_str!("fixtures/campaign_v3_shard.json");
-const V4: &str = include_str!("fixtures/campaign_v4.json");
-const V4_SHARD: &str = include_str!("fixtures/campaign_v4_shard.json");
 const V5: &str = include_str!("fixtures/campaign_v5.json");
 const V5_SHARD: &str = include_str!("fixtures/campaign_v5_shard.json");
 const V6: &str = include_str!("fixtures/campaign_v6.json");
@@ -49,6 +36,7 @@ fn shard_demo() -> CampaignResult {
             cell.counter_variants.clear();
             cell.iterations = 0;
             cell.reps_run = 0;
+            cell.attempts = 0;
             cell.stop_reason = None;
         }
     }
@@ -109,110 +97,8 @@ fn v5_shard_fixture_migrates_to_exactly_the_v6_shard_fixture() {
 }
 
 #[test]
-fn v4_fixture_migrates_to_exactly_the_v6_fixture() {
-    assert!(V4.contains(SCHEMA_V4));
-    let migrated = CampaignResult::from_json(V4).expect("v4 fixture parses");
-    assert_eq!(migrated.schema, SCHEMA, "migration normalizes the schema");
-    assert_eq!(
-        migrated.to_json(),
-        V6,
-        "saving a loaded v4 file must produce the committed v6 rendering \
-         (the only difference is the schema line)"
-    );
-    // v4 statistics and stop verdicts are trusted verbatim — unlike
-    // the pre-v4 migrations nothing is recomputed.
-    assert_eq!(migrated.cells[0].reps_run, 2);
-    assert_eq!(migrated.cells[0].stop_reason, Some(StopReason::Fixed));
-    assert_eq!(migrated.telemetry, None, "v4 predates telemetry");
-}
-
-#[test]
-fn v3_fixture_migrates_to_exactly_the_v6_fixture() {
-    assert!(V3.contains(SCHEMA_V3));
-    let migrated = CampaignResult::from_json(V3).expect("v3 fixture parses");
-    assert_eq!(migrated.schema, SCHEMA, "migration normalizes the schema");
-    assert_eq!(
-        migrated.to_json(),
-        V6,
-        "saving a loaded v3 file must produce the committed v6 rendering"
-    );
-    // Migration recomputes the statistics from the raw timings: the
-    // stored v3 CI used the normal 1.96 critical value, the migrated
-    // one the Student-t value for the cell's sample count.
-    let s = migrated.cells[0].stats.unwrap();
-    assert_eq!(s.n, 2);
-    let expected = simbench_campaign::t_critical_95(1) * s.stddev / (2f64).sqrt();
-    assert!(
-        (s.ci95 - expected).abs() < 1e-15,
-        "{} != {expected}",
-        s.ci95
-    );
-    // Pre-v4 campaigns were always fixed-reps.
-    assert_eq!(migrated.cells[0].reps_run, 2);
-    assert_eq!(migrated.cells[0].stop_reason, Some(StopReason::Fixed));
-    assert_eq!(
-        migrated.cells[2].reps_run, 0,
-        "failed cell count unknowable"
-    );
-    assert_eq!(migrated.cells[2].stop_reason, None);
-    assert_eq!(migrated.precision, None, "v3 predates adaptive mode");
-}
-
-#[test]
-fn v4_shard_fixture_migrates_to_exactly_the_v6_shard_fixture() {
-    let migrated = CampaignResult::from_json(V4_SHARD).expect("v4 shard fixture parses");
-    assert_eq!(migrated.schema, SCHEMA);
-    assert_eq!(migrated.shard, Some(Shard::new(2, 3).unwrap()));
-    assert_eq!(migrated.to_json(), V6_SHARD);
-}
-
-#[test]
-fn v3_shard_fixture_migrates_to_exactly_the_v6_shard_fixture() {
-    let migrated = CampaignResult::from_json(V3_SHARD).expect("v3 shard fixture parses");
-    assert_eq!(migrated.schema, SCHEMA);
-    assert_eq!(migrated.shard, Some(Shard::new(2, 3).unwrap()));
-    assert_eq!(
-        migrated.to_json(),
-        V6_SHARD,
-        "saving a loaded v3 shard file must produce the committed v6 rendering"
-    );
-}
-
-#[test]
-fn v2_fixture_migrates_to_exactly_the_v6_fixture() {
-    assert!(V2.contains(SCHEMA_V2));
-    let migrated = CampaignResult::from_json(V2).expect("v2 fixture parses");
-    assert_eq!(migrated.schema, SCHEMA, "migration normalizes the schema");
-    assert_eq!(migrated.shard, None, "v2 predates sharding");
-    assert_eq!(
-        migrated.to_json(),
-        V6,
-        "saving a loaded v2 file must produce the committed v6 rendering"
-    );
-}
-
-#[test]
-fn v1_fixture_migrates_to_exactly_the_v6_fixture() {
-    assert!(V1.contains(SCHEMA_V1));
-    let migrated = CampaignResult::from_json(V1).expect("v1 fixture parses");
-    assert_eq!(migrated.schema, SCHEMA, "migration normalizes the schema");
-    assert_eq!(
-        migrated.to_json(),
-        V6,
-        "saving a loaded v1 file must produce the committed v6 rendering"
-    );
-    // Migration recomputes the tested-op count from the stored profile.
-    assert_eq!(migrated.cells[0].tested_ops, Some(2500));
-    assert_eq!(migrated.cells[1].tested_ops, Some(100));
-    assert_eq!(migrated.cells[2].tested_ops, None);
-    // ...but cannot invent per-repetition variants v1 never recorded.
-    assert!(!migrated.cells[1].counters_consistent);
-    assert!(migrated.cells[1].counter_variants.is_empty());
-}
-
-#[test]
 fn migrated_fixture_keeps_cell_semantics() {
-    let migrated = CampaignResult::from_json(V1).unwrap();
+    let migrated = CampaignResult::from_json(V5).unwrap();
     assert_eq!(migrated.name, "golden");
     assert_eq!(migrated.cells.len(), 3);
     assert_eq!(migrated.cells[0].status, CellStatus::Ok);
@@ -226,13 +112,33 @@ fn migrated_fixture_keeps_cell_semantics() {
 
 #[test]
 fn unknown_schema_versions_are_typed_errors() {
-    for found in ["simbench-campaign/v0", "simbench-campaign/v7", "nonsense"] {
+    for found in [
+        "simbench-campaign/v0",
+        "simbench-campaign/v4",
+        "simbench-campaign/v7",
+        "nonsense",
+    ] {
         let text = V6.replace(SCHEMA, found);
         match CampaignResult::from_json(&text) {
             Err(LoadError::Schema { found: f }) => assert_eq!(f, found),
             other => panic!("expected a schema error for {found:?}, got {other:?}"),
         }
     }
+}
+
+#[test]
+fn a_v4_document_is_a_schema_error_not_a_migration() {
+    let v4 = V5.replace(SCHEMA_V5, "simbench-campaign/v4");
+    let err = CampaignResult::from_json(&v4).unwrap_err();
+    let found = "simbench-campaign/v4".to_string();
+    assert_eq!(err, LoadError::Schema { found });
+}
+
+#[test]
+fn loading_a_fixture_file_matches_parsing_its_text() {
+    let dir = env!("CARGO_MANIFEST_DIR");
+    let loaded = CampaignResult::load(format!("{dir}/tests/fixtures/campaign_v5.json")).unwrap();
+    assert_eq!(loaded.to_json(), V6);
 }
 
 #[test]
@@ -294,13 +200,13 @@ fn unreadable_files_are_io_errors() {
     assert!(matches!(err, LoadError::Io(_)), "{err}");
 }
 
-/// Regenerates `fixtures/campaign_v6.json` from the committed v1
+/// Regenerates `fixtures/campaign_v6.json` from the committed v5
 /// fixture. Ignored by default: run it manually after an intentional
 /// schema change, then review the diff.
 #[test]
 #[ignore = "writes the v6 fixture; run manually after intentional schema changes"]
 fn regen_v6_fixture() {
-    let migrated = CampaignResult::from_json(V1).unwrap();
+    let migrated = CampaignResult::from_json(V5).unwrap();
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/fixtures/campaign_v6.json"

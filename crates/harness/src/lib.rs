@@ -34,7 +34,6 @@ pub mod fig7;
 pub mod fig8;
 pub mod model;
 pub mod report;
-pub mod selfbench;
 pub mod table;
 
 pub use simbench_campaign::measure::{run_app, run_suite_bench, Config, EngineKind, Guest, Sample};

@@ -1,28 +1,5 @@
-//! SimBench-rs experiment CLI.
-//!
-//! ```text
-//! simbench-harness <fig2|fig3|fig4|fig5|fig6|fig7|fig8|all> [--scale N] [--jobs N] [--out FILE]
-//! simbench-harness campaign run     [--scale N] [--jobs N] [--reps R] [--out FILE] [--name S]
-//!                                   [--guests LIST] [--engines LIST] [--benches LIST]
-//!                                   [--apps] [--versions] [--shard I/N]
-//!                                   [--precision RCI [--min-reps N] [--max-reps N]]
-//!                                   [--trace FILE] [--progress[=ndjson]]
-//! simbench-harness campaign merge   <SHARD.json>... --out FILE
-//! simbench-harness campaign compare <CURRENT.json> --baseline FILE
-//!                                   [--threshold FRAC | --counters [--tolerance FRAC]]
-//! simbench-harness campaign list
-//! simbench-harness report <CAMPAIGN.json>
-//! simbench-harness model <calibrate|predict|validate> <CAMPAIGN.json>
-//!                        [--guest G] [--engine E] [--profile-engine P] [--max-error FACTOR]
-//! simbench-harness selfbench <CAMPAIGN.json> [--out FILE] [--gate BASELINE.json]
-//! simbench-harness differ <guest> <engineA> <engineB>
-//!                         (--workload <W|all> | --fuzz SEED [--programs N])
-//!                         [--max-insns K] [--checkpoints C] [--scale N]
-//! simbench-harness analyze <guest|all> [--workload <W|all> | --fuzz SEED [--programs N]]
-//!                          [--scale N] [--fuel N] [--check] [--out FILE]
-//! simbench-harness lint [--root DIR]
-//! simbench-harness --list
-//! ```
+//! SimBench-rs experiment CLI. The full command line is the `USAGE`
+//! constant below, printed by `--help` and after every usage error.
 //!
 //! `differ` runs the same binary on both engines in checkpointed
 //! lockstep and compares architectural state digests; a mismatch is
@@ -42,7 +19,8 @@
 //! invariant violation or check mismatch.
 //!
 //! `lint` runs the hot-path source lint over the designated
-//! allocation-free modules (exit 1 on any finding).
+//! allocation-free modules and checks the workspace line budget (exit 1
+//! on any finding).
 //!
 //! `--quiet` / `-v` are global: they may appear anywhere on the command
 //! line and set the stderr log level (warnings only / debug). Stdout
@@ -55,17 +33,14 @@
 //! the persisted campaign's `telemetry` block (rendered later by
 //! `report`). `--progress` streams per-cell start/converge/finish
 //! records on stderr; `--progress=ndjson` emits them as one JSON object
-//! per line. `selfbench --gate` compares wall-clock rates against a
-//! stored baseline and exits 1 only when Student-t confidence
-//! intervals separate.
+//! per line.
 //!
 //! Unknown flags and malformed values are hard errors: a typo must not
 //! silently change what gets measured. Exit codes are part of the
-//! interface: 0 clean, 1 regression (timing or counter drift, or a
-//! separated wall-clock CI under `selfbench --gate`), 2 a cell that
-//! completed in the baseline no longer completes, 3 usage errors and
-//! unreadable inputs, 4 an incoherent shard set handed to `campaign
-//! merge` (overlapping, missing or spec-mismatched shards).
+//! interface: 0 clean, 1 regression (timing or counter drift), 2 a
+//! cell that completed in the baseline no longer completes, 3 usage
+//! errors and unreadable inputs, 4 an incoherent shard set handed to
+//! `campaign merge` (overlapping, missing or spec-mismatched shards).
 
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -95,7 +70,6 @@ const USAGE: &str = "usage: simbench-harness <fig2|fig3|fig4|fig5|fig6|fig7|fig8
        simbench-harness report <CAMPAIGN.json>
        simbench-harness model <calibrate|predict|validate> <CAMPAIGN.json>
                               [--guest G] [--engine E] [--profile-engine P] [--max-error FACTOR]
-       simbench-harness selfbench <CAMPAIGN.json> [--out FILE] [--gate BASELINE.json]
        simbench-harness differ <guest> <engineA> <engineB>
                                (--workload <W|all> | --fuzz SEED [--programs N])
                                [--max-insns K] [--checkpoints C] [--scale N]
@@ -178,10 +152,6 @@ fn main() -> ExitCode {
         Some("model") => {
             argv.remove(0);
             model_main(argv)
-        }
-        Some("selfbench") => {
-            argv.remove(0);
-            selfbench_main(argv)
         }
         Some("differ") => {
             argv.remove(0);
@@ -889,65 +859,6 @@ fn report_main(argv: Vec<String>) -> ExitCode {
 }
 
 // ---------------------------------------------------------------------------
-// Self-bench mode.
-// ---------------------------------------------------------------------------
-
-/// `selfbench <CAMPAIGN.json> [--out FILE] [--gate BASELINE.json]`:
-/// derive per-cell simulator throughput (MIPS / Muops/s) from a stored
-/// campaign's iteration counts, instruction counters and median
-/// timings. With `--out`, the `simbench-hotloop/v2` JSON report is
-/// persisted — CI uploads it as `BENCH_hotloop.json` to track the
-/// wall-clock trajectory alongside the counter-exact baseline. With
-/// `--gate`, the report is compared against a stored baseline and the
-/// exit code is 1 only when a cell's Student-t confidence intervals
-/// separate with the current run on the slow side — overlap is noise.
-fn selfbench_main(argv: Vec<String>) -> ExitCode {
-    let mut args = Args::new(argv);
-    let mut campaign_path: Option<String> = None;
-    let mut out_path: Option<String> = None;
-    let mut gate_path: Option<String> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => out_path = Some(args.value_of("--out")),
-            "--gate" => gate_path = Some(args.value_of("--gate")),
-            path if !path.starts_with('-') && campaign_path.is_none() => {
-                campaign_path = Some(path.to_string())
-            }
-            path if !path.starts_with('-') => fail(&format!(
-                "unexpected argument {path:?} (campaign file already given)"
-            )),
-            flag => fail(&format!("unknown flag {flag:?}")),
-        }
-    }
-    let path = campaign_path.unwrap_or_else(|| fail("selfbench needs a stored campaign JSON file"));
-    let result = CampaignResult::load(&path).unwrap_or_else(|e| fail(&e.to_string()));
-    let report = simbench_harness::selfbench::report(&result);
-    if report.cells.is_empty() {
-        fail(&format!("campaign {:?} has no clean cells", result.name));
-    }
-    print!("{}", report.render());
-    if let Some(path) = out_path {
-        write_file(&path, report.to_json().as_bytes());
-    }
-    if let Some(gate_path) = gate_path {
-        let text = std::fs::read_to_string(&gate_path)
-            .unwrap_or_else(|e| fail(&format!("cannot read {gate_path}: {e}")));
-        let baseline = simbench_harness::selfbench::Report::from_json(&text)
-            .unwrap_or_else(|e| fail(&format!("{gate_path}: {e}")));
-        let outcome = simbench_harness::selfbench::gate(&report, &baseline);
-        print!("{}", outcome.render());
-        if !outcome.clean() {
-            simbench_obs::warn!(
-                "[selfbench gate: {} cell(s) slower beyond both 95% CIs]",
-                outcome.regressions.len()
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-// ---------------------------------------------------------------------------
 // Differ mode.
 // ---------------------------------------------------------------------------
 
@@ -995,7 +906,14 @@ fn differ_main(argv: Vec<String>) -> ExitCode {
         (Some(_), Some(_)) => fail("--workload conflicts with --fuzz"),
         (None, None) => fail("differ needs --workload <W|all> or --fuzz SEED"),
         (Some(w), None) => {
-            let workloads = differ_workloads(guest, &w);
+            let workloads: Vec<Workload> = if w == "all" {
+                CampaignSpec::suite_workloads()
+                    .into_iter()
+                    .filter(|wl| wl.supported_on(guest))
+                    .collect()
+            } else {
+                vec![named_workload(&w)]
+            };
             let planned = workloads.len();
             let mut reports = Vec::with_capacity(planned);
             for wl in workloads {
@@ -1047,29 +965,17 @@ fn differ_main(argv: Vec<String>) -> ExitCode {
     }
 }
 
-/// Resolve a `--workload` selector: `all` (every suite benchmark the
-/// guest supports), a `suite:`/`app:` id, or a bare benchmark/app name
-/// (case-insensitive).
-fn differ_workloads(guest: Guest, selector: &str) -> Vec<Workload> {
-    if selector == "all" {
-        return Benchmark::ALL
-            .iter()
-            .copied()
-            .map(Workload::Suite)
-            .filter(|wl| wl.supported_on(guest))
-            .collect();
-    }
-    if let Some(wl) = Workload::by_id(selector) {
-        return vec![wl];
-    }
-    let lower = selector.to_ascii_lowercase();
-    Benchmark::ALL
-        .iter()
-        .copied()
-        .map(Workload::Suite)
-        .chain(App::ALL.iter().copied().map(Workload::App))
-        .find(|wl| wl.name().to_ascii_lowercase() == lower)
-        .map(|wl| vec![wl])
+/// Resolve a named `--workload`: a `suite:`/`app:` id or a bare
+/// benchmark/app name (case-insensitive). What `all` expands to is the
+/// caller's to decide.
+fn named_workload(selector: &str) -> Workload {
+    Workload::by_id(selector)
+        .or_else(|| {
+            CampaignSpec::suite_workloads()
+                .into_iter()
+                .chain(CampaignSpec::app_workloads())
+                .find(|wl| wl.name().eq_ignore_ascii_case(selector))
+        })
         .unwrap_or_else(|| {
             fail(&format!(
                 "unknown workload {selector:?} (try a name from `campaign list`, a suite:/app: id, or `all`)"
@@ -1134,7 +1040,15 @@ fn analyze_main(argv: Vec<String>) -> ExitCode {
         (w, None) => {
             let selector = w.unwrap_or_else(|| "all".to_string());
             let explicit = selector != "all";
-            let workloads = analyze_workloads(&selector);
+            // `all`: every suite benchmark and app; matrix holes are
+            // skipped per guest below.
+            let workloads = if explicit {
+                vec![named_workload(&selector)]
+            } else {
+                let mut all = CampaignSpec::suite_workloads();
+                all.extend(CampaignSpec::app_workloads());
+                all
+            };
             guests
                 .iter()
                 .flat_map(|&guest| workloads.iter().map(move |&wl| (guest, wl)))
@@ -1196,33 +1110,6 @@ fn analyze_main(argv: Vec<String>) -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-/// Resolve an analyze `--workload` selector: `all` (every suite
-/// benchmark and app; matrix holes skipped per guest), a `suite:`/`app:`
-/// id, or a bare name (case-insensitive).
-fn analyze_workloads(selector: &str) -> Vec<Workload> {
-    if selector == "all" {
-        let mut all = CampaignSpec::suite_workloads();
-        all.extend(CampaignSpec::app_workloads());
-        return all;
-    }
-    if let Some(wl) = Workload::by_id(selector) {
-        return vec![wl];
-    }
-    let lower = selector.to_ascii_lowercase();
-    Benchmark::ALL
-        .iter()
-        .copied()
-        .map(Workload::Suite)
-        .chain(App::ALL.iter().copied().map(Workload::App))
-        .find(|wl| wl.name().to_ascii_lowercase() == lower)
-        .map(|wl| vec![wl])
-        .unwrap_or_else(|| {
-            fail(&format!(
-                "unknown workload {selector:?} (try a name from `campaign list`, a suite:/app: id, or `all`)"
-            ))
-        })
 }
 
 // ---------------------------------------------------------------------------

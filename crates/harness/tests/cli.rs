@@ -8,7 +8,7 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-use simbench_campaign::{CampaignResult, CellStatus, StopReason, SCHEMA, SCHEMA_V1};
+use simbench_campaign::{CampaignResult, CellStatus, StopReason, SCHEMA};
 
 fn run_cli(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_simbench-harness"))
@@ -280,24 +280,6 @@ fn jobs_do_not_change_event_profiles_end_to_end() {
         ]);
         assert_eq!(exit_code(&out), 0, "{}", stdout(&out));
     }
-    // A v1-schema baseline still compares after reader-side migration.
-    let v1 = scratch("jobs-v1");
-    std::fs::write(
-        &v1,
-        std::fs::read_to_string(&a)
-            .unwrap()
-            .replace(SCHEMA, SCHEMA_V1),
-    )
-    .unwrap();
-    let out = run_cli(&[
-        "campaign",
-        "compare",
-        b.to_str().unwrap(),
-        "--baseline",
-        v1.to_str().unwrap(),
-        "--counters",
-    ]);
-    assert_eq!(exit_code(&out), 0, "{}", stdout(&out));
 }
 
 /// The common spec flags of the shard workflow tests: a small matrix
@@ -768,26 +750,24 @@ fn trace_progress_and_report_end_to_end() {
 
 #[test]
 fn log_level_flags_are_global_and_strict() {
-    let (path, _) = measured_campaign("loglevel");
-    let path_str = path.to_str().unwrap();
-    let out_report = scratch("loglevel-report");
+    let out_report = scratch("loglevel-fig5");
     let out_str = out_report.to_str().unwrap();
 
     // Default: the [wrote ...] info banner lands on stderr.
-    let out = run_cli(&["selfbench", path_str, "--out", out_str]);
+    let out = run_cli(&["fig5", "--out", out_str]);
     assert_eq!(exit_code(&out), 0);
     assert!(String::from_utf8_lossy(&out.stderr).contains("[wrote"));
 
     // --quiet silences it without changing stdout or the exit code,
     // wherever it appears on the line.
     for args in [
-        vec!["--quiet", "selfbench", path_str, "--out", out_str],
-        vec!["selfbench", "--quiet", path_str, "--out", out_str],
-        vec!["selfbench", path_str, "--out", out_str, "--quiet"],
+        vec!["--quiet", "fig5", "--out", out_str],
+        vec!["fig5", "--quiet", "--out", out_str],
+        vec!["fig5", "--out", out_str, "--quiet"],
     ] {
         let out = run_cli(&args);
         assert_eq!(exit_code(&out), 0, "args {args:?}");
-        assert!(stdout(&out).contains("MIPS"), "args {args:?}");
+        assert!(stdout(&out).contains("Fig 5"), "args {args:?}");
         assert!(
             !String::from_utf8_lossy(&out.stderr).contains("[wrote"),
             "args {args:?}"
@@ -796,118 +776,18 @@ fn log_level_flags_are_global_and_strict() {
 
     // -v / --verbose are accepted; the conflict is a usage error.
     for v in ["-v", "--verbose"] {
-        let out = run_cli(&["selfbench", path_str, v]);
+        let out = run_cli(&["fig5", v]);
         assert_eq!(exit_code(&out), 0, "{v}");
     }
-    let out = run_cli(&["--quiet", "-v", "selfbench", path_str]);
+    let out = run_cli(&["--quiet", "-v", "fig5"]);
     assert_eq!(exit_code(&out), 3);
 
     // Unknown-flag strictness survives the global pre-scan.
-    assert_eq!(exit_code(&run_cli(&["selfbench", path_str, "--queit"])), 3);
+    assert_eq!(exit_code(&run_cli(&["fig5", "--queit"])), 3);
     assert_eq!(
         exit_code(&run_cli(&["--quiet", "campaign", "run", "--frobnicate"])),
         3
     );
-}
-
-#[test]
-fn selfbench_gate_trips_only_on_separated_intervals() {
-    use simbench_campaign::{run, CampaignSpec, EngineKind, Guest, RunnerOpts, Workload};
-    use simbench_suite::Benchmark;
-
-    // Three repetitions so both sides of the gate have a measurable CI.
-    let spec = CampaignSpec {
-        name: "cli-gate".to_string(),
-        guests: vec![Guest::Armlet],
-        engines: vec![EngineKind::Interp],
-        workloads: vec![Workload::Suite(Benchmark::Syscall)],
-        scale: 1_000_000,
-        reps: 3,
-        precision: None,
-        wall_limit: Some(std::time::Duration::from_secs(60)),
-    };
-    let result = run(&spec, &RunnerOpts::serial());
-    let campaign_path = scratch("gate-campaign");
-    result.save(&campaign_path).unwrap();
-    let campaign_str = campaign_path.to_str().unwrap();
-
-    // Persist the baseline report.
-    let baseline_path = scratch("gate-baseline");
-    let baseline_str = baseline_path.to_str().unwrap();
-    let out = run_cli(&["selfbench", campaign_str, "--out", baseline_str]);
-    assert_eq!(exit_code(&out), 0, "{}", stdout(&out));
-
-    // A run gated against its own report can never regress.
-    let out = run_cli(&["selfbench", campaign_str, "--gate", baseline_str]);
-    assert_eq!(exit_code(&out), 0, "{}", stdout(&out));
-    assert!(stdout(&out).contains("wall-clock gate"), "{}", stdout(&out));
-
-    // A 1000× slowdown with zero spread separates the intervals.
-    let mut slowed = result.clone();
-    for cell in &mut slowed.cells {
-        let slow = cell.stats.as_ref().unwrap().mean * 1000.0;
-        cell.seconds = vec![slow; cell.seconds.len()];
-        cell.stats = simbench_campaign::stats(&cell.seconds);
-    }
-    let slowed_path = scratch("gate-slowed");
-    slowed.save(&slowed_path).unwrap();
-    let slowed_str = slowed_path.to_str().unwrap();
-    let out = run_cli(&["selfbench", slowed_str, "--gate", baseline_str]);
-    assert_eq!(exit_code(&out), 1, "{}", stdout(&out));
-    assert!(stdout(&out).contains("REGRESSIONS"), "{}", stdout(&out));
-
-    // A v1 baseline has no intervals: every cell is skipped, so even
-    // the slowed run passes — the gate refuses to invent a CI.
-    let v1_path = scratch("gate-v1");
-    std::fs::write(
-        &v1_path,
-        std::fs::read_to_string(&baseline_path)
-            .unwrap()
-            .replace("simbench-hotloop/v2", "simbench-hotloop/v1"),
-    )
-    .unwrap();
-    let out = run_cli(&["selfbench", slowed_str, "--gate", v1_path.to_str().unwrap()]);
-    assert_eq!(exit_code(&out), 0, "{}", stdout(&out));
-    assert!(stdout(&out).contains("1 skipped"), "{}", stdout(&out));
-
-    // Gate usage errors exit 3: unreadable or malformed baselines.
-    let out = run_cli(&["selfbench", campaign_str, "--gate", "/nonexistent.json"]);
-    assert_eq!(exit_code(&out), 3);
-    let bad = scratch("gate-bad");
-    std::fs::write(&bad, "{\"schema\": \"simbench-hotloop/v9\"}").unwrap();
-    let out = run_cli(&["selfbench", campaign_str, "--gate", bad.to_str().unwrap()]);
-    assert_eq!(exit_code(&out), 3);
-}
-
-#[test]
-fn selfbench_reports_mips_from_a_stored_campaign() {
-    let (path, result) = measured_campaign("selfbench");
-    let path_str = path.to_str().unwrap();
-    let report_path = scratch("selfbench-report");
-    let report_str = report_path.to_str().unwrap();
-
-    let out = run_cli(&["selfbench", path_str, "--out", report_str]);
-    assert_eq!(exit_code(&out), 0, "{}", stdout(&out));
-    let text = stdout(&out);
-    assert!(text.contains("MIPS"), "{text}");
-    assert!(text.contains("suite:Hot Memory Access"), "{text}");
-
-    // The persisted report is self-describing JSON with one rate per
-    // clean cell, consistent with the stored campaign's counters.
-    let json = std::fs::read_to_string(&report_path).unwrap();
-    assert!(json.contains("simbench-hotloop/v2"), "{json}");
-    let ok_cells = result
-        .cells
-        .iter()
-        .filter(|c| c.status == CellStatus::Ok && c.counters_consistent)
-        .count();
-    assert_eq!(json.matches("\"mips\"").count(), ok_cells);
-
-    // Usage errors: missing campaign file and unknown flags exit 3.
-    assert_eq!(exit_code(&run_cli(&["selfbench"])), 3);
-    assert_eq!(exit_code(&run_cli(&["selfbench", path_str, "--bogus"])), 3);
-    // Unreadable input exits 3 like every other subcommand.
-    assert_eq!(exit_code(&run_cli(&["selfbench", "/nonexistent.json"])), 3);
 }
 
 #[test]
@@ -1326,4 +1206,99 @@ fn lint_runs_clean_on_this_repository() {
     // A root with none of the designated files present is all findings.
     let out = run_cli(&["lint", "--root", std::env::temp_dir().to_str().unwrap()]);
     assert_eq!(exit_code(&out), 1, "{}", stdout(&out));
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).to_string()
+}
+
+#[test]
+fn lint_names_the_budget_when_the_tree_is_over_it() {
+    let root = scratch_dir("budget");
+    std::fs::create_dir_all(root.join("crates")).unwrap();
+    std::fs::write(root.join("crates/big.rs"), "\n".repeat(100_000)).unwrap();
+    let out = run_cli(&["lint", "--root", root.to_str().unwrap()]);
+    assert_eq!(exit_code(&out), 1, "{}", stdout(&out));
+    assert!(stdout(&out).contains("100000 lines of Rust > LINE_BUDGET"));
+}
+
+#[test]
+fn help_prints_the_full_usage_and_exits_0() {
+    let out = run_cli(&["--help"]);
+    assert_eq!(exit_code(&out), 0);
+    for word in "campaign run|differ|analyze|lint|--resume|--failpoints".split('|') {
+        assert!(stdout(&out).contains(word), "{word}");
+    }
+}
+
+#[test]
+fn list_and_campaign_list_print_one_catalogue() {
+    let (a, b) = (run_cli(&["--list"]), run_cli(&["campaign", "list"]));
+    assert_eq!((exit_code(&a), exit_code(&b)), (0, 0));
+    assert_eq!(stdout(&a), stdout(&b));
+    assert!(stdout(&a).contains("System Call") && stdout(&a).contains("mcf-like"));
+}
+
+#[test]
+fn campaign_subcommand_errors_exit_3() {
+    assert_eq!(exit_code(&run_cli(&["campaign"])), 3);
+    let out = run_cli(&["campaign", "frob"]);
+    assert_eq!(exit_code(&out), 3);
+    assert!(stderr(&out).contains("unknown campaign subcommand \"frob\""));
+}
+
+#[test]
+fn a_v4_baseline_is_an_unreadable_input() {
+    let cur = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_campaign.json");
+    let v4 = scratch("v4-baseline");
+    let text = std::fs::read_to_string(cur).unwrap();
+    std::fs::write(&v4, text.replace(SCHEMA, "simbench-campaign/v4")).unwrap();
+    let v4 = v4.to_str().unwrap();
+    let out = run_cli(&["campaign", "compare", cur, "--baseline", v4]);
+    assert_eq!(exit_code(&out), 3, "{}", stdout(&out));
+    assert!(stderr(&out).contains("unsupported schema \"simbench-campaign/v4\""));
+}
+
+#[test]
+fn differ_resolves_ids_and_bare_names_in_any_case() {
+    for w in ["suite:System Call", "system call", "SYSTEM CALL"] {
+        let out = run_cli(&["differ", "armlet", "interp", "dbt", "--workload", w]);
+        assert_eq!(exit_code(&out), 0, "{w}: {}", stdout(&out));
+        assert!(stdout(&out).contains("armlet/suite:System Call — agree"));
+    }
+}
+
+#[test]
+fn differ_and_analyze_reject_unknown_workloads_alike() {
+    for cmd in ["differ armlet interp dbt", "analyze armlet"] {
+        let mut args: Vec<&str> = cmd.split(' ').collect();
+        args.extend(["--workload", "nope"]);
+        let out = run_cli(&args);
+        assert_eq!(exit_code(&out), 3, "{cmd}");
+        assert!(stderr(&out).contains("unknown workload \"nope\" (try a name"));
+    }
+}
+
+#[test]
+fn differ_rejects_a_named_workload_the_guest_lacks() {
+    let w = "Nonprivileged Access";
+    let out = run_cli(&["differ", "petix", "interp", "dbt", "--workload", w]);
+    assert_eq!(exit_code(&out), 3);
+    assert!(stderr(&out).contains("does not exist on guest \"petix\""));
+}
+
+#[test]
+fn differ_usage_errors_exit_3() {
+    // Missing engine, bad guest or engine, no or both selectors, bad flag.
+    for cmd in [
+        "differ armlet interp",
+        "differ z80 interp dbt --fuzz 1",
+        "differ armlet interp qemu --fuzz 1",
+        "differ armlet interp dbt",
+        "differ armlet interp dbt --workload all --fuzz 1",
+        "differ armlet interp dbt --fuzz 1 --bogus",
+    ] {
+        let args: Vec<&str> = cmd.split(' ').collect();
+        assert_eq!(exit_code(&run_cli(&args)), 3, "{cmd}");
+    }
 }

@@ -21,8 +21,8 @@
 //!   declarative guests × engines × workloads matrix expanded into jobs,
 //!   executed on a work-stealing worker pool, aggregated into per-cell
 //!   statistics (including the deterministic event profile), persisted
-//!   as versioned `simbench-campaign/v2` JSON (with a `v1` reader-side
-//!   migration), and compared against stored baselines — on noisy
+//!   as versioned `simbench-campaign/v6` JSON (`v5` files still load),
+//!   and compared against stored baselines — on noisy
 //!   wall-clock with a threshold, or counter-exactly on event profiles.
 //! * [`harness`] — experiment drivers regenerating every paper table
 //!   and figure, now thin renderers over campaign results, the

@@ -41,7 +41,7 @@ use std::path::Path;
 /// (what `find crates src tests -name '*.rs' | xargs cat | wc -l`
 /// prints). A change that deletes code lowers it in the same commit; one
 /// that raises it says why in CHANGES.md.
-pub const LINE_BUDGET: usize = 41_991;
+pub const LINE_BUDGET: usize = 42_064;
 
 /// Directories whose `.rs` files count against [`LINE_BUDGET`].
 const BUDGET_DIRS: &[&str] = &["crates", "src", "tests"];
@@ -60,7 +60,9 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/dbt/src/opt.rs",
     "crates/dbt/src/tlb.rs",
     "crates/dbt/src/versions.rs",
+    "crates/detailed/src/cachemodel.rs",
     "crates/detailed/src/lib.rs",
+    "crates/detailed/src/timing.rs",
     "crates/interp/src/lib.rs",
     "crates/isa-armlet/src/decode.rs",
     "crates/isa-armlet/src/decode_gen.rs",

@@ -181,15 +181,19 @@ impl Tlb for SplitCache {
     }
 }
 
-/// A modelled set-associative TLB with FIFO replacement and hit/miss
-/// accounting, used by the detailed (timing) engine.
-#[derive(Debug, Clone)]
+/// A modelled set-associative TLB with FIFO replacement, used by the
+/// detailed (timing) engine: `ways` slots per set in one array, each
+/// set's live entries first, oldest first, and whatever after them.
+///
+/// The `Default` table has no sets and must not be probed: it is what
+/// `mem::take` leaves in an owner that hands its table on.
+#[derive(Debug, Clone, Default)]
 pub struct SetAssocTlb {
-    sets: Vec<Vec<TlbEntry>>,
+    slots: Vec<TlbEntry>,
+    /// Live entries per set.
+    lens: Vec<usize>,
     ways: usize,
     set_mask: u32,
-    hits: u64,
-    misses: u64,
 }
 
 impl SetAssocTlb {
@@ -197,58 +201,61 @@ impl SetAssocTlb {
     /// `ways` entries each.
     pub fn new(sets: usize, ways: usize) -> Self {
         let n = sets.next_power_of_two().max(1);
+        let ways = ways.max(1);
+        let empty = TlbEntry {
+            vpage: 0,
+            ppage: 0,
+            user: Perms::default(),
+            kernel: Perms::default(),
+        };
         SetAssocTlb {
             // lint:allow(hot-path): one-time constructor allocation
-            sets: vec![Vec::with_capacity(ways); n],
-            ways: ways.max(1),
+            slots: vec![empty; n * ways],
+            lens: vec![0; n], // lint:allow(hot-path): as above
+            ways,
             set_mask: n as u32 - 1,
-            hits: 0,
-            misses: 0,
         }
     }
 
-    /// (hits, misses) since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
+    /// The set `vpage` maps to: its live length and its slots.
+    #[inline]
+    fn set(&mut self, vpage: u32) -> (&mut usize, &mut [TlbEntry]) {
+        let set = (vpage & self.set_mask) as usize;
+        let slots = &mut self.slots[set * self.ways..][..self.ways];
+        (&mut self.lens[set], slots)
     }
 }
 
 impl Tlb for SetAssocTlb {
     #[inline]
     fn lookup(&mut self, vpage: u32, _access: AccessKind) -> Option<(TlbEntry, bool)> {
-        let set = &self.sets[(vpage & self.set_mask) as usize];
-        match set.iter().find(|e| e.vpage == vpage) {
-            Some(e) => {
-                self.hits += 1;
-                Some((*e, true))
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let (len, slots) = self.set(vpage);
+        let e = slots[..*len].iter().find(|e| e.vpage == vpage)?;
+        Some((*e, true))
     }
 
     /// Evicts FIFO within the set if full.
     fn insert(&mut self, e: TlbEntry, _access: AccessKind, _holds_code: bool) {
-        let ways = self.ways;
-        let set = &mut self.sets[(e.vpage & self.set_mask) as usize];
-        set.retain(|x| x.vpage != e.vpage);
-        if set.len() == ways {
-            set.remove(0);
+        self.invalidate_page(e.vpage);
+        let (len, slots) = self.set(e.vpage);
+        if *len == slots.len() {
+            slots.copy_within(1.., 0);
+            *len -= 1;
         }
-        set.push(e);
+        slots[*len] = e;
+        *len += 1;
     }
 
     fn invalidate_page(&mut self, vpage: u32) {
-        let set = &mut self.sets[(vpage & self.set_mask) as usize];
-        set.retain(|x| x.vpage != vpage);
+        let (len, slots) = self.set(vpage);
+        if let Some(i) = slots[..*len].iter().position(|x| x.vpage == vpage) {
+            slots.copy_within(i + 1..*len, i);
+            *len -= 1;
+        }
     }
 
     fn flush(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.lens.fill(0);
     }
 }
 
@@ -377,5 +384,20 @@ mod tests {
         t.insert(e(3, 30), R, false);
         // vpage 1 (oldest) evicted, not duplicated.
         assert!(t.lookup(1, R).is_none());
+    }
+
+    #[test]
+    fn set_assoc_invalidate_keeps_fifo_order_and_sets_apart() {
+        let mut t = SetAssocTlb::new(2, 3);
+        for vpage in [0, 2, 4, 1] {
+            t.insert(e(vpage, vpage + 10), R, false);
+        }
+        t.invalidate_page(0);
+        t.insert(e(6, 16), R, false); // set 0 holds 2, 4, 6: full
+        t.insert(e(8, 18), R, false); // evicts 2, the oldest
+        let live = |t: &mut SetAssocTlb| [0, 2, 4, 6, 8, 1].map(|v| t.lookup(v, R).is_some());
+        assert_eq!(live(&mut t), [false, false, true, true, true, true]);
+        t.flush();
+        assert_eq!(live(&mut t), [false; 6]);
     }
 }

@@ -27,15 +27,16 @@ use simbench_core::bus::Bus;
 use simbench_core::engine::{Engine, EngineInfo, RunLimits, RunOutcome};
 use simbench_core::events::Counters;
 use simbench_core::exec::OpOutcome;
-use simbench_core::ir::{Decoded, InsnClass, Op};
+use simbench_core::ir::{Decoded, Op};
 use simbench_core::isa::Isa;
 use simbench_core::machine::Machine;
 use simbench_core::page_of;
+use simbench_core::pool::Pool;
 use simbench_core::run::{self, Policy, PolicyObs, Sensitive, Tlb};
 use simbench_core::tlb::SetAssocTlb;
 
 use cachemodel::{CacheModel, PipelineStats};
-use timing::{BranchPredictor, Latencies, Scoreboard};
+use timing::{BranchPredictor, Scoreboard};
 
 /// Cycles per decoded instruction (front end).
 const DECODE_CYCLES: u64 = 1;
@@ -46,20 +47,31 @@ const WALK_CYCLES: u64 = 30;
 /// Redirect penalty per taken branch.
 const BRANCH_CYCLES: u64 = 2;
 
-/// The detailed timing engine.
-#[derive(Debug)]
-pub struct Detailed<I: Isa> {
+/// The model's tables, which a dropped engine leaves for the next one:
+/// `run` flushes or resets every part before it looks at it.
+#[derive(Debug, Default)]
+struct Model {
     tlb: SetAssocTlb,
     icache: CacheModel,
     dcache: CacheModel,
     l2: CacheModel,
-    scoreboard: Scoreboard,
     bpred: BranchPredictor,
-    stats: PipelineStats,
-    /// Memory latency of the current op, consumed by the scoreboard.
-    mem_cycles: u64,
     /// Physical pages the model has no device implementation for.
     unimplemented_pages: Vec<u32>,
+}
+
+static SPARES: Pool<Model> = Pool::new();
+
+/// The detailed timing engine.
+#[derive(Debug)]
+pub struct Detailed<I: Isa> {
+    model: Model,
+    scoreboard: Scoreboard,
+    stats: PipelineStats,
+    /// Conditional branches predicted and mispredicted.
+    predictions: [u64; 2],
+    /// Memory latency of the current op, consumed by the scoreboard.
+    mem_cycles: u64,
     /// Per-class retirement histogram (part of the detailed bookkeeping).
     class_histogram: [u64; 5],
     _isa: PhantomData<I>,
@@ -72,18 +84,24 @@ impl<I: Isa> Default for Detailed<I> {
 }
 
 impl<I: Isa> Detailed<I> {
-    /// An engine with everything implemented.
+    /// An engine with everything implemented, on the model a dropped
+    /// engine left if there is one.
     pub fn new() -> Self {
-        Detailed {
+        let mut model = SPARES.take(|_| true).unwrap_or_else(|| Model {
             tlb: SetAssocTlb::new(16, 4),
             icache: CacheModel::new(32 << 10, 4, 64, 1, 12),
             dcache: CacheModel::new(32 << 10, 4, 64, 2, 12),
             l2: CacheModel::new(256 << 10, 8, 64, 10, 80),
-            scoreboard: Scoreboard::new(Latencies::default()),
-            bpred: BranchPredictor::new(12, Latencies::default().mispredict),
-            stats: PipelineStats::default(),
-            mem_cycles: 0,
+            bpred: BranchPredictor::new(12),
             unimplemented_pages: Vec::new(),
+        });
+        model.unimplemented_pages.clear();
+        Detailed {
+            model,
+            scoreboard: Scoreboard::default(),
+            stats: PipelineStats::default(),
+            predictions: [0; 2],
+            mem_cycles: 0,
             class_histogram: [0; 5],
             _isa: PhantomData,
         }
@@ -92,7 +110,7 @@ impl<I: Isa> Detailed<I> {
     /// Mark physical pages as having no device model: any access ends the
     /// run as [`simbench_core::engine::ExitReason::Unsupported`].
     pub fn with_unimplemented_pages(mut self, pages: &[u32]) -> Self {
-        self.unimplemented_pages = pages.to_vec();
+        pages.clone_into(&mut self.model.unimplemented_pages);
         self
     }
 
@@ -101,9 +119,25 @@ impl<I: Isa> Detailed<I> {
         self.stats
     }
 
-    /// The last run's retired-instruction histogram by [`InsnClass`].
+    /// The last run's retired-instruction histogram, indexed by
+    /// [`simbench_core::ir::InsnClass`] in declaration order.
     pub fn class_histogram(&self) -> [u64; 5] {
         self.class_histogram
+    }
+
+    /// The last run's conditional branches: (predicted, mispredicted).
+    pub fn predictor_stats(&self) -> (u64, u64) {
+        self.predictions.into()
+    }
+}
+
+/// The model goes to the next engine, unless a panic is unwinding
+/// through this one: it may have stopped half-way through an update.
+impl<I: Isa> Drop for Detailed<I> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            SPARES.give(std::mem::take(&mut self.model));
+        }
     }
 }
 
@@ -126,7 +160,7 @@ impl<I: Isa> Policy for Detailed<I> {
 
     #[inline]
     fn tlb(&mut self) -> &mut SetAssocTlb {
-        &mut self.tlb
+        &mut self.model.tlb
     }
 
     fn obs(&self) -> &'static PolicyObs {
@@ -136,7 +170,7 @@ impl<I: Isa> Policy for Detailed<I> {
 
     #[inline]
     fn fetch_cost(&mut self, pa: u32) {
-        let (cycles, stall) = through_l2(&mut self.icache, &mut self.l2, pa);
+        let (cycles, stall) = through_l2(&mut self.model.icache, &mut self.model.l2, pa);
         self.stats.icache_stall += stall;
         self.stats.cycles += cycles;
     }
@@ -149,7 +183,7 @@ impl<I: Isa> Policy for Detailed<I> {
 
     #[inline]
     fn data_cost(&mut self, pa: u32) {
-        let (cycles, stall) = through_l2(&mut self.dcache, &mut self.l2, pa);
+        let (cycles, stall) = through_l2(&mut self.model.dcache, &mut self.model.l2, pa);
         self.stats.dcache_stall += stall;
         self.stats.cycles += cycles;
         self.mem_cycles += cycles;
@@ -158,13 +192,7 @@ impl<I: Isa> Policy for Detailed<I> {
     #[inline]
     fn insn_cost(&mut self, d: &Decoded) {
         self.stats.cycles += DECODE_CYCLES;
-        self.class_histogram[match d.class {
-            InsnClass::Alu => 0,
-            InsnClass::Mem => 1,
-            InsnClass::Branch => 2,
-            InsnClass::System => 3,
-            InsnClass::Nop => 4,
-        }] += 1;
+        self.class_histogram[d.class as usize] += 1;
     }
 
     /// In-order issue through the scoreboard (operand stalls, unit
@@ -177,7 +205,9 @@ impl<I: Isa> Policy for Detailed<I> {
         let taken = matches!(outcome, OpOutcome::Jump { .. });
         let mut penalty = 0;
         if let Op::BranchCond { .. } = op {
-            penalty += self.bpred.observe(pc, taken);
+            let p = self.model.bpred.observe(pc, taken);
+            self.predictions[usize::from(p > 0)] += 1;
+            penalty += p;
         }
         if taken {
             penalty += BRANCH_CYCLES;
@@ -189,7 +219,7 @@ impl<I: Isa> Policy for Detailed<I> {
     #[inline]
     fn sensitive(&mut self, what: Sensitive, _counters: &mut Counters) -> Result<(), &'static str> {
         match what {
-            Sensitive::Mmio(pa) if self.unimplemented_pages.contains(&page_of(pa)) => {
+            Sensitive::Mmio(pa) if self.model.unimplemented_pages.contains(&page_of(pa)) => {
                 Err("no device model for accessed page")
             }
             _ => Ok(()),
@@ -213,13 +243,14 @@ impl<I: Isa, B: Bus> Engine<I, B> for Detailed<I> {
     }
 
     fn run(&mut self, m: &mut Machine<I, B>, limits: &RunLimits) -> RunOutcome {
-        self.tlb.flush();
-        self.icache.flush();
-        self.dcache.flush();
-        self.l2.flush();
+        self.model.tlb.flush();
+        self.model.icache.flush();
+        self.model.dcache.flush();
+        self.model.l2.flush();
+        self.model.bpred.reset();
         self.scoreboard.reset();
-        self.bpred.reset();
         self.stats = PipelineStats::default();
+        self.predictions = [0; 2];
         self.class_histogram = [0; 5];
         self.mem_cycles = 0;
         run::run(self, m, limits)
@@ -286,7 +317,7 @@ mod tests {
             let mut m = Machine::<Armlet, _>::boot(&img, FlatRam::new(1 << 20));
             let out = e.run(&mut m, &RunLimits::insns(1_000_000));
             assert_eq!(out.exit, ExitReason::Halted);
-            (e.pipeline_stats(), e.class_histogram(), e.bpred.stats())
+            (e.pipeline_stats(), e.class_histogram(), e.predictor_stats())
         };
         let first = run();
         assert!(first.0.branch_penalty > 0 && first.1[2] == 50);

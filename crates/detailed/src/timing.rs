@@ -5,159 +5,134 @@
 //! paper's explanation for Gem5's numbers.
 
 use simbench_core::cpu::MAX_GPRS;
-use simbench_core::ir::{LinkKind, Op, Operand, RetKind};
+use simbench_core::ir::{AluOp, LinkKind, Op, Operand, RetKind};
 
-/// Default operation latencies in cycles.
-#[derive(Debug, Clone, Copy)]
-pub struct Latencies {
-    /// Simple ALU ops.
-    pub alu: u64,
-    /// Multiplies.
-    pub mul: u64,
-    /// Load-to-use latency on a cache hit.
-    pub load: u64,
-    /// Branch misprediction penalty.
-    pub mispredict: u64,
-}
+/// Latency of a simple ALU op, in cycles.
+const ALU_CYCLES: u64 = 1;
+/// Latency of a multiply.
+const MUL_CYCLES: u64 = 3;
+/// Load-to-use latency on a cache hit.
+const LOAD_CYCLES: u64 = 2;
+/// Branch misprediction penalty.
+pub const MISPREDICT_CYCLES: u64 = 12;
 
-impl Default for Latencies {
-    fn default() -> Self {
-        Latencies {
-            alu: 1,
-            mul: 3,
-            load: 2,
-            mispredict: 12,
-        }
-    }
-}
-
-/// In-order scoreboard: per-register ready cycle.
-#[derive(Debug, Clone)]
+/// In-order scoreboard: per-register ready cycle, starting at cycle zero.
+#[derive(Debug, Clone, Default)]
 pub struct Scoreboard {
-    ready: [u64; MAX_GPRS],
+    /// The guest's registers, then [`ZERO`] and [`SINK`].
+    ready: [u64; MAX_GPRS + 2],
     /// Current cycle (advances as instructions issue).
     pub now: u64,
-    lat: Latencies,
-    stall_cycles: u64,
 }
 
-/// Operand registers read and written by an op (at most 3 sources).
-fn op_regs(op: &Op) -> ([Option<u8>; 3], Option<u8>) {
+/// A source slot nothing writes: always ready.
+const ZERO: u8 = MAX_GPRS as u8;
+/// A destination slot nothing reads.
+const SINK: u8 = ZERO + 1;
+
+/// Which latency an op is charged.
+enum Unit {
+    Alu,
+    Mul,
+    Load,
+    Store,
+}
+
+/// The registers an op reads and writes, unused slots filled with
+/// [`ZERO`] and [`SINK`], and its unit.
+fn op_regs(op: &Op) -> ([u8; 3], u8, Unit) {
     let src_of = |s: Operand| match s {
-        Operand::Reg(r) => Some(r),
-        Operand::Imm(_) => None,
+        Operand::Reg(r) => r,
+        Operand::Imm(_) => ZERO,
     };
     match *op {
-        Op::Alu { rd, rn, src, .. } => ([Some(rn), src_of(src), None], Some(rd)),
-        Op::Cmp { rn, src, .. } => ([Some(rn), src_of(src), None], None),
-        Op::Load { rd, base, .. } => ([Some(base), None, None], Some(rd)),
-        Op::Store { rs, base, .. } => ([Some(rs), Some(base), None], None),
-        Op::BranchReg { rm } => ([Some(rm), None, None], None),
+        Op::Alu {
+            op, rd, rn, src, ..
+        } => {
+            let unit = if op == AluOp::Mul {
+                Unit::Mul
+            } else {
+                Unit::Alu
+            };
+            ([rn, src_of(src), ZERO], rd, unit)
+        }
+        Op::Cmp { rn, src, .. } => ([rn, src_of(src), ZERO], SINK, Unit::Alu),
+        Op::Load { rd, base, .. } => ([base, ZERO, ZERO], rd, Unit::Load),
+        Op::Store { rs, base, .. } => ([rs, base, ZERO], SINK, Unit::Store),
+        Op::BranchReg { rm } => ([rm, ZERO, ZERO], SINK, Unit::Alu),
         Op::Call { link, .. } => match link {
-            LinkKind::Register(lr) => ([None; 3], Some(lr)),
-            LinkKind::Push(sp) => ([Some(sp), None, None], Some(sp)),
+            LinkKind::Register(lr) => ([ZERO; 3], lr, Unit::Alu),
+            LinkKind::Push(sp) => ([sp, ZERO, ZERO], sp, Unit::Alu),
         },
         Op::CallReg { rm, link, .. } => match link {
-            LinkKind::Register(lr) => ([Some(rm), None, None], Some(lr)),
-            LinkKind::Push(sp) => ([Some(rm), Some(sp), None], Some(sp)),
+            LinkKind::Register(lr) => ([rm, ZERO, ZERO], lr, Unit::Alu),
+            LinkKind::Push(sp) => ([rm, sp, ZERO], sp, Unit::Alu),
         },
-        Op::Ret(RetKind::Register(r)) => ([Some(r), None, None], None),
-        Op::Ret(RetKind::Pop(sp)) => ([Some(sp), None, None], Some(sp)),
-        Op::CopRead { rd, .. } => ([None; 3], Some(rd)),
-        Op::CopWrite { rs, .. } => ([Some(rs), None, None], None),
-        _ => ([None; 3], None),
+        Op::Ret(RetKind::Register(r)) => ([r, ZERO, ZERO], SINK, Unit::Alu),
+        Op::Ret(RetKind::Pop(sp)) => ([sp, ZERO, ZERO], sp, Unit::Load),
+        Op::CopRead { rd, .. } => ([ZERO; 3], rd, Unit::Alu),
+        Op::CopWrite { rs, .. } => ([rs, ZERO, ZERO], SINK, Unit::Alu),
+        _ => ([ZERO; 3], SINK, Unit::Alu),
     }
 }
 
 impl Scoreboard {
-    /// A scoreboard at cycle zero.
-    pub fn new(lat: Latencies) -> Self {
-        Scoreboard {
-            ready: [0; MAX_GPRS],
-            now: 0,
-            lat,
-            stall_cycles: 0,
-        }
-    }
-
     /// Issue one op: stall until its sources are ready, charge its
     /// latency, and mark its destination. `mem_extra` is additional
     /// latency from the cache model (0 for non-memory ops). Returns the
     /// cycles this op added.
     pub fn issue(&mut self, op: &Op, mem_extra: u64) -> u64 {
-        let (srcs, dst) = op_regs(op);
-        let start = self.now;
-        let mut issue_at = self.now + 1;
-        for src in srcs.into_iter().flatten() {
-            issue_at = issue_at.max(self.ready[src as usize]);
-        }
-        self.stall_cycles += issue_at - (self.now + 1);
-        let latency = match op {
-            Op::Alu {
-                op: simbench_core::ir::AluOp::Mul,
-                ..
-            } => self.lat.mul,
-            Op::Load { .. } | Op::Ret(RetKind::Pop(_)) => self.lat.load + mem_extra,
-            Op::Store { .. } => 1 + mem_extra,
-            _ => self.lat.alu,
+        let ([a, b, c], dst, unit) = op_regs(op);
+        let ready = |r: u8| self.ready[usize::from(r)];
+        let issue_at = (self.now + 1).max(ready(a)).max(ready(b)).max(ready(c));
+        let latency = match unit {
+            Unit::Alu => ALU_CYCLES,
+            Unit::Mul => MUL_CYCLES,
+            Unit::Load => LOAD_CYCLES + mem_extra,
+            Unit::Store => 1 + mem_extra,
         };
-        let done = issue_at + latency;
-        if let Some(d) = dst {
-            self.ready[d as usize] = done;
-        }
+        self.ready[usize::from(dst)] = issue_at + latency;
+        let added = issue_at - self.now + latency;
         self.now = issue_at;
-        self.now - start + latency
-    }
-
-    /// Cycles lost waiting on operands so far.
-    pub fn stalls(&self) -> u64 {
-        self.stall_cycles
+        added
     }
 
     /// Reset for a new run.
     pub fn reset(&mut self) {
-        self.ready = [0; MAX_GPRS];
+        self.ready = [0; MAX_GPRS + 2];
         self.now = 0;
-        self.stall_cycles = 0;
     }
 }
 
 /// A bimodal (2-bit saturating counter) branch predictor.
-#[derive(Debug, Clone)]
+///
+/// The `Default` predictor has no counters and must not observe.
+#[derive(Debug, Clone, Default)]
 pub struct BranchPredictor {
     counters: Vec<u8>,
     mask: u32,
-    hits: u64,
-    misses: u64,
-    mispredict_penalty: u64,
 }
 
 impl BranchPredictor {
     /// A predictor with `1 << bits` counters.
-    pub fn new(bits: u8, mispredict_penalty: u64) -> Self {
+    pub fn new(bits: u8) -> Self {
         let n = 1usize << bits;
         BranchPredictor {
+            // lint:allow(hot-path): one-time constructor allocation
             counters: vec![1; n], // weakly not-taken
             mask: n as u32 - 1,
-            hits: 0,
-            misses: 0,
-            mispredict_penalty,
         }
     }
 
     /// Record an executed conditional branch; returns the cycle penalty
     /// (0 on correct prediction).
     pub fn observe(&mut self, pc: u32, taken: bool) -> u64 {
-        let i = ((pc >> 2) & self.mask) as usize;
-        let predict_taken = self.counters[i] >= 2;
-        let penalty = if predict_taken == taken {
-            self.hits += 1;
+        let c = &mut self.counters[((pc >> 2) & self.mask) as usize];
+        let penalty = if (*c >= 2) == taken {
             0
         } else {
-            self.misses += 1;
-            self.mispredict_penalty
+            MISPREDICT_CYCLES
         };
-        let c = &mut self.counters[i];
         if taken {
             *c = (*c + 1).min(3);
         } else {
@@ -166,80 +141,68 @@ impl BranchPredictor {
         penalty
     }
 
-    /// (correct, mispredicted).
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
     /// Untrain for a new run: every counter weakly not-taken again.
     pub fn reset(&mut self) {
         self.counters.fill(1);
-        self.hits = 0;
-        self.misses = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simbench_core::ir::AluOp;
+    use simbench_core::ir::MemSize;
+
+    fn add(rd: u8, rn: u8) -> Op {
+        Op::Alu {
+            op: AluOp::Add,
+            rd,
+            rn,
+            src: Operand::Imm(1),
+            set_flags: false,
+        }
+    }
+
+    fn load(rd: u8) -> Op {
+        Op::Load {
+            rd,
+            base: 0,
+            off: 0,
+            size: MemSize::B4,
+            nonpriv: false,
+        }
+    }
 
     #[test]
     fn scoreboard_tracks_dependencies() {
-        let mut sb = Scoreboard::new(Latencies::default());
-        // r1 = load (latency 2): r1 ready later.
-        sb.issue(
-            &Op::Load {
-                rd: 1,
-                base: 0,
-                off: 0,
-                size: simbench_core::ir::MemSize::B4,
-                nonpriv: false,
-            },
-            0,
-        );
-        let before = sb.stalls();
-        // Dependent add must stall on r1.
-        sb.issue(
-            &Op::Alu {
-                op: AluOp::Add,
-                rd: 2,
-                rn: 1,
-                src: Operand::Imm(1),
-                set_flags: false,
-            },
-            0,
-        );
-        assert!(sb.stalls() > before, "load-use stall recorded");
-        // Independent op does not stall.
-        let before = sb.stalls();
-        sb.issue(
-            &Op::Alu {
-                op: AluOp::Add,
-                rd: 3,
-                rn: 0,
-                src: Operand::Imm(1),
-                set_flags: false,
-            },
-            0,
-        );
-        assert_eq!(sb.stalls(), before);
+        let mut sb = Scoreboard::default();
+        assert_eq!(sb.issue(&load(1), 0), 1 + LOAD_CYCLES);
+        // The dependent add waits for r1; the independent one does not.
+        let dependent = sb.issue(&add(2, 1), 0);
+        let independent = sb.issue(&add(3, 0), 0);
+        assert_eq!(independent, 1 + ALU_CYCLES);
+        assert_eq!(dependent, independent + 1, "a one-cycle load-use stall");
+    }
+
+    #[test]
+    fn unused_slots_neither_stall_nor_mark() {
+        let mut sb = Scoreboard::default();
+        // A store marks no register, however long its memory access...
+        let store = Op::Store {
+            rs: 1,
+            base: 2,
+            off: 0,
+            size: MemSize::B4,
+            nonpriv: false,
+        };
+        assert_eq!(sb.issue(&store, 50), 1 + 1 + 50);
+        // ...and an immediate operand never waits.
+        assert_eq!(sb.issue(&add(3, 0), 0), 1 + ALU_CYCLES);
     }
 
     #[test]
     fn multiply_slower_than_add() {
-        let lat = Latencies::default();
-        let mut sb = Scoreboard::new(lat);
-        let add = sb.issue(
-            &Op::Alu {
-                op: AluOp::Add,
-                rd: 1,
-                rn: 0,
-                src: Operand::Imm(1),
-                set_flags: false,
-            },
-            0,
-        );
+        let mut sb = Scoreboard::default();
+        let add = sb.issue(&add(1, 0), 0);
         let mul = sb.issue(
             &Op::Alu {
                 op: AluOp::Mul,
@@ -250,40 +213,31 @@ mod tests {
             },
             0,
         );
-        assert!(mul > add);
+        assert_eq!((add, mul), (1 + ALU_CYCLES, 1 + MUL_CYCLES));
     }
 
     #[test]
     fn predictor_learns_a_loop() {
-        let mut bp = BranchPredictor::new(4, 10);
+        let mut bp = BranchPredictor::new(4);
         // A loop branch taken 100 times: after warmup, no penalties.
-        let mut late_penalty = 0;
+        let (mut mispredicts, mut late_penalty) = (0, 0);
         for i in 0..100 {
             let p = bp.observe(0x8000, true);
+            mispredicts += u32::from(p > 0);
             if i > 4 {
                 late_penalty += p;
             }
         }
         assert_eq!(late_penalty, 0, "steady-state loop predicted");
-        let (hits, misses) = bp.stats();
-        assert!(hits > 90 && misses <= 4);
+        assert!(mispredicts <= 4);
     }
 
     #[test]
     fn reset_clears() {
-        let mut sb = Scoreboard::new(Latencies::default());
-        sb.issue(
-            &Op::Load {
-                rd: 1,
-                base: 0,
-                off: 0,
-                size: simbench_core::ir::MemSize::B4,
-                nonpriv: false,
-            },
-            5,
-        );
+        let mut sb = Scoreboard::default();
+        sb.issue(&load(1), 5);
         sb.reset();
         assert_eq!(sb.now, 0);
-        assert_eq!(sb.stalls(), 0);
+        assert_eq!(sb.issue(&add(2, 1), 0), 1 + ALU_CYCLES, "r1 is ready");
     }
 }

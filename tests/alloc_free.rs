@@ -40,6 +40,7 @@ use simbench_core::image::GuestImage;
 use simbench_core::ir::{AluOp, Cond};
 use simbench_core::machine::Machine;
 use simbench_dbt::Dbt;
+use simbench_detailed::Detailed;
 use simbench_interp::Interp;
 use simbench_isa_armlet::{Armlet, ArmletAsm};
 use simbench_platform::Platform;
@@ -167,7 +168,7 @@ fn built<E>(make: fn() -> E) -> (E, u64) {
 
 /// The engine pool, seen through the allocator (this process has one
 /// test thread, so the pool holds what this function left in it). On
-/// entry it holds one set of tables.
+/// entry it holds at most one set of tables.
 fn recycled_engines_allocate_nothing<E: Engine<Armlet, FlatRam>>(
     name: &str,
     make: fn() -> E,
@@ -310,6 +311,10 @@ fn warm_hot_loops_allocate_nothing() {
     recycled_engines_allocate_nothing("dbt", Dbt::<Armlet>::new, &img);
     recycled_engines_allocate_nothing("native", Virt::<Armlet>::native, &img);
     recycled_engines_allocate_nothing("virt", Virt::<Armlet>::kvm, &img);
+    recycled_engines_allocate_nothing("detailed", Detailed::<Armlet>::new, &img);
+    // As the campaign runner builds it: the page list is the model's too.
+    let campaign = || Detailed::<Armlet>::new().with_unimplemented_pages(&[0xF0001, 0xF0003]);
+    recycled_engines_allocate_nothing("detailed, campaign", campaign, &img);
     let mut dbt = Dbt::<Armlet>::new();
 
     // Enabled telemetry: the first instrumented run pays one-time costs

@@ -1,9 +1,10 @@
-//! `Dbt` and `Virt` hand their tables to the next engine through a
-//! process-wide pool (`simbench_core::pool`), and an engine built on
-//! recycled tables must be indistinguishable from one built on new
-//! ones: on every guest, an image run on tables a *different* image has
-//! just used ends in the same machine state with the same whole-run and
-//! kernel counters as on tables nobody has used.
+//! `Dbt`, `Virt` and `Detailed` hand their tables to the next engine
+//! through a process-wide pool (`simbench_core::pool`), and an engine
+//! built on recycled tables must be indistinguishable from one built on
+//! new ones: on every guest, an image run on tables a *different* image
+//! has just used ends in the same machine state with the same whole-run
+//! and kernel counters — and, on `Detailed`, the same modelled cycles,
+//! class histogram and branch predictions — as on tables nobody has used.
 //!
 //! Everything lives in ONE sequential test function, because "nobody
 //! has used" is a statement about the whole process. The pool is empty
@@ -24,13 +25,36 @@ use simbench_core::image::GuestImage;
 use simbench_core::ir::{AluOp, Cond};
 use simbench_core::isa::Isa;
 use simbench_core::CpuState;
+use simbench_detailed::cachemodel::PipelineStats;
+use simbench_platform::{INTC_BASE, SAFEDEV_BASE};
 use simbench_suite::build;
 
 const ITERS: u32 = 32;
 const PAGE: usize = simbench_core::PAGE_SIZE as usize;
 
-type BoxedEngine<G> = Box<dyn Engine<<G as GuestSpec>::Isa, Platform>>;
+type BoxedEngine<G> = Box<dyn Recycling<<G as GuestSpec>::Isa>>;
 type Make<G> = fn() -> BoxedEngine<G>;
+
+/// What a timing model decides: its pipeline statistics, class
+/// histogram and (correct, mispredicted) branch predictions.
+type Timing = (PipelineStats, [u64; 5], (u64, u64));
+
+/// An engine that recycles its tables.
+trait Recycling<I: Isa>: Engine<I, Platform> {
+    /// The last run's timing, on an engine that models it.
+    fn timing(&self) -> Option<Timing> {
+        None
+    }
+}
+
+impl<I: Isa> Recycling<I> for Dbt<I> {}
+impl<I: Isa> Recycling<I> for Virt<I> {}
+impl<I: Isa> Recycling<I> for Detailed<I> {
+    fn timing(&self) -> Option<Timing> {
+        let predictions = self.predictor_stats();
+        Some((self.pipeline_stats(), self.class_histogram(), predictions))
+    }
+}
 
 /// Everything a run leaves behind that does not depend on the clock:
 /// what `Machine::state_digest` hashes, unhashed (96 MiB of RAM through
@@ -44,6 +68,7 @@ struct Observed {
     ram: Vec<(usize, Vec<u8>)>,
     counters: Counters,
     kernel: Option<Counters>,
+    timing: Option<Timing>,
 }
 
 fn run<G: GuestSpec>(engine: &mut BoxedEngine<G>, image: &GuestImage) -> Observed {
@@ -63,6 +88,7 @@ fn run<G: GuestSpec>(engine: &mut BoxedEngine<G>, image: &GuestImage) -> Observe
             .collect(),
         counters: out.counters,
         kernel: out.kernel.map(|k| k.counters),
+        timing: engine.timing(),
     }
 }
 
@@ -71,15 +97,23 @@ fn dbt_at<G: GuestSpec>(version: &str) -> BoxedEngine<G> {
     Box::new(Dbt::<G::Isa>::with_profile(profile))
 }
 
+/// The pages the campaign runner gives `Detailed` no device model for.
+const UNIMPLEMENTED: [u32; 2] = [INTC_BASE >> 12, SAFEDEV_BASE >> 12];
+
 /// The engines that recycle. Three dbt profiles: their IBTCs have 64,
-/// 512 and 256 entries, and the tables of one serve the next.
-fn engines<G: GuestSpec>() -> [(&'static str, Make<G>); 5] {
+/// 512 and 256 entries, and the tables of one serve the next. Two
+/// detailed engines, as tests and the campaign runner build them.
+fn engines<G: GuestSpec>() -> [(&'static str, Make<G>); 7] {
     [
         ("dbt", || Box::new(Dbt::<G::Isa>::new())),
         ("dbt v2.0.2", || dbt_at::<G>("v2.0.2")),
         ("dbt v2.2.1", || dbt_at::<G>("v2.2.1")),
         ("virt", || Box::new(Virt::<G::Isa>::kvm())),
         ("native", || Box::new(Virt::<G::Isa>::native())),
+        ("detailed", || Box::new(Detailed::<G::Isa>::new())),
+        ("detailed, campaign", || {
+            Box::new(Detailed::<G::Isa>::new().with_unimplemented_pages(&UNIMPLEMENTED))
+        }),
     ]
 }
 
@@ -200,6 +234,8 @@ fn recycled_engine_parts_equal_never_used_ones() {
     const DBT: usize = 0;
     const OLD_DBT: usize = 1;
     const NATIVE: usize = 4;
+    const DETAILED: usize = 5;
+    const CAMPAIGN: usize = 6;
     let sizing = 3;
 
     // One IBTC size after another — 64 entries, 512, 256, 64 again —
@@ -229,9 +265,23 @@ fn recycled_engine_parts_equal_never_used_ones() {
         armlet.check(DBT, b, "a code-cache overflow");
     }
 
+    // The campaign's detailed engine has no model of the safe device and
+    // the plain one has: each answers for itself on the other's model.
+    let device = build(&ArmletSupport, Benchmark::MmioDevice, ITERS).unwrap();
+    for engine in [CAMPAIGN, DETAILED, CAMPAIGN, DETAILED] {
+        let mut m = Machine::<Armlet, _>::boot(&device, Platform::new());
+        let exit = engines::<ArmletGuest>()[engine].1()
+            .run(&mut m, &RunLimits::insns(1_000_000))
+            .exit;
+        assert_eq!(
+            matches!(exit, ExitReason::Unsupported(_)),
+            engine == CAMPAIGN
+        );
+    }
+
     // Two engines of a family alive at once, as the differ's mixed dbt
     // pair is: each has tables of its own, and both sets come back.
-    for family in [[DBT, OLD_DBT], [NATIVE - 1, NATIVE]] {
+    for family in [[DBT, OLD_DBT], [NATIVE - 1, NATIVE], [DETAILED, CAMPAIGN]] {
         for _ in 0..2 {
             let mut pair = family.map(|e| engines::<ArmletGuest>()[e].1());
             for image in 0..armlet.images.len() {
@@ -248,7 +298,7 @@ fn recycled_engine_parts_equal_never_used_ones() {
 
     // An engine dropped by a panic keeps its tables to itself, and the
     // next one is none the worse for it.
-    for engine in [DBT, NATIVE] {
+    for engine in [DBT, NATIVE, DETAILED] {
         let unwound = catch_unwind(AssertUnwindSafe(|| {
             let mut doomed = engines::<ArmletGuest>()[engine].1();
             run::<ArmletGuest>(&mut doomed, &armlet.images[0].1);

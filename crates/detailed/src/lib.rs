@@ -68,7 +68,7 @@ pub struct Detailed<I: Isa> {
     model: Model,
     scoreboard: Scoreboard,
     stats: PipelineStats,
-    /// Conditional branches predicted and mispredicted.
+    /// Conditional branches predicted correctly, and mispredicted.
     predictions: [u64; 2],
     /// Memory latency of the current op, consumed by the scoreboard.
     mem_cycles: u64,
@@ -125,7 +125,7 @@ impl<I: Isa> Detailed<I> {
         self.class_histogram
     }
 
-    /// The last run's conditional branches: (predicted, mispredicted).
+    /// The last run's conditional-branch predictions: (correct, wrong).
     pub fn predictor_stats(&self) -> (u64, u64) {
         self.predictions.into()
     }

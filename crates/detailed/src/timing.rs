@@ -14,7 +14,7 @@ const MUL_CYCLES: u64 = 3;
 /// Load-to-use latency on a cache hit.
 const LOAD_CYCLES: u64 = 2;
 /// Branch misprediction penalty.
-pub const MISPREDICT_CYCLES: u64 = 12;
+const MISPREDICT_CYCLES: u64 = 12;
 
 /// In-order scoreboard: per-register ready cycle, starting at cycle zero.
 #[derive(Debug, Clone, Default)]

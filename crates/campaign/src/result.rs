@@ -178,7 +178,7 @@ impl StopReason {
 }
 
 /// One measured matrix cell.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellResult {
     /// Guest id (`armlet` / `petix`).
     pub guest: String,
@@ -285,7 +285,7 @@ impl From<simbench_obs::metrics::Snapshot> for Telemetry {
 }
 
 /// A completed campaign: spec echo plus every cell.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignResult {
     /// Schema identifier (always [`SCHEMA`] for in-memory values).
     pub schema: String,

@@ -4,21 +4,28 @@
 //! a whole-matrix result in the current `simbench-campaign/v6` layout,
 //! `campaign_v6_shard.json` a partial (shard) result with shard metadata
 //! and `skipped` cells, and `campaign_v5.json` / `campaign_v5_shard.json`
-//! their `v5` forms, which load unchanged but for the schema line. Any
-//! unintentional change to the serializer or the parser shows up here as
-//! a byte diff; after an *intentional* schema change, regenerate the v6
+//! their `v5` forms, which load unchanged but for the schema line.
+//! `campaign_v6_full.json` carries every optional field the writer knows
+//! (precision, shard, journal, telemetry, attempts, counter variants,
+//! every non-`ok` status with a payload that needs escaping), so it pins
+//! every branch of the writer. Any unintentional change to the serializer
+//! or the parser shows up here as a byte diff; after an *intentional* schema change, regenerate the v6
 //! fixtures with
 //!
 //! ```sh
 //! cargo test -p simbench-campaign --test golden regen -- --ignored
 //! ```
 
-use simbench_campaign::{CampaignResult, CellStatus, LoadError, Shard, SCHEMA, SCHEMA_V5};
+use simbench_campaign::{
+    CampaignResult, CampaignSpec, CellStatus, Journal, LoadError, PrecisionTarget, Shard,
+    StopReason, Telemetry, JOURNAL_FILE, SCHEMA, SCHEMA_V5,
+};
 
 const V5: &str = include_str!("fixtures/campaign_v5.json");
 const V5_SHARD: &str = include_str!("fixtures/campaign_v5_shard.json");
 const V6: &str = include_str!("fixtures/campaign_v6.json");
 const V6_SHARD: &str = include_str!("fixtures/campaign_v6_shard.json");
+const V6_FULL: &str = include_str!("fixtures/campaign_v6_full.json");
 
 /// The shard fixture's in-memory value: shard 2 of 3, one owned cell
 /// measured, the two unowned cells skipped.
@@ -41,6 +48,97 @@ fn shard_demo() -> CampaignResult {
         }
     }
     r
+}
+
+/// The full fixture's in-memory value: the v6 fixture plus every
+/// optional top-level and per-cell field, each non-`ok` status with a
+/// payload holding a quote, a backslash, a newline and non-ASCII text, a
+/// cell without a category, and one non-finite second (written as `0`).
+fn full_demo() -> CampaignResult {
+    let payload = "said \"no\" at C:\\sim,\nthen µs ± 5 % → 終";
+    let mut r = CampaignResult::from_json(V6).unwrap();
+    r.precision = Some(PrecisionTarget::new(0.05, 2, 6).unwrap());
+    r.shard = Some(Shard::new(1, 2).unwrap());
+    r.journal = Some("runs/\"j\" µ".to_string());
+    r.telemetry = Some(Telemetry {
+        counters: vec![
+            ("campaign.image_cache_hits".to_string(), 6),
+            ("dbt.translations".to_string(), 123),
+        ],
+        histograms: vec![
+            ("dbt.block_steps".to_string(), vec![(0, 2), (3, 5), (11, 1)]),
+            ("virt.exit_ns".to_string(), vec![(7, 1)]),
+        ],
+    });
+    r.cells[0].attempts = 5;
+    r.cells[0].stop_reason = Some(StopReason::Converged);
+    let mut variant = r.cells[1].counters;
+    variant.instructions += 1;
+    r.cells[1].counter_variants = vec![r.cells[1].counters, variant];
+    r.cells[1].stop_reason = Some(StopReason::MaxReps);
+    r.cells[2].status = CellStatus::Unsupported(payload.to_string());
+    let template = r.cells[2].clone();
+    for status in [
+        CellStatus::Failed(payload.to_string()),
+        CellStatus::Quarantined(payload.to_string()),
+        CellStatus::TimedOut(payload.to_string()),
+        CellStatus::Skipped,
+    ] {
+        let mut cell = template.clone();
+        cell.status = status;
+        r.cells.push(cell);
+    }
+    r.cells[3].reps_run = 2;
+    r.cells[3].attempts = 3;
+    r.cells[3].seconds = vec![0.25, f64::INFINITY];
+    let mut app = template;
+    app.workload = "app:mcf-like".to_string();
+    app.category = None;
+    app.iterations = 0;
+    app.status = CellStatus::NotOnIsa;
+    r.cells.push(app);
+    r
+}
+
+#[test]
+fn v6_full_fixture_pins_every_writer_branch() {
+    let r = full_demo();
+    assert_eq!(
+        r.to_json(),
+        V6_FULL,
+        "serializing the full demo must reproduce the full fixture byte for byte"
+    );
+    // The non-finite second is written as 0 and so reads back as 0.
+    let mut expected = r;
+    expected.cells[3].seconds[1] = 0.0;
+    let parsed = CampaignResult::from_json(V6_FULL).expect("full fixture parses");
+    assert_eq!(parsed, expected);
+}
+
+#[test]
+fn journaled_cells_are_byte_identical_to_their_persisted_lines() {
+    let r = full_demo();
+    let dir = std::env::temp_dir().join(format!("simbench-golden-full-{}", std::process::id()));
+    let journal = Journal::create(&dir, &CampaignSpec::full_matrix(20_000), r.shard).unwrap();
+    for (i, cell) in r.cells.iter().enumerate() {
+        journal.record_cell(i, cell);
+    }
+    drop(journal);
+    let text = std::fs::read_to_string(dir.join(JOURNAL_FILE)).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let persisted: Vec<&str> = V6_FULL
+        .lines()
+        .filter_map(|l| l.strip_prefix("    "))
+        .filter(|l| l.starts_with('{'))
+        .map(|l| l.strip_suffix(',').unwrap_or(l))
+        .collect();
+    let journaled: Vec<&str> = text.lines().skip(1).collect();
+    assert_eq!(journaled.len(), r.cells.len());
+    assert_eq!(persisted.len(), r.cells.len());
+    for (i, (line, cell)) in journaled.iter().zip(&persisted).enumerate() {
+        let want = format!("{{\"record\": \"cell\", \"index\": {i}, \"cell\": {cell}}}");
+        assert_eq!(*line, want, "cell {i}");
+    }
 }
 
 #[test]
@@ -223,4 +321,15 @@ fn regen_v6_shard_fixture() {
         "/tests/fixtures/campaign_v6_shard.json"
     );
     std::fs::write(path, shard_demo().to_json()).unwrap();
+}
+
+/// Regenerates `fixtures/campaign_v6_full.json` from [`full_demo`].
+#[test]
+#[ignore = "writes the full fixture; run manually after intentional schema changes"]
+fn regen_v6_full_fixture() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/campaign_v6_full.json"
+    );
+    std::fs::write(path, full_demo().to_json()).unwrap();
 }

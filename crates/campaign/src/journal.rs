@@ -44,7 +44,7 @@ use std::sync::{Mutex, PoisonError};
 
 use crate::failpoint;
 use crate::json::{self, Value};
-use crate::result::{cell_json, parse_cell, CellResult};
+use crate::result::{cell_json, read_cell, CellResult};
 use crate::spec::{CampaignSpec, Shard};
 
 /// Schema identifier on the journal's meta record.
@@ -118,10 +118,9 @@ impl Journal {
     /// Record one finished cell with its full result payload (fsync'd).
     /// Replay reconstructs the cell from exactly these bytes.
     pub fn record_cell(&self, cell_index: usize, cell: &CellResult) {
-        let line = format!(
-            "{{\"record\": \"cell\", \"index\": {cell_index}, \"cell\": {}}}",
-            cell_json(cell)
-        );
+        let mut line = format!("{{\"record\": \"cell\", \"index\": {cell_index}, \"cell\": ");
+        cell_json(&mut line, cell);
+        line.push('}');
         self.append(&line);
     }
 
@@ -217,7 +216,11 @@ pub fn replay(
         if line.trim().is_empty() {
             continue;
         }
-        let v = match json::parse(line) {
+        let mut payload = None;
+        let v = match json::parse_with(line, "cell", |r| {
+            payload = Some(read_cell(r)?);
+            Ok(())
+        }) {
             Ok(v) => v,
             Err(e) => {
                 if lineno + 1 == lines.len() {
@@ -259,14 +262,14 @@ pub fn replay(
                         keys.len()
                     ));
                 }
-                let cv = v.get("cell").ok_or_else(|| {
-                    format!(
-                        "{}:{}: cell record without payload",
-                        path.display(),
-                        lineno + 1
-                    )
-                })?;
-                let cell = parse_cell(cv)
+                let cell = payload
+                    .ok_or_else(|| {
+                        format!(
+                            "{}:{}: cell record without payload",
+                            path.display(),
+                            lineno + 1
+                        )
+                    })?
                     .map_err(|e| format!("{}:{}: {e}", path.display(), lineno + 1))?;
                 let key = &keys[index];
                 if cell.guest != key.guest.isa_name()

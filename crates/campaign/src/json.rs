@@ -2,10 +2,17 @@
 //!
 //! The container has no serde, so campaign persistence hand-rolls the
 //! small JSON subset it needs: objects, arrays, strings, finite numbers,
-//! booleans, and null. The writer always emits valid JSON; the parser
-//! accepts standard JSON (string escapes included) and rejects trailing
-//! garbage.
+//! booleans, and null.
+//!
+//! Reading has one tokenizer, the pull [`Reader`]. [`parse`] builds a
+//! [`Value`] tree through it; [`parse_with`] hands one top-level member
+//! to the caller instead, which is how result files and journal lines
+//! read their cells into typed records without a tree. Both accept
+//! standard JSON (string escapes included) and reject trailing garbage.
+//! Writing appends to one `String` ([`push_quoted`], [`push_num`]) and
+//! always emits valid JSON.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -80,6 +87,12 @@ impl Value {
 /// Escape and quote a string for JSON output.
 pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_quoted(&mut out, s);
+    out
+}
+
+/// Append `s` escaped and quoted, as [`quote`] renders it.
+pub fn push_quoted(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -95,178 +108,259 @@ pub fn quote(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 /// Format a float so it parses back exactly and never prints as
 /// `NaN`/`inf` (both become `0`, which JSON requires).
 pub fn num(v: f64) -> String {
+    let mut out = String::new();
+    push_num(&mut out, v);
+    out
+}
+
+/// Append `v` as [`num`] renders it.
+pub fn push_num(out: &mut String, v: f64) {
     if v.is_finite() {
         // {:?} prints the shortest representation that round-trips.
-        format!("{v:?}")
+        let _ = write!(out, "{v:?}");
     } else {
-        "0".to_string()
+        out.push('0');
     }
 }
 
 /// Parse a complete JSON document.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
+    let mut r = Reader::new(text);
+    let value = r.value()?;
+    r.finish()?;
     Ok(value)
 }
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    skip_ws(b, pos);
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{}' at byte {}", c as char, pos))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
-        Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
-        Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", Value::Null),
-        Some(_) => parse_num(b, pos),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        Err(format!("invalid literal at byte {pos}"))
-    }
-}
-
-fn parse_num(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
-        *pos += 1;
-    }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|n| n.is_finite())
-        .map(Value::Num)
-        .ok_or_else(|| format!("invalid number at byte {start}"))
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(b, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
-                        // Surrogate pairs are not produced by our writer;
-                        // map lone surrogates to the replacement char.
-                        out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Multi-byte UTF-8 sequences pass through byte-wise.
-                let s = *pos;
-                while *pos < b.len() && b[*pos] != b'"' && b[*pos] != b'\\' {
-                    *pos += 1;
-                }
-                out.push_str(
-                    std::str::from_utf8(&b[s..*pos]).map_err(|e| format!("bad utf8: {e}"))?,
-                );
-            }
-        }
-    }
-}
-
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    expect(b, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Value::Arr(items));
-    }
-    loop {
-        items.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-        }
-    }
-}
-
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    expect(b, pos, b'{')?;
+/// Parse a complete JSON document like [`parse`], except that each
+/// member named `key` of a top-level object goes to `read`, which must
+/// consume its value, instead of into the tree. A document that is not
+/// an object reads as an empty one.
+pub fn parse_with(
+    text: &str,
+    key: &str,
+    mut read: impl FnMut(&mut Reader<'_>) -> Result<(), String>,
+) -> Result<Value, String> {
+    let mut r = Reader::new(text);
     let mut map = BTreeMap::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Obj(map));
+    r.obj(|r, k| {
+        if k == key {
+            return read(r);
+        }
+        map.insert(k.into_owned(), r.value()?);
+        Ok(())
+    })?;
+    r.finish()?;
+    Ok(Value::Obj(map))
+}
+
+/// A pull reader over one JSON text. Errors are syntax errors naming
+/// the byte offset; what a caller does with well-formed values it does
+/// not expect is its own business.
+pub struct Reader<'a> {
+    b: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Reader<'a> {
+        Reader {
+            b: text.as_bytes(),
+            pos: 0,
+        }
     }
-    loop {
-        skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
-        expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
-        map.insert(key, value);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Obj(map));
+
+    /// The next byte after whitespace, not consumed.
+    pub fn peek(&mut self) -> Option<u8> {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.b.get(self.pos) {
+            self.pos += 1;
+        }
+        self.b.get(self.pos).copied()
+    }
+
+    /// Succeed only if nothing but whitespace is left.
+    pub fn finish(&mut self) -> Result<(), String> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(format!("trailing garbage at byte {}", self.pos)),
+        }
+    }
+
+    fn expect(&mut self, c: u8) -> Result<(), String> {
+        if self.peek() == Some(c) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(format!("expected '{}' at byte {}", c as char, self.pos))
+        }
+    }
+
+    /// Read the next value, whatever it is, into a tree.
+    pub fn value(&mut self) -> Result<Value, String> {
+        match self.peek() {
+            None => Err("unexpected end of input".to_string()),
+            Some(b'{') => {
+                let mut map = BTreeMap::new();
+                self.obj(|r, k| {
+                    map.insert(k.into_owned(), r.value()?);
+                    Ok(())
+                })?;
+                Ok(Value::Obj(map))
             }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.arr(|r| {
+                    items.push(r.value()?);
+                    Ok(())
+                })?;
+                Ok(Value::Arr(items))
+            }
+            Some(b'"') => Ok(Value::Str(self.string()?.into_owned())),
+            Some(b't') => self.lit("true", Value::Bool(true)),
+            Some(b'f') => self.lit("false", Value::Bool(false)),
+            Some(b'n') => self.lit("null", Value::Null),
+            Some(_) => self.number().map(Value::Num),
+        }
+    }
+
+    /// Read an object, calling `member` with each key in document order
+    /// (duplicates included); `member` must consume the key's value.
+    /// Any other value is skipped and answers `false`.
+    pub fn obj(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), String>,
+    ) -> Result<bool, String> {
+        if self.peek() != Some(b'{') {
+            self.value()?;
+            return Ok(false);
+        }
+        self.pos += 1;
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(true);
+        }
+        loop {
+            let key = self.string()?;
+            self.expect(b':')?;
+            member(self, key)?;
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(true);
+                }
+                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+            }
+        }
+    }
+
+    /// Read an array, calling `item` once per element; `item` must
+    /// consume it. Any other value is skipped and answers `false`.
+    pub fn arr(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<bool, String> {
+        if self.peek() != Some(b'[') {
+            self.value()?;
+            return Ok(false);
+        }
+        self.pos += 1;
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(true);
+        }
+        loop {
+            item(self)?;
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(true);
+                }
+                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+            }
+        }
+    }
+
+    fn lit(&mut self, lit: &str, v: Value) -> Result<Value, String> {
+        if self.b[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(v)
+        } else {
+            Err(format!("invalid literal at byte {}", self.pos))
+        }
+    }
+
+    fn number(&mut self) -> Result<f64, String> {
+        let start = self.pos;
+        while let Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') = self.b.get(self.pos) {
+            self.pos += 1;
+        }
+        std::str::from_utf8(&self.b[start..self.pos])
+            .ok()
+            .and_then(|s| s.parse::<f64>().ok())
+            .filter(|n| n.is_finite())
+            .ok_or_else(|| format!("invalid number at byte {start}"))
+    }
+
+    /// A string's content, borrowed from the text unless it has escapes.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        self.expect(b'"')?;
+        let mut out = Cow::Borrowed("");
+        loop {
+            // Multi-byte UTF-8 sequences pass through byte-wise.
+            let s = self.pos;
+            while !matches!(self.b.get(self.pos), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            let run =
+                std::str::from_utf8(&self.b[s..self.pos]).map_err(|e| format!("bad utf8: {e}"))?;
+            if out.is_empty() {
+                out = Cow::Borrowed(run);
+            } else {
+                out.to_mut().push_str(run);
+            }
+            match self.b.get(self.pos) {
+                None => return Err("unterminated string".to_string()),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(_) => {
+                    self.pos += 1;
+                    let out = out.to_mut();
+                    match self.b.get(self.pos) {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'u') => {
+                            let pos = self.pos;
+                            let hex = self
+                                .b
+                                .get(pos + 1..pos + 5)
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
+                            // Surrogate pairs are not produced by our writer;
+                            // map lone surrogates to the replacement char.
+                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
+                            self.pos += 4;
+                        }
+                        _ => return Err(format!("bad escape at byte {}", self.pos)),
+                    }
+                    self.pos += 1;
+                }
+            }
         }
     }
 }

@@ -19,13 +19,14 @@
 //! rather than guessed at, so future layout changes bump the version
 //! and add an explicit migration.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
 use simbench_core::events::Counters;
 
-use crate::json::{self, Value};
+use crate::json::{self, Reader, Value};
 use crate::spec::{CampaignSpec, CellKey, PrecisionTarget, Shard};
 use crate::stats::Stats;
 
@@ -112,15 +113,15 @@ impl CellStatus {
         )
     }
 
-    fn to_json_string(&self) -> String {
+    fn to_json_string(&self) -> Cow<'static, str> {
         match self {
-            CellStatus::Ok => "ok".to_string(),
-            CellStatus::NotOnIsa => "not-on-isa".to_string(),
-            CellStatus::Unsupported(why) => format!("unsupported:{why}"),
-            CellStatus::Failed(why) => format!("failed:{why}"),
-            CellStatus::Skipped => "skipped".to_string(),
-            CellStatus::Quarantined(payload) => format!("quarantined:{payload}"),
-            CellStatus::TimedOut(why) => format!("timed_out:{why}"),
+            CellStatus::Ok => "ok".into(),
+            CellStatus::NotOnIsa => "not-on-isa".into(),
+            CellStatus::Unsupported(why) => format!("unsupported:{why}").into(),
+            CellStatus::Failed(why) => format!("failed:{why}").into(),
+            CellStatus::Skipped => "skipped".into(),
+            CellStatus::Quarantined(payload) => format!("quarantined:{payload}").into(),
+            CellStatus::TimedOut(why) => format!("timed_out:{why}").into(),
         }
     }
 
@@ -330,7 +331,7 @@ impl CampaignResult {
     /// Serialize to the versioned JSON format (pretty-printed, one cell
     /// per line block, deterministic field order).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(512 + 640 * self.cells.len());
         out.push_str("{\n");
         let _ = writeln!(out, "  \"schema\": {},", json::quote(&self.schema));
         let _ = writeln!(out, "  \"name\": {},", json::quote(&self.name));
@@ -359,29 +360,28 @@ impl CampaignResult {
         let _ = writeln!(out, "  \"wall_secs\": {},", json::num(self.wall_secs));
         let _ = writeln!(out, "  \"created_unix\": {},", self.created_unix);
         if let Some(t) = self.telemetry.as_ref().filter(|t| !t.is_empty()) {
-            out.push_str("  \"telemetry\": {\n");
-            let counters: Vec<String> = t
-                .counters
-                .iter()
-                .map(|(name, v)| format!("{}: {v}", json::quote(name)))
-                .collect();
-            let _ = writeln!(out, "    \"counters\": {{{}}},", counters.join(", "));
-            let hists: Vec<String> = t
-                .histograms
-                .iter()
-                .map(|(name, buckets)| {
-                    let pairs: Vec<String> =
-                        buckets.iter().map(|(b, c)| format!("[{b}, {c}]")).collect();
-                    format!("{}: [{}]", json::quote(name), pairs.join(", "))
-                })
-                .collect();
-            let _ = writeln!(out, "    \"histograms\": {{{}}}", hists.join(", "));
-            out.push_str("  },\n");
+            out.push_str("  \"telemetry\": {\n    \"counters\": {");
+            for (i, (name, v)) in t.counters.iter().enumerate() {
+                out.push_str(if i == 0 { "" } else { ", " });
+                json::push_quoted(&mut out, name);
+                let _ = write!(out, ": {v}");
+            }
+            out.push_str("},\n    \"histograms\": {");
+            for (i, (name, buckets)) in t.histograms.iter().enumerate() {
+                out.push_str(if i == 0 { "" } else { ", " });
+                json::push_quoted(&mut out, name);
+                out.push_str(": [");
+                for (j, (b, c)) in buckets.iter().enumerate() {
+                    let _ = write!(out, "{}[{b}, {c}]", if j == 0 { "" } else { ", " });
+                }
+                out.push(']');
+            }
+            out.push_str("}\n  },\n");
         }
         out.push_str("  \"cells\": [\n");
         for (i, cell) in self.cells.iter().enumerate() {
             out.push_str("    ");
-            out.push_str(&cell_json(cell));
+            cell_json(&mut out, cell);
             out.push_str(if i + 1 < self.cells.len() {
                 ",\n"
             } else {
@@ -397,7 +397,14 @@ impl CampaignResult {
     /// stored statistics and stop reasons are kept verbatim. Any other
     /// schema is a typed error.
     pub fn from_json(text: &str) -> Result<CampaignResult, LoadError> {
-        let root = json::parse(text).map_err(LoadError::Json)?;
+        // Cells are read without a tree; a malformed one is reported
+        // only after the whole text has parsed and the schema is known.
+        let mut cells = None;
+        let root = json::parse_with(text, "cells", |r| {
+            cells = read_list(r, read_cell, |i, e| format!("cell {i}: {e}"))?;
+            Ok(())
+        })
+        .map_err(LoadError::Json)?;
         let schema = root
             .get("schema")
             .and_then(Value::as_str)
@@ -419,14 +426,9 @@ impl CampaignResult {
                 .and_then(Value::as_u64)
                 .ok_or_else(|| malformed(format!("missing integer \"{key}\"")))
         };
-        let cells = root
-            .get("cells")
-            .and_then(Value::as_arr)
+        let cells = cells
             .ok_or_else(|| malformed("missing \"cells\" array".to_string()))?
-            .iter()
-            .enumerate()
-            .map(|(i, cv)| parse_cell(cv).map_err(|e| malformed(format!("cell {i}: {e}"))))
-            .collect::<Result<Vec<_>, _>>()?;
+            .map_err(malformed)?;
         let shard = match root.get("shard") {
             None => None,
             Some(v) => {
@@ -548,27 +550,31 @@ fn parse_telemetry(v: &Value) -> Result<Telemetry, String> {
     if let Some(counters) = m.get("counters") {
         let obj = counters.as_obj().ok_or("\"counters\" not an object")?;
         for (name, v) in obj {
-            let v = v.as_u64().ok_or(format!("counter {name} not an integer"))?;
+            let v = v
+                .as_u64()
+                .ok_or_else(|| format!("counter {name} not an integer"))?;
             t.counters.push((name.clone(), v));
         }
     }
     if let Some(hists) = m.get("histograms") {
         let obj = hists.as_obj().ok_or("\"histograms\" not an object")?;
         for (name, v) in obj {
-            let arr = v.as_arr().ok_or(format!("histogram {name} not an array"))?;
+            let arr = v
+                .as_arr()
+                .ok_or_else(|| format!("histogram {name} not an array"))?;
             let mut buckets = Vec::with_capacity(arr.len());
             for pair in arr {
                 let pair = pair
                     .as_arr()
                     .filter(|p| p.len() == 2)
-                    .ok_or(format!("histogram {name}: bucket not a [b, n] pair"))?;
+                    .ok_or_else(|| format!("histogram {name}: bucket not a [b, n] pair"))?;
                 let b = pair[0]
                     .as_u64()
                     .filter(|&b| b < simbench_obs::metrics::HISTOGRAM_BUCKETS as u64)
-                    .ok_or(format!("histogram {name}: bad bucket index"))?;
+                    .ok_or_else(|| format!("histogram {name}: bad bucket index"))?;
                 let n = pair[1]
                     .as_u64()
-                    .ok_or(format!("histogram {name}: bad bucket count"))?;
+                    .ok_or_else(|| format!("histogram {name}: bad bucket count"))?;
                 buckets.push((b as u32, n));
             }
             t.histograms.push((name.clone(), buckets));
@@ -577,187 +583,241 @@ fn parse_telemetry(v: &Value) -> Result<Telemetry, String> {
     Ok(t)
 }
 
-/// One cell rendered as a single-line JSON object — the cell layout of
-/// [`CampaignResult::to_json`], shared with the write-ahead journal so
-/// a journaled cell is byte-identical to its persisted form.
-pub(crate) fn cell_json(cell: &CellResult) -> String {
-    let mut out = String::from("{");
-    let _ = write!(out, "\"guest\": {}, ", json::quote(&cell.guest));
-    let _ = write!(out, "\"engine\": {}, ", json::quote(&cell.engine));
-    let _ = write!(out, "\"workload\": {}, ", json::quote(&cell.workload));
+/// Append one cell as a single-line JSON object — the cell layout of
+/// [`CampaignResult::to_json`], which the write-ahead journal shares,
+/// so a journaled cell is byte-identical to its persisted form.
+/// [`read_cell`] is its inverse.
+pub(crate) fn cell_json(out: &mut String, cell: &CellResult) {
+    out.push_str("{\"guest\": ");
+    json::push_quoted(out, &cell.guest);
+    out.push_str(", \"engine\": ");
+    json::push_quoted(out, &cell.engine);
+    out.push_str(", \"workload\": ");
+    json::push_quoted(out, &cell.workload);
     if let Some(cat) = &cell.category {
-        let _ = write!(out, "\"category\": {}, ", json::quote(cat));
+        out.push_str(", \"category\": ");
+        json::push_quoted(out, cat);
     }
-    let _ = write!(out, "\"iterations\": {}, ", cell.iterations);
-    let _ = write!(
-        out,
-        "\"status\": {}, ",
-        json::quote(&cell.status.to_json_string())
-    );
+    let _ = write!(out, ", \"iterations\": {}, \"status\": ", cell.iterations);
+    json::push_quoted(out, &cell.status.to_json_string());
     if cell.reps_run > 0 {
-        let _ = write!(out, "\"reps_run\": {}, ", cell.reps_run);
+        let _ = write!(out, ", \"reps_run\": {}", cell.reps_run);
     }
     if cell.attempts != cell.reps_run {
-        let _ = write!(out, "\"attempts\": {}, ", cell.attempts);
+        let _ = write!(out, ", \"attempts\": {}", cell.attempts);
     }
     if let Some(reason) = cell.stop_reason {
-        let _ = write!(out, "\"stop_reason\": \"{}\", ", reason.as_json_str());
+        let _ = write!(out, ", \"stop_reason\": \"{}\"", reason.as_json_str());
     }
-    let secs: Vec<String> = cell.seconds.iter().map(|&s| json::num(s)).collect();
-    let _ = write!(out, "\"seconds\": [{}]", secs.join(", "));
+    out.push_str(", \"seconds\": [");
+    for (i, &s) in cell.seconds.iter().enumerate() {
+        out.push_str(if i == 0 { "" } else { ", " });
+        json::push_num(out, s);
+    }
+    out.push(']');
     if let Some(s) = &cell.stats {
         let _ = write!(
             out,
-            ", \"stats\": {{\"n\": {}, \"rejected_invalid\": {}, \"outliers\": {}, \
-             \"min\": {}, \"max\": {}, \"mean\": {}, \"median\": {}, \"stddev\": {}, \
-             \"geomean\": {}, \"ci95\": {}}}",
-            s.n,
-            s.rejected_invalid,
-            s.outliers,
-            json::num(s.min),
-            json::num(s.max),
-            json::num(s.mean),
-            json::num(s.median),
-            json::num(s.stddev),
-            json::num(s.geomean),
-            json::num(s.ci95),
+            ", \"stats\": {{\"n\": {}, \"rejected_invalid\": {}, \"outliers\": {}",
+            s.n, s.rejected_invalid, s.outliers
         );
+        for (key, v) in [
+            ("min", s.min),
+            ("max", s.max),
+            ("mean", s.mean),
+            ("median", s.median),
+            ("stddev", s.stddev),
+            ("geomean", s.geomean),
+            ("ci95", s.ci95),
+        ] {
+            let _ = write!(out, ", \"{key}\": ");
+            json::push_num(out, v);
+        }
+        out.push('}');
     }
     if !cell.counters_consistent {
         out.push_str(", \"counters_consistent\": false");
     }
-    if let Some(obj) = counters_obj(&cell.counters) {
-        let _ = write!(out, ", \"counters\": {obj}");
+    if cell.counters != Counters::default() {
+        out.push_str(", \"counters\": ");
+        push_counters(out, &cell.counters);
     }
     if let Some(ops) = cell.tested_ops {
         let _ = write!(out, ", \"tested_ops\": {ops}");
     }
     if !cell.counter_variants.is_empty() {
-        let variants: Vec<String> = cell
-            .counter_variants
-            .iter()
-            .map(|c| counters_obj(c).unwrap_or_else(|| "{}".to_string()))
-            .collect();
-        let _ = write!(out, ", \"counter_variants\": [{}]", variants.join(", "));
+        out.push_str(", \"counter_variants\": [");
+        for (i, c) in cell.counter_variants.iter().enumerate() {
+            out.push_str(if i == 0 { "" } else { ", " });
+            push_counters(out, c);
+        }
+        out.push(']');
     }
     out.push('}');
-    out
 }
 
-pub(crate) fn parse_cell(cv: &Value) -> Result<CellResult, String> {
-    let s = |key: &str| -> Result<String, String> {
-        cv.get(key)
-            .and_then(Value::as_str)
-            .map(str::to_string)
-            .ok_or(format!("missing \"{key}\""))
+/// Read one cell record: the inverse of [`cell_json`] and the only
+/// reader of cells, for result files and journal replay alike. The
+/// outer error is a syntax error. The inner one is a layout error,
+/// decided only once the whole record is read, so a duplicate key
+/// keeps its last value.
+pub(crate) fn read_cell(r: &mut Reader<'_>) -> Result<Result<CellResult, String>, String> {
+    let string = |v: Value| match v {
+        Value::Str(s) => Some(s),
+        _ => None,
     };
-    let seconds: Vec<f64> = match cv.get("seconds").and_then(Value::as_arr) {
-        None => Vec::new(),
-        Some(arr) => arr
-            .iter()
-            .map(|v| {
-                v.as_f64()
-                    .ok_or("non-numeric entry in \"seconds\"".to_string())
-            })
-            .collect::<Result<_, _>>()?,
-    };
-    let stats = cv.get("stats").and_then(Value::as_obj).map(|m| {
-        let f = |k: &str| m.get(k).and_then(Value::as_f64).unwrap_or(0.0);
-        let u = |k: &str| m.get(k).and_then(Value::as_u64).unwrap_or(0) as usize;
-        Stats {
-            n: u("n"),
-            rejected_invalid: u("rejected_invalid"),
-            outliers: u("outliers"),
-            min: f("min"),
-            max: f("max"),
-            mean: f("mean"),
-            median: f("median"),
-            stddev: f("stddev"),
-            geomean: f("geomean"),
-            ci95: f("ci95"),
-        }
-    });
-    let counters = match cv.get("counters") {
-        None => Counters::default(),
-        Some(v) => parse_counters(v)?,
-    };
-    let mut counter_variants = Vec::new();
-    if let Some(arr) = cv.get("counter_variants").and_then(Value::as_arr) {
-        for (i, v) in arr.iter().enumerate() {
-            counter_variants.push(parse_counters(v).map_err(|e| format!("variant {i}: {e}"))?);
-        }
-    }
-    Ok(CellResult {
-        guest: s("guest")?,
-        engine: s("engine")?,
-        workload: s("workload")?,
-        category: cv
-            .get("category")
-            .and_then(Value::as_str)
-            .map(str::to_string),
-        iterations: cv.get("iterations").and_then(Value::as_u64).unwrap_or(0) as u32,
-        status: CellStatus::from_json_string(&s("status")?),
-        reps_run: cv.get("reps_run").and_then(Value::as_u64).unwrap_or(0) as u32,
-        attempts: {
-            // Elided whenever equal to reps_run, so default to that.
-            let reps_run = cv.get("reps_run").and_then(Value::as_u64).unwrap_or(0) as u32;
-            cv.get("attempts")
-                .and_then(Value::as_u64)
-                .map(|a| a as u32)
-                .unwrap_or(reps_run)
-        },
-        stop_reason: match cv.get("stop_reason") {
-            None => None,
-            Some(v) => {
-                let raw = v.as_str().ok_or("\"stop_reason\" not a string")?;
-                Some(StopReason::from_json_str(raw)?)
+    let (mut guest, mut engine, mut workload, mut category, mut status) =
+        (None, None, None, None, None);
+    let (mut iterations, mut reps_run, mut attempts, mut stop_reason) = (None, None, None, None);
+    let (mut seconds, mut stats, mut consistent, mut tested_ops) = (None, None, true, None);
+    let (mut counters, mut variants) = (Ok(Counters::default()), None);
+    // A value that is not an object has no fields.
+    r.obj(|r, key| {
+        match &*key {
+            "guest" => guest = string(r.value()?),
+            "engine" => engine = string(r.value()?),
+            "workload" => workload = string(r.value()?),
+            "category" => category = string(r.value()?),
+            "status" => status = string(r.value()?),
+            "iterations" => iterations = r.value()?.as_u64(),
+            "reps_run" => reps_run = r.value()?.as_u64(),
+            "attempts" => attempts = r.value()?.as_u64(),
+            "stop_reason" => {
+                stop_reason = Some(match r.value()? {
+                    Value::Str(s) => StopReason::from_json_str(&s),
+                    _ => Err("\"stop_reason\" not a string".to_string()),
+                })
             }
-        },
-        seconds,
-        stats,
-        counters,
-        counters_consistent: cv
-            .get("counters_consistent")
-            .map(|v| v == &Value::Bool(true))
-            .unwrap_or(true),
-        tested_ops: match cv.get("tested_ops") {
-            None => None,
-            Some(v) => Some(v.as_u64().ok_or("\"tested_ops\" not an integer")?),
-        },
-        counter_variants,
-    })
+            "seconds" => seconds = read_list(r, |r| Ok(r.value()?.as_f64().ok_or(())), |_, ()| ())?,
+            "stats" => stats = read_stats(r)?,
+            "counters_consistent" => consistent = r.value()? == Value::Bool(true),
+            "counters" => counters = read_counters(r)?,
+            "tested_ops" => tested_ops = Some(r.value()?.as_u64()),
+            "counter_variants" => {
+                variants = read_list(r, read_counters, |i, e| format!("variant {i}: {e}"))?
+            }
+            _ => {
+                r.value()?;
+            }
+        }
+        Ok(())
+    })?;
+    // Layout errors in the order the fields were once checked in.
+    let cell = || -> Result<CellResult, String> {
+        let seconds = seconds
+            .unwrap_or(Ok(Vec::new()))
+            .map_err(|()| "non-numeric entry in \"seconds\"")?;
+        let counters = counters?;
+        let counter_variants = variants.unwrap_or(Ok(Vec::new()))?;
+        let reps_run = reps_run.unwrap_or(0) as u32;
+        Ok(CellResult {
+            guest: guest.ok_or("missing \"guest\"")?,
+            engine: engine.ok_or("missing \"engine\"")?,
+            workload: workload.ok_or("missing \"workload\"")?,
+            category,
+            iterations: iterations.unwrap_or(0) as u32,
+            status: CellStatus::from_json_string(&status.ok_or("missing \"status\"")?),
+            reps_run,
+            // Elided whenever equal to reps_run, so default to that.
+            attempts: attempts.map_or(reps_run, |a| a as u32),
+            stop_reason: stop_reason.transpose()?,
+            seconds,
+            stats,
+            counters,
+            counters_consistent: consistent,
+            tested_ops: tested_ops
+                .map(|ops| ops.ok_or("\"tested_ops\" not an integer"))
+                .transpose()?,
+            counter_variants,
+        })
+    };
+    Ok(cell())
+}
+
+/// Read an array whose items may each break the layout: `None` if the
+/// value is not an array, else every item or the first item's layout
+/// error passed through `label` with its index. Every item is read
+/// either way, so a later syntax error still surfaces.
+fn read_list<T, E>(
+    r: &mut Reader<'_>,
+    mut item: impl FnMut(&mut Reader<'_>) -> Result<Result<T, E>, String>,
+    label: impl Fn(usize, E) -> E,
+) -> Result<Option<Result<Vec<T>, E>>, String> {
+    let mut items = Ok(Vec::new());
+    let mut i = 0;
+    let is_arr = r.arr(|r| {
+        let next = item(r)?;
+        if let Ok(done) = &mut items {
+            match next {
+                Ok(x) => done.push(x),
+                Err(e) => items = Err(label(i, e)),
+            }
+        }
+        i += 1;
+        Ok(())
+    })?;
+    Ok(is_arr.then_some(items))
+}
+
+/// Read a `stats` block; a field that is absent or not a number reads
+/// as 0, and a value that is not an object as no statistics.
+fn read_stats(r: &mut Reader<'_>) -> Result<Option<Stats>, String> {
+    let mut s = Stats::default();
+    let is_obj = r.obj(|r, key| {
+        let v = r.value()?;
+        let (f, u) = (v.as_f64().unwrap_or(0.0), v.as_u64().unwrap_or(0) as usize);
+        match &*key {
+            "n" => s.n = u,
+            "rejected_invalid" => s.rejected_invalid = u,
+            "outliers" => s.outliers = u,
+            "min" => s.min = f,
+            "max" => s.max = f,
+            "mean" => s.mean = f,
+            "median" => s.median = f,
+            "stddev" => s.stddev = f,
+            "geomean" => s.geomean = f,
+            "ci95" => s.ci95 = f,
+            _ => {}
+        }
+        Ok(())
+    })?;
+    Ok(is_obj.then_some(s))
 }
 
 /// Sparse JSON encoding of an event profile: nonzero counters only, in
-/// declaration order. `None` when every counter is zero.
-fn counters_obj(c: &Counters) -> Option<String> {
-    let nonzero: Vec<(&str, u64)> = c.rows().into_iter().filter(|(_, v)| *v != 0).collect();
-    if nonzero.is_empty() {
-        return None;
-    }
-    let mut out = String::from("{");
-    for (j, (name, v)) in nonzero.iter().enumerate() {
-        if j > 0 {
-            out.push_str(", ");
+/// declaration order (`{}` when every counter is zero).
+fn push_counters(out: &mut String, c: &Counters) {
+    out.push('{');
+    let mut sep = "";
+    for (name, v) in c.rows() {
+        if v != 0 {
+            let _ = write!(out, "{sep}\"{name}\": {v}");
+            sep = ", ";
         }
-        let _ = write!(out, "{}: {}", json::quote(name), v);
     }
     out.push('}');
-    Some(out)
 }
 
-/// Inverse of [`counters_obj`]: rebuild a [`Counters`] from a sparse
-/// JSON object. Unknown counter names are errors, not silent drops.
-fn parse_counters(v: &Value) -> Result<Counters, String> {
-    let m = v.as_obj().ok_or("counters not an object")?;
+/// Inverse of [`push_counters`]. Unknown counter names are errors, not
+/// silent drops; of several bad entries the first by name is reported.
+fn read_counters(r: &mut Reader<'_>) -> Result<Result<Counters, String>, String> {
     let mut counters = Counters::default();
-    for (name, v) in m {
-        let v = v.as_u64().ok_or(format!("counter {name} not an integer"))?;
-        *counters
-            .by_name_mut(name)
-            .ok_or(format!("unknown counter {name}"))? = v;
+    // (name, error) per bad entry; a later entry of that name replaces it.
+    let mut bad: Vec<(String, String)> = Vec::new();
+    let is_obj = r.obj(|r, name| {
+        let v = r.value()?.as_u64();
+        bad.retain(|(n, _)| *n != name);
+        match (v, counters.by_name_mut(&name)) {
+            (Some(v), Some(slot)) => *slot = v,
+            (None, _) => bad.push((name.to_string(), format!("counter {name} not an integer"))),
+            (Some(_), None) => bad.push((name.to_string(), format!("unknown counter {name}"))),
+        }
+        Ok(())
+    })?;
+    if !is_obj {
+        return Ok(Err("counters not an object".to_string()));
     }
-    Ok(counters)
+    Ok(bad.into_iter().min().map_or(Ok(counters), |(_, e)| Err(e)))
 }
 
 /// Group cells by a key, preserving first-seen order of groups.

@@ -9,7 +9,7 @@
 //! far too early on normal-approximation intervals.
 
 /// Summary statistics over one cell's repetition timings.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Stats {
     /// Samples kept after invalidity and outlier rejection.
     pub n: usize,

@@ -292,6 +292,146 @@ fn malformed_documents_are_typed_errors_not_panics() {
     }
 }
 
+/// The v6 fixture with cell 0's timings corrupted into a layout error.
+fn v6_with_malformed_cell_0() -> String {
+    V6.replace("[0.011, 0.0105]", "[0.011, true]")
+}
+
+#[test]
+fn a_malformed_cell_followed_by_a_syntax_error_is_a_json_error() {
+    let text = v6_with_malformed_cell_0().replace("\"seconds\": []}", "\"seconds\": [,]}");
+    let err = CampaignResult::from_json(&text).unwrap_err();
+    assert!(matches!(err, LoadError::Json(_)), "{err}");
+}
+
+#[test]
+fn an_unknown_schema_beats_a_malformed_cell() {
+    let text = v6_with_malformed_cell_0().replace(SCHEMA, "simbench-campaign/v0");
+    let found = "simbench-campaign/v0".to_string();
+    assert_eq!(
+        CampaignResult::from_json(&text).unwrap_err(),
+        LoadError::Schema { found }
+    );
+}
+
+#[test]
+fn a_schema_written_after_the_cells_loads() {
+    let schema_line = format!("  \"schema\": \"{SCHEMA}\",\n");
+    let text = V6.replace(&schema_line, "").replace(
+        "  ]\n}\n",
+        &format!("  ],\n  \"schema\": \"{SCHEMA}\"\n}}\n"),
+    );
+    assert_ne!(text, V6);
+    assert_eq!(CampaignResult::from_json(&text).unwrap().to_json(), V6);
+}
+
+#[test]
+fn a_duplicate_key_keeps_its_last_value() {
+    // At the top level, in a cell, inside counters and for the cells
+    // array itself: the earlier value is wrong or malformed, the later
+    // one is the fixture's.
+    let text = V6
+        .replace(
+            "  \"name\": \"golden\",",
+            "  \"name\": 7,\n  \"name\": \"golden\",",
+        )
+        .replace(
+            "\"iterations\": 2500",
+            "\"iterations\": 1, \"iterations\": 2500",
+        )
+        .replace(
+            "\"reps_run\": 2, ",
+            "\"reps_run\": 2, \"attempts\": 9, \"attempts\": 2, ",
+        )
+        .replace(
+            "\"syscalls\": 2500",
+            "\"syscalls\": \"x\", \"syscalls\": 2500",
+        )
+        .replace(
+            "\"tested_ops\": 100",
+            "\"tested_ops\": \"x\", \"tested_ops\": 100",
+        )
+        .replace("  \"cells\": [", "  \"cells\": [{}],\n  \"cells\": [");
+    assert_eq!(CampaignResult::from_json(&text).unwrap().to_json(), V6);
+    // And a malformed last value is an error even after a good one.
+    let text = V6.replace(
+        "\"tested_ops\": 100",
+        "\"tested_ops\": 100, \"tested_ops\": \"x\"",
+    );
+    match CampaignResult::from_json(&text) {
+        Err(LoadError::Malformed(e)) => assert_eq!(e, "cell 1: \"tested_ops\" not an integer"),
+        other => panic!("expected malformed, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_string_in_seconds_or_counters_is_malformed_and_names_the_cell() {
+    for (from, to, want) in [
+        (
+            "\"seconds\": [0.5]",
+            "\"seconds\": [\"0.5\"]",
+            "cell 1: non-numeric entry in \"seconds\"",
+        ),
+        (
+            "\"tlb_misses\": 100",
+            "\"tlb_misses\": \"100\"",
+            "cell 1: counter tlb_misses not an integer",
+        ),
+    ] {
+        match CampaignResult::from_json(&V6.replace(from, to)) {
+            Err(LoadError::Malformed(e)) => assert_eq!(e, want),
+            other => panic!("{to}: expected malformed, got {other:?}"),
+        }
+    }
+}
+
+/// Every proper prefix of a committed fixture is a syntax error, except
+/// the ones that only drop trailing whitespace, which load.
+#[test]
+fn truncated_fixtures_are_json_errors_not_panics() {
+    for text in [V6, V6_SHARD, V6_FULL] {
+        for end in (0..text.len()).filter(|&end| text.is_char_boundary(end)) {
+            let prefix = &text[..end];
+            match CampaignResult::from_json(prefix) {
+                Ok(_) if prefix.trim_end() == text.trim_end() => {}
+                Err(LoadError::Json(_)) => {}
+                other => panic!("prefix of {end} bytes: {other:?}"),
+            }
+        }
+    }
+}
+
+/// Every single-byte replacement at 256 seeded positions of each fixture
+/// that leaves valid UTF-8 loads or fails with a typed error, never a
+/// panic; and it is a syntax error exactly when the value-tree parser
+/// also rejects the text.
+#[test]
+fn corrupted_fixtures_load_or_fail_typed() {
+    let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+    for text in [V6, V6_SHARD, V6_FULL] {
+        for _ in 0..256 {
+            // xorshift64: a fixed, dependency-free position sequence.
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            let at = (seed % text.len() as u64) as usize;
+            for byte in 0..=255u8 {
+                let mut bytes = text.as_bytes().to_vec();
+                bytes[at] = byte;
+                let Ok(mutant) = String::from_utf8(bytes) else {
+                    continue;
+                };
+                let syntax_ok = simbench_campaign::json::parse(&mutant).is_ok();
+                match CampaignResult::from_json(&mutant) {
+                    Err(LoadError::Json(_)) => assert!(!syntax_ok, "{mutant}"),
+                    Err(LoadError::Io(e)) => panic!("{e}"),
+                    _ => assert!(syntax_ok, "{mutant}"),
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn unreadable_files_are_io_errors() {
     let err = CampaignResult::load("/nonexistent/simbench-golden.json").unwrap_err();

@@ -41,7 +41,7 @@ use std::path::Path;
 /// (what `find crates src tests -name '*.rs' | xargs cat | wc -l`
 /// prints). A change that deletes code lowers it in the same commit; one
 /// that raises it says why in CHANGES.md.
-pub const LINE_BUDGET: usize = 42_020;
+pub const LINE_BUDGET: usize = 42_029;
 
 /// Directories whose `.rs` files count against [`LINE_BUDGET`].
 const BUDGET_DIRS: &[&str] = &["crates", "src", "tests"];

@@ -216,6 +216,8 @@ pub fn replay(
         if line.trim().is_empty() {
             continue;
         }
+        // Only cell records carry a cell under "cell" (rep records put
+        // an index there, which reads as a malformed cell nobody uses).
         let mut payload = None;
         let v = match json::parse_with(line, "cell", |r| {
             payload = Some(read_cell(r)?);

@@ -4,13 +4,13 @@
 //! small JSON subset it needs: objects, arrays, strings, finite numbers,
 //! booleans, and null.
 //!
-//! Reading has one tokenizer, the pull [`Reader`]. [`parse`] builds a
-//! [`Value`] tree through it; [`parse_with`] hands one top-level member
+//! Reading has one tokenizer, the pull reader `Reader`. [`parse`] builds
+//! a [`Value`] tree through it; `parse_with` hands one top-level member
 //! to the caller instead, which is how result files and journal lines
 //! read their cells into typed records without a tree. Both accept
 //! standard JSON (string escapes included) and reject trailing garbage.
-//! Writing appends to one `String` ([`push_quoted`], [`push_num`]) and
-//! always emits valid JSON.
+//! Writing appends to one `String` (`push_quoted`, `push_num`; [`quote`]
+//! and [`num`] return the same text) and always emits valid JSON.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -92,7 +92,7 @@ pub fn quote(s: &str) -> String {
 }
 
 /// Append `s` escaped and quoted, as [`quote`] renders it.
-pub fn push_quoted(out: &mut String, s: &str) {
+pub(crate) fn push_quoted(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -119,7 +119,7 @@ pub fn num(v: f64) -> String {
 }
 
 /// Append `v` as [`num`] renders it.
-pub fn push_num(out: &mut String, v: f64) {
+pub(crate) fn push_num(out: &mut String, v: f64) {
     if v.is_finite() {
         // {:?} prints the shortest representation that round-trips.
         let _ = write!(out, "{v:?}");
@@ -140,7 +140,7 @@ pub fn parse(text: &str) -> Result<Value, String> {
 /// member named `key` of a top-level object goes to `read`, which must
 /// consume its value, instead of into the tree. A document that is not
 /// an object reads as an empty one.
-pub fn parse_with(
+pub(crate) fn parse_with(
     text: &str,
     key: &str,
     mut read: impl FnMut(&mut Reader<'_>) -> Result<(), String>,
@@ -161,14 +161,14 @@ pub fn parse_with(
 /// A pull reader over one JSON text. Errors are syntax errors naming
 /// the byte offset; what a caller does with well-formed values it does
 /// not expect is its own business.
-pub struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     b: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
     /// A reader at the start of `text`.
-    pub fn new(text: &'a str) -> Reader<'a> {
+    fn new(text: &'a str) -> Reader<'a> {
         Reader {
             b: text.as_bytes(),
             pos: 0,
@@ -176,7 +176,7 @@ impl<'a> Reader<'a> {
     }
 
     /// The next byte after whitespace, not consumed.
-    pub fn peek(&mut self) -> Option<u8> {
+    fn peek(&mut self) -> Option<u8> {
         while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.b.get(self.pos) {
             self.pos += 1;
         }
@@ -184,7 +184,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Succeed only if nothing but whitespace is left.
-    pub fn finish(&mut self) -> Result<(), String> {
+    fn finish(&mut self) -> Result<(), String> {
         match self.peek() {
             None => Ok(()),
             Some(_) => Err(format!("trailing garbage at byte {}", self.pos)),

@@ -702,7 +702,8 @@ pub(crate) fn read_cell(r: &mut Reader<'_>) -> Result<Result<CellResult, String>
         }
         Ok(())
     })?;
-    // Layout errors in the order the fields were once checked in.
+    // Layout errors are checked in this fixed order, so a record with
+    // several reports the same one whatever its key order.
     let cell = || -> Result<CellResult, String> {
         let seconds = seconds
             .unwrap_or(Ok(Vec::new()))

@@ -299,9 +299,15 @@ fn v6_with_malformed_cell_0() -> String {
 
 #[test]
 fn a_malformed_cell_followed_by_a_syntax_error_is_a_json_error() {
-    let text = v6_with_malformed_cell_0().replace("\"seconds\": []}", "\"seconds\": [,]}");
-    let err = CampaignResult::from_json(&text).unwrap_err();
-    assert!(matches!(err, LoadError::Json(_)), "{err}");
+    // The syntax error in a later cell, and after the cells array.
+    let bad = v6_with_malformed_cell_0();
+    for text in [
+        bad.replace("\"seconds\": []}", "\"seconds\": [,]}"),
+        bad.replace("  ]\n}\n", "  ]\n}}\n"),
+    ] {
+        let err = CampaignResult::from_json(&text).unwrap_err();
+        assert!(matches!(err, LoadError::Json(_)), "{err}");
+    }
 }
 
 #[test]

@@ -36,15 +36,16 @@
 use std::fmt;
 use std::path::Path;
 
-/// The most lines of Rust the workspace may hold: every `.rs` file under
-/// `crates/`, `src/` and `tests/`, tests and generated code included
-/// (what `find crates src tests -name '*.rs' | xargs cat | wc -l`
-/// prints). A change that deletes code lowers it in the same commit; one
-/// that raises it says why in CHANGES.md.
-pub const LINE_BUDGET: usize = 42_029;
+/// The most lines of Rust the repository may hold: every `.rs` file under
+/// `crates/`, `src/`, `tests/` and `examples/` outside a cargo `target/`
+/// directory, tests, benchmark and generated code included (what
+/// `find crates src tests examples -name '*.rs' -not -path '*/target/*'
+/// | xargs cat | wc -l` prints). A change that deletes code lowers it in
+/// the same commit; one that raises it says why in CHANGES.md.
+pub const LINE_BUDGET: usize = 44_676;
 
 /// Directories whose `.rs` files count against [`LINE_BUDGET`].
-const BUDGET_DIRS: &[&str] = &["crates", "src", "tests"];
+const BUDGET_DIRS: &[&str] = &["crates", "src", "tests", "examples"];
 
 /// Files the lint guards, relative to the repository root. These are
 /// the modules on the per-instruction path of at least one engine.
@@ -288,7 +289,8 @@ fn rust_lines(dir: &Path) -> usize {
         .map(|entry| {
             let path = entry.path();
             match entry.file_type() {
-                Ok(t) if t.is_dir() => rust_lines(&path),
+                // Build output (perfbench builds into its own target).
+                Ok(t) if t.is_dir() && entry.file_name() != "target" => rust_lines(&path),
                 Ok(t) if t.is_file() && path.extension().is_some_and(|x| x == "rs") => {
                     std::fs::read(&path).map_or(0, |b| b.iter().filter(|&&c| c == b'\n').count())
                 }
@@ -412,12 +414,18 @@ mod tests {
     #[test]
     fn budget_counts_only_rs_files_under_the_listed_dirs() {
         let root = std::env::temp_dir().join(format!("simbench-uncounted-{}", std::process::id()));
-        std::fs::create_dir_all(root.join("examples")).unwrap();
+        let out = root.join("examples/bench/target/debug/build");
+        std::fs::create_dir_all(&out).unwrap();
         std::fs::write(root.join("examples/e.rs"), "fn e() {}\n").unwrap();
+        std::fs::write(out.join("generated.rs"), "fn g() {}\n").unwrap();
         std::fs::write(root.join("build.rs"), "fn main() {}\n").unwrap();
-        let finding = check_budget(&root, 0);
+        let (at_budget, over) = (check_budget(&root, 1), check_budget(&root, 0));
         std::fs::remove_dir_all(&root).unwrap();
-        assert_eq!(finding, None);
+        assert_eq!(at_budget, None);
+        assert_eq!(
+            over.expect("examples count").text,
+            "1 lines of Rust > LINE_BUDGET 0"
+        );
     }
 
     #[test]

@@ -246,7 +246,6 @@ pub fn compare_counters(
 mod tests {
     use super::*;
     use crate::result::SCHEMA;
-    use crate::stats::stats;
 
     fn result_with(cells: Vec<(&str, &str, &str, Vec<f64>)>) -> CampaignResult {
         CampaignResult {
@@ -254,7 +253,6 @@ mod tests {
             name: "t".to_string(),
             scale: 1000,
             reps: 1,
-            precision: None,
             jobs: 1,
             shard: None,
             wall_secs: 0.0,
@@ -272,8 +270,6 @@ mod tests {
                     status: CellStatus::Ok,
                     reps_run: secs.len() as u32,
                     attempts: secs.len() as u32,
-                    stop_reason: Some(crate::result::StopReason::Fixed),
-                    stats: stats(&secs),
                     seconds: secs,
                     counters: Counters {
                         instructions: 1000,
@@ -310,7 +306,6 @@ mod tests {
         let mut cur = base.clone();
         // A 10× wall-clock slowdown is invisible to the comparison.
         cur.cells[0].seconds = vec![10.0];
-        cur.cells[0].stats = stats(&[10.0]);
         let cmp = compare_counters(&base, &cur, 0.0);
         assert!(cmp.clean());
         assert_eq!(cmp.deltas[0].verdict, Verdict::Unchanged);
@@ -373,7 +368,6 @@ mod tests {
         ]);
         let mut cur = base.clone();
         cur.cells[0].status = CellStatus::Failed("wall-clock limit reached".to_string());
-        cur.cells[0].stats = None;
         cur.cells[0].seconds.clear();
         cur.cells.remove(1);
         cur.cells.push(
@@ -407,7 +401,6 @@ mod tests {
         cur.cells[0].status = CellStatus::Quarantined("engine panicked".to_string());
         cur.cells[1].status = CellStatus::TimedOut("exceeded 30s cell timeout".to_string());
         for cell in &mut cur.cells {
-            cell.stats = None;
             cell.seconds.clear();
         }
         let counters = compare_counters(&base, &cur, 0.0);
@@ -425,8 +418,7 @@ mod tests {
         let base = result_with(vec![("armlet", "interp", "suite:System Call", vec![1.0])]);
         let mut cur = base.clone();
         cur.cells[0].seconds = vec![0.0];
-        cur.cells[0].stats = stats(&[0.0]);
-        assert!(cur.cells[0].stats.is_none());
+        assert!(cur.cells[0].stats().is_none());
         let cmp = compare_counters(&base, &cur, 0.0);
         assert!(cmp.clean(), "a completing cell must not read as broken");
         assert_eq!(cmp.deltas[0].verdict, Verdict::Unchanged);
@@ -446,7 +438,6 @@ mod tests {
         cur.cells[0].status = CellStatus::NotOnIsa;
         cur.cells[1].status = CellStatus::Skipped;
         for cell in &mut cur.cells {
-            cell.stats = None;
             cell.seconds.clear();
         }
         let cmp = compare_counters(&base, &cur, 0.0);

@@ -15,15 +15,17 @@
 //!
 //! ```text
 //! {"record": "meta", "schema": "simbench-journal/v1", "name": ...,
-//!  "scale": N, "reps": N, ["precision": {...},] ["shard": {...},]
-//!  "cells": N}
+//!  "scale": N, "reps": N, ["shard": {...},] "cells": N}
 //! {"record": "rep", "cell": i, "rep": r, "attempt": a, "outcome": "ok"}
 //! {"record": "cell", "index": i, "cell": { ...full cell record... }}
 //! ```
 //!
 //! The meta line is written first and validated on resume: resuming a
-//! journal against a different spec (name, scale, reps, precision,
-//! shard, cell count) is an error, never a silent mismeasurement. The
+//! journal against a different spec (name, scale, reps, shard, cell
+//! count) is an error, never a silent mismeasurement. So is resuming a
+//! journal whose meta record carries a `precision` member: an older
+//! writer's adaptive run, whose repetition counts a fixed run would
+//! not reproduce. The
 //! `cell` payload is byte-identical to the cell's object in the final
 //! result file (same writer), so a journaled cell replays exactly.
 //!
@@ -157,14 +159,6 @@ fn meta_record(spec: &CampaignSpec, shard: Option<Shard>) -> String {
         spec.scale,
         spec.reps.max(1),
     );
-    if let Some(p) = spec.precision {
-        out.push_str(&format!(
-            ", \"precision\": {{\"target_rci\": {}, \"min_reps\": {}, \"max_reps\": {}}}",
-            json::num(p.target_rci),
-            p.min_reps,
-            p.max_reps
-        ));
-    }
     if let Some(s) = shard {
         out.push_str(&format!(
             ", \"shard\": {{\"index\": {}, \"count\": {}}}",
@@ -194,10 +188,10 @@ pub struct Replay {
 }
 
 /// Replay `DIR/journal.ndjson` against the spec the resumed run will
-/// execute. Validates the meta record (same name, scale, reps,
-/// precision, shard and cell count — resuming a different spec is an
-/// error), tolerates a torn final record, and returns the finished
-/// cells to skip.
+/// execute. Validates the meta record (same name, scale, reps, shard
+/// and cell count, and no adaptive `precision` — resuming a different
+/// spec is an error), tolerates a torn final record, and returns the
+/// finished cells to skip.
 pub fn replay(
     dir: impl AsRef<Path>,
     spec: &CampaignSpec,
@@ -356,18 +350,8 @@ fn check_meta(v: &Value, spec: &CampaignSpec, shard: Option<Shard>) -> Result<()
             spec.cells().len().to_string(),
         );
     }
-    let jp = v.get("precision").map(|p| {
-        (
-            p.get("target_rci").and_then(Value::as_f64).unwrap_or(-1.0),
-            p.get("min_reps").and_then(Value::as_u64).unwrap_or(0),
-            p.get("max_reps").and_then(Value::as_u64).unwrap_or(0),
-        )
-    });
-    let sp = spec
-        .precision
-        .map(|p| (p.target_rci, u64::from(p.min_reps), u64::from(p.max_reps)));
-    if jp != sp {
-        return mismatch("precision", format!("{jp:?}"), format!("{sp:?}"));
+    if v.get("precision").is_some() {
+        return mismatch("precision", "adaptive".to_string(), "fixed".to_string());
     }
     let jshard = v.get("shard").map(|s| {
         (

@@ -7,33 +7,27 @@
 //!
 //! * [`spec`] — declarative [`CampaignSpec`] (guests × engines ×
 //!   workloads × scale × repetitions) expanded into independent jobs;
-//! * [`runner`] — a completion-driven worker pool
-//!   executing jobs concurrently; each job owns its `Machine` and
-//!   engine, so results are identical at any `--jobs` count (timings
-//!   aside). With a [`PrecisionTarget`] on the spec, each cell starts
-//!   at `min_reps` repetitions and the pool re-enqueues one repetition
-//!   at a time until the cell's relative CI half-width reaches the
-//!   target (or `max_reps`). [`run_shard`] executes one cell-complete
-//!   slice (`--shard I/N`) of the matrix for process- and
+//! * [`runner`] — a worker pool executing jobs concurrently; each job
+//!   owns its `Machine` and engine, so results are identical at any
+//!   `--jobs` count (timings aside). [`run_shard`] executes one
+//!   cell-complete slice (`--shard I/N`) of the matrix for process- and
 //!   machine-level scale-out;
 //! * [`merge`] — recombines a complete set of shard results into one
 //!   whole-matrix result, counter-identical to an unsharded run, with
 //!   typed [`MergeError`]s for overlapping/missing/mismatched shards;
-//! * [`stats`] — per-cell statistics: min/median/mean/geomean, stddev,
-//!   Student-t 95% confidence intervals (the normal 1.96 badly
-//!   understates the interval at campaign-sized n), MAD outlier
-//!   rejection; non-positive or non-finite samples are counted as
-//!   `rejected_invalid` — separately from `outliers` — never
+//! * [`stats`] — a cell's time: the floor (minimum) of its valid
+//!   repetitions, with the median and n beside it; non-positive or
+//!   non-finite samples are counted as `rejected_invalid`, never
 //!   fabricated;
-//! * [`result`] — the versioned `simbench-campaign/v6` JSON schema
-//!   (per-cell event profiles with `tested_ops`, per-repetition
-//!   `counter_variants` for non-deterministic cells, shard metadata on
-//!   partial results, per-cell `reps_run` / `stop_reason` / `attempts`
-//!   for adaptive and retried runs, `quarantined` / `timed_out`
-//!   statuses for fault-isolated cells, a `journal` echo on journaled
-//!   runs, and an optional `telemetry` block carrying the engine
-//!   metrics snapshot of instrumented runs) with load/save, a `v5`
-//!   reader, typed [`LoadError`]s and deterministic cell ordering;
+//! * [`result`] — the versioned `simbench-campaign/v7` JSON schema
+//!   (per-cell timings and event profiles with `tested_ops`,
+//!   per-repetition `counter_variants` for non-deterministic cells,
+//!   shard metadata on partial results, per-cell `reps_run` /
+//!   `attempts` for retried runs, `quarantined` / `timed_out` statuses
+//!   for fault-isolated cells, a `journal` echo on journaled runs, and
+//!   an optional `telemetry` block carrying the engine metrics snapshot
+//!   of instrumented runs) with load/save, a `v6` reader, typed
+//!   [`LoadError`]s and deterministic cell ordering;
 //! * [`compare`] — regression detection against a stored baseline on
 //!   machine-independent event profiles ([`compare_counters`], zero
 //!   tolerance by default);
@@ -71,40 +65,16 @@
 //!     workloads: vec![Workload::Suite(Benchmark::Syscall)],
 //!     scale: 1_000_000,
 //!     reps: 2,
-//!     precision: None,
 //!     wall_limit: Some(std::time::Duration::from_secs(60)),
 //! };
 //! let result = run(&spec, &RunnerOpts::with_jobs(2));
 //! let cell = result.cell("armlet", "interp", "suite:System Call").unwrap();
 //! assert!(cell.counters.syscalls >= 16);
+//! // The cell's time is the floor of its two repetitions.
+//! let floor = cell.seconds.iter().copied().fold(f64::INFINITY, f64::min);
+//! assert_eq!(cell.metric(), Some(floor));
 //! let json = result.to_json();
-//! assert!(json.contains("simbench-campaign/v6"));
-//! ```
-//!
-//! ## Adaptive example
-//!
-//! ```
-//! use simbench_campaign::{run, CampaignSpec, PrecisionTarget, RunnerOpts, StopReason, Workload};
-//! use simbench_campaign::measure::{EngineKind, Guest};
-//! use simbench_suite::Benchmark;
-//!
-//! let spec = CampaignSpec {
-//!     name: "adaptive".to_string(),
-//!     guests: vec![Guest::Armlet],
-//!     engines: vec![EngineKind::Interp],
-//!     workloads: vec![Workload::Suite(Benchmark::Syscall)],
-//!     scale: 1_000_000,
-//!     reps: 1, // ignored: precision drives the repetition count
-//!     precision: Some(PrecisionTarget::new(0.25, 2, 8).unwrap()),
-//!     wall_limit: Some(std::time::Duration::from_secs(60)),
-//! };
-//! let result = run(&spec, &RunnerOpts::serial());
-//! let cell = result.cell("armlet", "interp", "suite:System Call").unwrap();
-//! assert!((2..=8).contains(&cell.reps_run));
-//! assert!(matches!(
-//!     cell.stop_reason,
-//!     Some(StopReason::Converged | StopReason::MaxReps)
-//! ));
+//! assert!(json.contains("simbench-campaign/v7"));
 //! ```
 //!
 //! ## Sharded example
@@ -121,7 +91,6 @@
 //!     workloads: vec![Workload::Suite(Benchmark::Syscall)],
 //!     scale: 1_000_000,
 //!     reps: 1,
-//!     precision: None,
 //!     wall_limit: Some(std::time::Duration::from_secs(60)),
 //! };
 //! // Each shard can run in its own process or on its own machine.
@@ -153,9 +122,7 @@ pub use journal::{replay, Journal, Replay, JOURNAL_FILE, JOURNAL_SCHEMA};
 pub use measure::{run_app, run_suite_bench, Config, EngineKind, Guest, Sample};
 pub use merge::{merge, MergeError};
 pub use registry::{dispatch_guest, GuestInfo, GuestSpec, GuestVisitor, GUESTS};
-pub use result::{
-    CampaignResult, CellResult, CellStatus, LoadError, StopReason, Telemetry, SCHEMA, SCHEMA_V5,
-};
+pub use result::{CampaignResult, CellResult, CellStatus, LoadError, Telemetry, SCHEMA, SCHEMA_V6};
 pub use runner::{run, run_shard, run_shard_resumed, RunnerOpts};
-pub use spec::{CampaignSpec, CellKey, Job, PrecisionTarget, Shard, Workload};
-pub use stats::{geomean, stats, t_critical_95, Stats};
+pub use spec::{CampaignSpec, CellKey, Job, Shard, Workload};
+pub use stats::{geomean, stats, Stats};

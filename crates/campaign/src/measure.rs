@@ -217,10 +217,10 @@ enum ImageKey {
 
 /// Process-wide cache of assembled guest images.
 ///
-/// Repetitions (and adaptive re-enqueues) of a cell measure the *same*
-/// guest binary, so re-running the assembler for every repetition only
-/// adds untimed per-rep overhead — the campaign should spend its wall
-/// clock simulating, not assembling. Images are immutable once built
+/// Repetitions of a cell measure the *same* guest binary, so re-running
+/// the assembler for every repetition only adds untimed per-rep
+/// overhead — the campaign should spend its wall clock simulating, not
+/// assembling. Images are immutable once built
 /// (`Machine::boot` copies them into guest RAM), so one `Arc` per
 /// (guest, workload, iterations) is shared by every repetition and
 /// worker thread. The cache is bounded by the campaign matrix: one

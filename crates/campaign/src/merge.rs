@@ -161,16 +161,6 @@ fn check_spec_consistency(shards: &[&CampaignResult]) -> Result<(), MergeError> 
         if other.reps != first.reps {
             return mismatch("reps", first.reps.to_string(), other.reps.to_string());
         }
-        if other.precision != first.precision {
-            // Note this is a *spec* check: shards of one adaptive
-            // campaign echo the same target even though their cells
-            // legitimately converge at different per-cell rep counts.
-            let fmt = |p: &Option<crate::spec::PrecisionTarget>| match p {
-                Some(p) => p.to_string(),
-                None => "fixed reps".to_string(),
-            };
-            return mismatch("precision", fmt(&first.precision), fmt(&other.precision));
-        }
         if other.cells.len() != first.cells.len() {
             return mismatch(
                 "cell count",
@@ -286,7 +276,6 @@ pub fn merge(shards: &[CampaignResult]) -> Result<CampaignResult, MergeError> {
         name: first.name.clone(),
         scale: first.scale,
         reps: first.reps,
-        precision: first.precision,
         jobs: by_index.iter().map(|r| r.jobs).sum(),
         shard: None,
         wall_secs: by_index.iter().map(|r| r.wall_secs).fold(0.0, f64::max),
@@ -322,7 +311,6 @@ mod tests {
             ],
             scale: u64::MAX, // 16-iteration floor: fast
             reps: 2,
-            precision: None,
             wall_limit: Some(Duration::from_secs(60)),
         }
     }
@@ -460,44 +448,6 @@ mod tests {
             matches!(err, MergeError::SpecMismatch { field: "scale", .. }),
             "{err}"
         );
-        // An adaptive shard cannot merge with a fixed-reps shard.
-        let mut adaptive = s2[1].clone();
-        adaptive.precision = Some(crate::spec::PrecisionTarget::new(0.2, 2, 8).unwrap());
-        let err = merge(&[s2[0].clone(), adaptive]).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                MergeError::SpecMismatch {
-                    field: "precision",
-                    ..
-                }
-            ),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn adaptive_shards_merge_despite_differing_per_cell_rep_counts() {
-        // Shards of one adaptive spec echo the same precision target
-        // but converge at different reps per cell; the merge must go
-        // through on the spec echo, never on per-cell rep counts, and
-        // stay counter-identical to an unsharded adaptive run.
-        let mut s = spec();
-        s.precision = Some(crate::spec::PrecisionTarget::new(1e12, 2, 4).unwrap());
-        let parts: Vec<CampaignResult> = (1..=2)
-            .map(|i| run_shard(&s, &RunnerOpts::serial(), Some(Shard::new(i, 2).unwrap())))
-            .collect();
-        let merged = merge(&parts).unwrap();
-        assert_eq!(merged.precision, s.precision);
-        let whole = run(&s, &RunnerOpts::serial());
-        for (a, b) in merged.cells.iter().zip(&whole.cells) {
-            assert_eq!(
-                a.status, b.status,
-                "{}/{} {}",
-                a.guest, a.engine, a.workload
-            );
-            assert_eq!(a.counters, b.counters);
-        }
     }
 
     #[test]
@@ -535,7 +485,6 @@ mod tests {
             .collect();
         let (q_idx, t_idx) = (owned_by_1[0], owned_by_1[1]);
         s[0].cells[q_idx].status = CellStatus::Quarantined("engine panicked".to_string());
-        s[0].cells[q_idx].stats = None;
         s[0].cells[q_idx].seconds.clear();
         s[0].cells[q_idx].attempts = 3;
         s[0].cells[t_idx].status = CellStatus::TimedOut("exceeded 5s cell timeout".to_string());

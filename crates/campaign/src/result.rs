@@ -1,23 +1,19 @@
 //! Persisted campaign results: a versioned JSON schema with one record
-//! per matrix cell, carrying raw repetition timings, aggregate
-//! statistics, and the deterministic per-cell event profile.
+//! per matrix cell, carrying raw repetition timings and the
+//! deterministic per-cell event profile.
 //!
-//! The current schema string is `simbench-campaign/v6`, which adds the
-//! fault-tolerance fields: two new cell statuses (`quarantined:<panic
-//! payload>` for cells whose measurement panicked and was isolated
-//! under `catch_unwind`, and `timed_out:<why>` for cells the per-cell
-//! watchdog killed), an optional per-cell `attempts` count (total
-//! repetition executions including watchdog/retry re-runs; written only
-//! when it differs from `reps_run`, so clean runs are byte-identical to
-//! v5 modulo the schema line), and an optional top-level `journal`
-//! string echoing the write-ahead journal directory the campaign
-//! appended to (`campaign run --journal DIR`).
+//! The current schema string is `simbench-campaign/v7`. A cell stores
+//! its timings and nothing derived from them: its statistics, and the
+//! floor that is its time, are computed from `seconds` on demand
+//! ([`CellResult::stats`]), so no stored number can disagree with the
+//! samples it came from.
 //!
-//! Readers also accept the `v5` layout, which is identical but for the
-//! new optional fields, so its stored statistics and stop reasons are
-//! kept verbatim. Anything else is rejected with a typed [`LoadError`]
-//! rather than guessed at, so future layout changes bump the version
-//! and add an explicit migration.
+//! Readers also accept `v6`, which is v7 plus three members that are no
+//! longer written: a top-level `precision` echo, and a per-cell
+//! `stop_reason` and `stats`. They are skipped like any unknown member.
+//! Anything else is rejected with a typed [`LoadError`] rather than
+//! guessed at, so future layout changes bump the version and add an
+//! explicit migration.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -27,18 +23,16 @@ use std::path::Path;
 use simbench_core::events::Counters;
 
 use crate::json::{self, Reader, Value};
-use crate::spec::{CampaignSpec, CellKey, PrecisionTarget, Shard};
-use crate::stats::Stats;
+use crate::spec::{CampaignSpec, CellKey, Shard};
+use crate::stats::{stats, Stats};
 
 /// Schema identifier written to every result file.
-pub const SCHEMA: &str = "simbench-campaign/v6";
+pub const SCHEMA: &str = "simbench-campaign/v7";
 
-/// The previous schema identifier (no fault-tolerance fields: no
-/// `quarantined` / `timed_out` statuses, no `attempts`, no `journal`
-/// echo), still accepted on load with statistics and stop reasons
-/// trusted verbatim — the new fields are strictly additive, so a v5
-/// document is a valid v6 document under the old schema string.
-pub const SCHEMA_V5: &str = "simbench-campaign/v5";
+/// The previous schema identifier, still accepted on load: v7 plus a
+/// `precision` echo and per-cell `stop_reason` and `stats` members,
+/// which the reader skips.
+pub const SCHEMA_V6: &str = "simbench-campaign/v6";
 
 /// Why a campaign result failed to load. Every malformed input maps to
 /// a variant — loading never panics.
@@ -65,7 +59,7 @@ impl std::fmt::Display for LoadError {
             LoadError::Json(e) => write!(f, "invalid JSON: {e}"),
             LoadError::Schema { found } => write!(
                 f,
-                "unsupported schema {found:?} (expected {SCHEMA:?} or {SCHEMA_V5:?})"
+                "unsupported schema {found:?} (expected {SCHEMA:?} or {SCHEMA_V6:?})"
             ),
             LoadError::Malformed(e) => write!(f, "malformed campaign result: {e}"),
         }
@@ -147,37 +141,6 @@ impl CellStatus {
     }
 }
 
-/// Why a cell stopped measuring repetitions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StopReason {
-    /// Adaptive mode: the relative CI half-width reached the target.
-    Converged,
-    /// Adaptive mode: the cell hit `max_reps` without converging.
-    MaxReps,
-    /// Fixed mode: the spec'd repetition count ran, no convergence
-    /// criterion was in play.
-    Fixed,
-}
-
-impl StopReason {
-    fn as_json_str(self) -> &'static str {
-        match self {
-            StopReason::Converged => "converged",
-            StopReason::MaxReps => "max_reps",
-            StopReason::Fixed => "fixed",
-        }
-    }
-
-    fn from_json_str(s: &str) -> Result<StopReason, String> {
-        match s {
-            "converged" => Ok(StopReason::Converged),
-            "max_reps" => Ok(StopReason::MaxReps),
-            "fixed" => Ok(StopReason::Fixed),
-            other => Err(format!("unknown stop_reason {other:?}")),
-        }
-    }
-}
-
 /// One measured matrix cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellResult {
@@ -193,22 +156,17 @@ pub struct CellResult {
     pub iterations: u32,
     /// Terminal state.
     pub status: CellStatus,
-    /// Repetitions that actually executed for this cell. Equal to the
-    /// spec's count in fixed mode; in `[min_reps, max_reps]` for
-    /// adaptive cells. 0 for unmeasured (skipped / not-on-ISA) cells.
+    /// Repetitions that actually executed for this cell: the spec's
+    /// count, fewer if the run was interrupted. 0 for unmeasured
+    /// (skipped / not-on-ISA) cells.
     pub reps_run: u32,
     /// Total repetition executions including watchdog/retry re-runs.
     /// Equal to `reps_run` when nothing was retried (the common case;
     /// the JSON field is elided then), strictly greater when `--retries`
     /// re-ran a panicking / hung / transiently-failing repetition.
     pub attempts: u32,
-    /// Why repetitions stopped. `Some` exactly for `Ok` cells; failed
-    /// and unmeasured cells have no truthful stop verdict.
-    pub stop_reason: Option<StopReason>,
     /// Kernel-phase seconds, one entry per repetition, in rep order.
     pub seconds: Vec<f64>,
-    /// Statistics over `seconds` (present when status is `Ok`).
-    pub stats: Option<Stats>,
     /// Kernel-phase event counters of the first repetition. Counters
     /// are architectural and deterministic, so one copy suffices.
     pub counters: Counters,
@@ -227,10 +185,18 @@ pub struct CellResult {
 }
 
 impl CellResult {
-    /// Representative time: the geometric mean of kept
-    /// repetitions (`None` unless the cell completed).
+    /// Statistics over `seconds`, for an `Ok` cell with at least one
+    /// valid timing.
+    pub fn stats(&self) -> Option<Stats> {
+        (self.status == CellStatus::Ok)
+            .then(|| stats(&self.seconds))
+            .flatten()
+    }
+
+    /// The cell's time: the floor of its valid repetitions (`None`
+    /// unless [`CellResult::stats`] is `Some`).
     pub fn metric(&self) -> Option<f64> {
-        self.stats.as_ref().map(|s| s.geomean)
+        self.stats().map(|s| s.min)
     }
 
     /// Unmeasured skeleton for a cell key: identity filled in, status
@@ -245,9 +211,7 @@ impl CellResult {
             status: CellStatus::NotOnIsa,
             reps_run: 0,
             attempts: 0,
-            stop_reason: None,
             seconds: Vec::new(),
-            stats: None,
             counters: Counters::default(),
             counters_consistent: true,
             tested_ops: None,
@@ -294,12 +258,8 @@ pub struct CampaignResult {
     pub name: String,
     /// Iteration divisor the campaign ran at.
     pub scale: u64,
-    /// Repetitions per cell (fixed mode; the floor in adaptive mode is
-    /// `precision.min_reps`).
+    /// Repetitions per cell.
     pub reps: u32,
-    /// The adaptive repetition target the campaign ran under, `None`
-    /// for fixed-reps campaigns.
-    pub precision: Option<PrecisionTarget>,
     /// Worker threads the campaign ran with.
     pub jobs: usize,
     /// When this is one shard of a sharded campaign: which slice of the
@@ -337,15 +297,6 @@ impl CampaignResult {
         let _ = writeln!(out, "  \"name\": {},", json::quote(&self.name));
         let _ = writeln!(out, "  \"scale\": {},", self.scale);
         let _ = writeln!(out, "  \"reps\": {},", self.reps);
-        if let Some(p) = self.precision {
-            let _ = writeln!(
-                out,
-                "  \"precision\": {{\"target_rci\": {}, \"min_reps\": {}, \"max_reps\": {}}},",
-                json::num(p.target_rci),
-                p.min_reps,
-                p.max_reps
-            );
-        }
         let _ = writeln!(out, "  \"jobs\": {},", self.jobs);
         if let Some(shard) = self.shard {
             let _ = writeln!(
@@ -392,10 +343,9 @@ impl CampaignResult {
         out
     }
 
-    /// Parse the versioned JSON format. Accepts the current `v6` layout
-    /// and `v5`, which differs only by missing optional fields, so its
-    /// stored statistics and stop reasons are kept verbatim. Any other
-    /// schema is a typed error.
+    /// Parse the versioned JSON format. Accepts the current `v7` layout
+    /// and `v6`, whose extra members are skipped. Any other schema is a
+    /// typed error.
     pub fn from_json(text: &str) -> Result<CampaignResult, LoadError> {
         // Cells are read without a tree; a malformed one is reported
         // only after the whole text has parsed and the schema is known.
@@ -409,7 +359,7 @@ impl CampaignResult {
             .get("schema")
             .and_then(Value::as_str)
             .ok_or_else(|| LoadError::Malformed("missing string \"schema\"".to_string()))?;
-        if schema != SCHEMA && schema != SCHEMA_V5 {
+        if schema != SCHEMA && schema != SCHEMA_V6 {
             return Err(LoadError::Schema {
                 found: schema.to_string(),
             });
@@ -453,41 +403,17 @@ impl CampaignResult {
                 )
             }
         };
-        let precision = match root.get("precision") {
-            None => None,
-            Some(v) => {
-                let target_rci = v.get("target_rci").and_then(Value::as_f64).ok_or_else(|| {
-                    malformed("precision: missing number \"target_rci\"".to_string())
-                })?;
-                let reps_field = |key: &str| -> Result<u32, LoadError> {
-                    let n = v.get(key).and_then(Value::as_u64).ok_or_else(|| {
-                        malformed(format!("precision: missing integer \"{key}\""))
-                    })?;
-                    u32::try_from(n)
-                        .map_err(|_| malformed(format!("precision: {key} {n} out of range")))
-                };
-                Some(
-                    PrecisionTarget::new(
-                        target_rci,
-                        reps_field("min_reps")?,
-                        reps_field("max_reps")?,
-                    )
-                    .map_err(|e| malformed(format!("precision: {e}")))?,
-                )
-            }
-        };
         let telemetry = match root.get("telemetry") {
             None => None,
             Some(v) => Some(parse_telemetry(v).map_err(|e| malformed(format!("telemetry: {e}")))?),
         };
         Ok(CampaignResult {
             // Results are current-schema in memory, so saving a loaded
-            // v5 file produces a v6 file.
+            // v6 file produces a v7 file.
             schema: SCHEMA.to_string(),
             name: str_field("name")?,
             scale: u64_field("scale")?,
             reps: u64_field("reps")? as u32,
-            precision,
             jobs: u64_field("jobs")? as usize,
             shard,
             journal: match root.get("journal") {
@@ -529,7 +455,6 @@ impl CampaignResult {
             name: spec.name.clone(),
             scale: spec.scale,
             reps: spec.reps.max(1),
-            precision: spec.precision,
             jobs,
             shard: None,
             journal: None,
@@ -606,35 +531,12 @@ pub(crate) fn cell_json(out: &mut String, cell: &CellResult) {
     if cell.attempts != cell.reps_run {
         let _ = write!(out, ", \"attempts\": {}", cell.attempts);
     }
-    if let Some(reason) = cell.stop_reason {
-        let _ = write!(out, ", \"stop_reason\": \"{}\"", reason.as_json_str());
-    }
     out.push_str(", \"seconds\": [");
     for (i, &s) in cell.seconds.iter().enumerate() {
         out.push_str(if i == 0 { "" } else { ", " });
         json::push_num(out, s);
     }
     out.push(']');
-    if let Some(s) = &cell.stats {
-        let _ = write!(
-            out,
-            ", \"stats\": {{\"n\": {}, \"rejected_invalid\": {}, \"outliers\": {}",
-            s.n, s.rejected_invalid, s.outliers
-        );
-        for (key, v) in [
-            ("min", s.min),
-            ("max", s.max),
-            ("mean", s.mean),
-            ("median", s.median),
-            ("stddev", s.stddev),
-            ("geomean", s.geomean),
-            ("ci95", s.ci95),
-        ] {
-            let _ = write!(out, ", \"{key}\": ");
-            json::push_num(out, v);
-        }
-        out.push('}');
-    }
     if !cell.counters_consistent {
         out.push_str(", \"counters_consistent\": false");
     }
@@ -668,8 +570,8 @@ pub(crate) fn read_cell(r: &mut Reader<'_>) -> Result<Result<CellResult, String>
     };
     let (mut guest, mut engine, mut workload, mut category, mut status) =
         (None, None, None, None, None);
-    let (mut iterations, mut reps_run, mut attempts, mut stop_reason) = (None, None, None, None);
-    let (mut seconds, mut stats, mut consistent, mut tested_ops) = (None, None, true, None);
+    let (mut iterations, mut reps_run, mut attempts) = (None, None, None);
+    let (mut seconds, mut consistent, mut tested_ops) = (None, true, None);
     let (mut counters, mut variants) = (Ok(Counters::default()), None);
     // A value that is not an object has no fields.
     r.obj(|r, key| {
@@ -682,14 +584,7 @@ pub(crate) fn read_cell(r: &mut Reader<'_>) -> Result<Result<CellResult, String>
             "iterations" => iterations = r.value()?.as_u64(),
             "reps_run" => reps_run = r.value()?.as_u64(),
             "attempts" => attempts = r.value()?.as_u64(),
-            "stop_reason" => {
-                stop_reason = Some(match r.value()? {
-                    Value::Str(s) => StopReason::from_json_str(&s),
-                    _ => Err("\"stop_reason\" not a string".to_string()),
-                })
-            }
             "seconds" => seconds = read_list(r, |r| Ok(r.value()?.as_f64().ok_or(())), |_, ()| ())?,
-            "stats" => stats = read_stats(r)?,
             "counters_consistent" => consistent = r.value()? == Value::Bool(true),
             "counters" => counters = read_counters(r)?,
             "tested_ops" => tested_ops = Some(r.value()?.as_u64()),
@@ -721,9 +616,7 @@ pub(crate) fn read_cell(r: &mut Reader<'_>) -> Result<Result<CellResult, String>
             reps_run,
             // Elided whenever equal to reps_run, so default to that.
             attempts: attempts.map_or(reps_run, |a| a as u32),
-            stop_reason: stop_reason.transpose()?,
             seconds,
-            stats,
             counters,
             counters_consistent: consistent,
             tested_ops: tested_ops
@@ -758,31 +651,6 @@ fn read_list<T, E>(
         Ok(())
     })?;
     Ok(is_arr.then_some(items))
-}
-
-/// Read a `stats` block; a field that is absent or not a number reads
-/// as 0, and a value that is not an object as no statistics.
-fn read_stats(r: &mut Reader<'_>) -> Result<Option<Stats>, String> {
-    let mut s = Stats::default();
-    let is_obj = r.obj(|r, key| {
-        let v = r.value()?;
-        let (f, u) = (v.as_f64().unwrap_or(0.0), v.as_u64().unwrap_or(0) as usize);
-        match &*key {
-            "n" => s.n = u,
-            "rejected_invalid" => s.rejected_invalid = u,
-            "outliers" => s.outliers = u,
-            "min" => s.min = f,
-            "max" => s.max = f,
-            "mean" => s.mean = f,
-            "median" => s.median = f,
-            "stddev" => s.stddev = f,
-            "geomean" => s.geomean = f,
-            "ci95" => s.ci95 = f,
-            _ => {}
-        }
-        Ok(())
-    })?;
-    Ok(is_obj.then_some(s))
 }
 
 /// Sparse JSON encoding of an event profile: nonzero counters only, in
@@ -854,7 +722,6 @@ mod tests {
             name: "demo".to_string(),
             scale: 20_000,
             reps: 2,
-            precision: None,
             jobs: 4,
             shard: None,
             journal: None,
@@ -871,9 +738,7 @@ mod tests {
                     status: CellStatus::Ok,
                     reps_run: 2,
                     attempts: 2,
-                    stop_reason: Some(StopReason::Fixed),
                     seconds: vec![0.011, 0.0105],
-                    stats: crate::stats::stats(&[0.011, 0.0105]),
                     counters: Counters {
                         instructions: 30000,
                         syscalls: 2500,
@@ -892,9 +757,7 @@ mod tests {
                     status: CellStatus::Unsupported("intc device model".to_string()),
                     reps_run: 1,
                     attempts: 1,
-                    stop_reason: None,
                     seconds: vec![],
-                    stats: None,
                     counters: Counters::default(),
                     counters_consistent: true,
                     tested_ops: None,
@@ -924,82 +787,61 @@ mod tests {
         assert_eq!(a.counters, b.counters);
         assert_eq!(a.tested_ops, b.tested_ops);
         assert_eq!(a.reps_run, 2);
-        assert_eq!(a.stop_reason, Some(StopReason::Fixed));
-        assert_eq!(a.stats.unwrap().geomean, b.stats.unwrap().geomean);
+        assert_eq!(a.metric(), b.metric());
         assert_eq!(parsed.cells[1].status, r.cells[1].status);
         assert_eq!(parsed.cells[1].tested_ops, None);
         assert_eq!(parsed.cells[1].reps_run, 1);
-        assert_eq!(parsed.cells[1].stop_reason, None);
     }
 
     #[test]
-    fn precision_and_stop_reasons_round_trip() {
-        let mut r = demo();
-        r.precision = Some(PrecisionTarget::new(0.2, 2, 8).unwrap());
-        r.cells[0].reps_run = 5;
-        r.cells[0].attempts = 5; // clean run: attempts tracks reps and is elided
-        r.cells[0].stop_reason = Some(StopReason::Converged);
-        let text = r.to_json();
-        assert!(
-            text.contains("\"precision\": {\"target_rci\": 0.2, \"min_reps\": 2, \"max_reps\": 8}"),
-            "{text}"
-        );
-        assert!(text.contains("\"reps_run\": 5, \"stop_reason\": \"converged\""));
-        let parsed = CampaignResult::from_json(&text).unwrap();
-        assert_eq!(parsed.precision, r.precision);
-        assert_eq!(parsed.cells[0].reps_run, 5);
-        assert_eq!(parsed.cells[0].stop_reason, Some(StopReason::Converged));
-        // Fixed-reps results carry no precision key at all.
-        assert!(!demo().to_json().contains("\"precision\""));
-        // max_reps round-trips too.
-        r.cells[0].stop_reason = Some(StopReason::MaxReps);
-        let parsed = CampaignResult::from_json(&r.to_json()).unwrap();
-        assert_eq!(parsed.cells[0].stop_reason, Some(StopReason::MaxReps));
-    }
-
-    #[test]
-    fn malformed_precision_and_stop_reason_are_typed_errors() {
-        let mut r = demo();
-        r.precision = Some(PrecisionTarget::new(0.2, 2, 8).unwrap());
-        let good = r.to_json();
-        for (from, to) in [
-            ("\"target_rci\": 0.2", "\"target_rci\": -1"),
-            ("\"min_reps\": 2", "\"min_reps\": 1"),
-            ("\"max_reps\": 8", "\"max_reps\": 1"),
-            ("\"target_rci\": 0.2, ", ""),
-        ] {
-            let err = CampaignResult::from_json(&good.replace(from, to)).unwrap_err();
-            assert!(
-                matches!(err, LoadError::Malformed(_)),
-                "{from} -> {to}: {err}"
+    fn v6_only_members_are_skipped_whatever_their_value() {
+        // A v6 document's precision echo, stop reasons and stored
+        // statistics are not read, so not even a bad one fails the load.
+        let text = demo()
+            .to_json()
+            .replace(SCHEMA, SCHEMA_V6)
+            .replace(
+                "  \"jobs\"",
+                "  \"precision\": {\"target_rci\": -1},\n  \"jobs\"",
+            )
+            .replace(
+                "\"reps_run\": 2, ",
+                "\"reps_run\": 2, \"stop_reason\": \"tired\", \"stats\": {\"min\": 99}, ",
             );
-            assert!(err.to_string().contains("precision"), "{err}");
-        }
-        let err = CampaignResult::from_json(
-            &good.replace("\"stop_reason\": \"fixed\"", "\"stop_reason\": \"tired\""),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("stop_reason"), "{err}");
+        assert!(text.contains("\"stop_reason\""), "{text}");
+        assert_eq!(CampaignResult::from_json(&text).unwrap(), demo());
     }
 
     #[test]
-    fn stats_split_rejection_counts_round_trip() {
+    fn stats_are_computed_from_the_seconds_and_never_written() {
         let mut r = demo();
-        // One invalid timing and one outlier among the repetitions.
+        // One invalid timing and one wild one among the repetitions.
         r.cells[0].seconds = vec![
             0.011, 0.0105, 0.0, 0.0109, 0.9, 0.0111, 0.0107, 0.0108, 0.0110, 0.0106,
         ];
-        r.cells[0].stats = crate::stats::stats(&r.cells[0].seconds);
         r.cells[0].reps_run = 10;
-        let s = r.cells[0].stats.unwrap();
-        assert_eq!((s.rejected_invalid, s.outliers), (1, 1));
+        let s = r.cells[0].stats().unwrap();
+        assert_eq!((s.n, s.rejected_invalid, s.min), (9, 1, 0.0105));
         let text = r.to_json();
-        assert!(
-            text.contains("\"rejected_invalid\": 1, \"outliers\": 1"),
-            "{text}"
-        );
+        for member in ["\"stats\"", "\"stop_reason\"", "\"precision\""] {
+            assert!(!text.contains(member), "{member} in {text}");
+        }
         let parsed = CampaignResult::from_json(&text).unwrap();
-        assert_eq!(parsed.cells[0].stats.unwrap(), s);
+        assert_eq!(parsed.cells[0].stats(), Some(s));
+    }
+
+    #[test]
+    fn metric_is_the_floor_of_an_ok_cell_only() {
+        let mut r = demo();
+        assert_eq!(r.cells[0].metric(), Some(0.0105));
+        assert_eq!(r.cells[1].metric(), None, "unsupported, no timings");
+        // Timings on a cell that did not complete are not its time.
+        r.cells[0].status = CellStatus::Failed("aborted".to_string());
+        assert_eq!(r.cells[0].metric(), None);
+        // An Ok cell whose every timing is impossible has no time.
+        r.cells[1].status = CellStatus::Ok;
+        r.cells[1].seconds = vec![0.0, f64::NAN];
+        assert_eq!(r.cells[1].stats(), None);
     }
 
     #[test]
@@ -1101,7 +943,7 @@ mod tests {
     fn schema_errors_name_both_readable_versions() {
         let found = "simbench-campaign/v4".to_string();
         let text = LoadError::Schema { found }.to_string();
-        let want = "\"simbench-campaign/v4\" (expected \"simbench-campaign/v6\" or \"simbench-campaign/v5\")";
+        let want = "\"simbench-campaign/v4\" (expected \"simbench-campaign/v7\" or \"simbench-campaign/v6\")";
         assert_eq!(text, format!("unsupported schema {want}"));
     }
 
@@ -1206,29 +1048,9 @@ mod tests {
     }
 
     #[test]
-    fn v5_files_migrate_without_recomputing_verdicts() {
-        // A v5 document is the current layout minus the fault-tolerance
-        // fields; its stats and stop reasons survive verbatim.
-        let mut r = demo();
-        r.precision = Some(PrecisionTarget::new(0.2, 2, 8).unwrap());
-        r.cells[0].stop_reason = Some(StopReason::Converged);
-        let text = r.to_json().replace(SCHEMA, SCHEMA_V5);
-        let parsed = CampaignResult::from_json(&text).unwrap();
-        assert_eq!(parsed.schema, SCHEMA);
-        assert_eq!(parsed.cells[0].stop_reason, Some(StopReason::Converged));
-        assert_eq!(
-            parsed.cells[0].stats.unwrap(),
-            r.cells[0].stats.unwrap(),
-            "v5 stats are trusted, not recomputed"
-        );
-        assert!(parsed.to_json().contains(SCHEMA));
-    }
-
-    #[test]
     fn quarantined_and_timed_out_statuses_round_trip() {
         let mut r = demo();
         r.cells[0].status = CellStatus::Quarantined("index out of bounds".to_string());
-        r.cells[0].stop_reason = None;
         r.cells[1].status = CellStatus::TimedOut("exceeded 30s cell timeout".to_string());
         let text = r.to_json();
         assert!(

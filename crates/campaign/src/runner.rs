@@ -1,22 +1,13 @@
-//! Parallel campaign execution: a completion-driven worker pool over
-//! the expanded job list, hardened against every failure mode the
-//! failpoint harness can inject.
+//! Parallel campaign execution: a worker pool over the expanded job
+//! list, hardened against every failure mode the failpoint harness can
+//! inject.
 //!
 //! Every job owns its `Machine` and engine (see `measure`), so jobs
-//! share no mutable state; workers draw from one shared queue (job
-//! execution dwarfs the critical section, so a fancier distribution
-//! could not change anything observable).
-//!
-//! The pool is *completion-driven*: finishing a repetition can spawn
-//! the cell's next one. In adaptive mode ([`CampaignSpec::precision`])
-//! each cell launches `min_reps` repetitions up front; when the last
-//! in-flight repetition of a cell completes, the scheduler evaluates
-//! the cell's relative CI half-width and either marks it converged,
-//! stops at `max_reps`, or re-enqueues one more repetition. "Queue
-//! empty" is therefore not a termination condition — a worker may only
-//! exit when the queue is empty *and* nothing is in flight, since any
-//! in-flight job can still enqueue work. A condvar wakes idle workers
-//! when either condition changes.
+//! share no mutable state. Every repetition of every cell is a job of
+//! the expanded list, and workers take the next one from a shared
+//! cursor until the list is exhausted. A cell finishes when its last
+//! repetition completes; its time is the floor of its repetitions
+//! ([`CellResult::metric`]).
 //!
 //! # Fault isolation
 //!
@@ -37,16 +28,14 @@
 //!
 //! Counters are architectural and engines are deterministic, so a
 //! campaign's counter results are identical whatever the worker count
-//! *and* whatever the per-cell repetition count — an adaptive run is
-//! counter-identical to a fixed-reps run of the same matrix, and a
-//! resumed run is counter-identical to an uninterrupted one. The
-//! concurrency tests in `tests/campaign.rs` assert exactly that. Only
-//! wall-clock fields (and, in adaptive mode, `reps_run`) vary run to
-//! run.
+//! and whatever the per-cell repetition count, and a resumed run is
+//! counter-identical to an uninterrupted one. The concurrency tests in
+//! `tests/campaign.rs` assert exactly that. Only wall-clock fields vary
+//! run to run.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use simbench_core::engine::ExitReason;
@@ -54,9 +43,8 @@ use simbench_core::engine::ExitReason;
 use crate::failpoint;
 use crate::journal::Journal;
 use crate::measure::{run_workload, Config, Sample};
-use crate::result::{CampaignResult, CellResult, CellStatus, StopReason};
-use crate::spec::{CampaignSpec, CellKey, Job, PrecisionTarget, Shard};
-use crate::stats::stats;
+use crate::result::{CampaignResult, CellResult, CellStatus};
+use crate::spec::{CampaignSpec, CellKey, Job, Shard};
 
 /// Execution options.
 #[derive(Debug, Clone, Default)]
@@ -146,21 +134,20 @@ fn with_cell_id(key: &CellKey, f: impl FnOnce(simbench_obs::progress::CellId<'_>
 
 /// Emit the cell's terminal progress record from its scheduler state.
 fn progress_finish(key: &CellKey, cell: &CellSched) {
-    let any = |f: fn(&RepResult) -> bool| cell.slots.iter().flatten().any(f);
-    let status = if cell.absent {
-        "not_on_isa"
-    } else if !cell.terminal {
-        "ok"
-    } else if any(|s| matches!(s, RepResult::Panicked(_))) {
-        "quarantined"
-    } else if any(|s| matches!(s, RepResult::TimedOut(_))) {
-        "timed_out"
-    } else {
-        "failed"
-    };
-    let reps = cell.completed;
     with_cell_id(key, |id| {
-        simbench_obs::progress::cell_finish(id, status, reps);
+        let any = |f: fn(&RepResult) -> bool| cell.slots.iter().flatten().any(f);
+        let status = if any(|s| matches!(s, RepResult::Done(None))) {
+            "not_on_isa"
+        } else if !any(|s| !matches!(s, RepResult::Done(Some(x)) if x.exit == ExitReason::Halted)) {
+            "ok"
+        } else if any(|s| matches!(s, RepResult::Panicked(_))) {
+            "quarantined"
+        } else if any(|s| matches!(s, RepResult::TimedOut(_))) {
+            "timed_out"
+        } else {
+            "failed"
+        };
+        simbench_obs::progress::cell_finish(id, status, cell.completed);
     });
 }
 
@@ -282,29 +269,18 @@ fn outcome_tag(sample: &RepResult) -> String {
 }
 
 /// Per-cell scheduler bookkeeping: how many repetitions were launched
-/// and completed, every repetition's outcome (slotted by rep so
-/// completion order is irrelevant), and the stop decision.
+/// and completed, and every repetition's outcome (slotted by rep so
+/// completion order is irrelevant).
 struct CellSched {
     launched: u32,
     completed: u32,
     /// Total executions including retries, summed over repetitions.
     attempts: u32,
-    /// Halted repetitions' timings, in completion order — convergence
-    /// is evaluated on the multiset, so completion order is irrelevant.
-    seconds: Vec<f64>,
     /// Outcome of each completed repetition, indexed by rep number.
     slots: Vec<Option<RepResult>>,
-    /// A repetition failed (panic, timeout, limit, unsupported) or the
-    /// workload is absent: never launch further repetitions.
-    terminal: bool,
-    /// The workload is absent on the ISA (a flavour of `terminal` the
-    /// progress stream reports distinctly).
-    absent: bool,
-    /// The cell reached its finish decision (all launched repetitions
-    /// accounted for). Cells with `launched > 0` but `!finished` at
-    /// shutdown were interrupted.
+    /// Every launched repetition is accounted for. Cells with
+    /// `launched > 0` but `!finished` at shutdown were interrupted.
     finished: bool,
-    stop: Option<StopReason>,
 }
 
 impl CellSched {
@@ -313,106 +289,36 @@ impl CellSched {
             launched: 0,
             completed: 0,
             attempts: 0,
-            seconds: Vec::new(),
             slots: Vec::new(),
-            terminal: false,
-            absent: false,
             finished: false,
-            stop: None,
         }
     }
 }
 
-/// Mark a cell finished and emit its terminal progress record.
-fn finish(key: &CellKey, cell: &mut CellSched) {
-    cell.finished = true;
-    progress_finish(key, cell);
-}
-
-/// Record one completed repetition and decide the cell's next step:
-/// `Some(job)` re-enqueues the cell's next repetition, `None` means the
-/// cell is finished (converged, at its bound, fixed-mode, failed) or
-/// still has repetitions in flight. The cell's `finished` flag flips
-/// exactly when the last repetition is accounted for — the caller
-/// journals the finished cell on that transition.
-///
-/// In adaptive mode the decision is only taken when the last in-flight
-/// repetition of the cell completes, so convergence is always evaluated
-/// on a complete set — a straggler can never be orphaned by an earlier
-/// "converged" verdict.
-fn on_complete(
-    cells: &mut [CellSched],
-    precision: Option<PrecisionTarget>,
-    outcome: JobOutcome,
-    job: &Job,
-) -> Option<Job> {
+/// Record one completed repetition. The cell's `finished` flag flips
+/// exactly when its last repetition is accounted for, and the cell's
+/// terminal progress record goes out then; the caller journals the
+/// finished cell on that transition.
+fn on_complete(cells: &mut [CellSched], outcome: JobOutcome, key: &CellKey) {
     let cell = &mut cells[outcome.cell_index];
     cell.completed += 1;
     cell.attempts += outcome.attempts;
-    match &outcome.sample {
-        RepResult::Done(Some(sample)) if sample.exit == ExitReason::Halted => {
-            cell.seconds.push(sample.seconds);
+    if let RepResult::Done(Some(sample)) = &outcome.sample {
+        if sample.exit == ExitReason::Halted {
             static OBS_REP_WALL: simbench_obs::Histogram =
                 simbench_obs::Histogram::new("campaign.rep_wall_ns");
             OBS_REP_WALL.observe((sample.seconds * 1e9) as u64);
         }
-        // Exhausted-retry failures, limit/unsupported exits and absent
-        // workloads are terminal: burning the repetition budget on a
-        // cell that cannot produce a clean measurement would only slow
-        // the campaign.
-        RepResult::Done(None) => {
-            cell.terminal = true;
-            cell.absent = true;
-        }
-        RepResult::Done(Some(_))
-        | RepResult::Panicked(_)
-        | RepResult::Transient(_)
-        | RepResult::TimedOut(_) => cell.terminal = true,
     }
     let rep = outcome.rep as usize;
     if cell.slots.len() <= rep {
         cell.slots.resize_with(rep + 1, || None);
     }
     cell.slots[rep] = Some(outcome.sample);
-    let Some(p) = precision else {
-        // Fixed mode: all repetitions were launched up front.
-        if cell.completed == cell.launched {
-            finish(&job.key, cell);
-        }
-        return None;
-    };
-    if cell.terminal || cell.completed < cell.launched {
-        if cell.terminal && cell.completed == cell.launched {
-            finish(&job.key, cell);
-        }
-        return None;
+    if cell.completed == cell.launched {
+        cell.finished = true;
+        progress_finish(key, cell);
     }
-    let rci = stats(&cell.seconds).and_then(|s| s.rel_ci95());
-    if rci.is_some_and(|r| r <= p.target_rci) {
-        cell.stop = Some(StopReason::Converged);
-        let (reps, rci) = (cell.completed, rci.unwrap_or(0.0));
-        with_cell_id(&job.key, |id| {
-            simbench_obs::progress::cell_converge(id, reps, rci);
-        });
-        finish(&job.key, cell);
-        return None;
-    }
-    if cell.launched >= p.max_reps {
-        cell.stop = Some(StopReason::MaxReps);
-        finish(&job.key, cell);
-        return None;
-    }
-    static OBS_REENQUEUES: simbench_obs::Counter =
-        simbench_obs::Counter::new("campaign.adaptive_reenqueues");
-    OBS_REENQUEUES.add(1);
-    simbench_obs::event!("campaign.reenqueue");
-    let rep = cell.launched;
-    cell.launched += 1;
-    Some(Job {
-        cell_index: outcome.cell_index,
-        rep,
-        key: job.key,
-    })
 }
 
 /// Run a campaign and aggregate per-cell results.
@@ -466,7 +372,7 @@ fn run_inner(
         cells[job.cell_index].launched += 1;
     }
 
-    run_pool(&jobs, &cfg, spec.precision, &mut cells, workers, opts);
+    run_pool(&jobs, &cfg, &mut cells, workers, opts);
 
     // Record the worker count that actually executed, not the request.
     let _obs = simbench_obs::span!("campaign.stats");
@@ -491,15 +397,9 @@ fn run_inner(
 }
 
 /// Handle one executed job on the worker that ran it: journal the
-/// repetition, fold it into the scheduler state, journal the cell if
-/// this repetition finished it, and return any re-enqueued job.
-fn absorb(
-    cells: &mut [CellSched],
-    precision: Option<PrecisionTarget>,
-    outcome: JobOutcome,
-    job: &Job,
-    journal: Option<&Journal>,
-) -> Option<Job> {
+/// repetition, fold it into the scheduler state, and journal the cell
+/// if this repetition finished it.
+fn absorb(cells: &mut [CellSched], outcome: JobOutcome, job: &Job, journal: Option<&Journal>) {
     if let Some(journal) = journal {
         journal.record_rep(
             job.cell_index,
@@ -508,120 +408,63 @@ fn absorb(
             &outcome_tag(&outcome.sample),
         );
     }
-    let next = on_complete(cells, precision, outcome, job);
+    on_complete(cells, outcome, &job.key);
     let cell = &cells[job.cell_index];
     if cell.finished {
         if let Some(journal) = journal {
-            journal.record_cell(job.cell_index, &finalize_cell(&job.key, cell, precision));
+            journal.record_cell(job.cell_index, &finalize_cell(&job.key, cell));
         }
     }
-    next
-}
-
-/// Shared state of the worker pool: the job queue plus the completion
-/// bookkeeping, under one lock so the "queue empty and nothing in
-/// flight" termination test is atomic. One shared queue, not
-/// per-worker deques: every transition serializes on this lock anyway
-/// (job execution dwarfs the critical section), so distribution policy
-/// could not change anything observable.
-struct PoolState {
-    queue: VecDeque<Job>,
-    in_flight: usize,
-    done: usize,
-    /// Workers parked on the condvar. A wake-up is a syscall, so a
-    /// worker notifies only when one is parked.
-    parked: usize,
 }
 
 /// The worker pool. The calling thread is worker 0 and only
 /// `workers - 1` threads are spawned, so one worker runs every job
-/// inline in expansion order; an adaptive re-enqueue lands at the back
-/// of the queue. An interrupt stops every worker before its next job.
+/// inline in expansion order. Workers take jobs from one shared cursor:
+/// job execution dwarfs the hand-out, so a fancier distribution could
+/// not change anything observable. An interrupt stops every worker
+/// before its next job.
 fn run_pool(
     jobs: &[Job],
     cfg: &Config,
-    precision: Option<PrecisionTarget>,
     cells: &mut [CellSched],
     workers: usize,
     opts: &RunnerOpts,
 ) {
-    let state = Mutex::new(PoolState {
-        queue: jobs.iter().copied().collect(),
-        in_flight: 0,
-        done: 0,
-        parked: 0,
-    });
-    let wakeup = Condvar::new();
+    let (next, done) = (AtomicUsize::new(0), AtomicUsize::new(0));
     let cells = Mutex::new(cells);
     let total = jobs.len();
-    let more = if precision.is_some() { "+" } else { "" };
 
-    let worker = |me: usize| loop {
-        // An empty queue is not termination while jobs are in flight:
-        // any of them can enqueue a repetition.
-        let job = {
-            let mut st = state.lock().unwrap();
-            loop {
-                if simbench_obs::shutdown::interrupted() {
-                    // Graceful drain: nothing new starts, the in-flight
-                    // repetitions finish and are recorded, finalize
-                    // marks the rest.
-                    st.queue.clear();
-                }
-                if let Some(job) = st.queue.pop_front() {
-                    st.in_flight += 1;
-                    break Some(job);
-                }
-                if st.in_flight == 0 {
-                    break None;
-                }
-                st.parked += 1;
-                st = wakeup.wait(st).unwrap();
-                st.parked -= 1;
-            }
-        };
-        let Some(job) = job else {
-            break;
-        };
-        let (sample, attempts) = execute(&job, cfg, opts);
-        let outcome = JobOutcome {
-            cell_index: job.cell_index,
-            rep: job.rep,
-            attempts,
-            sample,
-        };
-        let next = absorb(
-            &mut cells.lock().unwrap(),
-            precision,
-            outcome,
-            &job,
-            opts.journal.as_deref(),
-        );
-        let mut st = state.lock().unwrap();
-        st.in_flight -= 1;
-        st.done += 1;
-        if opts.verbose || simbench_obs::log::enabled(simbench_obs::log::LEVEL_DEBUG) {
-            // In adaptive mode the initial job count is only a floor —
-            // convergence decides the real total — so the denominator
-            // carries a trailing '+'.
-            eprintln!(
-                "[campaign {}/{total}{more}] {}/{} {} rep {} (worker {me})",
-                st.done,
-                job.key.guest.isa_name(),
-                job.key.engine.id(),
-                job.key.workload.id(),
-                job.rep,
+    // Graceful drain: after an interrupt nothing new starts, the
+    // in-flight repetitions finish and are recorded, and finalize marks
+    // the rest.
+    let worker = |me: usize| {
+        while !simbench_obs::shutdown::interrupted() {
+            let Some(job) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                break;
+            };
+            let (sample, attempts) = execute(job, cfg, opts);
+            let outcome = JobOutcome {
+                cell_index: job.cell_index,
+                rep: job.rep,
+                attempts,
+                sample,
+            };
+            absorb(
+                &mut cells.lock().unwrap(),
+                outcome,
+                job,
+                opts.journal.as_deref(),
             );
-        }
-        // Parked workers wait for new work or for nothing in flight;
-        // the completion that empties the pool wakes them to exit.
-        let wake = st.parked > 0 && (next.is_some() || st.in_flight == 0);
-        if let Some(next) = next {
-            st.queue.push_back(next);
-        }
-        drop(st);
-        if wake {
-            wakeup.notify_all();
+            let done = done.fetch_add(1, Ordering::Relaxed) + 1;
+            if opts.verbose || simbench_obs::log::enabled(simbench_obs::log::LEVEL_DEBUG) {
+                eprintln!(
+                    "[campaign {done}/{total}] {}/{} {} rep {} (worker {me})",
+                    job.key.guest.isa_name(),
+                    job.key.engine.id(),
+                    job.key.workload.id(),
+                    job.rep,
+                );
+            }
         }
     };
     std::thread::scope(|scope| {
@@ -638,7 +481,7 @@ fn run_pool(
 /// and [`finalize`] (the same fold at campaign end), so a replayed
 /// journal cell is byte-identical to the cell an uninterrupted run
 /// would have persisted.
-fn finalize_cell(key: &CellKey, cs: &CellSched, precision: Option<PrecisionTarget>) -> CellResult {
+fn finalize_cell(key: &CellKey, cs: &CellSched) -> CellResult {
     let mut cell = CellResult::skeleton(key);
     cell.attempts = cs.attempts;
     let mut samples: Vec<&Sample> = Vec::new();
@@ -688,20 +531,7 @@ fn finalize_cell(key: &CellKey, cs: &CellSched, precision: Option<PrecisionTarge
         return cell;
     }
     cell.status = CellStatus::Ok;
-    // A truthful stop reason for every clean cell: fixed-mode cells
-    // ran exactly the spec'd count; adaptive cells carry the
-    // scheduler's verdict. An Ok adaptive cell always reached a
-    // decision point, so a missing verdict is a scheduler bug —
-    // recorded as the conservative MaxReps, never as Converged.
-    cell.stop_reason = Some(match precision {
-        None => StopReason::Fixed,
-        Some(_) => {
-            debug_assert!(cs.stop.is_some(), "Ok adaptive cell without a verdict");
-            cs.stop.unwrap_or(StopReason::MaxReps)
-        }
-    });
     cell.seconds = samples.iter().map(|s| s.seconds).collect();
-    cell.stats = stats(&cell.seconds);
     cell.counters = samples[0].counters;
     cell.counters_consistent = samples.iter().all(|s| s.counters == samples[0].counters);
     cell.tested_ops = key.workload.tested_ops(&cell.counters);
@@ -751,7 +581,7 @@ fn finalize(
             cell.status = CellStatus::Failed("interrupted".to_string());
             continue;
         }
-        *cell = finalize_cell(key, cs, spec.precision);
+        *cell = finalize_cell(key, cs);
     }
 
     result.wall_secs = wall_secs;
@@ -780,7 +610,6 @@ mod tests {
             ],
             scale: u64::MAX, // clamp to the 16-iteration floor
             reps: 2,
-            precision: None,
             wall_limit: Some(Duration::from_secs(60)),
         }
     }
@@ -804,19 +633,17 @@ mod tests {
             .unwrap();
         assert_eq!(absent.status, CellStatus::NotOnIsa);
         assert_eq!(absent.reps_run, 0);
-        assert_eq!(absent.stop_reason, None);
         let ok_cell = result
             .cell("armlet", "interp", "suite:System Call")
             .unwrap();
         assert_eq!(ok_cell.seconds.len(), 2);
         assert_eq!(ok_cell.reps_run, 2);
         assert_eq!(ok_cell.attempts, 2, "no retries on a clean run");
-        assert_eq!(ok_cell.stop_reason, Some(StopReason::Fixed));
         assert!(ok_cell.counters.syscalls >= 16);
         assert!(ok_cell.counters_consistent);
         assert!(ok_cell.counter_variants.is_empty());
         assert_eq!(ok_cell.tested_ops, Some(ok_cell.counters.syscalls));
-        assert!(ok_cell.stats.is_some());
+        assert!(ok_cell.stats().is_some());
     }
 
     #[test]
@@ -831,13 +658,11 @@ mod tests {
             workloads: vec![Workload::Suite(Benchmark::MmioDevice)],
             scale: u64::MAX,
             reps: 1,
-            precision: None,
             wall_limit: Some(Duration::from_secs(60)),
         };
         let result = run(&spec, &RunnerOpts::serial());
         assert!(matches!(result.cells[0].status, CellStatus::Unsupported(_)));
-        assert!(result.cells[0].stats.is_none());
-        assert_eq!(result.cells[0].stop_reason, None);
+        assert!(result.cells[0].stats().is_none());
         // An aborted cell must not leak a sample's iteration count into
         // the persisted result: only halted repetitions record it.
         assert_eq!(result.cells[0].iterations, 0);
@@ -857,7 +682,6 @@ mod tests {
             workloads: vec![Workload::Suite(Benchmark::MemHot)],
             scale: 1, // full paper iteration counts: plenty to outlast the limit
             reps: 1,
-            precision: None,
             wall_limit: Some(Duration::from_nanos(1)),
         };
         let result = run(&spec, &RunnerOpts::serial());
@@ -886,7 +710,7 @@ mod tests {
             } else {
                 assert_eq!(cell.status, CellStatus::Skipped, "cell {i}");
                 assert!(cell.seconds.is_empty());
-                assert!(cell.stats.is_none());
+                assert!(cell.stats().is_none());
                 assert_eq!(cell.reps_run, 0);
             }
         }
@@ -896,99 +720,30 @@ mod tests {
         assert!(whole.cells.iter().all(|c| c.status != CellStatus::Skipped));
     }
 
-    fn adaptive_spec(target_rci: f64, min_reps: u32, max_reps: u32) -> CampaignSpec {
-        CampaignSpec {
-            precision: Some(PrecisionTarget::new(target_rci, min_reps, max_reps).unwrap()),
-            ..tiny_spec()
-        }
-    }
-
     #[test]
-    fn adaptive_cells_report_reps_in_bounds_with_truthful_reasons() {
+    fn a_cell_time_is_the_floor_of_its_repetitions() {
         // Serialize with failpoint-arming tests: an armed
         // process-global failpoint must never hit a clean-run test.
         let _fp = failpoint::test_guard();
-        for opts in [RunnerOpts::serial(), RunnerOpts::with_jobs(4)] {
-            // A loose target cells hit at min_reps, and a tight one
-            // that drives cells to the bound unless a quantized clock
-            // hands back literally identical timings (zero spread is
-            // the only way under 1e-12). Real timings are noisy, so
-            // the asserts check *truthfulness* of each verdict rather
-            // than a clock-dependent exact outcome.
-            for target in [1e12, 1e-12] {
-                let spec = adaptive_spec(target, 2, 4);
-                let result = run_shard(&spec, &opts, None);
-                for cell in result.cells.iter().filter(|c| c.status == CellStatus::Ok) {
-                    let id = format!("{}/{} {}", cell.guest, cell.engine, cell.workload);
-                    assert!(
-                        (2..=4).contains(&cell.reps_run),
-                        "{id}: reps_run {}",
-                        cell.reps_run
-                    );
-                    assert_eq!(cell.seconds.len(), cell.reps_run as usize);
-                    let rel = cell.stats.and_then(|s| s.rel_ci95());
-                    match cell.stop_reason {
-                        Some(StopReason::Converged) => {
-                            assert!(
-                                rel.is_some_and(|r| r <= target),
-                                "{id}: converged verdict but rci {rel:?} > {target}"
-                            );
-                        }
-                        Some(StopReason::MaxReps) => {
-                            assert_eq!(cell.reps_run, 4, "{id}: max_reps means the bound ran");
-                            assert!(
-                                rel.is_none_or(|r| r > target),
-                                "{id}: max_reps verdict but rci {rel:?} met {target}"
-                            );
-                        }
-                        other => panic!("{id}: adaptive cell reported {other:?}"),
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn adaptive_run_is_counter_identical_to_fixed() {
-        // Serialize with failpoint-arming tests: an armed
-        // process-global failpoint must never hit a clean-run test.
-        let _fp = failpoint::test_guard();
-        let fixed = run(&tiny_spec(), &RunnerOpts::serial());
-        let adaptive = run(&adaptive_spec(0.5, 2, 5), &RunnerOpts::with_jobs(3));
-        for (a, f) in adaptive.cells.iter().zip(&fixed.cells) {
-            assert_eq!(
-                a.status, f.status,
-                "{}/{} {}",
-                a.guest, a.engine, a.workload
-            );
-            assert_eq!(a.counters, f.counters);
-            assert_eq!(a.iterations, f.iterations);
-            assert_eq!(a.tested_ops, f.tested_ops);
-        }
-    }
-
-    #[test]
-    fn adaptive_failing_cell_stops_without_burning_the_budget() {
-        // Serialize with failpoint-arming tests: an armed
-        // process-global failpoint must never hit a clean-run test.
-        let _fp = failpoint::test_guard();
-        // Every repetition aborts on the 1ns wall limit: the scheduler
-        // must mark the cell terminal after the initial min_reps batch
-        // instead of re-enqueueing toward max_reps.
         let spec = CampaignSpec {
-            name: "walled-adaptive".to_string(),
-            guests: vec![Guest::Armlet],
-            engines: vec![EngineKind::Interp],
-            workloads: vec![Workload::Suite(Benchmark::MemHot)],
-            scale: 1,
-            reps: 1,
-            precision: Some(PrecisionTarget::new(0.2, 2, 50).unwrap()),
-            wall_limit: Some(Duration::from_nanos(1)),
+            reps: 5,
+            ..tiny_spec()
         };
-        let result = run(&spec, &RunnerOpts::serial());
-        assert!(matches!(result.cells[0].status, CellStatus::Failed(_)));
-        assert_eq!(result.cells[0].reps_run, 2, "only the initial batch ran");
-        assert_eq!(result.cells[0].stop_reason, None);
+        let result = run(&spec, &RunnerOpts::with_jobs(2));
+        let ok: Vec<_> = result
+            .cells
+            .iter()
+            .filter(|c| c.status == CellStatus::Ok)
+            .collect();
+        assert_eq!(ok.len(), 6);
+        for cell in ok {
+            assert_eq!(cell.seconds.len(), 5);
+            let floor = cell.seconds.iter().copied().fold(f64::INFINITY, f64::min);
+            assert_eq!(cell.metric(), Some(floor), "{}", cell.workload);
+            let s = cell.stats().unwrap();
+            assert_eq!((s.n, s.rejected_invalid), (5, 0));
+            assert!(s.min <= s.median);
+        }
     }
 
     fn halted_outcome(rep: u32, secs: f64) -> JobOutcome {
@@ -1006,53 +761,35 @@ mod tests {
     }
 
     #[test]
-    fn on_complete_waits_for_stragglers_before_deciding() {
-        // Two reps in flight; the first completion must not trigger a
-        // convergence decision while the second is still out.
-        let p = Some(PrecisionTarget::new(1e12, 2, 4).unwrap());
-        let mut cells = vec![CellSched::new()];
-        cells[0].launched = 2;
-        let key = tiny_spec().cells()[0];
-        let job = |rep| Job {
-            cell_index: 0,
-            rep,
-            key,
+    fn every_repetition_runs_once_at_any_worker_count() {
+        // Serialize with failpoint-arming tests: an armed
+        // process-global failpoint must never hit a clean-run test.
+        let _fp = failpoint::test_guard();
+        let spec = CampaignSpec {
+            reps: 3,
+            ..tiny_spec()
         };
-        assert!(on_complete(&mut cells, p, halted_outcome(0, 1.0), &job(0)).is_none());
-        assert_eq!(cells[0].stop, None, "decision deferred to the straggler");
-        assert!(!cells[0].finished);
-        assert!(on_complete(&mut cells, p, halted_outcome(1, 1.1), &job(1)).is_none());
-        assert_eq!(cells[0].stop, Some(StopReason::Converged));
-        assert!(cells[0].finished);
+        for jobs in [1, 3, 64] {
+            let result = run(&spec, &RunnerOpts::with_jobs(jobs));
+            for cell in result.cells.iter().filter(|c| c.status == CellStatus::Ok) {
+                assert_eq!(cell.seconds.len(), 3, "jobs {jobs}: {}", cell.workload);
+                assert_eq!((cell.reps_run, cell.attempts), (3, 3), "jobs {jobs}");
+            }
+        }
     }
 
     #[test]
-    fn on_complete_re_enqueues_until_the_bound_then_stops() {
-        // Injected noisy samples make the unreachable-target path
-        // deterministic (the e2e runs above can't promise real clock
-        // spread): each decision re-enqueues exactly one repetition
-        // until max_reps, then the verdict is MaxReps.
-        let p = Some(PrecisionTarget::new(1e-12, 2, 4).unwrap());
+    fn a_cell_finishes_when_its_last_repetition_completes() {
+        // Repetitions complete in any order; the cell finishes on the
+        // last one, never earlier.
         let mut cells = vec![CellSched::new()];
         cells[0].launched = 2;
         let key = tiny_spec().cells()[0];
-        let job = |rep| Job {
-            cell_index: 0,
-            rep,
-            key,
-        };
-        assert!(on_complete(&mut cells, p, halted_outcome(0, 1.0), &job(0)).is_none());
-        let next = on_complete(&mut cells, p, halted_outcome(1, 2.0), &job(1)).expect("re-enqueue");
-        assert_eq!((next.cell_index, next.rep), (0, 2));
-        let next = on_complete(&mut cells, p, halted_outcome(2, 3.0), &next).expect("re-enqueue");
-        assert_eq!(next.rep, 3);
-        assert_eq!(cells[0].stop, None);
-        assert!(
-            on_complete(&mut cells, p, halted_outcome(3, 4.0), &next).is_none(),
-            "the bound is hard"
-        );
-        assert_eq!(cells[0].stop, Some(StopReason::MaxReps));
-        assert_eq!(cells[0].launched, 4);
+        on_complete(&mut cells, halted_outcome(1, 1.1), &key);
+        assert!(!cells[0].finished);
+        on_complete(&mut cells, halted_outcome(0, 1.0), &key);
+        assert!(cells[0].finished);
+        assert_eq!((cells[0].completed, cells[0].attempts), (2, 2));
     }
 
     #[test]
@@ -1072,8 +809,7 @@ mod tests {
             CellStatus::Quarantined("injected quarantine test".to_string()),
             "the panic payload is recorded"
         );
-        assert!(quarantined[0].stats.is_none());
-        assert_eq!(quarantined[0].stop_reason, None);
+        assert!(quarantined[0].stats().is_none());
         // The rest of the matrix completed exactly as a clean run does.
         let clean = run(&tiny_spec(), &RunnerOpts::serial());
         for (c, r) in clean.cells.iter().zip(&result.cells) {
@@ -1171,7 +907,7 @@ mod tests {
             "{:?}",
             cell.status
         );
-        assert!(cell.stats.is_none());
+        assert!(cell.stats().is_none());
     }
 
     #[test]
@@ -1210,7 +946,6 @@ mod tests {
             let RepResult::Done(s) = halted_outcome(rep, 0.5).sample else {
                 unreachable!()
             };
-            sched[0].seconds.push(0.5);
             sched[0].slots.push(Some(RepResult::Done(s)));
         }
         // Cell 1 completed one of two reps; cells 2.. never started.

@@ -157,63 +157,6 @@ impl std::fmt::Display for Shard {
     }
 }
 
-/// Adaptive repetition target: a cell keeps measuring until the
-/// relative 95% CI half-width of its timings (`ci95 / median`, see
-/// [`crate::stats::Stats::rel_ci95`]) drops to `target_rci` or below,
-/// bounded by `min_reps`/`max_reps`. The runner launches `min_reps`
-/// repetitions up front, then re-enqueues one repetition at a time
-/// until the cell converges or hits the bound.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PrecisionTarget {
-    /// Relative CI half-width to reach, e.g. 0.1 for ±10% of the
-    /// median. Must be a positive finite fraction.
-    pub target_rci: f64,
-    /// Repetitions always run before convergence is evaluated. At
-    /// least 2: one sample has no measurable spread, so "converged at
-    /// one rep" would always be a fabrication.
-    pub min_reps: u32,
-    /// Hard repetition ceiling for cells that never converge.
-    pub max_reps: u32,
-}
-
-impl PrecisionTarget {
-    /// Build a target, validating `target_rci > 0` (finite) and
-    /// `2 <= min_reps <= max_reps`.
-    pub fn new(target_rci: f64, min_reps: u32, max_reps: u32) -> Result<PrecisionTarget, String> {
-        if !(target_rci > 0.0 && target_rci.is_finite()) {
-            return Err(format!(
-                "precision target must be a positive finite fraction, got {target_rci}"
-            ));
-        }
-        if min_reps < 2 {
-            return Err(format!(
-                "min-reps must be at least 2 (a single repetition has no \
-                 measurable spread to converge on), got {min_reps}"
-            ));
-        }
-        if max_reps < min_reps {
-            return Err(format!(
-                "max-reps ({max_reps}) must be at least min-reps ({min_reps})"
-            ));
-        }
-        Ok(PrecisionTarget {
-            target_rci,
-            min_reps,
-            max_reps,
-        })
-    }
-}
-
-impl std::fmt::Display for PrecisionTarget {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "rci {} in {}..={} reps",
-            self.target_rci, self.min_reps, self.max_reps
-        )
-    }
-}
-
 /// The declarative description of one measurement campaign.
 #[derive(Debug, Clone)]
 pub struct CampaignSpec {
@@ -227,12 +170,8 @@ pub struct CampaignSpec {
     pub workloads: Vec<Workload>,
     /// Iteration divisor applied to the paper's counts.
     pub scale: u64,
-    /// Repetitions per cell when `precision` is `None` (fixed mode).
+    /// Repetitions per cell (0 runs one).
     pub reps: u32,
-    /// Adaptive repetition target. When set, `reps` is ignored: every
-    /// cell starts at `min_reps` repetitions and keeps measuring until
-    /// its relative CI half-width reaches `target_rci` (or `max_reps`).
-    pub precision: Option<PrecisionTarget>,
     /// Per-run wall-clock safety limit (`None` = unlimited). Stored as
     /// a full [`Duration`] so sub-second limits round-trip losslessly.
     pub wall_limit: Option<Duration>,
@@ -253,7 +192,6 @@ impl CampaignSpec {
                 .collect(),
             scale,
             reps: 1,
-            precision: None,
             wall_limit: Some(Duration::from_secs(120)),
         }
     }
@@ -268,7 +206,6 @@ impl CampaignSpec {
             workloads,
             scale,
             reps: 1,
-            precision: None,
             wall_limit: Some(Duration::from_secs(120)),
         }
     }
@@ -319,19 +256,8 @@ impl CampaignSpec {
         cells
     }
 
-    /// Repetitions launched per cell before any completion feedback:
-    /// the fixed `reps` count, or `min_reps` in adaptive mode (the
-    /// runner re-enqueues further repetitions one at a time as cells
-    /// fail to converge).
-    pub fn initial_reps(&self) -> u32 {
-        match self.precision {
-            Some(p) => p.min_reps,
-            None => self.reps.max(1),
-        }
-    }
-
     /// Flatten into independent jobs: one per supported cell and
-    /// up-front repetition ([`CampaignSpec::initial_reps`]).
+    /// repetition.
     /// `cell_index` points back into [`CampaignSpec::cells`].
     pub fn expand(&self) -> Vec<Job> {
         self.expand_shard(None)
@@ -353,7 +279,7 @@ impl CampaignSpec {
                     continue;
                 }
             }
-            for rep in 0..self.initial_reps() {
+            for rep in 0..self.reps.max(1) {
                 jobs.push(Job {
                     cell_index,
                     rep,
@@ -512,37 +438,10 @@ mod tests {
     }
 
     #[test]
-    fn precision_target_validation() {
-        let p = PrecisionTarget::new(0.1, 2, 10).unwrap();
-        assert_eq!(p.target_rci, 0.1);
-        assert_eq!((p.min_reps, p.max_reps), (2, 10));
-        assert_eq!(p.to_string(), "rci 0.1 in 2..=10 reps");
-        assert!(PrecisionTarget::new(0.0, 2, 10).is_err(), "zero target");
-        assert!(PrecisionTarget::new(-0.1, 2, 10).is_err(), "negative");
-        assert!(PrecisionTarget::new(f64::NAN, 2, 10).is_err(), "NaN");
-        assert!(
-            PrecisionTarget::new(f64::INFINITY, 2, 10).is_err(),
-            "infinite"
-        );
-        assert!(
-            PrecisionTarget::new(0.1, 1, 10).is_err(),
-            "min-reps below 2 would converge on a fabricated 0 spread"
-        );
-        assert!(PrecisionTarget::new(0.1, 5, 4).is_err(), "max below min");
-        assert!(PrecisionTarget::new(0.1, 3, 3).is_ok(), "min == max is ok");
-    }
-
-    #[test]
-    fn adaptive_expansion_launches_min_reps_per_cell() {
+    fn zero_reps_expand_to_one_job_per_cell() {
         let mut spec = CampaignSpec::full_matrix(20_000);
-        spec.reps = 7; // ignored in adaptive mode
-        spec.precision = Some(PrecisionTarget::new(0.2, 3, 9).unwrap());
-        assert_eq!(spec.initial_reps(), 3);
-        assert_eq!(spec.cells().len(), 270);
-        assert_eq!(spec.expand().len(), 260 * 3);
-        spec.precision = None;
-        assert_eq!(spec.initial_reps(), 7);
-        assert_eq!(spec.expand().len(), 260 * 7);
+        spec.reps = 0;
+        assert_eq!(spec.expand().len(), 260);
     }
 
     #[test]

@@ -29,7 +29,6 @@ fn spec(reps: u32) -> CampaignSpec {
         ],
         scale: 500_000, // tiny kernels: the whole matrix runs in well under a second
         reps,
-        precision: None,
         wall_limit: Some(std::time::Duration::from_secs(60)),
     }
 }
@@ -96,7 +95,7 @@ fn parallel_run_matches_serial() {
     // differ run to run.
     for (cs, cp) in serial.cells.iter().zip(&parallel.cells) {
         assert_eq!(cs.seconds.len(), cp.seconds.len());
-        assert_eq!(cs.stats.is_some(), cp.stats.is_some());
+        assert_eq!(cs.stats().is_some(), cp.stats().is_some());
     }
     assert_eq!(parallel.jobs, 4);
 }
@@ -150,7 +149,7 @@ fn sharded_run_plus_merge_is_counter_exact_at_any_shard_count() {
         assert_eq!(fingerprint(&merged), fingerprint(&whole), "count {count}");
         for (a, b) in merged.cells.iter().zip(&whole.cells) {
             assert_eq!(a.seconds.len(), b.seconds.len());
-            assert_eq!(a.stats.is_some(), b.stats.is_some());
+            assert_eq!(a.stats().is_some(), b.stats().is_some());
             assert_eq!(a.counter_variants, b.counter_variants);
         }
         // ...and counter-exact under the comparison gate, in both
@@ -311,6 +310,60 @@ fn broken_journaled_cells_are_remeasured_on_resume() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Rewrite a journal's meta record the way an older writer wrote it
+/// for an adaptive run, with a `precision` member after `reps`.
+fn make_adaptive(dir: &std::path::Path) {
+    let path = dir.join(JOURNAL_FILE);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let precision = ", \"precision\": {\"target_rci\": 0.2, \"min_reps\": 2, \"max_reps\": 10}";
+    let (meta, rest) = text.split_once('\n').unwrap();
+    let (head, tail) = meta.split_once(", \"cells\"").unwrap();
+    std::fs::write(&path, format!("{head}{precision}, \"cells\"{tail}\n{rest}")).unwrap();
+}
+
+#[test]
+fn an_adaptive_journal_does_not_resume() {
+    let s = spec(2);
+    let dir = journal_dir("adaptive");
+    let whole = run(&s, &RunnerOpts::serial());
+    let journal = Journal::create(&dir, &s, None).unwrap();
+    journal.record_cell(0, &whole.cells[0]);
+    drop(journal);
+    assert_eq!(replay(&dir, &s, None).unwrap().cells.len(), 1);
+    // Its repetition counts were the adaptive controller's, so a fixed
+    // run resuming it would mismeasure.
+    make_adaptive(&dir);
+    let err = replay(&dir, &s, None).unwrap_err();
+    assert!(err.contains("different campaign"), "{err}");
+    assert!(err.contains("precision is adaptive"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_fixed_journal_of_the_v6_writer_resumes() {
+    // The v6 writer journaled cells with a stop reason and stored
+    // statistics; a fixed run of the same spec replays them.
+    let s = spec(2);
+    let dir = journal_dir("v6-cells");
+    let whole = run(&s, &RunnerOpts::serial());
+    let journal = Journal::create(&dir, &s, None).unwrap();
+    journal.record_cell(0, &whole.cells[0]);
+    drop(journal);
+    let path = dir.join(JOURNAL_FILE);
+    let text = std::fs::read_to_string(&path)
+        .unwrap()
+        .replace(", \"seconds\"", ", \"stop_reason\": \"fixed\", \"seconds\"");
+    let text = text.replace(
+        ", \"counters\"",
+        ", \"stats\": {\"n\": 2, \"median\": 7.0}, \"counters\"",
+    );
+    assert!(text.contains("stop_reason") && text.contains("\"stats\""));
+    std::fs::write(&path, text).unwrap();
+    let rep = replay(&dir, &s, None).unwrap();
+    assert_eq!(rep.cells, vec![(0, whole.cells[0].clone())]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn resumed_shards_merge_counter_exact_at_shard_counts_1_2_5() {
     let s = spec(2);
@@ -360,7 +413,6 @@ fn compare_flags_exactly_the_cell_whose_counter_drifted() {
     // A baseline measured 10× faster everywhere still compares clean...
     for cell in &mut baseline.cells {
         cell.seconds.iter_mut().for_each(|t| *t /= 10.0);
-        cell.stats = simbench_campaign::stats(&cell.seconds);
     }
     assert!(compare_counters(&baseline, &current, 0.0).clean());
     // ...while one instruction more in one cell flags that cell alone.

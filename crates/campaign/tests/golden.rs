@@ -1,42 +1,47 @@
 //! Golden-fixture tests for the persisted campaign schema.
 //!
-//! The committed fixtures pin the on-disk format: `campaign_v6.json` is
-//! a whole-matrix result in the current `simbench-campaign/v6` layout,
-//! `campaign_v6_shard.json` a partial (shard) result with shard metadata
-//! and `skipped` cells, and `campaign_v5.json` / `campaign_v5_shard.json`
-//! their `v5` forms, which load unchanged but for the schema line.
-//! `campaign_v6_full.json` carries every optional field the writer knows
-//! (precision, shard, journal, telemetry, attempts, counter variants,
-//! every non-`ok` status with a payload that needs escaping), so it pins
-//! every branch of the writer. Any unintentional change to the serializer
-//! or the parser shows up here as a byte diff; after an *intentional* schema change, regenerate the v6
-//! fixtures with
+//! The committed fixtures pin the on-disk format: `campaign_v7.json` is
+//! a whole-matrix result in the current `simbench-campaign/v7` layout,
+//! `campaign_v7_shard.json` a partial (shard) result with shard metadata
+//! and `skipped` cells, and `campaign_v7_full.json` carries every
+//! optional field the writer knows (shard, journal, telemetry, attempts,
+//! counter variants, every non-`ok` status with a payload that needs
+//! escaping), so it pins every branch of the writer. The three
+//! `campaign_v6*.json` files are their twins in the previous layout,
+//! which also carried a `precision` echo and per-cell `stop_reason` and
+//! `stats` members; they are frozen, and each loads to exactly its v7
+//! twin. Any unintentional change to the serializer or the parser shows
+//! up here as a byte diff; after an *intentional* schema change,
+//! regenerate the v7 fixtures with
 //!
 //! ```sh
 //! cargo test -p simbench-campaign --test golden regen -- --ignored
 //! ```
 
 use simbench_campaign::{
-    CampaignResult, CampaignSpec, CellStatus, Journal, LoadError, PrecisionTarget, Shard,
-    StopReason, Telemetry, JOURNAL_FILE, SCHEMA, SCHEMA_V5,
+    CampaignResult, CampaignSpec, CellStatus, Journal, LoadError, Shard, Telemetry, JOURNAL_FILE,
+    SCHEMA, SCHEMA_V6,
 };
 
-const V5: &str = include_str!("fixtures/campaign_v5.json");
-const V5_SHARD: &str = include_str!("fixtures/campaign_v5_shard.json");
 const V6: &str = include_str!("fixtures/campaign_v6.json");
 const V6_SHARD: &str = include_str!("fixtures/campaign_v6_shard.json");
 const V6_FULL: &str = include_str!("fixtures/campaign_v6_full.json");
+const V7: &str = include_str!("fixtures/campaign_v7.json");
+const V7_SHARD: &str = include_str!("fixtures/campaign_v7_shard.json");
+const V7_FULL: &str = include_str!("fixtures/campaign_v7_full.json");
+
+/// Each fixture's text with the schema string it declares.
+const WHOLE: [(&str, &str); 2] = [(V6, SCHEMA_V6), (V7, SCHEMA)];
 
 /// The shard fixture's in-memory value: shard 2 of 3, one owned cell
 /// measured, the two unowned cells skipped.
 fn shard_demo() -> CampaignResult {
-    let mut r = CampaignResult::from_json(V6).unwrap();
+    let mut r = CampaignResult::from_json(V7).unwrap();
     r.shard = Some(Shard::new(2, 3).unwrap());
     for (i, cell) in r.cells.iter_mut().enumerate() {
         if i != 1 {
             cell.status = CellStatus::Skipped;
             cell.seconds.clear();
-            cell.stats = None;
             cell.counters = Default::default();
             cell.counters_consistent = true;
             cell.tested_ops = None;
@@ -44,20 +49,18 @@ fn shard_demo() -> CampaignResult {
             cell.iterations = 0;
             cell.reps_run = 0;
             cell.attempts = 0;
-            cell.stop_reason = None;
         }
     }
     r
 }
 
-/// The full fixture's in-memory value: the v6 fixture plus every
+/// The full fixture's in-memory value: the v7 fixture plus every
 /// optional top-level and per-cell field, each non-`ok` status with a
 /// payload holding a quote, a backslash, a newline and non-ASCII text, a
 /// cell without a category, and one non-finite second (written as `0`).
 fn full_demo() -> CampaignResult {
     let payload = "said \"no\" at C:\\sim,\nthen µs ± 5 % → 終";
-    let mut r = CampaignResult::from_json(V6).unwrap();
-    r.precision = Some(PrecisionTarget::new(0.05, 2, 6).unwrap());
+    let mut r = CampaignResult::from_json(V7).unwrap();
     r.shard = Some(Shard::new(1, 2).unwrap());
     r.journal = Some("runs/\"j\" µ".to_string());
     r.telemetry = Some(Telemetry {
@@ -71,11 +74,9 @@ fn full_demo() -> CampaignResult {
         ],
     });
     r.cells[0].attempts = 5;
-    r.cells[0].stop_reason = Some(StopReason::Converged);
     let mut variant = r.cells[1].counters;
     variant.instructions += 1;
     r.cells[1].counter_variants = vec![r.cells[1].counters, variant];
-    r.cells[1].stop_reason = Some(StopReason::MaxReps);
     r.cells[2].status = CellStatus::Unsupported(payload.to_string());
     let template = r.cells[2].clone();
     for status in [
@@ -101,17 +102,17 @@ fn full_demo() -> CampaignResult {
 }
 
 #[test]
-fn v6_full_fixture_pins_every_writer_branch() {
+fn v7_full_fixture_pins_every_writer_branch() {
     let r = full_demo();
     assert_eq!(
         r.to_json(),
-        V6_FULL,
+        V7_FULL,
         "serializing the full demo must reproduce the full fixture byte for byte"
     );
     // The non-finite second is written as 0 and so reads back as 0.
     let mut expected = r;
     expected.cells[3].seconds[1] = 0.0;
-    let parsed = CampaignResult::from_json(V6_FULL).expect("full fixture parses");
+    let parsed = CampaignResult::from_json(V7_FULL).expect("full fixture parses");
     assert_eq!(parsed, expected);
 }
 
@@ -126,7 +127,7 @@ fn journaled_cells_are_byte_identical_to_their_persisted_lines() {
     drop(journal);
     let text = std::fs::read_to_string(dir.join(JOURNAL_FILE)).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
-    let persisted: Vec<&str> = V6_FULL
+    let persisted: Vec<&str> = V7_FULL
         .lines()
         .filter_map(|l| l.strip_prefix("    "))
         .filter(|l| l.starts_with('{'))
@@ -142,70 +143,78 @@ fn journaled_cells_are_byte_identical_to_their_persisted_lines() {
 }
 
 #[test]
-fn v6_fixture_round_trips_byte_stably() {
-    let parsed = CampaignResult::from_json(V6).expect("v6 fixture parses");
+fn v7_fixture_round_trips_byte_stably() {
+    let parsed = CampaignResult::from_json(V7).expect("v7 fixture parses");
     assert_eq!(parsed.schema, SCHEMA);
     assert_eq!(parsed.shard, None);
     assert_eq!(parsed.telemetry, None);
     assert_eq!(parsed.journal, None);
     assert_eq!(
         parsed.to_json(),
-        V6,
-        "re-serializing the v6 fixture must reproduce it byte for byte"
+        V7,
+        "re-serializing the v7 fixture must reproduce it byte for byte"
     );
 }
 
 #[test]
-fn v6_shard_fixture_round_trips_byte_stably() {
-    let parsed = CampaignResult::from_json(V6_SHARD).expect("v6 shard fixture parses");
+fn v7_shard_fixture_round_trips_byte_stably() {
+    let parsed = CampaignResult::from_json(V7_SHARD).expect("v7 shard fixture parses");
     assert_eq!(parsed.schema, SCHEMA);
     assert_eq!(parsed.shard, Some(Shard::new(2, 3).unwrap()));
     assert_eq!(parsed.cells[0].status, CellStatus::Skipped);
     assert_eq!(parsed.cells[1].status, CellStatus::Ok);
     assert_eq!(
         parsed.to_json(),
-        V6_SHARD,
+        V7_SHARD,
         "re-serializing the shard fixture must reproduce it byte for byte"
     );
 }
 
-#[test]
-fn v5_fixture_migrates_to_exactly_the_v6_fixture() {
-    assert!(V5.contains(SCHEMA_V5));
-    let migrated = CampaignResult::from_json(V5).expect("v5 fixture parses");
+/// A v6 fixture loads to a result equal to its v7 twin's: its extra
+/// members are skipped.
+fn assert_v6_loads_as_v7(v6: &str, v7: &str) {
+    assert!(v6.contains(SCHEMA_V6));
+    let migrated = CampaignResult::from_json(v6).expect("v6 fixture parses");
     assert_eq!(migrated.schema, SCHEMA, "migration normalizes the schema");
-    assert_eq!(
-        migrated.to_json(),
-        V6,
-        "saving a loaded v5 file must produce the committed v6 rendering \
-         (the only difference is the schema line)"
-    );
-    // v5 statistics and stop verdicts are trusted verbatim; the new v6
-    // fields take their defaults (attempts = reps_run, no journal).
-    assert_eq!(migrated.cells[0].attempts, migrated.cells[0].reps_run);
-    assert_eq!(migrated.journal, None, "v5 predates journaling");
+    assert_eq!(migrated, CampaignResult::from_json(v7).unwrap());
 }
 
 #[test]
-fn v5_shard_fixture_migrates_to_exactly_the_v6_shard_fixture() {
-    let migrated = CampaignResult::from_json(V5_SHARD).expect("v5 shard fixture parses");
-    assert_eq!(migrated.schema, SCHEMA);
-    assert_eq!(migrated.shard, Some(Shard::new(2, 3).unwrap()));
-    assert_eq!(migrated.to_json(), V6_SHARD);
+fn v6_fixture_loads_to_exactly_the_v7_fixture() {
+    assert_v6_loads_as_v7(V6, V7);
+    assert_eq!(CampaignResult::from_json(V6).unwrap().to_json(), V7);
+}
+
+#[test]
+fn v6_shard_fixture_loads_to_exactly_the_v7_shard_fixture() {
+    assert_v6_loads_as_v7(V6_SHARD, V7_SHARD);
+    assert_eq!(
+        CampaignResult::from_json(V6_SHARD).unwrap().to_json(),
+        V7_SHARD
+    );
+}
+
+#[test]
+fn v6_full_fixture_loads_to_exactly_the_v7_full_fixture() {
+    // The one fixture with a precision echo and every stop reason.
+    assert!(V6_FULL.contains("\"precision\"") && V6_FULL.contains("\"converged\""));
+    assert_v6_loads_as_v7(V6_FULL, V7_FULL);
 }
 
 #[test]
 fn migrated_fixture_keeps_cell_semantics() {
-    let migrated = CampaignResult::from_json(V5).unwrap();
+    let migrated = CampaignResult::from_json(V6).unwrap();
     assert_eq!(migrated.name, "golden");
     assert_eq!(migrated.cells.len(), 3);
     assert_eq!(migrated.cells[0].status, CellStatus::Ok);
     assert_eq!(migrated.cells[0].counters.syscalls, 2500);
+    // The time is the floor of the stored seconds, not a stored figure.
+    assert_eq!(migrated.cells[0].metric(), Some(0.0105));
     assert_eq!(
         migrated.cells[2].status,
         CellStatus::Unsupported("intc device model".to_string())
     );
-    assert!(migrated.cells[2].stats.is_none());
+    assert!(migrated.cells[2].stats().is_none());
 }
 
 #[test]
@@ -213,10 +222,11 @@ fn unknown_schema_versions_are_typed_errors() {
     for found in [
         "simbench-campaign/v0",
         "simbench-campaign/v4",
-        "simbench-campaign/v7",
+        "simbench-campaign/v5",
+        "simbench-campaign/v8",
         "nonsense",
     ] {
-        let text = V6.replace(SCHEMA, found);
+        let text = V7.replace(SCHEMA, found);
         match CampaignResult::from_json(&text) {
             Err(LoadError::Schema { found: f }) => assert_eq!(f, found),
             other => panic!("expected a schema error for {found:?}, got {other:?}"),
@@ -225,18 +235,20 @@ fn unknown_schema_versions_are_typed_errors() {
 }
 
 #[test]
-fn a_v4_document_is_a_schema_error_not_a_migration() {
-    let v4 = V5.replace(SCHEMA_V5, "simbench-campaign/v4");
-    let err = CampaignResult::from_json(&v4).unwrap_err();
-    let found = "simbench-campaign/v4".to_string();
+fn a_v5_document_is_a_schema_error_not_a_migration() {
+    let v5 = V6.replace(SCHEMA_V6, "simbench-campaign/v5");
+    let err = CampaignResult::from_json(&v5).unwrap_err();
+    let found = "simbench-campaign/v5".to_string();
     assert_eq!(err, LoadError::Schema { found });
+    let text = err.to_string();
+    assert!(text.contains(SCHEMA) && text.contains(SCHEMA_V6), "{text}");
 }
 
 #[test]
 fn loading_a_fixture_file_matches_parsing_its_text() {
     let dir = env!("CARGO_MANIFEST_DIR");
-    let loaded = CampaignResult::load(format!("{dir}/tests/fixtures/campaign_v5.json")).unwrap();
-    assert_eq!(loaded.to_json(), V6);
+    let loaded = CampaignResult::load(format!("{dir}/tests/fixtures/campaign_v6.json")).unwrap();
+    assert_eq!(loaded.to_json(), V7);
 }
 
 #[test]
@@ -258,31 +270,25 @@ fn malformed_documents_are_typed_errors_not_panics() {
         Err(LoadError::Malformed(_))
     ));
     // Unknown counter name inside a cell.
-    let text = V6.replace("\"instructions\"", "\"instruction_bytes\"");
+    let text = V7.replace("\"instructions\"", "\"instruction_bytes\"");
     match CampaignResult::from_json(&text) {
         Err(LoadError::Malformed(e)) => assert!(e.contains("unknown counter"), "{e}"),
         other => panic!("expected malformed, got {other:?}"),
     }
     // Corrupted timing entry.
-    let text = V6.replace("[0.011, 0.0105]", "[0.011, true]");
+    let text = V7.replace("[0.011, 0.0105]", "[0.011, true]");
     assert!(matches!(
         CampaignResult::from_json(&text),
         Err(LoadError::Malformed(_))
     ));
-    // An unknown stop reason.
-    let text = V6.replace("\"stop_reason\": \"fixed\"", "\"stop_reason\": \"bored\"");
-    match CampaignResult::from_json(&text) {
-        Err(LoadError::Malformed(e)) => assert!(e.contains("stop_reason"), "{e}"),
-        other => panic!("expected malformed, got {other:?}"),
-    }
     // Shard metadata with an out-of-range index.
-    let text = V6_SHARD.replace("\"index\": 2", "\"index\": 9");
+    let text = V7_SHARD.replace("\"index\": 2", "\"index\": 9");
     match CampaignResult::from_json(&text) {
         Err(LoadError::Malformed(e)) => assert!(e.contains("shard"), "{e}"),
         other => panic!("expected malformed, got {other:?}"),
     }
     // A telemetry block that is not an object.
-    let text = V6.replace(
+    let text = V7.replace(
         "\"created_unix\": 1700000000,",
         "\"created_unix\": 1700000000,\n  \"telemetry\": [],",
     );
@@ -292,43 +298,49 @@ fn malformed_documents_are_typed_errors_not_panics() {
     }
 }
 
-/// The v6 fixture with cell 0's timings corrupted into a layout error.
-fn v6_with_malformed_cell_0() -> String {
-    V6.replace("[0.011, 0.0105]", "[0.011, true]")
+/// A fixture with cell 0's timings corrupted into a layout error.
+fn with_malformed_cell_0(text: &str) -> String {
+    text.replace("[0.011, 0.0105]", "[0.011, true]")
 }
 
 #[test]
 fn a_malformed_cell_followed_by_a_syntax_error_is_a_json_error() {
     // The syntax error in a later cell, and after the cells array.
-    let bad = v6_with_malformed_cell_0();
-    for text in [
-        bad.replace("\"seconds\": []}", "\"seconds\": [,]}"),
-        bad.replace("  ]\n}\n", "  ]\n}}\n"),
-    ] {
-        let err = CampaignResult::from_json(&text).unwrap_err();
-        assert!(matches!(err, LoadError::Json(_)), "{err}");
+    for (fixture, _) in WHOLE {
+        let bad = with_malformed_cell_0(fixture);
+        for text in [
+            bad.replace("\"seconds\": []}", "\"seconds\": [,]}"),
+            bad.replace("  ]\n}\n", "  ]\n}}\n"),
+        ] {
+            let err = CampaignResult::from_json(&text).unwrap_err();
+            assert!(matches!(err, LoadError::Json(_)), "{err}");
+        }
     }
 }
 
 #[test]
 fn an_unknown_schema_beats_a_malformed_cell() {
-    let text = v6_with_malformed_cell_0().replace(SCHEMA, "simbench-campaign/v0");
-    let found = "simbench-campaign/v0".to_string();
-    assert_eq!(
-        CampaignResult::from_json(&text).unwrap_err(),
-        LoadError::Schema { found }
-    );
+    for (fixture, schema) in WHOLE {
+        let text = with_malformed_cell_0(fixture).replace(schema, "simbench-campaign/v0");
+        let found = "simbench-campaign/v0".to_string();
+        assert_eq!(
+            CampaignResult::from_json(&text).unwrap_err(),
+            LoadError::Schema { found }
+        );
+    }
 }
 
 #[test]
 fn a_schema_written_after_the_cells_loads() {
-    let schema_line = format!("  \"schema\": \"{SCHEMA}\",\n");
-    let text = V6.replace(&schema_line, "").replace(
-        "  ]\n}\n",
-        &format!("  ],\n  \"schema\": \"{SCHEMA}\"\n}}\n"),
-    );
-    assert_ne!(text, V6);
-    assert_eq!(CampaignResult::from_json(&text).unwrap().to_json(), V6);
+    for (fixture, schema) in WHOLE {
+        let schema_line = format!("  \"schema\": \"{schema}\",\n");
+        let text = fixture.replace(&schema_line, "").replace(
+            "  ]\n}\n",
+            &format!("  ],\n  \"schema\": \"{schema}\"\n}}\n"),
+        );
+        assert_ne!(text, fixture);
+        assert_eq!(CampaignResult::from_json(&text).unwrap().to_json(), V7);
+    }
 }
 
 #[test]
@@ -336,57 +348,61 @@ fn a_duplicate_key_keeps_its_last_value() {
     // At the top level, in a cell, inside counters and for the cells
     // array itself: the earlier value is wrong or malformed, the later
     // one is the fixture's.
-    let text = V6
-        .replace(
-            "  \"name\": \"golden\",",
-            "  \"name\": 7,\n  \"name\": \"golden\",",
-        )
-        .replace(
-            "\"iterations\": 2500",
-            "\"iterations\": 1, \"iterations\": 2500",
-        )
-        .replace(
-            "\"reps_run\": 2, ",
-            "\"reps_run\": 2, \"attempts\": 9, \"attempts\": 2, ",
-        )
-        .replace(
-            "\"syscalls\": 2500",
-            "\"syscalls\": \"x\", \"syscalls\": 2500",
-        )
-        .replace(
+    for (fixture, _) in WHOLE {
+        let text = fixture
+            .replace(
+                "  \"name\": \"golden\",",
+                "  \"name\": 7,\n  \"name\": \"golden\",",
+            )
+            .replace(
+                "\"iterations\": 2500",
+                "\"iterations\": 1, \"iterations\": 2500",
+            )
+            .replace(
+                "\"reps_run\": 2, ",
+                "\"reps_run\": 2, \"attempts\": 9, \"attempts\": 2, ",
+            )
+            .replace(
+                "\"syscalls\": 2500",
+                "\"syscalls\": \"x\", \"syscalls\": 2500",
+            )
+            .replace(
+                "\"tested_ops\": 100",
+                "\"tested_ops\": \"x\", \"tested_ops\": 100",
+            )
+            .replace("  \"cells\": [", "  \"cells\": [{}],\n  \"cells\": [");
+        assert_eq!(CampaignResult::from_json(&text).unwrap().to_json(), V7);
+        // And a malformed last value is an error even after a good one.
+        let text = fixture.replace(
             "\"tested_ops\": 100",
-            "\"tested_ops\": \"x\", \"tested_ops\": 100",
-        )
-        .replace("  \"cells\": [", "  \"cells\": [{}],\n  \"cells\": [");
-    assert_eq!(CampaignResult::from_json(&text).unwrap().to_json(), V6);
-    // And a malformed last value is an error even after a good one.
-    let text = V6.replace(
-        "\"tested_ops\": 100",
-        "\"tested_ops\": 100, \"tested_ops\": \"x\"",
-    );
-    match CampaignResult::from_json(&text) {
-        Err(LoadError::Malformed(e)) => assert_eq!(e, "cell 1: \"tested_ops\" not an integer"),
-        other => panic!("expected malformed, got {other:?}"),
+            "\"tested_ops\": 100, \"tested_ops\": \"x\"",
+        );
+        match CampaignResult::from_json(&text) {
+            Err(LoadError::Malformed(e)) => assert_eq!(e, "cell 1: \"tested_ops\" not an integer"),
+            other => panic!("expected malformed, got {other:?}"),
+        }
     }
 }
 
 #[test]
 fn a_string_in_seconds_or_counters_is_malformed_and_names_the_cell() {
-    for (from, to, want) in [
-        (
-            "\"seconds\": [0.5]",
-            "\"seconds\": [\"0.5\"]",
-            "cell 1: non-numeric entry in \"seconds\"",
-        ),
-        (
-            "\"tlb_misses\": 100",
-            "\"tlb_misses\": \"100\"",
-            "cell 1: counter tlb_misses not an integer",
-        ),
-    ] {
-        match CampaignResult::from_json(&V6.replace(from, to)) {
-            Err(LoadError::Malformed(e)) => assert_eq!(e, want),
-            other => panic!("{to}: expected malformed, got {other:?}"),
+    for (fixture, _) in WHOLE {
+        for (from, to, want) in [
+            (
+                "\"seconds\": [0.5]",
+                "\"seconds\": [\"0.5\"]",
+                "cell 1: non-numeric entry in \"seconds\"",
+            ),
+            (
+                "\"tlb_misses\": 100",
+                "\"tlb_misses\": \"100\"",
+                "cell 1: counter tlb_misses not an integer",
+            ),
+        ] {
+            match CampaignResult::from_json(&fixture.replace(from, to)) {
+                Err(LoadError::Malformed(e)) => assert_eq!(e, want),
+                other => panic!("{to}: expected malformed, got {other:?}"),
+            }
         }
     }
 }
@@ -395,7 +411,7 @@ fn a_string_in_seconds_or_counters_is_malformed_and_names_the_cell() {
 /// the ones that only drop trailing whitespace, which load.
 #[test]
 fn truncated_fixtures_are_json_errors_not_panics() {
-    for text in [V6, V6_SHARD, V6_FULL] {
+    for text in [V6, V6_SHARD, V6_FULL, V7, V7_SHARD, V7_FULL] {
         for end in (0..text.len()).filter(|&end| text.is_char_boundary(end)) {
             let prefix = &text[..end];
             match CampaignResult::from_json(prefix) {
@@ -414,7 +430,7 @@ fn truncated_fixtures_are_json_errors_not_panics() {
 #[test]
 fn corrupted_fixtures_load_or_fail_typed() {
     let mut seed = 0x9e37_79b9_7f4a_7c15u64;
-    for text in [V6, V6_SHARD, V6_FULL] {
+    for text in [V6, V6_SHARD, V6_FULL, V7, V7_SHARD, V7_FULL] {
         for _ in 0..256 {
             // xorshift64: a fixed, dependency-free position sequence.
             seed ^= seed << 13;
@@ -444,38 +460,38 @@ fn unreadable_files_are_io_errors() {
     assert!(matches!(err, LoadError::Io(_)), "{err}");
 }
 
-/// Regenerates `fixtures/campaign_v6.json` from the committed v5
-/// fixture. Ignored by default: run it manually after an intentional
-/// schema change, then review the diff.
+/// Regenerates `fixtures/campaign_v7.json` from the frozen v6 fixture.
+/// Ignored by default: run it manually after an intentional schema
+/// change, then review the diff.
 #[test]
-#[ignore = "writes the v6 fixture; run manually after intentional schema changes"]
-fn regen_v6_fixture() {
-    let migrated = CampaignResult::from_json(V5).unwrap();
+#[ignore = "writes the v7 fixture; run manually after intentional schema changes"]
+fn regen_v7_fixture() {
+    let migrated = CampaignResult::from_json(V6).unwrap();
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/campaign_v6.json"
+        "/tests/fixtures/campaign_v7.json"
     );
     std::fs::write(path, migrated.to_json()).unwrap();
 }
 
-/// Regenerates `fixtures/campaign_v6_shard.json` from the v6 fixture.
+/// Regenerates `fixtures/campaign_v7_shard.json` from the v7 fixture.
 #[test]
 #[ignore = "writes the shard fixture; run manually after intentional schema changes"]
-fn regen_v6_shard_fixture() {
+fn regen_v7_shard_fixture() {
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/campaign_v6_shard.json"
+        "/tests/fixtures/campaign_v7_shard.json"
     );
     std::fs::write(path, shard_demo().to_json()).unwrap();
 }
 
-/// Regenerates `fixtures/campaign_v6_full.json` from [`full_demo`].
+/// Regenerates `fixtures/campaign_v7_full.json` from [`full_demo`].
 #[test]
 #[ignore = "writes the full fixture; run manually after intentional schema changes"]
-fn regen_v6_full_fixture() {
+fn regen_v7_full_fixture() {
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/campaign_v6_full.json"
+        "/tests/fixtures/campaign_v7_full.json"
     );
     std::fs::write(path, full_demo().to_json()).unwrap();
 }

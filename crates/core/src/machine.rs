@@ -40,12 +40,6 @@ impl<I: Isa, B: crate::bus::Bus> Machine<I, B> {
         }
     }
 
-    /// Reset CPU and system registers without reloading memory.
-    pub fn reset_cpu(&mut self, entry: u32) {
-        self.cpu = CpuState::at_reset(entry);
-        self.sys = I::Sys::default();
-    }
-
     /// Pack the non-register CPU status into one word for hashing and
     /// diffing: flags in the low nibble layout NZCV, then privilege and
     /// the IRQ mask.

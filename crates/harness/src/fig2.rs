@@ -50,7 +50,7 @@ fn app_secs(campaign: &CampaignResult, version: &EngineKind, app: App) -> f64 {
             &Workload::App(app).id(),
         )
         .expect("apps run on every version");
-    cell.stats.as_ref().expect("apps complete").median.max(1e-9)
+    cell.metric().expect("apps complete").max(1e-9)
 }
 
 /// Render a completed Fig 2 campaign. Returns the rows plus a table.

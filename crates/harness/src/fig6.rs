@@ -64,10 +64,8 @@ pub fn panel_from(guest: Guest, campaign: &CampaignResult) -> Panel {
                         &Workload::Suite(bench).id(),
                     )
                     .expect("supported benchmark");
-                cell.stats
-                    .as_ref()
+                cell.metric()
                     .expect("supported benchmark completed")
-                    .median
                     .max(1e-9)
             })
             .collect();

@@ -73,9 +73,7 @@ pub fn render(campaign: &CampaignResult) -> (Results, String) {
                     .cell(guest.isa_name(), &engine.id(), &Workload::Suite(bench).id())
                     .unwrap_or_else(|| panic!("missing cell {engine:?}/{bench:?} on {guest:?}"));
                 let cell = match &rc.status {
-                    CellStatus::Ok => {
-                        Cell::Seconds(rc.stats.as_ref().expect("ok cell has stats").median)
-                    }
+                    CellStatus::Ok => Cell::Seconds(rc.metric().expect("ok cell has timings")),
                     CellStatus::NotOnIsa => Cell::NotOnIsa,
                     CellStatus::Unsupported(_) => Cell::Unsupported,
                     CellStatus::Failed(why)

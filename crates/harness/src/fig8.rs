@@ -45,11 +45,7 @@ fn secs(campaign: &CampaignResult, version: &EngineKind, workload: Workload) -> 
     let cell = campaign
         .cell(Guest::Armlet.isa_name(), &version.id(), &workload.id())
         .expect("armlet supports all workloads");
-    cell.stats
-        .as_ref()
-        .expect("workload completed")
-        .median
-        .max(1e-9)
+    cell.metric().expect("workload completed").max(1e-9)
 }
 
 /// Render a completed Fig 8 campaign.

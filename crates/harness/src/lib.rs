@@ -63,9 +63,6 @@ pub(crate) fn figure_spec(
         workloads,
         scale: cfg.scale,
         reps: cfg.reps.max(1),
-        // Figure renderers always run fixed repetition counts: their
-        // tables show one number per cell, not convergence behavior.
-        precision: None,
         // Pass the limit through as a full Duration: a sub-second limit
         // (e.g. 500 ms) must not be silently rounded up to one second,
         // nor a fractional part truncated.

@@ -31,9 +31,8 @@
 //! telemetry on, writes a Chrome trace-event JSON of the run's spans
 //! and events to FILE, and snapshots the engine-metric registry into
 //! the persisted campaign's `telemetry` block (rendered later by
-//! `report`). `--progress` streams per-cell start/converge/finish
-//! records on stderr; `--progress=ndjson` emits them as one JSON object
-//! per line.
+//! `report`). `--progress` streams per-cell start/finish records on
+//! stderr; `--progress=ndjson` emits them as one JSON object per line.
 //!
 //! Unknown flags and malformed values are hard errors: a typo must not
 //! silently change what gets measured. Exit codes are part of the
@@ -47,8 +46,8 @@ use std::process::ExitCode;
 
 use simbench_apps::App;
 use simbench_campaign::{
-    compare_counters, merge, CampaignResult, CampaignSpec, EngineKind, Guest, PrecisionTarget,
-    RunnerOpts, Shard, Workload,
+    compare_counters, merge, CampaignResult, CampaignSpec, EngineKind, Guest, RunnerOpts, Shard,
+    Workload,
 };
 use simbench_dbt::QEMU_VERSIONS;
 use simbench_harness::{fig2, fig3, fig4, fig5, fig6, fig7, fig8, model, Config};
@@ -59,7 +58,6 @@ const USAGE: &str = "usage: simbench-harness <fig2|fig3|fig4|fig5|fig6|fig7|fig8
        simbench-harness campaign run [--scale N] [--jobs N] [--reps R] [--out FILE] [--name S]
                                      [--guests LIST] [--engines LIST] [--benches LIST]
                                      [--apps] [--versions] [--shard I/N]
-                                     [--precision RCI [--min-reps N] [--max-reps N]]
                                      [--trace FILE] [--progress[=ndjson]]
                                      [--journal DIR | --resume DIR]
                                      [--cell-timeout SECS] [--retries N] [--failpoints SPEC]
@@ -276,10 +274,6 @@ fn campaign_run(mut args: Args) -> ExitCode {
     let mut with_apps = false;
     let mut explicit_engines = false;
     let mut shard: Option<Shard> = None;
-    let mut precision: Option<f64> = None;
-    let mut min_reps: Option<u32> = None;
-    let mut max_reps: Option<u32> = None;
-    let mut explicit_reps = false;
     let mut trace_path: Option<String> = None;
     let mut journal_dir: Option<String> = None;
     let mut resume_dir: Option<String> = None;
@@ -308,13 +302,7 @@ fn campaign_run(mut args: Args) -> ExitCode {
             }
             "--scale" => spec.scale = args.parse_of("--scale"),
             "--jobs" => jobs = args.parse_of::<usize>("--jobs").max(1),
-            "--reps" => {
-                explicit_reps = true;
-                spec.reps = args.parse_of::<u32>("--reps").max(1);
-            }
-            "--precision" => precision = Some(args.parse_of("--precision")),
-            "--min-reps" => min_reps = Some(args.parse_of("--min-reps")),
-            "--max-reps" => max_reps = Some(args.parse_of("--max-reps")),
+            "--reps" => spec.reps = args.parse_of::<u32>("--reps").max(1),
             "--out" => out_path = Some(args.value_of("--out")),
             "--name" => spec.name = args.value_of("--name"),
             "--shard" => {
@@ -361,27 +349,6 @@ fn campaign_run(mut args: Args) -> ExitCode {
     if spec.scale == 0 {
         fail("--scale must be at least 1");
     }
-    // Adaptive repetitions: --precision switches the runner into
-    // "measure until the relative CI is tight" mode. Knobs of the
-    // other mode are usage errors, not silently ignored: rep bounds
-    // require --precision, and a fixed --reps contradicts it.
-    match (precision, min_reps, max_reps) {
-        (None, None, None) => {}
-        (None, _, _) => {
-            fail("--min-reps/--max-reps require --precision (fixed-reps runs take --reps)")
-        }
-        (Some(rci), min, max) => {
-            if explicit_reps {
-                fail("--reps conflicts with --precision: adaptive runs take --min-reps/--max-reps");
-            }
-            let min = min.unwrap_or(2);
-            // The default ceiling rises with an explicit floor: failing
-            // a `--min-reps 12` run over a 10 the user never typed
-            // would be nonsense.
-            let max = max.unwrap_or(min.max(10));
-            spec.precision = Some(PrecisionTarget::new(rci, min, max).unwrap_or_else(|e| fail(&e)));
-        }
-    }
     if version_sweep {
         if explicit_engines {
             fail("--versions conflicts with --engines: pass one or the other");
@@ -412,12 +379,9 @@ fn campaign_run(mut args: Args) -> ExitCode {
     let cells = spec.cells().len();
     let total_jobs = spec.expand_shard(shard).len();
     let shard_note = shard.map_or(String::new(), |s| format!(", shard {s}"));
-    let adaptive_note = spec
-        .precision
-        .map_or(String::new(), |p| format!(" initial (adaptive: {p})"));
     simbench_obs::info!(
         "[campaign {}] {} guests × {} engines × {} workloads = {cells} cells, \
-         {total_jobs} jobs{adaptive_note} on {jobs} worker(s), scale {}{shard_note}",
+         {total_jobs} jobs on {jobs} worker(s), scale {}{shard_note}",
         spec.name,
         spec.guests.len(),
         spec.engines.len(),
@@ -1170,34 +1134,28 @@ fn render_list() -> String {
     out
 }
 
-/// Human summary of a finished campaign: per-engine geomeans plus any
+/// Human summary of a finished campaign: per engine, the geomean of its
+/// cells' times (each the floor of the cell's repetitions), plus any
 /// problem cells.
 fn render_summary(result: &CampaignResult) -> String {
     use simbench_campaign::table::{fmt_secs, Table};
     use simbench_campaign::CellStatus;
 
-    let reps_desc = match result.precision {
-        Some(p) => format!("adaptive reps ({p})"),
-        None => format!("{} rep(s)", result.reps),
-    };
     let mut out = format!(
-        "campaign {}{} — scale {}, {reps_desc}, {} cells\n\n",
+        "campaign {}{} — scale {}, {} rep(s), time = floor of the reps, {} cells\n\n",
         result.name,
         result
             .shard
             .map_or(String::new(), |s| format!(" (shard {s})")),
         result.scale,
+        result.reps,
         result.cells.len()
     );
-    let mut table = Table::new(["guest", "engine", "ok", "geomean secs", "flagged"]);
+    let mut table = Table::new(["guest", "engine", "ok", "geomean floor secs", "flagged"]);
     for (key, cells) in
         simbench_campaign::result::group_by(&result.cells, |c| (c.guest.clone(), c.engine.clone()))
     {
-        let ok: Vec<f64> = cells
-            .iter()
-            .filter(|c| c.status == CellStatus::Ok)
-            .filter_map(|c| c.metric())
-            .collect();
+        let ok: Vec<f64> = cells.iter().filter_map(|c| c.metric()).collect();
         let flagged = cells.iter().filter(|c| c.status.is_broken()).count();
         table.row([
             key.0,

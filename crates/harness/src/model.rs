@@ -65,7 +65,7 @@ fn ok_cell<'a>(
 ) -> Option<&'a CellResult> {
     result
         .cell(guest, engine, workload)
-        .filter(|c| c.status == CellStatus::Ok && c.stats.is_some())
+        .filter(|c| c.metric().is_some())
 }
 
 impl CostModel {
@@ -90,7 +90,7 @@ impl CostModel {
                 result.name
             )
         })?;
-        let hot_secs = hot.metric().expect("ok cell has stats");
+        let hot_secs = hot.metric().expect("ok cell has timings");
         let per_insn = hot_secs / hot.counters.instructions.max(1) as f64;
 
         let mut per_op = Vec::new();
@@ -105,7 +105,7 @@ impl CostModel {
             // The operation's marginal cost: kernel time minus what the
             // base instruction cost already explains.
             let base = cell.counters.instructions as f64 * per_insn;
-            let secs = cell.metric().expect("ok cell has stats");
+            let secs = cell.metric().expect("ok cell has timings");
             let marginal = ((secs - base) / ops).max(0.0);
             per_op.push((bench, marginal));
         }

@@ -75,7 +75,6 @@ mod tests {
             workloads: vec![Workload::Suite(Benchmark::Syscall)],
             scale: u64::MAX,
             reps: 1,
-            precision: None,
             wall_limit: Some(std::time::Duration::from_secs(60)),
         };
         run(&spec, &RunnerOpts::serial())

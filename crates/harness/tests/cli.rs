@@ -8,7 +8,7 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-use simbench_campaign::{CampaignResult, CellStatus, StopReason, SCHEMA};
+use simbench_campaign::{CampaignResult, CellStatus, SCHEMA};
 
 fn run_cli(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_simbench-harness"))
@@ -48,7 +48,6 @@ fn measured_campaign(label: &str) -> (PathBuf, CampaignResult) {
         ],
         scale: 1_000_000,
         reps: 1,
-        precision: None,
         wall_limit: Some(std::time::Duration::from_secs(60)),
     };
     let result = run(&spec, &RunnerOpts::serial());
@@ -70,7 +69,6 @@ fn compare_exit_code_matrix() {
     let mut slowed = base.clone();
     for cell in &mut slowed.cells {
         cell.seconds.iter_mut().for_each(|s| *s *= 10.0);
-        cell.stats = simbench_campaign::stats(&cell.seconds);
     }
     let slowed_path = scratch("cnt-slowed");
     slowed.save(&slowed_path).unwrap();
@@ -108,7 +106,6 @@ fn compare_exit_code_matrix() {
     // 2: broken cells outrank counter equality.
     let mut broken = base.clone();
     broken.cells[0].status = CellStatus::Failed("wall-clock limit reached".to_string());
-    broken.cells[0].stats = None;
     broken.cells[0].seconds.clear();
     let broken_path = scratch("cnt-broken");
     broken.save(&broken_path).unwrap();
@@ -318,114 +315,30 @@ fn shard_merge_compare_is_counter_exact_end_to_end() {
     }
 }
 
-/// The common spec flags of the adaptive workflow test: one guest, two
-/// engines, two benchmarks.
-const ADAPTIVE_SPEC: &[&str] = &[
-    "--guests",
-    "armlet",
-    "--engines",
-    "interp,native",
-    "--benches",
-    "System Call,Hot Memory Access",
-    "--scale",
-    "500000",
-];
-
 #[test]
-fn adaptive_precision_run_end_to_end() {
-    // Exit 3 — bad or inconsistent adaptive flags: non-positive or
-    // non-numeric targets, a min below the 2-rep floor, max below min,
-    // and rep bounds without --precision (they must be rejected, not
-    // silently ignored).
-    for bad in [
-        vec!["--precision", "0"],
-        vec!["--precision", "-0.5"],
-        vec!["--precision", "banana"],
-        vec!["--precision", "inf"],
-        vec!["--precision", "0.2", "--min-reps", "1"],
-        vec!["--precision", "0.2", "--min-reps", "5", "--max-reps", "4"],
-        vec!["--min-reps", "3"],
-        vec!["--max-reps", "3"],
-        vec!["--precision", "0.2", "--reps", "3"],
-    ] {
-        let mut args = vec!["campaign", "run"];
-        args.extend_from_slice(ADAPTIVE_SPEC);
-        args.extend_from_slice(&bad);
-        let out = run_cli(&args);
-        assert_eq!(exit_code(&out), 3, "args {bad:?}: {}", stdout(&out));
-    }
+fn model_calibration_reads_each_cell_floor() {
+    use simbench_campaign::{run, RunnerOpts, Workload};
+    use simbench_harness::model::{calibration_spec, CostModel};
+    use simbench_harness::{Config, EngineKind, Guest};
 
-    // A fixed-reps reference run and an adaptive run of the same spec.
-    let fixed = scratch("adaptive-fixed");
-    let mut args = vec!["campaign", "run"];
-    args.extend_from_slice(ADAPTIVE_SPEC);
-    args.extend_from_slice(&["--reps", "3", "--out", fixed.to_str().unwrap()]);
-    let out = run_cli(&args);
-    assert_eq!(exit_code(&out), 0, "{}", stdout(&out));
-
-    let adaptive = scratch("adaptive-run");
-    let mut args = vec!["campaign", "run"];
-    args.extend_from_slice(ADAPTIVE_SPEC);
-    args.extend_from_slice(&[
-        "--precision",
-        "0.5",
-        "--min-reps",
-        "2",
-        "--max-reps",
-        "5",
-        "--jobs",
-        "2",
-        "--out",
-        adaptive.to_str().unwrap(),
-    ]);
-    let out = run_cli(&args);
-    assert_eq!(exit_code(&out), 0, "{}", stdout(&out));
-
-    // The persisted adaptive result carries the v4 schema, the
-    // precision echo, and a truthful per-cell repetition record.
-    let result = CampaignResult::load(&adaptive).unwrap();
-    assert_eq!(result.schema, SCHEMA);
-    let p = result.precision.expect("adaptive runs persist the target");
-    assert_eq!((p.target_rci, p.min_reps, p.max_reps), (0.5, 2, 5));
-    let ok_cells: Vec<_> = result
+    // The Hot Memory Access cell's slower repetitions are noise: the
+    // base cost per instruction comes from its fastest one.
+    let spec = calibration_spec(
+        Guest::Armlet,
+        vec![EngineKind::Interp],
+        &Config::with_scale(500_000),
+    );
+    let mut result = run(&spec, &RunnerOpts::serial());
+    let hot_id = Workload::Suite(simbench_suite::Benchmark::MemHot).id();
+    let hot = result
         .cells
-        .iter()
-        .filter(|c| c.status == CellStatus::Ok)
-        .collect();
-    assert!(!ok_cells.is_empty());
-    for cell in ok_cells {
-        assert!(
-            (2..=5).contains(&cell.reps_run),
-            "{}/{} {}: reps_run {}",
-            cell.guest,
-            cell.engine,
-            cell.workload,
-            cell.reps_run
-        );
-        assert_eq!(cell.seconds.len(), cell.reps_run as usize);
-        assert!(
-            matches!(
-                cell.stop_reason,
-                Some(StopReason::Converged | StopReason::MaxReps)
-            ),
-            "adaptive cells never report a fixed stop: {:?}",
-            cell.stop_reason
-        );
-    }
-
-    // Adaptive and fixed runs of one spec are counter-identical even
-    // though their per-cell rep counts differ — the gate compares
-    // event profiles, never rep-count equality.
-    for (cur, base) in [(&adaptive, &fixed), (&fixed, &adaptive)] {
-        let out = run_cli(&[
-            "campaign",
-            "compare",
-            cur.to_str().unwrap(),
-            "--baseline",
-            base.to_str().unwrap(),
-        ]);
-        assert_eq!(exit_code(&out), 0, "{}", stdout(&out));
-    }
+        .iter_mut()
+        .find(|c| c.workload == hot_id)
+        .unwrap();
+    hot.seconds = vec![9.0, 2.0, 7.0];
+    let insns = hot.counters.instructions as f64;
+    let m = CostModel::from_campaign(&result, "armlet", "interp").unwrap();
+    assert_eq!(m.per_insn, 2.0 / insns);
 }
 
 #[test]
@@ -594,7 +507,6 @@ fn trace_progress_and_report_end_to_end() {
                 );
                 assert_eq!(v.get("reps").and_then(Value::as_u64), Some(2), "{line}");
             }
-            Some("cell_converge") => {}
             other => panic!("unexpected event {other:?} in {line:?}"),
         }
         assert!(v.get("guest").and_then(Value::as_str).is_some(), "{line}");
@@ -1162,6 +1074,33 @@ fn campaign_subcommand_errors_exit_3() {
     let out = run_cli(&["campaign", "frob"]);
     assert_eq!(exit_code(&out), 3);
     assert!(stderr(&out).contains("unknown campaign subcommand \"frob\""));
+    // Repetitions are fixed: the adaptive mode's flags are unknown.
+    for flag in [
+        ["--precision", "0.2"],
+        ["--min-reps", "3"],
+        ["--max-reps", "3"],
+    ] {
+        let out = run_cli(&["campaign", "run", flag[0], flag[1]]);
+        assert_eq!(exit_code(&out), 3, "{flag:?}");
+        let want = format!("unknown flag \"{}\"", flag[0]);
+        assert!(stderr(&out).contains(&want), "{flag:?}");
+    }
+}
+
+#[test]
+fn a_v6_result_compares_clean_against_its_v7_twin() {
+    let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/../campaign/tests/fixtures");
+    let v6 = format!("{fixtures}/campaign_v6.json");
+    let v7 = format!("{fixtures}/campaign_v7.json");
+    for (cur, base) in [(&v6, &v7), (&v7, &v6)] {
+        let out = run_cli(&["campaign", "compare", cur, "--baseline", base]);
+        assert_eq!(exit_code(&out), 0, "{}", stdout(&out));
+        assert!(
+            stdout(&out).contains("0 changed, 0 broken"),
+            "{}",
+            stdout(&out)
+        );
+    }
 }
 
 #[test]

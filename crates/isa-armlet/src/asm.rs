@@ -54,16 +54,6 @@ impl ArmletAsm {
         self.buf.emit_u32(word);
     }
 
-    /// ALU with raw register numbers (for arch-support code using r6+).
-    pub fn alu_rr_raw(&mut self, op: AluOp, rd: u8, rn: u8, rm: u8) {
-        self.raw(enc::alu_rr(op, rd, rn, rm, false));
-    }
-
-    /// Flag-setting ALU register form.
-    pub fn alu_rr_s(&mut self, op: AluOp, rd: PReg, rn: PReg, rm: PReg) {
-        self.raw(enc::alu_rr(op, reg(rd), reg(rn), reg(rm), true));
-    }
-
     /// Flag-setting ALU immediate form.
     pub fn alu_ri_s(&mut self, op: AluOp, rd: PReg, rn: PReg, imm: u32) {
         self.raw(enc::alu_ri(op, reg(rd), reg(rn), imm, true));

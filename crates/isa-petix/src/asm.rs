@@ -52,11 +52,6 @@ impl PetixAsm {
         self.buf.emit(&bytes);
     }
 
-    /// Two-address ALU with a raw register number.
-    pub fn alu2(&mut self, op: AluOp, rd: u8, rm: u8) {
-        self.emit(enc::alu_rr(op, rd, rm));
-    }
-
     /// `rd = rn` (register move).
     pub fn mov_rr(&mut self, rd: PReg, rn: PReg) {
         self.emit(enc::alu_rr(AluOp::Mov, reg(rd), reg(rn)));

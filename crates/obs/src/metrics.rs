@@ -104,12 +104,6 @@ impl Histogram {
         }
     }
 
-    /// Record a duration in nanoseconds.
-    #[inline]
-    pub fn observe_ns(&'static self, d: std::time::Duration) {
-        self.observe(d.as_nanos().min(u128::from(u64::MAX)) as u64);
-    }
-
     /// Sparse read: `(bucket index, count)` for nonzero buckets.
     pub fn nonzero_buckets(&self) -> Vec<(u32, u64)> {
         self.buckets

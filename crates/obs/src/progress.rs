@@ -3,11 +3,9 @@
 //! `campaign run --progress` turns on human-readable per-cell records
 //! on stderr; `--progress=ndjson` emits the machine-readable wire
 //! format (one JSON object per line) that a future `campaign serve`
-//! daemon will reuse. Three record kinds follow a cell's life:
+//! daemon will reuse. Two record kinds follow a cell's life:
 //!
 //! * `cell_start` — the cell's first repetition began executing;
-//! * `cell_converge` — the adaptive scheduler judged the cell's
-//!   relative CI half-width tight enough (adaptive runs only);
 //! * `cell_finish` — the cell reached a terminal verdict.
 //!
 //! Emission sites live in the campaign runner and check the
@@ -90,26 +88,6 @@ pub fn cell_start(cell: CellId<'_>) {
         }
         ProgressMode::Ndjson => {
             eprintln!("{}}}", cell.ndjson_head("cell_start"));
-        }
-    }
-}
-
-/// The adaptive scheduler judged the cell converged after `reps`
-/// repetitions at relative CI half-width `rel_ci95`.
-pub fn cell_converge(cell: CellId<'_>, reps: u32, rel_ci95: f64) {
-    match mode() {
-        ProgressMode::Off => {}
-        ProgressMode::Human => {
-            eprintln!(
-                "[cell] converged {}/{} {} after {reps} rep(s) (rel CI {:.3})",
-                cell.guest, cell.engine, cell.workload, rel_ci95
-            );
-        }
-        ProgressMode::Ndjson => {
-            eprintln!(
-                "{}, \"reps\": {reps}, \"rel_ci95\": {rel_ci95}}}",
-                cell.ndjson_head("cell_converge")
-            );
         }
     }
 }

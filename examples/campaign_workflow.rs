@@ -36,7 +36,6 @@ fn main() {
         ],
         scale: 50_000,
         reps: 3,
-        precision: None,
         wall_limit: Some(std::time::Duration::from_secs(60)),
     };
 
@@ -49,11 +48,13 @@ fn main() {
         current.cells.len(),
         current.wall_secs
     );
+    // A cell's time is the floor of its repetitions; the median and n
+    // beside it show how loud the box was.
     for cell in current.cells.iter().take(3) {
-        let stats = cell.stats.as_ref().unwrap();
+        let stats = cell.stats().unwrap();
         println!(
-            "  {}/{} {}: median {:.6}s over {} reps (±{:.6} ci95)",
-            cell.guest, cell.engine, cell.workload, stats.median, stats.n, stats.ci95
+            "  {}/{} {}: floor {:.6}s, median {:.6}s over {} reps",
+            cell.guest, cell.engine, cell.workload, stats.min, stats.median, stats.n
         );
     }
 
@@ -72,7 +73,6 @@ fn main() {
     };
     for cell in baseline.cells.iter_mut().filter(syscall) {
         cell.seconds.iter_mut().for_each(|s| *s /= 5.0);
-        cell.stats = simbench_campaign::stats(&cell.seconds);
     }
     let report = compare_counters(&baseline, &current, 0.0);
     println!("\n{}", report.render());

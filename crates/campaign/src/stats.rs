@@ -122,6 +122,13 @@ mod tests {
     }
 
     #[test]
+    fn identical_samples_keep_all() {
+        let s = stats(&[1.5; 7]).unwrap();
+        assert_eq!((s.n, s.rejected_invalid), (7, 0));
+        assert_eq!((s.min, s.median), (1.5, 1.5));
+    }
+
+    #[test]
     fn median_even_and_odd() {
         let s = stats(&[1.0, 3.0]).unwrap();
         assert_eq!(s.median, 2.0);

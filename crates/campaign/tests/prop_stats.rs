@@ -49,6 +49,40 @@ proptest! {
     }
 
     #[test]
+    fn stats_ignore_the_order_of_the_repetitions(
+        raw in prop::collection::vec((-3i64..1_000, -12i8..13), 0..40),
+        rotate in 0usize..40
+    ) {
+        let samples: Vec<f64> = raw.iter().map(|&(m, e)| decode(m, e)).collect();
+        let mut reordered = samples.clone();
+        reordered.reverse();
+        if !reordered.is_empty() {
+            let by = rotate % reordered.len();
+            reordered.rotate_left(by);
+        }
+        prop_assert_eq!(stats(&reordered), stats(&samples));
+    }
+
+    /// An impossible timing is counted and changes nothing else.
+    #[test]
+    fn impossible_timings_only_add_to_the_rejected_count(
+        raw in prop::collection::vec((1i64..1_000_000, -6i8..7), 1..20),
+        junk in prop::collection::vec((-1_000i64..1, 0usize..4), 0..10)
+    ) {
+        let samples: Vec<f64> = raw.iter().map(|&(m, e)| decode(m, e)).collect();
+        let mut padded = samples.clone();
+        for &(m, kind) in &junk {
+            let bad = [m as f64, f64::NAN, f64::INFINITY, f64::NEG_INFINITY][kind];
+            let at = (m.unsigned_abs() as usize) % (padded.len() + 1);
+            padded.insert(at, bad);
+        }
+        let clean = stats(&samples).expect("positive samples always produce stats");
+        let s = stats(&padded).expect("the valid samples are still there");
+        prop_assert_eq!(s.rejected_invalid, junk.len());
+        prop_assert_eq!((s.n, s.min, s.median), (clean.n, clean.min, clean.median));
+    }
+
+    #[test]
     fn all_positive_vectors_always_yield_stats(
         raw in prop::collection::vec((1i64..1_000_000, -6i8..7), 1..20)
     ) {

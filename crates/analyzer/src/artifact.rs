@@ -1,17 +1,17 @@
-//! The `simbench-analysis/v1` artifact.
+//! The `simbench-analysis/v2` artifact.
 //!
 //! A versioned JSON serialization of a batch of subject analyses, hand
 //! rolled in the same style as the campaign result files (and parseable
 //! by [`simbench_campaign::json::parse`], which the round-trip test
 //! exercises). The schema is part of the CI contract: the analyze-smoke
-//! job uploads this file, and downstream tooling (the native-DBT
-//! promotion oracle) keys on `schema` before trusting field layout.
+//! job uploads this file, and a reader keys on `schema` before trusting
+//! field layout.
 //!
 //! Top-level shape:
 //!
 //! ```text
 //! {
-//!   "schema": "simbench-analysis/v1",
+//!   "schema": "simbench-analysis/v2",
 //!   "subjects": [
 //!     {
 //!       "subject": "armlet/suite:System Call",
@@ -19,10 +19,6 @@
 //!       "image": {"entry": .., "size": .., "limit": ..},
 //!       "summary": {"blocks": .., "insns": .., "edges": .., "loop_headers": ..},
 //!       "violations": ["..."],
-//!       "blocks": [
-//!         {"start": .., "end": .., "insns": .., "digest": "0x..",
-//!          "class": "native-safe", "loop_header": false, "reasons": []}
-//!       ],
 //!       "prediction": {"status": "exact", "exit": "halted",
 //!                      "counters": {"instructions": .., ...}},
 //!       "check": {"matched": true, "detail": []}
@@ -32,9 +28,7 @@
 //! ```
 //!
 //! `prediction.status` is `"exact"` or `"abstained"`; abstentions add a
-//! `"reason"` string and their counters are the partial profile. Block
-//! digests are hex strings because u64 does not round-trip through the
-//! f64 numbers of minimal JSON parsers.
+//! `"reason"` string and their counters are the partial profile.
 
 use std::fmt::Write as _;
 
@@ -44,9 +38,9 @@ use crate::predict::Prediction;
 use crate::SubjectAnalysis;
 
 /// Schema identifier written to (and expected from) every artifact.
-pub const SCHEMA: &str = "simbench-analysis/v1";
+pub const SCHEMA: &str = "simbench-analysis/v2";
 
-/// Serialize a batch of analyses as a `simbench-analysis/v1` document.
+/// Serialize a batch of analyses as a `simbench-analysis/v2` document.
 pub fn to_json(subjects: &[SubjectAnalysis]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
@@ -64,7 +58,7 @@ pub fn to_json(subjects: &[SubjectAnalysis]) -> String {
         let _ = writeln!(
             out,
             "      \"summary\": {{\"blocks\": {}, \"insns\": {}, \"edges\": {}, \"loop_headers\": {}}},",
-            s.blocks.len(),
+            s.blocks,
             s.insns,
             s.edges,
             s.loop_headers
@@ -78,26 +72,6 @@ pub fn to_json(subjects: &[SubjectAnalysis]) -> String {
                 .collect::<Vec<_>>()
                 .join(", ")
         );
-        out.push_str("      \"blocks\": [\n");
-        for (j, b) in s.blocks.iter().enumerate() {
-            let _ = write!(
-                out,
-                "        {{\"start\": {}, \"end\": {}, \"insns\": {}, \"digest\": {}, \"class\": {}, \"loop_header\": {}, \"reasons\": [{}]}}",
-                b.start,
-                b.end,
-                b.insns,
-                json::quote(&format!("{:#018x}", b.digest)),
-                json::quote(b.class.as_str()),
-                b.loop_header,
-                b.reasons
-                    .iter()
-                    .map(|r| json::quote(r))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
-            out.push_str(if j + 1 < s.blocks.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("      ],\n");
         match &s.prediction {
             Prediction::Exact { counters } => {
                 out.push_str("      \"prediction\": {\"status\": \"exact\", \"exit\": \"halted\", \"counters\": {");
@@ -147,8 +121,10 @@ fn push_counters(out: &mut String, counters: &simbench_core::Counters) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{analyze_workload, AnalyzeOpts};
-    use simbench_campaign::{Guest, Workload};
+    use crate::{analyze_workload, AnalyzeOpts, VECTOR_ROOTS};
+    use simbench_campaign::{measure, Guest, Workload};
+    use simbench_core::cfg::Cfg;
+    use simbench_isa_armlet::Armlet;
     use simbench_suite::Benchmark;
 
     #[test]
@@ -157,13 +133,9 @@ mod tests {
             fuel: 5_000_000,
             check: true,
         };
-        let a = analyze_workload(
-            Guest::Armlet,
-            Workload::Suite(Benchmark::Syscall),
-            20_000,
-            &opts,
-        )
-        .expect("syscall exists on armlet");
+        let workload = Workload::Suite(Benchmark::Syscall);
+        let a = analyze_workload(Guest::Armlet, workload, 20_000, &opts)
+            .expect("syscall exists on armlet");
         let text = to_json(std::slice::from_ref(&a));
         let doc = json::parse(&text).expect("artifact must be valid JSON");
 
@@ -172,15 +144,26 @@ mod tests {
         assert_eq!(subjects.len(), 1);
         let s = &subjects[0];
         assert_eq!(s.get("guest").and_then(|v| v.as_str()), Some("armlet"));
-        let blocks = s.get("blocks").and_then(|v| v.as_arr()).unwrap();
-        assert_eq!(blocks.len(), a.blocks.len());
-        for b in blocks {
-            let class = b.get("class").and_then(|v| v.as_str()).unwrap();
-            assert!(
-                ["native-safe", "step-arena-only", "interp-only"].contains(&class),
-                "unknown class {class}"
-            );
+        // v2 has no per-block records, at the subject level or nested.
+        assert!(s.get("blocks").is_none(), "{text}");
+        for gone in ["\"blocks\": [", "\"class\"", "\"reasons\""] {
+            assert!(!text.contains(gone), "{text}");
         }
+
+        // The summary counts are the recovered CFG's, recovered here
+        // independently of the analyzer.
+        let image = measure::workload_image(Guest::Armlet, workload, 20_000).unwrap();
+        let mut roots = vec![image.entry];
+        roots.extend(VECTOR_ROOTS);
+        let cfg = Cfg::recover::<Armlet>(&image, &roots);
+        let summary = s.get("summary").unwrap();
+        let count = |k: &str| summary.get(k).and_then(|v| v.as_u64()).unwrap() as usize;
+        assert_eq!(count("blocks"), cfg.blocks.len());
+        assert_eq!(count("insns"), cfg.insns.len());
+        assert_eq!(count("edges"), cfg.edge_count());
+        assert_eq!(count("loop_headers"), cfg.loop_headers());
+        assert!(count("blocks") > 0 && count("loop_headers") > 0);
+
         let pred = s.get("prediction").unwrap();
         assert_eq!(pred.get("status").and_then(|v| v.as_str()), Some("exact"));
         let insns = pred
@@ -196,5 +179,44 @@ mod tests {
             "matched is a bare bool, not a string"
         );
         assert!(text.contains("\"matched\": true"), "{text}");
+    }
+
+    #[test]
+    fn a_batch_is_one_document_and_abstentions_carry_their_reason() {
+        let exact = AnalyzeOpts {
+            fuel: 5_000_000,
+            check: false,
+        };
+        let starved = AnalyzeOpts {
+            fuel: 1_000,
+            ..exact
+        };
+        let workload = Workload::Suite(Benchmark::MemHot);
+        let batch: Vec<_> = [exact, starved]
+            .iter()
+            .map(|o| analyze_workload(Guest::Armlet, workload, 20_000, o).unwrap())
+            .collect();
+        let doc = json::parse(&to_json(&batch)).expect("artifact must be valid JSON");
+        let subjects = doc.get("subjects").and_then(|v| v.as_arr()).unwrap();
+        assert_eq!(subjects.len(), 2);
+        let status = |i: usize, k: &str| {
+            let p = subjects[i].get("prediction").unwrap();
+            p.get(k).and_then(|v| v.as_str()).map(str::to_string)
+        };
+        assert_eq!(status(0, "status").as_deref(), Some("exact"));
+        assert_eq!(status(0, "reason"), None);
+        assert_eq!(status(1, "status").as_deref(), Some("abstained"));
+        let reason = status(1, "reason").unwrap();
+        let Prediction::Abstained { cause, .. } = &batch[1].prediction else {
+            panic!("fuel 1000 must abstain");
+        };
+        assert_eq!(reason, cause.to_string());
+        for s in subjects {
+            assert!(s.get("check").is_none(), "no --check, no check member");
+            assert_eq!(
+                s.get("violations").and_then(|v| v.as_arr()).map(<[_]>::len),
+                Some(0)
+            );
+        }
     }
 }

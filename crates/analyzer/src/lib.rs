@@ -3,7 +3,7 @@
 //! Static guest-code analysis: everything the suite can prove about a
 //! guest image *without running it on an engine*.
 //!
-//! Three results per subject, produced by [`analyze_image`] (or the
+//! Two results per subject, produced by [`analyze_image`] (or the
 //! [`analyze_workload`]/[`analyze_fuzz`] conveniences) and persisted as
 //! a versioned [`artifact`]:
 //!
@@ -20,11 +20,6 @@
 //!    [`AnalyzeOpts::check`] the prediction is verified against a real
 //!    interpreter run, which makes the analyzer and the interpreter
 //!    N-version implementations of the same reference semantics.
-//! 3. **DBT-promotion safety classes** ([`safety`]) — a conservative
-//!    per-block label (`native-safe` / `step-arena-only` /
-//!    `interp-only`) that is the promotion oracle for the native-DBT
-//!    roadmap item: a region translator may only lift blocks the
-//!    analyzer proves free of SMC, MMIO and exception exits.
 //!
 //! The crate also hosts the [`lint`] that keeps the designated hot-path
 //! modules allocation- and format-free.
@@ -34,12 +29,10 @@
 pub mod artifact;
 pub mod lint;
 pub mod predict;
-pub mod safety;
 
 pub use artifact::{to_json, SCHEMA};
 pub use lint::{lint_file, lint_root, LintFinding, HOT_PATH_FILES};
 pub use predict::{predict, AbstainCause, Prediction};
-pub use safety::{classify, BlockSafety, SafetyClass};
 
 use simbench_campaign::registry::{dispatch_guest, GuestSpec, GuestVisitor};
 use simbench_campaign::{measure, Guest, Workload};
@@ -79,25 +72,6 @@ impl Default for AnalyzeOpts {
     }
 }
 
-/// One recovered block with its safety classification.
-#[derive(Debug, Clone)]
-pub struct BlockReport {
-    /// Address of the first instruction.
-    pub start: u32,
-    /// One past the last byte.
-    pub end: u32,
-    /// Instruction count.
-    pub insns: usize,
-    /// FNV-1a content digest (SMC invalidation key).
-    pub digest: u64,
-    /// Dominator-verified loop header.
-    pub loop_header: bool,
-    /// Promotion safety class.
-    pub class: SafetyClass,
-    /// Evidence for the class; empty for `NativeSafe`.
-    pub reasons: Vec<String>,
-}
-
 /// Outcome of the static-vs-dynamic counter check.
 #[derive(Debug, Clone)]
 pub struct CheckResult {
@@ -127,8 +101,8 @@ pub struct SubjectAnalysis {
     pub edges: usize,
     /// Dominator-verified loop headers.
     pub loop_headers: usize,
-    /// Recovered blocks with safety classes, sorted by start address.
-    pub blocks: Vec<BlockReport>,
+    /// Recovered basic blocks.
+    pub blocks: usize,
     /// Rendered CFG/decoder invariant violations.
     pub violations: Vec<String>,
     /// Static event-profile prediction.
@@ -144,23 +118,8 @@ impl SubjectAnalysis {
         self.violations.is_empty() && self.check.as_ref().is_none_or(|c| c.matched)
     }
 
-    /// Blocks per safety class: `[native-safe, step-arena-only,
-    /// interp-only]`.
-    pub fn class_counts(&self) -> [usize; 3] {
-        let mut n = [0usize; 3];
-        for b in &self.blocks {
-            n[match b.class {
-                SafetyClass::NativeSafe => 0,
-                SafetyClass::StepArenaOnly => 1,
-                SafetyClass::InterpOnly => 2,
-            }] += 1;
-        }
-        n
-    }
-
     /// One-line summary for CLI output.
     pub fn render_line(&self) -> String {
-        let [ns, sa, io] = self.class_counts();
         let pred = match &self.prediction {
             Prediction::Exact { counters } => {
                 format!("predicted {} insns", counters.instructions)
@@ -178,13 +137,10 @@ impl SubjectAnalysis {
             "VIOLATIONS"
         };
         format!(
-            "{}: {} [{} blocks: {} native-safe, {} step-arena, {} interp-only; {} insns, {} edges, {} loops] {}{}",
+            "{}: {} [{} blocks; {} insns, {} edges, {} loops] {}{}",
             self.subject,
             status,
-            self.blocks.len(),
-            ns,
-            sa,
-            io,
+            self.blocks,
             self.insns,
             self.edges,
             self.loop_headers,
@@ -269,21 +225,6 @@ fn analyze_on<I: Isa>(
     let mut roots = vec![image.entry];
     roots.extend(VECTOR_ROOTS);
     let cfg = Cfg::recover::<I>(image, &roots);
-    let classes = safety::classify(&cfg, image.entry, &VECTOR_ROOTS);
-    let blocks = cfg
-        .blocks
-        .iter()
-        .zip(&classes)
-        .map(|(b, s)| BlockReport {
-            start: b.start,
-            end: b.end,
-            insns: b.n_insns,
-            digest: b.digest,
-            loop_header: b.loop_header,
-            class: s.class,
-            reasons: s.reasons.clone(),
-        })
-        .collect();
     let violations: Vec<String> = cfg.violations.iter().map(|v| v.to_string()).collect();
     OBS_VIOLATIONS.add(violations.len() as u64);
 
@@ -306,7 +247,7 @@ fn analyze_on<I: Isa>(
         insns: cfg.insns.len(),
         edges: cfg.edge_count(),
         loop_headers: cfg.loop_headers(),
-        blocks,
+        blocks: cfg.blocks.len(),
         violations,
         prediction,
         check,
@@ -381,10 +322,60 @@ mod tests {
             a.render_problems().join("\n")
         );
         assert!(a.prediction.is_exact());
-        assert!(!a.blocks.is_empty());
-        // The syscall benchmark's handler-heavy kernel cannot be fully
-        // native: something must be interp-only (the svc + handlers).
-        assert!(a.class_counts()[2] > 0);
+        assert!(a.blocks > 0 && a.loop_headers > 0);
+        let counts = format!(
+            "[{} blocks; {} insns, {} edges, {} loops]",
+            a.blocks, a.insns, a.edges, a.loop_headers
+        );
+        assert!(a.render_line().contains(&counts), "{}", a.render_line());
+    }
+
+    #[test]
+    fn an_undecodable_entry_fails_the_subject() {
+        // A reserved top nibble: the entry word does not decode, and no
+        // halt is reachable.
+        let mut image = GuestImage::new(0);
+        image.push_section(0, 0xC000_0000u32.to_le_bytes().to_vec());
+        let opts = AnalyzeOpts {
+            fuel: 1_000,
+            check: false,
+        };
+        let a = analyze_image(Guest::Armlet, "armlet/bad", &image, &opts);
+        assert!(!a.ok());
+        assert!(a.check.is_none());
+        assert_eq!(a.violations.len(), 2, "{:?}", a.violations);
+        let line = a.render_line();
+        assert!(
+            line.starts_with("armlet/bad: VIOLATIONS [0 blocks;"),
+            "{line}"
+        );
+        let problems = a.render_problems().join("\n");
+        assert!(
+            problems.contains("at 0x00000000 does not decode"),
+            "{problems}"
+        );
+        assert!(problems.contains("no reachable halt"), "{problems}");
+    }
+
+    #[test]
+    fn a_check_mismatch_fails_an_otherwise_clean_subject() {
+        let opts = AnalyzeOpts {
+            fuel: 1_000,
+            check: true,
+        };
+        let workload = Workload::Suite(Benchmark::MemHot);
+        let mut a = analyze_workload(Guest::Armlet, workload, 20_000, &opts).unwrap();
+        assert!(a.ok() && a.render_line().ends_with(", check ok"));
+        a.check = Some(CheckResult {
+            matched: false,
+            detail: vec!["instructions: predicted 1000, interp 999".to_string()],
+        });
+        assert!(!a.ok());
+        assert!(a.render_line().ends_with(", CHECK MISMATCH"));
+        assert_eq!(
+            a.render_problems(),
+            ["  check: instructions: predicted 1000, interp 999"]
+        );
     }
 
     #[test]

@@ -42,7 +42,7 @@ use std::path::Path;
 /// `find crates src tests examples -name '*.rs' -not -path '*/target/*'
 /// | xargs cat | wc -l` prints). A change that deletes code lowers it in
 /// the same commit; one that raises it says why in CHANGES.md.
-pub const LINE_BUDGET: usize = 44_954;
+pub const LINE_BUDGET: usize = 44_299;
 
 /// Directories whose `.rs` files count against [`LINE_BUDGET`].
 const BUDGET_DIRS: &[&str] = &["crates", "src", "tests", "examples"];

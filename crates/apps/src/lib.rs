@@ -84,7 +84,7 @@ impl App {
 
     /// Default outer iterations at scale 1 (tuned so each app retires a
     /// few tens of millions of instructions).
-    pub fn default_iterations(self) -> u64 {
+    fn default_iterations(self) -> u64 {
         match self {
             App::SjengLike => 400_000,
             App::McfLike => 300_000,
@@ -105,7 +105,7 @@ impl App {
 }
 
 /// Number of nodes in the mcf-like pointer cycle (each on its own page).
-pub const MCF_NODES: u32 = 2048;
+const MCF_NODES: u32 = 2048;
 
 /// Number of dispatch targets in the sjeng/xalanc-like tables.
 const DISPATCH_FUNCS: usize = 8;

@@ -51,7 +51,7 @@ use std::time::Duration;
 
 /// Environment variable consulted by [`arm_from_env`]; same grammar as
 /// the `--failpoints` flag.
-pub const ENV_VAR: &str = "SIMBENCH_FAILPOINTS";
+const ENV_VAR: &str = "SIMBENCH_FAILPOINTS";
 
 /// Fast-path gate: false until the first successful [`arm`]. Checked
 /// with one relaxed load so disarmed sites cost a branch and nothing

@@ -8,20 +8,17 @@
 //! ISA's real decoder and following every statically-known edge.
 //!
 //! The result is the block-level structure the DBT engines discover at
-//! run time, computed offline: basic blocks with per-block content
-//! digests (the same FNV-1a the state digests use, so a block's digest
-//! changes exactly when an SMC store would invalidate its translation),
-//! direct/indirect edge classification, and loop headers via iterative
-//! dominators. Anything the walk cannot prove — an undecodable
-//! reachable instruction, a direct branch into the middle of another
-//! instruction, control running off the end of the image — is reported
-//! as a [`CfgViolation`] rather than silently tolerated: the decoder
+//! run time, computed offline: basic blocks, direct/indirect edge
+//! classification, and loop headers via iterative dominators. Anything
+//! the walk cannot prove — an undecodable reachable instruction, a
+//! direct branch into the middle of another instruction, control
+//! running off the end of the image, no reachable halt — is reported as
+//! a [`CfgViolation`] rather than silently tolerated: the decoder
 //! invariants the engines rely on dynamically become checkable facts.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
-use crate::digest::Fnv1a;
 use crate::image::GuestImage;
 use crate::ir::Decoded;
 use crate::ir::Op;
@@ -61,30 +58,14 @@ pub struct Block {
     pub start: u32,
     /// One past the last byte of the last instruction.
     pub end: u32,
-    /// Index of the block's first instruction in [`Cfg::insns`].
-    pub first_insn: usize,
     /// Number of instructions in the block.
     pub n_insns: usize,
     /// How the block ends.
     pub terminator: Terminator,
     /// Start addresses of statically-known successor blocks.
     pub succs: Vec<u32>,
-    /// FNV-1a digest of the block's encoded bytes. An SMC store into
-    /// the block changes this, which is what makes it the right cache
-    /// key for translation invalidation.
-    pub digest: u64,
     /// True if some back edge targets this block (dominator-verified).
     pub loop_header: bool,
-}
-
-impl Block {
-    /// True if the block ends in statically-unresolvable control flow.
-    pub fn has_indirect_exit(&self) -> bool {
-        matches!(
-            self.terminator,
-            Terminator::IndirectBranch | Terminator::IndirectCall | Terminator::Ret
-        )
-    }
 }
 
 /// A decoder or control-flow invariant the static walk could not prove.
@@ -163,40 +144,6 @@ impl Cfg {
     /// decides whether an unused vector slot matters).
     pub fn recover<I: Isa>(image: &GuestImage, roots: &[u32]) -> Cfg {
         Recovery::<I>::new(image).run(roots)
-    }
-
-    /// The block starting at `addr`, if any.
-    pub fn block_at(&self, addr: u32) -> Option<&Block> {
-        self.blocks
-            .binary_search_by_key(&addr, |b| b.start)
-            .ok()
-            .map(|i| &self.blocks[i])
-    }
-
-    /// The block whose byte range contains `addr`, if any.
-    pub fn block_containing(&self, addr: u32) -> Option<&Block> {
-        match self.blocks.binary_search_by_key(&addr, |b| b.start) {
-            Ok(i) => Some(&self.blocks[i]),
-            Err(0) => None,
-            Err(i) => {
-                let b = &self.blocks[i - 1];
-                (addr < b.end).then_some(b)
-            }
-        }
-    }
-
-    /// Instructions of one block.
-    pub fn block_insns(&self, b: &Block) -> &[(u32, Decoded)] {
-        &self.insns[b.first_insn..b.first_insn + b.n_insns]
-    }
-
-    /// True if any reachable block contains a `halt`.
-    pub fn halt_reachable(&self) -> bool {
-        self.blocks.iter().any(|b| {
-            self.block_insns(b)
-                .iter()
-                .any(|(_, d)| d.ops.iter().any(|op| matches!(op, Op::Halt)))
-        })
     }
 
     /// Total direct edges (for reporting).
@@ -430,18 +377,12 @@ impl<'a, I: Isa> Recovery<'a, I> {
                     } else {
                         Terminator::FallThrough
                     };
-                    let mut h = Fnv1a::new();
-                    for (pc, d) in &cfg_insns[first_insn..i] {
-                        h.write_bytes(&self.read_bytes(*pc)[..d.len as usize]);
-                    }
                     blocks.push(Block {
                         start,
                         end,
-                        first_insn,
                         n_insns: i - first_insn,
                         terminator,
                         succs,
-                        digest: h.finish(),
                         loop_header: false,
                     });
                     break;
@@ -632,6 +573,7 @@ mod tests {
                 ),
                 0x05 => (Op::Ret(RetKind::Register(3)), InsnClass::Branch),
                 0x06 => (Op::BranchReg { rm: 0 }, InsnClass::Branch),
+                0x07 => (Op::Svc(0), InsnClass::System),
                 _ => return Err(DecodeError { pc }),
             };
             Ok(Decoded::new(2, [op], class))
@@ -691,6 +633,10 @@ mod tests {
         Cfg::recover::<ToyIsa>(&image(code), &[0])
     }
 
+    fn block_at(cfg: &Cfg, addr: u32) -> Option<&Block> {
+        cfg.blocks.iter().find(|b| b.start == addr)
+    }
+
     #[test]
     fn straight_line_single_block() {
         let cfg = recover(&[0x00, 0, 0x00, 0, 0x01, 0]);
@@ -700,7 +646,6 @@ mod tests {
         assert_eq!((b.start, b.end, b.n_insns), (0, 6, 3));
         assert_eq!(b.terminator, Terminator::Halt);
         assert!(b.succs.is_empty());
-        assert!(cfg.halt_reachable());
     }
 
     #[test]
@@ -709,10 +654,10 @@ mod tests {
         let cfg = recover(&[0x03, 6, 0x00, 0, 0x02, 6, 0x01, 0]);
         assert!(cfg.violations.is_empty(), "{:?}", cfg.violations);
         assert_eq!(cfg.blocks.len(), 3);
-        let b0 = cfg.block_at(0).unwrap();
+        let b0 = block_at(&cfg, 0).unwrap();
         assert_eq!(b0.terminator, Terminator::BranchCond);
         assert_eq!(b0.succs, vec![6, 2]);
-        let b2 = cfg.block_at(2).unwrap();
+        let b2 = block_at(&cfg, 2).unwrap();
         assert_eq!((b2.n_insns, b2.terminator), (2, Terminator::Branch));
         assert_eq!(b2.succs, vec![6]);
         assert_eq!(cfg.edge_count(), 3);
@@ -724,7 +669,7 @@ mod tests {
         // 0: nop; 2: nop; 4: beq 2; 6: halt
         let cfg = recover(&[0x00, 0, 0x00, 0, 0x03, 2, 0x01, 0]);
         assert!(cfg.violations.is_empty(), "{:?}", cfg.violations);
-        let b2 = cfg.block_at(2).unwrap();
+        let b2 = block_at(&cfg, 2).unwrap();
         assert!(b2.loop_header);
         assert_eq!(cfg.loop_headers(), 1);
     }
@@ -734,13 +679,71 @@ mod tests {
         // 0: call 6; 2: halt; 4: (unreachable) nop; 6: ret
         let cfg = recover(&[0x04, 6, 0x01, 0, 0x00, 0, 0x05, 0]);
         assert!(cfg.violations.is_empty(), "{:?}", cfg.violations);
-        let b0 = cfg.block_at(0).unwrap();
+        let b0 = block_at(&cfg, 0).unwrap();
         assert_eq!(b0.terminator, Terminator::Call);
         assert_eq!(b0.succs, vec![6, 2]);
-        let callee = cfg.block_at(6).unwrap();
+        let callee = block_at(&cfg, 6).unwrap();
         assert_eq!(callee.terminator, Terminator::Ret);
-        assert!(callee.has_indirect_exit());
-        assert!(cfg.block_at(4).is_none(), "unreachable code not walked");
+        assert!(block_at(&cfg, 4).is_none(), "unreachable code not walked");
+    }
+
+    #[test]
+    fn trap_resumes_at_the_next_instruction() {
+        // 0: svc; 2: halt
+        let cfg = recover(&[0x07, 0, 0x01, 0]);
+        assert!(cfg.violations.is_empty(), "{:?}", cfg.violations);
+        assert_eq!(cfg.blocks.len(), 2, "the resume point is a leader");
+        assert_eq!(cfg.blocks[0].terminator, Terminator::Trap);
+        assert_eq!(cfg.blocks[0].succs, vec![2]);
+    }
+
+    #[test]
+    fn indirect_branch_has_no_static_successors() {
+        // 0: beq 4; 2: halt; 4: br r0
+        let cfg = recover(&[0x03, 4, 0x01, 0, 0x06, 0]);
+        assert!(cfg.violations.is_empty(), "{:?}", cfg.violations);
+        let b4 = block_at(&cfg, 4).unwrap();
+        assert_eq!(b4.terminator, Terminator::IndirectBranch);
+        assert!(b4.succs.is_empty());
+        assert_eq!(cfg.edge_count(), 2);
+    }
+
+    #[test]
+    fn halt_reached_only_through_a_call_counts() {
+        // 0: call 4; 2: b 2; 4: halt
+        let cfg = recover(&[0x04, 4, 0x02, 2, 0x01, 0]);
+        assert!(cfg.violations.is_empty(), "{:?}", cfg.violations);
+    }
+
+    #[test]
+    fn loop_without_halt_reports_only_the_missing_halt() {
+        // 0: b 0
+        let cfg = recover(&[0x02, 0]);
+        assert_eq!(cfg.violations, vec![CfgViolation::NoReachableHalt]);
+        assert!(cfg.blocks[0].loop_header, "a self-loop is a loop");
+    }
+
+    #[test]
+    fn roots_outside_the_image_and_repeated_roots_are_ignored() {
+        let cfg = Cfg::recover::<ToyIsa>(&image(&[0x01, 0]), &[0, 0x40, 0, 0x80]);
+        assert!(cfg.violations.is_empty(), "{:?}", cfg.violations);
+        assert_eq!((cfg.blocks.len(), cfg.insns.len()), (1, 1));
+    }
+
+    #[test]
+    fn a_cycle_between_two_roots_has_no_loop_header() {
+        // 0: beq 4; 2: halt; 4: beq 0; 6: halt. From root 0 alone, 0
+        // dominates 4 and `4 → 0` is a back edge. With 4 a root as
+        // well, neither block dominates the other, so the cycle has no
+        // header.
+        let code = [0x03, 4, 0x01, 0, 0x03, 0, 0x01, 0];
+        let one = Cfg::recover::<ToyIsa>(&image(&code), &[0]);
+        assert_eq!(one.loop_headers(), 1);
+        assert!(block_at(&one, 0).unwrap().loop_header);
+        let two = Cfg::recover::<ToyIsa>(&image(&code), &[0, 4]);
+        assert!(two.violations.is_empty(), "{:?}", two.violations);
+        assert_eq!(two.edge_count(), 4);
+        assert_eq!(two.loop_headers(), 0);
     }
 
     #[test]
@@ -779,19 +782,5 @@ mod tests {
             .violations
             .iter()
             .any(|v| matches!(v, CfgViolation::OverlappingInsns { .. })));
-    }
-
-    #[test]
-    fn block_digest_tracks_bytes() {
-        let a = recover(&[0x00, 0, 0x01, 0]);
-        let b = recover(&[0x00, 1, 0x01, 0]);
-        assert_ne!(a.blocks[0].digest, b.blocks[0].digest);
-    }
-
-    #[test]
-    fn block_containing_spans_interior() {
-        let cfg = recover(&[0x00, 0, 0x00, 0, 0x01, 0]);
-        assert_eq!(cfg.block_containing(3).unwrap().start, 0);
-        assert!(cfg.block_containing(6).is_none());
     }
 }

@@ -28,7 +28,7 @@ impl Fnv1a {
 
     /// Mix one 64-bit lane.
     #[inline]
-    pub fn write_u64(&mut self, v: u64) {
+    fn write_u64(&mut self, v: u64) {
         self.0 = (self.0 ^ v).wrapping_mul(FNV_PRIME);
     }
 

@@ -345,15 +345,6 @@ impl Op {
                 | Op::Halt
         )
     }
-
-    /// True for direct (statically-known target) control flow.
-    #[inline]
-    pub fn is_direct_branch(self) -> bool {
-        matches!(
-            self,
-            Op::Branch { .. } | Op::BranchCond { .. } | Op::Call { .. }
-        )
-    }
 }
 
 /// Maximum micro-ops a single guest instruction may lower to: what the
@@ -642,8 +633,6 @@ mod tests {
         assert!(Op::Halt.is_control_flow());
         assert!(Op::Svc(0).is_control_flow());
         assert!(!Op::Nop.is_control_flow());
-        assert!(Op::Branch { target: 0 }.is_direct_branch());
-        assert!(!Op::BranchReg { rm: 0 }.is_direct_branch());
     }
 
     #[test]

@@ -132,5 +132,5 @@ impl<I: Isa, B: crate::bus::Bus> Machine<I, B> {
     }
 
     /// Cap on reported `ram[...]` deltas in [`Machine::state_diff`].
-    pub const MAX_RAM_DELTAS: usize = 16;
+    const MAX_RAM_DELTAS: usize = 16;
 }

@@ -43,7 +43,7 @@ use crate::{page_base, page_of};
 /// Main-loop iterations between wall-clock limit checks. Iterations,
 /// not retired instructions: IRQ-delivery and prefetch-abort iterations
 /// retire nothing, and a storm of them must still honor `--wall-limit`.
-pub const WALL_CHECK_PERIOD: u64 = 0x1_0000;
+const WALL_CHECK_PERIOD: u64 = 0x1_0000;
 
 /// A translation cache the core can drive.
 ///

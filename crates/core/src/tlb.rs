@@ -57,11 +57,6 @@ impl DirectTlb {
             epoch: 1,
         }
     }
-
-    /// Number of currently valid entries (test/diagnostic aid).
-    pub fn valid_entries(&self) -> usize {
-        self.slots.iter().filter(|s| s[0] == self.epoch).count()
-    }
 }
 
 impl Tlb for DirectTlb {
@@ -299,10 +294,15 @@ mod tests {
         assert_eq!(t.lookup(3, R), Some((entry, true)));
     }
 
+    /// Number of currently valid entries.
+    fn valid_entries(t: &DirectTlb) -> usize {
+        t.slots.iter().filter(|s| s[0] == t.epoch).count()
+    }
+
     #[test]
     fn direct_tlb_flush_is_an_epoch_bump() {
         let mut t = DirectTlb::new(8);
-        assert_eq!(t.valid_entries(), 0, "zeroed slots are invalid");
+        assert_eq!(valid_entries(&t), 0, "zeroed slots are invalid");
         t.insert(e(1, 10), R, false);
         t.flush();
         assert!(t.lookup(1, R).is_none());
@@ -329,7 +329,7 @@ mod tests {
         t.invalidate_page(2 + 8);
         assert!(t.lookup(2, R).is_some());
         t.flush();
-        assert_eq!(t.valid_entries(), 0);
+        assert_eq!(valid_entries(&t), 0);
     }
 
     #[test]

@@ -81,7 +81,7 @@ impl Link {
 /// A translated basic block. Its executable steps live in the owning
 /// [`CodeCache`]'s step arena at `steps_start .. steps_start + steps_len`.
 #[derive(Debug, Clone, Copy)]
-pub struct Tb {
+pub(crate) struct Tb {
     /// Guest virtual start address.
     pub pc: u32,
     /// Physical page the code was read from (part of the lookup key).
@@ -120,7 +120,7 @@ impl Tb {
 /// Direct-mapped indirect-branch target cache mapping guest PC → block.
 /// The `Default` one has no slots: disabled, as `Ibtc::new(0)`.
 #[derive(Debug, Default)]
-pub struct Ibtc {
+pub(crate) struct Ibtc {
     slots: Vec<(u32, Link)>,
     mask: u32,
 }
@@ -188,7 +188,7 @@ struct CodePage {
 #[derive(Debug)]
 pub struct CodeCache {
     /// Block table (tombstoned blocks stay until a full flush).
-    pub blocks: Vec<Tb>,
+    pub(crate) blocks: Vec<Tb>,
     /// The step arena: every live block's steps, back to back. Ranges
     /// of tombstoned blocks stay allocated (dark) until `flush_all`.
     pub steps: Vec<TbStep>,
@@ -199,7 +199,7 @@ pub struct CodeCache {
     /// warm-up touches no allocator.
     pages: PageTable<CodePage>,
     /// Indirect-branch target cache.
-    pub ibtc: Ibtc,
+    pub(crate) ibtc: Ibtc,
     /// The live link epoch; never 0.
     link_epoch: u32,
     /// Arena size triggering a full flush (models a fixed-size

@@ -37,7 +37,7 @@ const VICTIMS: usize = 8;
 
 /// One cached translation plus the write-protection flag.
 #[derive(Debug, Clone, Copy)]
-pub struct DbtTlbEntry {
+struct DbtTlbEntry {
     /// The architectural translation.
     pub entry: TlbEntry,
     /// True if the physical page holds translation blocks.

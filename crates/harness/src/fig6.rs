@@ -45,7 +45,7 @@ pub fn spec(guest: Guest, cfg: &Config) -> CampaignSpec {
 }
 
 /// Build one guest's panel from its completed campaign.
-pub fn panel_from(guest: Guest, campaign: &CampaignResult) -> Panel {
+fn panel_from(guest: Guest, campaign: &CampaignResult) -> Panel {
     let mut panel = Panel {
         guest: guest.name(),
         series: BTreeMap::new(),
@@ -78,12 +78,12 @@ pub fn panel_from(guest: Guest, campaign: &CampaignResult) -> Panel {
 }
 
 /// Run the experiment for one guest.
-pub fn run_guest(guest: Guest, cfg: &Config) -> Panel {
+fn run_guest(guest: Guest, cfg: &Config) -> Panel {
     panel_from(guest, &run_campaign(&spec(guest, cfg), cfg))
 }
 
 /// Render one guest's panels (one table per category).
-pub fn render_panels(guest: Guest, panel: &Panel) -> String {
+fn render_panels(guest: Guest, panel: &Panel) -> String {
     let mut out = format!(
         "Fig 6 — SimBench speedups across DBT versions, {} guest\n",
         panel.guest

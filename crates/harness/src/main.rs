@@ -9,14 +9,14 @@
 //! guest supports; `--fuzz` sweeps N seeded random programs instead.
 //!
 //! `analyze` runs the static analyzer over guest images without
-//! executing them on an engine: CFG recovery with invariant proofs,
-//! per-block DBT-promotion safety classes, and a static event-profile
-//! prediction (`--check` verifies it counter-for-counter against the
-//! reference interpreter). `--workload all` (the default) sweeps every
-//! suite benchmark and app the guest supports; `--fuzz SEED` analyzes
-//! the differ's seeded program stream instead. `--out` persists the
-//! `simbench-analysis/v1` artifact. Exit 1 when any subject has an
-//! invariant violation or check mismatch.
+//! executing them on an engine: CFG recovery with invariant proofs and
+//! a static event-profile prediction (`--check` verifies it
+//! counter-for-counter against the reference interpreter).
+//! `--workload all` (the default) sweeps every suite benchmark and app
+//! the guest supports; `--fuzz SEED` analyzes the differ's seeded
+//! program stream instead. `--out` persists the `simbench-analysis/v2`
+//! artifact. Exit 1 when any subject has an invariant violation or
+//! check mismatch.
 //!
 //! `lint` runs the hot-path source lint over the designated
 //! allocation-free modules and checks the workspace line budget (exit 1

@@ -21,9 +21,9 @@
 //! reads the suite cells, prediction reads app event profiles, and
 //! validation compares predictions against the measured app cells of
 //! the same campaign — no benchmark is ever re-run. The convenience
-//! entry points that measure fresh data ([`CostModel::calibrate`],
-//! [`evaluate`]) do so by running a campaign first, so there is a
-//! single calibration math path either way. On the CLI this surfaces
+//! entry point that measures fresh data ([`CostModel::calibrate`]) does
+//! so by running a campaign first, so there is a single calibration
+//! math path either way. On the CLI this surfaces
 //! as `simbench-harness model calibrate|predict|validate`.
 
 use simbench_campaign::{
@@ -45,7 +45,7 @@ pub struct CostModel {
 
 /// Benchmarks used for calibration: one per distinct cost source, with
 /// near-pure kernels (their tested op dominates the kernel).
-pub const CALIBRATORS: [Benchmark; 8] = [
+const CALIBRATORS: [Benchmark; 8] = [
     Benchmark::DataFault,
     Benchmark::InsnFault,
     Benchmark::UndefInsn,
@@ -230,35 +230,35 @@ pub fn default_profile_engine(result: &CampaignResult, guest: &str, engine: &str
         .unwrap_or_else(|| engine.to_string())
 }
 
-/// Calibrate on `engine`, collect app event profiles on `profile_engine`
-/// (typically the fastest), and compare predicted vs measured times —
-/// all through one freshly-run campaign.
-pub fn evaluate(
-    guest: Guest,
-    engine: EngineKind,
-    profile_engine: EngineKind,
-    cfg: &Config,
-) -> Vec<Prediction> {
-    let mut engines = vec![engine];
-    if profile_engine != engine {
-        engines.push(profile_engine);
-    }
-    let mut spec = calibration_spec(guest, engines, cfg);
-    spec.name = "model-evaluation".to_string();
-    spec.workloads.extend(CampaignSpec::app_workloads());
-    let result = run(&spec, &RunnerOpts::with_jobs(cfg.jobs));
-    predict_from_campaign(
-        &result,
-        guest.isa_name(),
-        &engine.id(),
-        &profile_engine.id(),
-    )
-    .expect("evaluation campaign measured apps on both engines")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Calibrate on `engine`, collect app event profiles on `profile_engine`
+    /// (typically the fastest), and compare predicted vs measured times —
+    /// all through one freshly-run campaign.
+    fn evaluate(
+        guest: Guest,
+        engine: EngineKind,
+        profile_engine: EngineKind,
+        cfg: &Config,
+    ) -> Vec<Prediction> {
+        let mut engines = vec![engine];
+        if profile_engine != engine {
+            engines.push(profile_engine);
+        }
+        let mut spec = calibration_spec(guest, engines, cfg);
+        spec.name = "model-evaluation".to_string();
+        spec.workloads.extend(CampaignSpec::app_workloads());
+        let result = run(&spec, &RunnerOpts::with_jobs(cfg.jobs));
+        predict_from_campaign(
+            &result,
+            guest.isa_name(),
+            &engine.id(),
+            &profile_engine.id(),
+        )
+        .expect("evaluation campaign measured apps on both engines")
+    }
 
     #[test]
     fn model_predicts_dbt_app_times_within_bounds() {

@@ -11,7 +11,7 @@
 use std::fmt::Write as _;
 
 use simbench_campaign::table::Table;
-use simbench_campaign::{CampaignResult, Telemetry};
+use simbench_campaign::CampaignResult;
 use simbench_obs::metrics::bucket_floor;
 
 /// Render the telemetry block of a stored campaign, or a pointer at
@@ -53,18 +53,12 @@ fn render_histogram(name: &str, buckets: &[(u32, u64)]) -> String {
     out
 }
 
-/// True when the campaign carries a non-empty telemetry block.
-pub fn has_telemetry(result: &CampaignResult) -> bool {
-    result
-        .telemetry
-        .as_ref()
-        .is_some_and(|t: &Telemetry| !t.is_empty())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simbench_campaign::{run, CampaignSpec, EngineKind, Guest, RunnerOpts, Workload};
+    use simbench_campaign::{
+        run, CampaignSpec, EngineKind, Guest, RunnerOpts, Telemetry, Workload,
+    };
     use simbench_suite::Benchmark;
 
     fn tiny_result() -> CampaignResult {
@@ -95,8 +89,8 @@ mod tests {
     #[test]
     fn renders_counters_and_histograms() {
         let result = result_with_telemetry();
-        assert!(has_telemetry(&result));
         let text = render_telemetry(&result);
+        assert!(!text.contains("--trace"), "{text}");
         assert!(text.contains("dbt.translations"), "{text}");
         assert!(text.contains("1234"), "{text}");
         assert!(text.contains("histogram dbt.block_steps"), "{text}");
@@ -109,7 +103,6 @@ mod tests {
     #[test]
     fn missing_telemetry_points_at_trace() {
         let result = tiny_result();
-        assert!(!has_telemetry(&result));
         let text = render_telemetry(&result);
         assert!(text.contains("--trace"), "{text}");
     }

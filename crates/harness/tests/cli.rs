@@ -643,7 +643,7 @@ fn analyze_sweeps_a_workload_and_persists_the_artifact() {
     assert!(text.contains("1/1 subject(s) clean"), "{text}");
     let json = std::fs::read_to_string(&artifact_path).unwrap();
     assert!(
-        json.contains("\"schema\": \"simbench-analysis/v1\""),
+        json.contains("\"schema\": \"simbench-analysis/v2\""),
         "{json}"
     );
     assert!(json.contains("\"matched\": true"), "{json}");

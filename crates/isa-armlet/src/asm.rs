@@ -60,7 +60,7 @@ impl ArmletAsm {
     }
 
     /// Load a full 32-bit constant into a raw register (movw + movt).
-    pub fn mov_imm_raw(&mut self, rd: u8, imm: u32) {
+    fn mov_imm_raw(&mut self, rd: u8, imm: u32) {
         self.raw(enc::movw(rd, imm & 0xFFFF));
         if imm >> 16 != 0 {
             self.raw(enc::movt(rd, imm >> 16));

@@ -9,50 +9,6 @@
 
 use simbench_core::ir::{DecodeError, Decoded};
 
-/// Static description of one top-nibble encoding class, exposed so
-/// static sweeps (the analyzer's decoder-totality proof) can enumerate
-/// the decode table instead of reverse-engineering it from probes.
-#[derive(Debug, Clone, Copy)]
-pub struct EncodingClass {
-    /// Top nibble of the instruction word (bits 28–31).
-    pub nibble: u8,
-    /// Mnemonic family name.
-    pub name: &'static str,
-    /// True if at least one word with this top nibble decodes.
-    pub populated: bool,
-}
-
-/// The armlet decode table at class granularity. Every instruction word
-/// dispatches on its top nibble; a class marked unpopulated rejects all
-/// 2^28 words beneath it.
-pub const ENCODING_CLASSES: [EncodingClass; 16] = {
-    const fn c(nibble: u8, name: &'static str, populated: bool) -> EncodingClass {
-        EncodingClass {
-            nibble,
-            name,
-            populated,
-        }
-    }
-    [
-        c(0x0, "udf", true),
-        c(0x1, "alu-rr", true),
-        c(0x2, "alu-ri", true),
-        c(0x3, "movw", true),
-        c(0x4, "movt", true),
-        c(0x5, "ldst", true),
-        c(0x6, "b", true),
-        c(0x7, "bl", true),
-        c(0x8, "bcc", true),
-        c(0x9, "bx/blx", true),
-        c(0xA, "system", true),
-        c(0xB, "cmp/tst", true),
-        c(0xC, "(reserved)", false),
-        c(0xD, "(reserved)", false),
-        c(0xE, "(reserved)", false),
-        c(0xF, "(reserved)", false),
-    ]
-};
-
 /// Decode the word at `pc`.
 ///
 /// # Errors
@@ -293,20 +249,12 @@ mod tests {
     }
 
     #[test]
-    fn encoding_class_table_matches_decoder() {
-        for (i, class) in ENCODING_CLASSES.iter().enumerate() {
-            assert_eq!(class.nibble as usize, i);
-            // The canonical word of every populated class decodes; an
-            // unpopulated class rejects its canonical word (and, per the
-            // decoder's top-level dispatch, every other word below it).
-            let canonical = u32::from(class.nibble) << 28;
-            assert_eq!(
-                decode(canonical, 0).is_ok(),
-                class.populated,
-                "class {:#x} ({})",
-                class.nibble,
-                class.name
-            );
+    fn top_nibble_dispatch_matches_decoder() {
+        // Every word dispatches on its top nibble. The canonical word of
+        // nibbles 0x0..=0xB decodes; 0xC..=0xF are reserved and reject
+        // their canonical word (and every other word below it).
+        for nibble in 0..16u32 {
+            assert_eq!(decode(nibble << 28, 0).is_ok(), nibble < 0xC, "{nibble:#x}");
         }
     }
 
@@ -333,8 +281,8 @@ mod tests {
         // per encoding class (the exhaustive proof lives in the
         // analyzer's release-mode 2^32 sweep and the proptest in
         // tests/prop_decode_equiv.rs).
-        for class in ENCODING_CLASSES {
-            let w = u32::from(class.nibble) << 28 | 0x0012_3456;
+        for nibble in 0..16u32 {
+            let w = nibble << 28 | 0x0012_3456;
             let (a, b) = (decode(w, 0x8000), crate::decode_ref::decode(w, 0x8000));
             assert_eq!(a, b, "word {w:#010x}");
         }

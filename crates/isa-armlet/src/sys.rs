@@ -13,7 +13,7 @@ pub const CP_BANK: u8 = 14;
 /// cp15 register indices.
 pub mod cp15 {
     /// Read-only ID register.
-    pub const MIDR: u8 = 0;
+    pub(super) const MIDR: u8 = 0;
     /// System control: bit 0 enables the MMU.
     pub const SCTLR: u8 = 1;
     /// Translation table base.
@@ -22,9 +22,9 @@ pub mod cp15 {
     /// side-effect-free coprocessor read on ARM.
     pub const DACR: u8 = 3;
     /// Fault status (why the last abort happened).
-    pub const FSR: u8 = 5;
+    pub(super) const FSR: u8 = 5;
     /// Fault address.
-    pub const FAR: u8 = 6;
+    pub(super) const FAR: u8 = 6;
     /// Write: invalidate entire TLB.
     pub const TLBIALL: u8 = 7;
     /// Write: invalidate the TLB entry covering the written address.
@@ -40,15 +40,15 @@ pub mod cp14 {
     /// Banked status word (see [`super::ArmletSys::encode_status`]).
     pub const SAVED_STATUS: u8 = 1;
     /// Handler scratch register 0.
-    pub const SCRATCH0: u8 = 2;
+    pub(super) const SCRATCH0: u8 = 2;
     /// Handler scratch register 1.
-    pub const SCRATCH1: u8 = 3;
+    pub(super) const SCRATCH1: u8 = 3;
     /// Status control: bit 0 = IRQ enable for the *current* status.
     pub const IRQ_CTL: u8 = 4;
 }
 
 /// Value of the MIDR identification register.
-pub const MIDR_VALUE: u32 = 0x4152_4D01; // "ARM" + v1
+const MIDR_VALUE: u32 = 0x4152_4D01; // "ARM" + v1
 
 /// Spacing of vector table entries in bytes (room for a long branch).
 pub const VECTOR_STRIDE: u32 = 0x20;

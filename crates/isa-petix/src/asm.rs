@@ -58,7 +58,7 @@ impl PetixAsm {
     }
 
     /// Two-address ALU immediate: `rd = rd op imm` (full 32-bit range).
-    pub fn alu2_imm(&mut self, op: AluOp, rd: PReg, imm: u32) {
+    fn alu2_imm(&mut self, op: AluOp, rd: PReg, imm: u32) {
         self.emit(enc::alu_ri32(op, reg(rd), imm));
     }
 

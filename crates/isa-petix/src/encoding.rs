@@ -45,7 +45,7 @@ pub const SP: u8 = 6;
 pub const LR: u8 = 7;
 
 /// The canonical undefined instruction (`ud2`).
-pub const UD2: [u8; 2] = [0x0F, 0x0B];
+const UD2: [u8; 2] = [0x0F, 0x0B];
 
 /// The 4-byte self-modifying-code filler, as a little-endian word:
 /// `mov r5, #imm16` (alu-imm16 Mov with rd = 5). OR the iteration count's

@@ -10,11 +10,11 @@ pub mod cr {
     /// System control: bit 0 enables paging.
     pub const CR0: u8 = 0;
     /// Fault address (set on aborts, like x86 CR2).
-    pub const CR2: u8 = 2;
+    pub(super) const CR2: u8 = 2;
     /// Page-table base.
     pub const CR3: u8 = 3;
     /// Vector table base.
-    pub const CR4: u8 = 4;
+    pub(super) const CR4: u8 = 4;
     /// FPU control word — the designated side-effect-free "safe"
     /// control-register read for the Coprocessor Access benchmark.
     pub const FPCW: u8 = 5;
@@ -34,7 +34,7 @@ pub mod cr {
 }
 
 /// Reset value of the FPU control word (mirrors the x87 default).
-pub const FPCW_RESET: u32 = 0x037F;
+const FPCW_RESET: u32 = 0x037F;
 
 /// Spacing of vector table entries in bytes.
 pub const VECTOR_STRIDE: u32 = 0x20;

@@ -62,7 +62,7 @@ impl RiscleAsm {
     }
 
     /// `rd = rn` (register move, raw register numbers).
-    pub fn mov_rr_raw(&mut self, rd: u8, rn: u8) {
+    fn mov_rr_raw(&mut self, rd: u8, rn: u8) {
         self.emit16(enc::c_mv(rd, rn));
     }
 

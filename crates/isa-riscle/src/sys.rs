@@ -12,9 +12,9 @@ pub mod csr {
     /// Page-table base (4 KB aligned, like `satp`).
     pub const TTB: u8 = 1;
     /// Vector table base (like `stvec`).
-    pub const TVEC: u8 = 2;
+    pub(super) const TVEC: u8 = 2;
     /// Fault address (set on aborts, like `stval`).
-    pub const TVAL: u8 = 3;
+    pub(super) const TVAL: u8 = 3;
     /// Architecture id — a read-only constant, the designated
     /// side-effect-free "safe" system-register read for the Coprocessor
     /// Access benchmark. Writes fault.
@@ -36,7 +36,7 @@ pub mod csr {
 
 /// The MISA constant: XLEN 32 (bit 30) with the I and C extension
 /// letters set.
-pub const MISA_VALUE: u32 = (1 << 30) | (1 << 8) | (1 << 2);
+const MISA_VALUE: u32 = (1 << 30) | (1 << 8) | (1 << 2);
 
 /// Spacing of vector table entries in bytes.
 pub const VECTOR_STRIDE: u32 = 0x20;

@@ -387,7 +387,7 @@ fn hex(v: u32) -> String {
 }
 
 /// Generated-file marker; the first line of every `decode_gen.rs`.
-pub const GENERATED_MARKER: &str = "// @generated by simbench-isa-spec";
+const GENERATED_MARKER: &str = "// @generated by simbench-isa-spec";
 
 struct Gen<'a> {
     spec: &'a Spec,

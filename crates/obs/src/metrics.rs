@@ -105,7 +105,7 @@ impl Histogram {
     }
 
     /// Sparse read: `(bucket index, count)` for nonzero buckets.
-    pub fn nonzero_buckets(&self) -> Vec<(u32, u64)> {
+    fn nonzero_buckets(&self) -> Vec<(u32, u64)> {
         self.buckets
             .iter()
             .enumerate()

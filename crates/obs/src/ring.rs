@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Events kept per thread. Power of two so the index mask is one AND.
-pub const RING_CAP: usize = 4096;
+const RING_CAP: usize = 4096;
 
 /// What kind of trace record an event is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,7 +62,7 @@ struct Slot {
 
 /// One thread's event ring. Only the owning thread writes; any thread
 /// may drain.
-pub struct Ring {
+pub(crate) struct Ring {
     slots: Box<[Slot]>,
     /// Next write position (monotonic; the slot index is `head % cap`).
     head: AtomicU64,

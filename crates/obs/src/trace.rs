@@ -17,7 +17,7 @@ use crate::ring::{self, Event, Phase};
 
 /// Nanoseconds since the process trace epoch (the first call fixes the
 /// epoch). Monotonic and allocation-free after the first call.
-pub fn now_ns() -> u64 {
+fn now_ns() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }

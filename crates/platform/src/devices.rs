@@ -5,9 +5,9 @@
 use std::time::Instant;
 
 /// UART data register (write: transmit byte; read: 0).
-pub const UART_DATA: u32 = 0x0;
+const UART_DATA: u32 = 0x0;
 /// UART status register (read: always ready).
-pub const UART_STATUS: u32 = 0x4;
+const UART_STATUS: u32 = 0x4;
 
 /// A write-only serial port capturing guest output for the host harness.
 #[derive(Debug, Default)]
@@ -91,9 +91,9 @@ impl Intc {
 }
 
 /// Timer nanoseconds, low word.
-pub const TIMER_NS_LO: u32 = 0x0;
+const TIMER_NS_LO: u32 = 0x0;
 /// Timer nanoseconds, high word (latched by the preceding low-word read).
-pub const TIMER_NS_HI: u32 = 0x4;
+const TIMER_NS_HI: u32 = 0x4;
 
 /// Free-running nanosecond timer backed by the host monotonic clock.
 ///
@@ -138,9 +138,9 @@ impl Default for Timer {
 }
 
 /// Safe device ID register offset.
-pub const SAFEDEV_ID_REG: u32 = 0x0;
+const SAFEDEV_ID_REG: u32 = 0x0;
 /// Safe device scratch register offset.
-pub const SAFEDEV_SCRATCH: u32 = 0x4;
+const SAFEDEV_SCRATCH: u32 = 0x4;
 /// The constant device ID ("SB" + version), chosen to be non-zero and
 /// non-trivial so engines cannot legally constant-fold it without
 /// device-model knowledge.
@@ -186,10 +186,10 @@ impl SafeDev {
 
 /// Control device phase register: the guest writes 1 when its timed
 /// kernel begins and 2 when it ends.
-pub const CTL_PHASE: u32 = 0x0;
+const CTL_PHASE: u32 = 0x0;
 /// Control device result register: benchmarks may deposit a checksum the
 /// harness can read back.
-pub const CTL_RESULT: u32 = 0x4;
+const CTL_RESULT: u32 = 0x4;
 
 /// Benchmark phase-control device.
 #[derive(Debug, Default)]

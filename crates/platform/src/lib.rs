@@ -23,11 +23,11 @@
 //! ```
 //! use simbench_core::bus::Bus;
 //! use simbench_core::ir::MemSize;
-//! use simbench_platform::{Platform, SAFEDEV_BASE, SAFEDEV_ID_VALUE};
+//! use simbench_platform::{devices::SAFEDEV_ID, Platform, SAFEDEV_BASE};
 //!
 //! let mut p = Platform::with_ram(1 << 20);
 //! let id = p.read(SAFEDEV_BASE, MemSize::B4).unwrap();
-//! assert_eq!(id, SAFEDEV_ID_VALUE);
+//! assert_eq!(id, SAFEDEV_ID);
 //! ```
 
 pub mod devices;
@@ -52,12 +52,6 @@ pub const TIMER_BASE: u32 = 0xF000_2000;
 pub const SAFEDEV_BASE: u32 = 0xF000_3000;
 /// Benchmark control device base.
 pub const CTL_BASE: u32 = 0xF000_4000;
-/// One past the last device page.
-pub const DEVICE_LIMIT: u32 = 0xF000_5000;
-
-/// Value of the safe device's ID register.
-pub const SAFEDEV_ID_VALUE: u32 = devices::SAFEDEV_ID;
-
 /// Default RAM size: 96 MiB, enough for the suite's 16 MiB cold region,
 /// page tables for both ISAs, and application heaps.
 pub const DEFAULT_RAM: u32 = 96 << 20;
@@ -102,11 +96,6 @@ impl Platform {
             safedev: SafeDev::new(),
             ctl: Ctl::new(),
         }
-    }
-
-    /// Text written by the guest to the UART so far.
-    pub fn console(&self) -> &[u8] {
-        self.uart.output()
     }
 
     fn device_read(&mut self, pa: u32, size: MemSize) -> Result<u32, MemFault> {
@@ -219,7 +208,8 @@ mod tests {
         let mut p = Platform::with_ram(1 << 16);
         assert!(p.read(0x10_0000, MemSize::B4).is_err());
         assert!(p.write(0x10_0000, 0, MemSize::B4).is_err());
-        assert!(p.read(DEVICE_LIMIT, MemSize::B4).is_err());
+        // One past the last device page.
+        assert!(p.read(CTL_BASE + 0x1000, MemSize::B4).is_err());
     }
 
     #[test]
@@ -228,7 +218,7 @@ mod tests {
         for b in b"hi" {
             p.write(UART_BASE, *b as u32, MemSize::B4).unwrap();
         }
-        assert_eq!(p.console(), b"hi");
+        assert_eq!(p.uart.output(), b"hi");
     }
 
     #[test]
@@ -266,12 +256,18 @@ mod tests {
     #[test]
     fn safedev_id_and_scratch() {
         let mut p = Platform::with_ram(4096);
-        assert_eq!(p.read(SAFEDEV_BASE, MemSize::B4).unwrap(), SAFEDEV_ID_VALUE);
+        assert_eq!(
+            p.read(SAFEDEV_BASE, MemSize::B4).unwrap(),
+            devices::SAFEDEV_ID
+        );
         p.write(SAFEDEV_BASE + 4, 0x77, MemSize::B4).unwrap();
         assert_eq!(p.read(SAFEDEV_BASE + 4, MemSize::B4).unwrap(), 0x77);
         // ID register is read-only.
         p.write(SAFEDEV_BASE, 0, MemSize::B4).unwrap();
-        assert_eq!(p.read(SAFEDEV_BASE, MemSize::B4).unwrap(), SAFEDEV_ID_VALUE);
+        assert_eq!(
+            p.read(SAFEDEV_BASE, MemSize::B4).unwrap(),
+            devices::SAFEDEV_ID
+        );
     }
 
     #[test]

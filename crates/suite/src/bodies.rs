@@ -15,13 +15,13 @@ use crate::support::{emit_counted_loop, emit_phase_mark, Layout, Support};
 
 /// Number of small functions in the code-generation and control-flow
 /// chain benchmarks.
-pub const CHAIN_FUNCS: usize = 8;
+const CHAIN_FUNCS: usize = 8;
 
 /// Arithmetic instructions in the Large Blocks benchmark's single block.
-pub const LARGE_BLOCK_INSNS: usize = 256;
+const LARGE_BLOCK_INSNS: usize = 256;
 
 /// Unroll factor of the Hot Memory Access benchmark.
-pub const HOT_UNROLL: usize = 8;
+const HOT_UNROLL: usize = 8;
 
 fn wrap_kernel<S: Support>(
     a: &mut S::Asm,

@@ -251,7 +251,7 @@ impl Benchmark {
     }
 
     /// The boot specification the benchmark needs.
-    pub fn boot_spec(self) -> BootSpec {
+    fn boot_spec(self) -> BootSpec {
         let mut spec = BootSpec::default();
         match self {
             Benchmark::InsnFault => spec.handlers.prefetch_abort = HandlerKind::ResumeFromLink,

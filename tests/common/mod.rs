@@ -12,7 +12,7 @@ use simbench_isa_riscle::{Riscle, RiscleAsm};
 /// Physical base of the page tables.
 pub const TABLES: u32 = 0x0010_0000;
 /// Identity-mapped low memory holding the boot code (and any stack).
-pub const BOOT_SPAN: u32 = 0x0010_0000;
+const BOOT_SPAN: u32 = 0x0010_0000;
 
 /// A guest these tests can put under paging.
 pub trait PagedGuest: Isa {

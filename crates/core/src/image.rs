@@ -33,6 +33,9 @@ impl Section {
 
 /// A bare-metal bootable guest image: what the assembler/linker produces
 /// and what a [`crate::machine::Machine`] boots.
+///
+/// RAM is zero where no section lands: every bus a machine boots on
+/// starts with zeroed RAM, so an image need not ship zero bytes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GuestImage {
     /// Reset vector: the first instruction executed.
@@ -67,6 +70,33 @@ impl GuestImage {
             );
         }
         self.sections.push(Section { addr, bytes });
+    }
+
+    /// Append `bytes` at `addr` as sections holding only its non-zero
+    /// 64-byte chunks (counted from `addr`), adjacent chunks merged.
+    /// What the guest sees is the same as for one section of all of
+    /// `bytes`, because RAM is zero where no section lands.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`GuestImage::push_section`] does.
+    pub fn push_nonzero(&mut self, addr: u32, bytes: &[u8]) {
+        const CHUNK: usize = 64;
+        static ZERO: [u8; CHUNK] = [0; CHUNK];
+        let mut start = None;
+        for (i, chunk) in bytes.chunks(CHUNK).enumerate() {
+            match (start, *chunk == ZERO[..chunk.len()]) {
+                (None, false) => start = Some(i * CHUNK),
+                (Some(s), true) => {
+                    self.push_section(addr + s as u32, bytes[s..i * CHUNK].to_vec());
+                    start = None;
+                }
+                _ => {}
+            }
+        }
+        if let Some(s) = start {
+            self.push_section(addr + s as u32, bytes[s..].to_vec());
+        }
     }
 
     /// Total payload bytes.
@@ -148,6 +178,47 @@ mod tests {
         img.push_section(0x10, vec![0; 8]);
         img.push_section(0x18, vec![0; 8]);
         assert_eq!(img.sections.len(), 2);
+    }
+
+    /// `(address, length)` of each section.
+    fn spans(img: &GuestImage) -> Vec<(u32, usize)> {
+        img.sections
+            .iter()
+            .map(|s| (s.addr, s.bytes.len()))
+            .collect()
+    }
+
+    #[test]
+    fn an_all_zero_blob_ships_nothing() {
+        let mut img = GuestImage::new(0);
+        img.push_nonzero(0x1000, &[0; 4096 + 10]);
+        img.push_nonzero(0x4000, &[]);
+        assert!(img.sections.is_empty());
+    }
+
+    #[test]
+    fn a_nonzero_byte_in_the_last_partial_chunk_ships() {
+        let mut blob = vec![0; 200];
+        blob[199] = 7;
+        let mut img = GuestImage::new(0);
+        img.push_nonzero(0x1000, &blob);
+        assert_eq!(spans(&img), [(0x1000 + 192, 8)]);
+        assert_eq!(img.sections[0].bytes[7], 7);
+    }
+
+    #[test]
+    fn adjacent_nonzero_chunks_merge_into_one_section() {
+        let mut blob = vec![0; 512];
+        blob[63] = 1; // chunk 0
+        blob[64] = 2; // chunk 1
+        blob[191] = 3; // chunk 2, still adjacent
+        blob[320] = 4; // chunk 5, after two zero chunks
+        let mut img = GuestImage::new(0);
+        img.push_nonzero(0x2000, &blob);
+        assert_eq!(spans(&img), [(0x2000, 192), (0x2000 + 320, 64)]);
+        let mut ram = vec![0; 0x3000];
+        img.load_into(&mut ram);
+        assert_eq!(ram[0x2000..0x2200], blob[..], "the same bytes, once loaded");
     }
 
     #[test]

@@ -25,6 +25,10 @@ impl<I: Isa, B: crate::bus::Bus> Machine<I, B> {
     /// point, in the architectural reset state (kernel mode, MMU off,
     /// IRQs masked).
     ///
+    /// `bus` must come with zeroed RAM: RAM is zero where no section
+    /// lands, and images leave out the zero bytes they would carry (see
+    /// [`GuestImage::push_nonzero`]).
+    ///
     /// # Panics
     ///
     /// Panics if the image does not fit in the bus's RAM.

@@ -172,11 +172,6 @@ impl TableBuilder {
         }
     }
 
-    /// The TTBR value for these tables.
-    pub fn ttbr(&self) -> u32 {
-        self.base
-    }
-
     fn write_u32(&mut self, addr: u32, val: u32) {
         let off = (addr - self.base) as usize;
         self.blob[off..off + 4].copy_from_slice(&val.to_le_bytes());
@@ -259,11 +254,6 @@ impl TableBuilder {
     /// Finish: `(load address, table bytes)` for the guest image.
     pub fn into_blob(self) -> (u32, Vec<u8>) {
         (self.base, self.blob)
-    }
-
-    /// Total bytes the tables occupy.
-    pub fn size(&self) -> usize {
-        self.blob.len()
     }
 }
 

@@ -9,7 +9,8 @@
 use simbench_core::bus::Bus;
 use simbench_core::fault::{AccessKind, FaultKind, MemFault};
 use simbench_core::ir::MemSize;
-use simbench_core::mmu::{Perms, TlbEntry, WalkResult};
+pub use simbench_core::mmu::PtFlags;
+use simbench_core::mmu::{self, Perms, PteEncoding, TlbEntry, WalkResult};
 use simbench_core::{page_of, PAGE_SHIFT};
 
 use crate::sys::PetixSys;
@@ -78,125 +79,27 @@ pub fn walk<B: Bus>(sys: &PetixSys, bus: &mut B, va: u32) -> WalkResult {
     })
 }
 
-/// Mapping attributes for the table builder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PtFlags {
-    /// Writable.
-    pub write: bool,
-    /// Accessible from user mode.
-    pub user: bool,
-    /// Never executable.
-    pub nx: bool,
-}
-
-impl PtFlags {
-    /// Kernel read/write/execute, no user access.
-    pub const KERNEL: PtFlags = PtFlags {
-        write: true,
-        user: false,
-        nx: false,
-    };
-    /// Full access from both modes.
-    pub const USER_FULL: PtFlags = PtFlags {
-        write: true,
-        user: true,
-        nx: false,
-    };
-    /// Read-only at both levels.
-    pub const READ_ONLY: PtFlags = PtFlags {
-        write: false,
-        user: true,
-        nx: false,
-    };
-    /// Kernel data only (no execute).
-    pub const KERNEL_DEVICE: PtFlags = PtFlags {
-        write: true,
-        user: false,
-        nx: true,
-    };
-
-    fn bits(self) -> u32 {
-        P_PRESENT
-            | if self.write { P_WRITE } else { 0 }
-            | if self.user { P_USER } else { 0 }
-            | if self.nx { P_NX } else { 0 }
-    }
-}
-
-/// Builds petix page tables as a flat blob: the page directory occupies
-/// the first 4 KB at `base`; page tables are appended.
+/// petix entry encodings for [`TableBuilder`].
 #[derive(Debug)]
-pub struct TableBuilder {
-    base: u32,
-    blob: Vec<u8>,
-    table_of: Vec<Option<u32>>,
-}
+pub enum PetixPte {}
 
-impl TableBuilder {
-    /// Start building at physical `base` (4 KB aligned).
-    ///
-    /// # Panics
-    ///
-    /// Panics on misalignment.
-    pub fn new(base: u32) -> Self {
-        assert_eq!(base & 0xFFF, 0, "CR3 base must be 4 KB aligned");
-        TableBuilder {
-            base,
-            blob: vec![0; 4096],
-            table_of: vec![None; 1024],
-        }
+impl PteEncoding for PetixPte {
+    /// Directory entries are permissive; leaf entries restrict.
+    fn dir(table: u32) -> u32 {
+        table | P_PRESENT | P_WRITE | P_USER
     }
 
-    /// The CR3 value for these tables.
-    pub fn cr3(&self) -> u32 {
-        self.base
-    }
-
-    fn write_u32(&mut self, addr: u32, val: u32) {
-        let off = (addr - self.base) as usize;
-        self.blob[off..off + 4].copy_from_slice(&val.to_le_bytes());
-    }
-
-    fn table_for(&mut self, va: u32, flags: PtFlags) -> u32 {
-        let idx = (va >> 22) as usize;
-        if let Some(addr) = self.table_of[idx] {
-            return addr;
-        }
-        let addr = self.base + self.blob.len() as u32;
-        self.blob.extend(std::iter::repeat_n(0, 4096));
-        self.table_of[idx] = Some(addr);
-        // Directory entries carry permissive flags; leaf PTEs restrict.
-        let pde = (addr & !0xFFF) | flags.bits() | P_WRITE | P_USER;
-        self.write_u32(self.base + (idx as u32) * 4, pde & !P_NX);
-        addr
-    }
-
-    /// Map one 4 KB page.
-    ///
-    /// # Panics
-    ///
-    /// Panics on misaligned addresses.
-    pub fn map_page(&mut self, va: u32, pa: u32, flags: PtFlags) {
-        assert_eq!(va & 0xFFF, 0);
-        assert_eq!(pa & 0xFFF, 0);
-        let table = self.table_for(va, flags);
-        let index = (va >> PAGE_SHIFT) & 0x3FF;
-        self.write_u32(table + index * 4, (pa & !0xFFF) | flags.bits());
-    }
-
-    /// Map `len` bytes (rounded up to pages) from `va` to `pa`.
-    pub fn map_range(&mut self, va: u32, pa: u32, len: u32, flags: PtFlags) {
-        let pages = len.next_multiple_of(1 << PAGE_SHIFT) >> PAGE_SHIFT;
-        for i in 0..pages {
-            self.map_page(va + (i << PAGE_SHIFT), pa + (i << PAGE_SHIFT), flags);
-        }
-    }
-
-    /// Finish: `(load address, table bytes)`.
-    pub fn into_blob(self) -> (u32, Vec<u8>) {
-        (self.base, self.blob)
+    fn leaf(pa: u32, flags: PtFlags) -> u32 {
+        pa | P_PRESENT
+            | if flags.write { P_WRITE } else { 0 }
+            | if flags.user { P_USER } else { 0 }
+            | if flags.nx { P_NX } else { 0 }
     }
 }
+
+/// Builds petix page tables: the page directory occupies the first 4 KB
+/// at the base (the CR3 value); page tables follow.
+pub type TableBuilder = mmu::TableBuilder<PetixPte>;
 
 #[cfg(test)]
 mod tests {
@@ -254,6 +157,31 @@ mod tests {
         assert!(e.kernel.w && !e.kernel.x, "NX strips execute");
         let e = walk(&sys, &mut ram, 0x40_2000).unwrap();
         assert!(!e.kernel.w && e.user.r && !e.user.w);
+    }
+
+    #[test]
+    fn directory_entries_stay_permissive_whichever_mapping_comes_first() {
+        // Slot 1's first mapping is kernel-only and never executable,
+        // slot 2's is full access: both directory entries are the same
+        // permissive pointer, and the leaf entries alone restrict.
+        let (sys, mut ram) = setup(|tb| {
+            tb.map_page(0x40_0000, 0x1000, PtFlags::KERNEL_DEVICE);
+            tb.map_page(0x40_1000, 0x2000, PtFlags::USER_FULL);
+            tb.map_page(0x80_0000, 0x3000, PtFlags::USER_FULL);
+            tb.map_page(0x80_1000, 0x4000, PtFlags::KERNEL_DEVICE);
+        });
+        for (slot, table) in [(1, TBASE + 0x1000), (2, TBASE + 0x2000)] {
+            let pde = ram.read(TBASE + slot * 4, MemSize::B4).unwrap();
+            assert_eq!(pde, table | P_PRESENT | P_WRITE | P_USER, "slot {slot}");
+        }
+        for va in [0x40_1000, 0x80_0000] {
+            let e = walk(&sys, &mut ram, va).unwrap();
+            assert!(e.user.w && e.user.x, "{va:#x}");
+        }
+        for va in [0x40_0000, 0x80_1000] {
+            let e = walk(&sys, &mut ram, va).unwrap();
+            assert!(e.user == Perms::NONE && !e.kernel.x, "{va:#x}");
+        }
     }
 
     #[test]

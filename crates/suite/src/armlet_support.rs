@@ -122,11 +122,10 @@ impl Support for ArmletSupport {
         a.bind(code_entry);
         body(&mut a, self, &layout);
 
-        // Page-table blob.
-        a.org(layout.tables);
-        a.bytes(&blob);
-
-        a.finish(layout.boot)
+        // Page tables: only their non-zero chunks ship.
+        let mut image = a.finish(layout.boot);
+        image.push_nonzero(tbase, &blob);
+        image
     }
 
     fn emit_safe_coproc_read(&self, a: &mut Self::Asm, rd: PReg) {

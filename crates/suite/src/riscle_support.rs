@@ -118,11 +118,10 @@ impl Support for RiscleSupport {
         a.bind(code_entry);
         body(&mut a, self, &layout);
 
-        // Page-table blob.
-        a.org(layout.tables);
-        a.bytes(&blob);
-
-        a.finish(layout.boot)
+        // Page tables: only their non-zero chunks ship.
+        let mut image = a.finish(layout.boot);
+        image.push_nonzero(ttb, &blob);
+        image
     }
 
     fn emit_safe_coproc_read(&self, a: &mut Self::Asm, rd: PReg) {

@@ -1,9 +1,10 @@
 //! Guest RAM is recycled between platforms (`simbench-platform`'s
 //! pool), and a recycled buffer must be indistinguishable from a fresh
 //! one: on every guest and engine, an image run in a buffer that a
-//! *different* image has just dirtied ends with the same registers, the
-//! same RAM byte for byte and the same counters as in RAM nobody has
-//! used before — and does so again on the buffer it dirtied itself.
+//! *different* image — of the same guest or of another — has just
+//! dirtied ends with the same registers, the same RAM byte for byte and
+//! the same counters as in RAM nobody has used before, and does so again
+//! on the buffer it dirtied itself.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -49,19 +50,32 @@ fn nonzero_pages(ram: &[u8]) -> Vec<usize> {
         .collect()
 }
 
-fn recycled_equals_never_used<G: GuestSpec, E: Engine<G::Isa, Platform>>(
+/// Runs `first` in RAM nobody has used, then in the pooled buffer
+/// `other` (an image of guest `H`) has just dirtied, then in the buffer
+/// it dirtied itself, on engines from `make` and `make_other`.
+/// Pages `image` leaves holding a nonzero byte in RAM nobody has used.
+fn touched<G: GuestSpec>(image: &GuestImage) -> Vec<usize> {
+    let (m, _) = run::<G>(Interp::new(), image, never_used_platform());
+    nonzero_pages(m.bus.ram())
+}
+
+fn recycled_equals_never_used<G: GuestSpec, H: GuestSpec, E, F>(
     name: &str,
     make: impl Fn() -> E,
+    make_other: impl Fn() -> F,
     first: &GuestImage,
     other: &GuestImage,
-) {
+) where
+    E: Engine<G::Isa, Platform>,
+    F: Engine<H::Isa, Platform>,
+{
     let (fresh, fresh_counters) = run::<G>(make(), first, never_used_platform());
     let fresh_digest = fresh.state_digest();
     let (fresh_ram, extra) = fresh.bus.ram().split_at(DEFAULT_RAM as usize);
     assert!(nonzero_pages(extra).is_empty(), "{name}");
 
     // Leaves its buffer in the pool for the next `Platform::new()`.
-    run::<G>(make(), other, Platform::new());
+    run::<H>(make_other(), other, Platform::new());
     for after in ["another image", "itself"] {
         let (again, counters) = run::<G>(make(), first, Platform::new());
         assert_eq!(counters, fresh_counters, "{name} after {after}");
@@ -77,42 +91,57 @@ fn recycled_equals_never_used<G: GuestSpec, E: Engine<G::Isa, Platform>>(
     }
 }
 
-fn recycled_ram_equals_fresh<G: GuestSpec>() {
-    let support = G::Support::default();
-    // Code rewritten in place, then a kernel spread over nine more
-    // pages of code.
-    let first = build(&support, Benchmark::SmallBlocks, ITERS).expect("on every guest");
-    let other = build(&support, Benchmark::InterPageDirect, ITERS).expect("on every guest");
-    let touched = |image| {
-        let (m, _) = run::<G>(Interp::new(), image, never_used_platform());
-        nonzero_pages(m.bus.ram())
-    };
-    let (by_first, by_other) = (touched(&first), touched(&other));
+/// Guest `G`'s Small Blocks (code rewritten in place) in RAM that guest
+/// `H`'s Inter-Page Direct (a kernel spread over nine more pages of
+/// code) has dirtied, on every engine.
+fn recycled_ram_equals_fresh<G: GuestSpec, H: GuestSpec>() {
+    let first = build(&G::Support::default(), Benchmark::SmallBlocks, ITERS).expect("on G");
+    let other = build(&H::Support::default(), Benchmark::InterPageDirect, ITERS).expect("on H");
+    let (by_first, by_other) = (touched::<G>(&first), touched::<H>(&other));
     assert!(
         by_other.iter().any(|p| !by_first.contains(p)),
         "the second image must leave pages behind that the first never writes"
     );
 
-    recycled_equals_never_used::<G, _>("interp", Interp::new, &first, &other);
-    recycled_equals_never_used::<G, _>("detailed", Detailed::new, &first, &other);
-    recycled_equals_never_used::<G, _>("virt", Virt::kvm, &first, &other);
-    recycled_equals_never_used::<G, _>("native", Virt::native, &first, &other);
-    recycled_equals_never_used::<G, _>("dbt", Dbt::new, &first, &other);
+    macro_rules! on {
+        ($engine:literal, $make:expr) => {
+            recycled_equals_never_used::<G, H, _, _>($engine, $make, $make, &first, &other)
+        };
+    }
+    on!("interp", Interp::new);
+    on!("detailed", Detailed::new);
+    on!("virt", Virt::kvm);
+    on!("native", Virt::native);
+    on!("dbt", Dbt::new);
 }
 
 #[test]
 fn armlet_recycled_ram_equals_fresh() {
-    recycled_ram_equals_fresh::<ArmletGuest>();
+    recycled_ram_equals_fresh::<ArmletGuest, ArmletGuest>();
 }
 
 #[test]
 fn petix_recycled_ram_equals_fresh() {
-    recycled_ram_equals_fresh::<PetixGuest>();
+    recycled_ram_equals_fresh::<PetixGuest, PetixGuest>();
 }
 
 #[test]
 fn riscle_recycled_ram_equals_fresh() {
-    recycled_ram_equals_fresh::<RiscleGuest>();
+    recycled_ram_equals_fresh::<RiscleGuest, RiscleGuest>();
+}
+
+/// Images ship only the non-zero chunks of their page tables, so the
+/// zero chunks armlet leaves out of its mostly empty L1 table are
+/// wherever petix's dense leaf tables were: a recycled buffer must not
+/// leave them behind.
+#[test]
+fn armlet_after_petix_recycled_ram_equals_fresh() {
+    recycled_ram_equals_fresh::<ArmletGuest, PetixGuest>();
+}
+
+#[test]
+fn petix_after_armlet_recycled_ram_equals_fresh() {
+    recycled_ram_equals_fresh::<PetixGuest, ArmletGuest>();
 }
 
 /// Loading through the bus keeps `Machine::boot`'s own refusal.

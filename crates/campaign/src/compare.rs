@@ -23,7 +23,7 @@ pub enum Verdict {
     /// Present now, absent (or not Ok) in the baseline.
     Added,
     /// Ok in the baseline, no longer measured: gone from the current
-    /// matrix, a matrix hole, or a cell another shard owns.
+    /// matrix, or a matrix hole.
     Removed,
     /// Ok in the baseline but failing now — the cell stopped completing
     /// at all. Fails the gate like a counter change.
@@ -208,10 +208,8 @@ pub fn compare_counters(
             }
             (None, true) => (Verdict::Added, Vec::new()),
             (Some(_), false) => match cell.status {
-                // Deliberately unmeasured cells (matrix hole, or a cell
-                // owned by another shard of a partial result) are
-                // coverage changes, not breakage.
-                CellStatus::NotOnIsa | CellStatus::Skipped => (Verdict::Removed, Vec::new()),
+                // A matrix hole is a coverage change, not breakage.
+                CellStatus::NotOnIsa => (Verdict::Removed, Vec::new()),
                 _ => (Verdict::Broke, Vec::new()),
             },
             (None, false) => continue,
@@ -254,7 +252,6 @@ mod tests {
             scale: 1000,
             reps: 1,
             jobs: 1,
-            shard: None,
             wall_secs: 0.0,
             created_unix: 0,
             telemetry: None,
@@ -391,8 +388,8 @@ mod tests {
         // Fault-isolated cells are broken coverage, never silent holes:
         // a cell the baseline measured that now quarantines (panicked
         // engine) or times out (hung engine) must fail the gate exactly
-        // like Failed does — and unlike NotOnIsa/Skipped, which stay
-        // coverage changes.
+        // like Failed does — and unlike NotOnIsa, which stays a
+        // coverage change.
         let base = result_with(vec![
             ("armlet", "interp", "suite:System Call", vec![1.0]),
             ("armlet", "native", "suite:System Call", vec![1.0]),
@@ -425,26 +422,20 @@ mod tests {
     }
 
     #[test]
-    fn skipped_and_absent_cells_are_coverage_changes_not_breakage() {
-        // A raw shard result compared against a whole-matrix baseline:
-        // the cells owned by other shards are skipped, which must read
-        // as reduced coverage, not as cells that stopped completing. A
-        // cell dropped from the matrix (not-on-ISA) is the same.
+    fn absent_cells_are_coverage_changes_not_breakage() {
+        // A cell dropped from the matrix (not-on-ISA) must read as
+        // reduced coverage, not as a cell that stopped completing.
         let base = result_with(vec![
             ("armlet", "interp", "suite:System Call", vec![1.0]),
             ("armlet", "interp", "suite:Hot Memory Access", vec![1.0]),
         ]);
         let mut cur = base.clone();
-        cur.cells[0].status = CellStatus::NotOnIsa;
-        cur.cells[1].status = CellStatus::Skipped;
         for cell in &mut cur.cells {
+            cell.status = CellStatus::NotOnIsa;
             cell.seconds.clear();
         }
         let cmp = compare_counters(&base, &cur, 0.0);
-        assert!(
-            cmp.clean(),
-            "skipped and absent cells must not fail the gate"
-        );
+        assert!(cmp.clean(), "absent cells must not fail the gate");
         assert!(cmp.broken().is_empty());
         assert!(cmp.deltas.iter().all(|d| d.verdict == Verdict::Removed));
         assert!(cmp.render().contains("coverage changes"));

@@ -15,18 +15,19 @@
 //!
 //! ```text
 //! {"record": "meta", "schema": "simbench-journal/v1", "name": ...,
-//!  "scale": N, "reps": N, ["shard": {...},] "cells": N}
+//!  "scale": N, "reps": N, "cells": N}
 //! {"record": "rep", "cell": i, "rep": r, "attempt": a, "outcome": "ok"}
 //! {"record": "cell", "index": i, "cell": { ...full cell record... }}
 //! ```
 //!
 //! The meta line is written first and validated on resume: resuming a
-//! journal against a different spec (name, scale, reps, shard, cell
-//! count) is an error, never a silent mismeasurement. So is resuming a
-//! journal whose meta record carries a `precision` member: an older
-//! writer's adaptive run, whose repetition counts a fixed run would
-//! not reproduce. The
-//! `cell` payload is byte-identical to the cell's object in the final
+//! journal against a different spec (name, scale, reps, cell count) is
+//! an error, never a silent mismeasurement. So is resuming a journal
+//! whose meta record carries a `precision` member (an older writer's
+//! adaptive run, whose repetition counts a fixed run would not
+//! reproduce) or a `shard` member (a slice written by the removed
+//! `--shard` option, which would resume as if it were the whole
+//! matrix). The `cell` payload is byte-identical to the cell's object in the final
 //! result file (same writer), so a journaled cell replays exactly.
 //!
 //! # Crash tolerance
@@ -47,7 +48,7 @@ use std::sync::{Mutex, PoisonError};
 use crate::failpoint;
 use crate::json::{self, Value};
 use crate::result::{cell_json, read_cell, CellResult};
-use crate::spec::{CampaignSpec, Shard};
+use crate::spec::CampaignSpec;
 
 /// Schema identifier on the journal's meta record.
 pub const JOURNAL_SCHEMA: &str = "simbench-journal/v1";
@@ -71,11 +72,13 @@ impl std::fmt::Debug for Journal {
 
 impl Journal {
     /// Start a fresh journal for a campaign: create `dir`, truncate
-    /// `dir/journal.ndjson` and write the fsync'd meta record.
+    /// `dir/journal.ndjson` and write the fsync'd meta record. The last
+    /// argument is always `None`; it goes when perfbench's two calls
+    /// drop it.
     pub fn create(
         dir: impl AsRef<Path>,
         spec: &CampaignSpec,
-        shard: Option<Shard>,
+        _: Option<std::convert::Infallible>,
     ) -> std::io::Result<Journal> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
@@ -84,18 +87,22 @@ impl Journal {
             file: Mutex::new(file),
             dir,
         };
-        journal.append_io(&meta_record(spec, shard))?;
+        journal.append_io(&meta_record(spec))?;
         Ok(journal)
     }
 
     /// Reopen an existing journal for appending (resume). The caller
     /// replays and validates it first ([`replay`]); nothing new is
-    /// written until the resumed run completes repetitions.
+    /// written until the resumed run completes repetitions. A torn
+    /// final record is cut off first: a record appended onto it would
+    /// turn it into damage mid-journal, which replay refuses.
     pub fn resume(dir: impl AsRef<Path>) -> std::io::Result<Journal> {
         let dir = dir.as_ref().to_path_buf();
-        let file = OpenOptions::new()
-            .append(true)
-            .open(dir.join(JOURNAL_FILE))?;
+        let path = dir.join(JOURNAL_FILE);
+        let file = OpenOptions::new().append(true).open(&path)?;
+        let text = std::fs::read(&path)?;
+        let whole = text.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        file.set_len(whole as u64)?;
         Ok(Journal {
             file: Mutex::new(file),
             dir,
@@ -151,22 +158,16 @@ impl Journal {
     }
 }
 
-fn meta_record(spec: &CampaignSpec, shard: Option<Shard>) -> String {
-    let mut out = format!(
-        "{{\"record\": \"meta\", \"schema\": {}, \"name\": {}, \"scale\": {}, \"reps\": {}",
+fn meta_record(spec: &CampaignSpec) -> String {
+    format!(
+        "{{\"record\": \"meta\", \"schema\": {}, \"name\": {}, \"scale\": {}, \"reps\": {}, \
+         \"cells\": {}}}",
         json::quote(JOURNAL_SCHEMA),
         json::quote(&spec.name),
         spec.scale,
         spec.reps.max(1),
-    );
-    if let Some(s) = shard {
-        out.push_str(&format!(
-            ", \"shard\": {{\"index\": {}, \"count\": {}}}",
-            s.index, s.count
-        ));
-    }
-    out.push_str(&format!(", \"cells\": {}}}", spec.cells().len()));
-    out
+        spec.cells().len(),
+    )
 }
 
 /// What a journal replay reconstructed.
@@ -188,15 +189,11 @@ pub struct Replay {
 }
 
 /// Replay `DIR/journal.ndjson` against the spec the resumed run will
-/// execute. Validates the meta record (same name, scale, reps, shard
-/// and cell count, and no adaptive `precision` — resuming a different
+/// execute. Validates the meta record (same name, scale, reps and cell
+/// count, and no adaptive `precision` or `shard` — resuming a different
 /// spec is an error), tolerates a torn final record, and returns the
 /// finished cells to skip.
-pub fn replay(
-    dir: impl AsRef<Path>,
-    spec: &CampaignSpec,
-    shard: Option<Shard>,
-) -> Result<Replay, String> {
+pub fn replay(dir: impl AsRef<Path>, spec: &CampaignSpec) -> Result<Replay, String> {
     let path = dir.as_ref().join(JOURNAL_FILE);
     let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
     let keys = spec.cells();
@@ -236,7 +233,7 @@ pub fn replay(
                     path.display()
                 ));
             }
-            check_meta(&v, spec, shard).map_err(|e| format!("{}: {e}", path.display()))?;
+            check_meta(&v, spec).map_err(|e| format!("{}: {e}", path.display()))?;
             saw_meta = true;
             continue;
         }
@@ -317,7 +314,7 @@ pub fn replay(
     Ok(replay)
 }
 
-fn check_meta(v: &Value, spec: &CampaignSpec, shard: Option<Shard>) -> Result<(), String> {
+fn check_meta(v: &Value, spec: &CampaignSpec) -> Result<(), String> {
     let schema = v.get("schema").and_then(Value::as_str).unwrap_or("");
     if schema != JOURNAL_SCHEMA {
         return Err(format!(
@@ -353,15 +350,9 @@ fn check_meta(v: &Value, spec: &CampaignSpec, shard: Option<Shard>) -> Result<()
     if v.get("precision").is_some() {
         return mismatch("precision", "adaptive".to_string(), "fixed".to_string());
     }
-    let jshard = v.get("shard").map(|s| {
-        (
-            s.get("index").and_then(Value::as_u64).unwrap_or(0),
-            s.get("count").and_then(Value::as_u64).unwrap_or(0),
-        )
-    });
-    let oshard = shard.map(|s| (u64::from(s.index), u64::from(s.count)));
-    if jshard != oshard {
-        return mismatch("shard", format!("{jshard:?}"), format!("{oshard:?}"));
+    if v.get("shard").is_some() {
+        let slice = "a slice of the removed --shard option".to_string();
+        return mismatch("shard", slice, "the whole matrix".to_string());
     }
     Ok(())
 }

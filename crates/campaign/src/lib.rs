@@ -9,12 +9,7 @@
 //!   workloads × scale × repetitions) expanded into independent jobs;
 //! * [`runner`] — a worker pool executing jobs concurrently; each job
 //!   owns its `Machine` and engine, so results are identical at any
-//!   `--jobs` count (timings aside). [`run_shard`] executes one
-//!   cell-complete slice (`--shard I/N`) of the matrix for process- and
-//!   machine-level scale-out;
-//! * [`merge`] — recombines a complete set of shard results into one
-//!   whole-matrix result, counter-identical to an unsharded run, with
-//!   typed [`MergeError`]s for overlapping/missing/mismatched shards;
+//!   `--jobs` count (timings aside);
 //! * [`stats`] — a cell's time: the floor (minimum) of its valid
 //!   repetitions, with the median and n beside it; non-positive or
 //!   non-finite samples are counted as `rejected_invalid`, never
@@ -22,12 +17,12 @@
 //! * [`result`] — the versioned `simbench-campaign/v7` JSON schema
 //!   (per-cell timings and event profiles with `tested_ops`,
 //!   per-repetition `counter_variants` for non-deterministic cells,
-//!   shard metadata on partial results, per-cell `reps_run` /
-//!   `attempts` for retried runs, `quarantined` / `timed_out` statuses
-//!   for fault-isolated cells, a `journal` echo on journaled runs, and
-//!   an optional `telemetry` block carrying the engine metrics snapshot
-//!   of instrumented runs) with load/save, a `v6` reader, typed
-//!   [`LoadError`]s and deterministic cell ordering;
+//!   per-cell `reps_run` / `attempts` for retried runs, `quarantined` /
+//!   `timed_out` statuses for fault-isolated cells, a `journal` echo on
+//!   journaled runs, and an optional `telemetry` block carrying the
+//!   engine metrics snapshot of instrumented runs) with load/save, a
+//!   `v6` reader, typed [`LoadError`]s and deterministic cell ordering.
+//!   A result is always the whole matrix of one run on one host;
 //! * [`compare`] — regression detection against a stored baseline on
 //!   machine-independent event profiles ([`compare_counters`], zero
 //!   tolerance by default);
@@ -36,7 +31,7 @@
 //! * [`journal`] — a write-ahead, fsync-per-record NDJSON cell journal
 //!   (`campaign run --journal DIR`): every completed repetition and
 //!   finished cell is durable before the campaign moves on, and
-//!   [`journal::replay`] + [`run_shard_resumed`] (`--resume DIR`)
+//!   [`journal::replay`] + [`run_resumed`] (`--resume DIR`)
 //!   re-measure only what the journal does not prove finished —
 //!   counter-exact against an uninterrupted run;
 //! * [`failpoint`] — an env/flag-armed fault-injection harness
@@ -76,40 +71,12 @@
 //! let json = result.to_json();
 //! assert!(json.contains("simbench-campaign/v7"));
 //! ```
-//!
-//! ## Sharded example
-//!
-//! ```
-//! use simbench_campaign::{merge, run, run_shard, CampaignSpec, RunnerOpts, Shard, Workload};
-//! use simbench_campaign::measure::{EngineKind, Guest};
-//! use simbench_suite::Benchmark;
-//!
-//! let spec = CampaignSpec {
-//!     name: "sharded".to_string(),
-//!     guests: vec![Guest::Armlet],
-//!     engines: vec![EngineKind::Interp, EngineKind::Native],
-//!     workloads: vec![Workload::Suite(Benchmark::Syscall)],
-//!     scale: 1_000_000,
-//!     reps: 1,
-//!     wall_limit: Some(std::time::Duration::from_secs(60)),
-//! };
-//! // Each shard can run in its own process or on its own machine.
-//! let parts: Vec<_> = (1..=2)
-//!     .map(|i| run_shard(&spec, &RunnerOpts::serial(), Some(Shard::new(i, 2).unwrap())))
-//!     .collect();
-//! let merged = merge(&parts).unwrap();
-//! let whole = run(&spec, &RunnerOpts::serial());
-//! for (a, b) in merged.cells.iter().zip(&whole.cells) {
-//!     assert_eq!(a.counters, b.counters); // counter-identical
-//! }
-//! ```
 
 pub mod compare;
 pub mod failpoint;
 pub mod journal;
 pub mod json;
 pub mod measure;
-pub mod merge;
 pub mod registry;
 pub mod result;
 pub mod runner;
@@ -120,9 +87,8 @@ pub mod table;
 pub use compare::{compare_counters, CounterComparison, CounterDelta, CounterDiff, Verdict};
 pub use journal::{replay, Journal, Replay, JOURNAL_FILE, JOURNAL_SCHEMA};
 pub use measure::{run_app, run_suite_bench, Config, EngineKind, Guest, Sample};
-pub use merge::{merge, MergeError};
 pub use registry::{dispatch_guest, GuestInfo, GuestSpec, GuestVisitor, GUESTS};
 pub use result::{CampaignResult, CellResult, CellStatus, LoadError, Telemetry, SCHEMA, SCHEMA_V6};
-pub use runner::{run, run_shard, run_shard_resumed, RunnerOpts};
-pub use spec::{CampaignSpec, CellKey, Job, Shard, Workload};
+pub use runner::{run, run_resumed, RunnerOpts};
+pub use spec::{CampaignSpec, CellKey, Job, Workload};
 pub use stats::{geomean, stats, Stats};

@@ -23,7 +23,7 @@ use std::path::Path;
 use simbench_core::events::Counters;
 
 use crate::json::{self, Reader, Value};
-use crate::spec::{CampaignSpec, CellKey, Shard};
+use crate::spec::{CampaignSpec, CellKey};
 use crate::stats::{stats, Stats};
 
 /// Schema identifier written to every result file.
@@ -80,10 +80,6 @@ pub enum CellStatus {
     Unsupported(String),
     /// A repetition ended abnormally (instruction/wall limit).
     Failed(String),
-    /// The cell belongs to a different shard of a sharded run and was
-    /// deliberately not measured here. Only partial (shard) results
-    /// contain skipped cells; merging resolves them.
-    Skipped,
     /// The cell's measurement panicked on every attempt; the panic was
     /// isolated under `catch_unwind` and the payload recorded here.
     /// The rest of the matrix kept running.
@@ -113,7 +109,6 @@ impl CellStatus {
             CellStatus::NotOnIsa => "not-on-isa".into(),
             CellStatus::Unsupported(why) => format!("unsupported:{why}").into(),
             CellStatus::Failed(why) => format!("failed:{why}").into(),
-            CellStatus::Skipped => "skipped".into(),
             CellStatus::Quarantined(payload) => format!("quarantined:{payload}").into(),
             CellStatus::TimedOut(why) => format!("timed_out:{why}").into(),
         }
@@ -123,7 +118,6 @@ impl CellStatus {
         match s {
             "ok" => CellStatus::Ok,
             "not-on-isa" => CellStatus::NotOnIsa,
-            "skipped" => CellStatus::Skipped,
             _ => {
                 if let Some(why) = s.strip_prefix("unsupported:") {
                     CellStatus::Unsupported(why.to_string())
@@ -158,7 +152,7 @@ pub struct CellResult {
     pub status: CellStatus,
     /// Repetitions that actually executed for this cell: the spec's
     /// count, fewer if the run was interrupted. 0 for unmeasured
-    /// (skipped / not-on-ISA) cells.
+    /// (not-on-ISA) cells.
     pub reps_run: u32,
     /// Total repetition executions including watchdog/retry re-runs.
     /// Equal to `reps_run` when nothing was retried (the common case;
@@ -224,7 +218,7 @@ impl CellResult {
 /// monotonic counters and sparse log₂-bucket histograms (`(bucket,
 /// count)` pairs, bucket = bit length of the value). Present only when
 /// the campaign ran with telemetry enabled; purely observational, so
-/// comparisons ignore it and merges drop it.
+/// comparisons ignore it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Telemetry {
     /// `(name, value)` per counter, name-sorted.
@@ -262,19 +256,16 @@ pub struct CampaignResult {
     pub reps: u32,
     /// Worker threads the campaign ran with.
     pub jobs: usize,
-    /// When this is one shard of a sharded campaign: which slice of the
-    /// matrix it measured. `None` for whole-matrix and merged results.
-    pub shard: Option<Shard>,
     /// Write-ahead journal directory the campaign appended to
     /// (`campaign run --journal DIR`), echoed for provenance. `None`
-    /// for unjournaled runs, pre-v6 files and merged results.
+    /// for unjournaled runs and pre-v6 files.
     pub journal: Option<String>,
     /// Wall-clock seconds for the whole campaign.
     pub wall_secs: f64,
     /// Seconds since the Unix epoch when the campaign finished.
     pub created_unix: u64,
     /// Engine-telemetry snapshot, when the campaign ran with telemetry
-    /// enabled. `None` for plain runs and merged results.
+    /// enabled. `None` for plain runs.
     pub telemetry: Option<Telemetry>,
     /// One record per matrix cell, in spec cell order.
     pub cells: Vec<CellResult>,
@@ -298,13 +289,6 @@ impl CampaignResult {
         let _ = writeln!(out, "  \"scale\": {},", self.scale);
         let _ = writeln!(out, "  \"reps\": {},", self.reps);
         let _ = writeln!(out, "  \"jobs\": {},", self.jobs);
-        if let Some(shard) = self.shard {
-            let _ = writeln!(
-                out,
-                "  \"shard\": {{\"index\": {}, \"count\": {}}},",
-                shard.index, shard.count
-            );
-        }
         if let Some(dir) = &self.journal {
             let _ = writeln!(out, "  \"journal\": {},", json::quote(dir));
         }
@@ -365,6 +349,12 @@ impl CampaignResult {
             });
         }
         let malformed = LoadError::Malformed;
+        if root.get("shard").is_some() {
+            // A slice of a matrix must never load as a whole one.
+            return Err(malformed(
+                "\"shard\": a partial result of the removed --shard option".to_string(),
+            ));
+        }
         let str_field = |key: &str| -> Result<String, LoadError> {
             root.get(key)
                 .and_then(Value::as_str)
@@ -379,30 +369,6 @@ impl CampaignResult {
         let cells = cells
             .ok_or_else(|| malformed("missing \"cells\" array".to_string()))?
             .map_err(malformed)?;
-        let shard = match root.get("shard") {
-            None => None,
-            Some(v) => {
-                let idx = v
-                    .get("index")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| malformed("shard: missing integer \"index\"".to_string()))?;
-                let count = v
-                    .get("count")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| malformed("shard: missing integer \"count\"".to_string()))?;
-                // Reject before narrowing: an oversized value must not
-                // wrap into a plausible-looking shard identity.
-                if idx > u64::from(u32::MAX) || count > u64::from(u32::MAX) {
-                    return Err(malformed(format!(
-                        "shard: index {idx}/count {count} out of range"
-                    )));
-                }
-                Some(
-                    Shard::new(idx as u32, count as u32)
-                        .map_err(|e| malformed(format!("shard: {e}")))?,
-                )
-            }
-        };
         let telemetry = match root.get("telemetry") {
             None => None,
             Some(v) => Some(parse_telemetry(v).map_err(|e| malformed(format!("telemetry: {e}")))?),
@@ -415,7 +381,6 @@ impl CampaignResult {
             scale: u64_field("scale")?,
             reps: u64_field("reps")? as u32,
             jobs: u64_field("jobs")? as usize,
-            shard,
             journal: match root.get("journal") {
                 None => None,
                 Some(v) => Some(
@@ -456,7 +421,6 @@ impl CampaignResult {
             scale: spec.scale,
             reps: spec.reps.max(1),
             jobs,
-            shard: None,
             journal: None,
             wall_secs: 0.0,
             created_unix: 0,
@@ -723,7 +687,6 @@ mod tests {
             scale: 20_000,
             reps: 2,
             jobs: 4,
-            shard: None,
             journal: None,
             wall_secs: 1.25,
             created_unix: 1_700_000_000,
@@ -872,48 +835,6 @@ mod tests {
         }
         let parsed = CampaignResult::from_json(&r.to_json()).unwrap();
         assert_eq!(parsed.cells[0].counters, r.cells[0].counters);
-    }
-
-    #[test]
-    fn shard_metadata_and_skipped_cells_round_trip() {
-        let mut r = demo();
-        r.shard = Some(Shard { index: 2, count: 3 });
-        r.cells[1].status = CellStatus::Skipped;
-        let text = r.to_json();
-        assert!(text.contains("\"shard\": {\"index\": 2, \"count\": 3}"));
-        assert!(text.contains("\"status\": \"skipped\""));
-        let parsed = CampaignResult::from_json(&text).unwrap();
-        assert_eq!(parsed.shard, Some(Shard { index: 2, count: 3 }));
-        assert_eq!(parsed.cells[1].status, CellStatus::Skipped);
-        // Whole-matrix results carry no shard key at all.
-        assert!(!demo().to_json().contains("\"shard\""));
-    }
-
-    #[test]
-    fn malformed_shard_metadata_is_a_typed_error() {
-        let mut r = demo();
-        r.shard = Some(Shard { index: 1, count: 2 });
-        let text = r.to_json().replace(
-            "{\"index\": 1, \"count\": 2}",
-            "{\"index\": 5, \"count\": 2}",
-        );
-        let err = CampaignResult::from_json(&text).unwrap_err();
-        assert!(matches!(err, LoadError::Malformed(_)), "{err}");
-        assert!(err.to_string().contains("shard"), "{err}");
-        let text = r
-            .to_json()
-            .replace("{\"index\": 1, \"count\": 2}", "{\"count\": 2}");
-        let err = CampaignResult::from_json(&text).unwrap_err();
-        assert!(err.to_string().contains("index"), "{err}");
-        // An index beyond u32 must be rejected, not wrapped into a
-        // plausible small shard identity (4294967297 % 2^32 == 1).
-        let text = r.to_json().replace(
-            "{\"index\": 1, \"count\": 2}",
-            "{\"index\": 4294967297, \"count\": 4294967298}",
-        );
-        let err = CampaignResult::from_json(&text).unwrap_err();
-        assert!(matches!(err, LoadError::Malformed(_)), "{err}");
-        assert!(err.to_string().contains("out of range"), "{err}");
     }
 
     #[test]
@@ -1067,7 +988,6 @@ mod tests {
         assert!(parsed.cells[0].status.is_broken());
         assert!(parsed.cells[1].status.is_broken());
         assert!(!CellStatus::Ok.is_broken());
-        assert!(!CellStatus::Skipped.is_broken());
         assert!(!CellStatus::NotOnIsa.is_broken());
     }
 

@@ -23,7 +23,7 @@
 //! failed-interrupted (never silently dropped), and the caller
 //! persists the partial artifact. With [`RunnerOpts::journal`] set,
 //! every completed repetition and finished cell is appended fsync'd to
-//! a write-ahead journal, and [`run_shard_resumed`] re-runs only the
+//! a write-ahead journal, and [`run_resumed`] re-runs only the
 //! cells the journal does not prove finished.
 //!
 //! Counters are architectural and engines are deterministic, so a
@@ -44,7 +44,7 @@ use crate::failpoint;
 use crate::journal::Journal;
 use crate::measure::{run_workload, Config, Sample};
 use crate::result::{CampaignResult, CellResult, CellStatus};
-use crate::spec::{CampaignSpec, CellKey, Job, Shard};
+use crate::spec::{CampaignSpec, CellKey, Job};
 
 /// Execution options.
 #[derive(Debug, Clone, Default)]
@@ -323,42 +323,23 @@ fn on_complete(cells: &mut [CellSched], outcome: JobOutcome, key: &CellKey) {
 
 /// Run a campaign and aggregate per-cell results.
 pub fn run(spec: &CampaignSpec, opts: &RunnerOpts) -> CampaignResult {
-    run_shard(spec, opts, None)
+    run_resumed(spec, opts, &[])
 }
 
-/// Run one shard of a campaign (the whole matrix when `shard` is
-/// `None`). The result keeps the full cell layout: cells owned by
-/// other shards are recorded as [`CellStatus::Skipped`] and carry the
-/// shard metadata needed for [`crate::merge::merge`] to recombine
-/// shards into a result counter-identical to an unsharded run.
-pub fn run_shard(spec: &CampaignSpec, opts: &RunnerOpts, shard: Option<Shard>) -> CampaignResult {
-    run_inner(spec, opts, shard, &[])
-}
-
-/// [`run_shard`] resuming from a replayed journal: cells in `done`
-/// (index + finished record, from [`crate::journal::replay`]) are
-/// copied into the result verbatim and only the remainder is measured.
-/// Counters are deterministic, so the resumed result is counter-exact
-/// against an uninterrupted run of the same spec.
-pub fn run_shard_resumed(
+/// [`run`] resuming from a replayed journal: cells in `done` (index +
+/// finished record, from [`crate::journal::replay`]) are copied into
+/// the result verbatim and only the remainder is measured. Counters
+/// are deterministic, so the resumed result is counter-exact against
+/// an uninterrupted run of the same spec.
+pub fn run_resumed(
     spec: &CampaignSpec,
     opts: &RunnerOpts,
-    shard: Option<Shard>,
-    done: &[(usize, CellResult)],
-) -> CampaignResult {
-    run_inner(spec, opts, shard, done)
-}
-
-fn run_inner(
-    spec: &CampaignSpec,
-    opts: &RunnerOpts,
-    shard: Option<Shard>,
     done: &[(usize, CellResult)],
 ) -> CampaignResult {
     let t0 = Instant::now();
     let mut jobs = {
         let _obs = simbench_obs::span!("campaign.expand");
-        spec.expand_shard(shard)
+        spec.expand()
     };
     if !done.is_empty() {
         let done_set: std::collections::HashSet<usize> = done.iter().map(|&(i, _)| i).collect();
@@ -380,7 +361,6 @@ fn run_inner(
     let mut result = finalize(
         spec,
         workers,
-        shard,
         &cells,
         t0.elapsed().as_secs_f64(),
         interrupted,
@@ -547,29 +527,24 @@ fn finalize_cell(key: &CellKey, cs: &CellSched) -> CellResult {
 fn finalize(
     spec: &CampaignSpec,
     jobs: usize,
-    shard: Option<Shard>,
     sched: &[CellSched],
     wall_secs: f64,
     interrupted: bool,
 ) -> CampaignResult {
     let mut result = CampaignResult::empty_for(spec, jobs);
-    result.shard = shard;
     let keys = spec.cells();
 
-    for (cell_index, ((cell, key), cs)) in result.cells.iter_mut().zip(&keys).zip(sched).enumerate()
-    {
+    for ((cell, key), cs) in result.cells.iter_mut().zip(&keys).zip(sched) {
         if cs.completed == 0 {
-            // No repetition finished here: the cell belongs to another
-            // shard, the workload is not on the ISA, or an interrupt
-            // drained its jobs before any could run. Interrupted cells
-            // are recorded as failed — a partial artifact must name
-            // its holes, never pass them off as absent workloads.
-            cell.status = match shard {
-                Some(s) if !s.owns(cell_index) => CellStatus::Skipped,
-                _ if cs.launched > 0 && interrupted => {
-                    CellStatus::Failed("interrupted".to_string())
-                }
-                _ => CellStatus::NotOnIsa,
+            // No repetition finished here: the workload is not on the
+            // ISA, or an interrupt drained its jobs before any could
+            // run. Interrupted cells are recorded as failed — a partial
+            // artifact must name its holes, never pass them off as
+            // absent workloads.
+            cell.status = if cs.launched > 0 && interrupted {
+                CellStatus::Failed("interrupted".to_string())
+            } else {
+                CellStatus::NotOnIsa
             };
             continue;
         }
@@ -692,32 +667,6 @@ mod tests {
         );
         assert_eq!(result.cells[0].iterations, 0);
         assert!(result.cells[0].seconds.is_empty());
-    }
-
-    #[test]
-    fn shard_run_skips_unowned_cells_and_carries_metadata() {
-        // Serialize with failpoint-arming tests: an armed
-        // process-global failpoint must never hit a clean-run test.
-        let _fp = failpoint::test_guard();
-        let spec = tiny_spec();
-        let shard = Shard::new(2, 2).unwrap();
-        let result = run_shard(&spec, &RunnerOpts::serial(), Some(shard));
-        assert_eq!(result.shard, Some(shard));
-        assert_eq!(result.cells.len(), 8, "shards keep the full cell layout");
-        for (i, cell) in result.cells.iter().enumerate() {
-            if shard.owns(i) {
-                assert_ne!(cell.status, CellStatus::Skipped, "cell {i}");
-            } else {
-                assert_eq!(cell.status, CellStatus::Skipped, "cell {i}");
-                assert!(cell.seconds.is_empty());
-                assert!(cell.stats().is_none());
-                assert_eq!(cell.reps_run, 0);
-            }
-        }
-        // An unsharded run has no shard metadata and no skipped cells.
-        let whole = run(&spec, &RunnerOpts::serial());
-        assert_eq!(whole.shard, None);
-        assert!(whole.cells.iter().all(|c| c.status != CellStatus::Skipped));
     }
 
     #[test]
@@ -959,7 +908,7 @@ mod tests {
         for cs in sched.iter_mut().skip(2) {
             cs.launched = 2;
         }
-        let result = finalize(&spec, 1, None, &sched, 1.0, true);
+        let result = finalize(&spec, 1, &sched, 1.0, true);
         assert_eq!(result.cells[0].status, CellStatus::Ok, "finished survives");
         assert_eq!(
             result.cells[1].status,

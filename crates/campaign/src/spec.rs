@@ -88,75 +88,6 @@ impl Workload {
     }
 }
 
-/// One slice of a campaign matrix for process-level scale-out: shard
-/// `index` of `count` (1-based, written `index/count` on the CLI).
-///
-/// Sharding is *cell-complete*: a cell and all its repetitions land in
-/// exactly one shard, so per-cell statistics and event profiles are
-/// computed from complete repetition sets and a merged campaign is
-/// counter-identical to an unsharded run. Assignment is deterministic —
-/// cell `i` of the spec's cell order belongs to shard
-/// `(i % count) + 1` — so any machine can compute its slice from the
-/// spec alone, with no coordination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Shard {
-    /// 1-based shard index, `1..=count`.
-    pub index: u32,
-    /// Total number of shards.
-    pub count: u32,
-}
-
-impl Shard {
-    /// Build a shard, validating `1 <= index <= count`.
-    pub fn new(index: u32, count: u32) -> Result<Shard, String> {
-        if count == 0 {
-            return Err("shard count must be at least 1".to_string());
-        }
-        if index == 0 || index > count {
-            return Err(format!(
-                "shard index {index} out of range 1..={count} (shards are 1-based)"
-            ));
-        }
-        Ok(Shard { index, count })
-    }
-
-    /// Parse the CLI form `I/N` (e.g. `2/4`).
-    pub fn parse(s: &str) -> Result<Shard, String> {
-        let (i, n) = s
-            .split_once('/')
-            .ok_or_else(|| format!("shard {s:?} is not of the form I/N (e.g. 2/4)"))?;
-        let index: u32 = i
-            .trim()
-            .parse()
-            .map_err(|_| format!("shard index {i:?} is not an integer"))?;
-        let count: u32 = n
-            .trim()
-            .parse()
-            .map_err(|_| format!("shard count {n:?} is not an integer"))?;
-        Shard::new(index, count)
-    }
-
-    /// The 1-based index of the shard owning the cell at `cell_index`
-    /// of the spec's deterministic cell order, for a given shard count.
-    /// Round-robin by cell, so neighbouring (similar-cost) cells spread
-    /// across shards. This is the single source of the assignment rule:
-    /// both shard execution and merge validation go through it.
-    pub fn owner_index(cell_index: usize, count: u32) -> u32 {
-        (cell_index % count as usize) as u32 + 1
-    }
-
-    /// Whether this shard owns the cell at `cell_index`.
-    pub fn owns(&self, cell_index: usize) -> bool {
-        Shard::owner_index(cell_index, self.count) == self.index
-    }
-}
-
-impl std::fmt::Display for Shard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}/{}", self.index, self.count)
-    }
-}
-
 /// The declarative description of one measurement campaign.
 #[derive(Debug, Clone)]
 pub struct CampaignSpec {
@@ -260,24 +191,10 @@ impl CampaignSpec {
     /// repetition.
     /// `cell_index` points back into [`CampaignSpec::cells`].
     pub fn expand(&self) -> Vec<Job> {
-        self.expand_shard(None)
-    }
-
-    /// [`CampaignSpec::expand`] restricted to one shard's slice of the
-    /// matrix. `None` expands the whole matrix. Shards partition cells,
-    /// never repetitions: every job of a cell lands in the cell's
-    /// owning shard, so merged results are counter-identical to an
-    /// unsharded run.
-    pub fn expand_shard(&self, shard: Option<Shard>) -> Vec<Job> {
         let mut jobs = Vec::new();
         for (cell_index, key) in self.cells().into_iter().enumerate() {
             if !key.workload.supported_on(key.guest) {
                 continue;
-            }
-            if let Some(s) = shard {
-                if !s.owns(cell_index) {
-                    continue;
-                }
             }
             for rep in 0..self.reps.max(1) {
                 jobs.push(Job {
@@ -377,64 +294,6 @@ mod tests {
             .collect();
         assert_eq!(a, b);
         assert_eq!(a.len(), 20 * 9);
-    }
-
-    #[test]
-    fn shard_parsing_and_validation() {
-        assert_eq!(Shard::parse("1/1"), Ok(Shard { index: 1, count: 1 }));
-        assert_eq!(Shard::parse("2/4"), Ok(Shard { index: 2, count: 4 }));
-        assert_eq!(Shard::parse(" 3 / 8 "), Ok(Shard { index: 3, count: 8 }));
-        assert!(Shard::parse("0/4").is_err(), "shards are 1-based");
-        assert!(Shard::parse("5/4").is_err(), "index beyond count");
-        assert!(Shard::parse("1/0").is_err(), "zero shards");
-        assert!(Shard::parse("1").is_err(), "missing separator");
-        assert!(Shard::parse("a/b").is_err(), "non-numeric");
-        assert_eq!(Shard::new(2, 4).unwrap().to_string(), "2/4");
-    }
-
-    #[test]
-    fn shards_partition_the_job_list_cell_completely() {
-        let mut spec = CampaignSpec::full_matrix(20_000);
-        spec.reps = 3;
-        let whole: Vec<(usize, u32)> = spec
-            .expand()
-            .iter()
-            .map(|j| (j.cell_index, j.rep))
-            .collect();
-        for count in [1u32, 2, 3, 5, 7, 64] {
-            let mut union: Vec<(usize, u32)> = Vec::new();
-            for index in 1..=count {
-                let shard = Shard::new(index, count).unwrap();
-                let slice = spec.expand_shard(Some(shard));
-                // Cell-complete: every repetition of an owned cell is here.
-                for job in &slice {
-                    assert!(shard.owns(job.cell_index));
-                }
-                union.extend(slice.iter().map(|j| (j.cell_index, j.rep)));
-            }
-            // The union over all shards is exactly the unsharded job
-            // list: nothing lost, nothing duplicated.
-            union.sort_unstable();
-            let mut expected = whole.clone();
-            expected.sort_unstable();
-            assert_eq!(union, expected, "count {count}");
-        }
-    }
-
-    #[test]
-    fn shard_of_one_is_the_whole_matrix() {
-        let spec = CampaignSpec::full_matrix(20_000);
-        let whole: Vec<(usize, u32)> = spec
-            .expand()
-            .iter()
-            .map(|j| (j.cell_index, j.rep))
-            .collect();
-        let sharded: Vec<(usize, u32)> = spec
-            .expand_shard(Some(Shard { index: 1, count: 1 }))
-            .iter()
-            .map(|j| (j.cell_index, j.rep))
-            .collect();
-        assert_eq!(whole, sharded);
     }
 
     #[test]

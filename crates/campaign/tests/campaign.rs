@@ -1,11 +1,11 @@
 //! Integration tests for the campaign subsystem: determinism across
 //! runs, equivalence across worker counts, persistence round-trips,
-//! shard/merge/resume counter-exactness, and counter drift detection.
+//! resume counter-exactness, and counter drift detection.
 
 use simbench_campaign::measure::{EngineKind, Guest};
 use simbench_campaign::{
-    compare_counters, merge, replay, run, run_shard, run_shard_resumed, CampaignResult,
-    CampaignSpec, CellStatus, Journal, RunnerOpts, Shard, Workload, JOURNAL_FILE,
+    compare_counters, replay, run, run_resumed, CampaignResult, CampaignSpec, CellStatus, Journal,
+    RunnerOpts, Workload, JOURNAL_FILE,
 };
 use simbench_suite::Benchmark;
 
@@ -114,58 +114,6 @@ fn worker_count_larger_than_job_count() {
 }
 
 #[test]
-fn sharded_run_plus_merge_is_counter_exact_at_any_shard_count() {
-    let s = spec(2);
-    let whole = run(&s, &RunnerOpts::serial());
-    let n_cells = s.cells().len();
-    // Shard counts below, at, and beyond the cell count: the last
-    // leaves some shards empty, which must still merge cleanly.
-    for count in [1u32, 2, 3, 5, n_cells as u32 + 4] {
-        let shards: Vec<CampaignResult> = (1..=count)
-            .map(|i| {
-                run_shard(
-                    &s,
-                    &RunnerOpts::with_jobs(2),
-                    Some(Shard::new(i, count).unwrap()),
-                )
-            })
-            .collect();
-        // Each shard persists and reloads like any campaign result.
-        let dir = std::env::temp_dir().join("simbench-shard-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let reloaded: Vec<CampaignResult> = shards
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                let path = dir.join(format!("shard-{}-{i}-of-{count}.json", std::process::id()));
-                r.save(&path).unwrap();
-                let loaded = CampaignResult::load(&path).unwrap();
-                std::fs::remove_file(&path).ok();
-                loaded
-            })
-            .collect();
-        let merged = merge(&reloaded).unwrap_or_else(|e| panic!("count {count}: {e}"));
-        // Cell-for-cell identical to the unsharded run...
-        assert_eq!(fingerprint(&merged), fingerprint(&whole), "count {count}");
-        for (a, b) in merged.cells.iter().zip(&whole.cells) {
-            assert_eq!(a.seconds.len(), b.seconds.len());
-            assert_eq!(a.stats().is_some(), b.stats().is_some());
-            assert_eq!(a.counter_variants, b.counter_variants);
-        }
-        // ...and counter-exact under the comparison gate, in both
-        // directions.
-        assert!(
-            compare_counters(&whole, &merged, 0.0).clean(),
-            "count {count}"
-        );
-        assert!(
-            compare_counters(&merged, &whole, 0.0).clean(),
-            "count {count}"
-        );
-    }
-}
-
-#[test]
 fn persisted_result_round_trips_through_disk() {
     let s = spec(1);
     let result = run(&s, &RunnerOpts::with_jobs(2));
@@ -192,7 +140,7 @@ fn journal_dir(name: &str) -> std::path::PathBuf {
 }
 
 /// Simulate a kill mid-campaign: rewrite the journal keeping only the
-/// lines up to and including the `keep_cells`-th finished-cell record,
+/// lines before the `keep_cells + 1`-th finished-cell record,
 /// optionally followed by a torn (partial) trailing line, exactly as a
 /// crash mid-`write` would leave it.
 fn truncate_journal(dir: &std::path::Path, keep_cells: usize, torn_tail: bool) {
@@ -201,14 +149,14 @@ fn truncate_journal(dir: &std::path::Path, keep_cells: usize, torn_tail: bool) {
     let mut kept = String::new();
     let mut cells = 0usize;
     for line in text.lines() {
-        kept.push_str(line);
-        kept.push('\n');
-        if line.contains("\"record\": \"cell\"") {
-            cells += 1;
+        if line.starts_with(CELL_RECORD) {
             if cells == keep_cells {
                 break;
             }
+            cells += 1;
         }
+        kept.push_str(line);
+        kept.push('\n');
     }
     assert_eq!(cells, keep_cells, "journal had too few cell records");
     if torn_tail {
@@ -217,22 +165,32 @@ fn truncate_journal(dir: &std::path::Path, keep_cells: usize, torn_tail: bool) {
     std::fs::write(&path, kept).unwrap();
 }
 
+const CELL_RECORD: &str = "{\"record\": \"cell\"";
+
+/// Complete (newline-terminated) finished-cell records in a journal.
+fn cell_records(dir: &std::path::Path) -> usize {
+    std::fs::read_to_string(dir.join(JOURNAL_FILE))
+        .unwrap()
+        .split_inclusive('\n')
+        .filter(|l| l.starts_with(CELL_RECORD) && l.ends_with('\n'))
+        .count()
+}
+
 #[test]
-fn journaled_run_resumed_from_truncated_journal_is_counter_exact() {
+fn a_resume_measures_exactly_the_cells_its_journal_lacks() {
     let s = spec(2);
     let whole = run(&s, &RunnerOpts::serial());
     let dir = journal_dir("resume");
-
-    // A journaled run behaves identically to a plain one and echoes
-    // the journal directory into the artifact.
-    let journal = Journal::create(&dir, &s, None).unwrap();
-    let opts = RunnerOpts {
+    let journaled = |journal: Journal| RunnerOpts {
         journal: Some(std::sync::Arc::new(journal)),
         ..RunnerOpts::serial()
     };
-    let journaled = run(&s, &opts);
-    assert_eq!(fingerprint(&journaled), fingerprint(&whole));
-    assert_eq!(journaled.journal.as_deref(), Some(&*dir.to_string_lossy()));
+
+    // A journaled run behaves identically to a plain one and echoes
+    // the journal directory into the artifact.
+    let first = run(&s, &journaled(Journal::create(&dir, &s, None).unwrap()));
+    assert_eq!(fingerprint(&first), fingerprint(&whole));
+    assert_eq!(first.journal.as_deref(), Some(&*dir.to_string_lossy()));
 
     // The completed journal replays every measured cell (not-on-ISA
     // cells launch no jobs and are re-derived free on resume), and a
@@ -243,26 +201,37 @@ fn journaled_run_resumed_from_truncated_journal_is_counter_exact() {
         .iter()
         .filter(|c| c.status != CellStatus::NotOnIsa)
         .count();
-    let full = replay(&dir, &s, None).unwrap();
-    assert!(!full.torn);
-    assert_eq!(full.cells.len(), measured);
-    assert_eq!(full.broken, 0);
-    assert!(replay(&dir, &spec(3), None).is_err());
+    let full = replay(&dir, &s).unwrap();
+    assert_eq!(
+        (full.torn, full.cells.len(), full.broken),
+        (false, measured, 0)
+    );
+    assert!(replay(&dir, &spec(3)).is_err());
 
-    // Chop the journal down to a prefix of finished cells with a torn
-    // final line — the shape a SIGKILL mid-append leaves behind.
-    let keep = s.cells().len() / 2;
-    truncate_journal(&dir, keep, true);
-    let partial = replay(&dir, &s, None).unwrap();
-    assert!(partial.torn, "torn trailing line must be detected");
-    assert_eq!(partial.cells.len(), keep);
-
-    // Resuming measures only the remainder yet lands counter-exact on
-    // the uninterrupted run.
-    let resumed = run_shard_resumed(&s, &RunnerOpts::serial(), None, &partial.cells);
-    assert_eq!(fingerprint(&resumed), fingerprint(&whole));
-    assert!(compare_counters(&whole, &resumed, 0.0).clean());
-    assert!(compare_counters(&resumed, &whole, 0.0).clean());
+    // Cut the journal where a kill could have left it, resume with the
+    // journal attached, and count what the resume appended: every cell
+    // the cut kept must be copied, never measured again.
+    let complete = std::fs::read_to_string(dir.join(JOURNAL_FILE)).unwrap();
+    for keep in [0, 1, measured / 2, measured] {
+        for torn in [false, true] {
+            let case = format!("keep {keep} of {measured}, torn tail {torn}");
+            std::fs::write(dir.join(JOURNAL_FILE), &complete).unwrap();
+            truncate_journal(&dir, keep, torn);
+            let partial = replay(&dir, &s).unwrap();
+            assert_eq!((partial.torn, partial.cells.len()), (torn, keep), "{case}");
+            let before = cell_records(&dir);
+            let opts = journaled(Journal::resume(&dir).unwrap());
+            let resumed = run_resumed(&s, &opts, &partial.cells);
+            assert_eq!(fingerprint(&resumed), fingerprint(&whole), "{case}");
+            assert!(compare_counters(&whole, &resumed, 0.0).clean(), "{case}");
+            assert!(compare_counters(&resumed, &whole, 0.0).clean(), "{case}");
+            let appended = cell_records(&dir) - before;
+            assert_eq!(appended, measured - keep, "{case}: cells measured again");
+            // The journal the resume left behind replays whole.
+            let after = replay(&dir, &s).unwrap();
+            assert_eq!((after.torn, after.cells.len()), (false, measured), "{case}");
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -296,46 +265,17 @@ fn broken_journaled_cells_are_remeasured_on_resume() {
     drop(journal);
 
     // Broken cells do not replay as finished — they get a fresh chance.
-    let rep = replay(&dir, &s, None).unwrap();
+    let rep = replay(&dir, &s).unwrap();
     assert_eq!(rep.broken, 2);
     assert_eq!(rep.cells.len(), 1);
     assert_eq!(rep.cells[0].0, good);
 
     // After resume the quarantined/timed-out cells are clean again and
     // the whole artifact is counter-exact.
-    let resumed = run_shard_resumed(&s, &RunnerOpts::serial(), None, &rep.cells);
+    let resumed = run_resumed(&s, &RunnerOpts::serial(), &rep.cells);
     assert_eq!(resumed.cells[poisoned].status, CellStatus::Ok);
     assert_eq!(resumed.cells[hung].status, CellStatus::Ok);
     assert_eq!(fingerprint(&resumed), fingerprint(&whole));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Rewrite a journal's meta record the way an older writer wrote it
-/// for an adaptive run, with a `precision` member after `reps`.
-fn make_adaptive(dir: &std::path::Path) {
-    let path = dir.join(JOURNAL_FILE);
-    let text = std::fs::read_to_string(&path).unwrap();
-    let precision = ", \"precision\": {\"target_rci\": 0.2, \"min_reps\": 2, \"max_reps\": 10}";
-    let (meta, rest) = text.split_once('\n').unwrap();
-    let (head, tail) = meta.split_once(", \"cells\"").unwrap();
-    std::fs::write(&path, format!("{head}{precision}, \"cells\"{tail}\n{rest}")).unwrap();
-}
-
-#[test]
-fn an_adaptive_journal_does_not_resume() {
-    let s = spec(2);
-    let dir = journal_dir("adaptive");
-    let whole = run(&s, &RunnerOpts::serial());
-    let journal = Journal::create(&dir, &s, None).unwrap();
-    journal.record_cell(0, &whole.cells[0]);
-    drop(journal);
-    assert_eq!(replay(&dir, &s, None).unwrap().cells.len(), 1);
-    // Its repetition counts were the adaptive controller's, so a fixed
-    // run resuming it would mismeasure.
-    make_adaptive(&dir);
-    let err = replay(&dir, &s, None).unwrap_err();
-    assert!(err.contains("different campaign"), "{err}");
-    assert!(err.contains("precision is adaptive"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -359,51 +299,9 @@ fn a_fixed_journal_of_the_v6_writer_resumes() {
     );
     assert!(text.contains("stop_reason") && text.contains("\"stats\""));
     std::fs::write(&path, text).unwrap();
-    let rep = replay(&dir, &s, None).unwrap();
+    let rep = replay(&dir, &s).unwrap();
     assert_eq!(rep.cells, vec![(0, whole.cells[0].clone())]);
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn resumed_shards_merge_counter_exact_at_shard_counts_1_2_5() {
-    let s = spec(2);
-    let whole = run(&s, &RunnerOpts::serial());
-    for count in [1u32, 2, 5] {
-        let shards: Vec<CampaignResult> = (1..=count)
-            .map(|i| {
-                let shard = Shard::new(i, count).unwrap();
-                let dir = journal_dir(&format!("shard-{i}-of-{count}"));
-                // Journal the shard, then "kill" it after roughly half
-                // its cells finished and resume from the journal.
-                let journal = Journal::create(&dir, &s, Some(shard)).unwrap();
-                let opts = RunnerOpts {
-                    journal: Some(std::sync::Arc::new(journal)),
-                    ..RunnerOpts::serial()
-                };
-                let full = run_shard(&s, &opts, Some(shard));
-                let finished = full
-                    .cells
-                    .iter()
-                    .filter(|c| c.status != CellStatus::Skipped && c.status != CellStatus::NotOnIsa)
-                    .count();
-                truncate_journal(&dir, finished / 2, finished % 2 == 1);
-                let rep = replay(&dir, &s, Some(shard)).unwrap();
-                let resumed = run_shard_resumed(&s, &RunnerOpts::serial(), Some(shard), &rep.cells);
-                std::fs::remove_dir_all(&dir).ok();
-                resumed
-            })
-            .collect();
-        let merged = merge(&shards).unwrap_or_else(|e| panic!("count {count}: {e}"));
-        assert_eq!(fingerprint(&merged), fingerprint(&whole), "count {count}");
-        assert!(
-            compare_counters(&whole, &merged, 0.0).clean(),
-            "count {count}"
-        );
-        assert!(
-            compare_counters(&merged, &whole, 0.0).clean(),
-            "count {count}"
-        );
-    }
 }
 
 #[test]

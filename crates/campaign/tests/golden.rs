@@ -2,12 +2,10 @@
 //!
 //! The committed fixtures pin the on-disk format: `campaign_v7.json` is
 //! a whole-matrix result in the current `simbench-campaign/v7` layout,
-//! `campaign_v7_shard.json` a partial (shard) result with shard metadata
-//! and `skipped` cells, and `campaign_v7_full.json` carries every
-//! optional field the writer knows (shard, journal, telemetry, attempts,
-//! counter variants, every non-`ok` status with a payload that needs
-//! escaping), so it pins every branch of the writer. The three
-//! `campaign_v6*.json` files are their twins in the previous layout,
+//! and `campaign_v7_full.json` carries every optional field the writer
+//! knows (journal, telemetry, attempts, counter variants, every non-`ok`
+//! status with a payload that needs escaping), so it pins every branch
+//! of the writer. The two `campaign_v6*.json` files are their twins in the previous layout,
 //! which also carried a `precision` echo and per-cell `stop_reason` and
 //! `stats` members; they are frozen, and each loads to exactly its v7
 //! twin. Any unintentional change to the serializer or the parser shows
@@ -19,40 +17,17 @@
 //! ```
 
 use simbench_campaign::{
-    CampaignResult, CampaignSpec, CellStatus, Journal, LoadError, Shard, Telemetry, JOURNAL_FILE,
-    SCHEMA, SCHEMA_V6,
+    CampaignResult, CampaignSpec, CellStatus, Journal, LoadError, Telemetry, JOURNAL_FILE, SCHEMA,
+    SCHEMA_V6,
 };
 
 const V6: &str = include_str!("fixtures/campaign_v6.json");
-const V6_SHARD: &str = include_str!("fixtures/campaign_v6_shard.json");
 const V6_FULL: &str = include_str!("fixtures/campaign_v6_full.json");
 const V7: &str = include_str!("fixtures/campaign_v7.json");
-const V7_SHARD: &str = include_str!("fixtures/campaign_v7_shard.json");
 const V7_FULL: &str = include_str!("fixtures/campaign_v7_full.json");
 
 /// Each fixture's text with the schema string it declares.
 const WHOLE: [(&str, &str); 2] = [(V6, SCHEMA_V6), (V7, SCHEMA)];
-
-/// The shard fixture's in-memory value: shard 2 of 3, one owned cell
-/// measured, the two unowned cells skipped.
-fn shard_demo() -> CampaignResult {
-    let mut r = CampaignResult::from_json(V7).unwrap();
-    r.shard = Some(Shard::new(2, 3).unwrap());
-    for (i, cell) in r.cells.iter_mut().enumerate() {
-        if i != 1 {
-            cell.status = CellStatus::Skipped;
-            cell.seconds.clear();
-            cell.counters = Default::default();
-            cell.counters_consistent = true;
-            cell.tested_ops = None;
-            cell.counter_variants.clear();
-            cell.iterations = 0;
-            cell.reps_run = 0;
-            cell.attempts = 0;
-        }
-    }
-    r
-}
 
 /// The full fixture's in-memory value: the v7 fixture plus every
 /// optional top-level and per-cell field, each non-`ok` status with a
@@ -61,7 +36,6 @@ fn shard_demo() -> CampaignResult {
 fn full_demo() -> CampaignResult {
     let payload = "said \"no\" at C:\\sim,\nthen µs ± 5 % → 終";
     let mut r = CampaignResult::from_json(V7).unwrap();
-    r.shard = Some(Shard::new(1, 2).unwrap());
     r.journal = Some("runs/\"j\" µ".to_string());
     r.telemetry = Some(Telemetry {
         counters: vec![
@@ -83,7 +57,6 @@ fn full_demo() -> CampaignResult {
         CellStatus::Failed(payload.to_string()),
         CellStatus::Quarantined(payload.to_string()),
         CellStatus::TimedOut(payload.to_string()),
-        CellStatus::Skipped,
     ] {
         let mut cell = template.clone();
         cell.status = status;
@@ -120,7 +93,7 @@ fn v7_full_fixture_pins_every_writer_branch() {
 fn journaled_cells_are_byte_identical_to_their_persisted_lines() {
     let r = full_demo();
     let dir = std::env::temp_dir().join(format!("simbench-golden-full-{}", std::process::id()));
-    let journal = Journal::create(&dir, &CampaignSpec::full_matrix(20_000), r.shard).unwrap();
+    let journal = Journal::create(&dir, &CampaignSpec::full_matrix(20_000), None).unwrap();
     for (i, cell) in r.cells.iter().enumerate() {
         journal.record_cell(i, cell);
     }
@@ -146,27 +119,12 @@ fn journaled_cells_are_byte_identical_to_their_persisted_lines() {
 fn v7_fixture_round_trips_byte_stably() {
     let parsed = CampaignResult::from_json(V7).expect("v7 fixture parses");
     assert_eq!(parsed.schema, SCHEMA);
-    assert_eq!(parsed.shard, None);
     assert_eq!(parsed.telemetry, None);
     assert_eq!(parsed.journal, None);
     assert_eq!(
         parsed.to_json(),
         V7,
         "re-serializing the v7 fixture must reproduce it byte for byte"
-    );
-}
-
-#[test]
-fn v7_shard_fixture_round_trips_byte_stably() {
-    let parsed = CampaignResult::from_json(V7_SHARD).expect("v7 shard fixture parses");
-    assert_eq!(parsed.schema, SCHEMA);
-    assert_eq!(parsed.shard, Some(Shard::new(2, 3).unwrap()));
-    assert_eq!(parsed.cells[0].status, CellStatus::Skipped);
-    assert_eq!(parsed.cells[1].status, CellStatus::Ok);
-    assert_eq!(
-        parsed.to_json(),
-        V7_SHARD,
-        "re-serializing the shard fixture must reproduce it byte for byte"
     );
 }
 
@@ -183,15 +141,6 @@ fn assert_v6_loads_as_v7(v6: &str, v7: &str) {
 fn v6_fixture_loads_to_exactly_the_v7_fixture() {
     assert_v6_loads_as_v7(V6, V7);
     assert_eq!(CampaignResult::from_json(V6).unwrap().to_json(), V7);
-}
-
-#[test]
-fn v6_shard_fixture_loads_to_exactly_the_v7_shard_fixture() {
-    assert_v6_loads_as_v7(V6_SHARD, V7_SHARD);
-    assert_eq!(
-        CampaignResult::from_json(V6_SHARD).unwrap().to_json(),
-        V7_SHARD
-    );
 }
 
 #[test]
@@ -281,12 +230,6 @@ fn malformed_documents_are_typed_errors_not_panics() {
         CampaignResult::from_json(&text),
         Err(LoadError::Malformed(_))
     ));
-    // Shard metadata with an out-of-range index.
-    let text = V7_SHARD.replace("\"index\": 2", "\"index\": 9");
-    match CampaignResult::from_json(&text) {
-        Err(LoadError::Malformed(e)) => assert!(e.contains("shard"), "{e}"),
-        other => panic!("expected malformed, got {other:?}"),
-    }
     // A telemetry block that is not an object.
     let text = V7.replace(
         "\"created_unix\": 1700000000,",
@@ -295,6 +238,20 @@ fn malformed_documents_are_typed_errors_not_panics() {
     match CampaignResult::from_json(&text) {
         Err(LoadError::Malformed(e)) => assert!(e.contains("telemetry"), "{e}"),
         other => panic!("expected malformed, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_result_carrying_a_shard_is_refused() {
+    // A slice written by the removed `--shard` option must never load
+    // as if it were the whole matrix.
+    for (fixture, _) in WHOLE {
+        let member = "  \"shard\": {\"index\": 1, \"count\": 2},\n  \"cells\": [";
+        let text = fixture.replacen("  \"cells\": [", member, 1);
+        match CampaignResult::from_json(&text) {
+            Err(LoadError::Malformed(e)) => assert!(e.contains("removed --shard option"), "{e}"),
+            other => panic!("expected malformed, got {other:?}"),
+        }
     }
 }
 
@@ -411,7 +368,7 @@ fn a_string_in_seconds_or_counters_is_malformed_and_names_the_cell() {
 /// the ones that only drop trailing whitespace, which load.
 #[test]
 fn truncated_fixtures_are_json_errors_not_panics() {
-    for text in [V6, V6_SHARD, V6_FULL, V7, V7_SHARD, V7_FULL] {
+    for text in [V6, V6_FULL, V7, V7_FULL] {
         for end in (0..text.len()).filter(|&end| text.is_char_boundary(end)) {
             let prefix = &text[..end];
             match CampaignResult::from_json(prefix) {
@@ -430,7 +387,7 @@ fn truncated_fixtures_are_json_errors_not_panics() {
 #[test]
 fn corrupted_fixtures_load_or_fail_typed() {
     let mut seed = 0x9e37_79b9_7f4a_7c15u64;
-    for text in [V6, V6_SHARD, V6_FULL, V7, V7_SHARD, V7_FULL] {
+    for text in [V6, V6_FULL, V7, V7_FULL] {
         for _ in 0..256 {
             // xorshift64: a fixed, dependency-free position sequence.
             seed ^= seed << 13;
@@ -472,17 +429,6 @@ fn regen_v7_fixture() {
         "/tests/fixtures/campaign_v7.json"
     );
     std::fs::write(path, migrated.to_json()).unwrap();
-}
-
-/// Regenerates `fixtures/campaign_v7_shard.json` from the v7 fixture.
-#[test]
-#[ignore = "writes the shard fixture; run manually after intentional schema changes"]
-fn regen_v7_shard_fixture() {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/campaign_v7_shard.json"
-    );
-    std::fs::write(path, shard_demo().to_json()).unwrap();
 }
 
 /// Regenerates `fixtures/campaign_v7_full.json` from [`full_demo`].

@@ -8,7 +8,7 @@ use std::path::PathBuf;
 
 use simbench_campaign::measure::{EngineKind, Guest};
 use simbench_campaign::{
-    replay, run, CampaignResult, CampaignSpec, CellStatus, Journal, RunnerOpts, Shard, Workload,
+    replay, run, CampaignResult, CampaignSpec, CellStatus, Journal, RunnerOpts, Workload,
     JOURNAL_FILE,
 };
 use simbench_suite::Benchmark;
@@ -61,8 +61,8 @@ fn append(dir: &std::path::Path, line: &str) {
     writeln!(file, "{line}").unwrap();
 }
 
-fn replay_err(dir: &std::path::Path, spec: &CampaignSpec, shard: Option<Shard>) -> String {
-    let err = replay(dir, spec, shard).unwrap_err();
+fn replay_err(dir: &std::path::Path, spec: &CampaignSpec) -> String {
+    let err = replay(dir, spec).unwrap_err();
     std::fs::remove_dir_all(dir).ok();
     err
 }
@@ -80,20 +80,52 @@ fn each_differing_spec_field_is_named_in_the_mismatch() {
     let mut narrowed = spec();
     narrowed.workloads.pop();
     let cases = [
-        (renamed, None, "name is \"jtest\" in the journal"),
-        (rescaled, None, "scale is 500000 in the journal"),
-        (narrowed, None, "cell count is 2 in the journal but 1 here"),
-        (
-            spec(),
-            Shard::new(1, 2).ok(),
-            "shard is None in the journal",
-        ),
+        (renamed, "name is \"jtest\" in the journal"),
+        (rescaled, "scale is 500000 in the journal"),
+        (narrowed, "cell count is 2 in the journal but 1 here"),
     ];
-    for (i, (other, shard, what)) in cases.into_iter().enumerate() {
-        let err = replay_err(&fresh(&format!("field-{i}")), &other, shard);
+    for (i, (other, what)) in cases.into_iter().enumerate() {
+        let err = replay_err(&fresh(&format!("field-{i}")), &other);
         assert!(err.contains("different campaign"), "{err}");
         assert!(err.contains(what), "{err}");
     }
+}
+
+/// A journal of `spec()` with one finished cell whose meta record
+/// carries `member` after `reps`, the way an older writer wrote it.
+fn with_meta_member(name: &str, member: &str) -> PathBuf {
+    let d = fresh(name);
+    Journal::resume(&d)
+        .unwrap()
+        .record_cell(0, &measured().cells[0]);
+    assert_eq!(replay(&d, &spec()).unwrap().cells.len(), 1);
+    let path = d.join(JOURNAL_FILE);
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::write(
+        &path,
+        text.replacen(", \"cells\"", &format!(", {member}, \"cells\""), 1),
+    )
+    .unwrap();
+    d
+}
+
+#[test]
+fn an_adaptive_journal_does_not_resume() {
+    // Its repetition counts were the adaptive controller's, so a fixed
+    // run resuming it would mismeasure.
+    let precision = "\"precision\": {\"target_rci\": 0.2, \"min_reps\": 2, \"max_reps\": 10}";
+    let err = replay_err(&with_meta_member("adaptive", precision), &spec());
+    assert!(err.contains("different campaign"), "{err}");
+    assert!(err.contains("precision is adaptive"), "{err}");
+}
+
+#[test]
+fn a_sharded_journal_does_not_resume() {
+    // A slice of the matrix would resume as if it were the whole one.
+    let shard = "\"shard\": {\"index\": 1, \"count\": 2}";
+    let err = replay_err(&with_meta_member("sharded", shard), &spec());
+    assert!(err.contains("different campaign"), "{err}");
+    assert!(err.contains("removed --shard option"), "{err}");
 }
 
 #[test]
@@ -104,7 +136,7 @@ fn a_journal_of_another_schema_does_not_resume() {
         "{\"record\": \"meta\", \"schema\": \"simbench-journal/v0\", \"name\": \"jtest\"}\n",
     )
     .unwrap();
-    let err = replay_err(&d, &spec(), None);
+    let err = replay_err(&d, &spec());
     assert!(
         err.contains("unsupported journal schema \"simbench-journal/v0\""),
         "{err}"
@@ -119,7 +151,7 @@ fn the_first_record_must_be_the_meta_record() {
         &d,
         "{\"record\": \"rep\", \"cell\": 0, \"rep\": 0, \"attempt\": 0, \"outcome\": \"ok\"}",
     );
-    let err = replay_err(&d, &spec(), None);
+    let err = replay_err(&d, &spec());
     assert!(
         err.contains("first record is \"rep\", expected \"meta\""),
         "{err}"
@@ -131,7 +163,7 @@ fn a_second_meta_record_is_an_error() {
     let d = fresh("two-metas");
     let meta = std::fs::read_to_string(d.join(JOURNAL_FILE)).unwrap();
     append(&d, meta.trim_end());
-    let err = replay_err(&d, &spec(), None);
+    let err = replay_err(&d, &spec());
     assert!(err.ends_with(":2: duplicate meta record"), "{err}");
 }
 
@@ -140,7 +172,7 @@ fn an_empty_or_fully_torn_journal_has_no_meta() {
     for (name, text) in [("empty", ""), ("torn", "{\"record\": \"me")] {
         let d = dir(name);
         std::fs::write(d.join(JOURNAL_FILE), text).unwrap();
-        let err = replay_err(&d, &spec(), None);
+        let err = replay_err(&d, &spec());
         assert!(err.contains("no meta record"), "{name}: {err}");
     }
 }
@@ -155,7 +187,7 @@ fn a_malformed_line_before_the_last_is_fatal_and_located() {
         &d,
         "{\"record\": \"rep\", \"cell\": 0, \"rep\": 0, \"attempt\": 0, \"outcome\": \"ok\"}",
     );
-    let err = replay_err(&d, &spec(), None);
+    let err = replay_err(&d, &spec());
     assert!(err.contains(&format!("{JOURNAL_FILE}:2: ")), "{err}");
 }
 
@@ -164,7 +196,7 @@ fn a_cell_record_needs_an_index_in_range() {
     let cell = &measured().cells[0];
     let d = fresh("index");
     Journal::resume(&d).unwrap().record_cell(2, cell);
-    let err = replay_err(&d, &spec(), None);
+    let err = replay_err(&d, &spec());
     assert!(
         err.contains(":2: cell index 2 out of range (spec has 2)"),
         "{err}"
@@ -172,7 +204,7 @@ fn a_cell_record_needs_an_index_in_range() {
 
     let d = fresh("no-index");
     append(&d, "{\"record\": \"cell\"}");
-    let err = replay_err(&d, &spec(), None);
+    let err = replay_err(&d, &spec());
     assert!(err.contains(":2: cell record without index"), "{err}");
 }
 
@@ -181,7 +213,7 @@ fn a_cell_record_for_another_cell_of_the_spec_is_an_error() {
     let whole = measured();
     let d = fresh("identity");
     Journal::resume(&d).unwrap().record_cell(1, &whole.cells[0]);
-    let err = replay_err(&d, &spec(), None);
+    let err = replay_err(&d, &spec());
     assert!(
         err.contains("cell 1 is armlet/interp suite:System Call in the journal"),
         "{err}"
@@ -204,7 +236,7 @@ fn the_last_record_for_an_index_wins() {
     journal.record_cell(1, &whole.cells[1]);
     journal.record_cell(1, &broken);
     drop(journal);
-    let rep = replay(&d, &spec(), None).unwrap();
+    let rep = replay(&d, &spec()).unwrap();
     assert_eq!(rep.cells, vec![(0, whole.cells[0].clone())]);
     assert_eq!(rep.broken, 1);
     std::fs::remove_dir_all(&d).ok();
@@ -218,7 +250,7 @@ fn unknown_record_kinds_are_skipped_and_reps_counted() {
     journal.record_rep(0, 0, 1, "ok");
     drop(journal);
     append(&d, "{\"record\": \"checkpoint\", \"at\": 3}");
-    let rep = replay(&d, &spec(), None).unwrap();
+    let rep = replay(&d, &spec()).unwrap();
     assert_eq!(
         (rep.reps, rep.cells.len(), rep.broken, rep.torn),
         (2, 0, 0, false)
@@ -229,7 +261,7 @@ fn unknown_record_kinds_are_skipped_and_reps_counted() {
 #[test]
 fn a_missing_journal_is_an_error_naming_its_path() {
     let d = dir("missing");
-    let err = replay_err(&d, &spec(), None);
+    let err = replay_err(&d, &spec());
     assert!(
         err.contains(&*d.join(JOURNAL_FILE).to_string_lossy()),
         "{err}"

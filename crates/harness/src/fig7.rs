@@ -81,11 +81,6 @@ pub fn render(campaign: &CampaignResult) -> (Results, String) {
                     | CellStatus::TimedOut(why) => {
                         panic!("{engine:?}/{bench:?} on {guest:?}: {why}")
                     }
-                    // Figure drivers always run whole campaigns; a
-                    // partial (shard) result cannot render a figure.
-                    CellStatus::Skipped => {
-                        panic!("{engine:?}/{bench:?} on {guest:?}: cell skipped (shard result?)")
-                    }
                 };
                 row_cells.push(cell);
             }

@@ -38,16 +38,16 @@
 //! silently change what gets measured. Exit codes are part of the
 //! interface: 0 clean, 1 failure or counter drift beyond `--tolerance`,
 //! 2 a cell that completed in the baseline no longer completes, 3 usage
-//! errors and unreadable inputs, 4 an incoherent shard set handed to
-//! `campaign merge` (overlapping, missing or spec-mismatched shards).
+//! errors and unreadable inputs, 4 a journal data error (`--resume` on
+//! a journal written for another campaign, or a journal that cannot be
+//! created or reopened).
 
 use std::io::Write as _;
 use std::process::ExitCode;
 
 use simbench_apps::App;
 use simbench_campaign::{
-    compare_counters, merge, CampaignResult, CampaignSpec, EngineKind, Guest, RunnerOpts, Shard,
-    Workload,
+    compare_counters, CampaignResult, CampaignSpec, EngineKind, Guest, RunnerOpts, Workload,
 };
 use simbench_dbt::QEMU_VERSIONS;
 use simbench_harness::{fig2, fig3, fig4, fig5, fig6, fig7, fig8, model, Config};
@@ -57,11 +57,10 @@ const USAGE: &str = "usage: simbench-harness <fig2|fig3|fig4|fig5|fig6|fig7|fig8
                      [--scale N] [--jobs N] [--out FILE]
        simbench-harness campaign run [--scale N] [--jobs N] [--reps R] [--out FILE] [--name S]
                                      [--guests LIST] [--engines LIST] [--benches LIST]
-                                     [--apps] [--versions] [--shard I/N]
+                                     [--apps] [--versions]
                                      [--trace FILE] [--progress[=ndjson]]
                                      [--journal DIR | --resume DIR]
                                      [--cell-timeout SECS] [--retries N] [--failpoints SPEC]
-       simbench-harness campaign merge <SHARD.json>... --out FILE
        simbench-harness campaign compare <CURRENT.json> --baseline FILE [--tolerance FRAC]
        simbench-harness campaign list
        simbench-harness report <CAMPAIGN.json>
@@ -76,7 +75,7 @@ const USAGE: &str = "usage: simbench-harness <fig2|fig3|fig4|fig5|fig6|fig7|fig8
        simbench-harness --list
 global flags (anywhere on the line): --quiet (warnings only), -v/--verbose (debug)
 exit codes: 0 clean, 1 failure/regression, 2 broken coverage, 3 usage,
-            4 merge/journal data error, 130 interrupted (SIGINT/SIGTERM)";
+            4 journal data error, 130 interrupted (SIGINT/SIGTERM)";
 
 fn fail(msg: &str) -> ! {
     eprintln!("simbench-harness: {msg}");
@@ -254,14 +253,13 @@ fn campaign_main(argv: Vec<String>) -> ExitCode {
     let mut args = Args::new(argv);
     match args.next().as_deref() {
         Some("run") => campaign_run(args),
-        Some("merge") => campaign_merge(args),
         Some("compare") => campaign_compare(args),
         Some("list") => {
             print!("{}", render_list());
             ExitCode::SUCCESS
         }
         Some(other) => fail(&format!("unknown campaign subcommand {other:?}")),
-        None => fail("campaign needs a subcommand: run | merge | compare | list"),
+        None => fail("campaign needs a subcommand: run | compare | list"),
     }
 }
 
@@ -273,7 +271,6 @@ fn campaign_run(mut args: Args) -> ExitCode {
     let mut version_sweep = false;
     let mut with_apps = false;
     let mut explicit_engines = false;
-    let mut shard: Option<Shard> = None;
     let mut trace_path: Option<String> = None;
     let mut journal_dir: Option<String> = None;
     let mut resume_dir: Option<String> = None;
@@ -305,10 +302,6 @@ fn campaign_run(mut args: Args) -> ExitCode {
             "--reps" => spec.reps = args.parse_of::<u32>("--reps").max(1),
             "--out" => out_path = Some(args.value_of("--out")),
             "--name" => spec.name = args.value_of("--name"),
-            "--shard" => {
-                let raw = args.value_of("--shard");
-                shard = Some(Shard::parse(&raw).unwrap_or_else(|e| fail(&e)));
-            }
             "--guests" => {
                 spec.guests = split_list(&args.value_of("--guests"))
                     .iter()
@@ -377,11 +370,10 @@ fn campaign_run(mut args: Args) -> ExitCode {
     simbench_obs::shutdown::install();
 
     let cells = spec.cells().len();
-    let total_jobs = spec.expand_shard(shard).len();
-    let shard_note = shard.map_or(String::new(), |s| format!(", shard {s}"));
+    let total_jobs = spec.expand().len();
     simbench_obs::info!(
         "[campaign {}] {} guests × {} engines × {} workloads = {cells} cells, \
-         {total_jobs} jobs on {jobs} worker(s), scale {}{shard_note}",
+         {total_jobs} jobs on {jobs} worker(s), scale {}",
         spec.name,
         spec.guests.len(),
         spec.engines.len(),
@@ -415,7 +407,7 @@ fn campaign_run(mut args: Args) -> ExitCode {
     if let Some(dir) = &resume_dir {
         let journal_file = std::path::Path::new(dir).join(simbench_campaign::JOURNAL_FILE);
         if journal_file.exists() {
-            let replayed = match simbench_campaign::replay(dir, &spec, shard) {
+            let replayed = match simbench_campaign::replay(dir, &spec) {
                 Ok(r) => r,
                 Err(e) => {
                     simbench_obs::warn!("simbench-harness: cannot resume from {dir}: {e}");
@@ -452,7 +444,7 @@ fn campaign_run(mut args: Args) -> ExitCode {
                 "[campaign {}: no journal in {dir} — starting fresh (and journaling there)]",
                 spec.name
             );
-            match simbench_campaign::Journal::create(dir, &spec, shard) {
+            match simbench_campaign::Journal::create(dir, &spec, None) {
                 Ok(j) => opts.journal = Some(std::sync::Arc::new(j)),
                 Err(e) => {
                     simbench_obs::warn!("simbench-harness: cannot create journal in {dir}: {e}");
@@ -461,7 +453,7 @@ fn campaign_run(mut args: Args) -> ExitCode {
             }
         }
     } else if let Some(dir) = &journal_dir {
-        match simbench_campaign::Journal::create(dir, &spec, shard) {
+        match simbench_campaign::Journal::create(dir, &spec, None) {
             Ok(j) => opts.journal = Some(std::sync::Arc::new(j)),
             Err(e) => {
                 simbench_obs::warn!("simbench-harness: cannot create journal in {dir}: {e}");
@@ -469,9 +461,9 @@ fn campaign_run(mut args: Args) -> ExitCode {
             }
         }
     }
-    let mut result = simbench_campaign::run_shard_resumed(&spec, &opts, shard, &done);
+    let mut result = simbench_campaign::run_resumed(&spec, &opts, &done);
     simbench_obs::info!(
-        "[campaign {}{shard_note} finished in {:.2}s]",
+        "[campaign {} finished in {:.2}s]",
         spec.name,
         result.wall_secs
     );
@@ -523,45 +515,6 @@ fn campaign_run(mut args: Args) -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-fn campaign_merge(mut args: Args) -> ExitCode {
-    let mut shard_paths: Vec<String> = Vec::new();
-    let mut out_path: Option<String> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => out_path = Some(args.value_of("--out")),
-            path if !path.starts_with('-') => shard_paths.push(path.to_string()),
-            flag => fail(&format!("unknown flag {flag:?}")),
-        }
-    }
-    if shard_paths.is_empty() {
-        fail("merge needs at least one shard result file");
-    }
-    let out_path = out_path.unwrap_or_else(|| fail("merge needs --out FILE"));
-    let shards: Vec<CampaignResult> = shard_paths
-        .iter()
-        .map(|p| CampaignResult::load(p).unwrap_or_else(|e| fail(&e.to_string())))
-        .collect();
-    // Data-level merge failures (overlapping, missing or mismatched
-    // shards) get their own exit code, distinct from usage errors, so
-    // CI can tell "bad shard set" from "typo on the command line".
-    let merged = match merge(&shards) {
-        Ok(m) => m,
-        Err(e) => {
-            simbench_obs::warn!("simbench-harness: cannot merge: {e}");
-            return ExitCode::from(4);
-        }
-    };
-    simbench_obs::info!(
-        "[merged {} shard(s): {} cells, campaign {}]",
-        shards.len(),
-        merged.cells.len(),
-        merged.name
-    );
-    print!("{}", render_summary(&merged));
-    write_file(&out_path, merged.to_json().as_bytes());
-    ExitCode::SUCCESS
 }
 
 fn campaign_compare(mut args: Args) -> ExitCode {
@@ -1142,11 +1095,8 @@ fn render_summary(result: &CampaignResult) -> String {
     use simbench_campaign::CellStatus;
 
     let mut out = format!(
-        "campaign {}{} — scale {}, {} rep(s), time = floor of the reps, {} cells\n\n",
+        "campaign {} — scale {}, {} rep(s), time = floor of the reps, {} cells\n\n",
         result.name,
-        result
-            .shard
-            .map_or(String::new(), |s| format!(" (shard {s})")),
         result.scale,
         result.reps,
         result.cells.len()

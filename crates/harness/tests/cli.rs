@@ -1,8 +1,8 @@
 //! End-to-end tests driving the real `simbench-harness` binary: the
 //! `campaign compare` exit-code matrix (0 ok / 1 counter drift / 2
-//! broken cell / 3 usage / 4 bad shard set), worker-count determinism
-//! of persisted event profiles, the shard → merge →
-//! counter-exact-compare workflow, and the stored-campaign `model`
+//! broken cell / 3 usage), worker-count determinism of persisted event
+//! profiles, journaled kill → resume → counter-exact compare (4 for a
+//! journal of another campaign), and the stored-campaign `model`
 //! workflow.
 
 use std::path::PathBuf;
@@ -197,121 +197,6 @@ fn jobs_do_not_change_event_profiles_end_to_end() {
             base.to_str().unwrap(),
         ]);
         assert_eq!(exit_code(&out), 0, "{}", stdout(&out));
-    }
-}
-
-/// The common spec flags of the shard workflow tests: a small matrix
-/// that exercises both guests, an ISA hole, and multiple reps.
-const SHARD_SPEC: &[&str] = &[
-    "--guests",
-    "armlet,petix",
-    "--engines",
-    "interp,native",
-    "--benches",
-    "System Call,Nonprivileged Access",
-    "--scale",
-    "500000",
-    "--reps",
-    "2",
-];
-
-/// `campaign run` with the shard-test spec plus extra args.
-fn run_shard_spec(label: &str, extra: &[&str]) -> PathBuf {
-    let path = scratch(label);
-    let mut args = vec!["campaign", "run"];
-    args.extend_from_slice(SHARD_SPEC);
-    args.extend_from_slice(extra);
-    args.push("--out");
-    let path_str = path.to_str().unwrap().to_string();
-    args.push(&path_str);
-    let out = run_cli(&args);
-    assert_eq!(exit_code(&out), 0, "{}", stdout(&out));
-    path
-}
-
-#[test]
-fn shard_merge_compare_is_counter_exact_end_to_end() {
-    // One unsharded reference run, then the same spec as 3 shards.
-    let whole = run_shard_spec("shard-whole", &["--jobs", "2"]);
-    let s1 = run_shard_spec("shard-1of3", &["--shard", "1/3"]);
-    let s2 = run_shard_spec("shard-2of3", &["--shard", "2/3", "--jobs", "2"]);
-    let s3 = run_shard_spec("shard-3of3", &["--shard", "3/3"]);
-
-    // Each shard file records its slice and skips the others' cells.
-    let shard_result = CampaignResult::load(&s2).unwrap();
-    assert_eq!(
-        shard_result.shard,
-        Some(simbench_campaign::Shard::new(2, 3).unwrap())
-    );
-    assert!(shard_result
-        .cells
-        .iter()
-        .any(|c| c.status == CellStatus::Skipped));
-
-    // Merge (any argument order) and verify counter-exactness against
-    // the unsharded run, in both directions.
-    let merged = scratch("shard-merged");
-    let out = run_cli(&[
-        "campaign",
-        "merge",
-        s2.to_str().unwrap(),
-        s3.to_str().unwrap(),
-        s1.to_str().unwrap(),
-        "--out",
-        merged.to_str().unwrap(),
-    ]);
-    assert_eq!(exit_code(&out), 0, "{}", stdout(&out));
-    let merged_result = CampaignResult::load(&merged).unwrap();
-    assert_eq!(merged_result.shard, None, "merged results are whole-matrix");
-    assert!(merged_result
-        .cells
-        .iter()
-        .all(|c| c.status != CellStatus::Skipped));
-    for (cur, base) in [(&merged, &whole), (&whole, &merged)] {
-        let out = run_cli(&[
-            "campaign",
-            "compare",
-            cur.to_str().unwrap(),
-            "--baseline",
-            base.to_str().unwrap(),
-        ]);
-        assert_eq!(exit_code(&out), 0, "{}", stdout(&out));
-    }
-
-    // Exit 4 — data-level merge failures, distinct from usage errors:
-    // the same shard twice (overlap), an incomplete set (missing), a
-    // whole-matrix input (not a shard), and shards from different
-    // specs (mismatch).
-    let other_scale = run_shard_spec("shard-mismatch", &["--shard", "3/3", "--name", "other"]);
-    for (label, files) in [
-        ("overlap", vec![&s1, &s1, &s2]),
-        ("missing", vec![&s1, &s3]),
-        ("not-a-shard", vec![&whole]),
-        ("spec-mismatch", vec![&s1, &s2, &other_scale]),
-    ] {
-        let mut args = vec!["campaign", "merge"];
-        for f in &files {
-            args.push(f.to_str().unwrap());
-        }
-        let merged_bad = scratch("shard-bad");
-        let merged_bad_str = merged_bad.to_str().unwrap().to_string();
-        args.extend_from_slice(&["--out", &merged_bad_str]);
-        let out = run_cli(&args);
-        assert_eq!(exit_code(&out), 4, "{label}: {}", stdout(&out));
-    }
-
-    // Exit 3 — usage errors: no inputs, missing --out, an unreadable
-    // input, a malformed --shard value, and an out-of-range shard.
-    for args in [
-        vec!["campaign", "merge", "--out", "x.json"],
-        vec!["campaign", "merge", s1.to_str().unwrap()],
-        vec!["campaign", "merge", "/nonexistent.json", "--out", "x.json"],
-        vec!["campaign", "run", "--shard", "banana"],
-        vec!["campaign", "run", "--shard", "0/2"],
-        vec!["campaign", "run", "--shard", "3/2"],
-    ] {
-        let out = run_cli(&args);
-        assert_eq!(exit_code(&out), 3, "args {args:?}: {}", stdout(&out));
     }
 }
 
@@ -820,6 +705,22 @@ fn killed_campaign_resumes_counter_exact_end_to_end() {
 }
 
 #[test]
+fn resuming_a_journal_of_another_scale_exits_4() {
+    let jdir = scratch_dir("rescaled-journal");
+    let jdir_str = jdir.to_str().unwrap();
+    let mut args = vec!["campaign", "run"];
+    args.extend_from_slice(FAULT_SPEC);
+    args.extend_from_slice(&["--journal", jdir_str]);
+    assert_eq!(exit_code(&run_cli(&args)), 0);
+    args.truncate(args.len() - 2);
+    args.extend_from_slice(&["--scale", "1000000", "--resume", jdir_str]);
+    let out = run_cli(&args);
+    assert_eq!(exit_code(&out), 4, "{}", stderr(&out));
+    assert!(stderr(&out).contains("scale is 500000"), "{}", stderr(&out));
+    std::fs::remove_dir_all(&jdir).ok();
+}
+
+#[test]
 fn injected_panic_quarantines_one_cell_end_to_end() {
     let clean = scratch("quarantine-clean");
     let mut args = vec!["campaign", "run"];
@@ -1074,6 +975,13 @@ fn campaign_subcommand_errors_exit_3() {
     let out = run_cli(&["campaign", "frob"]);
     assert_eq!(exit_code(&out), 3);
     assert!(stderr(&out).contains("unknown campaign subcommand \"frob\""));
+    // Campaigns are not sharded or merged any more.
+    let out = run_cli(&["campaign", "merge", "a.json", "--out", "b.json"]);
+    assert_eq!(exit_code(&out), 3);
+    assert!(stderr(&out).contains("unknown campaign subcommand \"merge\""));
+    let out = run_cli(&["campaign", "run", "--shard", "1/2"]);
+    assert_eq!(exit_code(&out), 3);
+    assert!(stderr(&out).contains("unknown flag \"--shard\""));
     // Repetitions are fixed: the adaptive mode's flags are unknown.
     for flag in [
         ["--precision", "0.2"],
@@ -1113,6 +1021,31 @@ fn a_v4_baseline_is_an_unreadable_input() {
     let out = run_cli(&["campaign", "compare", cur, "--baseline", v4]);
     assert_eq!(exit_code(&out), 3, "{}", stdout(&out));
     assert!(stderr(&out).contains("unsupported schema \"simbench-campaign/v4\""));
+}
+
+#[test]
+fn a_sharded_result_is_an_unreadable_input() {
+    let v7 = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../campaign/tests/fixtures/campaign_v7.json"
+    );
+    let sharded = scratch("sharded");
+    let text = std::fs::read_to_string(v7).unwrap();
+    let member = "  \"shard\": {\"index\": 1, \"count\": 2},\n  \"cells\": [";
+    std::fs::write(&sharded, text.replacen("  \"cells\": [", member, 1)).unwrap();
+    let out = run_cli(&[
+        "campaign",
+        "compare",
+        sharded.to_str().unwrap(),
+        "--baseline",
+        v7,
+    ]);
+    assert_eq!(exit_code(&out), 3, "{}", stdout(&out));
+    assert!(
+        stderr(&out).contains("removed --shard option"),
+        "{}",
+        stderr(&out)
+    );
 }
 
 #[test]

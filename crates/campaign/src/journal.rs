@@ -27,8 +27,9 @@
 //! adaptive run, whose repetition counts a fixed run would not
 //! reproduce) or a `shard` member (a slice written by the removed
 //! `--shard` option, which would resume as if it were the whole
-//! matrix). The `cell` payload is byte-identical to the cell's object in the final
-//! result file (same writer), so a journaled cell replays exactly.
+//! matrix). The `cell` payload is byte-identical to the cell's object
+//! in the final result file (same writer), so a journaled cell replays
+//! exactly.
 //!
 //! # Crash tolerance
 //!
@@ -37,8 +38,9 @@
 //! final line (the process died mid-write) is detected and discarded
 //! on replay; a torn or missing record merely re-measures that cell.
 //! Records after the first are strictly append-only, and a resumed run
-//! appends to the same file — re-finished cells write newer `cell`
-//! records, and the last record for an index wins.
+//! cuts off a torn tail and appends to the same file — re-finished
+//! cells write newer `cell` records, and the last record for an index
+//! wins.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;

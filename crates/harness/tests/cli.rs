@@ -975,7 +975,7 @@ fn campaign_subcommand_errors_exit_3() {
     let out = run_cli(&["campaign", "frob"]);
     assert_eq!(exit_code(&out), 3);
     assert!(stderr(&out).contains("unknown campaign subcommand \"frob\""));
-    // Campaigns are not sharded or merged any more.
+    // A result is the whole matrix of one run: no shards to merge.
     let out = run_cli(&["campaign", "merge", "a.json", "--out", "b.json"]);
     assert_eq!(exit_code(&out), 3);
     assert!(stderr(&out).contains("unknown campaign subcommand \"merge\""));
@@ -1021,31 +1021,6 @@ fn a_v4_baseline_is_an_unreadable_input() {
     let out = run_cli(&["campaign", "compare", cur, "--baseline", v4]);
     assert_eq!(exit_code(&out), 3, "{}", stdout(&out));
     assert!(stderr(&out).contains("unsupported schema \"simbench-campaign/v4\""));
-}
-
-#[test]
-fn a_sharded_result_is_an_unreadable_input() {
-    let v7 = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../campaign/tests/fixtures/campaign_v7.json"
-    );
-    let sharded = scratch("sharded");
-    let text = std::fs::read_to_string(v7).unwrap();
-    let member = "  \"shard\": {\"index\": 1, \"count\": 2},\n  \"cells\": [";
-    std::fs::write(&sharded, text.replacen("  \"cells\": [", member, 1)).unwrap();
-    let out = run_cli(&[
-        "campaign",
-        "compare",
-        sharded.to_str().unwrap(),
-        "--baseline",
-        v7,
-    ]);
-    assert_eq!(exit_code(&out), 3, "{}", stdout(&out));
-    assert!(
-        stderr(&out).contains("removed --shard option"),
-        "{}",
-        stderr(&out)
-    );
 }
 
 #[test]

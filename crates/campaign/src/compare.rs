@@ -442,6 +442,81 @@ mod tests {
     }
 
     #[test]
+    fn cells_the_baseline_did_not_measure_cleanly_never_break() {
+        // Broken in both results: nothing to compare, nothing to flag.
+        // Broken in the baseline only: the current cell adds coverage.
+        let base = result_with(vec![
+            ("armlet", "interp", "suite:System Call", vec![1.0]),
+            ("armlet", "native", "suite:System Call", vec![1.0]),
+        ]);
+        let mut base = base;
+        base.cells[0].status = CellStatus::Failed("wall-clock limit reached".to_string());
+        base.cells[1].status = CellStatus::Quarantined("engine panicked".to_string());
+        let mut cur = base.clone();
+        let cmp = compare_counters(&base, &cur, 0.0);
+        assert!(cmp.clean());
+        assert!(cmp.deltas.is_empty(), "{:?}", cmp.deltas);
+        cur.cells[1].status = CellStatus::Ok;
+        let cmp = compare_counters(&base, &cur, 0.0);
+        assert!(cmp.clean());
+        let verdicts: Vec<Verdict> = cmp.deltas.iter().map(|d| d.verdict).collect();
+        assert_eq!(verdicts, vec![Verdict::Added]);
+        assert_eq!(cmp.deltas[0].engine, "native");
+    }
+
+    #[test]
+    fn the_report_names_every_moved_counter_and_the_tolerance() {
+        let base = result_with(vec![
+            ("armlet", "interp", "suite:System Call", vec![1.0]),
+            ("armlet", "native", "suite:System Call", vec![1.0]),
+        ]);
+        let mut cur = base.clone();
+        cur.cells[0].counters.instructions = 1200;
+        cur.cells[0].counters.syscalls = 20;
+        cur.cells[1].status = CellStatus::TimedOut("exceeded 1s cell timeout".to_string());
+        let text = compare_counters(&base, &cur, 0.015).render();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines[..2],
+            [
+                "campaign compare — 1 cells compared, tolerance 1.5%",
+                "1 changed, 1 broken, 0 added, 0 removed",
+            ],
+            "{text}"
+        );
+        let row = |needle: &str| {
+            lines
+                .iter()
+                .find(|l| l.contains(needle))
+                .map(|l| {
+                    l.split('|')
+                        .map(str::trim)
+                        .filter(|c| !c.is_empty())
+                        .collect::<Vec<_>>()
+                })
+                .unwrap_or_else(|| panic!("no {needle:?} row in\n{text}"))
+        };
+        let changed = ["armlet", "interp", "suite:System Call"];
+        assert_eq!(
+            row("instructions"),
+            [&changed[..], &["instructions", "1000", "1200"]].concat()
+        );
+        assert_eq!(
+            row(" syscalls "),
+            [&changed[..], &["syscalls", "16", "20"]].concat()
+        );
+        assert!(text.contains("\nBROKEN (completed in baseline, fails now)\n"));
+        assert_eq!(row("native"), ["armlet", "native", "suite:System Call"]);
+        assert!(!text.contains("coverage changes"), "{text}");
+        let clean = compare_counters(&base, &base, 0.0).render();
+        assert_eq!(
+            clean,
+            "campaign compare — 2 cells compared, tolerance exact\n\
+             0 changed, 0 broken, 0 added, 0 removed\n"
+        );
+    }
+
+    #[test]
     fn added_and_removed_cells() {
         let base = result_with(vec![("armlet", "interp", "suite:System Call", vec![1.0])]);
         let cur = result_with(vec![(

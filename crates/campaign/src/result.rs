@@ -992,6 +992,37 @@ mod tests {
     }
 
     #[test]
+    fn an_unknown_status_loads_as_a_broken_failure_naming_it() {
+        // A status this reader does not know (the removed `skipped`, or
+        // one from a newer writer) must never read as a clean cell.
+        let text = demo().to_json();
+        let text = text.replacen("\"status\": \"ok\"", "\"status\": \"skipped\"", 1);
+        let parsed = CampaignResult::from_json(&text).unwrap();
+        assert_eq!(
+            parsed.cells[0].status,
+            CellStatus::Failed("unknown status skipped".to_string())
+        );
+        assert!(parsed.cells[0].status.is_broken());
+        assert_eq!(parsed.cells[0].metric(), None);
+    }
+
+    #[test]
+    fn status_reasons_keep_their_colons_and_quotes() {
+        let reasons = [
+            CellStatus::Unsupported("device: \"intc\"".to_string()),
+            CellStatus::Failed("unsupported: wall: 3s".to_string()),
+            CellStatus::Quarantined("panicked at 'a:b'".to_string()),
+            CellStatus::TimedOut("".to_string()),
+        ];
+        for status in reasons {
+            let mut r = demo();
+            r.cells[1].status = status.clone();
+            let parsed = CampaignResult::from_json(&r.to_json()).unwrap();
+            assert_eq!(parsed.cells[1].status, status);
+        }
+    }
+
+    #[test]
     fn attempts_round_trip_and_elide_when_equal() {
         // The common case — no retries — writes no attempts key at all,
         // so clean results stay byte-compatible with v5 cell layouts.

@@ -881,6 +881,195 @@ mod tests {
         }
     }
 
+    fn halted_sample(instructions: u64) -> Sample {
+        Sample {
+            seconds: 0.5,
+            counters: simbench_core::events::Counters {
+                instructions,
+                ..Default::default()
+            },
+            exit: ExitReason::Halted,
+            iterations: 16,
+        }
+    }
+
+    /// Scheduler state of one finished cell whose repetitions ended
+    /// with `slots`, in rep order.
+    fn finished_with(slots: Vec<RepResult>) -> CellSched {
+        let mut cs = CellSched::new();
+        cs.launched = slots.len() as u32;
+        cs.completed = cs.launched;
+        cs.attempts = cs.launched;
+        cs.finished = true;
+        cs.slots = slots.into_iter().map(Some).collect();
+        cs
+    }
+
+    fn journal_lines(dir: &std::path::Path) -> Vec<String> {
+        std::fs::read_to_string(dir.join(crate::journal::JOURNAL_FILE))
+            .unwrap()
+            .lines()
+            .map(str::to_string)
+            .collect()
+    }
+
+    fn scratch_journal(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "simbench-runner-test-{}-{name}",
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        dir
+    }
+
+    #[test]
+    fn the_first_failing_repetition_names_the_cell_status() {
+        // Failures beat timings, and among failures the lowest rep
+        // wins, whatever order the repetitions completed in.
+        let key = tiny_spec().cells()[0];
+        let cs = finished_with(vec![
+            RepResult::Done(Some(halted_sample(100))),
+            RepResult::Transient("disk full".to_string()),
+            RepResult::Panicked("boom".to_string()),
+        ]);
+        let cell = finalize_cell(&key, &cs);
+        assert_eq!(cell.status, CellStatus::Failed("disk full".to_string()));
+        assert_eq!(cell.reps_run, 3);
+        assert!(cell.seconds.is_empty() && cell.stats().is_none());
+        let cs = finished_with(vec![
+            RepResult::TimedOut("exceeded 1s cell timeout".to_string()),
+            RepResult::Panicked("boom".to_string()),
+        ]);
+        assert_eq!(
+            finalize_cell(&key, &cs).status,
+            CellStatus::TimedOut("exceeded 1s cell timeout".to_string())
+        );
+    }
+
+    #[test]
+    fn diverging_repetition_counters_keep_every_profile() {
+        let key = tiny_spec().cells()[0];
+        let same = finished_with(vec![
+            RepResult::Done(Some(halted_sample(100))),
+            RepResult::Done(Some(halted_sample(100))),
+        ]);
+        let cell = finalize_cell(&key, &same);
+        assert!(cell.counters_consistent && cell.counter_variants.is_empty());
+        let diverged = finished_with(vec![
+            RepResult::Done(Some(halted_sample(100))),
+            RepResult::Done(Some(halted_sample(101))),
+        ]);
+        let cell = finalize_cell(&key, &diverged);
+        assert_eq!(cell.status, CellStatus::Ok);
+        assert!(!cell.counters_consistent);
+        assert_eq!(cell.counters.instructions, 100, "the first repetition's");
+        let variants: Vec<u64> = cell
+            .counter_variants
+            .iter()
+            .map(|c| c.instructions)
+            .collect();
+        assert_eq!(variants, vec![100, 101]);
+    }
+
+    #[test]
+    fn outcome_tags_name_every_repetition_result() {
+        let mut aborted = halted_sample(1);
+        aborted.exit = ExitReason::WallLimit;
+        let cases = [
+            (RepResult::Done(Some(halted_sample(1))), "ok"),
+            (
+                RepResult::Done(Some(aborted)),
+                "aborted:wall-clock limit reached",
+            ),
+            (RepResult::Done(None), "absent"),
+            (RepResult::Panicked("boom".to_string()), "panic:boom"),
+            (RepResult::Transient("eio".to_string()), "transient:eio"),
+            (RepResult::TimedOut("slow".to_string()), "timeout:slow"),
+        ];
+        for (result, tag) in cases {
+            assert_eq!(outcome_tag(&result), tag);
+        }
+    }
+
+    #[test]
+    fn backoff_doubles_from_20ms_and_caps_at_640ms() {
+        let ms: Vec<u128> = (1..=8).map(|a| backoff(a).as_millis()).collect();
+        assert_eq!(ms, vec![20, 40, 80, 160, 320, 640, 640, 640]);
+    }
+
+    #[test]
+    fn a_journaled_run_records_every_repetition_and_every_measured_cell() {
+        let _fp = failpoint::test_guard();
+        let spec = tiny_spec();
+        let dir = scratch_journal("records");
+        let opts = RunnerOpts {
+            journal: Some(Arc::new(Journal::create(&dir, &spec, None).unwrap())),
+            ..RunnerOpts::with_jobs(2)
+        };
+        let result = run(&spec, &opts);
+        let lines = journal_lines(&dir);
+        let count = |prefix: &str| lines.iter().filter(|l| l.starts_with(prefix)).count();
+        // One meta record, one record per job (6 supported cells × 2
+        // reps), one per measured cell; not-on-ISA cells launch nothing.
+        assert_eq!(lines.len(), 1 + 12 + 6);
+        assert!(
+            lines[0].starts_with("{\"record\": \"meta\""),
+            "{}",
+            lines[0]
+        );
+        assert_eq!(count("{\"record\": \"rep\""), 12);
+        assert_eq!(count("{\"record\": \"cell\""), 6);
+        assert!(lines
+            .iter()
+            .filter(|l| l.starts_with("{\"record\": \"rep\""))
+            .all(|l| l.ends_with("\"outcome\": \"ok\"}")));
+        let replay = crate::journal::replay(&dir, &spec).unwrap();
+        assert_eq!((replay.reps, replay.broken, replay.torn), (12, 0, false));
+        for (index, cell) in &replay.cells {
+            assert_eq!(cell, &result.cells[*index]);
+        }
+        assert_eq!(replay.cells.len(), 6);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_resume_with_every_cell_done_measures_nothing() {
+        let _fp = failpoint::test_guard();
+        let spec = tiny_spec();
+        let whole = run(&spec, &RunnerOpts::serial());
+        // Marked timings: a re-measured cell could not carry them.
+        let done: Vec<(usize, CellResult)> = whole
+            .cells
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.status == CellStatus::Ok)
+            .map(|(i, c)| {
+                let mut c = c.clone();
+                c.seconds = vec![42.0, 43.0];
+                (i, c)
+            })
+            .collect();
+        assert_eq!(done.len(), 6);
+        let dir = scratch_journal("all-done");
+        let opts = RunnerOpts {
+            journal: Some(Arc::new(Journal::create(&dir, &spec, None).unwrap())),
+            ..RunnerOpts::with_jobs(2)
+        };
+        let resumed = run_resumed(&spec, &opts, &done);
+        assert_eq!(journal_lines(&dir).len(), 1, "only the meta record");
+        for (index, cell) in &done {
+            assert_eq!(&resumed.cells[*index], cell);
+        }
+        for (r, w) in resumed.cells.iter().zip(&whole.cells) {
+            assert_eq!(
+                r.status, w.status,
+                "{}/{} {}",
+                w.guest, w.engine, w.workload
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn interrupted_finalize_marks_unfinished_cells_failed() {
         let spec = tiny_spec();

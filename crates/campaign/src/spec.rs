@@ -297,6 +297,52 @@ mod tests {
     }
 
     #[test]
+    fn cells_are_guest_major_then_workload_then_engine() {
+        let spec = CampaignSpec::full_matrix(20_000);
+        let cells = spec.cells();
+        let (w, e) = (spec.workloads.len(), spec.engines.len());
+        for (i, key) in cells.iter().enumerate() {
+            assert_eq!(key.guest, spec.guests[i / (w * e)], "cell {i}");
+            assert_eq!(key.workload, spec.workloads[i / e % w], "cell {i}");
+            assert_eq!(key.engine, spec.engines[i % e], "cell {i}");
+        }
+    }
+
+    #[test]
+    fn expand_yields_every_supported_cell_and_rep_exactly_once() {
+        let mut spec = CampaignSpec::full_matrix(20_000);
+        spec.reps = 3;
+        let cells = spec.cells();
+        let want: Vec<(usize, u32)> = cells
+            .iter()
+            .enumerate()
+            .filter(|(_, k)| k.workload.supported_on(k.guest))
+            .flat_map(|(i, _)| (0..3).map(move |rep| (i, rep)))
+            .collect();
+        let jobs = spec.expand();
+        let got: Vec<(usize, u32)> = jobs.iter().map(|j| (j.cell_index, j.rep)).collect();
+        // Cell order, then repetition order: the whole matrix, no
+        // unsupported cell and no duplicate.
+        assert_eq!(got, want);
+        for job in &jobs {
+            assert_eq!(job.key, cells[job.cell_index]);
+        }
+    }
+
+    #[test]
+    fn config_carries_scale_reps_and_wall_limit_and_no_instruction_cap() {
+        let mut spec = CampaignSpec::full_matrix(40_000);
+        spec.reps = 4;
+        spec.wall_limit = Some(Duration::from_millis(1500));
+        let cfg = spec.config();
+        assert_eq!((cfg.scale, cfg.reps, cfg.jobs), (40_000, 4, 1));
+        assert_eq!(cfg.limits.wall_limit, Some(Duration::from_millis(1500)));
+        assert_eq!(cfg.limits.max_insns, u64::MAX);
+        spec.wall_limit = None;
+        assert_eq!(spec.config().limits.wall_limit, None);
+    }
+
+    #[test]
     fn zero_reps_expand_to_one_job_per_cell() {
         let mut spec = CampaignSpec::full_matrix(20_000);
         spec.reps = 0;

@@ -267,3 +267,100 @@ fn a_missing_journal_is_an_error_naming_its_path() {
         "{err}"
     );
 }
+
+#[test]
+fn a_journal_of_another_rep_count_does_not_resume() {
+    let more = CampaignSpec { reps: 3, ..spec() };
+    let err = replay_err(&fresh("reps"), &more);
+    assert!(err.contains("different campaign"), "{err}");
+    assert!(err.contains("reps is 1 in the journal but 3 here"), "{err}");
+}
+
+#[test]
+fn zero_and_one_repetitions_are_the_same_campaign() {
+    // The runner measures `reps.max(1)` repetitions, so a journal of a
+    // zero-rep spec resumes a one-rep spec and back.
+    let zero = CampaignSpec { reps: 0, ..spec() };
+    for (written, resumed, name) in [(&zero, &spec(), "zero-one"), (&spec(), &zero, "one-zero")] {
+        let d = dir(name);
+        Journal::create(&d, written, None).unwrap();
+        assert!(replay(&d, resumed).is_ok(), "{name}");
+        std::fs::remove_dir_all(&d).ok();
+    }
+}
+
+#[test]
+fn create_starts_an_existing_journal_over() {
+    let d = fresh("recreate");
+    let journal = Journal::resume(&d).unwrap();
+    journal.record_rep(0, 0, 1, "ok");
+    journal.record_cell(0, &measured().cells[0]);
+    drop(journal);
+    assert_eq!(replay(&d, &spec()).unwrap().cells.len(), 1);
+    Journal::create(&d, &spec(), None).unwrap();
+    let rep = replay(&d, &spec()).unwrap();
+    assert_eq!((rep.cells.len(), rep.reps), (0, 0));
+    let text = std::fs::read_to_string(d.join(JOURNAL_FILE)).unwrap();
+    assert_eq!(text.lines().count(), 1, "{text}");
+    std::fs::remove_dir_all(&d).ok();
+}
+
+#[test]
+fn resume_cuts_a_torn_tail_before_it_appends() {
+    let whole = measured();
+    let d = fresh("torn-tail");
+    let meta = std::fs::read_to_string(d.join(JOURNAL_FILE)).unwrap();
+    let torn = "{\"record\": \"cell\", \"index\": 1, \"ce";
+    std::fs::write(d.join(JOURNAL_FILE), format!("{meta}{torn}")).unwrap();
+    assert!(replay(&d, &spec()).unwrap().torn);
+    Journal::resume(&d).unwrap().record_cell(0, &whole.cells[0]);
+    let text = std::fs::read_to_string(d.join(JOURNAL_FILE)).unwrap();
+    assert!(!text.contains(torn), "{text}");
+    assert!(text.starts_with(&meta) && text.ends_with("}\n"), "{text}");
+    let rep = replay(&d, &spec()).unwrap();
+    assert!(!rep.torn);
+    assert_eq!(rep.cells, vec![(0, whole.cells[0].clone())]);
+    std::fs::remove_dir_all(&d).ok();
+}
+
+#[test]
+fn resuming_a_directory_without_a_journal_is_an_io_error() {
+    let d = dir("resume-missing");
+    let err = Journal::resume(&d).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+    assert!(!d.join(JOURNAL_FILE).exists(), "resume creates nothing");
+    std::fs::remove_dir_all(&d).ok();
+}
+
+#[test]
+fn a_cell_record_needs_a_readable_payload() {
+    let d = fresh("no-payload");
+    append(&d, "{\"record\": \"cell\", \"index\": 0}");
+    let err = replay_err(&d, &spec());
+    assert!(err.ends_with(":2: cell record without payload"), "{err}");
+
+    let d = fresh("bad-payload");
+    append(
+        &d,
+        "{\"record\": \"cell\", \"index\": 0, \"cell\": {\"guest\": \"armlet\"}}",
+    );
+    append(
+        &d,
+        "{\"record\": \"rep\", \"cell\": 0, \"rep\": 0, \"attempt\": 1, \"outcome\": \"ok\"}",
+    );
+    let err = replay_err(&d, &spec());
+    assert!(err.contains(&format!("{JOURNAL_FILE}:2: ")), "{err}");
+}
+
+#[test]
+fn blank_lines_are_skipped() {
+    let whole = measured();
+    let d = fresh("blank");
+    append(&d, "");
+    Journal::resume(&d).unwrap().record_cell(1, &whole.cells[1]);
+    append(&d, "   ");
+    let rep = replay(&d, &spec()).unwrap();
+    assert_eq!(rep.cells, vec![(1, whole.cells[1].clone())]);
+    assert!(!rep.torn);
+    std::fs::remove_dir_all(&d).ok();
+}

@@ -721,6 +721,86 @@ fn resuming_a_journal_of_another_scale_exits_4() {
 }
 
 #[test]
+fn resuming_a_directory_without_a_journal_starts_one_there() {
+    // A campaign killed before its journal existed resumes as a fresh
+    // journaled run; resuming the finished journal measures nothing.
+    let jdir = scratch_dir("resume-fresh").join("never-journaled");
+    let jdir_str = jdir.to_str().unwrap();
+    let out_path = scratch("resume-fresh");
+    let mut args = vec!["campaign", "run"];
+    args.extend_from_slice(FAULT_SPEC);
+    args.extend_from_slice(&["--resume", jdir_str, "--out", out_path.to_str().unwrap()]);
+    let out = run_cli(&args);
+    assert_eq!(exit_code(&out), 0, "{}", stderr(&out));
+    assert!(stderr(&out).contains("starting fresh"), "{}", stderr(&out));
+    assert_eq!(cell_records(&jdir), 4);
+    let result = CampaignResult::load(&out_path).unwrap();
+    assert_eq!(result.journal.as_deref(), Some(jdir_str));
+    let journal = std::fs::read_to_string(jdir.join(simbench_campaign::JOURNAL_FILE)).unwrap();
+    let out = run_cli(&args);
+    assert_eq!(exit_code(&out), 0, "{}", stderr(&out));
+    let after = std::fs::read_to_string(jdir.join(simbench_campaign::JOURNAL_FILE)).unwrap();
+    assert_eq!(
+        after, journal,
+        "a complete journal resumes without measuring"
+    );
+    assert!(compare_clean(&out_path, &result));
+    std::fs::remove_dir_all(jdir.parent().unwrap()).ok();
+}
+
+/// The stored artifact at `path` has the same event profile as `base`.
+fn compare_clean(path: &std::path::Path, base: &CampaignResult) -> bool {
+    let now = CampaignResult::load(path).unwrap();
+    simbench_campaign::compare_counters(base, &now, 0.0).clean()
+        && simbench_campaign::compare_counters(&now, base, 0.0).clean()
+}
+
+#[test]
+fn a_journal_that_cannot_be_created_exits_4() {
+    let dir = scratch_dir("uncreatable");
+    let file = dir.join("a-file");
+    std::fs::write(&file, "not a directory").unwrap();
+    let jdir = file.join("journal");
+    for flag in ["--journal", "--resume"] {
+        let mut args = vec!["campaign", "run"];
+        args.extend_from_slice(FAULT_SPEC);
+        args.extend_from_slice(&[flag, jdir.to_str().unwrap()]);
+        let out = run_cli(&args);
+        assert_eq!(exit_code(&out), 4, "{flag}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("cannot create journal"),
+            "{flag}: {}",
+            stderr(&out)
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn resuming_a_journal_damaged_mid_file_exits_4() {
+    let jdir = scratch_dir("damaged-journal");
+    let jdir_str = jdir.to_str().unwrap();
+    let mut args = vec!["campaign", "run"];
+    args.extend_from_slice(FAULT_SPEC);
+    args.extend_from_slice(&["--journal", jdir_str]);
+    assert_eq!(exit_code(&run_cli(&args)), 0);
+    let path = jdir.join(simbench_campaign::JOURNAL_FILE);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let (meta, rest) = text.split_once('\n').unwrap();
+    std::fs::write(&path, format!("{meta}\n{{\"record\": \"ce\n{rest}")).unwrap();
+    args.truncate(args.len() - 2);
+    args.extend_from_slice(&["--resume", jdir_str]);
+    let out = run_cli(&args);
+    assert_eq!(exit_code(&out), 4, "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains(&format!("{}:2: ", simbench_campaign::JOURNAL_FILE)),
+        "{}",
+        stderr(&out)
+    );
+    std::fs::remove_dir_all(&jdir).ok();
+}
+
+#[test]
 fn injected_panic_quarantines_one_cell_end_to_end() {
     let clean = scratch("quarantine-clean");
     let mut args = vec!["campaign", "run"];

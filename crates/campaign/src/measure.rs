@@ -172,8 +172,6 @@ pub struct Config {
     pub limits: RunLimits,
     /// Worker threads for campaign execution (1 = serial).
     pub jobs: usize,
-    /// Repetitions per matrix cell.
-    pub reps: u32,
 }
 
 impl Default for Config {
@@ -185,7 +183,6 @@ impl Default for Config {
                 wall_limit: Some(Duration::from_secs(120)),
             },
             jobs: 1,
-            reps: 1,
         }
     }
 }

@@ -164,7 +164,6 @@ impl CampaignSpec {
                 wall_limit: self.wall_limit,
             },
             jobs: 1,
-            reps: self.reps,
         }
     }
 
@@ -330,12 +329,11 @@ mod tests {
     }
 
     #[test]
-    fn config_carries_scale_reps_and_wall_limit_and_no_instruction_cap() {
+    fn config_carries_scale_and_wall_limit_and_no_instruction_cap() {
         let mut spec = CampaignSpec::full_matrix(40_000);
-        spec.reps = 4;
         spec.wall_limit = Some(Duration::from_millis(1500));
         let cfg = spec.config();
-        assert_eq!((cfg.scale, cfg.reps, cfg.jobs), (40_000, 4, 1));
+        assert_eq!((cfg.scale, cfg.jobs), (40_000, 1));
         assert_eq!(cfg.limits.wall_limit, Some(Duration::from_millis(1500)));
         assert_eq!(cfg.limits.max_insns, u64::MAX);
         spec.wall_limit = None;

@@ -24,44 +24,11 @@ use crate::ir::Decoded;
 use crate::ir::Op;
 use crate::isa::Isa;
 
-/// How a basic block ends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Terminator {
-    /// The next instruction is a leader (branch target); control falls
-    /// into the following block.
-    FallThrough,
-    /// Unconditional direct branch.
-    Branch,
-    /// Conditional direct branch (taken edge + fall-through edge).
-    BranchCond,
-    /// Direct call; the return-address continuation is also an edge.
-    Call,
-    /// Indirect branch through a register: no static successors.
-    IndirectBranch,
-    /// Indirect call; only the return continuation is statically known.
-    IndirectCall,
-    /// Return: no static successors.
-    Ret,
-    /// Synchronous trap (`svc`/`udf`): the handler resumes at the next
-    /// instruction, which is therefore a static successor.
-    Trap,
-    /// Exception return: the resume point is banked state.
-    Eret,
-    /// Machine halt.
-    Halt,
-}
-
 /// One recovered basic block.
 #[derive(Debug, Clone)]
 pub struct Block {
     /// Address of the first instruction.
     pub start: u32,
-    /// One past the last byte of the last instruction.
-    pub end: u32,
-    /// Number of instructions in the block.
-    pub n_insns: usize,
-    /// How the block ends.
-    pub terminator: Terminator,
     /// Start addresses of statically-known successor blocks.
     pub succs: Vec<u32>,
     /// True if some back edge targets this block (dominator-verified).
@@ -157,68 +124,37 @@ impl Cfg {
     }
 }
 
-/// Static successor analysis of one decoded instruction.
+/// Static successors of one decoded instruction beyond the next address
+/// in its block.
 struct Exits {
-    terminator: Terminator,
-    /// Direct targets that become leaders (branch/call targets).
-    targets: Vec<u32>,
-    /// True when the address after the instruction is reachable
-    /// (fall-through, call return, trap resume).
-    continues: bool,
+    /// The direct branch or call target, which starts a block.
+    target: Option<u32>,
+    /// Whether the next address starts a block: a conditional branch's
+    /// fall-through, a call's return, a trap's resume. A control-flow
+    /// instruction without it does not continue; any other instruction
+    /// falls through into the same block.
+    next_starts_block: bool,
 }
 
-fn exits_of(d: &Decoded) -> Exits {
-    match d.ops.last() {
-        Some(Op::Branch { target }) => Exits {
-            terminator: Terminator::Branch,
-            targets: vec![*target],
-            continues: false,
-        },
-        Some(Op::BranchCond { target, .. }) => Exits {
-            terminator: Terminator::BranchCond,
-            targets: vec![*target],
-            continues: true,
-        },
-        Some(Op::Call { target, .. }) => Exits {
-            terminator: Terminator::Call,
-            targets: vec![*target],
-            continues: true,
-        },
-        Some(Op::CallReg { .. }) => Exits {
-            terminator: Terminator::IndirectCall,
-            targets: Vec::new(),
-            continues: true,
-        },
-        Some(Op::BranchReg { .. }) => Exits {
-            terminator: Terminator::IndirectBranch,
-            targets: Vec::new(),
-            continues: false,
-        },
-        Some(Op::Ret(_)) => Exits {
-            terminator: Terminator::Ret,
-            targets: Vec::new(),
-            continues: false,
-        },
-        Some(Op::Svc(_)) | Some(Op::Udf) => Exits {
-            terminator: Terminator::Trap,
-            targets: Vec::new(),
-            continues: true,
-        },
-        Some(Op::Eret) => Exits {
-            terminator: Terminator::Eret,
-            targets: Vec::new(),
-            continues: false,
-        },
-        Some(Op::Halt) => Exits {
-            terminator: Terminator::Halt,
-            targets: Vec::new(),
-            continues: false,
-        },
-        _ => Exits {
-            terminator: Terminator::FallThrough,
-            targets: Vec::new(),
-            continues: true,
-        },
+impl Exits {
+    fn of(d: &Decoded) -> Exits {
+        let (target, next_starts_block) = match d.ops.last() {
+            Some(&Op::Branch { target }) => (Some(target), false),
+            Some(&(Op::BranchCond { target, .. } | Op::Call { target, .. })) => {
+                (Some(target), true)
+            }
+            Some(Op::CallReg { .. } | Op::Svc(_) | Op::Udf) => (None, true),
+            _ => (None, false),
+        };
+        Exits {
+            target,
+            next_starts_block,
+        }
+    }
+
+    /// Whether control can reach the address after `d`.
+    fn continues(&self, d: &Decoded) -> bool {
+        self.next_starts_block || !d.ends_block()
     }
 }
 
@@ -300,10 +236,11 @@ impl<'a, I: Isa> Recovery<'a, I> {
                     continue;
                 }
             };
-            let exits = exits_of(&decoded);
+            let exits = Exits::of(&decoded);
+            let continues = exits.continues(&decoded);
             let next = pc.wrapping_add(decoded.len as u32);
             insns.insert(pc, decoded);
-            for &target in &exits.targets {
+            if let Some(target) = exits.target {
                 if self.in_image(target) {
                     leaders.insert(target);
                     work.push_back(target);
@@ -311,12 +248,10 @@ impl<'a, I: Isa> Recovery<'a, I> {
                     violations.push(CfgViolation::TargetOutsideImage { from: pc, target });
                 }
             }
-            if exits.continues {
-                // Call returns and trap resumes start fresh blocks; a
-                // plain fall-through does not create a leader.
-                if !matches!(exits.terminator, Terminator::FallThrough) {
-                    leaders.insert(next);
-                }
+            if exits.next_starts_block {
+                leaders.insert(next);
+            }
+            if continues {
                 if self.in_image(next) {
                     work.push_back(next);
                 } else {
@@ -351,37 +286,26 @@ impl<'a, I: Isa> Recovery<'a, I> {
         let mut i = 0;
         while i < cfg_insns.len() {
             let (start, _) = cfg_insns[i];
-            let first_insn = i;
             // Grow the block until an instruction ends it, the next
             // instruction is a leader, or the run is discontiguous.
             loop {
                 let (pc, d) = &cfg_insns[i];
                 let end = pc.wrapping_add(d.len as u32);
                 i += 1;
-                let ends = d.ends_block();
                 let next_is_leader = leaders.contains(&end);
                 let contiguous = i < cfg_insns.len() && cfg_insns[i].0 == end;
-                if ends || next_is_leader || !contiguous {
-                    let exits = exits_of(d);
-                    let mut succs = Vec::new();
-                    for t in exits.targets {
-                        if self.in_image(t) {
-                            succs.push(t);
-                        }
-                    }
-                    if exits.continues && self.in_image(end) {
+                if d.ends_block() || next_is_leader || !contiguous {
+                    let exits = Exits::of(d);
+                    let mut succs: Vec<u32> = exits
+                        .target
+                        .filter(|&t| self.in_image(t))
+                        .into_iter()
+                        .collect();
+                    if exits.continues(d) && self.in_image(end) {
                         succs.push(end);
                     }
-                    let terminator = if ends {
-                        exits.terminator
-                    } else {
-                        Terminator::FallThrough
-                    };
                     blocks.push(Block {
                         start,
-                        end,
-                        n_insns: i - first_insn,
-                        terminator,
                         succs,
                         loop_header: false,
                     });
@@ -637,15 +561,17 @@ mod tests {
         cfg.blocks.iter().find(|b| b.start == addr)
     }
 
+    fn leaders(cfg: &Cfg) -> Vec<u32> {
+        cfg.blocks.iter().map(|b| b.start).collect()
+    }
+
     #[test]
     fn straight_line_single_block() {
         let cfg = recover(&[0x00, 0, 0x00, 0, 0x01, 0]);
         assert!(cfg.violations.is_empty(), "{:?}", cfg.violations);
-        assert_eq!(cfg.blocks.len(), 1);
-        let b = &cfg.blocks[0];
-        assert_eq!((b.start, b.end, b.n_insns), (0, 6, 3));
-        assert_eq!(b.terminator, Terminator::Halt);
-        assert!(b.succs.is_empty());
+        assert_eq!((cfg.blocks.len(), cfg.insns.len()), (1, 3));
+        assert_eq!(cfg.blocks[0].start, 0);
+        assert!(cfg.blocks[0].succs.is_empty(), "halt has no successor");
     }
 
     #[test]
@@ -653,13 +579,10 @@ mod tests {
         // 0: beq 6; 2: nop; 4: b 6; 6: halt
         let cfg = recover(&[0x03, 6, 0x00, 0, 0x02, 6, 0x01, 0]);
         assert!(cfg.violations.is_empty(), "{:?}", cfg.violations);
-        assert_eq!(cfg.blocks.len(), 3);
-        let b0 = block_at(&cfg, 0).unwrap();
-        assert_eq!(b0.terminator, Terminator::BranchCond);
-        assert_eq!(b0.succs, vec![6, 2]);
-        let b2 = block_at(&cfg, 2).unwrap();
-        assert_eq!((b2.n_insns, b2.terminator), (2, Terminator::Branch));
-        assert_eq!(b2.succs, vec![6]);
+        assert_eq!(leaders(&cfg), [0, 2, 6], "the fall-through starts a block");
+        assert_eq!(block_at(&cfg, 0).unwrap().succs, vec![6, 2]);
+        assert_eq!(block_at(&cfg, 2).unwrap().succs, vec![6], "nop, b 6");
+        assert!(block_at(&cfg, 6).unwrap().succs.is_empty());
         assert_eq!(cfg.edge_count(), 3);
         assert_eq!(cfg.loop_headers(), 0);
     }
@@ -679,11 +602,13 @@ mod tests {
         // 0: call 6; 2: halt; 4: (unreachable) nop; 6: ret
         let cfg = recover(&[0x04, 6, 0x01, 0, 0x00, 0, 0x05, 0]);
         assert!(cfg.violations.is_empty(), "{:?}", cfg.violations);
-        let b0 = block_at(&cfg, 0).unwrap();
-        assert_eq!(b0.terminator, Terminator::Call);
-        assert_eq!(b0.succs, vec![6, 2]);
-        let callee = block_at(&cfg, 6).unwrap();
-        assert_eq!(callee.terminator, Terminator::Ret);
+        assert_eq!(
+            leaders(&cfg),
+            [0, 2, 6],
+            "the return address starts a block"
+        );
+        assert_eq!(block_at(&cfg, 0).unwrap().succs, vec![6, 2]);
+        assert!(block_at(&cfg, 6).unwrap().succs.is_empty(), "ret");
         assert!(block_at(&cfg, 4).is_none(), "unreachable code not walked");
     }
 
@@ -692,8 +617,7 @@ mod tests {
         // 0: svc; 2: halt
         let cfg = recover(&[0x07, 0, 0x01, 0]);
         assert!(cfg.violations.is_empty(), "{:?}", cfg.violations);
-        assert_eq!(cfg.blocks.len(), 2, "the resume point is a leader");
-        assert_eq!(cfg.blocks[0].terminator, Terminator::Trap);
+        assert_eq!(leaders(&cfg), [0, 2], "the resume point is a leader");
         assert_eq!(cfg.blocks[0].succs, vec![2]);
     }
 
@@ -702,9 +626,8 @@ mod tests {
         // 0: beq 4; 2: halt; 4: br r0
         let cfg = recover(&[0x03, 4, 0x01, 0, 0x06, 0]);
         assert!(cfg.violations.is_empty(), "{:?}", cfg.violations);
-        let b4 = block_at(&cfg, 4).unwrap();
-        assert_eq!(b4.terminator, Terminator::IndirectBranch);
-        assert!(b4.succs.is_empty());
+        assert_eq!(leaders(&cfg), [0, 2, 4]);
+        assert!(block_at(&cfg, 4).unwrap().succs.is_empty());
         assert_eq!(cfg.edge_count(), 2);
     }
 

@@ -1,4 +1,4 @@
-//! Architectural CPU state shared by both guest ISAs.
+//! Architectural CPU state shared by every guest ISA.
 
 use std::fmt;
 
@@ -60,6 +60,39 @@ pub struct Status {
     pub level: Privilege,
     /// Whether asynchronous interrupts are accepted.
     pub irq_enabled: bool,
+}
+
+impl Status {
+    /// The status word every guest's saved-status register holds:
+    /// `N<<31 | Z<<30 | C<<29 | V<<28 | IRQ<<7 | USER<<4`.
+    #[inline]
+    pub fn word(self) -> u32 {
+        (self.flags.n as u32) << 31
+            | (self.flags.z as u32) << 30
+            | (self.flags.c as u32) << 29
+            | (self.flags.v as u32) << 28
+            | (self.irq_enabled as u32) << 7
+            | ((self.level == Privilege::User) as u32) << 4
+    }
+
+    /// Decode a [`Status::word`]; the other bits are ignored.
+    #[inline]
+    pub fn from_word(w: u32) -> Status {
+        Status {
+            flags: Flags {
+                n: w & (1 << 31) != 0,
+                z: w & (1 << 30) != 0,
+                c: w & (1 << 29) != 0,
+                v: w & (1 << 28) != 0,
+            },
+            irq_enabled: w & (1 << 7) != 0,
+            level: if w & (1 << 4) != 0 {
+                Privilege::User
+            } else {
+                Privilege::Kernel
+            },
+        }
+    }
 }
 
 /// Architectural CPU register state.
@@ -144,6 +177,24 @@ mod tests {
         assert_eq!(d.flags, c.flags);
         assert_eq!(d.level, Privilege::User);
         assert!(d.irq_enabled);
+    }
+
+    #[test]
+    fn status_word_round_trip() {
+        let s = Status {
+            flags: Flags {
+                n: true,
+                z: false,
+                c: true,
+                v: false,
+            },
+            level: Privilege::User,
+            irq_enabled: true,
+        };
+        assert_eq!(s.word(), 0xA000_0090, "N, C, IRQ and USER bits");
+        assert_eq!(Status::from_word(s.word()), s);
+        let k = Status::default();
+        assert_eq!((k.word(), Status::from_word(k.word())), (0, k));
     }
 
     #[test]

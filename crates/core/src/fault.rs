@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::cpu::{CpuState, Privilege, Status};
+
 /// The kind of memory access being attempted when a fault occurred.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
@@ -111,6 +113,63 @@ impl ExceptionKind {
             ExceptionKind::Irq => 4,
         }
     }
+
+    /// This exception's entry in a vector table at `base`.
+    #[inline]
+    pub fn vector(self, base: u32) -> u32 {
+        base + VECTOR_STRIDE * self.vector_index() as u32
+    }
+
+    /// True for the aborts, which record their fault address.
+    #[inline]
+    pub fn is_abort(self) -> bool {
+        matches!(
+            self,
+            ExceptionKind::DataAbort | ExceptionKind::PrefetchAbort
+        )
+    }
+}
+
+/// Spacing of vector-table entries in bytes on every guest (room for a
+/// long branch).
+pub const VECTOR_STRIDE: u32 = 0x20;
+
+/// What every guest banks on exception entry: the resume address and
+/// the interrupted status.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Bank {
+    /// Banked resume address.
+    pub pc: u32,
+    /// Banked status.
+    pub status: Status,
+}
+
+impl Bank {
+    /// Take an exception: bank `return_pc` and the current status, enter
+    /// kernel mode with IRQs masked, and return the entry for `kind` in
+    /// the vector table at `vbase`.
+    #[inline]
+    pub fn enter(
+        &mut self,
+        cpu: &mut CpuState,
+        kind: ExceptionKind,
+        return_pc: u32,
+        vbase: u32,
+    ) -> u32 {
+        self.pc = return_pc;
+        self.status = cpu.status();
+        cpu.level = Privilege::Kernel;
+        cpu.irq_enabled = false;
+        kind.vector(vbase)
+    }
+
+    /// Return from an exception: restore the banked status and return
+    /// the resume address.
+    #[inline]
+    pub fn leave(&self, cpu: &mut CpuState) -> u32 {
+        cpu.restore_status(self.status);
+        self.pc
+    }
 }
 
 impl fmt::Display for ExceptionKind {
@@ -202,5 +261,26 @@ mod tests {
         };
         assert_eq!(ExcInfo::from_fault(f).fault_addr, 0x1234);
         assert_eq!(ExcInfo::syscall(7).syscall_no, 7);
+    }
+
+    #[test]
+    fn a_bank_enters_the_kernel_masked_and_leaving_restores_the_status() {
+        let mut cpu = CpuState::at_reset(0x8000);
+        (cpu.level, cpu.irq_enabled, cpu.flags.z) = (Privilege::User, true, true);
+        let before = cpu.status();
+        let mut bank = Bank::default();
+        let vector = bank.enter(&mut cpu, ExceptionKind::Irq, 0x8004, 0x100);
+        assert_eq!(vector, 0x100 + 4 * VECTOR_STRIDE);
+        assert_eq!(
+            bank,
+            Bank {
+                pc: 0x8004,
+                status: before
+            }
+        );
+        assert_eq!((cpu.level, cpu.irq_enabled), (Privilege::Kernel, false));
+        cpu.flags.z = false;
+        assert_eq!(bank.leave(&mut cpu), 0x8004);
+        assert_eq!(cpu.status(), before);
     }
 }

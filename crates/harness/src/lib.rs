@@ -47,8 +47,12 @@ pub(crate) fn run_campaign(spec: &CampaignSpec, cfg: &Config) -> CampaignResult 
     simbench_campaign::run(spec, &RunnerOpts::with_jobs(cfg.jobs))
 }
 
-/// A figure campaign spec at the harness configuration's scale: reps
-/// and wall limit come from [`Config`], the matrix from the caller.
+/// Repetitions per figure cell.
+const FIGURE_REPS: u32 = 1;
+
+/// A figure campaign spec: scale and wall limit come from [`Config`],
+/// the matrix from the caller, and every cell runs
+/// [`FIGURE_REPS`] repetition.
 pub(crate) fn figure_spec(
     name: &str,
     guests: Vec<Guest>,
@@ -62,7 +66,7 @@ pub(crate) fn figure_spec(
         engines,
         workloads,
         scale: cfg.scale,
-        reps: cfg.reps.max(1),
+        reps: FIGURE_REPS,
         // Pass the limit through as a full Duration: a sub-second limit
         // (e.g. 500 ms) must not be silently rounded up to one second,
         // nor a fractional part truncated.

@@ -822,6 +822,9 @@ fn differ_main(argv: Vec<String>) -> ExitCode {
             }
             (reports, planned)
         }
+        (None, Some(_)) if programs == 0 => {
+            fail("nothing to compare (with --fuzz, --programs must be at least 1)")
+        }
         (None, Some(seed)) => (
             fuzz_pair(guest, engine_a, engine_b, seed, programs, &cfg),
             programs as usize,

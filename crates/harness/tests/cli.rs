@@ -1033,6 +1033,17 @@ fn lint_names_the_budget_when_the_tree_is_over_it() {
 }
 
 #[test]
+fn lint_names_the_count_to_set_when_the_tree_is_under_its_budget() {
+    let root = scratch_dir("under-budget");
+    std::fs::create_dir_all(root.join("crates")).unwrap();
+    std::fs::write(root.join("crates/small.rs"), "\n".repeat(3)).unwrap();
+    let out = run_cli(&["lint", "--root", root.to_str().unwrap()]);
+    assert_eq!(exit_code(&out), 1, "{}", stdout(&out));
+    assert!(stdout(&out).contains("3 lines of Rust < LINE_BUDGET"));
+    assert!(stdout(&out).contains("set LINE_BUDGET to 3"));
+}
+
+#[test]
 fn help_prints_the_full_usage_and_exits_0() {
     let out = run_cli(&["--help"]);
     assert_eq!(exit_code(&out), 0);
@@ -1133,7 +1144,8 @@ fn differ_rejects_a_named_workload_the_guest_lacks() {
 
 #[test]
 fn differ_usage_errors_exit_3() {
-    // Missing engine, bad guest or engine, no or both selectors, bad flag.
+    // Missing engine, bad guest or engine, no or both selectors, bad
+    // flag, a fuzz sweep of no programs.
     for cmd in [
         "differ armlet interp",
         "differ z80 interp dbt --fuzz 1",
@@ -1145,4 +1157,16 @@ fn differ_usage_errors_exit_3() {
         let args: Vec<&str> = cmd.split(' ').collect();
         assert_eq!(exit_code(&run_cli(&args)), 3, "{cmd}");
     }
+    let out = run_cli(&[
+        "differ",
+        "armlet",
+        "interp",
+        "dbt",
+        "--fuzz",
+        "1",
+        "--programs",
+        "0",
+    ]);
+    assert_eq!(exit_code(&out), 3, "{}", stdout(&out));
+    assert!(stderr(&out).contains("--programs must be at least 1"));
 }

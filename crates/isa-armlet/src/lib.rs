@@ -42,84 +42,15 @@ pub use asm::ArmletAsm;
 pub use mmu::{Access, TableBuilder};
 pub use sys::ArmletSys;
 
-use simbench_core::bus::Bus;
-use simbench_core::cpu::CpuState;
-use simbench_core::fault::{CopFault, ExcInfo, ExceptionKind};
-use simbench_core::ir::{DecodeError, Decoded};
-use simbench_core::isa::{CopEffect, Isa};
-use simbench_core::mmu::WalkResult;
-
-/// The armlet architecture (implements [`Isa`]).
+/// The armlet architecture (implements [`simbench_core::isa::Isa`] in
+/// [`sys`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Armlet;
-
-impl Isa for Armlet {
-    const NAME: &'static str = "armlet";
-    const MAX_INSN_BYTES: usize = 4;
-    const GPRS: usize = 16;
-    type Sys = ArmletSys;
-
-    fn decode(bytes: &[u8], pc: u32) -> Result<Decoded, DecodeError> {
-        if bytes.len() < 4 {
-            return Err(DecodeError { pc });
-        }
-        let word = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-        decode::decode(word, pc)
-    }
-
-    fn mmu_enabled(sys: &Self::Sys) -> bool {
-        sys.mmu_enabled()
-    }
-
-    fn walk<B: Bus>(sys: &Self::Sys, bus: &mut B, va: u32) -> WalkResult {
-        mmu::walk(sys, bus, va)
-    }
-
-    fn cop_read(cpu: &CpuState, sys: &mut Self::Sys, cp: u8, reg: u8) -> Result<u32, CopFault> {
-        sys.cop_read(cpu, cp, reg)
-    }
-
-    fn cop_write(
-        cpu: &mut CpuState,
-        sys: &mut Self::Sys,
-        cp: u8,
-        reg: u8,
-        val: u32,
-    ) -> Result<CopEffect, CopFault> {
-        sys.cop_write(cpu, cp, reg, val)
-    }
-
-    fn enter_exception(
-        cpu: &mut CpuState,
-        sys: &mut Self::Sys,
-        kind: ExceptionKind,
-        info: ExcInfo,
-        return_pc: u32,
-    ) -> u32 {
-        sys.enter_exception(cpu, kind, info, return_pc)
-    }
-
-    fn leave_exception(cpu: &mut CpuState, sys: &mut Self::Sys) -> u32 {
-        sys.leave_exception(cpu)
-    }
-
-    fn sys_regs(sys: &Self::Sys, visit: &mut dyn FnMut(&'static str, u32)) {
-        visit("sctlr", sys.sctlr);
-        visit("ttbr", sys.ttbr);
-        visit("dacr", sys.dacr);
-        visit("fsr", sys.fsr);
-        visit("far", sys.far);
-        visit("vbar", sys.vbar);
-        visit("saved_pc", sys.saved_pc);
-        visit("saved_status", ArmletSys::encode_status(sys.saved_status));
-        visit("scratch0", sys.scratch[0]);
-        visit("scratch1", sys.scratch[1]);
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simbench_core::isa::Isa;
 
     #[test]
     fn isa_constants() {

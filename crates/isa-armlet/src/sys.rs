@@ -1,9 +1,14 @@
-//! armlet system state: control coprocessor (cp15), banked-state
-//! coprocessor (cp14), and exception entry/exit.
+//! armlet system state — control coprocessor (cp15) and banked-state
+//! coprocessor (cp14) — and the [`Isa`] implementation over it.
 
-use simbench_core::cpu::{CpuState, Flags, Privilege, Status};
-use simbench_core::fault::{CopFault, ExcInfo, ExceptionKind};
-use simbench_core::isa::CopEffect;
+use simbench_core::bus::Bus;
+use simbench_core::cpu::{CpuState, Status};
+use simbench_core::fault::{Bank, CopFault, ExcInfo, ExceptionKind};
+use simbench_core::ir::{DecodeError, Decoded};
+use simbench_core::isa::{CopEffect, Isa};
+use simbench_core::mmu::WalkResult;
+
+use crate::{decode, mmu, Armlet};
 
 /// cp15: system control coprocessor number.
 pub const CP_SYS: u8 = 15;
@@ -37,7 +42,7 @@ pub mod cp15 {
 pub mod cp14 {
     /// Banked return address (read/write from handlers).
     pub const SAVED_PC: u8 = 0;
-    /// Banked status word (see [`super::ArmletSys::encode_status`]).
+    /// Banked status word ([`simbench_core::cpu::Status::word`]).
     pub const SAVED_STATUS: u8 = 1;
     /// Handler scratch register 0.
     pub(super) const SCRATCH0: u8 = 2;
@@ -49,9 +54,6 @@ pub mod cp14 {
 
 /// Value of the MIDR identification register.
 const MIDR_VALUE: u32 = 0x4152_4D01; // "ARM" + v1
-
-/// Spacing of vector table entries in bytes (room for a long branch).
-pub const VECTOR_STRIDE: u32 = 0x20;
 
 /// armlet system-register file.
 #[derive(Debug, Clone)]
@@ -68,10 +70,8 @@ pub struct ArmletSys {
     pub far: u32,
     /// Vector base address register.
     pub vbar: u32,
-    /// Banked exception return address.
-    pub saved_pc: u32,
-    /// Banked status.
-    pub saved_status: Status,
+    /// Banked exception return address and status.
+    pub bank: Bank,
     /// Handler scratch registers.
     pub scratch: [u32; 2],
 }
@@ -86,86 +86,62 @@ impl Default for ArmletSys {
             fsr: 0,
             far: 0,
             vbar: 0,
-            saved_pc: 0,
-            saved_status: Status::default(),
+            bank: Bank::default(),
             scratch: [0; 2],
         }
     }
 }
 
-impl ArmletSys {
-    /// True when address translation is on.
-    pub fn mmu_enabled(&self) -> bool {
-        self.sctlr & 1 != 0
-    }
+impl Isa for Armlet {
+    const NAME: &'static str = "armlet";
+    const MAX_INSN_BYTES: usize = 4;
+    const GPRS: usize = 16;
+    type Sys = ArmletSys;
 
-    /// Encode a [`Status`] into the cp14 word format:
-    /// `N<<31 | Z<<30 | C<<29 | V<<28 | IRQ<<7 | USER<<4`.
-    pub fn encode_status(s: Status) -> u32 {
-        (s.flags.n as u32) << 31
-            | (s.flags.z as u32) << 30
-            | (s.flags.c as u32) << 29
-            | (s.flags.v as u32) << 28
-            | (s.irq_enabled as u32) << 7
-            | ((s.level == Privilege::User) as u32) << 4
-    }
-
-    /// Decode the cp14 status word format.
-    pub fn decode_status(w: u32) -> Status {
-        Status {
-            flags: Flags {
-                n: w & (1 << 31) != 0,
-                z: w & (1 << 30) != 0,
-                c: w & (1 << 29) != 0,
-                v: w & (1 << 28) != 0,
-            },
-            irq_enabled: w & (1 << 7) != 0,
-            level: if w & (1 << 4) != 0 {
-                Privilege::User
-            } else {
-                Privilege::Kernel
-            },
+    fn decode(bytes: &[u8], pc: u32) -> Result<Decoded, DecodeError> {
+        if bytes.len() < 4 {
+            return Err(DecodeError { pc });
         }
+        let word = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+        decode::decode(word, pc)
     }
 
-    /// Coprocessor read.
-    ///
-    /// # Errors
-    ///
-    /// [`CopFault`] for unknown coprocessors or registers.
-    pub fn cop_read(&mut self, _cpu: &CpuState, cp: u8, reg: u8) -> Result<u32, CopFault> {
+    fn mmu_enabled(sys: &ArmletSys) -> bool {
+        sys.sctlr & 1 != 0
+    }
+
+    fn walk<B: Bus>(sys: &ArmletSys, bus: &mut B, va: u32) -> WalkResult {
+        mmu::walk(sys, bus, va)
+    }
+
+    fn cop_read(_cpu: &CpuState, sys: &mut ArmletSys, cp: u8, reg: u8) -> Result<u32, CopFault> {
         match (cp, reg) {
             (CP_SYS, cp15::MIDR) => Ok(MIDR_VALUE),
-            (CP_SYS, cp15::SCTLR) => Ok(self.sctlr),
-            (CP_SYS, cp15::TTBR) => Ok(self.ttbr),
-            (CP_SYS, cp15::DACR) => Ok(self.dacr),
-            (CP_SYS, cp15::FSR) => Ok(self.fsr),
-            (CP_SYS, cp15::FAR) => Ok(self.far),
-            (CP_SYS, cp15::VBAR) => Ok(self.vbar),
-            (CP_BANK, cp14::SAVED_PC) => Ok(self.saved_pc),
-            (CP_BANK, cp14::SAVED_STATUS) => Ok(Self::encode_status(self.saved_status)),
-            (CP_BANK, cp14::SCRATCH0) => Ok(self.scratch[0]),
-            (CP_BANK, cp14::SCRATCH1) => Ok(self.scratch[1]),
+            (CP_SYS, cp15::SCTLR) => Ok(sys.sctlr),
+            (CP_SYS, cp15::TTBR) => Ok(sys.ttbr),
+            (CP_SYS, cp15::DACR) => Ok(sys.dacr),
+            (CP_SYS, cp15::FSR) => Ok(sys.fsr),
+            (CP_SYS, cp15::FAR) => Ok(sys.far),
+            (CP_SYS, cp15::VBAR) => Ok(sys.vbar),
+            (CP_BANK, cp14::SAVED_PC) => Ok(sys.bank.pc),
+            (CP_BANK, cp14::SAVED_STATUS) => Ok(sys.bank.status.word()),
+            (CP_BANK, cp14::SCRATCH0) => Ok(sys.scratch[0]),
+            (CP_BANK, cp14::SCRATCH1) => Ok(sys.scratch[1]),
             _ => Err(CopFault),
         }
     }
 
-    /// Coprocessor write, returning the engine-visible effect.
-    ///
-    /// # Errors
-    ///
-    /// [`CopFault`] for unknown coprocessors or read-only registers.
-    pub fn cop_write(
-        &mut self,
+    fn cop_write(
         cpu: &mut CpuState,
+        sys: &mut ArmletSys,
         cp: u8,
         reg: u8,
         val: u32,
     ) -> Result<CopEffect, CopFault> {
         match (cp, reg) {
             (CP_SYS, cp15::SCTLR) => {
-                let was = self.sctlr;
-                self.sctlr = val;
+                let was = sys.sctlr;
+                sys.sctlr = val;
                 Ok(if (was ^ val) & 1 != 0 {
                     CopEffect::ContextChanged
                 } else {
@@ -173,34 +149,34 @@ impl ArmletSys {
                 })
             }
             (CP_SYS, cp15::TTBR) => {
-                self.ttbr = val;
+                sys.ttbr = val;
                 Ok(CopEffect::ContextChanged)
             }
             (CP_SYS, cp15::DACR) => {
-                self.dacr = val;
+                sys.dacr = val;
                 // Domain results are baked into cached TLB entries.
                 Ok(CopEffect::ContextChanged)
             }
             (CP_SYS, cp15::TLBIALL) => Ok(CopEffect::TlbFlush),
             (CP_SYS, cp15::TLBIMVA) => Ok(CopEffect::TlbInvPage(val)),
             (CP_SYS, cp15::VBAR) => {
-                self.vbar = val;
+                sys.vbar = val;
                 Ok(CopEffect::None)
             }
             (CP_BANK, cp14::SAVED_PC) => {
-                self.saved_pc = val;
+                sys.bank.pc = val;
                 Ok(CopEffect::None)
             }
             (CP_BANK, cp14::SAVED_STATUS) => {
-                self.saved_status = Self::decode_status(val);
+                sys.bank.status = Status::from_word(val);
                 Ok(CopEffect::None)
             }
             (CP_BANK, cp14::SCRATCH0) => {
-                self.scratch[0] = val;
+                sys.scratch[0] = val;
                 Ok(CopEffect::None)
             }
             (CP_BANK, cp14::SCRATCH1) => {
-                self.scratch[1] = val;
+                sys.scratch[1] = val;
                 Ok(CopEffect::None)
             }
             (CP_BANK, cp14::IRQ_CTL) => {
@@ -211,97 +187,86 @@ impl ArmletSys {
         }
     }
 
-    /// Take an exception: bank status, mask IRQs, enter kernel mode, and
-    /// return the vector address.
-    pub fn enter_exception(
-        &mut self,
+    fn enter_exception(
         cpu: &mut CpuState,
+        sys: &mut ArmletSys,
         kind: ExceptionKind,
         info: ExcInfo,
         return_pc: u32,
     ) -> u32 {
-        self.saved_pc = return_pc;
-        self.saved_status = cpu.status();
-        if matches!(
-            kind,
-            ExceptionKind::DataAbort | ExceptionKind::PrefetchAbort
-        ) {
-            self.far = info.fault_addr;
-            self.fsr = 1; // simplified status: "fault occurred"
+        if kind.is_abort() {
+            sys.far = info.fault_addr;
+            sys.fsr = 1; // simplified status: "fault occurred"
         }
-        cpu.level = Privilege::Kernel;
-        cpu.irq_enabled = false;
-        self.vbar + VECTOR_STRIDE * kind.vector_index() as u32
+        sys.bank.enter(cpu, kind, return_pc, sys.vbar)
     }
 
-    /// Return from exception: restore banked status, resume at the banked
-    /// PC.
-    pub fn leave_exception(&mut self, cpu: &mut CpuState) -> u32 {
-        cpu.restore_status(self.saved_status);
-        self.saved_pc
+    fn leave_exception(cpu: &mut CpuState, sys: &mut ArmletSys) -> u32 {
+        sys.bank.leave(cpu)
+    }
+
+    fn sys_regs(sys: &ArmletSys, visit: &mut dyn FnMut(&'static str, u32)) {
+        visit("sctlr", sys.sctlr);
+        visit("ttbr", sys.ttbr);
+        visit("dacr", sys.dacr);
+        visit("fsr", sys.fsr);
+        visit("far", sys.far);
+        visit("vbar", sys.vbar);
+        visit("saved_pc", sys.bank.pc);
+        visit("saved_status", sys.bank.status.word());
+        visit("scratch0", sys.scratch[0]);
+        visit("scratch1", sys.scratch[1]);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn status_word_round_trip() {
-        let s = Status {
-            flags: Flags {
-                n: true,
-                z: false,
-                c: true,
-                v: false,
-            },
-            level: Privilege::User,
-            irq_enabled: true,
-        };
-        assert_eq!(ArmletSys::decode_status(ArmletSys::encode_status(s)), s);
-        let k = Status::default();
-        assert_eq!(ArmletSys::decode_status(ArmletSys::encode_status(k)), k);
-    }
+    use Armlet as A;
 
     #[test]
     fn cop15_registers() {
         let mut sys = ArmletSys::default();
         let mut cpu = CpuState::at_reset(0);
-        assert_eq!(sys.cop_read(&cpu, CP_SYS, cp15::MIDR).unwrap(), MIDR_VALUE);
         assert_eq!(
-            sys.cop_write(&mut cpu, CP_SYS, cp15::TTBR, 0x10000)
-                .unwrap(),
+            A::cop_read(&cpu, &mut sys, CP_SYS, cp15::MIDR).unwrap(),
+            MIDR_VALUE
+        );
+        assert_eq!(
+            A::cop_write(&mut cpu, &mut sys, CP_SYS, cp15::TTBR, 0x10000).unwrap(),
             CopEffect::ContextChanged
         );
-        assert_eq!(sys.cop_read(&cpu, CP_SYS, cp15::TTBR).unwrap(), 0x10000);
         assert_eq!(
-            sys.cop_write(&mut cpu, CP_SYS, cp15::TLBIALL, 0).unwrap(),
+            A::cop_read(&cpu, &mut sys, CP_SYS, cp15::TTBR).unwrap(),
+            0x10000
+        );
+        assert_eq!(
+            A::cop_write(&mut cpu, &mut sys, CP_SYS, cp15::TLBIALL, 0).unwrap(),
             CopEffect::TlbFlush
         );
         assert_eq!(
-            sys.cop_write(&mut cpu, CP_SYS, cp15::TLBIMVA, 0x1234)
-                .unwrap(),
+            A::cop_write(&mut cpu, &mut sys, CP_SYS, cp15::TLBIMVA, 0x1234).unwrap(),
             CopEffect::TlbInvPage(0x1234)
         );
         // MIDR is read-only.
-        assert!(sys.cop_write(&mut cpu, CP_SYS, cp15::MIDR, 0).is_err());
+        assert!(A::cop_write(&mut cpu, &mut sys, CP_SYS, cp15::MIDR, 0).is_err());
         // Unknown coprocessor.
-        assert!(sys.cop_read(&cpu, 7, 0).is_err());
+        assert!(A::cop_read(&cpu, &mut sys, 7, 0).is_err());
     }
 
     #[test]
     fn mmu_enable_toggles_context() {
         let mut sys = ArmletSys::default();
         let mut cpu = CpuState::at_reset(0);
-        assert!(!sys.mmu_enabled());
+        assert!(!A::mmu_enabled(&sys));
         assert_eq!(
-            sys.cop_write(&mut cpu, CP_SYS, cp15::SCTLR, 1).unwrap(),
+            A::cop_write(&mut cpu, &mut sys, CP_SYS, cp15::SCTLR, 1).unwrap(),
             CopEffect::ContextChanged
         );
-        assert!(sys.mmu_enabled());
+        assert!(A::mmu_enabled(&sys));
         // Rewriting the same value: no context change.
         assert_eq!(
-            sys.cop_write(&mut cpu, CP_SYS, cp15::SCTLR, 1).unwrap(),
+            A::cop_write(&mut cpu, &mut sys, CP_SYS, cp15::SCTLR, 1).unwrap(),
             CopEffect::None
         );
     }
@@ -310,9 +275,9 @@ mod tests {
     fn irq_ctl_writes_cpu() {
         let mut sys = ArmletSys::default();
         let mut cpu = CpuState::at_reset(0);
-        sys.cop_write(&mut cpu, CP_BANK, cp14::IRQ_CTL, 1).unwrap();
+        A::cop_write(&mut cpu, &mut sys, CP_BANK, cp14::IRQ_CTL, 1).unwrap();
         assert!(cpu.irq_enabled);
-        sys.cop_write(&mut cpu, CP_BANK, cp14::IRQ_CTL, 0).unwrap();
+        A::cop_write(&mut cpu, &mut sys, CP_BANK, cp14::IRQ_CTL, 0).unwrap();
         assert!(!cpu.irq_enabled);
     }
 
@@ -330,13 +295,13 @@ mod tests {
             fault_addr: 0xDEAD_0000,
             syscall_no: 0,
         };
-        let vec = sys.enter_exception(&mut cpu, ExceptionKind::DataAbort, fault, 0x8004);
-        assert_eq!(vec, 0x100 + VECTOR_STRIDE * 2);
+        let vec = A::enter_exception(&mut cpu, &mut sys, ExceptionKind::DataAbort, fault, 0x8004);
+        assert_eq!(vec, 0x100 + 2 * 0x20);
         assert!(!cpu.irq_enabled, "IRQs masked on entry");
         assert_eq!(sys.far, 0xDEAD_0000);
-        assert_eq!(sys.saved_pc, 0x8004);
+        assert_eq!(sys.bank.pc, 0x8004);
 
-        let resume = sys.leave_exception(&mut cpu);
+        let resume = A::leave_exception(&mut cpu, &mut sys);
         assert_eq!(resume, 0x8004);
         assert!(cpu.irq_enabled, "status restored");
         assert!(cpu.flags.z);
@@ -346,9 +311,15 @@ mod tests {
     fn handler_scratch_registers() {
         let mut sys = ArmletSys::default();
         let mut cpu = CpuState::at_reset(0);
-        sys.cop_write(&mut cpu, CP_BANK, cp14::SCRATCH0, 7).unwrap();
-        sys.cop_write(&mut cpu, CP_BANK, cp14::SCRATCH1, 9).unwrap();
-        assert_eq!(sys.cop_read(&cpu, CP_BANK, cp14::SCRATCH0).unwrap(), 7);
-        assert_eq!(sys.cop_read(&cpu, CP_BANK, cp14::SCRATCH1).unwrap(), 9);
+        A::cop_write(&mut cpu, &mut sys, CP_BANK, cp14::SCRATCH0, 7).unwrap();
+        A::cop_write(&mut cpu, &mut sys, CP_BANK, cp14::SCRATCH1, 9).unwrap();
+        assert_eq!(
+            A::cop_read(&cpu, &mut sys, CP_BANK, cp14::SCRATCH0).unwrap(),
+            7
+        );
+        assert_eq!(
+            A::cop_read(&cpu, &mut sys, CP_BANK, cp14::SCRATCH1).unwrap(),
+            9
+        );
     }
 }

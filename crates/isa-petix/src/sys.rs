@@ -1,8 +1,14 @@
-//! petix system state: control registers and exception entry/exit.
+//! petix system state — its control registers — and the [`Isa`]
+//! implementation over it.
 
-use simbench_core::cpu::{CpuState, Flags, Privilege, Status};
-use simbench_core::fault::{CopFault, ExcInfo, ExceptionKind};
-use simbench_core::isa::CopEffect;
+use simbench_core::bus::Bus;
+use simbench_core::cpu::{CpuState, Status};
+use simbench_core::fault::{Bank, CopFault, ExcInfo, ExceptionKind};
+use simbench_core::ir::{DecodeError, Decoded};
+use simbench_core::isa::{CopEffect, Isa};
+use simbench_core::mmu::WalkResult;
+
+use crate::{decode, mmu, Petix};
 
 /// Control-register indices (accessed via `mov cr` forms; petix has a
 /// single "coprocessor", number 0).
@@ -36,9 +42,6 @@ pub mod cr {
 /// Reset value of the FPU control word (mirrors the x87 default).
 const FPCW_RESET: u32 = 0x037F;
 
-/// Spacing of vector table entries in bytes.
-pub const VECTOR_STRIDE: u32 = 0x20;
-
 /// petix system-register file.
 #[derive(Debug, Clone)]
 pub struct PetixSys {
@@ -52,10 +55,8 @@ pub struct PetixSys {
     pub cr4: u32,
     /// FPU control word.
     pub fpcw: u32,
-    /// Banked return address.
-    pub saved_pc: u32,
-    /// Banked status.
-    pub saved_status: Status,
+    /// Banked return address and status.
+    pub bank: Bank,
     /// Handler scratch.
     pub scratch: u32,
 }
@@ -68,77 +69,50 @@ impl Default for PetixSys {
             cr3: 0,
             cr4: 0,
             fpcw: FPCW_RESET,
-            saved_pc: 0,
-            saved_status: Status::default(),
+            bank: Bank::default(),
             scratch: 0,
         }
     }
 }
 
-impl PetixSys {
-    /// True when paging is enabled.
-    pub fn paging_enabled(&self) -> bool {
-        self.cr0 & 1 != 0
+impl Isa for Petix {
+    const NAME: &'static str = "petix";
+    const MAX_INSN_BYTES: usize = 6;
+    const GPRS: usize = 8;
+    type Sys = PetixSys;
+
+    fn decode(bytes: &[u8], pc: u32) -> Result<Decoded, DecodeError> {
+        decode::decode(bytes, pc)
     }
 
-    /// Encode a [`Status`] into the control-register word format (same
-    /// layout as armlet's cp14 status word).
-    pub fn encode_status(s: Status) -> u32 {
-        (s.flags.n as u32) << 31
-            | (s.flags.z as u32) << 30
-            | (s.flags.c as u32) << 29
-            | (s.flags.v as u32) << 28
-            | (s.irq_enabled as u32) << 7
-            | ((s.level == Privilege::User) as u32) << 4
+    fn mmu_enabled(sys: &PetixSys) -> bool {
+        sys.cr0 & 1 != 0
     }
 
-    fn decode_status(w: u32) -> Status {
-        Status {
-            flags: Flags {
-                n: w & (1 << 31) != 0,
-                z: w & (1 << 30) != 0,
-                c: w & (1 << 29) != 0,
-                v: w & (1 << 28) != 0,
-            },
-            irq_enabled: w & (1 << 7) != 0,
-            level: if w & (1 << 4) != 0 {
-                Privilege::User
-            } else {
-                Privilege::Kernel
-            },
-        }
+    fn walk<B: Bus>(sys: &PetixSys, bus: &mut B, va: u32) -> WalkResult {
+        mmu::walk(sys, bus, va)
     }
 
-    /// Control-register read.
-    ///
-    /// # Errors
-    ///
-    /// [`CopFault`] for nonexistent registers.
-    pub fn cop_read(&mut self, cp: u8, reg: u8) -> Result<u32, CopFault> {
+    fn cop_read(_cpu: &CpuState, sys: &mut PetixSys, cp: u8, reg: u8) -> Result<u32, CopFault> {
         if cp != 0 {
             return Err(CopFault);
         }
         match reg {
-            cr::CR0 => Ok(self.cr0),
-            cr::CR2 => Ok(self.cr2),
-            cr::CR3 => Ok(self.cr3),
-            cr::CR4 => Ok(self.cr4),
-            cr::FPCW => Ok(self.fpcw),
-            cr::SAVED_PC => Ok(self.saved_pc),
-            cr::SAVED_STATUS => Ok(Self::encode_status(self.saved_status)),
-            cr::SCRATCH => Ok(self.scratch),
+            cr::CR0 => Ok(sys.cr0),
+            cr::CR2 => Ok(sys.cr2),
+            cr::CR3 => Ok(sys.cr3),
+            cr::CR4 => Ok(sys.cr4),
+            cr::FPCW => Ok(sys.fpcw),
+            cr::SAVED_PC => Ok(sys.bank.pc),
+            cr::SAVED_STATUS => Ok(sys.bank.status.word()),
+            cr::SCRATCH => Ok(sys.scratch),
             _ => Err(CopFault),
         }
     }
 
-    /// Control-register write.
-    ///
-    /// # Errors
-    ///
-    /// [`CopFault`] for nonexistent or read-only registers.
-    pub fn cop_write(
-        &mut self,
+    fn cop_write(
         cpu: &mut CpuState,
+        sys: &mut PetixSys,
         cp: u8,
         reg: u8,
         val: u32,
@@ -148,8 +122,8 @@ impl PetixSys {
         }
         match reg {
             cr::CR0 => {
-                let was = self.cr0;
-                self.cr0 = val;
+                let was = sys.cr0;
+                sys.cr0 = val;
                 Ok(if (was ^ val) & 1 != 0 {
                     CopEffect::ContextChanged
                 } else {
@@ -157,26 +131,26 @@ impl PetixSys {
                 })
             }
             cr::CR3 => {
-                self.cr3 = val;
+                sys.cr3 = val;
                 // x86 semantics: a CR3 load flushes non-global TLB entries.
                 Ok(CopEffect::ContextChanged)
             }
             cr::CR4 => {
-                self.cr4 = val;
+                sys.cr4 = val;
                 Ok(CopEffect::None)
             }
             cr::FPCW => {
-                self.fpcw = val & 0xFFFF;
+                sys.fpcw = val & 0xFFFF;
                 Ok(CopEffect::None)
             }
             cr::TLB_FLUSH => Ok(CopEffect::TlbFlush),
             cr::INVLPG => Ok(CopEffect::TlbInvPage(val)),
             cr::SAVED_PC => {
-                self.saved_pc = val;
+                sys.bank.pc = val;
                 Ok(CopEffect::None)
             }
             cr::SAVED_STATUS => {
-                self.saved_status = Self::decode_status(val);
+                sys.bank.status = Status::from_word(val);
                 Ok(CopEffect::None)
             }
             cr::IRQ_CTL => {
@@ -184,55 +158,57 @@ impl PetixSys {
                 Ok(CopEffect::None)
             }
             cr::SCRATCH => {
-                self.scratch = val;
+                sys.scratch = val;
                 Ok(CopEffect::None)
             }
             _ => Err(CopFault),
         }
     }
 
-    /// Take an exception (see the armlet counterpart; petix differs in
-    /// that return addresses for calls live on the stack, so handlers
-    /// that unwind — the Instruction Access Fault benchmark — pop the
-    /// stack and write `cr10`).
-    pub fn enter_exception(
-        &mut self,
+    /// Records the fault address of an abort in `cr2`. Calls push their
+    /// return address, so a handler that unwinds — the Instruction
+    /// Access Fault benchmark's — pops the stack and writes `cr10`.
+    fn enter_exception(
         cpu: &mut CpuState,
+        sys: &mut PetixSys,
         kind: ExceptionKind,
         info: ExcInfo,
         return_pc: u32,
     ) -> u32 {
-        self.saved_pc = return_pc;
-        self.saved_status = cpu.status();
-        if matches!(
-            kind,
-            ExceptionKind::DataAbort | ExceptionKind::PrefetchAbort
-        ) {
-            self.cr2 = info.fault_addr;
+        if kind.is_abort() {
+            sys.cr2 = info.fault_addr;
         }
-        cpu.level = Privilege::Kernel;
-        cpu.irq_enabled = false;
-        self.cr4 + VECTOR_STRIDE * kind.vector_index() as u32
+        sys.bank.enter(cpu, kind, return_pc, sys.cr4)
     }
 
-    /// Return from exception.
-    pub fn leave_exception(&mut self, cpu: &mut CpuState) -> u32 {
-        cpu.restore_status(self.saved_status);
-        self.saved_pc
+    fn leave_exception(cpu: &mut CpuState, sys: &mut PetixSys) -> u32 {
+        sys.bank.leave(cpu)
+    }
+
+    fn sys_regs(sys: &PetixSys, visit: &mut dyn FnMut(&'static str, u32)) {
+        visit("cr0", sys.cr0);
+        visit("cr2", sys.cr2);
+        visit("cr3", sys.cr3);
+        visit("cr4", sys.cr4);
+        visit("fpcw", sys.fpcw);
+        visit("saved_pc", sys.bank.pc);
+        visit("saved_status", sys.bank.status.word());
+        visit("scratch", sys.scratch);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use Petix as P;
 
     #[test]
     fn fpcw_reset_and_masking() {
         let mut sys = PetixSys::default();
         let mut cpu = CpuState::at_reset(0);
-        assert_eq!(sys.cop_read(0, cr::FPCW).unwrap(), 0x037F);
-        sys.cop_write(&mut cpu, 0, cr::FPCW, 0xFFFF_1234).unwrap();
-        assert_eq!(sys.cop_read(0, cr::FPCW).unwrap(), 0x1234);
+        assert_eq!(P::cop_read(&cpu, &mut sys, 0, cr::FPCW).unwrap(), 0x037F);
+        P::cop_write(&mut cpu, &mut sys, 0, cr::FPCW, 0xFFFF_1234).unwrap();
+        assert_eq!(P::cop_read(&cpu, &mut sys, 0, cr::FPCW).unwrap(), 0x1234);
     }
 
     #[test]
@@ -240,24 +216,24 @@ mod tests {
         let mut sys = PetixSys::default();
         let mut cpu = CpuState::at_reset(0);
         assert_eq!(
-            sys.cop_write(&mut cpu, 0, cr::CR3, 0x8000).unwrap(),
+            P::cop_write(&mut cpu, &mut sys, 0, cr::CR3, 0x8000).unwrap(),
             CopEffect::ContextChanged
         );
         assert_eq!(
-            sys.cop_write(&mut cpu, 0, cr::INVLPG, 0x1234).unwrap(),
+            P::cop_write(&mut cpu, &mut sys, 0, cr::INVLPG, 0x1234).unwrap(),
             CopEffect::TlbInvPage(0x1234)
         );
         assert_eq!(
-            sys.cop_write(&mut cpu, 0, cr::TLB_FLUSH, 0).unwrap(),
+            P::cop_write(&mut cpu, &mut sys, 0, cr::TLB_FLUSH, 0).unwrap(),
             CopEffect::TlbFlush
         );
     }
 
     #[test]
     fn wrong_coprocessor_faults() {
-        let mut sys = PetixSys::default();
-        assert!(sys.cop_read(1, cr::CR0).is_err());
-        assert!(sys.cop_read(0, 15).is_err());
+        let (cpu, mut sys) = (CpuState::at_reset(0), PetixSys::default());
+        assert!(P::cop_read(&cpu, &mut sys, 1, cr::CR0).is_err());
+        assert!(P::cop_read(&cpu, &mut sys, 0, 15).is_err());
     }
 
     #[test]
@@ -268,8 +244,9 @@ mod tests {
         };
         let mut cpu = CpuState::at_reset(0x8000);
         cpu.irq_enabled = true;
-        let vec = sys.enter_exception(
+        let vec = P::enter_exception(
             &mut cpu,
+            &mut sys,
             ExceptionKind::PrefetchAbort,
             ExcInfo {
                 fault_addr: 0xBAD0_0000,
@@ -277,12 +254,12 @@ mod tests {
             },
             0xBAD0_0000,
         );
-        assert_eq!(vec, 0x1000 + VECTOR_STRIDE * 3);
+        assert_eq!(vec, 0x1000 + 3 * 0x20);
         assert_eq!(sys.cr2, 0xBAD0_0000);
         assert!(!cpu.irq_enabled);
         // Handler redirects the resume point (stack unwinding analogue).
-        sys.cop_write(&mut cpu, 0, cr::SAVED_PC, 0x8004).unwrap();
-        assert_eq!(sys.leave_exception(&mut cpu), 0x8004);
+        P::cop_write(&mut cpu, &mut sys, 0, cr::SAVED_PC, 0x8004).unwrap();
+        assert_eq!(P::leave_exception(&mut cpu, &mut sys), 0x8004);
         assert!(cpu.irq_enabled);
     }
 
@@ -290,9 +267,9 @@ mod tests {
     fn irq_ctl_is_sti_cli() {
         let mut sys = PetixSys::default();
         let mut cpu = CpuState::at_reset(0);
-        sys.cop_write(&mut cpu, 0, cr::IRQ_CTL, 1).unwrap();
+        P::cop_write(&mut cpu, &mut sys, 0, cr::IRQ_CTL, 1).unwrap();
         assert!(cpu.irq_enabled);
-        sys.cop_write(&mut cpu, 0, cr::IRQ_CTL, 0).unwrap();
+        P::cop_write(&mut cpu, &mut sys, 0, cr::IRQ_CTL, 0).unwrap();
         assert!(!cpu.irq_enabled);
     }
 }

@@ -45,77 +45,15 @@ pub use asm::RiscleAsm;
 pub use mmu::{PtFlags, TableBuilder};
 pub use sys::RiscleSys;
 
-use simbench_core::bus::Bus;
-use simbench_core::cpu::CpuState;
-use simbench_core::fault::{CopFault, ExcInfo, ExceptionKind};
-use simbench_core::ir::{DecodeError, Decoded};
-use simbench_core::isa::{CopEffect, Isa};
-use simbench_core::mmu::WalkResult;
-
-/// The riscle architecture (implements [`Isa`]).
+/// The riscle architecture (implements [`simbench_core::isa::Isa`] in
+/// [`sys`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Riscle;
-
-impl Isa for Riscle {
-    const NAME: &'static str = "riscle";
-    const MAX_INSN_BYTES: usize = 4;
-    const GPRS: usize = 16;
-    type Sys = RiscleSys;
-
-    fn decode(bytes: &[u8], pc: u32) -> Result<Decoded, DecodeError> {
-        decode::decode(bytes, pc)
-    }
-
-    fn mmu_enabled(sys: &Self::Sys) -> bool {
-        sys.paging_enabled()
-    }
-
-    fn walk<B: Bus>(sys: &Self::Sys, bus: &mut B, va: u32) -> WalkResult {
-        mmu::walk(sys, bus, va)
-    }
-
-    fn cop_read(_cpu: &CpuState, sys: &mut Self::Sys, cp: u8, reg: u8) -> Result<u32, CopFault> {
-        sys.cop_read(cp, reg)
-    }
-
-    fn cop_write(
-        cpu: &mut CpuState,
-        sys: &mut Self::Sys,
-        cp: u8,
-        reg: u8,
-        val: u32,
-    ) -> Result<CopEffect, CopFault> {
-        sys.cop_write(cpu, cp, reg, val)
-    }
-
-    fn enter_exception(
-        cpu: &mut CpuState,
-        sys: &mut Self::Sys,
-        kind: ExceptionKind,
-        info: ExcInfo,
-        return_pc: u32,
-    ) -> u32 {
-        sys.enter_exception(cpu, kind, info, return_pc)
-    }
-
-    fn leave_exception(cpu: &mut CpuState, sys: &mut Self::Sys) -> u32 {
-        sys.leave_exception(cpu)
-    }
-
-    fn sys_regs(sys: &Self::Sys, visit: &mut dyn FnMut(&'static str, u32)) {
-        visit("ctrl", sys.ctrl);
-        visit("ttb", sys.ttb);
-        visit("tvec", sys.tvec);
-        visit("tval", sys.tval);
-        visit("saved_pc", sys.saved_pc);
-        visit("saved_status", RiscleSys::encode_status(sys.saved_status));
-        visit("scratch", sys.scratch);
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simbench_core::isa::Isa;
 
     #[test]
     fn isa_constants() {

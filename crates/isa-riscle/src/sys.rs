@@ -1,8 +1,14 @@
-//! riscle system state: CSRs and exception entry/exit.
+//! riscle system state — its CSRs — and the [`Isa`] implementation
+//! over it.
 
-use simbench_core::cpu::{CpuState, Flags, Privilege, Status};
-use simbench_core::fault::{CopFault, ExcInfo, ExceptionKind};
-use simbench_core::isa::CopEffect;
+use simbench_core::bus::Bus;
+use simbench_core::cpu::{CpuState, Status};
+use simbench_core::fault::{Bank, CopFault, ExcInfo, ExceptionKind};
+use simbench_core::ir::{DecodeError, Decoded};
+use simbench_core::isa::{CopEffect, Isa};
+use simbench_core::mmu::WalkResult;
+
+use crate::{decode, mmu, Riscle};
 
 /// CSR indices (accessed via `csrr`/`csrw`; riscle has a single system
 /// coprocessor, number 0).
@@ -38,9 +44,6 @@ pub mod csr {
 /// letters set.
 const MISA_VALUE: u32 = (1 << 30) | (1 << 8) | (1 << 2);
 
-/// Spacing of vector table entries in bytes.
-pub const VECTOR_STRIDE: u32 = 0x20;
-
 /// riscle system-register file.
 #[derive(Debug, Clone, Default)]
 pub struct RiscleSys {
@@ -52,79 +55,51 @@ pub struct RiscleSys {
     pub tvec: u32,
     /// Fault address.
     pub tval: u32,
-    /// Banked return address.
-    pub saved_pc: u32,
-    /// Banked status.
-    pub saved_status: Status,
+    /// Banked return address and status.
+    pub bank: Bank,
     /// Handler scratch.
     pub scratch: u32,
 }
 
-impl RiscleSys {
-    /// True when paging is enabled.
-    pub fn paging_enabled(&self) -> bool {
-        self.ctrl & 1 != 0
+impl Isa for Riscle {
+    const NAME: &'static str = "riscle";
+    const MAX_INSN_BYTES: usize = 4;
+    const GPRS: usize = 16;
+    type Sys = RiscleSys;
+
+    fn decode(bytes: &[u8], pc: u32) -> Result<Decoded, DecodeError> {
+        decode::decode(bytes, pc)
     }
 
-    /// Encode a [`Status`] into the CSR word format (same layout as the
-    /// armlet and petix status words, so the differ can compare them).
-    pub fn encode_status(s: Status) -> u32 {
-        (s.flags.n as u32) << 31
-            | (s.flags.z as u32) << 30
-            | (s.flags.c as u32) << 29
-            | (s.flags.v as u32) << 28
-            | (s.irq_enabled as u32) << 7
-            | ((s.level == Privilege::User) as u32) << 4
+    fn mmu_enabled(sys: &RiscleSys) -> bool {
+        sys.ctrl & 1 != 0
     }
 
-    fn decode_status(w: u32) -> Status {
-        Status {
-            flags: Flags {
-                n: w & (1 << 31) != 0,
-                z: w & (1 << 30) != 0,
-                c: w & (1 << 29) != 0,
-                v: w & (1 << 28) != 0,
-            },
-            irq_enabled: w & (1 << 7) != 0,
-            level: if w & (1 << 4) != 0 {
-                Privilege::User
-            } else {
-                Privilege::Kernel
-            },
-        }
+    fn walk<B: Bus>(sys: &RiscleSys, bus: &mut B, va: u32) -> WalkResult {
+        mmu::walk(sys, bus, va)
     }
 
-    /// CSR read.
-    ///
-    /// # Errors
-    ///
-    /// [`CopFault`] for nonexistent registers or a coprocessor other
-    /// than 0.
-    pub fn cop_read(&mut self, cp: u8, reg: u8) -> Result<u32, CopFault> {
+    fn cop_read(_cpu: &CpuState, sys: &mut RiscleSys, cp: u8, reg: u8) -> Result<u32, CopFault> {
         if cp != 0 {
             return Err(CopFault);
         }
         match reg {
-            csr::CTRL => Ok(self.ctrl),
-            csr::TTB => Ok(self.ttb),
-            csr::TVEC => Ok(self.tvec),
-            csr::TVAL => Ok(self.tval),
+            csr::CTRL => Ok(sys.ctrl),
+            csr::TTB => Ok(sys.ttb),
+            csr::TVEC => Ok(sys.tvec),
+            csr::TVAL => Ok(sys.tval),
             csr::MISA => Ok(MISA_VALUE),
-            csr::SAVED_PC => Ok(self.saved_pc),
-            csr::SAVED_STATUS => Ok(Self::encode_status(self.saved_status)),
-            csr::SCRATCH => Ok(self.scratch),
+            csr::SAVED_PC => Ok(sys.bank.pc),
+            csr::SAVED_STATUS => Ok(sys.bank.status.word()),
+            csr::SCRATCH => Ok(sys.scratch),
             _ => Err(CopFault),
         }
     }
 
-    /// CSR write.
-    ///
-    /// # Errors
-    ///
-    /// [`CopFault`] for nonexistent or read-only registers ([`csr::MISA`]).
-    pub fn cop_write(
-        &mut self,
+    /// A write to [`csr::MISA`] or a missing CSR faults.
+    fn cop_write(
         cpu: &mut CpuState,
+        sys: &mut RiscleSys,
         cp: u8,
         reg: u8,
         val: u32,
@@ -134,8 +109,8 @@ impl RiscleSys {
         }
         match reg {
             csr::CTRL => {
-                let was = self.ctrl;
-                self.ctrl = val;
+                let was = sys.ctrl;
+                sys.ctrl = val;
                 Ok(if (was ^ val) & 1 != 0 {
                     CopEffect::ContextChanged
                 } else {
@@ -143,23 +118,23 @@ impl RiscleSys {
                 })
             }
             csr::TTB => {
-                self.ttb = val;
+                sys.ttb = val;
                 // satp semantics: changing the root pointer invalidates
                 // cached translations.
                 Ok(CopEffect::ContextChanged)
             }
             csr::TVEC => {
-                self.tvec = val;
+                sys.tvec = val;
                 Ok(CopEffect::None)
             }
             csr::TLB_FLUSH => Ok(CopEffect::TlbFlush),
             csr::TLB_INV => Ok(CopEffect::TlbInvPage(val)),
             csr::SAVED_PC => {
-                self.saved_pc = val;
+                sys.bank.pc = val;
                 Ok(CopEffect::None)
             }
             csr::SAVED_STATUS => {
-                self.saved_status = Self::decode_status(val);
+                sys.bank.status = Status::from_word(val);
                 Ok(CopEffect::None)
             }
             csr::IRQ_CTL => {
@@ -167,53 +142,56 @@ impl RiscleSys {
                 Ok(CopEffect::None)
             }
             csr::SCRATCH => {
-                self.scratch = val;
+                sys.scratch = val;
                 Ok(CopEffect::None)
             }
             _ => Err(CopFault),
         }
     }
 
-    /// Take an exception: bank pc and status, drop to kernel with IRQs
-    /// masked, record the fault address for aborts, and return the
-    /// handler address.
-    pub fn enter_exception(
-        &mut self,
+    /// Records the fault address of an abort in `tval`.
+    fn enter_exception(
         cpu: &mut CpuState,
+        sys: &mut RiscleSys,
         kind: ExceptionKind,
         info: ExcInfo,
         return_pc: u32,
     ) -> u32 {
-        self.saved_pc = return_pc;
-        self.saved_status = cpu.status();
-        if matches!(
-            kind,
-            ExceptionKind::DataAbort | ExceptionKind::PrefetchAbort
-        ) {
-            self.tval = info.fault_addr;
+        if kind.is_abort() {
+            sys.tval = info.fault_addr;
         }
-        cpu.level = Privilege::Kernel;
-        cpu.irq_enabled = false;
-        self.tvec + VECTOR_STRIDE * kind.vector_index() as u32
+        sys.bank.enter(cpu, kind, return_pc, sys.tvec)
     }
 
-    /// Return from exception.
-    pub fn leave_exception(&mut self, cpu: &mut CpuState) -> u32 {
-        cpu.restore_status(self.saved_status);
-        self.saved_pc
+    fn leave_exception(cpu: &mut CpuState, sys: &mut RiscleSys) -> u32 {
+        sys.bank.leave(cpu)
+    }
+
+    fn sys_regs(sys: &RiscleSys, visit: &mut dyn FnMut(&'static str, u32)) {
+        visit("ctrl", sys.ctrl);
+        visit("ttb", sys.ttb);
+        visit("tvec", sys.tvec);
+        visit("tval", sys.tval);
+        visit("saved_pc", sys.bank.pc);
+        visit("saved_status", sys.bank.status.word());
+        visit("scratch", sys.scratch);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use Riscle as R;
 
     #[test]
     fn misa_is_readonly_constant() {
         let mut sys = RiscleSys::default();
         let mut cpu = CpuState::at_reset(0);
-        assert_eq!(sys.cop_read(0, csr::MISA).unwrap(), MISA_VALUE);
-        assert!(sys.cop_write(&mut cpu, 0, csr::MISA, 0).is_err());
+        assert_eq!(
+            R::cop_read(&cpu, &mut sys, 0, csr::MISA).unwrap(),
+            MISA_VALUE
+        );
+        assert!(R::cop_write(&mut cpu, &mut sys, 0, csr::MISA, 0).is_err());
     }
 
     #[test]
@@ -221,15 +199,15 @@ mod tests {
         let mut sys = RiscleSys::default();
         let mut cpu = CpuState::at_reset(0);
         assert_eq!(
-            sys.cop_write(&mut cpu, 0, csr::TTB, 0x8000).unwrap(),
+            R::cop_write(&mut cpu, &mut sys, 0, csr::TTB, 0x8000).unwrap(),
             CopEffect::ContextChanged
         );
         assert_eq!(
-            sys.cop_write(&mut cpu, 0, csr::TLB_INV, 0x1234).unwrap(),
+            R::cop_write(&mut cpu, &mut sys, 0, csr::TLB_INV, 0x1234).unwrap(),
             CopEffect::TlbInvPage(0x1234)
         );
         assert_eq!(
-            sys.cop_write(&mut cpu, 0, csr::TLB_FLUSH, 0).unwrap(),
+            R::cop_write(&mut cpu, &mut sys, 0, csr::TLB_FLUSH, 0).unwrap(),
             CopEffect::TlbFlush
         );
     }
@@ -239,11 +217,11 @@ mod tests {
         let mut sys = RiscleSys::default();
         let mut cpu = CpuState::at_reset(0);
         assert_eq!(
-            sys.cop_write(&mut cpu, 0, csr::CTRL, 1).unwrap(),
+            R::cop_write(&mut cpu, &mut sys, 0, csr::CTRL, 1).unwrap(),
             CopEffect::ContextChanged
         );
         assert_eq!(
-            sys.cop_write(&mut cpu, 0, csr::CTRL, 3).unwrap(),
+            R::cop_write(&mut cpu, &mut sys, 0, csr::CTRL, 3).unwrap(),
             CopEffect::None,
             "non-paging bits do not flush"
         );
@@ -251,9 +229,9 @@ mod tests {
 
     #[test]
     fn wrong_coprocessor_faults() {
-        let mut sys = RiscleSys::default();
-        assert!(sys.cop_read(1, csr::CTRL).is_err());
-        assert!(sys.cop_read(0, 15).is_err());
+        let (cpu, mut sys) = (CpuState::at_reset(0), RiscleSys::default());
+        assert!(R::cop_read(&cpu, &mut sys, 1, csr::CTRL).is_err());
+        assert!(R::cop_read(&cpu, &mut sys, 0, 15).is_err());
     }
 
     #[test]
@@ -264,8 +242,9 @@ mod tests {
         };
         let mut cpu = CpuState::at_reset(0x8000);
         cpu.irq_enabled = true;
-        let vec = sys.enter_exception(
+        let vec = R::enter_exception(
             &mut cpu,
+            &mut sys,
             ExceptionKind::PrefetchAbort,
             ExcInfo {
                 fault_addr: 0xBAD0_0000,
@@ -273,13 +252,13 @@ mod tests {
             },
             0xBAD0_0000,
         );
-        assert_eq!(vec, 0x1000 + VECTOR_STRIDE * 3);
+        assert_eq!(vec, 0x1000 + 3 * 0x20);
         assert_eq!(sys.tval, 0xBAD0_0000);
         assert!(!cpu.irq_enabled);
         // The handler redirects the resume point past the faulting
         // instruction (ResumeFromLink-style recovery).
-        sys.cop_write(&mut cpu, 0, csr::SAVED_PC, 0x8004).unwrap();
-        assert_eq!(sys.leave_exception(&mut cpu), 0x8004);
+        R::cop_write(&mut cpu, &mut sys, 0, csr::SAVED_PC, 0x8004).unwrap();
+        assert_eq!(R::leave_exception(&mut cpu, &mut sys), 0x8004);
         assert!(cpu.irq_enabled);
     }
 }

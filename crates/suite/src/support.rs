@@ -2,23 +2,36 @@
 //!
 //! The paper's benchmarks contain no architecture- or platform-specific
 //! code: everything of that kind lives in *support packages* (§II-C).
-//! [`Support`] is that boundary here. A support package owns:
+//! [`Support`] is that boundary here, and its provided
+//! [`Support::build`] holds everything the guests share: the memory
+//! [`Layout`] and its identity-mapped ranges, the exception vector table
+//! and the `Eret` and `AckIrqEret` handlers, the boot sequence (stack,
+//! page-table base, TLB flush, MMU on, optional IRQ unmask) and shipping
+//! the page tables as their non-zero bytes.
 //!
-//! * the memory [`Layout`] and static page tables,
-//! * boot code (stack, TTBR/CR3, MMU enable, vector base),
-//! * the exception vector table and the three canonical handler shapes,
-//! * the architecture-specific operations benchmarks request (safe
-//!   coprocessor read, non-privileged access, TLB maintenance, interrupt
-//!   trigger plumbing).
+//! A port supplies a [`PortableAsm`] assembler and a `Support` impl that
+//! says only where the guests differ:
 //!
-//! Porting SimBench-rs to a new architecture means implementing this
-//! trait (plus an [`PortableAsm`] assembler) — no benchmark changes.
+//! * [`Support::page_tables`]: the table builder and its flags,
+//! * [`Support::emit_table_base`], [`Support::emit_mmu_on`] and
+//!   [`Support::emit_irq_control`]: the boot sequence's system-register
+//!   writes,
+//! * [`Support::emit_vector_fill`]: the filler between vector entries
+//!   (a `nop` unless overridden),
+//! * [`Support::emit_resume_from_link`]: the body of the
+//!   [`HandlerKind::ResumeFromLink`] handler,
+//! * the operations benchmarks request: the safe coprocessor read,
+//!   non-privileged access and TLB maintenance.
+//!
+//! No benchmark changes.
 
 use simbench_core::asm::{PReg, PortableAsm};
 use simbench_core::fault::ExceptionKind;
 use simbench_core::image::GuestImage;
+use simbench_core::mmu::{PtFlags, PteEncoding, TableBuilder};
+use simbench_platform::devices::{INTC_ACK, INTC_ENABLE};
 
-/// Guest-visible memory layout shared by both support packages.
+/// Guest-visible memory layout shared by every support package.
 ///
 /// All code/data regions are identity-mapped (VA == PA) so the paper's
 /// bare-metal structure — boot with MMU off, enable it, keep running —
@@ -130,10 +143,14 @@ pub struct BootSpec {
     pub enable_irqs: bool,
 }
 
+/// One identity-mapped range of the boot page tables:
+/// `(start, length in bytes, flags)`.
+pub type IdentityRange = (u32, u32, PtFlags);
+
 /// An architecture + platform support package.
 pub trait Support {
     /// The architecture's assembler.
-    type Asm: PortableAsm;
+    type Asm: PortableAsm + Default;
 
     /// Architecture name (matches `Isa::NAME`).
     const ISA_NAME: &'static str;
@@ -156,7 +173,104 @@ pub trait Support {
         &self,
         spec: BootSpec,
         body: impl FnOnce(&mut Self::Asm, &Self, &Layout),
-    ) -> GuestImage;
+    ) -> GuestImage {
+        let layout = self.layout();
+        let mut a = Self::Asm::default();
+        let (tables, blob) = self.page_tables(
+            layout.tables,
+            &[
+                (0, 0x0060_0000, PtFlags::KERNEL),
+                (layout.data, 0x0020_0000, PtFlags::USER_FULL),
+                (layout.cold, layout.cold_len, PtFlags::KERNEL),
+                (
+                    simbench_platform::DEVICE_BASE,
+                    0x5000,
+                    PtFlags::KERNEL_DEVICE,
+                ),
+            ],
+        );
+
+        // Vector table: a branch per exception kind, `VECTOR_STRIDE` apart.
+        a.org(layout.vectors);
+        let vectors = ExceptionKind::ALL.map(|kind| {
+            let handler = a.new_label();
+            while a.here() < kind.vector(layout.vectors) {
+                self.emit_vector_fill(&mut a);
+            }
+            a.b(handler);
+            (kind, handler)
+        });
+
+        // Handlers.
+        a.org(layout.handlers);
+        for (kind, handler) in vectors {
+            a.bind(handler);
+            match spec.handlers.for_kind(kind) {
+                HandlerKind::Eret => {}
+                HandlerKind::ResumeFromLink => self.emit_resume_from_link(&mut a),
+                HandlerKind::AckIrqEret => {
+                    // Clobbers D and E (IRQ-driven benchmarks keep D/E
+                    // dead in their kernels).
+                    a.mov_imm(PReg::D, layout.intc);
+                    a.mov_imm(PReg::E, 1);
+                    a.store(PReg::E, PReg::D, INTC_ACK as i32);
+                }
+            }
+            a.eret();
+        }
+
+        // Boot: stack, table base, TLB flush, MMU on, optional IRQ
+        // unmask, then jump into the benchmark body.
+        a.org(layout.boot);
+        let code_entry = a.new_label();
+        a.mov_imm(PReg::Sp, layout.stack_top);
+        a.mov_imm(PReg::A, tables);
+        self.emit_table_base(&mut a, PReg::A);
+        self.emit_tlb_flush(&mut a, PReg::A);
+        a.mov_imm(PReg::A, 1);
+        self.emit_mmu_on(&mut a, PReg::A);
+        if spec.enable_irqs {
+            a.mov_imm(PReg::A, layout.intc);
+            a.mov_imm(PReg::B, 1);
+            a.store(PReg::B, PReg::A, INTC_ENABLE as i32);
+            a.mov_imm(PReg::A, 1);
+            self.emit_irq_control(&mut a, PReg::A);
+        }
+        a.b(code_entry);
+
+        // Benchmark body.
+        a.org(layout.code);
+        a.bind(code_entry);
+        body(&mut a, self, &layout);
+
+        // Page tables: only their non-zero chunks ship.
+        let mut image = a.finish(layout.boot);
+        image.push_nonzero(tables, &blob);
+        image
+    }
+
+    /// Build page tables at physical `base` that identity-map `ranges`,
+    /// later ranges overriding earlier ones: `(table base, table bytes)`.
+    fn page_tables(&self, base: u32, ranges: &[IdentityRange]) -> (u32, Vec<u8>);
+
+    /// Emit the write of the page-table base held in `rs`.
+    fn emit_table_base(&self, a: &mut Self::Asm, rs: PReg);
+
+    /// Emit the write that turns the MMU on; `rs` holds 1.
+    fn emit_mmu_on(&self, a: &mut Self::Asm, rs: PReg);
+
+    /// Emit the write of the current IRQ enable; `rs` holds 1.
+    fn emit_irq_control(&self, a: &mut Self::Asm, rs: PReg);
+
+    /// Emit one unit of the filler between vector-table entries.
+    fn emit_vector_fill(&self, a: &mut Self::Asm) {
+        a.nop();
+    }
+
+    /// Emit the [`HandlerKind::ResumeFromLink`] handler up to its `eret`:
+    /// point the banked resume address at the faulted call's return
+    /// address. May clobber `PReg::D`.
+    fn emit_resume_from_link(&self, a: &mut Self::Asm);
 
     /// Emit the designated side-effect-free coprocessor read (armlet:
     /// CP15 DACR; petix: FPU control word).
@@ -176,6 +290,16 @@ pub trait Support {
 
     /// Emit a full TLB flush. May clobber `scratch`.
     fn emit_tlb_flush(&self, a: &mut Self::Asm, scratch: PReg);
+}
+
+/// [`Support::page_tables`] for a guest with the shared 10/10/12 table
+/// format, whose entries `E` encodes.
+pub fn identity_tables<E: PteEncoding>(base: u32, ranges: &[IdentityRange]) -> (u32, Vec<u8>) {
+    let mut tb = TableBuilder::<E>::new(base);
+    for &(start, len, flags) in ranges {
+        tb.map_range(start, start, len, flags);
+    }
+    tb.into_blob()
 }
 
 /// Emit a benchmark-phase mark (1 = kernel start, 2 = kernel end).

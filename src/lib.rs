@@ -8,7 +8,8 @@
 //!
 //! * [`core`] — guest micro-op IR, CPU state, MMU/TLB abstractions,
 //!   event counters, engine traits, portable assembler interface.
-//! * [`armlet`] / [`petix`] — the two guest ISAs (ARM-like and x86-like).
+//! * [`armlet`] / [`petix`] / [`riscle`] — the three guest ISAs
+//!   (ARM-like, x86-like and RISC-V-like).
 //! * [`platform`] — RAM + UART / INTC / timer / safe-device board model.
 //! * [`interp`] / [`detailed`] / [`dbt`] / [`virt`] — the four
 //!   full-system engines (SimIt-ARM, Gem5, QEMU and QEMU-KVM analogues).
@@ -21,7 +22,7 @@
 //!   declarative guests × engines × workloads matrix expanded into jobs,
 //!   executed on a completion-driven worker pool, aggregated into per-cell
 //!   statistics (including the deterministic event profile), persisted
-//!   as versioned `simbench-campaign/v6` JSON (`v5` files still load),
+//!   as versioned `simbench-campaign/v7` JSON (`v6` files still load),
 //!   and compared counter-exactly against stored baselines on event
 //!   profiles.
 //! * [`harness`] — experiment drivers regenerating every paper table
@@ -54,6 +55,7 @@ pub use simbench_harness as harness;
 pub use simbench_interp as interp;
 pub use simbench_isa_armlet as armlet;
 pub use simbench_isa_petix as petix;
+pub use simbench_isa_riscle as riscle;
 pub use simbench_obs as obs;
 pub use simbench_platform as platform;
 pub use simbench_suite as suite;

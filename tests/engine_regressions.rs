@@ -362,11 +362,7 @@ fn sys_reg<I: Isa>(m: &Machine<I, Platform>, name: &str) -> u32 {
 /// `MAX_INSN_BYTES` long; whatever follows its undecodable head halts,
 /// so a handler sent back short of `pc + MAX_INSN_BYTES` never reaches
 /// the closing phase mark.
-fn undecodable_bytes_trap_past_their_nominal_length<I: Isa, A: PortableAsm>(
-    mut a: A,
-    vector_stride: u32,
-    insn: &[u8],
-) {
+fn undecodable_bytes_trap_past_their_nominal_length<I: Isa, A: PortableAsm>(mut a: A, insn: &[u8]) {
     use simbench_core::fault::ExceptionKind;
     use simbench_suite::support::{emit_phase_mark, Layout};
 
@@ -374,7 +370,7 @@ fn undecodable_bytes_trap_past_their_nominal_length<I: Isa, A: PortableAsm>(
     assert!(I::decode(insn, 0x8000).is_err(), "{}: decodes", I::NAME);
     let layout = Layout::default();
     // Paging off, vector base at its reset value of 0.
-    a.org(vector_stride * ExceptionKind::Undef.vector_index() as u32);
+    a.org(ExceptionKind::Undef.vector(0));
     a.eret();
     a.org(0x8000);
     emit_phase_mark(&mut a, &layout, 1);
@@ -402,7 +398,6 @@ fn undecodable_bytes_trap_past_their_nominal_length<I: Isa, A: PortableAsm>(
 fn armlet_reserved_class_is_undefined_on_every_engine() {
     undecodable_bytes_trap_past_their_nominal_length::<Armlet, _>(
         ArmletAsm::new(),
-        simbench_isa_armlet::sys::VECTOR_STRIDE,
         &0xF000_0000u32.to_le_bytes(),
     );
 }
@@ -412,7 +407,6 @@ fn petix_unassigned_opcode_is_undefined_on_every_engine() {
     // One byte decides; the five after it are `halt`s.
     undecodable_bytes_trap_past_their_nominal_length::<Petix, _>(
         PetixAsm::new(),
-        simbench_isa_petix::sys::VECTOR_STRIDE,
         &[0xFF, 1, 1, 1, 1, 1],
     );
 }
@@ -423,7 +417,6 @@ fn riscle_unassigned_wide_opcode_is_undefined_on_every_engine() {
     // Quadrant 3 (a 32-bit form) with op5 = 0x1F.
     undecodable_bytes_trap_past_their_nominal_length::<Riscle, _>(
         RiscleAsm::new(),
-        simbench_isa_riscle::sys::VECTOR_STRIDE,
         &0x0000_007Fu32.to_le_bytes(),
     );
 }
@@ -437,13 +430,13 @@ fn riscle_unassigned_wide_opcode_is_undefined_on_every_engine() {
 fn a_fetch_truncated_by_the_end_of_ram_is_undefined_on_every_engine() {
     use simbench_core::fault::ExceptionKind;
     use simbench_isa_petix::encoding::mov_imm32;
-    use simbench_isa_petix::sys::{cr, VECTOR_STRIDE};
+    use simbench_isa_petix::sys::cr;
 
     let tail_at = BARE_RAM as u32 - 3;
     let mut a = PetixAsm::new();
-    a.org(VECTOR_STRIDE * ExceptionKind::Undef.vector_index() as u32);
+    a.org(ExceptionKind::Undef.vector(0));
     a.eret();
-    a.org(VECTOR_STRIDE * ExceptionKind::PrefetchAbort.vector_index() as u32);
+    a.org(ExceptionKind::PrefetchAbort.vector(0));
     a.pop(PReg::D);
     a.mov_to_cr(cr::SAVED_PC, PReg::D);
     a.eret();

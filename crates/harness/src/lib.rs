@@ -51,8 +51,7 @@ pub(crate) fn run_campaign(spec: &CampaignSpec, cfg: &Config) -> CampaignResult 
 const FIGURE_REPS: u32 = 1;
 
 /// A figure campaign spec: scale and wall limit come from [`Config`],
-/// the matrix from the caller, and every cell runs
-/// [`FIGURE_REPS`] repetition.
+/// the matrix from the caller; each cell runs once ([`FIGURE_REPS`]).
 pub(crate) fn figure_spec(
     name: &str,
     guests: Vec<Guest>,

@@ -23,7 +23,7 @@ impl Support for ArmletSupport {
     const ISA_NAME: &'static str = "armlet";
     const HAS_NONPRIV: bool = true;
 
-    fn page_tables(&self, base: u32, ranges: &[IdentityRange]) -> (u32, Vec<u8>) {
+    fn page_tables(&self, base: u32, ranges: &[IdentityRange]) -> Vec<u8> {
         // ARM-style sections where aligned, coarse tables elsewhere.
         let mut tb = TableBuilder::new(base);
         for &(start, len, flags) in ranges {
@@ -35,7 +35,7 @@ impl Support for ArmletSupport {
             };
             tb.map_range(start, start, len, access);
         }
-        tb.into_blob()
+        tb.into_blob().1
     }
 
     fn emit_table_base(&self, a: &mut ArmletAsm, rs: PReg) {

@@ -23,7 +23,7 @@ impl Support for PetixSupport {
     const ISA_NAME: &'static str = "petix";
     const HAS_NONPRIV: bool = false;
 
-    fn page_tables(&self, base: u32, ranges: &[IdentityRange]) -> (u32, Vec<u8>) {
+    fn page_tables(&self, base: u32, ranges: &[IdentityRange]) -> Vec<u8> {
         identity_tables::<PetixPte>(base, ranges)
     }
 

@@ -24,7 +24,7 @@ impl Support for RiscleSupport {
     const ISA_NAME: &'static str = "riscle";
     const HAS_NONPRIV: bool = false;
 
-    fn page_tables(&self, base: u32, ranges: &[IdentityRange]) -> (u32, Vec<u8>) {
+    fn page_tables(&self, base: u32, ranges: &[IdentityRange]) -> Vec<u8> {
         identity_tables::<RisclePte>(base, ranges)
     }
 

@@ -23,7 +23,7 @@
 //! * the operations benchmarks request: the safe coprocessor read,
 //!   non-privileged access and TLB maintenance.
 //!
-//! No benchmark changes.
+//! A port changes no benchmark.
 
 use simbench_core::asm::{PReg, PortableAsm};
 use simbench_core::fault::ExceptionKind;
@@ -176,7 +176,7 @@ pub trait Support {
     ) -> GuestImage {
         let layout = self.layout();
         let mut a = Self::Asm::default();
-        let (tables, blob) = self.page_tables(
+        let tables = self.page_tables(
             layout.tables,
             &[
                 (0, 0x0060_0000, PtFlags::KERNEL),
@@ -224,7 +224,7 @@ pub trait Support {
         a.org(layout.boot);
         let code_entry = a.new_label();
         a.mov_imm(PReg::Sp, layout.stack_top);
-        a.mov_imm(PReg::A, tables);
+        a.mov_imm(PReg::A, layout.tables);
         self.emit_table_base(&mut a, PReg::A);
         self.emit_tlb_flush(&mut a, PReg::A);
         a.mov_imm(PReg::A, 1);
@@ -245,13 +245,13 @@ pub trait Support {
 
         // Page tables: only their non-zero chunks ship.
         let mut image = a.finish(layout.boot);
-        image.push_nonzero(tables, &blob);
+        image.push_nonzero(layout.tables, &tables);
         image
     }
 
-    /// Build page tables at physical `base` that identity-map `ranges`,
-    /// later ranges overriding earlier ones: `(table base, table bytes)`.
-    fn page_tables(&self, base: u32, ranges: &[IdentityRange]) -> (u32, Vec<u8>);
+    /// The bytes of page tables loaded at physical `base` that
+    /// identity-map `ranges`, later ranges overriding earlier ones.
+    fn page_tables(&self, base: u32, ranges: &[IdentityRange]) -> Vec<u8>;
 
     /// Emit the write of the page-table base held in `rs`.
     fn emit_table_base(&self, a: &mut Self::Asm, rs: PReg);
@@ -294,12 +294,12 @@ pub trait Support {
 
 /// [`Support::page_tables`] for a guest with the shared 10/10/12 table
 /// format, whose entries `E` encodes.
-pub fn identity_tables<E: PteEncoding>(base: u32, ranges: &[IdentityRange]) -> (u32, Vec<u8>) {
+pub fn identity_tables<E: PteEncoding>(base: u32, ranges: &[IdentityRange]) -> Vec<u8> {
     let mut tb = TableBuilder::<E>::new(base);
     for &(start, len, flags) in ranges {
         tb.map_range(start, start, len, flags);
     }
-    tb.into_blob()
+    tb.into_blob().1
 }
 
 /// Emit a benchmark-phase mark (1 = kernel start, 2 = kernel end).

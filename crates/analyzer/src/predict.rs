@@ -175,11 +175,20 @@ impl<I: Isa> PredictCtx<'_, I> {
                 kind: FaultKind::Unaligned,
             });
         }
+        self.translate(va, access, nonpriv)
+    }
+
+    /// Translate `va` through the single-entry cache of its access
+    /// class, counting the probe and walking on a miss.
+    fn translate(&mut self, va: u32, access: AccessKind, nonpriv: bool) -> Result<u32, MemFault> {
         if !I::mmu_enabled(self.sys) {
             return Ok(va);
         }
-        let vpage = page_of(va);
-        let entry = match self.dcache.lookup(vpage) {
+        let cache = match access {
+            AccessKind::Execute => &mut *self.icache,
+            AccessKind::Read | AccessKind::Write => &mut *self.dcache,
+        };
+        let entry = match cache.lookup(page_of(va)) {
             Some(e) => {
                 self.counters.tlb_hits += 1;
                 e
@@ -190,11 +199,51 @@ impl<I: Isa> PredictCtx<'_, I> {
                     f.access = access;
                     f
                 })?;
-                self.dcache.insert(e);
+                cache.insert(e);
                 e
             }
         };
         entry.check(va, access, self.cpu.level.is_kernel(), nonpriv)
+    }
+
+    /// Translate-for-execute and read raw instruction bytes at `pc`.
+    /// `Err` is the prefetch abort.
+    fn fetch_insn(&mut self, pc: u32) -> Result<Decoded, MemFault> {
+        let mut bytes = [0u8; 8];
+        let mut have = 0usize;
+        let want = I::MAX_INSN_BYTES;
+        let mut va = pc;
+        while have < want {
+            let pa = match self.translate(va, AccessKind::Execute, false) {
+                Ok(pa) => pa,
+                // A truncated tail only aborts if the decoder actually
+                // needs the missing bytes.
+                Err(_) if have > 0 => break,
+                Err(f) => return Err(f),
+            };
+            let page_left = (0x1000 - (va & 0xFFF)) as usize;
+            let n = page_left.min(want - have);
+            let ram = self.bus.ram();
+            if (pa as usize) + n <= ram.len() {
+                bytes[have..have + n].copy_from_slice(&ram[pa as usize..pa as usize + n]);
+            } else {
+                if have == 0 {
+                    return Err(MemFault {
+                        addr: pc,
+                        access: AccessKind::Execute,
+                        kind: FaultKind::BusError,
+                    });
+                }
+                break;
+            }
+            have += n;
+            va = va.wrapping_add(n as u32);
+        }
+        Ok(match I::decode(&bytes[..have], pc) {
+            Ok(d) => d,
+            // Undecodable bytes raise Undef through the engines' explicit op.
+            Err(_) => *undecodable::<I>(),
+        })
     }
 
     fn apply_cop_effect(&mut self, effect: CopEffect) {
@@ -284,84 +333,6 @@ impl<I: Isa> ExecCtx for PredictCtx<'_, I> {
     }
 }
 
-/// Translate-for-execute and read raw instruction bytes at `pc`,
-/// charging TLB probes to `counters`. `Err` is the prefetch abort.
-fn fetch_insn<I: Isa>(
-    cpu: &CpuState,
-    sys: &mut I::Sys,
-    bus: &mut WatchedBus,
-    icache: &mut SingleEntryCache,
-    counters: &mut Counters,
-    pc: u32,
-) -> Result<Decoded, MemFault> {
-    let mut bytes = [0u8; 8];
-    let mut have = 0usize;
-    let want = I::MAX_INSN_BYTES;
-    let mut va = pc;
-    while have < want {
-        let pa = if !I::mmu_enabled(sys) {
-            va
-        } else {
-            let vpage = page_of(va);
-            let entry = match icache.lookup(vpage) {
-                Some(e) => {
-                    counters.tlb_hits += 1;
-                    e
-                }
-                None => {
-                    counters.tlb_misses += 1;
-                    match I::walk(sys, bus, va) {
-                        Ok(e) => {
-                            icache.insert(e);
-                            e
-                        }
-                        Err(mut f) => {
-                            f.access = AccessKind::Execute;
-                            // A truncated tail only aborts if the decoder
-                            // actually needs the missing bytes.
-                            if have > 0 {
-                                break;
-                            }
-                            return Err(f);
-                        }
-                    }
-                }
-            };
-            match entry.check(va, AccessKind::Execute, cpu.level.is_kernel(), false) {
-                Ok(pa) => pa,
-                Err(f) => {
-                    if have > 0 {
-                        break;
-                    }
-                    return Err(f);
-                }
-            }
-        };
-        let page_left = (0x1000 - (va & 0xFFF)) as usize;
-        let n = page_left.min(want - have);
-        let ram = bus.ram();
-        if (pa as usize) + n <= ram.len() {
-            bytes[have..have + n].copy_from_slice(&ram[pa as usize..pa as usize + n]);
-        } else {
-            if have == 0 {
-                return Err(MemFault {
-                    addr: pc,
-                    access: AccessKind::Execute,
-                    kind: FaultKind::BusError,
-                });
-            }
-            break;
-        }
-        have += n;
-        va = va.wrapping_add(n as u32);
-    }
-    Ok(match I::decode(&bytes[..have], pc) {
-        Ok(d) => d,
-        // Undecodable bytes raise Undef through the engines' explicit op.
-        Err(_) => *undecodable::<I>(),
-    })
-}
-
 /// Predict the event profile of `image` run from reset to halt, with a
 /// budget of `fuel` retired instructions.
 pub fn predict<I: Isa>(image: &GuestImage, fuel: u64) -> Prediction {
@@ -393,14 +364,15 @@ pub fn predict<I: Isa>(image: &GuestImage, fuel: u64) -> Prediction {
         }
 
         let pc = m.cpu.pc;
-        let decoded = match fetch_insn::<I>(
-            &m.cpu,
-            &mut m.sys,
-            &mut m.bus,
-            &mut icache,
-            &mut counters,
-            pc,
-        ) {
+        let mut ctx = PredictCtx::<I> {
+            cpu: &mut m.cpu,
+            sys: &mut m.sys,
+            bus: &mut m.bus,
+            dcache: &mut dcache,
+            icache: &mut icache,
+            counters: &mut counters,
+        };
+        let decoded = match ctx.fetch_insn(pc) {
             Ok(d) => d,
             Err(f) => {
                 counters.insn_faults += 1;
@@ -416,16 +388,8 @@ pub fn predict<I: Isa>(image: &GuestImage, fuel: u64) -> Prediction {
             }
         };
 
-        counters.instructions += 1;
+        ctx.counters.instructions += 1;
         let next_pc = pc.wrapping_add(decoded.len as u32);
-        let mut ctx = PredictCtx::<I> {
-            cpu: &mut m.cpu,
-            sys: &mut m.sys,
-            bus: &mut m.bus,
-            dcache: &mut dcache,
-            icache: &mut icache,
-            counters: &mut counters,
-        };
 
         let mut new_pc = next_pc;
         let mut trap: Option<Trap> = None;

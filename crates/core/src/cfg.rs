@@ -178,38 +178,30 @@ impl<'a, I: Isa> Recovery<'a, I> {
         }
     }
 
+    /// The section holding `addr`, and `addr`'s offset in it.
+    fn locate(&self, addr: u32) -> Option<(&'a [u8], usize)> {
+        let i = match self.sections.binary_search_by_key(&addr, |(a, _)| *a) {
+            Ok(i) => i,
+            Err(0) => return None,
+            Err(i) => i - 1,
+        };
+        let (base, bytes) = self.sections[i];
+        let off = addr.wrapping_sub(base) as usize;
+        (off < bytes.len()).then_some((bytes, off))
+    }
+
     fn in_image(&self, addr: u32) -> bool {
-        match self.sections.binary_search_by_key(&addr, |(a, _)| *a) {
-            Ok(_) => true,
-            Err(0) => false,
-            Err(i) => {
-                let (base, bytes) = self.sections[i - 1];
-                addr - base < bytes.len() as u32
-            }
-        }
+        self.locate(addr).is_some()
     }
 
     /// Read up to 8 bytes starting at `addr`, zero-filling gaps — the
     /// exact bytes a machine would fetch, since RAM is zeroed before
     /// the image loads.
     fn read_bytes(&self, addr: u32) -> [u8; 8] {
-        let mut out = [0u8; 8];
-        for (i, slot) in out.iter_mut().enumerate() {
-            let a = addr.wrapping_add(i as u32);
-            let idx = match self.sections.binary_search_by_key(&a, |(b, _)| *b) {
-                Ok(i) => Some(i),
-                Err(0) => None,
-                Err(i) => Some(i - 1),
-            };
-            if let Some(si) = idx {
-                let (base, bytes) = self.sections[si];
-                let off = a.wrapping_sub(base) as usize;
-                if off < bytes.len() {
-                    *slot = bytes[off];
-                }
-            }
-        }
-        out
+        std::array::from_fn(|i| {
+            let at = self.locate(addr.wrapping_add(i as u32));
+            at.map_or(0, |(bytes, off)| bytes[off])
+        })
     }
 
     fn run(self, roots: &[u32]) -> Cfg {

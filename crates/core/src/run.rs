@@ -3,8 +3,8 @@
 //! Everything about running a guest that does not depend on the
 //! engine's *mechanism* is written here exactly once: the [`ExecCtx`]
 //! implementation over `(CpuState, I::Sys, Bus, Counters)`
-//! ([`ExecCore`]), the counted cross-page instruction fetch
-//! ([`ExecCore::fetch_bytes`]), exception delivery
+//! ([`ExecCore`]), instruction fetch ([`in_page_window`], the dbt's too,
+//! and the cross-page [`ExecCore::fetch_bytes`]), exception delivery
 //! ([`ExecCore::deliver`] — the only caller of
 //! [`Isa::enter_exception`] / [`Isa::leave_exception`]), branch
 //! classification ([`count_branch`]) and the per-instruction run loop
@@ -38,7 +38,7 @@ use crate::ir::{Decoded, MemSize, Op};
 use crate::isa::{undecodable, CopEffect, Isa};
 use crate::machine::Machine;
 use crate::mmu::TlbEntry;
-use crate::{page_base, page_of};
+use crate::{page_base, page_of, PAGE_SIZE};
 
 /// Main-loop iterations between wall-clock limit checks. Iterations,
 /// not retired instructions: IRQ-delivery and prefetch-abort iterations
@@ -240,6 +240,21 @@ pub fn count_branch(counters: &mut Counters, from_pc: u32, target: u32, flavor: 
     }
 }
 
+/// The fixed-size read behind every in-page fetch: copy the
+/// [`Isa::MAX_INSN_BYTES`]-byte window at `pc` (physical `pa`) into `buf`
+/// if it ends inside both `pc`'s page and `ram`. `false` leaves the
+/// window to [`ExecCore::fetch_bytes`].
+#[inline(always)]
+pub fn in_page_window<I: Isa>(ram: &[u8], pc: u32, pa: u32, buf: &mut [u8; 8]) -> bool {
+    let n = I::MAX_INSN_BYTES;
+    let fits = (pc & (PAGE_SIZE - 1)) as usize + n <= PAGE_SIZE as usize;
+    match ram.get(pa as usize..pa as usize + n) {
+        Some(window) if fits => buf[..n].copy_from_slice(window),
+        _ => return false,
+    }
+    true
+}
+
 /// Machine borrows, the run's counters and the engine's policy: the
 /// context every op executes against.
 pub struct ExecCore<'a, I: Isa, B: Bus, P: Policy> {
@@ -423,8 +438,8 @@ impl<'a, I: Isa, B: Bus, P: Policy> ExecCore<'a, I, B, P> {
         Ok(have)
     }
 
-    /// Translate `pc` and read the raw instruction bytes there
-    /// ([`ExecCore::fetch_bytes`]).
+    /// Translate `pc` and read the raw instruction bytes there: the
+    /// [`in_page_window`], or [`ExecCore::fetch_bytes`] for one it leaves.
     ///
     /// # Errors
     ///
@@ -432,6 +447,10 @@ impl<'a, I: Isa, B: Bus, P: Policy> ExecCore<'a, I, B, P> {
     #[inline]
     pub fn fetch_at(&mut self, pc: u32, buf: &mut [u8; 8]) -> Result<usize, MemFault> {
         let pa = self.translate_exec(pc)?;
+        if in_page_window::<I>(self.bus.ram(), pc, pa, buf) {
+            self.policy.fetch_cost(pa);
+            return Ok(I::MAX_INSN_BYTES);
+        }
         self.fetch_bytes(pc, pa, buf)
     }
 

@@ -58,7 +58,7 @@ use simbench_core::ir::{MemSize, Op};
 use simbench_core::isa::{undecodable, Isa};
 use simbench_core::machine::Machine;
 use simbench_core::pool::Pool;
-use simbench_core::run::{count_branch, Event, ExecCore, Policy, PolicyObs, Tlb};
+use simbench_core::run::{count_branch, in_page_window, Event, ExecCore, Policy, PolicyObs, Tlb};
 use simbench_core::{page_of, PAGE_SHIFT, PAGE_SIZE};
 
 use cache::{CodeCache, TbId, TbStep};
@@ -203,11 +203,9 @@ impl<I: Isa> Dbt<I> {
     /// is in the same page.
     ///
     /// `first_pa` established the page's translation and execute
-    /// permission, so while the decoder's window lies inside the page
-    /// (and RAM) the bytes are read from it directly; only a window that
-    /// crosses the page end takes the shared core's cross-page fetch,
-    /// which translates the tail page (fetch-side probes are uncounted
-    /// here either way).
+    /// permission, so the shared [`in_page_window`] reads from it
+    /// directly; only a window it leaves takes the cross-page fetch,
+    /// which translates the tail page (its probes are uncounted here).
     #[inline]
     fn fetch_in_block<B: Bus>(
         &mut self,
@@ -218,29 +216,11 @@ impl<I: Isa> Dbt<I> {
         cur: u32,
         buf: &mut [u8; 8],
     ) -> Result<usize, MemFault> {
-        let want = I::MAX_INSN_BYTES;
-        let pa = first_pa.wrapping_add(cur.wrapping_sub(pc)) as usize;
-        let in_page = (cur & (PAGE_SIZE - 1)) as usize + want <= PAGE_SIZE as usize;
-        match m.bus.ram().get(pa..pa + want) {
-            Some(window) if in_page => {
-                buf[..want].copy_from_slice(window);
-                Ok(want)
-            }
-            _ => self.fetch_across_pages(m, counters, cur, buf),
+        let pa = first_pa.wrapping_add(cur.wrapping_sub(pc));
+        if in_page_window::<I>(m.bus.ram(), cur, pa, buf) {
+            return Ok(I::MAX_INSN_BYTES);
         }
-    }
-
-    /// Fetch raw instruction bytes at `pc` the long way: translate, and
-    /// translate again for a tail on the next page.
-    #[inline(never)]
-    fn fetch_across_pages<B: Bus>(
-        &mut self,
-        m: &mut Machine<I, B>,
-        counters: &mut Counters,
-        pc: u32,
-        buf: &mut [u8; 8],
-    ) -> Result<usize, MemFault> {
-        self.with_core(m, counters, |core| core.fetch_at(pc, buf))
+        self.with_core(m, counters, |core| core.fetch_bytes(cur, pa, buf))
     }
 
     /// Deliver an exception-class event through the shared core.

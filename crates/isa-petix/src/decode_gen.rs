@@ -458,14 +458,14 @@ pub fn decode(bytes: &[u8], pc: u32) -> Result<Decoded, DecodeError> {
     }
 }
 
-/// Little-endian instruction window: byte `k` at bits `[8k+7:8k]`.
+/// Little-endian instruction window: byte `k` at bits `[8k+7:8k]`,
+/// read whole, past `len`, from a buffer of 6 bytes or more.
 #[inline]
 fn window(bytes: &[u8], len: usize) -> u64 {
-    let mut w = 0u64;
-    let mut i = 0;
-    while i < len {
-        w |= (bytes[i] as u64) << (8 * i);
-        i += 1;
+    if let Some(&[b0, b1, b2, b3, b4, b5]) = bytes.first_chunk() {
+        return u64::from_le_bytes([b0, b1, b2, b3, b4, b5, 0, 0]);
     }
-    w
+    let mut w = [0u8; 8];
+    w[..len].copy_from_slice(&bytes[..len]);
+    u64::from_le_bytes(w)
 }

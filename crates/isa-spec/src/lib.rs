@@ -792,16 +792,23 @@ pub fn generate(spec: &Spec) -> Result<String, SpecError> {
             gen.dispatch_match("opc", &groups)?;
             gen.push("}");
             gen.push("");
-            gen.push("/// Little-endian instruction window: byte `k` at bits `[8k+7:8k]`.");
+            let max = spec.groups.iter().filter_map(|g| g.len).max().unwrap_or(1);
+            let b: Vec<String> = (0..8)
+                .map(|k| if k < max { format!("b{k}") } else { "0".into() })
+                .collect();
+            gen.push("/// Little-endian instruction window: byte `k` at bits `[8k+7:8k]`,");
+            gen.push(&format!(
+                "/// read whole, past `len`, from a buffer of {max} bytes or more."
+            ));
             gen.push("#[inline]");
             gen.push("fn window(bytes: &[u8], len: usize) -> u64 {");
-            gen.push("let mut w = 0u64;");
-            gen.push("let mut i = 0;");
-            gen.push("while i < len {");
-            gen.push("w |= (bytes[i] as u64) << (8 * i);");
-            gen.push("i += 1;");
+            let head = b[..max as usize].join(", ");
+            gen.push(&format!("if let Some(&[{head}]) = bytes.first_chunk() {{"));
+            gen.push(&format!("return u64::from_le_bytes([{}]);", b.join(", ")));
             gen.push("}");
-            gen.push("w");
+            gen.push("let mut w = [0u8; 8];");
+            gen.push("w[..len].copy_from_slice(&bytes[..len]);");
+            gen.push("u64::from_le_bytes(w)");
             gen.push("}");
         }
         Mode::Half16_32 => {

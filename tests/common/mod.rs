@@ -7,7 +7,8 @@ use simbench_campaign::EngineKind;
 use simbench_core::image::GuestImage;
 use simbench_core::isa::Isa;
 use simbench_differ::{lockstep, DifferConfig};
-use simbench_isa_riscle::{Riscle, RiscleAsm};
+use simbench_isa_riscle::Riscle;
+use simbench_suite::{RiscleSupport, Support};
 
 /// Physical base of the page tables.
 pub const TABLES: u32 = 0x0010_0000;
@@ -16,23 +17,34 @@ const BOOT_SPAN: u32 = 0x0010_0000;
 
 /// A guest these tests can put under paging.
 pub trait PagedGuest: Isa {
-    type Asm: PortableAsm;
-    fn asm() -> Self::Asm;
+    /// The suite's support package, whose boot-sequence hooks switch
+    /// paging on.
+    type Support: Support + Default;
+    fn asm() -> Asm<Self> {
+        Asm::<Self>::default()
+    }
     /// The architecture's encoding of `PReg::A`.
     fn reg_a() -> u8;
     /// Kernel page tables at [`TABLES`] mapping [`BOOT_SPAN`] onto
     /// itself and each `(virtual page, frame)` of `pages`: the root
     /// register value and the table bytes.
     fn tables(pages: &[(u32, u32)]) -> (u32, Vec<u8>);
-    /// Point the MMU at `root` and switch it on. Clobbers `A`.
-    fn paging_on(a: &mut Self::Asm, root: u32);
+    /// Point the MMU at `root` and switch it on, as the suite's boot
+    /// sequence does. Clobbers `A`.
+    fn paging_on(a: &mut Asm<Self>, root: u32) {
+        let support = Self::Support::default();
+        a.mov_imm(PReg::A, root);
+        support.emit_table_base(a, PReg::A);
+        a.mov_imm(PReg::A, 1);
+        support.emit_mmu_on(a, PReg::A);
+    }
 }
 
+/// The assembler of a [`PagedGuest`].
+pub type Asm<G> = <<G as PagedGuest>::Support as Support>::Asm;
+
 impl PagedGuest for Armlet {
-    type Asm = ArmletAsm;
-    fn asm() -> ArmletAsm {
-        ArmletAsm::new()
-    }
+    type Support = ArmletSupport;
     fn reg_a() -> u8 {
         simbench_isa_armlet::asm::reg(PReg::A)
     }
@@ -45,20 +57,10 @@ impl PagedGuest for Armlet {
         }
         tb.into_blob()
     }
-    fn paging_on(a: &mut ArmletAsm, root: u32) {
-        use simbench_isa_armlet::sys::{cp15, CP_SYS};
-        a.mov_imm(PReg::A, root);
-        a.mcr(CP_SYS, cp15::TTBR, PReg::A);
-        a.mov_imm(PReg::A, 1);
-        a.mcr(CP_SYS, cp15::SCTLR, PReg::A);
-    }
 }
 
 impl PagedGuest for Petix {
-    type Asm = PetixAsm;
-    fn asm() -> PetixAsm {
-        PetixAsm::new()
-    }
+    type Support = PetixSupport;
     fn reg_a() -> u8 {
         simbench_isa_petix::asm::reg(PReg::A)
     }
@@ -71,20 +73,10 @@ impl PagedGuest for Petix {
         }
         tb.into_blob()
     }
-    fn paging_on(a: &mut PetixAsm, root: u32) {
-        use simbench_isa_petix::sys::cr;
-        a.mov_imm(PReg::A, root);
-        a.mov_to_cr(cr::CR3, PReg::A);
-        a.mov_imm(PReg::A, 1);
-        a.mov_to_cr(cr::CR0, PReg::A);
-    }
 }
 
 impl PagedGuest for Riscle {
-    type Asm = RiscleAsm;
-    fn asm() -> RiscleAsm {
-        RiscleAsm::new()
-    }
+    type Support = RiscleSupport;
     fn reg_a() -> u8 {
         simbench_isa_riscle::asm::reg(PReg::A)
     }
@@ -96,13 +88,6 @@ impl PagedGuest for Riscle {
             tb.map_page(va, pa, PtFlags::KERNEL);
         }
         tb.into_blob()
-    }
-    fn paging_on(a: &mut RiscleAsm, root: u32) {
-        use simbench_isa_riscle::sys::csr;
-        a.mov_imm(PReg::A, root);
-        a.csrw(csr::TTB, PReg::A);
-        a.mov_imm(PReg::A, 1);
-        a.csrw(csr::CTRL, PReg::A);
     }
 }
 

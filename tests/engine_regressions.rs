@@ -4,12 +4,13 @@
 //! per-instruction engines now share one loop, and this keeps the dbt's
 //! block loop and every policy honest against the same bodies.
 
-// Only the lockstep sweep is used here, not the paging scaffolding.
+// The lockstep sweep and the armlet half of the paging scaffolding.
 #[allow(dead_code)]
 mod common;
 
 use std::time::Duration;
 
+use common::PagedGuest;
 use simbench::prelude::*;
 use simbench_core::bus::Bus;
 use simbench_core::bus::FlatRam;
@@ -17,7 +18,6 @@ use simbench_core::image::GuestImage;
 use simbench_core::ir::AluOp;
 use simbench_core::isa::Isa;
 use simbench_isa_armlet::sys::{cp14, cp15, CP_BANK, CP_SYS};
-use simbench_isa_armlet::{Access, TableBuilder};
 use simbench_platform::devices::{INTC_ENABLE, INTC_TRIGGER};
 use simbench_platform::INTC_BASE;
 
@@ -62,21 +62,16 @@ fn non_retiring_storm_honors_wall_limit<E: Engine<Armlet, Platform>>(name: &str,
 /// No loads or stores run after the MMU comes on, so every TLB probe
 /// counted comes from the fetch path.
 fn fetch_path_counts_tlb_probes<E: Engine<Armlet, FlatRam>>(name: &str, mut e: E) {
+    let (root, tables) = Armlet::tables(&[]); // identity-maps the code
     let mut a = ArmletAsm::new();
     a.org(0x8000);
-    a.mov_imm(PReg::A, 0x0010_0000);
-    a.mcr(CP_SYS, cp15::TTBR, PReg::A);
-    a.mov_imm(PReg::B, 1);
-    a.mcr(CP_SYS, cp15::SCTLR, PReg::B); // MMU on
+    Armlet::paging_on(&mut a, root);
     a.nop();
     a.nop();
     a.nop();
     a.halt();
     let mut img = a.finish(0x8000);
-    let mut tb = TableBuilder::new(0x0010_0000);
-    tb.map_section(0, 0, Access::KernelOnly); // identity map code
-    let (load_at, blob) = tb.into_blob();
-    img.push_section(load_at, blob);
+    img.push_section(root, tables);
     let mut m = Machine::<Armlet, _>::boot(&img, FlatRam::new(1 << 21));
     let out = e.run(&mut m, &RunLimits::insns(1000));
     assert_eq!(out.exit, ExitReason::Halted, "{name}");
@@ -458,6 +453,39 @@ fn a_fetch_truncated_by_the_end_of_ram_is_undefined_on_every_engine() {
         tail_at + Petix::MAX_INSN_BYTES as u32,
         "the abort is the handler's return past the nominal length"
     );
+}
+
+/// The last instruction in RAM, a `nop` of `nop_len` bytes, runs even
+/// where the decoder's `MAX_INSN_BYTES` window would run past the end
+/// (on armlet the window ends exactly there), and the fetch after it,
+/// at the first address beyond RAM, is a prefetch abort.
+fn fetches_at_the_end_of_ram<I: Isa, A: PortableAsm>(mut a: A, nop_len: usize) {
+    use simbench_core::fault::ExceptionKind;
+
+    let last = (BARE_RAM - nop_len) as u32;
+    a.org(ExceptionKind::PrefetchAbort.vector(0));
+    a.halt();
+    a.org(0x8000);
+    a.mov_imm(PReg::A, last);
+    a.br_reg(PReg::A);
+    a.org(last);
+    a.nop();
+    let image = a.finish(0x8000);
+
+    let (m, out) = every_engine_equals_interp::<I>(I::NAME, || {
+        Machine::boot(&image, Platform::with_ram(BARE_RAM))
+    });
+    let c = out.counters;
+    assert_eq!((c.undef_insns, c.insn_faults), (0, 1), "{}", I::NAME);
+    assert_eq!(sys_reg(&m, "saved_pc"), BARE_RAM as u32, "{}", I::NAME);
+}
+
+#[test]
+fn the_last_instruction_in_ram_runs_and_the_next_fetch_aborts_on_every_engine() {
+    use simbench_isa_riscle::{Riscle, RiscleAsm};
+    fetches_at_the_end_of_ram::<Armlet, _>(ArmletAsm::new(), 4);
+    fetches_at_the_end_of_ram::<Petix, _>(PetixAsm::new(), 1);
+    fetches_at_the_end_of_ram::<Riscle, _>(RiscleAsm::new(), 2);
 }
 
 /// A petix `push` with the stack pointer inside the push itself: its

@@ -220,7 +220,21 @@ impl<I: Isa> Dbt<I> {
         if in_page_window::<I>(m.bus.ram(), cur, pa, buf) {
             return Ok(I::MAX_INSN_BYTES);
         }
-        self.with_core(m, counters, |core| core.fetch_bytes(cur, pa, buf))
+        self.fetch_across_pages(m, counters, cur, pa, buf)
+    }
+
+    /// [`ExecCore::fetch_bytes`] at `pc`, whose first byte is at `pa`:
+    /// out of line, which keeps the translator's loop tight.
+    #[inline(never)]
+    fn fetch_across_pages<B: Bus>(
+        &mut self,
+        m: &mut Machine<I, B>,
+        counters: &mut Counters,
+        pc: u32,
+        pa: u32,
+        buf: &mut [u8; 8],
+    ) -> Result<usize, MemFault> {
+        self.with_core(m, counters, |core| core.fetch_bytes(pc, pa, buf))
     }
 
     /// Deliver an exception-class event through the shared core.

@@ -32,6 +32,8 @@
 //! version profiles are that many *real* probes per chained dispatch;
 //! the block is found by indexing its page's slot table; and nothing on
 //! the invalidation side — TLB flush, unchaining, IBTC flush — sweeps.
+//! Translation reads instruction bytes with the fixed-size in-page read
+//! every engine's fetch shares ([`simbench_core::run::in_page_window`]).
 //!
 //! The TLB, the code cache and the translation buffer are the same
 //! types for every guest and are emptied with their capacity kept, so

@@ -187,23 +187,26 @@ impl CampaignSpec {
     }
 
     /// Flatten into independent jobs: one per supported cell and
-    /// repetition.
+    /// repetition, repetition-major — pass `r` measures every supported
+    /// cell once, in cell order, so a slow spell of the host spreads
+    /// over all cells instead of landing on a few.
     /// `cell_index` points back into [`CampaignSpec::cells`].
     pub fn expand(&self) -> Vec<Job> {
-        let mut jobs = Vec::new();
-        for (cell_index, key) in self.cells().into_iter().enumerate() {
-            if !key.workload.supported_on(key.guest) {
-                continue;
-            }
-            for rep in 0..self.reps.max(1) {
-                jobs.push(Job {
+        let cells: Vec<(usize, CellKey)> = self
+            .cells()
+            .into_iter()
+            .enumerate()
+            .filter(|(_, key)| key.workload.supported_on(key.guest))
+            .collect();
+        (0..self.reps.max(1))
+            .flat_map(|rep| {
+                cells.iter().map(move |&(cell_index, key)| Job {
                     cell_index,
                     rep,
                     key,
-                });
-            }
-        }
-        jobs
+                })
+            })
+            .collect()
     }
 }
 
@@ -312,16 +315,19 @@ mod tests {
         let mut spec = CampaignSpec::full_matrix(20_000);
         spec.reps = 3;
         let cells = spec.cells();
-        let want: Vec<(usize, u32)> = cells
-            .iter()
-            .enumerate()
-            .filter(|(_, k)| k.workload.supported_on(k.guest))
-            .flat_map(|(i, _)| (0..3).map(move |rep| (i, rep)))
+        let want: Vec<(usize, u32)> = (0..3)
+            .flat_map(|rep| {
+                cells
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, k)| k.workload.supported_on(k.guest))
+                    .map(move |(i, _)| (i, rep))
+            })
             .collect();
         let jobs = spec.expand();
         let got: Vec<(usize, u32)> = jobs.iter().map(|j| (j.cell_index, j.rep)).collect();
-        // Cell order, then repetition order: the whole matrix, no
-        // unsupported cell and no duplicate.
+        // Repetition order, then cell order: every pass is the whole
+        // matrix, with no unsupported cell and no duplicate.
         assert_eq!(got, want);
         for job in &jobs {
             assert_eq!(job.key, cells[job.cell_index]);

@@ -653,9 +653,10 @@ fn killed_campaign_resumes_counter_exact_end_to_end() {
     let out = run_cli(&args);
     assert_eq!(exit_code(&out), 0, "{}", stdout(&out));
 
-    // The same campaign, journaled, hung after four repetitions (two
-    // finished cells) and then killed with SIGKILL — no unwinding, no
-    // flushes, exactly the crash the journal exists for.
+    // The same campaign, journaled, hung after six repetitions — the
+    // whole first pass and two cells of the second, so two finished
+    // cells — and then killed with SIGKILL: no unwinding, no flushes,
+    // exactly the crash the journal exists for.
     let jdir = scratch_dir("fault-journal");
     let jdir_str = jdir.to_str().unwrap().to_string();
     let victim = scratch("fault-victim");
@@ -667,7 +668,7 @@ fn killed_campaign_resumes_counter_exact_end_to_end() {
         "--journal",
         &jdir_str,
         "--failpoints",
-        "measure.rep=4+hang(60000)",
+        "measure.rep=6+hang(60000)",
         "--out",
         victim.to_str().unwrap(),
     ]);
@@ -891,7 +892,9 @@ fn injected_panic_quarantines_one_cell_end_to_end() {
 #[test]
 fn sigterm_persists_a_partial_artifact_and_exits_130() {
     // Journaled run armed via the environment (covering the env path):
-    // two repetitions finish, the third hangs under a 5 s watchdog.
+    // five repetitions finish — the first pass and the second of the
+    // first cell, so one finished cell — and the sixth hangs under a
+    // 5 s watchdog.
     let jdir = scratch_dir("term-journal");
     let jdir_str = jdir.to_str().unwrap().to_string();
     let part = scratch("term-partial");
@@ -910,7 +913,7 @@ fn sigterm_persists_a_partial_artifact_and_exits_130() {
     ]);
     let child = spawn_cli(
         &args,
-        &[("SIMBENCH_FAILPOINTS", "measure.rep=2+hang(60000)")],
+        &[("SIMBENCH_FAILPOINTS", "measure.rep=5+hang(60000)")],
     );
     wait_for_cells(&jdir, 1);
     let kill = Command::new("kill")

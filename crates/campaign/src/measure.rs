@@ -170,8 +170,6 @@ pub struct Config {
     pub scale: u64,
     /// Safety limits per run.
     pub limits: RunLimits,
-    /// Worker threads for campaign execution (1 = serial).
-    pub jobs: usize,
 }
 
 impl Default for Config {
@@ -182,7 +180,6 @@ impl Default for Config {
                 max_insns: u64::MAX,
                 wall_limit: Some(Duration::from_secs(120)),
             },
-            jobs: 1,
         }
     }
 }
@@ -193,14 +190,6 @@ impl Config {
         Config {
             scale,
             ..Default::default()
-        }
-    }
-
-    /// Same configuration with a worker count.
-    pub fn with_jobs(self, jobs: usize) -> Self {
-        Config {
-            jobs: jobs.max(1),
-            ..self
         }
     }
 }

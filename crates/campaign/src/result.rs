@@ -103,7 +103,8 @@ impl CellStatus {
         )
     }
 
-    fn to_json_string(&self) -> Cow<'static, str> {
+    /// The status as persisted: `ok`, `not-on-isa`, `failed:MSG`, ...
+    pub fn to_json_string(&self) -> Cow<'static, str> {
         match self {
             CellStatus::Ok => "ok".into(),
             CellStatus::NotOnIsa => "not-on-isa".into(),

@@ -88,6 +88,9 @@ impl Workload {
     }
 }
 
+/// Repetitions per cell of [`CampaignSpec::paper`].
+pub const PAPER_REPS: u32 = 5;
+
 /// The declarative description of one measurement campaign.
 #[derive(Debug, Clone)]
 pub struct CampaignSpec {
@@ -127,16 +130,29 @@ impl CampaignSpec {
         }
     }
 
-    /// The version-sweep matrix behind Figs 2, 6 and 8: every DBT
-    /// version profile on the armlet guest.
-    pub fn version_sweep(scale: u64, workloads: Vec<Workload>) -> Self {
+    /// The one campaign every measured figure renders from (Figs 2, 3,
+    /// 6, 7 and 8): every guest × (suite + apps) × (interp, detailed,
+    /// virt, native and the twenty DBT profiles, the last of which is
+    /// `dbt`), [`PAPER_REPS`] repetitions per cell. The app cells on the
+    /// other engines and guests feed no figure; they are what `model
+    /// validate --engine E --guest G` reads.
+    pub fn paper(scale: u64) -> Self {
+        let mut engines = vec![
+            EngineKind::Interp,
+            EngineKind::Detailed,
+            EngineKind::Virt,
+            EngineKind::Native,
+        ];
+        engines.extend(EngineKind::all_dbt_versions());
+        let mut workloads = Self::suite_workloads();
+        workloads.extend(Self::app_workloads());
         CampaignSpec {
-            name: "version-sweep".to_string(),
-            guests: vec![Guest::Armlet],
-            engines: EngineKind::all_dbt_versions(),
+            name: "paper".to_string(),
+            guests: Guest::ALL.to_vec(),
+            engines,
             workloads,
             scale,
-            reps: 1,
+            reps: PAPER_REPS,
             wall_limit: Some(Duration::from_secs(120)),
         }
     }
@@ -163,7 +179,6 @@ impl CampaignSpec {
                 max_insns: u64::MAX,
                 wall_limit: self.wall_limit,
             },
-            jobs: 1,
         }
     }
 
@@ -283,7 +298,7 @@ mod tests {
 
     #[test]
     fn expansion_is_deterministic() {
-        let spec = CampaignSpec::version_sweep(20_000, CampaignSpec::app_workloads());
+        let spec = CampaignSpec::paper(20_000);
         let a: Vec<(usize, u32)> = spec
             .expand()
             .iter()
@@ -295,7 +310,23 @@ mod tests {
             .map(|j| (j.cell_index, j.rep))
             .collect();
         assert_eq!(a, b);
-        assert_eq!(a.len(), 20 * 9);
+        assert_eq!(a.len(), 1896 * PAPER_REPS as usize);
+    }
+
+    #[test]
+    fn paper_matrix_shape() {
+        let spec = CampaignSpec::paper(2000);
+        // 3 guests × 27 workloads × 24 engines; Nonprivileged Access is
+        // absent on petix and riscle, 2 × 24 cells without a job.
+        assert_eq!(spec.cells().len(), 1944);
+        assert_eq!(spec.expand().len(), 1896 * spec.reps as usize);
+        assert!(spec.reps >= 5);
+        let ids: std::collections::BTreeSet<String> =
+            spec.engines.iter().map(|e| e.id()).collect();
+        assert_eq!(ids.len(), 24, "no engine twice");
+        for e in EngineKind::fig7_columns() {
+            assert!(ids.contains(&e.id()), "{e:?}");
+        }
     }
 
     #[test]
@@ -339,7 +370,7 @@ mod tests {
         let mut spec = CampaignSpec::full_matrix(40_000);
         spec.wall_limit = Some(Duration::from_millis(1500));
         let cfg = spec.config();
-        assert_eq!((cfg.scale, cfg.jobs), (40_000, 1));
+        assert_eq!(cfg.scale, 40_000);
         assert_eq!(cfg.limits.wall_limit, Some(Duration::from_millis(1500)));
         assert_eq!(cfg.limits.max_insns, u64::MAX);
         spec.wall_limit = None;
@@ -351,12 +382,5 @@ mod tests {
         let mut spec = CampaignSpec::full_matrix(20_000);
         spec.reps = 0;
         assert_eq!(spec.expand().len(), 260);
-    }
-
-    #[test]
-    fn version_sweep_uses_all_versions() {
-        let spec = CampaignSpec::version_sweep(1000, CampaignSpec::suite_workloads());
-        assert_eq!(spec.engines.len(), 20);
-        assert!(spec.engines.iter().all(|e| matches!(e, EngineKind::Dbt(_))));
     }
 }

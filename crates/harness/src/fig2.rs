@@ -6,15 +6,15 @@
 //! drift apart across simulator versions — sjeng improves while mcf
 //! regresses — and the average hides both.
 //!
-//! The measurements come from one campaign over the app × version
-//! matrix; this module only renders the cells.
+//! It renders the armlet app cells of every DBT version profile in the
+//! paper campaign (the paper's ARM-binaries-on-x86-host experiment).
 
 use simbench_apps::App;
-use simbench_campaign::{CampaignResult, CampaignSpec, Workload};
+use simbench_campaign::{CampaignResult, Workload};
 use simbench_dbt::QEMU_VERSIONS;
 
 use crate::table::{fmt_ratio, Table};
-use crate::{figure_spec, geomean, run_campaign, Config, EngineKind, Guest};
+use crate::{geomean, secs, EngineKind, Guest};
 
 /// One version's measurements.
 #[derive(Debug, Clone)]
@@ -29,42 +29,21 @@ pub struct Row {
     pub overall: f64,
 }
 
-/// The Fig 2 campaign: every app on every DBT version profile (armlet
-/// guest, as in the paper's ARM-binaries-on-x86-host experiment).
-pub fn spec(cfg: &Config) -> CampaignSpec {
-    figure_spec(
-        "fig2",
-        vec![Guest::Armlet],
-        EngineKind::all_dbt_versions(),
-        CampaignSpec::app_workloads(),
-        cfg,
-    )
-}
-
-/// App time for one version from the campaign.
-fn app_secs(campaign: &CampaignResult, version: &EngineKind, app: App) -> f64 {
-    let cell = campaign
-        .cell(
-            Guest::Armlet.isa_name(),
-            &version.id(),
-            &Workload::App(app).id(),
-        )
-        .expect("apps run on every version");
-    cell.metric().expect("apps complete").max(1e-9)
-}
-
-/// Render a completed Fig 2 campaign. Returns the rows plus a table.
-pub fn render(campaign: &CampaignResult) -> (Vec<Row>, String) {
-    let versions = EngineKind::all_dbt_versions();
-    let times: Vec<Vec<f64>> = versions
-        .iter()
+/// Render Fig 2 from a campaign. Returns the rows plus a table.
+///
+/// # Errors
+///
+/// The [`crate::cell`] error of a missing or failed cell.
+pub fn render(campaign: &CampaignResult) -> Result<(Vec<Row>, String), String> {
+    let times = EngineKind::all_dbt_versions()
+        .into_iter()
         .map(|v| {
             App::ALL
                 .iter()
-                .map(|&app| app_secs(campaign, v, app))
+                .map(|&app| secs(campaign, Guest::Armlet, v, Workload::App(app)))
                 .collect()
         })
-        .collect();
+        .collect::<Result<Vec<Vec<f64>>, String>>()?;
     let base = &times[0];
     let sjeng_idx = App::ALL.iter().position(|a| *a == App::SjengLike).unwrap();
     let mcf_idx = App::ALL.iter().position(|a| *a == App::McfLike).unwrap();
@@ -93,10 +72,5 @@ pub fn render(campaign: &CampaignResult) -> (Vec<Row>, String) {
         "Fig 2 — application speedup across DBT versions (baseline v1.7.0, armlet guest)\n\n{}",
         table.render()
     );
-    (rows, text)
-}
-
-/// Run the experiment and render it.
-pub fn run(cfg: &Config) -> (Vec<Row>, String) {
-    render(&run_campaign(&spec(cfg), cfg))
+    Ok((rows, text))
 }

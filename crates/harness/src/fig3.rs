@@ -4,17 +4,17 @@
 //! Density is *tested operations per retired kernel instruction*,
 //! measured (not assumed) from engine event counters.
 //!
-//! The measurements come from one campaign running every suite
-//! benchmark and every app on the latest DBT profile; this module only
-//! aggregates the cells' counters.
+//! It aggregates the counters of the paper campaign's armlet cells on
+//! the latest DBT profile: only a translating engine can observe code
+//! modifications (the Code Generation tested op).
 
 use simbench_apps::App;
-use simbench_campaign::{CampaignResult, CampaignSpec, Workload};
+use simbench_campaign::{CampaignResult, Workload};
 use simbench_core::events::Counters;
 use simbench_suite::Benchmark;
 
 use crate::table::{fmt_density, fmt_iters, Table};
-use crate::{figure_spec, run_campaign, Config, EngineKind, Guest};
+use crate::{cell, EngineKind, Guest};
 
 /// One benchmark's densities.
 #[derive(Debug, Clone)]
@@ -29,34 +29,17 @@ pub struct Row {
     pub spec_density: f64,
 }
 
-/// The Fig 3 campaign: suite + apps on the DBT engine. Densities are
-/// measured on the DBT engine because only a translating engine can
-/// observe code modifications (the Code Generation tested op).
-pub fn spec(cfg: &Config) -> CampaignSpec {
-    let mut workloads = CampaignSpec::suite_workloads();
-    workloads.extend(CampaignSpec::app_workloads());
-    figure_spec(
-        "fig3",
-        vec![Guest::Armlet],
-        vec![EngineKind::Dbt(simbench_dbt::VersionProfile::latest())],
-        workloads,
-        cfg,
-    )
-}
-
-/// Render a completed Fig 3 campaign.
-pub fn render(campaign: &CampaignResult) -> (Vec<Row>, String) {
+/// Render Fig 3 from a campaign.
+///
+/// # Errors
+///
+/// The [`crate::cell`] error of a missing or failed cell.
+pub fn render(campaign: &CampaignResult) -> Result<(Vec<Row>, String), String> {
     let engine = EngineKind::Dbt(simbench_dbt::VersionProfile::latest());
     // Aggregate counters across the whole app suite.
     let mut spec_total = Counters::default();
     for app in App::ALL {
-        let cell = campaign
-            .cell(
-                Guest::Armlet.isa_name(),
-                &engine.id(),
-                &Workload::App(app).id(),
-            )
-            .expect("apps run on the DBT engine");
+        let cell = cell(campaign, Guest::Armlet, engine, Workload::App(app))?;
         spec_total = spec_total.plus(&cell.counters);
     }
 
@@ -70,14 +53,7 @@ pub fn render(campaign: &CampaignResult) -> (Vec<Row>, String) {
         "notes",
     ]);
     for bench in Benchmark::ALL {
-        let cell = campaign
-            .cell(
-                Guest::Armlet.isa_name(),
-                &engine.id(),
-                &Workload::Suite(bench).id(),
-            )
-            .expect("all benchmarks exist on armlet");
-        let counters = &cell.counters;
+        let counters = &cell(campaign, Guest::Armlet, engine, Workload::Suite(bench))?.counters;
         let own = bench.tested_ops(counters) as f64 / counters.instructions.max(1) as f64;
         let spec = bench.tested_ops(&spec_total) as f64 / spec_total.instructions.max(1) as f64;
         let row = Row {
@@ -109,10 +85,5 @@ pub fn render(campaign: &CampaignResult) -> (Vec<Row>, String) {
          († significant platform-specific portions, as in the paper)\n\n{}",
         table.render()
     );
-    (rows, text)
-}
-
-/// Run the experiment and render it.
-pub fn run(cfg: &Config) -> (Vec<Row>, String) {
-    render(&run_campaign(&spec(cfg), cfg))
+    Ok((rows, text))
 }

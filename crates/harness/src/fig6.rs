@@ -1,23 +1,23 @@
 //! Fig 6: per-benchmark SimBench speedups across the twenty DBT
-//! versions, grouped by category, for both guest architectures
-//! (baseline: v1.7.0).
+//! versions, grouped by category, for each of the three guest
+//! architectures (baseline: v1.7.0).
 //!
 //! This is the figure that *explains* Fig 2's aggregate drift: the
 //! control-flow and exception panels degrade monotonically from v2.1,
 //! the optimizer bump lands at v2.0.0, and the data-fault fast path
 //! appears at v2.5.0-rc0.
 //!
-//! The measurements come from one campaign (per guest) over the full
-//! benchmark × version matrix; this module only renders the cells.
+//! It renders the suite cells of every DBT version profile in the
+//! paper campaign.
 
 use std::collections::BTreeMap;
 
-use simbench_campaign::{CampaignResult, CampaignSpec, Workload};
+use simbench_campaign::{CampaignResult, Workload};
 use simbench_dbt::QEMU_VERSIONS;
 use simbench_suite::{Benchmark, Category};
 
 use crate::table::{fmt_ratio, Table};
-use crate::{figure_spec, run_campaign, Config, EngineKind, Guest};
+use crate::{secs, EngineKind, Guest};
 
 /// Measured speedups: `speedups[benchmark][version index]`.
 #[derive(Debug, Clone, Default)]
@@ -28,24 +28,8 @@ pub struct Panel {
     pub series: BTreeMap<&'static str, Vec<f64>>,
 }
 
-/// The Fig 6 campaign for one guest: every supported benchmark on every
-/// DBT version profile.
-pub fn spec(guest: Guest, cfg: &Config) -> CampaignSpec {
-    figure_spec(
-        "fig6",
-        vec![guest],
-        EngineKind::all_dbt_versions(),
-        Benchmark::ALL
-            .iter()
-            .copied()
-            .map(Workload::Suite)
-            .collect(),
-        cfg,
-    )
-}
-
-/// Build one guest's panel from its completed campaign.
-fn panel_from(guest: Guest, campaign: &CampaignResult) -> Panel {
+/// Build one guest's panel from a campaign.
+fn panel_from(guest: Guest, campaign: &CampaignResult) -> Result<Panel, String> {
     let mut panel = Panel {
         guest: guest.name(),
         series: BTreeMap::new(),
@@ -54,32 +38,16 @@ fn panel_from(guest: Guest, campaign: &CampaignResult) -> Panel {
         if !bench.supported_on(guest.isa_name()) {
             continue;
         }
-        let secs: Vec<f64> = QEMU_VERSIONS
+        let times = QEMU_VERSIONS
             .iter()
-            .map(|v| {
-                let cell = campaign
-                    .cell(
-                        guest.isa_name(),
-                        &EngineKind::Dbt(*v).id(),
-                        &Workload::Suite(bench).id(),
-                    )
-                    .expect("supported benchmark");
-                cell.metric()
-                    .expect("supported benchmark completed")
-                    .max(1e-9)
-            })
-            .collect();
-        let base = secs[0];
+            .map(|v| secs(campaign, guest, EngineKind::Dbt(*v), Workload::Suite(bench)))
+            .collect::<Result<Vec<f64>, String>>()?;
+        let base = times[0];
         panel
             .series
-            .insert(bench.name(), secs.iter().map(|&t| base / t).collect());
+            .insert(bench.name(), times.iter().map(|&t| base / t).collect());
     }
-    panel
-}
-
-/// Run the experiment for one guest.
-fn run_guest(guest: Guest, cfg: &Config) -> Panel {
-    panel_from(guest, &run_campaign(&spec(guest, cfg), cfg))
+    Ok(panel)
 }
 
 /// Render one guest's panels (one table per category).
@@ -112,15 +80,19 @@ fn render_panels(guest: Guest, panel: &Panel) -> String {
     out
 }
 
-/// Run for both guests and render.
-pub fn run(cfg: &Config) -> (Vec<Panel>, String) {
+/// Render every guest's panels from a campaign.
+///
+/// # Errors
+///
+/// The [`crate::cell`] error of a missing or failed cell.
+pub fn render(campaign: &CampaignResult) -> Result<(Vec<Panel>, String), String> {
     let mut text = String::new();
     let mut panels = Vec::new();
     for guest in Guest::ALL {
-        let p = run_guest(guest, cfg);
+        let p = panel_from(guest, campaign)?;
         text.push_str(&render_panels(guest, &p));
         text.push('\n');
         panels.push(p);
     }
-    (panels, text)
+    Ok((panels, text))
 }

@@ -1,20 +1,20 @@
 //! Fig 7: the full cross-simulator results table — all eighteen
-//! benchmarks on all five engines, for both guest architectures,
-//! in seconds of kernel wall-clock time.
+//! benchmarks on all five engines, for each of the three guest
+//! architectures, in seconds of kernel wall-clock time.
 //!
 //! `-` marks a benchmark that does not exist on the architecture
 //! (Nonprivileged Access on petix); `-†` marks functionality the engine
 //! does not implement (INTC / safe-device models on the detailed
 //! engine), both mirroring the paper's footnotes.
 //!
-//! The measurements come from one campaign over the full matrix; this
-//! module only renders the resulting cells.
+//! It renders the paper campaign's suite cells on the five engine
+//! columns.
 
-use simbench_campaign::{CampaignResult, CampaignSpec, CellStatus, Workload};
+use simbench_campaign::{CampaignResult, CellStatus, Workload};
 use simbench_suite::Benchmark;
 
 use crate::table::{fmt_secs, Table};
-use crate::{figure_spec, run_campaign, Config, EngineKind, Guest};
+use crate::{secs, EngineKind, Guest};
 
 /// One table cell.
 #[derive(Debug, Clone, Copy)]
@@ -40,24 +40,12 @@ impl Cell {
 /// Full results: `cells[guest][benchmark][engine]`.
 pub type Results = Vec<Vec<Vec<Cell>>>;
 
-/// The Fig 7 campaign: every suite benchmark on every engine column for
-/// both guests.
-pub fn spec(cfg: &Config) -> CampaignSpec {
-    figure_spec(
-        "fig7",
-        Guest::ALL.to_vec(),
-        EngineKind::fig7_columns().to_vec(),
-        Benchmark::ALL
-            .iter()
-            .copied()
-            .map(Workload::Suite)
-            .collect(),
-        cfg,
-    )
-}
-
-/// Render a completed Fig 7 campaign.
-pub fn render(campaign: &CampaignResult) -> (Results, String) {
+/// Render Fig 7 from a campaign.
+///
+/// # Errors
+///
+/// The [`crate::cell`] error of a missing or failed cell.
+pub fn render(campaign: &CampaignResult) -> Result<(Results, String), String> {
     let engines = EngineKind::fig7_columns();
     let mut results: Results = Vec::new();
     let mut text = String::from("Fig 7 — SimBench kernel seconds across simulators\n");
@@ -69,20 +57,13 @@ pub fn render(campaign: &CampaignResult) -> (Results, String) {
         for bench in Benchmark::ALL {
             let mut row_cells = Vec::new();
             for engine in engines {
-                let rc = campaign
-                    .cell(guest.isa_name(), &engine.id(), &Workload::Suite(bench).id())
-                    .unwrap_or_else(|| panic!("missing cell {engine:?}/{bench:?} on {guest:?}"));
-                let cell = match &rc.status {
-                    CellStatus::Ok => Cell::Seconds(rc.metric().expect("ok cell has timings")),
-                    CellStatus::NotOnIsa => Cell::NotOnIsa,
-                    CellStatus::Unsupported(_) => Cell::Unsupported,
-                    CellStatus::Failed(why)
-                    | CellStatus::Quarantined(why)
-                    | CellStatus::TimedOut(why) => {
-                        panic!("{engine:?}/{bench:?} on {guest:?}: {why}")
-                    }
-                };
-                row_cells.push(cell);
+                let workload = Workload::Suite(bench);
+                let stored = campaign.cell(guest.isa_name(), &engine.id(), &workload.id());
+                row_cells.push(match stored.map(|c| &c.status) {
+                    Some(CellStatus::NotOnIsa) => Cell::NotOnIsa,
+                    Some(CellStatus::Unsupported(_)) => Cell::Unsupported,
+                    _ => Cell::Seconds(secs(campaign, guest, engine, workload)?),
+                });
             }
             let mut cells = vec![bench.name().to_string()];
             cells.extend(row_cells.iter().map(|c| c.render()));
@@ -93,10 +74,5 @@ pub fn render(campaign: &CampaignResult) -> (Results, String) {
         results.push(guest_rows);
     }
     text.push_str("\n(- benchmark absent on ISA; -† device model not implemented in engine)\n");
-    (results, text)
-}
-
-/// Run the whole matrix and render it.
-pub fn run(cfg: &Config) -> (Results, String) {
-    render(&run_campaign(&spec(cfg), cfg))
+    Ok((results, text))
 }

@@ -5,16 +5,16 @@
 //! across releases, but only SimBench's per-category breakdown (Fig 6)
 //! says *why*.
 //!
-//! The measurements come from one campaign over the combined
-//! (apps + suite) × version matrix; this module only renders the cells.
+//! It aggregates the armlet app and suite cells of every DBT version
+//! profile in the paper campaign: the cells of Figs 2 and 6, read once.
 
 use simbench_apps::App;
-use simbench_campaign::{CampaignResult, CampaignSpec, Workload};
+use simbench_campaign::{CampaignResult, Workload};
 use simbench_dbt::QEMU_VERSIONS;
 use simbench_suite::Benchmark;
 
 use crate::table::{fmt_ratio, Table};
-use crate::{figure_spec, geomean, run_campaign, Config, EngineKind, Guest};
+use crate::{geomean, secs, EngineKind, Guest};
 
 /// One version's aggregate speedups.
 #[derive(Debug, Clone)]
@@ -27,49 +27,31 @@ pub struct Row {
     pub simbench: f64,
 }
 
-/// The Fig 8 campaign: both workload families on every DBT version
-/// profile (armlet guest, as in the paper).
-pub fn spec(cfg: &Config) -> CampaignSpec {
-    let mut workloads = CampaignSpec::app_workloads();
-    workloads.extend(CampaignSpec::suite_workloads());
-    figure_spec(
-        "fig8",
-        vec![Guest::Armlet],
-        EngineKind::all_dbt_versions(),
-        workloads,
-        cfg,
-    )
+/// Each version's armlet times of `workloads`, oldest version first.
+fn times(
+    campaign: &CampaignResult,
+    workloads: impl Iterator<Item = Workload> + Clone,
+) -> Result<Vec<Vec<f64>>, String> {
+    EngineKind::all_dbt_versions()
+        .into_iter()
+        .map(|v| {
+            workloads
+                .clone()
+                .map(|w| secs(campaign, Guest::Armlet, v, w))
+                .collect()
+        })
+        .collect()
 }
 
-fn secs(campaign: &CampaignResult, version: &EngineKind, workload: Workload) -> f64 {
-    let cell = campaign
-        .cell(Guest::Armlet.isa_name(), &version.id(), &workload.id())
-        .expect("armlet supports all workloads");
-    cell.metric().expect("workload completed").max(1e-9)
-}
-
-/// Render a completed Fig 8 campaign.
-pub fn render(campaign: &CampaignResult) -> (Vec<Row>, String) {
-    let versions = EngineKind::all_dbt_versions();
+/// Render Fig 8 from a campaign.
+///
+/// # Errors
+///
+/// The [`crate::cell`] error of a missing or failed cell.
+pub fn render(campaign: &CampaignResult) -> Result<(Vec<Row>, String), String> {
     let benches: Vec<Benchmark> = Benchmark::ALL.to_vec();
-    let app_times: Vec<Vec<f64>> = versions
-        .iter()
-        .map(|v| {
-            App::ALL
-                .iter()
-                .map(|&a| secs(campaign, v, Workload::App(a)))
-                .collect()
-        })
-        .collect();
-    let suite_times: Vec<Vec<f64>> = versions
-        .iter()
-        .map(|v| {
-            benches
-                .iter()
-                .map(|&b| secs(campaign, v, Workload::Suite(b)))
-                .collect()
-        })
-        .collect();
+    let app_times = times(campaign, App::ALL.iter().map(|&a| Workload::App(a)))?;
+    let suite_times = times(campaign, benches.iter().map(|&b| Workload::Suite(b)))?;
 
     let mut rows = Vec::new();
     let mut table = Table::new(["version", "SPEC-like", "SimBench"]);
@@ -96,10 +78,5 @@ pub fn render(campaign: &CampaignResult) -> (Vec<Row>, String) {
         "Fig 8 — geometric-mean speedup across DBT versions (baseline v1.7.0, armlet guest)\n\n{}",
         table.render()
     );
-    (rows, text)
-}
-
-/// Run the experiment (armlet guest, as in the paper) and render it.
-pub fn run(cfg: &Config) -> (Vec<Row>, String) {
-    render(&run_campaign(&spec(cfg), cfg))
+    Ok((rows, text))
 }

@@ -1,7 +1,6 @@
 //! # simbench-harness
 //!
-//! Experiment drivers that regenerate every table and figure of the
-//! paper's evaluation:
+//! Renderers for every table and figure of the paper's evaluation:
 //!
 //! | Module | Paper artefact |
 //! |--------|----------------|
@@ -9,19 +8,22 @@
 //! | [`fig3`] | Fig 3 — benchmark table with operation densities |
 //! | [`fig4`] | Fig 4 — engine feature-implementation matrix |
 //! | [`fig5`] | Fig 5 — measurement environment |
-//! | [`fig6`] | Fig 6 — per-category SimBench speedups across versions |
-//! | [`fig7`] | Fig 7 — 18 benchmarks × 5 simulators × 2 guest ISAs |
+//! | [`fig6`] | Fig 6 — per-category SimBench speedups across versions, three guests |
+//! | [`fig7`] | Fig 7 — 18 benchmarks × 5 simulators × 3 guest ISAs |
 //! | [`fig8`] | Fig 8 — SPEC vs SimBench geometric means across versions |
 //! | [`model`] | §I contribution 3 — predict application runtimes from micro-benchmark costs, calibrated from stored campaign results (`simbench-harness model calibrate\|predict\|validate`) |
 //!
-//! Since the campaign refactor, every measuring driver (figs 2, 3, 6,
-//! 7, 8) is a thin renderer over a [`simbench_campaign::CampaignResult`]:
-//! it declares a [`simbench_campaign::CampaignSpec`], hands it to the
-//! parallel campaign runner (honouring [`Config::jobs`]), and formats
-//! the aggregated cells. The measurement primitives themselves
-//! ([`Guest`], [`EngineKind`], [`run_suite_bench`], [`run_app`], ...)
-//! live in `simbench-campaign` and are re-exported here for backwards
-//! compatibility.
+//! The measured figures (2, 3, 6, 7, 8) measure nothing themselves:
+//! each is a pure renderer of one [`CampaignResult`], the paper
+//! campaign ([`simbench_campaign::CampaignSpec::paper`]), in which every
+//! cell is measured once per repetition however many figures read it.
+//! `simbench-harness <FIG|all>` runs that campaign and renders from it,
+//! or renders from a stored one with `--from CAMPAIGN.json`; `report`
+//! and `model` read the same JSON. A figure that needs a cell the
+//! campaign lacks, or whose cell did not complete, gets an error from
+//! [`cell`] naming it. The measurement primitives ([`Guest`],
+//! [`EngineKind`], [`run_suite_bench`], [`run_app`], ...) live in
+//! `simbench-campaign` and are re-exported here.
 //!
 //! Run everything with `cargo run -p simbench-harness --release -- all`.
 
@@ -39,90 +41,69 @@ pub mod table;
 pub use simbench_campaign::measure::{run_app, run_suite_bench, Config, EngineKind, Guest, Sample};
 pub use simbench_campaign::stats::geomean;
 
-use simbench_campaign::{CampaignResult, CampaignSpec, RunnerOpts};
+use simbench_campaign::{CampaignResult, CellResult, Workload};
 
-/// Run a figure's campaign spec with the harness configuration's worker
-/// count. All figure drivers funnel through here.
-pub(crate) fn run_campaign(spec: &CampaignSpec, cfg: &Config) -> CampaignResult {
-    simbench_campaign::run(spec, &RunnerOpts::with_jobs(cfg.jobs))
+/// The figures rendered from a campaign, in the order `all` prints
+/// them.
+pub const MEASURED_FIGURES: [&str; 5] = ["fig3", "fig7", "fig2", "fig6", "fig8"];
+
+/// Render one of [`MEASURED_FIGURES`] from a campaign.
+///
+/// # Errors
+///
+/// The [`cell`] error of the first cell the figure cannot read.
+pub fn render(figure: &str, campaign: &CampaignResult) -> Result<String, String> {
+    Ok(match figure {
+        "fig2" => fig2::render(campaign)?.1,
+        "fig3" => fig3::render(campaign)?.1,
+        "fig6" => fig6::render(campaign)?.1,
+        "fig7" => fig7::render(campaign)?.1,
+        "fig8" => fig8::render(campaign)?.1,
+        _ => return Err(format!("{figure} is not rendered from a campaign")),
+    })
 }
 
-/// Repetitions per figure cell.
-const FIGURE_REPS: u32 = 1;
-
-/// A figure campaign spec: scale and wall limit come from [`Config`],
-/// the matrix from the caller; each cell runs once ([`FIGURE_REPS`]).
-pub(crate) fn figure_spec(
-    name: &str,
-    guests: Vec<Guest>,
-    engines: Vec<EngineKind>,
-    workloads: Vec<simbench_campaign::Workload>,
-    cfg: &Config,
-) -> CampaignSpec {
-    CampaignSpec {
-        name: name.to_string(),
-        guests,
-        engines,
-        workloads,
-        scale: cfg.scale,
-        reps: FIGURE_REPS,
-        // Pass the limit through as a full Duration: a sub-second limit
-        // (e.g. 500 ms) must not be silently rounded up to one second,
-        // nor a fractional part truncated.
-        wall_limit: cfg.limits.wall_limit,
+/// The completed cell a figure reads.
+///
+/// # Errors
+///
+/// A cell that is missing from the campaign, or has no time because it
+/// did not complete, is an error naming its guest, engine, workload and
+/// status.
+pub fn cell<'a>(
+    campaign: &'a CampaignResult,
+    guest: Guest,
+    engine: EngineKind,
+    workload: Workload,
+) -> Result<&'a CellResult, String> {
+    let (guest, engine, workload) = (guest.isa_name(), engine.id(), workload.id());
+    let found = campaign.cell(guest, &engine, &workload);
+    match found {
+        Some(c) if c.metric().is_some() => Ok(c),
+        _ => Err(format!(
+            "campaign {:?} has no completed cell {guest}/{engine} {workload} (status: {})",
+            campaign.name,
+            found.map_or("missing".into(), |c| c.status.to_json_string()),
+        )),
     }
+}
+
+/// The time of the [`cell`] a figure reads: the floor of its
+/// repetitions.
+pub(crate) fn secs(
+    campaign: &CampaignResult,
+    guest: Guest,
+    engine: EngineKind,
+    workload: Workload,
+) -> Result<f64, String> {
+    let c = cell(campaign, guest, engine, workload)?;
+    Ok(c.metric().unwrap_or_default().max(1e-9))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use simbench_suite::Benchmark;
-
-    #[test]
-    fn figure_specs_round_trip_sub_second_wall_limits() {
-        use simbench_core::engine::RunLimits;
-        use std::time::Duration;
-
-        // 500 ms and 2.5 s used to collapse to 1 s and 2 s; the spec
-        // now carries the configured limit losslessly.
-        for limit in [
-            Duration::from_millis(500),
-            Duration::from_millis(2500),
-            Duration::from_secs(120),
-        ] {
-            let cfg = Config {
-                limits: RunLimits {
-                    max_insns: u64::MAX,
-                    wall_limit: Some(limit),
-                },
-                ..Default::default()
-            };
-            let spec = figure_spec(
-                "t",
-                vec![Guest::Armlet],
-                vec![EngineKind::Interp],
-                vec![],
-                &cfg,
-            );
-            assert_eq!(spec.wall_limit, Some(limit));
-            assert_eq!(spec.config().limits.wall_limit, Some(limit));
-        }
-        let cfg = Config {
-            limits: RunLimits {
-                max_insns: u64::MAX,
-                wall_limit: None,
-            },
-            ..Default::default()
-        };
-        let spec = figure_spec(
-            "t",
-            vec![Guest::Armlet],
-            vec![EngineKind::Interp],
-            vec![],
-            &cfg,
-        );
-        assert_eq!(spec.wall_limit, None);
-    }
 
     #[test]
     fn geomean_basics() {

@@ -50,11 +50,11 @@ use simbench_campaign::{
     compare_counters, CampaignResult, CampaignSpec, EngineKind, Guest, RunnerOpts, Workload,
 };
 use simbench_dbt::QEMU_VERSIONS;
-use simbench_harness::{fig2, fig3, fig4, fig5, fig6, fig7, fig8, model, Config};
+use simbench_harness::{fig4, fig5, model, MEASURED_FIGURES};
 use simbench_suite::Benchmark;
 
 const USAGE: &str = "usage: simbench-harness <fig2|fig3|fig4|fig5|fig6|fig7|fig8|all> \
-                     [--scale N] [--jobs N] [--out FILE]
+                     [--scale N] [--jobs N | --from CAMPAIGN.json] [--out FILE]
        simbench-harness campaign run [--scale N] [--jobs N] [--reps R] [--out FILE] [--name S]
                                      [--guests LIST] [--engines LIST] [--benches LIST]
                                      [--apps] [--versions]
@@ -176,14 +176,16 @@ fn figures_main(argv: Vec<String>) -> ExitCode {
         fail("missing figure name");
     }
     let mut which: Option<String> = None;
-    let mut scale = 2000u64;
-    let mut jobs = 1usize;
+    let mut scale: Option<u64> = None;
+    let mut jobs: Option<usize> = None;
+    let mut from: Option<String> = None;
     let mut out_path: Option<String> = None;
     let mut args = Args::new(argv);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--scale" => scale = args.parse_of("--scale"),
-            "--jobs" => jobs = args.parse_of::<usize>("--jobs").max(1),
+            "--scale" => scale = Some(args.parse_of("--scale")),
+            "--jobs" => jobs = Some(args.parse_of::<usize>("--jobs").max(1)),
+            "--from" => from = Some(args.value_of("--from")),
             "--out" => out_path = Some(args.value_of("--out")),
             "--list" | "list" => {
                 print!("{}", render_list());
@@ -204,38 +206,49 @@ fn figures_main(argv: Vec<String>) -> ExitCode {
     if which != "all" && !FIGURES.contains(&which.as_str()) {
         fail(&format!("unknown figure {which:?}"));
     }
+    if from.is_some() && (scale.is_some() || jobs.is_some()) {
+        fail("--from renders a stored campaign: --scale and --jobs do not apply");
+    }
+    let scale = scale.unwrap_or(2000);
     if scale == 0 {
         fail("--scale must be at least 1");
     }
-    let cfg = Config::with_scale(scale).with_jobs(jobs);
-
-    let mut output = String::new();
-    let run_one = |name: &str, output: &mut String| {
-        let t0 = std::time::Instant::now();
-        let text = match name {
-            "fig2" => fig2::run(&cfg).1,
-            "fig3" => fig3::run(&cfg).1,
-            "fig4" => fig4::run().1,
-            "fig5" => fig5::run(),
-            "fig6" => fig6::run(&cfg).1,
-            "fig7" => fig7::run(&cfg).1,
-            "fig8" => fig8::run(&cfg).1,
-            _ => unreachable!("figure validated above"),
-        };
-        simbench_obs::info!("[{name} completed in {:.1?}]", t0.elapsed());
-        output.push_str(&text);
-        output.push('\n');
+    let names: Vec<&str> = if which == "all" {
+        ["fig5", "fig4"]
+            .into_iter()
+            .chain(MEASURED_FIGURES)
+            .collect()
+    } else {
+        vec![which.as_str()]
     };
 
-    simbench_obs::info!(
-        "scale divisor: {scale} (paper iteration counts / {scale}), {jobs} worker(s)"
-    );
-    if which == "all" {
-        for name in ["fig5", "fig4", "fig3", "fig7", "fig2", "fig6", "fig8"] {
-            run_one(name, &mut output);
+    // Every measured figure renders from one campaign: the stored one,
+    // or the paper campaign measured once, for the first that needs it.
+    let load_or_run = || match &from {
+        Some(path) => CampaignResult::load(path).unwrap_or_else(|e| fail(&e.to_string())),
+        None => {
+            let spec = CampaignSpec::paper(scale);
+            let jobs = jobs.unwrap_or(1);
+            simbench_obs::info!(
+                "[paper campaign] {} jobs on {jobs} worker(s), scale {scale}",
+                spec.expand().len()
+            );
+            let result = simbench_campaign::run(&spec, &RunnerOpts::with_jobs(jobs));
+            simbench_obs::info!("[paper campaign finished in {:.1}s]", result.wall_secs);
+            result
         }
-    } else {
-        run_one(&which, &mut output);
+    };
+    let mut campaign = None;
+    let mut output = String::new();
+    for name in names {
+        let text = match name {
+            "fig4" => fig4::run().1,
+            "fig5" => fig5::run(),
+            _ => simbench_harness::render(name, campaign.get_or_insert_with(load_or_run))
+                .unwrap_or_else(|e| fail(&e)),
+        };
+        output.push_str(&text);
+        output.push('\n');
     }
 
     print!("{output}");
@@ -270,7 +283,6 @@ fn campaign_run(mut args: Args) -> ExitCode {
     let mut out_path: Option<String> = None;
     let mut version_sweep = false;
     let mut with_apps = false;
-    let mut explicit_engines = false;
     let mut trace_path: Option<String> = None;
     let mut journal_dir: Option<String> = None;
     let mut resume_dir: Option<String> = None;
@@ -312,7 +324,6 @@ fn campaign_run(mut args: Args) -> ExitCode {
                     .collect();
             }
             "--engines" => {
-                explicit_engines = true;
                 spec.engines = split_list(&args.value_of("--engines"))
                     .iter()
                     .map(|id| {
@@ -343,10 +354,10 @@ fn campaign_run(mut args: Args) -> ExitCode {
         fail("--scale must be at least 1");
     }
     if version_sweep {
-        if explicit_engines {
-            fail("--versions conflicts with --engines: pass one or the other");
-        }
-        spec.engines = EngineKind::all_dbt_versions();
+        // The twenty profiles join the engine axis, oldest first, in
+        // place of any single DBT profile already on it.
+        spec.engines.retain(|e| !matches!(e, EngineKind::Dbt(_)));
+        spec.engines.extend(EngineKind::all_dbt_versions());
     }
     if with_apps {
         spec.workloads

@@ -20,19 +20,18 @@
 //! Everything here consumes stored [`CampaignResult`]s: calibration
 //! reads the suite cells, prediction reads app event profiles, and
 //! validation compares predictions against the measured app cells of
-//! the same campaign — no benchmark is ever re-run. The convenience
-//! entry point that measures fresh data ([`CostModel::calibrate`]) does
-//! so by running a campaign first, so there is a single calibration
-//! math path either way. On the CLI this surfaces
-//! as `simbench-harness model calibrate|predict|validate`.
+//! the same campaign — no benchmark is ever re-run. The paper campaign
+//! (`CampaignSpec::paper`) holds every app on every engine and guest,
+//! so any (guest, engine) pair validates from it. On the CLI this
+//! surfaces as `simbench-harness model calibrate|predict|validate`.
 
-use simbench_campaign::{
-    run, CampaignResult, CampaignSpec, CellResult, CellStatus, RunnerOpts, Workload,
-};
+use std::time::Duration;
+
+use simbench_campaign::{CampaignResult, CampaignSpec, CellResult, CellStatus, Workload};
 use simbench_core::events::Counters;
 use simbench_suite::Benchmark;
 
-use crate::{Config, EngineKind, Guest};
+use crate::{EngineKind, Guest};
 
 /// Calibrated per-operation costs (seconds) for one engine.
 #[derive(Debug, Clone)]
@@ -112,18 +111,6 @@ impl CostModel {
         Ok(CostModel { per_insn, per_op })
     }
 
-    /// Calibrate by running the calibration kernels now: executes
-    /// [`calibration_spec`] as a campaign, then calibrates from the
-    /// result.
-    pub fn calibrate(guest: Guest, engine: EngineKind, cfg: &Config) -> CostModel {
-        let result = run(
-            &calibration_spec(guest, vec![engine], cfg),
-            &RunnerOpts::with_jobs(cfg.jobs),
-        );
-        CostModel::from_campaign(&result, guest.isa_name(), &engine.id())
-            .expect("hot memory runs everywhere")
-    }
-
     /// Predict a runtime from an architectural event profile.
     pub fn predict(&self, profile: &Counters) -> f64 {
         let mut t = profile.instructions as f64 * self.per_insn;
@@ -135,11 +122,20 @@ impl CostModel {
 }
 
 /// The campaign matrix that calibration needs: the base-cost kernel
-/// plus every calibrator, on the given engines.
-pub fn calibration_spec(guest: Guest, engines: Vec<EngineKind>, cfg: &Config) -> CampaignSpec {
+/// plus every calibrator, on the given engines, one repetition per
+/// cell.
+pub fn calibration_spec(guest: Guest, engines: Vec<EngineKind>, scale: u64) -> CampaignSpec {
     let mut workloads = vec![Workload::Suite(Benchmark::MemHot)];
     workloads.extend(CALIBRATORS.iter().copied().map(Workload::Suite));
-    crate::figure_spec("model-calibration", vec![guest], engines, workloads, cfg)
+    CampaignSpec {
+        name: "model-calibration".to_string(),
+        guests: vec![guest],
+        engines,
+        workloads,
+        scale,
+        reps: 1,
+        wall_limit: Some(Duration::from_secs(120)),
+    }
 }
 
 /// Evaluation of the model on one application.
@@ -233,6 +229,7 @@ pub fn default_profile_engine(result: &CampaignResult, guest: &str, engine: &str
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simbench_campaign::{run, RunnerOpts};
 
     /// Calibrate on `engine`, collect app event profiles on `profile_engine`
     /// (typically the fastest), and compare predicted vs measured times —
@@ -241,16 +238,16 @@ mod tests {
         guest: Guest,
         engine: EngineKind,
         profile_engine: EngineKind,
-        cfg: &Config,
+        scale: u64,
     ) -> Vec<Prediction> {
         let mut engines = vec![engine];
         if profile_engine != engine {
             engines.push(profile_engine);
         }
-        let mut spec = calibration_spec(guest, engines, cfg);
+        let mut spec = calibration_spec(guest, engines, scale);
         spec.name = "model-evaluation".to_string();
         spec.workloads.extend(CampaignSpec::app_workloads());
-        let result = run(&spec, &RunnerOpts::with_jobs(cfg.jobs));
+        let result = run(&spec, &RunnerOpts::serial());
         predict_from_campaign(
             &result,
             guest.isa_name(),
@@ -263,12 +260,11 @@ mod tests {
     #[test]
     fn model_predicts_dbt_app_times_within_bounds() {
         // Profile on the native engine, predict the DBT engine's time.
-        let cfg = Config::with_scale(20_000);
         let preds = evaluate(
             Guest::Armlet,
             EngineKind::Dbt(simbench_dbt::VersionProfile::latest()),
             EngineKind::Native,
-            &cfg,
+            20_000,
         );
         assert_eq!(preds.len(), simbench_apps::App::ALL.len());
         assert!(preds.iter().all(|p| p.measured.is_some()));
@@ -291,8 +287,11 @@ mod tests {
 
     #[test]
     fn calibration_produces_positive_base_cost() {
-        let cfg = Config::with_scale(50_000);
-        let m = CostModel::calibrate(Guest::Armlet, EngineKind::Interp, &cfg);
+        let result = run(
+            &calibration_spec(Guest::Armlet, vec![EngineKind::Interp], 50_000),
+            &RunnerOpts::serial(),
+        );
+        let m = CostModel::from_campaign(&result, "armlet", "interp").unwrap();
         assert!(m.per_insn > 0.0);
         assert!(!m.per_op.is_empty());
         // Prediction is monotone in instruction count.
@@ -312,9 +311,8 @@ mod tests {
         // Calibrating from a persisted-and-reloaded campaign must give
         // the same model as calibrating from the in-memory result: the
         // validation workflow never needs the original process.
-        let cfg = Config::with_scale(200_000);
         let result = run(
-            &calibration_spec(Guest::Armlet, vec![EngineKind::Interp], &cfg),
+            &calibration_spec(Guest::Armlet, vec![EngineKind::Interp], 200_000),
             &RunnerOpts::serial(),
         );
         let reloaded = CampaignResult::from_json(&result.to_json()).unwrap();
@@ -330,9 +328,8 @@ mod tests {
 
     #[test]
     fn missing_cells_are_reported_not_panicked() {
-        let cfg = Config::with_scale(500_000);
         let result = run(
-            &calibration_spec(Guest::Armlet, vec![EngineKind::Interp], &cfg),
+            &calibration_spec(Guest::Armlet, vec![EngineKind::Interp], 500_000),
             &RunnerOpts::serial(),
         );
         let err = CostModel::from_campaign(&result, "armlet", "virt").unwrap_err();
@@ -343,11 +340,10 @@ mod tests {
 
     #[test]
     fn profile_engine_defaults_prefer_native() {
-        let cfg = Config::with_scale(500_000);
         let mut spec = calibration_spec(
             Guest::Armlet,
             vec![EngineKind::Interp, EngineKind::Native],
-            &cfg,
+            500_000,
         );
         spec.workloads
             .push(Workload::App(simbench_apps::App::McfLike));
@@ -358,7 +354,7 @@ mod tests {
         );
         // Without any app cells the modelled engine is its own profiler.
         let bare = run(
-            &calibration_spec(Guest::Armlet, vec![EngineKind::Interp], &cfg),
+            &calibration_spec(Guest::Armlet, vec![EngineKind::Interp], 500_000),
             &RunnerOpts::serial(),
         );
         assert_eq!(default_profile_engine(&bare, "armlet", "interp"), "interp");

@@ -1,7 +1,7 @@
 //! `simbench-harness report <CAMPAIGN.json>` — render a stored
 //! campaign's optional `telemetry` block: the engine-metric counters
 //! and log₂-bucket histograms that `campaign run --trace FILE`
-//! snapshots into the `simbench-campaign/v5` schema.
+//! snapshots into the result it persists.
 //!
 //! The block is observational — `campaign compare` never reads it — so
 //! this renderer is the one consumer that turns it back into something

@@ -204,15 +204,11 @@ fn jobs_do_not_change_event_profiles_end_to_end() {
 fn model_calibration_reads_each_cell_floor() {
     use simbench_campaign::{run, RunnerOpts, Workload};
     use simbench_harness::model::{calibration_spec, CostModel};
-    use simbench_harness::{Config, EngineKind, Guest};
+    use simbench_harness::{EngineKind, Guest};
 
     // The Hot Memory Access cell's slower repetitions are noise: the
     // base cost per instruction comes from its fastest one.
-    let spec = calibration_spec(
-        Guest::Armlet,
-        vec![EngineKind::Interp],
-        &Config::with_scale(500_000),
-    );
+    let spec = calibration_spec(Guest::Armlet, vec![EngineKind::Interp], 500_000);
     let mut result = run(&spec, &RunnerOpts::serial());
     let hot_id = Workload::Suite(simbench_suite::Benchmark::MemHot).id();
     let hot = result
@@ -340,10 +336,105 @@ fn model_workflow_runs_from_a_stored_campaign() {
 
 #[test]
 fn figures_usage_errors_exit_3() {
-    for args in [vec!["figX"], vec!["fig7", "--bogus"], vec![]] {
+    for args in [
+        vec!["figX"],
+        vec!["fig7", "--bogus"],
+        vec![],
+        vec!["fig6", "--from", "c.json", "--scale", "5"],
+        vec!["all", "--jobs", "2", "--from", "c.json"],
+        vec!["fig2", "--from"],
+    ] {
         let out = run_cli(&args);
         assert_eq!(exit_code(&out), 3, "args {args:?}");
     }
+}
+
+/// Every measured figure's text, rendered by the figure drivers before
+/// they became renderers of one campaign, from the paper matrix at
+/// scale `u64::MAX` with every ok cell's seconds set by [`pinned_seconds`].
+const PINNED_FIGURES: &str = include_str!("fixtures/paper_figures.txt");
+
+/// A stand-in time for a cell, fixed by its ids: FNV-1a of the guest,
+/// engine and workload, mapped into [1 ms, 2 ms).
+fn pinned_seconds(c: &simbench_campaign::CellResult) -> f64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in [&c.guest, &c.engine, &c.workload]
+        .iter()
+        .flat_map(|s| s.bytes())
+    {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    1e-3 * (1.0 + (h % 1000) as f64 / 1000.0)
+}
+
+#[test]
+fn figures_render_the_pinned_paper_campaign_byte_for_byte() {
+    use simbench_campaign::CampaignSpec;
+
+    // `campaign run --apps --versions` measures exactly the paper's
+    // matrix; at scale u64::MAX its counters are deterministic.
+    let path = scratch("paper");
+    let path_str = path.to_str().unwrap();
+    let out = run_cli(&[
+        "campaign",
+        "run",
+        "--apps",
+        "--versions",
+        "--scale",
+        &u64::MAX.to_string(),
+        "--jobs",
+        "2",
+        "--out",
+        path_str,
+    ]);
+    assert_eq!(exit_code(&out), 0, "{}", stderr(&out));
+    let mut result = CampaignResult::load(&path).unwrap();
+    let ids = |c: &simbench_campaign::CellResult| (c.guest.clone(), c.engine.clone(), c.workload.clone());
+    let want: Vec<_> = CampaignSpec::paper(u64::MAX)
+        .cells()
+        .iter()
+        .map(|k| (k.guest.isa_name().to_string(), k.engine.id(), k.workload.id()))
+        .collect();
+    assert_eq!(result.cells.iter().map(ids).collect::<Vec<_>>(), want);
+
+    for c in &mut result.cells {
+        if c.status == CellStatus::Ok {
+            c.seconds = vec![pinned_seconds(c)];
+        }
+    }
+    result.save(&path).unwrap();
+    let rendered: String = simbench_harness::MEASURED_FIGURES
+        .iter()
+        .map(|f| simbench_harness::render(f, &result).unwrap() + "\n")
+        .collect();
+    assert_eq!(rendered, PINNED_FIGURES);
+    // `all` prints Figs 5 and 4 (the host and the engines), then the
+    // measured figures from the stored campaign.
+    let out = run_cli(&["all", "--from", path_str]);
+    assert_eq!(exit_code(&out), 0, "{}", stderr(&out));
+    assert!(stdout(&out).starts_with("Fig 5"));
+    assert!(stdout(&out).ends_with(PINNED_FIGURES), "{}", stdout(&out));
+
+    // A cell that failed is named, and so is one that is missing.
+    let at = result
+        .cells
+        .iter()
+        .position(|c| (c.guest.as_str(), c.engine.as_str()) == ("armlet", "interp"))
+        .unwrap();
+    result.cells[at].status = CellStatus::Failed("injected".to_string());
+    result.save(&path).unwrap();
+    let out = run_cli(&["fig7", "--from", path_str]);
+    assert_eq!(exit_code(&out), 3, "{}", stdout(&out));
+    let want = "no completed cell armlet/interp suite:Small Blocks (status: failed:injected)";
+    assert!(stderr(&out).contains(want), "{}", stderr(&out));
+    result.cells.remove(at);
+    result.save(&path).unwrap();
+    let out = run_cli(&["fig7", "--from", path_str]);
+    assert_eq!(exit_code(&out), 3, "{}", stdout(&out));
+    let want = "no completed cell armlet/interp suite:Small Blocks (status: missing)";
+    assert!(stderr(&out).contains(want), "{}", stderr(&out));
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -25,8 +25,8 @@
 //!   as versioned `simbench-campaign/v7` JSON (`v6` files still load),
 //!   and compared counter-exactly against stored baselines on event
 //!   profiles.
-//! * [`harness`] — experiment drivers regenerating every paper table
-//!   and figure, now thin renderers over campaign results, the
+//! * [`harness`] — renderers of every paper table and figure, the
+//!   measured ones from one stored paper campaign, the
 //!   app-performance cost model calibrated from stored campaigns, plus
 //!   the `simbench-harness campaign run|compare|list` and
 //!   `model calibrate|predict|validate` CLI.

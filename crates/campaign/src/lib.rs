@@ -20,8 +20,8 @@
 //!   per-cell `reps_run` / `attempts` for retried runs, `quarantined` /
 //!   `timed_out` statuses for fault-isolated cells, a `journal` echo on
 //!   journaled runs, and an optional `telemetry` block carrying the
-//!   engine metrics snapshot of instrumented runs) with load/save, a
-//!   `v6` reader, typed [`LoadError`]s and deterministic cell ordering.
+//!   engine metrics snapshot of instrumented runs) with load/save,
+//!   typed [`LoadError`]s and deterministic cell ordering.
 //!   A result is always the whole matrix of one run on one host;
 //! * [`compare`] — regression detection against a stored baseline on
 //!   machine-independent event profiles ([`compare_counters`], zero
@@ -88,7 +88,7 @@ pub use compare::{compare_counters, CounterComparison, CounterDelta, CounterDiff
 pub use journal::{replay, Journal, Replay, JOURNAL_FILE, JOURNAL_SCHEMA};
 pub use measure::{run_app, run_suite_bench, Config, EngineKind, Guest, Sample};
 pub use registry::{dispatch_guest, GuestInfo, GuestSpec, GuestVisitor, GUESTS};
-pub use result::{CampaignResult, CellResult, CellStatus, LoadError, Telemetry, SCHEMA, SCHEMA_V6};
+pub use result::{CampaignResult, CellResult, CellStatus, LoadError, Telemetry, SCHEMA};
 pub use runner::{run, run_resumed, RunnerOpts};
 pub use spec::{CampaignSpec, CellKey, Job, Workload};
 pub use stats::{geomean, stats, Stats};

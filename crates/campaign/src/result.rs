@@ -8,10 +8,7 @@
 //! ([`CellResult::stats`]), so no stored number can disagree with the
 //! samples it came from.
 //!
-//! Readers also accept `v6`, which is v7 plus three members that are no
-//! longer written: a top-level `precision` echo, and a per-cell
-//! `stop_reason` and `stats`. They are skipped like any unknown member.
-//! Anything else is rejected with a typed [`LoadError`] rather than
+//! Any other schema is rejected with a typed [`LoadError`] rather than
 //! guessed at, so future layout changes bump the version and add an
 //! explicit migration.
 
@@ -28,11 +25,6 @@ use crate::stats::{stats, Stats};
 
 /// Schema identifier written to every result file.
 pub const SCHEMA: &str = "simbench-campaign/v7";
-
-/// The previous schema identifier, still accepted on load: v7 plus a
-/// `precision` echo and per-cell `stop_reason` and `stats` members,
-/// which the reader skips.
-pub const SCHEMA_V6: &str = "simbench-campaign/v6";
 
 /// Why a campaign result failed to load. Every malformed input maps to
 /// a variant — loading never panics.
@@ -57,10 +49,9 @@ impl std::fmt::Display for LoadError {
         match self {
             LoadError::Io(e) => write!(f, "{e}"),
             LoadError::Json(e) => write!(f, "invalid JSON: {e}"),
-            LoadError::Schema { found } => write!(
-                f,
-                "unsupported schema {found:?} (expected {SCHEMA:?} or {SCHEMA_V6:?})"
-            ),
+            LoadError::Schema { found } => {
+                write!(f, "unsupported schema {found:?} (expected {SCHEMA:?})")
+            }
             LoadError::Malformed(e) => write!(f, "malformed campaign result: {e}"),
         }
     }
@@ -259,7 +250,7 @@ pub struct CampaignResult {
     pub jobs: usize,
     /// Write-ahead journal directory the campaign appended to
     /// (`campaign run --journal DIR`), echoed for provenance. `None`
-    /// for unjournaled runs and pre-v6 files.
+    /// for unjournaled runs.
     pub journal: Option<String>,
     /// Wall-clock seconds for the whole campaign.
     pub wall_secs: f64,
@@ -328,9 +319,8 @@ impl CampaignResult {
         out
     }
 
-    /// Parse the versioned JSON format. Accepts the current `v7` layout
-    /// and `v6`, whose extra members are skipped. Any other schema is a
-    /// typed error.
+    /// Parse the versioned JSON format. Any schema but the current `v7`
+    /// is a typed error.
     pub fn from_json(text: &str) -> Result<CampaignResult, LoadError> {
         // Cells are read without a tree; a malformed one is reported
         // only after the whole text has parsed and the schema is known.
@@ -344,7 +334,7 @@ impl CampaignResult {
             .get("schema")
             .and_then(Value::as_str)
             .ok_or_else(|| LoadError::Malformed("missing string \"schema\"".to_string()))?;
-        if schema != SCHEMA && schema != SCHEMA_V6 {
+        if schema != SCHEMA {
             return Err(LoadError::Schema {
                 found: schema.to_string(),
             });
@@ -375,8 +365,6 @@ impl CampaignResult {
             Some(v) => Some(parse_telemetry(v).map_err(|e| malformed(format!("telemetry: {e}")))?),
         };
         Ok(CampaignResult {
-            // Results are current-schema in memory, so saving a loaded
-            // v6 file produces a v7 file.
             schema: SCHEMA.to_string(),
             name: str_field("name")?,
             scale: u64_field("scale")?,
@@ -758,25 +746,6 @@ mod tests {
     }
 
     #[test]
-    fn v6_only_members_are_skipped_whatever_their_value() {
-        // A v6 document's precision echo, stop reasons and stored
-        // statistics are not read, so not even a bad one fails the load.
-        let text = demo()
-            .to_json()
-            .replace(SCHEMA, SCHEMA_V6)
-            .replace(
-                "  \"jobs\"",
-                "  \"precision\": {\"target_rci\": -1},\n  \"jobs\"",
-            )
-            .replace(
-                "\"reps_run\": 2, ",
-                "\"reps_run\": 2, \"stop_reason\": \"tired\", \"stats\": {\"min\": 99}, ",
-            );
-        assert!(text.contains("\"stop_reason\""), "{text}");
-        assert_eq!(CampaignResult::from_json(&text).unwrap(), demo());
-    }
-
-    #[test]
     fn stats_are_computed_from_the_seconds_and_never_written() {
         let mut r = demo();
         // One invalid timing and one wild one among the repetitions.
@@ -862,10 +831,10 @@ mod tests {
     }
 
     #[test]
-    fn schema_errors_name_both_readable_versions() {
+    fn schema_errors_name_the_readable_version() {
         let found = "simbench-campaign/v4".to_string();
         let text = LoadError::Schema { found }.to_string();
-        let want = "\"simbench-campaign/v4\" (expected \"simbench-campaign/v7\" or \"simbench-campaign/v6\")";
+        let want = "\"simbench-campaign/v4\" (expected \"simbench-campaign/v7\")";
         assert_eq!(text, format!("unsupported schema {want}"));
     }
 

@@ -321,8 +321,7 @@ mod tests {
         assert_eq!(spec.cells().len(), 1944);
         assert_eq!(spec.expand().len(), 1896 * spec.reps as usize);
         assert!(spec.reps >= 5);
-        let ids: std::collections::BTreeSet<String> =
-            spec.engines.iter().map(|e| e.id()).collect();
+        let ids: std::collections::BTreeSet<String> = spec.engines.iter().map(|e| e.id()).collect();
         assert_eq!(ids.len(), 24, "no engine twice");
         for e in EngineKind::fig7_columns() {
             assert!(ids.contains(&e.id()), "{e:?}");

@@ -280,31 +280,6 @@ fn broken_journaled_cells_are_remeasured_on_resume() {
 }
 
 #[test]
-fn a_fixed_journal_of_the_v6_writer_resumes() {
-    // The v6 writer journaled cells with a stop reason and stored
-    // statistics; a fixed run of the same spec replays them.
-    let s = spec(2);
-    let dir = journal_dir("v6-cells");
-    let whole = run(&s, &RunnerOpts::serial());
-    let journal = Journal::create(&dir, &s, None).unwrap();
-    journal.record_cell(0, &whole.cells[0]);
-    drop(journal);
-    let path = dir.join(JOURNAL_FILE);
-    let text = std::fs::read_to_string(&path)
-        .unwrap()
-        .replace(", \"seconds\"", ", \"stop_reason\": \"fixed\", \"seconds\"");
-    let text = text.replace(
-        ", \"counters\"",
-        ", \"stats\": {\"n\": 2, \"median\": 7.0}, \"counters\"",
-    );
-    assert!(text.contains("stop_reason") && text.contains("\"stats\""));
-    std::fs::write(&path, text).unwrap();
-    let rep = replay(&dir, &s).unwrap();
-    assert_eq!(rep.cells, vec![(0, whole.cells[0].clone())]);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn compare_flags_exactly_the_cell_whose_counter_drifted() {
     let current = run(&spec(1), &RunnerOpts::with_jobs(2));
     let mut baseline = current.clone();

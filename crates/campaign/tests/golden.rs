@@ -5,12 +5,9 @@
 //! and `campaign_v7_full.json` carries every optional field the writer
 //! knows (journal, telemetry, attempts, counter variants, every non-`ok`
 //! status with a payload that needs escaping), so it pins every branch
-//! of the writer. The two `campaign_v6*.json` files are their twins in the previous layout,
-//! which also carried a `precision` echo and per-cell `stop_reason` and
-//! `stats` members; they are frozen, and each loads to exactly its v7
-//! twin. Any unintentional change to the serializer or the parser shows
-//! up here as a byte diff; after an *intentional* schema change,
-//! regenerate the v7 fixtures with
+//! of the writer. Any unintentional change to the serializer or the
+//! parser shows up here as a byte diff; after an *intentional* schema
+//! change, regenerate the v7 fixtures with
 //!
 //! ```sh
 //! cargo test -p simbench-campaign --test golden regen -- --ignored
@@ -18,16 +15,10 @@
 
 use simbench_campaign::{
     CampaignResult, CampaignSpec, CellStatus, Journal, LoadError, Telemetry, JOURNAL_FILE, SCHEMA,
-    SCHEMA_V6,
 };
 
-const V6: &str = include_str!("fixtures/campaign_v6.json");
-const V6_FULL: &str = include_str!("fixtures/campaign_v6_full.json");
 const V7: &str = include_str!("fixtures/campaign_v7.json");
 const V7_FULL: &str = include_str!("fixtures/campaign_v7_full.json");
-
-/// Each fixture's text with the schema string it declares.
-const WHOLE: [(&str, &str); 2] = [(V6, SCHEMA_V6), (V7, SCHEMA)];
 
 /// The full fixture's in-memory value: the v7 fixture plus every
 /// optional top-level and per-cell field, each non-`ok` status with a
@@ -128,42 +119,20 @@ fn v7_fixture_round_trips_byte_stably() {
     );
 }
 
-/// A v6 fixture loads to a result equal to its v7 twin's: its extra
-/// members are skipped.
-fn assert_v6_loads_as_v7(v6: &str, v7: &str) {
-    assert!(v6.contains(SCHEMA_V6));
-    let migrated = CampaignResult::from_json(v6).expect("v6 fixture parses");
-    assert_eq!(migrated.schema, SCHEMA, "migration normalizes the schema");
-    assert_eq!(migrated, CampaignResult::from_json(v7).unwrap());
-}
-
 #[test]
-fn v6_fixture_loads_to_exactly_the_v7_fixture() {
-    assert_v6_loads_as_v7(V6, V7);
-    assert_eq!(CampaignResult::from_json(V6).unwrap().to_json(), V7);
-}
-
-#[test]
-fn v6_full_fixture_loads_to_exactly_the_v7_full_fixture() {
-    // The one fixture with a precision echo and every stop reason.
-    assert!(V6_FULL.contains("\"precision\"") && V6_FULL.contains("\"converged\""));
-    assert_v6_loads_as_v7(V6_FULL, V7_FULL);
-}
-
-#[test]
-fn migrated_fixture_keeps_cell_semantics() {
-    let migrated = CampaignResult::from_json(V6).unwrap();
-    assert_eq!(migrated.name, "golden");
-    assert_eq!(migrated.cells.len(), 3);
-    assert_eq!(migrated.cells[0].status, CellStatus::Ok);
-    assert_eq!(migrated.cells[0].counters.syscalls, 2500);
+fn v7_fixture_keeps_cell_semantics() {
+    let parsed = CampaignResult::from_json(V7).unwrap();
+    assert_eq!(parsed.name, "golden");
+    assert_eq!(parsed.cells.len(), 3);
+    assert_eq!(parsed.cells[0].status, CellStatus::Ok);
+    assert_eq!(parsed.cells[0].counters.syscalls, 2500);
     // The time is the floor of the stored seconds, not a stored figure.
-    assert_eq!(migrated.cells[0].metric(), Some(0.0105));
+    assert_eq!(parsed.cells[0].metric(), Some(0.0105));
     assert_eq!(
-        migrated.cells[2].status,
+        parsed.cells[2].status,
         CellStatus::Unsupported("intc device model".to_string())
     );
-    assert!(migrated.cells[2].stats().is_none());
+    assert!(parsed.cells[2].stats().is_none());
 }
 
 #[test]
@@ -172,6 +141,7 @@ fn unknown_schema_versions_are_typed_errors() {
         "simbench-campaign/v0",
         "simbench-campaign/v4",
         "simbench-campaign/v5",
+        "simbench-campaign/v6",
         "simbench-campaign/v8",
         "nonsense",
     ] {
@@ -185,18 +155,18 @@ fn unknown_schema_versions_are_typed_errors() {
 
 #[test]
 fn a_v5_document_is_a_schema_error_not_a_migration() {
-    let v5 = V6.replace(SCHEMA_V6, "simbench-campaign/v5");
+    let v5 = V7.replace(SCHEMA, "simbench-campaign/v5");
     let err = CampaignResult::from_json(&v5).unwrap_err();
     let found = "simbench-campaign/v5".to_string();
     assert_eq!(err, LoadError::Schema { found });
     let text = err.to_string();
-    assert!(text.contains(SCHEMA) && text.contains(SCHEMA_V6), "{text}");
+    assert!(text.contains(SCHEMA), "{text}");
 }
 
 #[test]
 fn loading_a_fixture_file_matches_parsing_its_text() {
     let dir = env!("CARGO_MANIFEST_DIR");
-    let loaded = CampaignResult::load(format!("{dir}/tests/fixtures/campaign_v6.json")).unwrap();
+    let loaded = CampaignResult::load(format!("{dir}/tests/fixtures/campaign_v7.json")).unwrap();
     assert_eq!(loaded.to_json(), V7);
 }
 
@@ -245,13 +215,11 @@ fn malformed_documents_are_typed_errors_not_panics() {
 fn a_result_carrying_a_shard_is_refused() {
     // A slice written by the removed `--shard` option must never load
     // as if it were the whole matrix.
-    for (fixture, _) in WHOLE {
-        let member = "  \"shard\": {\"index\": 1, \"count\": 2},\n  \"cells\": [";
-        let text = fixture.replacen("  \"cells\": [", member, 1);
-        match CampaignResult::from_json(&text) {
-            Err(LoadError::Malformed(e)) => assert!(e.contains("removed --shard option"), "{e}"),
-            other => panic!("expected malformed, got {other:?}"),
-        }
+    let member = "  \"shard\": {\"index\": 1, \"count\": 2},\n  \"cells\": [";
+    let text = V7.replacen("  \"cells\": [", member, 1);
+    match CampaignResult::from_json(&text) {
+        Err(LoadError::Malformed(e)) => assert!(e.contains("removed --shard option"), "{e}"),
+        other => panic!("expected malformed, got {other:?}"),
     }
 }
 
@@ -263,41 +231,35 @@ fn with_malformed_cell_0(text: &str) -> String {
 #[test]
 fn a_malformed_cell_followed_by_a_syntax_error_is_a_json_error() {
     // The syntax error in a later cell, and after the cells array.
-    for (fixture, _) in WHOLE {
-        let bad = with_malformed_cell_0(fixture);
-        for text in [
-            bad.replace("\"seconds\": []}", "\"seconds\": [,]}"),
-            bad.replace("  ]\n}\n", "  ]\n}}\n"),
-        ] {
-            let err = CampaignResult::from_json(&text).unwrap_err();
-            assert!(matches!(err, LoadError::Json(_)), "{err}");
-        }
+    let bad = with_malformed_cell_0(V7);
+    for text in [
+        bad.replace("\"seconds\": []}", "\"seconds\": [,]}"),
+        bad.replace("  ]\n}\n", "  ]\n}}\n"),
+    ] {
+        let err = CampaignResult::from_json(&text).unwrap_err();
+        assert!(matches!(err, LoadError::Json(_)), "{err}");
     }
 }
 
 #[test]
 fn an_unknown_schema_beats_a_malformed_cell() {
-    for (fixture, schema) in WHOLE {
-        let text = with_malformed_cell_0(fixture).replace(schema, "simbench-campaign/v0");
-        let found = "simbench-campaign/v0".to_string();
-        assert_eq!(
-            CampaignResult::from_json(&text).unwrap_err(),
-            LoadError::Schema { found }
-        );
-    }
+    let text = with_malformed_cell_0(V7).replace(SCHEMA, "simbench-campaign/v0");
+    let found = "simbench-campaign/v0".to_string();
+    assert_eq!(
+        CampaignResult::from_json(&text).unwrap_err(),
+        LoadError::Schema { found }
+    );
 }
 
 #[test]
 fn a_schema_written_after_the_cells_loads() {
-    for (fixture, schema) in WHOLE {
-        let schema_line = format!("  \"schema\": \"{schema}\",\n");
-        let text = fixture.replace(&schema_line, "").replace(
-            "  ]\n}\n",
-            &format!("  ],\n  \"schema\": \"{schema}\"\n}}\n"),
-        );
-        assert_ne!(text, fixture);
-        assert_eq!(CampaignResult::from_json(&text).unwrap().to_json(), V7);
-    }
+    let schema_line = format!("  \"schema\": \"{SCHEMA}\",\n");
+    let text = V7.replace(&schema_line, "").replace(
+        "  ]\n}\n",
+        &format!("  ],\n  \"schema\": \"{SCHEMA}\"\n}}\n"),
+    );
+    assert_ne!(text, V7);
+    assert_eq!(CampaignResult::from_json(&text).unwrap().to_json(), V7);
 }
 
 #[test]
@@ -305,61 +267,57 @@ fn a_duplicate_key_keeps_its_last_value() {
     // At the top level, in a cell, inside counters and for the cells
     // array itself: the earlier value is wrong or malformed, the later
     // one is the fixture's.
-    for (fixture, _) in WHOLE {
-        let text = fixture
-            .replace(
-                "  \"name\": \"golden\",",
-                "  \"name\": 7,\n  \"name\": \"golden\",",
-            )
-            .replace(
-                "\"iterations\": 2500",
-                "\"iterations\": 1, \"iterations\": 2500",
-            )
-            .replace(
-                "\"reps_run\": 2, ",
-                "\"reps_run\": 2, \"attempts\": 9, \"attempts\": 2, ",
-            )
-            .replace(
-                "\"syscalls\": 2500",
-                "\"syscalls\": \"x\", \"syscalls\": 2500",
-            )
-            .replace(
-                "\"tested_ops\": 100",
-                "\"tested_ops\": \"x\", \"tested_ops\": 100",
-            )
-            .replace("  \"cells\": [", "  \"cells\": [{}],\n  \"cells\": [");
-        assert_eq!(CampaignResult::from_json(&text).unwrap().to_json(), V7);
-        // And a malformed last value is an error even after a good one.
-        let text = fixture.replace(
+    let text = V7
+        .replace(
+            "  \"name\": \"golden\",",
+            "  \"name\": 7,\n  \"name\": \"golden\",",
+        )
+        .replace(
+            "\"iterations\": 2500",
+            "\"iterations\": 1, \"iterations\": 2500",
+        )
+        .replace(
+            "\"reps_run\": 2, ",
+            "\"reps_run\": 2, \"attempts\": 9, \"attempts\": 2, ",
+        )
+        .replace(
+            "\"syscalls\": 2500",
+            "\"syscalls\": \"x\", \"syscalls\": 2500",
+        )
+        .replace(
             "\"tested_ops\": 100",
-            "\"tested_ops\": 100, \"tested_ops\": \"x\"",
-        );
-        match CampaignResult::from_json(&text) {
-            Err(LoadError::Malformed(e)) => assert_eq!(e, "cell 1: \"tested_ops\" not an integer"),
-            other => panic!("expected malformed, got {other:?}"),
-        }
+            "\"tested_ops\": \"x\", \"tested_ops\": 100",
+        )
+        .replace("  \"cells\": [", "  \"cells\": [{}],\n  \"cells\": [");
+    assert_eq!(CampaignResult::from_json(&text).unwrap().to_json(), V7);
+    // And a malformed last value is an error even after a good one.
+    let text = V7.replace(
+        "\"tested_ops\": 100",
+        "\"tested_ops\": 100, \"tested_ops\": \"x\"",
+    );
+    match CampaignResult::from_json(&text) {
+        Err(LoadError::Malformed(e)) => assert_eq!(e, "cell 1: \"tested_ops\" not an integer"),
+        other => panic!("expected malformed, got {other:?}"),
     }
 }
 
 #[test]
 fn a_string_in_seconds_or_counters_is_malformed_and_names_the_cell() {
-    for (fixture, _) in WHOLE {
-        for (from, to, want) in [
-            (
-                "\"seconds\": [0.5]",
-                "\"seconds\": [\"0.5\"]",
-                "cell 1: non-numeric entry in \"seconds\"",
-            ),
-            (
-                "\"tlb_misses\": 100",
-                "\"tlb_misses\": \"100\"",
-                "cell 1: counter tlb_misses not an integer",
-            ),
-        ] {
-            match CampaignResult::from_json(&fixture.replace(from, to)) {
-                Err(LoadError::Malformed(e)) => assert_eq!(e, want),
-                other => panic!("{to}: expected malformed, got {other:?}"),
-            }
+    for (from, to, want) in [
+        (
+            "\"seconds\": [0.5]",
+            "\"seconds\": [\"0.5\"]",
+            "cell 1: non-numeric entry in \"seconds\"",
+        ),
+        (
+            "\"tlb_misses\": 100",
+            "\"tlb_misses\": \"100\"",
+            "cell 1: counter tlb_misses not an integer",
+        ),
+    ] {
+        match CampaignResult::from_json(&V7.replace(from, to)) {
+            Err(LoadError::Malformed(e)) => assert_eq!(e, want),
+            other => panic!("{to}: expected malformed, got {other:?}"),
         }
     }
 }
@@ -368,7 +326,7 @@ fn a_string_in_seconds_or_counters_is_malformed_and_names_the_cell() {
 /// the ones that only drop trailing whitespace, which load.
 #[test]
 fn truncated_fixtures_are_json_errors_not_panics() {
-    for text in [V6, V6_FULL, V7, V7_FULL] {
+    for text in [V7, V7_FULL] {
         for end in (0..text.len()).filter(|&end| text.is_char_boundary(end)) {
             let prefix = &text[..end];
             match CampaignResult::from_json(prefix) {
@@ -387,7 +345,7 @@ fn truncated_fixtures_are_json_errors_not_panics() {
 #[test]
 fn corrupted_fixtures_load_or_fail_typed() {
     let mut seed = 0x9e37_79b9_7f4a_7c15u64;
-    for text in [V6, V6_FULL, V7, V7_FULL] {
+    for text in [V7, V7_FULL] {
         for _ in 0..256 {
             // xorshift64: a fixed, dependency-free position sequence.
             seed ^= seed << 13;
@@ -417,13 +375,14 @@ fn unreadable_files_are_io_errors() {
     assert!(matches!(err, LoadError::Io(_)), "{err}");
 }
 
-/// Regenerates `fixtures/campaign_v7.json` from the frozen v6 fixture.
-/// Ignored by default: run it manually after an intentional schema
-/// change, then review the diff.
+/// Regenerates `fixtures/campaign_v7.json` by passing the committed
+/// fixture through the current reader and writer. Ignored by default:
+/// run it manually after an intentional schema change, then review the
+/// diff.
 #[test]
 #[ignore = "writes the v7 fixture; run manually after intentional schema changes"]
 fn regen_v7_fixture() {
-    let migrated = CampaignResult::from_json(V6).unwrap();
+    let migrated = CampaignResult::from_json(V7).unwrap();
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/fixtures/campaign_v7.json"

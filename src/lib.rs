@@ -22,7 +22,7 @@
 //!   declarative guests × engines × workloads matrix expanded into jobs,
 //!   executed on a completion-driven worker pool, aggregated into per-cell
 //!   statistics (including the deterministic event profile), persisted
-//!   as versioned `simbench-campaign/v7` JSON (`v6` files still load),
+//!   as versioned `simbench-campaign/v7` JSON,
 //!   and compared counter-exactly against stored baselines on event
 //!   profiles.
 //! * [`harness`] — renderers of every paper table and figure, the

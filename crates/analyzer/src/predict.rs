@@ -35,6 +35,7 @@ use simbench_core::ir::{Decoded, MemSize};
 use simbench_core::isa::{undecodable, CopEffect, Isa};
 use simbench_core::machine::Machine;
 use simbench_core::page_of;
+use simbench_core::run::ram_end_chunk;
 use simbench_core::tlb::SingleEntryCache;
 use simbench_platform::{Platform, TIMER_BASE};
 
@@ -227,13 +228,7 @@ impl<I: Isa> PredictCtx<'_, I> {
             if (pa as usize) + n <= ram.len() {
                 bytes[have..have + n].copy_from_slice(&ram[pa as usize..pa as usize + n]);
             } else {
-                if have == 0 {
-                    return Err(MemFault {
-                        addr: pc,
-                        access: AccessKind::Execute,
-                        kind: FaultKind::BusError,
-                    });
-                }
+                have += ram_end_chunk(ram, pc, pa, &mut bytes[have..have + n], have == 0)?;
                 break;
             }
             have += n;

@@ -255,6 +255,37 @@ pub fn in_page_window<I: Isa>(ram: &[u8], pc: u32, pa: u32, buf: &mut [u8; 8]) -
     true
 }
 
+/// The end-of-RAM rule of every instruction fetch, the engines' and the
+/// static predictor's: copy the part of the `dst.len()`-byte chunk at
+/// `pa` that lies in `ram` and return its length. Only a fetch whose
+/// `first` chunk has no byte in RAM is the prefetch abort at `pc`; a
+/// shorter copy truncates the window, which aborts later only if the
+/// decoder needs the missing bytes.
+///
+/// # Errors
+///
+/// The bus-error prefetch abort.
+#[cold]
+pub fn ram_end_chunk(
+    ram: &[u8],
+    pc: u32,
+    pa: u32,
+    dst: &mut [u8],
+    first: bool,
+) -> Result<usize, MemFault> {
+    let part = ram.get(pa as usize..).unwrap_or_default();
+    let n = part.len().min(dst.len());
+    if n == 0 && first {
+        return Err(MemFault {
+            addr: pc,
+            access: AccessKind::Execute,
+            kind: FaultKind::BusError,
+        });
+    }
+    dst[..n].copy_from_slice(&part[..n]);
+    Ok(n)
+}
+
 /// Machine borrows, the run's counters and the engine's policy: the
 /// context every op executes against.
 pub struct ExecCore<'a, I: Isa, B: Bus, P: Policy> {
@@ -394,9 +425,10 @@ impl<'a, I: Isa, B: Bus, P: Policy> ExecCore<'a, I, B, P> {
     ///
     /// # Errors
     ///
-    /// A bus error when the first byte lies outside RAM. A tail that
-    /// cannot be translated or read only truncates the result: it
-    /// aborts later, and only if the decoder needs those bytes.
+    /// A bus error when the first byte lies outside RAM
+    /// ([`ram_end_chunk`]). A tail that cannot be translated or read only
+    /// truncates the result: it aborts later, and only if the decoder
+    /// needs those bytes.
     #[inline]
     pub fn fetch_bytes(
         &mut self,
@@ -414,14 +446,8 @@ impl<'a, I: Isa, B: Bus, P: Policy> ExecCore<'a, I, B, P> {
             let n = page_left.min(want - have);
             let ram = self.bus.ram();
             if (pa as usize) + n > ram.len() {
-                // Executing from MMIO or beyond RAM: architectural abort.
-                if have == 0 {
-                    return Err(MemFault {
-                        addr: pc,
-                        access: AccessKind::Execute,
-                        kind: FaultKind::BusError,
-                    });
-                }
+                // The window runs out of RAM (into MMIO or beyond).
+                have += ram_end_chunk(ram, pc, pa, &mut buf[have..have + n], have == 0)?;
                 break;
             }
             buf[have..have + n].copy_from_slice(&ram[pa as usize..pa as usize + n]);

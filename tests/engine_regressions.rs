@@ -455,14 +455,14 @@ fn a_fetch_truncated_by_the_end_of_ram_is_undefined_on_every_engine() {
     );
 }
 
-/// The last instruction in RAM, a `nop` of `nop_len` bytes, runs even
-/// where the decoder's `MAX_INSN_BYTES` window would run past the end
-/// (on armlet the window ends exactly there), and the fetch after it,
-/// at the first address beyond RAM, is a prefetch abort.
-fn fetches_at_the_end_of_ram<I: Isa, A: PortableAsm>(mut a: A, nop_len: usize) {
+/// The last instruction in `ram_len` bytes of RAM, a `nop` of `nop_len`
+/// bytes, runs even where the decoder's `MAX_INSN_BYTES` window would
+/// run past the end (on armlet the window ends exactly there), and the
+/// fetch after it, at the first address beyond RAM, is a prefetch abort.
+fn fetches_at_the_end_of_ram<I: Isa, A: PortableAsm>(mut a: A, nop_len: usize, ram_len: usize) {
     use simbench_core::fault::ExceptionKind;
 
-    let last = (BARE_RAM - nop_len) as u32;
+    let last = (ram_len - nop_len) as u32;
     a.org(ExceptionKind::PrefetchAbort.vector(0));
     a.halt();
     a.org(0x8000);
@@ -473,19 +473,31 @@ fn fetches_at_the_end_of_ram<I: Isa, A: PortableAsm>(mut a: A, nop_len: usize) {
     let image = a.finish(0x8000);
 
     let (m, out) = every_engine_equals_interp::<I>(I::NAME, || {
-        Machine::boot(&image, Platform::with_ram(BARE_RAM))
+        Machine::boot(&image, Platform::with_ram(ram_len))
     });
     let c = out.counters;
     assert_eq!((c.undef_insns, c.insn_faults), (0, 1), "{}", I::NAME);
-    assert_eq!(sys_reg(&m, "saved_pc"), BARE_RAM as u32, "{}", I::NAME);
+    assert_eq!(sys_reg(&m, "saved_pc"), ram_len as u32, "{}", I::NAME);
 }
 
 #[test]
 fn the_last_instruction_in_ram_runs_and_the_next_fetch_aborts_on_every_engine() {
     use simbench_isa_riscle::{Riscle, RiscleAsm};
-    fetches_at_the_end_of_ram::<Armlet, _>(ArmletAsm::new(), 4);
-    fetches_at_the_end_of_ram::<Petix, _>(PetixAsm::new(), 1);
-    fetches_at_the_end_of_ram::<Riscle, _>(RiscleAsm::new(), 2);
+    fetches_at_the_end_of_ram::<Armlet, _>(ArmletAsm::new(), 4, BARE_RAM);
+    fetches_at_the_end_of_ram::<Petix, _>(PetixAsm::new(), 1, BARE_RAM);
+    fetches_at_the_end_of_ram::<Riscle, _>(RiscleAsm::new(), 2, BARE_RAM);
+}
+
+/// RAM that ends inside a page: a window that crosses its end holds the
+/// bytes before it, so petix's one-byte `nop` and riscle's two-byte one
+/// at the end still run.
+#[test]
+fn the_last_instruction_in_ram_that_ends_mid_page_runs_on_every_engine() {
+    use simbench_isa_riscle::{Riscle, RiscleAsm};
+    const MID_PAGE: usize = BARE_RAM - 0x800;
+    fetches_at_the_end_of_ram::<Armlet, _>(ArmletAsm::new(), 4, MID_PAGE);
+    fetches_at_the_end_of_ram::<Petix, _>(PetixAsm::new(), 1, MID_PAGE);
+    fetches_at_the_end_of_ram::<Riscle, _>(RiscleAsm::new(), 2, MID_PAGE);
 }
 
 /// A petix `push` with the stack pointer inside the push itself: its

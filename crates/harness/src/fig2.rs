@@ -14,7 +14,7 @@ use simbench_campaign::{CampaignResult, Workload};
 use simbench_dbt::QEMU_VERSIONS;
 
 use crate::table::{fmt_ratio, Table};
-use crate::{geomean, secs, EngineKind, Guest};
+use crate::{geomean, version_speedups, Guest};
 
 /// One version's measurements.
 #[derive(Debug, Clone)]
@@ -35,25 +35,17 @@ pub struct Row {
 ///
 /// The [`crate::cell`] error of a missing or failed cell.
 pub fn render(campaign: &CampaignResult) -> Result<(Vec<Row>, String), String> {
-    let times = EngineKind::all_dbt_versions()
-        .into_iter()
-        .map(|v| {
-            App::ALL
-                .iter()
-                .map(|&app| secs(campaign, Guest::Armlet, v, Workload::App(app)))
-                .collect()
-        })
+    let series = App::ALL
+        .iter()
+        .map(|&app| version_speedups(campaign, Guest::Armlet, Workload::App(app)))
         .collect::<Result<Vec<Vec<f64>>, String>>()?;
-    let base = &times[0];
     let sjeng_idx = App::ALL.iter().position(|a| *a == App::SjengLike).unwrap();
     let mcf_idx = App::ALL.iter().position(|a| *a == App::McfLike).unwrap();
 
     let mut rows = Vec::new();
     let mut table = Table::new(["version", "sjeng-like", "mcf-like", "SPEC-like (overall)"]);
     for (vi, v) in QEMU_VERSIONS.iter().enumerate() {
-        let speedups: Vec<f64> = (0..App::ALL.len())
-            .map(|ai| base[ai] / times[vi][ai])
-            .collect();
+        let speedups: Vec<f64> = series.iter().map(|s| s[vi]).collect();
         let row = Row {
             version: v.name,
             sjeng: speedups[sjeng_idx],

@@ -17,7 +17,7 @@ use simbench_dbt::QEMU_VERSIONS;
 use simbench_suite::{Benchmark, Category};
 
 use crate::table::{fmt_ratio, Table};
-use crate::{secs, EngineKind, Guest};
+use crate::{version_speedups, Guest};
 
 /// Measured speedups: `speedups[benchmark][version index]`.
 #[derive(Debug, Clone, Default)]
@@ -38,14 +38,8 @@ fn panel_from(guest: Guest, campaign: &CampaignResult) -> Result<Panel, String> 
         if !bench.supported_on(guest.isa_name()) {
             continue;
         }
-        let times = QEMU_VERSIONS
-            .iter()
-            .map(|v| secs(campaign, guest, EngineKind::Dbt(*v), Workload::Suite(bench)))
-            .collect::<Result<Vec<f64>, String>>()?;
-        let base = times[0];
-        panel
-            .series
-            .insert(bench.name(), times.iter().map(|&t| base / t).collect());
+        let series = version_speedups(campaign, guest, Workload::Suite(bench))?;
+        panel.series.insert(bench.name(), series);
     }
     Ok(panel)
 }

@@ -8,13 +8,11 @@
 //! It aggregates the armlet app and suite cells of every DBT version
 //! profile in the paper campaign: the cells of Figs 2 and 6, read once.
 
-use simbench_apps::App;
-use simbench_campaign::{CampaignResult, Workload};
+use simbench_campaign::{CampaignResult, CampaignSpec, Workload};
 use simbench_dbt::QEMU_VERSIONS;
-use simbench_suite::Benchmark;
 
 use crate::table::{fmt_ratio, Table};
-use crate::{geomean, secs, EngineKind, Guest};
+use crate::{geomean, version_speedups, Guest};
 
 /// One version's aggregate speedups.
 #[derive(Debug, Clone)]
@@ -27,45 +25,31 @@ pub struct Row {
     pub simbench: f64,
 }
 
-/// Each version's armlet times of `workloads`, oldest version first.
-fn times(
-    campaign: &CampaignResult,
-    workloads: impl Iterator<Item = Workload> + Clone,
-) -> Result<Vec<Vec<f64>>, String> {
-    EngineKind::all_dbt_versions()
-        .into_iter()
-        .map(|v| {
-            workloads
-                .clone()
-                .map(|w| secs(campaign, Guest::Armlet, v, w))
-                .collect()
-        })
-        .collect()
-}
-
 /// Render Fig 8 from a campaign.
 ///
 /// # Errors
 ///
 /// The [`crate::cell`] error of a missing or failed cell.
 pub fn render(campaign: &CampaignResult) -> Result<(Vec<Row>, String), String> {
-    let benches: Vec<Benchmark> = Benchmark::ALL.to_vec();
-    let app_times = times(campaign, App::ALL.iter().map(|&a| Workload::App(a)))?;
-    let suite_times = times(campaign, benches.iter().map(|&b| Workload::Suite(b)))?;
+    let series = |workloads: Vec<Workload>| {
+        workloads
+            .into_iter()
+            .map(|w| version_speedups(campaign, Guest::Armlet, w))
+            .collect::<Result<Vec<Vec<f64>>, String>>()
+    };
+    let (apps, suite) = (
+        series(CampaignSpec::app_workloads())?,
+        series(CampaignSpec::suite_workloads())?,
+    );
 
     let mut rows = Vec::new();
     let mut table = Table::new(["version", "SPEC-like", "SimBench"]);
     for (vi, v) in QEMU_VERSIONS.iter().enumerate() {
-        let spec: Vec<f64> = (0..App::ALL.len())
-            .map(|ai| app_times[0][ai] / app_times[vi][ai])
-            .collect();
-        let sim: Vec<f64> = (0..benches.len())
-            .map(|bi| suite_times[0][bi] / suite_times[vi][bi])
-            .collect();
+        let at = |series: &[Vec<f64>]| geomean(&series.iter().map(|s| s[vi]).collect::<Vec<f64>>());
         let row = Row {
             version: v.name,
-            spec: geomean(&spec),
-            simbench: geomean(&sim),
+            spec: at(&apps),
+            simbench: at(&suite),
         };
         table.row([
             row.version.to_string(),

@@ -100,6 +100,20 @@ pub(crate) fn secs(
     Ok(c.metric().unwrap_or_default().max(1e-9))
 }
 
+/// A workload's speedup on each DBT version profile over the first,
+/// v1.7.0, oldest first: the series Figs 2, 6 and 8 are made of.
+pub(crate) fn version_speedups(
+    campaign: &CampaignResult,
+    guest: Guest,
+    workload: Workload,
+) -> Result<Vec<f64>, String> {
+    let times = EngineKind::all_dbt_versions()
+        .into_iter()
+        .map(|v| secs(campaign, guest, v, workload))
+        .collect::<Result<Vec<f64>, String>>()?;
+    Ok(times.iter().map(|&t| times[0] / t).collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -209,7 +209,7 @@ fn figures_main(argv: Vec<String>) -> ExitCode {
     if from.is_some() && (scale.is_some() || jobs.is_some()) {
         fail("--from renders a stored campaign: --scale and --jobs do not apply");
     }
-    let scale = scale.unwrap_or(2000);
+    let scale = scale.unwrap_or(5000);
     if scale == 0 {
         fail("--scale must be at least 1");
     }

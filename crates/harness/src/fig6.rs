@@ -78,7 +78,7 @@ fn render_panels(guest: Guest, panel: &Panel) -> String {
 ///
 /// # Errors
 ///
-/// The [`crate::cell`] error of a missing or failed cell.
+/// A cell the figure needs is missing or has no time; the error names it.
 pub fn render(campaign: &CampaignResult) -> Result<(Vec<Panel>, String), String> {
     let mut text = String::new();
     let mut panels = Vec::new();

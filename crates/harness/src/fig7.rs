@@ -44,7 +44,7 @@ pub type Results = Vec<Vec<Vec<Cell>>>;
 ///
 /// # Errors
 ///
-/// The [`crate::cell`] error of a missing or failed cell.
+/// A cell the figure needs is missing or has no time; the error names it.
 pub fn render(campaign: &CampaignResult) -> Result<(Results, String), String> {
     let engines = EngineKind::fig7_columns();
     let mut results: Results = Vec::new();

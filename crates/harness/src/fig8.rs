@@ -29,7 +29,7 @@ pub struct Row {
 ///
 /// # Errors
 ///
-/// The [`crate::cell`] error of a missing or failed cell.
+/// A cell the figure needs is missing or has no time; the error names it.
 pub fn render(campaign: &CampaignResult) -> Result<(Vec<Row>, String), String> {
     let series = |workloads: Vec<Workload>| {
         workloads

@@ -21,7 +21,7 @@
 //! or renders from a stored one with `--from CAMPAIGN.json`; `report`
 //! and `model` read the same JSON. A figure that needs a cell the
 //! campaign lacks, or whose cell did not complete, gets an error from
-//! [`cell`] naming it. The measurement primitives ([`Guest`],
+//! [`render`] naming it. The measurement primitives ([`Guest`],
 //! [`EngineKind`], [`run_suite_bench`], [`run_app`], ...) live in
 //! `simbench-campaign` and are re-exported here.
 //!
@@ -51,7 +51,8 @@ pub const MEASURED_FIGURES: [&str; 5] = ["fig3", "fig7", "fig2", "fig6", "fig8"]
 ///
 /// # Errors
 ///
-/// The [`cell`] error of the first cell the figure cannot read.
+/// The first cell the figure cannot read, missing from the campaign or
+/// without a time, named by guest, engine, workload and status.
 pub fn render(figure: &str, campaign: &CampaignResult) -> Result<String, String> {
     Ok(match figure {
         "fig2" => fig2::render(campaign)?.1,
@@ -70,12 +71,12 @@ pub fn render(figure: &str, campaign: &CampaignResult) -> Result<String, String>
 /// A cell that is missing from the campaign, or has no time because it
 /// did not complete, is an error naming its guest, engine, workload and
 /// status.
-pub fn cell<'a>(
-    campaign: &'a CampaignResult,
+pub(crate) fn cell(
+    campaign: &CampaignResult,
     guest: Guest,
     engine: EngineKind,
     workload: Workload,
-) -> Result<&'a CellResult, String> {
+) -> Result<&CellResult, String> {
     let (guest, engine, workload) = (guest.isa_name(), engine.id(), workload.id());
     let found = campaign.cell(guest, &engine, &workload);
     match found {

@@ -265,7 +265,6 @@ pub fn in_page_window<I: Isa>(ram: &[u8], pc: u32, pa: u32, buf: &mut [u8; 8]) -
 /// # Errors
 ///
 /// The bus-error prefetch abort.
-#[cold]
 pub fn ram_end_chunk(
     ram: &[u8],
     pc: u32,

@@ -1090,7 +1090,7 @@ fn render_list() -> String {
     for e in EngineKind::fig7_columns() {
         out.push_str(&format!("  {:<18} {}\n", e.id(), e.name()));
     }
-    out.push_str("\nDBT versions (dbt@<version>, --versions selects all):\n");
+    out.push_str("\nDBT versions (dbt@<version>, --versions adds all):\n");
     for v in QEMU_VERSIONS {
         out.push_str(&format!("  {}\n", v.name));
     }

@@ -1193,7 +1193,7 @@ fn a_v4_baseline_is_an_unreadable_input() {
     let text = std::fs::read_to_string(cur).unwrap();
     // v6 is refused like v4: only the current layout is read.
     for old in ["simbench-campaign/v4", "simbench-campaign/v6"] {
-        let path = scratch(&format!("{}-baseline", &old[18..]));
+        let path = scratch(&old.replace('/', "-"));
         std::fs::write(&path, text.replace(SCHEMA, old)).unwrap();
         let out = run_cli(&[
             "campaign",

@@ -803,6 +803,31 @@ mod tests {
     }
 
     #[test]
+    fn a_retry_stays_with_its_cell_in_a_later_pass() {
+        // Jobs run pass by pass: the third is cell 0's second
+        // repetition, and only that cell counts the retry.
+        let _fp = failpoint::test_guard();
+        failpoint::arm("measure.rep=2+1*err(injected transient)").unwrap();
+        let opts = RunnerOpts {
+            retries: 1,
+            ..RunnerOpts::serial()
+        };
+        let spec = CampaignSpec {
+            guests: vec![Guest::Armlet],
+            workloads: vec![Workload::Suite(Benchmark::Syscall)],
+            ..tiny_spec()
+        };
+        let result = run(&spec, &opts);
+        failpoint::disarm_all();
+        let runs: Vec<_> = result
+            .cells
+            .iter()
+            .map(|c| (&c.status, c.reps_run, c.attempts))
+            .collect();
+        assert_eq!(runs, [(&CellStatus::Ok, 2, 3), (&CellStatus::Ok, 2, 2)]);
+    }
+
+    #[test]
     fn exhausted_retries_fail_the_cell_truthfully() {
         let _fp = failpoint::test_guard();
         failpoint::arm("measure.rep=err(persistent failure)").unwrap();
@@ -1029,6 +1054,30 @@ mod tests {
             assert_eq!(cell, &result.cells[*index]);
         }
         assert_eq!(replay.cells.len(), 6);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_serial_run_journals_a_whole_pass_before_any_cell_finishes() {
+        let _fp = failpoint::test_guard();
+        let spec = tiny_spec();
+        let dir = scratch_journal("passes");
+        let opts = RunnerOpts {
+            journal: Some(Arc::new(Journal::create(&dir, &spec, None).unwrap())),
+            ..RunnerOpts::serial()
+        };
+        run(&spec, &opts);
+        // Six repetitions of pass 0, then in pass 1 each cell's record
+        // right after its last repetition.
+        let order: String = journal_lines(&dir)[1..]
+            .iter()
+            .map(|l| match l.contains("\"rep\": 0,") {
+                _ if l.starts_with("{\"record\": \"cell\"") => 'c',
+                true => '0',
+                false => '1',
+            })
+            .collect();
+        assert_eq!(order, "0000001c1c1c1c1c1c");
         std::fs::remove_dir_all(&dir).ok();
     }
 

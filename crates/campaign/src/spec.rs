@@ -380,6 +380,13 @@ mod tests {
     }
 
     #[test]
+    fn paper_engines_end_with_every_dbt_version_oldest_first() {
+        let engines = CampaignSpec::paper(1000).engines;
+        assert_eq!(engines[4..], EngineKind::all_dbt_versions()[..]);
+        assert_eq!(engines.last(), EngineKind::by_id("dbt").as_ref());
+    }
+
+    #[test]
     fn zero_reps_expand_to_one_job_per_cell() {
         let mut spec = CampaignSpec::full_matrix(20_000);
         spec.reps = 0;

@@ -133,6 +133,22 @@ mod tests {
     }
 
     #[test]
+    fn every_measured_figure_names_a_cell_an_empty_campaign_lacks() {
+        let text = format!(
+            "{{\"schema\": \"{}\", \"name\": \"empty\", \"scale\": 1, \"reps\": 1, \"jobs\": 1, \"cells\": []}}",
+            simbench_campaign::SCHEMA
+        );
+        let empty = CampaignResult::from_json(&text).unwrap();
+        for figure in MEASURED_FIGURES {
+            let e = render(figure, &empty).unwrap_err();
+            let named = e.starts_with("campaign \"empty\" has no completed cell armlet/");
+            assert!(named && e.ends_with(" (status: missing)"), "{figure}: {e}");
+        }
+        let e = render("fig4", &empty).unwrap_err();
+        assert_eq!(e, "fig4 is not rendered from a campaign");
+    }
+
+    #[test]
     fn smoke_run_syscall_on_all_engines() {
         let cfg = Config {
             scale: 1_000_000,

@@ -445,6 +445,30 @@ fn figures_render_the_pinned_paper_campaign_byte_for_byte() {
 }
 
 #[test]
+fn versions_join_the_engine_axis_in_place_of_its_dbt_profile() {
+    use simbench_harness::EngineKind;
+
+    let path = scratch("versions");
+    let line = format!(
+        "campaign run --guests armlet --engines interp,dbt --versions --scale {} --out {} --benches",
+        u64::MAX,
+        path.display()
+    );
+    let mut args: Vec<&str> = line.split(' ').collect();
+    args.push("System Call");
+    let out = run_cli(&args);
+    assert_eq!(exit_code(&out), 0, "{}", stderr(&out));
+    let result = CampaignResult::load(&path).unwrap();
+    let engines: Vec<String> = result.cells.into_iter().map(|c| c.engine).collect();
+    let versions = EngineKind::all_dbt_versions()
+        .into_iter()
+        .map(EngineKind::id);
+    assert_eq!(engines[0], "interp");
+    assert_eq!(engines[1..], versions.collect::<Vec<_>>());
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn trace_progress_and_report_end_to_end() {
     use simbench_campaign::json::{parse, Value};
 

@@ -2,8 +2,8 @@
 //! `campaign compare` exit-code matrix (0 ok / 1 counter drift / 2
 //! broken cell / 3 usage), worker-count determinism of persisted event
 //! profiles, journaled kill → resume → counter-exact compare (4 for a
-//! journal of another campaign), and the stored-campaign `model`
-//! workflow.
+//! journal of another campaign), the stored-campaign `model`
+//! workflow, and the paper matrix's figures and counters, pinned.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -368,14 +368,43 @@ fn pinned_seconds(c: &simbench_campaign::CellResult) -> f64 {
     1e-3 * (1.0 + (h % 1000) as f64 / 1000.0)
 }
 
-#[test]
-fn figures_render_the_pinned_paper_campaign_byte_for_byte() {
-    use simbench_campaign::CampaignSpec;
+/// One line per cell of the paper matrix at scale `u64::MAX`, in
+/// matrix order: `guest | engine | workload | status | digest`, the digest FNV-1a over every counter's name and value. A
+/// change to what an engine counts must leave the fixture byte for
+/// byte as it is; a deliberate one regenerates it with
+/// `cargo test -p simbench-harness --test cli regen -- --ignored` and
+/// says which lines moved and why.
+fn paper_counters_fixture() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/paper_counters.txt")
+}
 
-    // `campaign run --apps --versions` measures exactly the paper's
-    // matrix; at scale u64::MAX its counters are deterministic.
-    let path = scratch("paper");
-    let path_str = path.to_str().unwrap();
+/// The fixture's lines for `result`.
+fn counter_lines(result: &CampaignResult) -> String {
+    use simbench_core::digest::Fnv1a;
+    use std::fmt::Write as _;
+
+    let mut text = String::new();
+    for c in &result.cells {
+        let mut hash = Fnv1a::new();
+        for (name, value) in c.counters.rows() {
+            hash.write_bytes(name.as_bytes());
+            hash.write_bytes(&value.to_le_bytes());
+        }
+        let status = c.status.to_json_string();
+        let digest = hash.finish();
+        writeln!(
+            text,
+            "{} | {} | {} | {status} | {digest:016x}",
+            c.guest, c.engine, c.workload
+        )
+        .unwrap();
+    }
+    text
+}
+
+/// `campaign run --apps --versions` at scale `u64::MAX`, stored at
+/// `path` and loaded back.
+fn paper_campaign(path: &std::path::Path) -> CampaignResult {
     let out = run_cli(&[
         "campaign",
         "run",
@@ -386,10 +415,30 @@ fn figures_render_the_pinned_paper_campaign_byte_for_byte() {
         "--jobs",
         "2",
         "--out",
-        path_str,
+        path.to_str().unwrap(),
     ]);
     assert_eq!(exit_code(&out), 0, "{}", stderr(&out));
-    let mut result = CampaignResult::load(&path).unwrap();
+    CampaignResult::load(path).unwrap()
+}
+
+#[test]
+#[ignore = "rewrites the fixture"]
+fn regen() {
+    let path = scratch("paper-regen");
+    let text = counter_lines(&paper_campaign(&path));
+    std::fs::write(paper_counters_fixture(), text).expect("the fixture is writable");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn figures_render_the_pinned_paper_campaign_byte_for_byte() {
+    use simbench_campaign::CampaignSpec;
+
+    // `campaign run --apps --versions` measures exactly the paper's
+    // matrix; at scale u64::MAX its counters are deterministic.
+    let path = scratch("paper");
+    let path_str = path.to_str().unwrap();
+    let mut result = paper_campaign(&path);
     let ids =
         |c: &simbench_campaign::CellResult| (c.guest.clone(), c.engine.clone(), c.workload.clone());
     let want: Vec<_> = CampaignSpec::paper(u64::MAX)
@@ -404,6 +453,12 @@ fn figures_render_the_pinned_paper_campaign_byte_for_byte() {
         })
         .collect();
     assert_eq!(result.cells.iter().map(ids).collect::<Vec<_>>(), want);
+    let fixture = std::fs::read_to_string(paper_counters_fixture()).expect("the committed fixture");
+    let actual = counter_lines(&result);
+    for (a, e) in actual.lines().zip(fixture.lines()) {
+        assert_eq!(a, e);
+    }
+    assert_eq!(actual.lines().count(), fixture.lines().count(), "lines");
 
     for c in &mut result.cells {
         if c.status == CellStatus::Ok {

@@ -117,38 +117,36 @@ impl Tb {
     }
 }
 
+/// Entries in the indirect-branch target cache.
+const IBTC_SLOTS: usize = 1 << 8;
+
 /// Direct-mapped indirect-branch target cache mapping guest PC → block.
-/// The `Default` one has no slots: disabled, as `Ibtc::new(0)`.
+/// The `Default` one has no slots and must not be looked up: it is what
+/// `mem::take` leaves in an engine that hands its tables on.
 #[derive(Debug, Default)]
 pub(crate) struct Ibtc {
     slots: Vec<(u32, Link)>,
-    mask: u32,
 }
 
 impl Ibtc {
-    /// How many slots [`Ibtc::new`] makes.
-    fn slots_for(bits: u8) -> usize {
-        if bits == 0 {
-            0
-        } else {
-            1 << bits
+    /// An IBTC of [`IBTC_SLOTS`] entries, all empty.
+    pub fn new() -> Self {
+        Ibtc {
+            // lint:allow(hot-path): one-time constructor allocation
+            slots: vec![(0, Link::NONE); IBTC_SLOTS],
         }
     }
 
-    /// An IBTC with `1 << bits` slots; `bits == 0` disables it.
-    pub fn new(bits: u8) -> Self {
-        let n = Self::slots_for(bits);
-        Ibtc {
-            // lint:allow(hot-path): one-time constructor allocation
-            slots: vec![(0, Link::NONE); n],
-            mask: n.saturating_sub(1) as u32,
-        }
+    /// The slot `pc` maps to.
+    #[inline]
+    fn slot(pc: u32) -> usize {
+        (pc >> 2) as usize & (IBTC_SLOTS - 1)
     }
 
     /// Predicted successor for a target PC ([`Link::NONE`] without one).
     #[inline]
     pub fn lookup(&self, pc: u32) -> Link {
-        match self.slots.get((pc >> 2 & self.mask) as usize) {
+        match self.slots.get(Self::slot(pc)) {
             Some(&(tag, link)) if tag == pc => link,
             _ => Link::NONE,
         }
@@ -157,7 +155,7 @@ impl Ibtc {
     /// Record a resolved target.
     #[inline]
     pub fn insert(&mut self, pc: u32, link: Link) {
-        if let Some(slot) = self.slots.get_mut((pc >> 2 & self.mask) as usize) {
+        if let Some(slot) = self.slots.get_mut(Self::slot(pc)) {
             *slot = (pc, link);
         }
     }
@@ -222,43 +220,43 @@ const FLUSH_THRESHOLD: usize = 1 << 16;
 /// suite cell needs at the iteration floor, where recycling matters.
 const MAX_KEPT_ARENA_STEPS: usize = 1 << 14;
 
+/// The `Default` cache owns no memory and must not be used: it is
+/// what `mem::take` leaves in an engine that hands its tables on.
 impl Default for CodeCache {
-    /// A cache without an IBTC: it owns no memory.
     fn default() -> Self {
-        Self::new(0)
-    }
-}
-
-impl CodeCache {
-    /// A cache with the given IBTC size.
-    pub fn new(ibtc_bits: u8) -> Self {
         CodeCache {
             blocks: Vec::new(),
             steps: Vec::new(),
             pages: PageTable::default(),
-            ibtc: Ibtc::new(ibtc_bits),
+            ibtc: Ibtc::default(),
             link_epoch: 1,
             flush_threshold: FLUSH_THRESHOLD,
             full_flushes: 0,
         }
     }
+}
+
+impl CodeCache {
+    /// An empty cache.
+    pub fn new() -> Self {
+        CodeCache {
+            ibtc: Ibtc::new(),
+            ..Self::default()
+        }
+    }
 
     /// Make a cache another engine has used answer as
-    /// `CodeCache::new(ibtc_bits)` would, with the capacity it has —
-    /// up to [`MAX_KEPT_ARENA_STEPS`]: empty, nothing linked, the
-    /// threshold and the overflow count as new. The IBTC is kept if it
-    /// is the size asked for — its entries died with the link epoch —
-    /// and replaced if not.
-    pub fn rearm(&mut self, ibtc_bits: u8) {
+    /// `CodeCache::new()` would, with the capacity it has — up to
+    /// [`MAX_KEPT_ARENA_STEPS`]: empty, nothing linked, the threshold
+    /// and the overflow count as new. The IBTC is kept: its entries
+    /// died with the link epoch.
+    pub fn rearm(&mut self) {
         self.reset();
         self.flush_threshold = FLUSH_THRESHOLD;
         self.full_flushes = 0;
         if self.steps.capacity() > MAX_KEPT_ARENA_STEPS {
             self.steps = Vec::new();
             self.blocks = Vec::new();
-        }
-        if self.ibtc.slots.len() != Ibtc::slots_for(ibtc_bits) {
-            self.ibtc = Ibtc::new(ibtc_bits);
         }
     }
 
@@ -496,7 +494,7 @@ mod tests {
 
     #[test]
     fn insert_and_lookup() {
-        let mut c = CodeCache::new(4);
+        let mut c = CodeCache::new();
         let (id, first) = insert(&mut c, 0x8000, 8);
         assert!(first);
         assert_eq!(c.lookup(0x8000, 8), Some(id));
@@ -509,7 +507,7 @@ mod tests {
     #[test]
     fn an_untouched_slot_is_not_block_zero() {
         // A fresh slot table is all zeroes, and 0 is a block id.
-        let mut c = CodeCache::new(4);
+        let mut c = CodeCache::new();
         insert(&mut c, 0x8000, 8);
         insert(&mut c, 0x8010, 9);
         assert_eq!(c.lookup(0x8000, 9), None, "block 0 is in another page");
@@ -518,7 +516,7 @@ mod tests {
 
     #[test]
     fn steps_live_in_one_arena() {
-        let mut c = CodeCache::new(4);
+        let mut c = CodeCache::new();
         let (a, _) = insert(&mut c, 0x8000, 8);
         let (b, _) = insert(&mut c, 0x9000, 9);
         assert_eq!(c.arena_steps(), 2);
@@ -530,7 +528,7 @@ mod tests {
 
     #[test]
     fn invalidation_kills_slot_list_entry_and_links() {
-        let mut c = CodeCache::new(4);
+        let mut c = CodeCache::new();
         let (a, _) = insert(&mut c, 0x8000, 8);
         let (b, _) = insert(&mut c, 0x9000, 9);
         c.blocks[a as usize].chain_taken = c.link(b);
@@ -555,7 +553,7 @@ mod tests {
     #[test]
     fn a_second_alias_takes_the_slot_over() {
         // One frame under two virtual pages: same offset, two pcs.
-        let mut c = CodeCache::new(4);
+        let mut c = CodeCache::new();
         let (first, _) = insert(&mut c, 0x40_0010, 8);
         assert_eq!(c.lookup(0x80_0010, 8), None, "the other alias's pc");
         let (second, gained) = insert(&mut c, 0x80_0010, 8);
@@ -571,7 +569,7 @@ mod tests {
     fn a_store_kills_only_the_blocks_it_overlaps() {
         // Back to back: [0x8000, 0x8004) [0x8004, 0x8008), and the last
         // word of the page next to the first of the next.
-        let mut c = CodeCache::new(4);
+        let mut c = CodeCache::new();
         let (a, _) = insert(&mut c, 0x8000, 8);
         let (b, _) = insert(&mut c, 0x8004, 8);
         let (last, _) = insert(&mut c, 0x8ffc, 8);
@@ -599,7 +597,7 @@ mod tests {
 
     #[test]
     fn a_block_that_runs_past_its_page_is_never_cached() {
-        let mut c = CodeCache::new(4);
+        let mut c = CodeCache::new();
         let steps = [TbStep {
             op: Op::Nop,
             next_pc: 0x9002,
@@ -619,7 +617,7 @@ mod tests {
 
     #[test]
     fn unchain_all_is_one_epoch_bump() {
-        let mut c = CodeCache::new(4);
+        let mut c = CodeCache::new();
         let (a, _) = insert(&mut c, 0x8000, 8);
         let (b, _) = insert(&mut c, 0x8010, 8);
         c.blocks[a as usize].chain_fall = c.link(b);
@@ -643,7 +641,7 @@ mod tests {
 
     #[test]
     fn link_epoch_wrap_sweeps_the_links() {
-        let mut c = CodeCache::new(4);
+        let mut c = CodeCache::new();
         let (a, _) = insert(&mut c, 0x8000, 8);
         // Stamped with epoch 1 — the epoch the wrap returns to.
         c.blocks[a as usize].chain_fall = c.link(a);
@@ -661,26 +659,29 @@ mod tests {
 
     #[test]
     fn ibtc_behaviour() {
-        let mut i = Ibtc::new(4);
+        let mut i = Ibtc::new();
         assert_eq!(i.lookup(0x8000), Link::NONE);
         i.insert(0x8000, link_to(7));
         assert_eq!(i.lookup(0x8000), link_to(7));
-        // Aliasing entry evicts.
-        i.insert(0x8000 + (1 << 6), link_to(9));
+        // The slot's neighbours and a pc one lap of the table away that
+        // maps to the same slot are not the entry.
+        let lap = (IBTC_SLOTS as u32) << 2;
+        for pc in [0x8004, 0x7ffc, 0x8000 + lap, 0x8000 - lap] {
+            assert_eq!(i.lookup(pc), Link::NONE, "{pc:#x}");
+        }
+        // 64 slots apart, where a 64-entry table would alias: both stay.
+        i.insert(0x8000 + (1 << 8), link_to(8));
+        assert_eq!(i.lookup(0x8000), link_to(7));
+        // An aliasing entry evicts.
+        i.insert(0x8000 + lap, link_to(9));
         assert_eq!(i.lookup(0x8000), Link::NONE);
-        assert_eq!(i.lookup(0x8000 + (1 << 6)), link_to(9));
-    }
-
-    #[test]
-    fn disabled_ibtc() {
-        let mut i = Ibtc::new(0);
-        i.insert(0x8000, link_to(7));
-        assert_eq!(i.lookup(0x8000), Link::NONE);
+        assert_eq!(i.lookup(0x8000 + lap), link_to(9));
+        assert_eq!(i.lookup(0x8000 + (1 << 8)), link_to(8));
     }
 
     #[test]
     fn flush_all_resets() {
-        let mut c = CodeCache::new(4);
+        let mut c = CodeCache::new();
         let (a, _) = insert(&mut c, 0x8000, 8);
         let link = c.link(a);
         c.flush_all();
@@ -693,7 +694,7 @@ mod tests {
 
     #[test]
     fn reset_empties_without_counting_a_flush() {
-        let mut c = CodeCache::new(4);
+        let mut c = CodeCache::new();
         insert(&mut c, 0x8000, 8);
         c.reset();
         assert_eq!(c.lookup(0x8000, 8), None);
@@ -704,7 +705,7 @@ mod tests {
 
     #[test]
     fn slots_left_behind_by_a_reset_are_only_hints() {
-        let mut c = CodeCache::new(4);
+        let mut c = CodeCache::new();
         insert(&mut c, 0x8000, 8);
         let (old, _) = insert(&mut c, 0x8010, 8);
         c.reset();
@@ -722,7 +723,7 @@ mod tests {
 
     #[test]
     fn a_rearmed_cache_answers_as_a_new_one() {
-        let mut c = CodeCache::new(4);
+        let mut c = CodeCache::new();
         c.flush_threshold = 2;
         insert(&mut c, 0x8000, 8);
         insert(&mut c, 0x8010, 8);
@@ -732,28 +733,21 @@ mod tests {
         c.ibtc.insert(0x8020, c.link(id));
         let (ibtc, steps) = (c.ibtc.slots.as_ptr(), c.steps.capacity());
 
-        c.rearm(4);
+        c.rearm();
         assert_eq!((c.flush_threshold, c.full_flushes), (1 << 16, 0));
         assert_eq!((c.live_blocks(), c.arena_steps()), (0, 0));
         assert!(!c.page_has_code(8) && c.lookup(0x8020, 8).is_none());
         assert_eq!(c.follow(c.ibtc.lookup(0x8020), 0x8020), None);
-        // Same size: the allocations are the ones it came with.
+        // The allocations are the ones it came with.
         assert_eq!((c.ibtc.slots.as_ptr(), c.steps.capacity()), (ibtc, steps));
         // An arena that a long run grew is given back, with the block
         // table; a page record keeps its list and slot table.
         c.steps.reserve(MAX_KEPT_ARENA_STEPS + 1);
         insert(&mut c, 0x8000, 8);
-        c.rearm(4);
+        c.rearm();
         assert_eq!((c.steps.capacity(), c.blocks.capacity()), (0, 0));
         assert_eq!(insert(&mut c, 0x8000, 8), (0, true));
         assert_eq!(c.lookup(0x8000, 8), Some(0));
-        // Another engine's profile: an IBTC of that profile's size.
-        for (bits, slots) in [(6, 64), (0, 0), (9, 512)] {
-            c.rearm(bits);
-            assert_eq!(
-                (c.ibtc.slots.len(), c.ibtc.mask as usize),
-                (slots, slots.max(1) - 1)
-            );
-        }
+        assert_eq!(c.ibtc.slots.as_ptr(), ibtc, "the IBTC is kept");
     }
 }

@@ -1,32 +1,15 @@
-//! The translation-time IR optimizer.
-//!
-//! Level 0 does nothing. Level 1 runs block-local constant folding.
-//! Level 2 additionally eliminates dead flag updates and drops NOPs.
-//! Higher levels cost translation time (the Code Generation benchmarks
-//! see this) and speed up generated code (SPEC-like workloads see that),
-//! reproducing the trade-off the paper attributes to QEMU 2.0's "TCG
-//! optimiser improvements".
+//! The translation-time IR optimizer: block-local constant folding,
+//! the same in every version profile.
 
 use simbench_core::cpu::MAX_GPRS;
 use simbench_core::ir::{AluOp, Op, Operand};
 
 use crate::cache::TbStep;
 
-/// Run the optimizer at `level` over a translated block.
-pub fn optimize(steps: &mut Vec<TbStep>, level: u8) {
-    if level >= 1 {
-        constant_fold(steps);
-    }
-    if level >= 2 {
-        dead_flags(steps);
-        drop_nops(steps);
-    }
-}
-
 /// Block-local constant propagation: registers whose value is known from
 /// an immediate move earlier in the block fold into later immediate
 /// operations.
-fn constant_fold(steps: &mut [TbStep]) {
+pub fn constant_fold(steps: &mut [TbStep]) {
     let mut known: [Option<u32>; MAX_GPRS] = [None; MAX_GPRS];
     for step in steps.iter_mut() {
         match &mut step.op {
@@ -110,40 +93,6 @@ fn constant_fold(steps: &mut [TbStep]) {
     }
 }
 
-/// Clear `set_flags` on ALU ops whose flags are overwritten before any
-/// reader. Conservative: block exits count as readers (the next block
-/// may branch on the flags).
-fn dead_flags(steps: &mut [TbStep]) {
-    // Walk backwards: a flag write is dead if the next flag event going
-    // forward is another write.
-    let mut live = true; // flags live at block exit
-    for step in steps.iter_mut().rev() {
-        match &mut step.op {
-            Op::Alu { set_flags, op, .. } => {
-                let reads = matches!(op, AluOp::Adc | AluOp::Sbc);
-                if *set_flags {
-                    if !live {
-                        *set_flags = false;
-                    }
-                    // This op defines the flags for earlier code...
-                    live = reads; // ...unless it also reads them.
-                } else if reads {
-                    live = true;
-                }
-            }
-            Op::Cmp { .. } => live = false, // cmp overwrites all flags
-            Op::BranchCond { .. } => live = true,
-            _ => {}
-        }
-    }
-}
-
-/// Drop NOP steps that are not instruction starts (instruction-start
-/// steps carry retirement accounting and must survive).
-fn drop_nops(steps: &mut Vec<TbStep>) {
-    steps.retain(|s| !matches!(s.op, Op::Nop) || s.insn_start);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,7 +135,7 @@ mod tests {
                 set_flags: false,
             }),
         ];
-        optimize(&mut steps, 1);
+        constant_fold(&mut steps);
         assert_eq!(steps[1].op, mov(1, 15));
         assert_eq!(steps[2].op, mov(2, 60));
     }
@@ -210,7 +159,7 @@ mod tests {
                 set_flags: false,
             }),
         ];
-        optimize(&mut steps, 1);
+        constant_fold(&mut steps);
         // r0 is no longer a known constant after the load.
         assert!(matches!(steps[2].op, Op::Alu { op: AluOp::Add, .. }));
     }
@@ -231,7 +180,7 @@ mod tests {
                 target: 0x100,
             }),
         ];
-        optimize(&mut steps, 2);
+        constant_fold(&mut steps);
         assert!(
             matches!(
                 steps[1].op,
@@ -242,70 +191,5 @@ mod tests {
             ),
             "flag producer feeding a conditional branch must survive"
         );
-    }
-
-    #[test]
-    fn dead_flags_cleared() {
-        let mut steps = vec![
-            step(Op::Alu {
-                op: AluOp::Add,
-                rd: 1,
-                rn: 1,
-                src: Operand::Imm(1),
-                set_flags: true,
-            }),
-            step(Op::Cmp {
-                rn: 1,
-                src: Operand::Imm(5),
-                is_tst: false,
-            }),
-            step(Op::BranchCond {
-                cond: Cond::Ne,
-                target: 0x100,
-            }),
-        ];
-        optimize(&mut steps, 2);
-        assert!(
-            matches!(
-                steps[0].op,
-                Op::Alu {
-                    set_flags: false,
-                    ..
-                }
-            ),
-            "flags overwritten by cmp before any read"
-        );
-    }
-
-    #[test]
-    fn nops_dropped_unless_insn_start() {
-        let mut steps = vec![
-            step(Op::Nop),
-            TbStep {
-                op: Op::Nop,
-                next_pc: 0,
-                insn_start: false,
-            },
-            step(mov(0, 1)),
-        ];
-        optimize(&mut steps, 2);
-        assert_eq!(steps.len(), 2);
-    }
-
-    #[test]
-    fn level_zero_is_identity() {
-        let mut steps = vec![
-            step(mov(0, 10)),
-            step(Op::Alu {
-                op: AluOp::Add,
-                rd: 1,
-                rn: 0,
-                src: Operand::Imm(5),
-                set_flags: false,
-            }),
-        ];
-        let before = steps.clone();
-        optimize(&mut steps, 0);
-        assert_eq!(steps, before);
     }
 }

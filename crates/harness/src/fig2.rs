@@ -8,6 +8,12 @@
 //!
 //! It renders the armlet app cells of every DBT version profile in the
 //! paper campaign (the paper's ARM-binaries-on-x86-host experiment).
+//!
+//! Two of the paper's explanations are not modelled, so their shapes
+//! are not expected here: sjeng's peak at 2.2.1 from 2.2.x's better
+//! indirect-branch handling (every profile has the same indirect-branch
+//! target cache) and 2.0.0's optimiser lift (every profile has the same
+//! optimizer). See `simbench_dbt::versions`.
 
 use simbench_apps::App;
 use simbench_campaign::{CampaignResult, Workload};

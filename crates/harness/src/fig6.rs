@@ -4,8 +4,11 @@
 //!
 //! This is the figure that *explains* Fig 2's aggregate drift: the
 //! control-flow and exception panels degrade monotonically from v2.1,
-//! the optimizer bump lands at v2.0.0, and the data-fault fast path
-//! appears at v2.5.0-rc0.
+//! and the data-fault fast path appears at v2.5.0-rc0.
+//!
+//! The paper's lift of most categories by 2.0.0's TCG optimiser
+//! improvements is not modelled: every profile translates with the same
+//! optimizer, so v2.0.x reads as v1.7.x (see `simbench_dbt::versions`).
 //!
 //! It renders the suite cells of every DBT version profile in the
 //! paper campaign.

@@ -7,6 +7,10 @@
 //!
 //! It aggregates the armlet app and suite cells of every DBT version
 //! profile in the paper campaign: the cells of Figs 2 and 6, read once.
+//!
+//! Neither 2.0.0's optimiser lift nor 2.2.x's indirect-branch gain is
+//! modelled (see `simbench_dbt::versions`), so both aggregates move only
+//! at the guard, exception-sync and data-fault steps.
 
 use simbench_campaign::{CampaignResult, CampaignSpec, Workload};
 use simbench_dbt::QEMU_VERSIONS;

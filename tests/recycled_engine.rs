@@ -22,7 +22,6 @@ use simbench_campaign::registry::{ArmletGuest, GuestSpec, PetixGuest, RiscleGues
 use simbench_core::bus::Bus;
 use simbench_core::events::Counters;
 use simbench_core::image::GuestImage;
-use simbench_core::ir::{AluOp, Cond};
 use simbench_core::isa::Isa;
 use simbench_core::CpuState;
 use simbench_detailed::cachemodel::PipelineStats;
@@ -100,14 +99,14 @@ fn dbt_at<G: GuestSpec>(version: &str) -> BoxedEngine<G> {
 /// The pages the campaign runner gives `Detailed` no device model for.
 const UNIMPLEMENTED: [u32; 2] = [INTC_BASE >> 12, SAFEDEV_BASE >> 12];
 
-/// The engines that recycle. Three dbt profiles: their IBTCs have 64,
-/// 512 and 256 entries, and the tables of one serve the next. Two
-/// detailed engines, as tests and the campaign runner build them.
-fn engines<G: GuestSpec>() -> [(&'static str, Make<G>); 7] {
+/// The engines that recycle. Two dbt profiles, one without entry
+/// guards and with lazy exception side-exits, and the tables of one
+/// serve the other. Two detailed engines, as tests and the campaign
+/// runner build them.
+fn engines<G: GuestSpec>() -> [(&'static str, Make<G>); 6] {
     [
         ("dbt", || Box::new(Dbt::<G::Isa>::new())),
         ("dbt v2.0.2", || dbt_at::<G>("v2.0.2")),
-        ("dbt v2.2.1", || dbt_at::<G>("v2.2.1")),
         ("virt", || Box::new(Virt::<G::Isa>::kvm())),
         ("native", || Box::new(Virt::<G::Isa>::native())),
         ("detailed", || Box::new(Detailed::<G::Isa>::new())),
@@ -127,8 +126,8 @@ struct Reference<G: GuestSpec> {
 }
 
 impl<G: GuestSpec> Reference<G> {
-    /// Three suite images, then `more`.
-    fn measure(more: Option<(&'static str, GuestImage)>) -> Self {
+    /// Three suite images.
+    fn measure() -> Self {
         let support = G::Support::default();
         // Code rewritten in place; an indirect branch per page over ten
         // pages of code (the front end's slot tables, the dbt's page
@@ -141,7 +140,6 @@ impl<G: GuestSpec> Reference<G> {
         ]
         .into_iter()
         .map(|b| (b.name(), build(&support, b, ITERS).expect("on every guest")))
-        .chain(more)
         .collect();
         let mut alive = Vec::new();
         let mut expected = Vec::new();
@@ -188,40 +186,11 @@ impl<G: GuestSpec> Reference<G> {
     }
 }
 
-/// Six functions 256 bytes apart, called through a register in turn:
-/// in an IBTC of 64 entries they all evict each other, in one of 256
-/// the last two evict the first two, in one of 512 each has a slot of
-/// its own — the suite's own indirect branches land a page or 16 bytes
-/// apart and cannot tell those sizes apart.
-fn ibtc_sizing_image() -> GuestImage {
-    let mut a = ArmletAsm::new();
-    a.org(0x8000);
-    let funcs: Vec<_> = (0..6).map(|_| a.new_label()).collect();
-    a.mov_imm(PReg::B, ITERS);
-    let top = a.new_label();
-    a.bind(top);
-    for f in &funcs {
-        a.mov_label(PReg::E, *f);
-        a.call_reg(PReg::E);
-    }
-    a.alu_ri(AluOp::Sub, PReg::B, PReg::B, 1);
-    a.cmp_ri(PReg::B, 0);
-    a.b_cond(Cond::Ne, top);
-    a.halt();
-    for f in funcs {
-        a.align(256);
-        a.bind(f);
-        a.alu_ri(AluOp::Add, PReg::A, PReg::A, 1);
-        a.ret();
-    }
-    a.finish(0x8000)
-}
-
 #[test]
 fn recycled_engine_parts_equal_never_used_ones() {
-    let mut armlet = Reference::<ArmletGuest>::measure(Some(("IBTC sizing", ibtc_sizing_image())));
-    let mut petix = Reference::<PetixGuest>::measure(None);
-    let mut riscle = Reference::<RiscleGuest>::measure(None);
+    let mut armlet = Reference::<ArmletGuest>::measure();
+    let mut petix = Reference::<PetixGuest>::measure();
+    let mut riscle = Reference::<RiscleGuest>::measure();
     // From here on the pool has tables to give.
     armlet.alive.clear();
     petix.alive.clear();
@@ -233,22 +202,19 @@ fn recycled_engine_parts_equal_never_used_ones() {
 
     const DBT: usize = 0;
     const OLD_DBT: usize = 1;
-    const NATIVE: usize = 4;
-    const DETAILED: usize = 5;
-    const CAMPAIGN: usize = 6;
-    let sizing = 3;
+    const NATIVE: usize = 3;
+    const DETAILED: usize = 4;
+    const CAMPAIGN: usize = 5;
+    // Inter-Page Indirect: every table a dbt keeps, the IBTC included.
+    let indirect = 1;
 
-    // One IBTC size after another — 64 entries, 512, 256, 64 again —
-    // on the image that tells them apart.
-    let hits = |engine: usize| armlet.expected[engine][sizing].counters.block_cache_hits;
-    assert!(hits(OLD_DBT) > hits(DBT) && hits(DBT) > hits(OLD_DBT + 1));
-    for (engine, after) in [
-        (OLD_DBT, "another image"),
-        (OLD_DBT + 1, "v2.0.2"),
-        (DBT, "v2.2.1"),
-        (OLD_DBT, "the latest"),
-    ] {
-        armlet.check(engine, sizing, after);
+    // The tables of one dbt profile serve the other.
+    for (engine, before) in [(OLD_DBT, DBT), (DBT, OLD_DBT)] {
+        let (name, make) = engines::<ArmletGuest>()[before];
+        for b in 0..armlet.images.len() {
+            run::<ArmletGuest>(&mut make(), &armlet.images[b].1);
+            armlet.check(engine, b, name);
+        }
     }
 
     // Tables that have been through a code-cache overflow: more than
@@ -292,7 +258,7 @@ fn recycled_engine_parts_equal_never_used_ones() {
             }
         }
         for engine in family {
-            armlet.check(engine, sizing, "a pair");
+            armlet.check(engine, indirect, "a pair");
         }
     }
 
@@ -305,6 +271,6 @@ fn recycled_engine_parts_equal_never_used_ones() {
             panic!("with a used engine alive");
         }));
         assert!(unwound.is_err());
-        armlet.check(engine, sizing, "a panic");
+        armlet.check(engine, indirect, "a panic");
     }
 }

@@ -220,8 +220,9 @@ const FLUSH_THRESHOLD: usize = 1 << 16;
 /// suite cell needs at the iteration floor, where recycling matters.
 const MAX_KEPT_ARENA_STEPS: usize = 1 << 14;
 
-/// The `Default` cache owns no memory and must not be used: it is
-/// what `mem::take` leaves in an engine that hands its tables on.
+/// The `Default` cache has no IBTC and owns no memory: it is what
+/// `mem::take` leaves in an engine that hands its tables on, and is
+/// never run.
 impl Default for CodeCache {
     fn default() -> Self {
         CodeCache {

@@ -54,7 +54,7 @@ use simbench_harness::{fig4, fig5, model, MEASURED_FIGURES};
 use simbench_suite::Benchmark;
 
 const USAGE: &str = "usage: simbench-harness <fig2|fig3|fig4|fig5|fig6|fig7|fig8|all> \
-                     [--scale N] [--jobs N | --from CAMPAIGN.json] [--out FILE]
+                     [--scale N | --from CAMPAIGN.json] [--out FILE]
        simbench-harness campaign run [--scale N] [--jobs N] [--reps R] [--out FILE] [--name S]
                                      [--guests LIST] [--engines LIST] [--benches LIST]
                                      [--apps] [--versions]
@@ -177,14 +177,12 @@ fn figures_main(argv: Vec<String>) -> ExitCode {
     }
     let mut which: Option<String> = None;
     let mut scale: Option<u64> = None;
-    let mut jobs: Option<usize> = None;
     let mut from: Option<String> = None;
     let mut out_path: Option<String> = None;
     let mut args = Args::new(argv);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => scale = Some(args.parse_of("--scale")),
-            "--jobs" => jobs = Some(args.parse_of::<usize>("--jobs").max(1)),
             "--from" => from = Some(args.value_of("--from")),
             "--out" => out_path = Some(args.value_of("--out")),
             "--list" | "list" => {
@@ -206,8 +204,8 @@ fn figures_main(argv: Vec<String>) -> ExitCode {
     if which != "all" && !FIGURES.contains(&which.as_str()) {
         fail(&format!("unknown figure {which:?}"));
     }
-    if from.is_some() && (scale.is_some() || jobs.is_some()) {
-        fail("--from renders a stored campaign: --scale and --jobs do not apply");
+    if from.is_some() && scale.is_some() {
+        fail("--from renders a stored campaign: --scale does not apply");
     }
     let scale = scale.unwrap_or(5000);
     if scale == 0 {
@@ -223,17 +221,17 @@ fn figures_main(argv: Vec<String>) -> ExitCode {
     };
 
     // Every measured figure renders from one campaign: the stored one,
-    // or the paper campaign measured once, for the first that needs it.
+    // or the paper campaign measured once, on one worker, for the first
+    // that needs it.
     let load_or_run = || match &from {
-        Some(path) => CampaignResult::load(path).unwrap_or_else(|e| fail(&e.to_string())),
+        Some(path) => load_timed(path),
         None => {
             let spec = CampaignSpec::paper(scale);
-            let jobs = jobs.unwrap_or(1);
             simbench_obs::info!(
-                "[paper campaign] {} jobs on {jobs} worker(s), scale {scale}",
+                "[paper campaign] {} jobs on 1 worker, scale {scale}",
                 spec.expand().len()
             );
-            let result = simbench_campaign::run(&spec, &RunnerOpts::with_jobs(jobs));
+            let result = simbench_campaign::run(&spec, &RunnerOpts::serial());
             simbench_obs::info!("[paper campaign finished in {:.1}s]", result.wall_secs);
             result
         }
@@ -256,6 +254,20 @@ fn figures_main(argv: Vec<String>) -> ExitCode {
         write_file(&path, output.as_bytes());
     }
     ExitCode::SUCCESS
+}
+
+/// Load a stored campaign whose timings are read, and say on stderr
+/// when they were measured on more than one worker: workers share the
+/// host, and their timings are noisier than one worker's.
+fn load_timed(path: &str) -> CampaignResult {
+    let result = CampaignResult::load(path).unwrap_or_else(|e| fail(&e.to_string()));
+    if result.jobs > 1 {
+        simbench_obs::warn!(
+            "simbench-harness: {path} was measured on {} workers; its timings are noisier than one worker's",
+            result.jobs
+        );
+    }
+    result
 }
 
 // ---------------------------------------------------------------------------
@@ -623,7 +635,7 @@ fn model_args(mut args: Args, verb: &str) -> ModelArgs {
         }
     }
     let path = campaign_path.unwrap_or_else(|| fail("model needs a stored campaign JSON file"));
-    let result = CampaignResult::load(&path).unwrap_or_else(|e| fail(&e.to_string()));
+    let result = load_timed(&path);
     // Engine ids are validated against the known set and canonicalized
     // (`dbt` means the latest version profile) before cell lookup.
     let engine = EngineKind::by_id(&engine)

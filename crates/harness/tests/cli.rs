@@ -258,6 +258,9 @@ fn model_workflow_runs_from_a_stored_campaign() {
     let text = stdout(&out);
     assert!(text.contains("cost model for armlet/interp"), "{text}");
     assert!(text.contains("base cost per instruction"), "{text}");
+    // The timings came from four workers, and stderr says so once.
+    let note = format!("{path_str} was measured on 4 workers");
+    assert_eq!(stderr(&out).matches(&note).count(), 1, "{}", stderr(&out));
 
     let out = run_cli(&[
         "model",
@@ -347,6 +350,17 @@ fn figures_usage_errors_exit_3() {
         let out = run_cli(&args);
         assert_eq!(exit_code(&out), 3, "args {args:?}");
     }
+    // A figure measures on one worker: `--jobs` is not one of its flags.
+    let out = run_cli(&["fig6", "--jobs", "2"]);
+    assert_eq!(exit_code(&out), 3);
+    assert!(
+        stderr(&out).contains("unknown flag \"--jobs\""),
+        "{}",
+        stderr(&out)
+    );
+    let out = run_cli(&["fig6", "--from", "c.json", "--scale", "5"]);
+    let want = "--from renders a stored campaign: --scale does not apply";
+    assert!(stderr(&out).contains(want), "{}", stderr(&out));
 }
 
 /// Every measured figure's text, rendered by the figure drivers before
@@ -477,6 +491,14 @@ fn figures_render_the_pinned_paper_campaign_byte_for_byte() {
     assert_eq!(exit_code(&out), 0, "{}", stderr(&out));
     assert!(stdout(&out).starts_with("Fig 5"));
     assert!(stdout(&out).ends_with(PINNED_FIGURES), "{}", stdout(&out));
+    let note = format!("{path_str} was measured on 2 workers");
+    assert_eq!(stderr(&out).matches(&note).count(), 1, "{}", stderr(&out));
+    // One worker's timings pass without a note.
+    result.jobs = 1;
+    result.save(&path).unwrap();
+    let out = run_cli(&["fig6", "--from", path_str]);
+    assert_eq!(exit_code(&out), 0, "{}", stderr(&out));
+    assert!(!stderr(&out).contains("workers"), "{}", stderr(&out));
 
     // A cell that failed is named, and so is one that is missing.
     let at = result

@@ -5,8 +5,8 @@
 //! mechanisms. We cannot rebuild historical QEMU here, so each release
 //! name maps to a [`VersionProfile`]: a set of *real code-path toggles*
 //! in our engine chosen to mirror the documented history the paper
-//! discusses. Five steps remain, each defined once below and named by
-//! the releases that take it:
+//! discusses. The twenty releases take five distinct profiles, each
+//! defined once below and named by its releases; between them:
 //!
 //! * from 2.1 onward successive releases add per-block-entry safety
 //!   guards and chain revalidation (the control-flow degradation of

@@ -681,6 +681,15 @@ mod tests {
     }
 
     #[test]
+    fn a_slotless_ibtc_misses_and_ignores_inserts() {
+        // What `mem::take` leaves behind: no slot to index.
+        let mut i = Ibtc::default();
+        i.insert(0x8000, link_to(7));
+        assert_eq!(i.lookup(0x8000), Link::NONE);
+        assert!(i.slots.is_empty());
+    }
+
+    #[test]
     fn flush_all_resets() {
         let mut c = CodeCache::new();
         let (a, _) = insert(&mut c, 0x8000, 8);

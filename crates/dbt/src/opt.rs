@@ -192,4 +192,103 @@ mod tests {
             "flag producer feeding a conditional branch must survive"
         );
     }
+
+    #[test]
+    fn folding_keeps_every_step_in_place() {
+        // Retirement is counted at instruction starts, so folding rewrites
+        // ops but never drops, adds or reorders a step, a mid-instruction
+        // Nop included.
+        let mut steps = vec![
+            step(mov(0, 10)),
+            TbStep {
+                op: Op::Nop,
+                next_pc: 0x8004,
+                insn_start: false,
+            },
+            TbStep {
+                op: Op::Alu {
+                    op: AluOp::Add,
+                    rd: 1,
+                    rn: 0,
+                    src: Operand::Imm(5),
+                    set_flags: false,
+                },
+                next_pc: 0x8008,
+                insn_start: true,
+            },
+        ];
+        constant_fold(&mut steps);
+        let shape: Vec<_> = steps.iter().map(|s| (s.next_pc, s.insn_start)).collect();
+        assert_eq!(shape, [(0, true), (0x8004, false), (0x8008, true)]);
+        assert_eq!((steps[1].op, steps[2].op), (Op::Nop, mov(1, 15)));
+    }
+
+    #[test]
+    fn cmp_takes_a_known_register_as_an_immediate() {
+        let mut steps = vec![
+            step(mov(2, 7)),
+            step(Op::Cmp {
+                rn: 1,
+                src: Operand::Reg(2),
+                is_tst: false,
+            }),
+            step(Op::Cmp {
+                rn: 2,
+                src: Operand::Reg(3),
+                is_tst: true,
+            }),
+        ];
+        constant_fold(&mut steps);
+        let cmp = |rn, src, is_tst| Op::Cmp { rn, src, is_tst };
+        assert_eq!(steps[1].op, cmp(1, Operand::Imm(7), false));
+        // An unknown source stays a register; the left operand is never
+        // substituted.
+        assert_eq!(steps[2].op, cmp(2, Operand::Reg(3), true));
+    }
+
+    #[test]
+    fn carry_readers_are_not_folded_and_clobber_their_destination() {
+        let alu = |op, rd, rn, src| Op::Alu {
+            op,
+            rd,
+            rn,
+            src,
+            set_flags: false,
+        };
+        let mut steps = vec![
+            step(mov(0, 10)),
+            step(mov(1, 3)),
+            step(alu(AluOp::Adc, 1, 0, Operand::Reg(0))),
+            step(alu(AluOp::Add, 2, 1, Operand::Imm(1))),
+        ];
+        constant_fold(&mut steps);
+        // The carry is unknown at translation time: only the register
+        // source is substituted, and r1 is no longer the 3 moved into it.
+        assert_eq!(steps[2].op, alu(AluOp::Adc, 1, 0, Operand::Imm(10)));
+        assert_eq!(steps[3].op, alu(AluOp::Add, 2, 1, Operand::Imm(1)));
+    }
+
+    #[test]
+    fn a_move_from_an_unknown_register_clobbers_a_constant() {
+        let mut steps = vec![
+            step(mov(0, 10)),
+            step(Op::Alu {
+                op: AluOp::Mov,
+                rd: 0,
+                rn: 0,
+                src: Operand::Reg(3),
+                set_flags: false,
+            }),
+            step(Op::Alu {
+                op: AluOp::Sub,
+                rd: 1,
+                rn: 0,
+                src: Operand::Imm(1),
+                set_flags: false,
+            }),
+        ];
+        let before = steps.clone();
+        constant_fold(&mut steps);
+        assert_eq!(steps, before, "r0 holds r3's unknown value");
+    }
 }

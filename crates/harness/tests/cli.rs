@@ -304,20 +304,8 @@ fn model_workflow_runs_from_a_stored_campaign() {
     ]);
     assert_eq!(exit_code(&out), 1, "{}", stdout(&out));
 
-    // Usage/data errors exit 3: unknown subcommand, missing file, an
-    // engine the campaign never measured, a campaign without apps, and
-    // flags that don't apply to the chosen subcommand (they must be
-    // rejected, not silently ignored).
-    let out = run_cli(&["model", "frobnicate", path_str]);
-    assert_eq!(exit_code(&out), 3);
-    for args in [
-        vec!["model", "calibrate", path_str, "--profile-engine", "native"],
-        vec!["model", "calibrate", path_str, "--max-error", "2.0"],
-        vec!["model", "predict", path_str, "--max-error", "2.0"],
-    ] {
-        let out = run_cli(&args);
-        assert_eq!(exit_code(&out), 3, "args {args:?}");
-    }
+    // Data errors exit 3: a missing file, an engine the campaign never
+    // measured, a campaign without apps.
     let out = run_cli(&["model", "validate", "/nonexistent.json"]);
     assert_eq!(exit_code(&out), 3);
     let out = run_cli(&[
@@ -335,32 +323,6 @@ fn model_workflow_runs_from_a_stored_campaign() {
         "interp",
     ]);
     assert_eq!(exit_code(&out), 3);
-}
-
-#[test]
-fn figures_usage_errors_exit_3() {
-    for args in [
-        vec!["figX"],
-        vec!["fig7", "--bogus"],
-        vec![],
-        vec!["fig6", "--from", "c.json", "--scale", "5"],
-        vec!["all", "--jobs", "2", "--from", "c.json"],
-        vec!["fig2", "--from"],
-    ] {
-        let out = run_cli(&args);
-        assert_eq!(exit_code(&out), 3, "args {args:?}");
-    }
-    // A figure measures on one worker: `--jobs` is not one of its flags.
-    let out = run_cli(&["fig6", "--jobs", "2"]);
-    assert_eq!(exit_code(&out), 3);
-    assert!(
-        stderr(&out).contains("unknown flag \"--jobs\""),
-        "{}",
-        stderr(&out)
-    );
-    let out = run_cli(&["fig6", "--from", "c.json", "--scale", "5"]);
-    let want = "--from renders a stored campaign: --scale does not apply";
-    assert!(stderr(&out).contains(want), "{}", stderr(&out));
 }
 
 /// Every measured figure's text, rendered by the figure drivers before
@@ -689,20 +651,11 @@ fn log_level_flags_are_global_and_strict() {
         );
     }
 
-    // -v / --verbose are accepted; the conflict is a usage error.
+    // -v / --verbose are accepted (their conflict is a usage error).
     for v in ["-v", "--verbose"] {
         let out = run_cli(&["fig5", v]);
         assert_eq!(exit_code(&out), 0, "{v}");
     }
-    let out = run_cli(&["--quiet", "-v", "fig5"]);
-    assert_eq!(exit_code(&out), 3);
-
-    // Unknown-flag strictness survives the global pre-scan.
-    assert_eq!(exit_code(&run_cli(&["fig5", "--queit"])), 3);
-    assert_eq!(
-        exit_code(&run_cli(&["--quiet", "campaign", "run", "--frobnicate"])),
-        3
-    );
 }
 
 #[test]
@@ -748,43 +701,6 @@ fn analyze_fuzz_covers_the_differ_program_stream() {
     let text = stdout(&out);
     assert!(text.contains("petix/fuzz:0xbeef[0]"), "{text}");
     assert!(text.contains("2/2 subject(s) clean"), "{text}");
-}
-
-#[test]
-fn analyze_usage_errors_exit_3() {
-    // Missing guest, unknown guest, conflicting selectors, bad values.
-    assert_eq!(exit_code(&run_cli(&["analyze"])), 3);
-    assert_eq!(exit_code(&run_cli(&["analyze", "z80"])), 3);
-    assert_eq!(
-        exit_code(&run_cli(&[
-            "analyze",
-            "armlet",
-            "--workload",
-            "all",
-            "--fuzz",
-            "1"
-        ])),
-        3
-    );
-    assert_eq!(
-        exit_code(&run_cli(&["analyze", "armlet", "--workload", "nope"])),
-        3
-    );
-    assert_eq!(
-        exit_code(&run_cli(&["analyze", "armlet", "--scale", "0"])),
-        3
-    );
-    // A workload the user named must exist on the guest — unlike the
-    // silently-skipped matrix holes of `all`.
-    assert_eq!(
-        exit_code(&run_cli(&[
-            "analyze",
-            "petix",
-            "--workload",
-            "Nonprivileged Access"
-        ])),
-        3
-    );
 }
 
 /// The common spec flags of the fault-tolerance tests: four cells,
@@ -1179,32 +1095,6 @@ fn analyze_and_differ_sweeps_interrupt_with_exit_130() {
 }
 
 #[test]
-fn fault_tolerance_flags_usage_errors_exit_3() {
-    for args in [
-        // --journal and --resume are mutually exclusive.
-        vec![
-            "campaign",
-            "run",
-            "--journal",
-            "/tmp/a",
-            "--resume",
-            "/tmp/b",
-        ],
-        // Watchdog and retry values must parse and be sensible.
-        vec!["campaign", "run", "--cell-timeout", "0"],
-        vec!["campaign", "run", "--cell-timeout", "-1"],
-        vec!["campaign", "run", "--cell-timeout", "banana"],
-        vec!["campaign", "run", "--retries", "banana"],
-        // A malformed failpoint spec is an error, never a silent no-op.
-        vec!["campaign", "run", "--failpoints", "no-equals"],
-        vec!["campaign", "run", "--failpoints", "s=explode"],
-    ] {
-        let out = run_cli(&args);
-        assert_eq!(exit_code(&out), 3, "args {args:?}: {}", stdout(&out));
-    }
-}
-
-#[test]
 fn lint_runs_clean_on_this_repository() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .parent()
@@ -1263,32 +1153,6 @@ fn list_and_campaign_list_print_one_catalogue() {
 }
 
 #[test]
-fn campaign_subcommand_errors_exit_3() {
-    assert_eq!(exit_code(&run_cli(&["campaign"])), 3);
-    let out = run_cli(&["campaign", "frob"]);
-    assert_eq!(exit_code(&out), 3);
-    assert!(stderr(&out).contains("unknown campaign subcommand \"frob\""));
-    // A result is the whole matrix of one run: no shards to merge.
-    let out = run_cli(&["campaign", "merge", "a.json", "--out", "b.json"]);
-    assert_eq!(exit_code(&out), 3);
-    assert!(stderr(&out).contains("unknown campaign subcommand \"merge\""));
-    let out = run_cli(&["campaign", "run", "--shard", "1/2"]);
-    assert_eq!(exit_code(&out), 3);
-    assert!(stderr(&out).contains("unknown flag \"--shard\""));
-    // Repetitions are fixed: the adaptive mode's flags are unknown.
-    for flag in [
-        ["--precision", "0.2"],
-        ["--min-reps", "3"],
-        ["--max-reps", "3"],
-    ] {
-        let out = run_cli(&["campaign", "run", flag[0], flag[1]]);
-        assert_eq!(exit_code(&out), 3, "{flag:?}");
-        let want = format!("unknown flag \"{}\"", flag[0]);
-        assert!(stderr(&out).contains(&want), "{flag:?}");
-    }
-}
-
-#[test]
 fn a_v4_baseline_is_an_unreadable_input() {
     let cur = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_campaign.json");
     let text = std::fs::read_to_string(cur).unwrap();
@@ -1336,31 +1200,89 @@ fn differ_rejects_a_named_workload_the_guest_lacks() {
     assert!(stderr(&out).contains("does not exist on guest \"petix\""));
 }
 
+/// Every usage error of the command line, one row each: the argv, the
+/// exit code and the first line on stderr (the usage text follows it).
+/// The argv splits on spaces; `_` in a word stands for a space. No
+/// `c.json` exists: each row fails before any file is read.
+const USAGE_ERRORS: &str = r#"
+ | 3 | missing figure name
+figX | 3 | unknown figure "figX"
+fig2 fig3 | 3 | unexpected argument "fig3" (figure already given)
+fig7 --bogus | 3 | unknown flag "--bogus"
+fig6 --jobs 2 | 3 | unknown flag "--jobs"
+all --jobs 2 --from c.json | 3 | unknown flag "--jobs"
+fig2 --from | 3 | --from requires a value
+fig5 --out --scale 5 | 3 | --out requires a value
+fig2 --scale x | 3 | invalid value for --scale: "x"
+fig2 --scale 0 | 3 | --scale must be at least 1
+fig6 --from c.json --scale 5 | 3 | --from renders a stored campaign: --scale does not apply
+--quiet -v fig5 | 3 | --quiet conflicts with -v/--verbose
+fig5 --queit | 3 | unknown flag "--queit"
+--quiet campaign run --frobnicate | 3 | unknown flag "--frobnicate"
+campaign | 3 | campaign needs a subcommand: run | compare | list
+campaign frob | 3 | unknown campaign subcommand "frob"
+campaign merge a.json --out b.json | 3 | unknown campaign subcommand "merge"
+campaign run --shard 1/2 | 3 | unknown flag "--shard"
+campaign run --precision 0.2 | 3 | unknown flag "--precision"
+campaign run --min-reps 3 | 3 | unknown flag "--min-reps"
+campaign run --max-reps 3 | 3 | unknown flag "--max-reps"
+campaign run --scale 0 | 3 | --scale must be at least 1
+campaign run --guests , | 3 | empty list ","
+campaign run --guests z80 | 3 | unknown guest "z80"
+campaign run --engines interp,qemu | 3 | unknown engine "qemu"
+campaign run --benches nope | 3 | unknown benchmark "nope"
+campaign run --journal /tmp/a --resume /tmp/b | 3 | --journal conflicts with --resume: --resume already appends to DIR's journal
+campaign run --cell-timeout 0 | 3 | --cell-timeout must be a positive number of seconds
+campaign run --cell-timeout -1 | 3 | --cell-timeout must be a positive number of seconds
+campaign run --cell-timeout banana | 3 | invalid value for --cell-timeout: "banana"
+campaign run --retries banana | 3 | invalid value for --retries: "banana"
+campaign run --failpoints no-equals | 3 | failpoint clause "no-equals": expected SITE=ACTION
+campaign run --failpoints s=explode | 3 | failpoint clause "s=explode": unknown kind "explode" (expected panic/hang/err/abort)
+campaign compare --baseline c.json | 3 | compare needs a current result file
+campaign compare c.json | 3 | compare needs --baseline FILE
+campaign compare a.json b.json | 3 | unexpected argument "b.json" (current result already given)
+campaign compare c.json --tolerance -1 | 3 | --tolerance must be a non-negative fraction, e.g. 0.01
+report | 3 | report needs a stored campaign JSON file
+report a.json b.json | 3 | unexpected argument "b.json" (campaign file already given)
+model | 3 | model needs a subcommand: calibrate | predict | validate
+model frobnicate c.json | 3 | unknown model subcommand "frobnicate"
+model validate | 3 | model needs a stored campaign JSON file
+model validate a.json b.json | 3 | unexpected argument "b.json" (campaign file already given)
+model validate --guest z80 c.json | 3 | unknown guest "z80"
+model validate c.json --max-error 0.5 | 3 | --max-error is an error *factor*, so it must be >= 1.0
+model calibrate c.json --profile-engine native | 3 | --profile-engine does not apply to model calibrate
+model calibrate c.json --max-error 2.0 | 3 | --max-error does not apply to model calibrate
+model predict c.json --max-error 2.0 | 3 | --max-error does not apply to model predict
+differ armlet interp | 3 | differ needs <guest> <engineA> <engineB>
+differ z80 interp dbt --fuzz 1 | 3 | unknown guest "z80" (armlet | petix | riscle)
+differ armlet interp qemu --fuzz 1 | 3 | unknown engine "qemu" (interp | dbt[@VERSION] | detailed | virt | native)
+differ armlet interp dbt | 3 | differ needs --workload <W|all> or --fuzz SEED
+differ armlet interp dbt --workload all --fuzz 1 | 3 | --workload conflicts with --fuzz
+differ armlet interp dbt --fuzz 1 --bogus | 3 | unknown flag "--bogus"
+differ armlet interp dbt --fuzz 1 --programs 0 | 3 | nothing to compare (with --fuzz, --programs must be at least 1)
+differ armlet interp dbt --workload nope | 3 | unknown workload "nope" (try a name from `campaign list`, a suite:/app: id, or `all`)
+analyze | 3 | analyze needs <guest|all>
+analyze z80 | 3 | unknown guest "z80" (armlet | petix | riscle | all)
+analyze armlet --workload all --fuzz 1 | 3 | --workload conflicts with --fuzz
+analyze armlet --workload nope | 3 | unknown workload "nope" (try a name from `campaign list`, a suite:/app: id, or `all`)
+analyze armlet --scale 0 | 3 | --scale must be at least 1
+analyze armlet --fuel 0 | 3 | --fuel must be at least 1
+analyze armlet --fuzz 1 --programs 0 | 3 | nothing to analyze (with --fuzz, --programs must be at least 1)
+analyze petix --workload Nonprivileged_Access | 3 | workload "suite:Nonprivileged Access" does not exist on guest "petix"
+lint --root | 3 | --root requires a value
+"#;
+
 #[test]
-fn differ_usage_errors_exit_3() {
-    // Missing engine, bad guest or engine, no or both selectors, bad
-    // flag, a fuzz sweep of no programs.
-    for cmd in [
-        "differ armlet interp",
-        "differ z80 interp dbt --fuzz 1",
-        "differ armlet interp qemu --fuzz 1",
-        "differ armlet interp dbt",
-        "differ armlet interp dbt --workload all --fuzz 1",
-        "differ armlet interp dbt --fuzz 1 --bogus",
-    ] {
-        let args: Vec<&str> = cmd.split(' ').collect();
-        assert_eq!(exit_code(&run_cli(&args)), 3, "{cmd}");
+fn usage_errors_exit_3_and_name_the_error() {
+    for row in USAGE_ERRORS.lines().skip(1) {
+        let f: Vec<&str> = row.splitn(3, " | ").collect();
+        let args: Vec<String> = f[0]
+            .split_whitespace()
+            .map(|w| w.replace('_', " "))
+            .collect();
+        let out = run_cli(&args.iter().map(String::as_str).collect::<Vec<_>>());
+        assert_eq!(exit_code(&out).to_string(), f[1], "{row}: {}", stderr(&out));
+        let want = format!("simbench-harness: {}", f[2]);
+        assert_eq!(stderr(&out).lines().next(), Some(want.as_str()), "{row}");
     }
-    let out = run_cli(&[
-        "differ",
-        "armlet",
-        "interp",
-        "dbt",
-        "--fuzz",
-        "1",
-        "--programs",
-        "0",
-    ]);
-    assert_eq!(exit_code(&out), 3, "{}", stdout(&out));
-    assert!(stderr(&out).contains("--programs must be at least 1"));
 }

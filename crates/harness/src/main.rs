@@ -1,31 +1,13 @@
-//! SimBench-rs experiment CLI. The full command line is the `USAGE`
-//! constant below, printed by `--help` and after every usage error.
+//! SimBench-rs experiment CLI. [`FLAGS`] declares every flag once,
+//! with the check its value must pass; [`COMMANDS`] gives each command
+//! its positionals and the flags it takes. [`parse`] reads the command
+//! line against them and `--help` prints them. Unknown flags and
+//! malformed values are hard errors: a typo must not silently change
+//! what gets measured.
 //!
-//! `differ` runs the same binary on both engines in checkpointed
-//! lockstep and compares architectural state digests; a mismatch is
-//! bisected to the first divergent instruction and reported with a
-//! named state diff (exit 1). `--workload` takes a benchmark or app
-//! name, a `suite:`/`app:` id, or `all` for every suite benchmark the
-//! guest supports; `--fuzz` sweeps N seeded random programs instead.
-//!
-//! `analyze` runs the static analyzer over guest images without
-//! executing them on an engine: CFG recovery with invariant proofs and
-//! a static event-profile prediction (`--check` verifies it
-//! counter-for-counter against the reference interpreter).
-//! `--workload all` (the default) sweeps every suite benchmark and app
-//! the guest supports; `--fuzz SEED` analyzes the differ's seeded
-//! program stream instead. `--out` persists the `simbench-analysis/v2`
-//! artifact. Exit 1 when any subject has an invariant violation or
-//! check mismatch.
-//!
-//! `lint` runs the hot-path source lint over the designated
-//! allocation-free modules and checks the workspace line budget (exit 1
-//! on any finding).
-//!
-//! `--quiet` / `-v` are global: they may appear anywhere on the command
-//! line and set the stderr log level (warnings only / debug). Stdout
-//! reports, persisted files and exit codes are level-independent —
-//! `--quiet` can never change what a script parses.
+//! `--quiet` / `-v` set the stderr log level only: stdout reports,
+//! persisted files and exit codes are level-independent, so `--quiet`
+//! can never change what a script parses.
 //!
 //! Observability: `campaign run --trace FILE` switches the process-wide
 //! telemetry on, writes a Chrome trace-event JSON of the run's spans
@@ -34,16 +16,12 @@
 //! `report`). `--progress` streams per-cell start/finish records on
 //! stderr; `--progress=ndjson` emits them as one JSON object per line.
 //!
-//! Unknown flags and malformed values are hard errors: a typo must not
-//! silently change what gets measured. Exit codes are part of the
-//! interface: 0 clean, 1 failure or counter drift beyond `--tolerance`,
-//! 2 a cell that completed in the baseline no longer completes, 3 usage
-//! errors and unreadable inputs, 4 a journal data error (`--resume` on
-//! a journal written for another campaign, or a journal that cannot be
-//! created or reopened).
+//! Exit 4 is a journal data error: `--resume` on a journal written for
+//! another campaign, or a journal that cannot be created or reopened.
 
 use std::io::Write as _;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use simbench_apps::App;
 use simbench_campaign::{
@@ -53,78 +31,237 @@ use simbench_dbt::QEMU_VERSIONS;
 use simbench_harness::{fig4, fig5, model, MEASURED_FIGURES};
 use simbench_suite::Benchmark;
 
-const USAGE: &str = "usage: simbench-harness <fig2|fig3|fig4|fig5|fig6|fig7|fig8|all> \
-                     [--scale N | --from CAMPAIGN.json] [--out FILE]
-       simbench-harness campaign run [--scale N] [--jobs N] [--reps R] [--out FILE] [--name S]
-                                     [--guests LIST] [--engines LIST] [--benches LIST]
-                                     [--apps] [--versions]
-                                     [--trace FILE] [--progress[=ndjson]]
-                                     [--journal DIR | --resume DIR]
-                                     [--cell-timeout SECS] [--retries N] [--failpoints SPEC]
-       simbench-harness campaign compare <CURRENT.json> --baseline FILE [--tolerance FRAC]
-       simbench-harness campaign list
-       simbench-harness report <CAMPAIGN.json>
-       simbench-harness model <calibrate|predict|validate> <CAMPAIGN.json>
-                              [--guest G] [--engine E] [--profile-engine P] [--max-error FACTOR]
-       simbench-harness differ <guest> <engineA> <engineB>
-                               (--workload <W|all> | --fuzz SEED [--programs N])
-                               [--max-insns K] [--checkpoints C] [--scale N]
-       simbench-harness analyze <guest|all> [--workload <W|all> | --fuzz SEED [--programs N]]
-                                [--scale N] [--fuel N] [--check] [--out FILE]
-       simbench-harness lint [--root DIR]
-       simbench-harness --list
+/// Every flag the line knows, declared once: its name, the placeholder
+/// `--help` shows for its value (none for a switch) and the check the
+/// value must pass. A flag means the same on every command that takes it.
+const FLAGS: &[Flag] = &[
+    Flag("--scale", "N", AtLeast(1)),
+    Flag("--from", "CAMPAIGN.json", Any),
+    Flag("--out", "FILE", Any),
+    Flag("--list", "", Any),
+    Flag("--help", "", Any),
+    Flag("-h", "", Any),
+    Flag("--jobs", "N", AtLeast(0)),
+    Flag("--reps", "R", AtLeast(0)),
+    Flag("--name", "S", Any),
+    Flag("--guests", "LIST", Any),
+    Flag("--engines", "LIST", Any),
+    Flag("--benches", "LIST", Any),
+    Flag("--apps", "", Any),
+    Flag("--versions", "", Any),
+    Flag("--trace", "FILE", Any),
+    Flag("--progress", "", Any),
+    Flag("--progress=ndjson", "", Any),
+    Flag("--journal", "DIR", Any),
+    Flag("--resume", "DIR", Any),
+    Flag("--cell-timeout", "SECS", Secs),
+    Flag("--retries", "N", AtLeast(0)),
+    Flag("--failpoints", "SPEC", Any),
+    Flag("--baseline", "FILE", Any),
+    Flag("--tolerance", "FRAC", Fraction),
+    Flag("--guest", "G", Any),
+    Flag("--engine", "E", Any),
+    Flag("--profile-engine", "P", Any),
+    Flag("--max-error", "FACTOR", Factor),
+    Flag("--workload", "<W|all>", Any),
+    Flag("--fuzz", "SEED", AtLeast(0)),
+    Flag("--programs", "N", AtLeast(0)),
+    Flag("--max-insns", "K", AtLeast(0)),
+    Flag("--checkpoints", "C", AtLeast(0)),
+    Flag("--fuel", "N", AtLeast(1)),
+    Flag("--check", "", Any),
+    Flag("--root", "DIR", Any),
+];
+
+struct Flag(&'static str, &'static str, Check);
+
+/// What a flag's value must be, checked as the line is parsed.
+#[derive(Clone, Copy)]
+enum Check {
+    Any,
+    /// An unsigned integer of at least this.
+    AtLeast(u64),
+    /// A positive, finite number of seconds.
+    Secs,
+    /// A non-negative, finite fraction.
+    Fraction,
+    /// An error factor of at least 1.0.
+    Factor,
+}
+
+use Check::*;
+
+/// A command: the words that select it, its positionals, the flags it
+/// takes and what it runs.
+struct Command {
+    /// The words that select it; the figures, selected by default, have none.
+    name: &'static str,
+    /// Its positionals, one word each, as `--help` shows them.
+    args: &'static str,
+    /// The flags it takes, by name.
+    flags: &'static str,
+    /// The usage error of a line that lacks a positional.
+    missing: &'static str,
+    /// What an extra positional would repeat.
+    given: &'static str,
+    run: fn(&Parsed) -> ExitCode,
+}
+
+/// Every command. The figures come first: a line whose first word names
+/// no other command is theirs.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "", args: "<fig2|fig3|fig4|fig5|fig6|fig7|fig8|all>",
+              flags: "--scale --from --out --list --help -h",
+              missing: "missing figure name", given: "figure", run: figures_main },
+    Command { name: "campaign run", args: "",
+              flags: "--scale --jobs --reps --out --name --guests --engines --benches --apps \
+                      --versions --trace --progress --progress=ndjson --journal --resume \
+                      --cell-timeout --retries --failpoints",
+              missing: "", given: "", run: campaign_run },
+    Command { name: "campaign compare", args: "<CURRENT.json>", flags: "--baseline --tolerance",
+              missing: "compare needs a current result file", given: "current result",
+              run: campaign_compare },
+    Command { name: "campaign list", args: "", flags: "", missing: "", given: "", run: list_main },
+    Command { name: "report", args: "<CAMPAIGN.json>", flags: "",
+              missing: "report needs a stored campaign JSON file", given: "campaign file",
+              run: report_main },
+    Command { name: "model calibrate", args: "<CAMPAIGN.json>", flags: "--guest --engine",
+              missing: "model needs a stored campaign JSON file", given: "campaign file",
+              run: model_main },
+    Command { name: "model predict", args: "<CAMPAIGN.json>",
+              flags: "--guest --engine --profile-engine",
+              missing: "model needs a stored campaign JSON file", given: "campaign file",
+              run: model_main },
+    Command { name: "model validate", args: "<CAMPAIGN.json>",
+              flags: "--guest --engine --profile-engine --max-error",
+              missing: "model needs a stored campaign JSON file", given: "campaign file",
+              run: model_main },
+    Command { name: "differ", args: "<guest> <engineA> <engineB>",
+              flags: "--workload --fuzz --programs --max-insns --checkpoints --scale",
+              missing: "differ needs <guest> <engineA> <engineB>", given: "guest and engines",
+              run: differ_main },
+    Command { name: "analyze", args: "<guest|all>",
+              flags: "--workload --fuzz --programs --scale --fuel --check --out",
+              missing: "analyze needs <guest|all>", given: "guest", run: analyze_main },
+    Command { name: "lint", args: "", flags: "--root", missing: "", given: "", run: lint_main },
+];
+
+impl Command {
+    fn takes(&self, flag: &str) -> bool {
+        self.flags.split_whitespace().any(|f| f == flag)
+    }
+}
+
+/// The declaration of `name`, a flag some command takes.
+fn flag(name: &str) -> &'static Flag {
+    let declared = FLAGS.iter().find(|f| f.0 == name);
+    declared.unwrap_or_else(|| panic!("{name} is not declared in FLAGS"))
+}
+
+/// What `--help` prints below the commands.
+const USAGE_TAIL: &str = "\
 global flags (anywhere on the line): --quiet (warnings only), -v/--verbose (debug)
 exit codes: 0 clean, 1 failure/regression, 2 broken coverage, 3 usage,
             4 journal data error, 130 interrupted (SIGINT/SIGTERM)";
 
+/// The usage text: every command with its positionals and flags, from
+/// [`COMMANDS`], then [`USAGE_TAIL`].
+fn usage() -> String {
+    let mut out = String::new();
+    for (i, c) in COMMANDS.iter().enumerate() {
+        let lead = if i == 0 { "usage: " } else { "       " };
+        let head = format!("{lead}simbench-harness {}", c.name);
+        let head = head.trim_end();
+        let mut line = format!("{head} {}", c.args).trim_end().to_string();
+        for &Flag(name, value, _) in c.flags.split_whitespace().map(flag) {
+            let flag = format!(" [{}]", [name, value].join(" ").trim());
+            if line.len() + flag.len() > 100 {
+                out.push_str(&line);
+                out.push('\n');
+                line = " ".repeat(head.len());
+            }
+            line.push_str(&flag);
+        }
+        out.push_str(&line);
+        out.push('\n');
+    }
+    out + USAGE_TAIL
+}
+
 fn fail(msg: &str) -> ! {
     eprintln!("simbench-harness: {msg}");
-    eprintln!("{USAGE}");
+    eprintln!("{}", usage());
     std::process::exit(3);
 }
 
-/// `"armlet | petix | riscle"` — the guest ids accepted on the CLI,
-/// from the registry table.
-fn guest_ids() -> String {
-    Guest::ALL.map(|g| g.isa_name()).join(" | ")
+/// `raw` as the number `flag` takes.
+fn number<T: FromStr>(flag: &str, raw: &str) -> T {
+    raw.parse()
+        .unwrap_or_else(|_| fail(&format!("invalid value for {flag}: {raw:?}")))
 }
 
-/// Typed argument cursor with strict error reporting.
-struct Args {
-    args: std::vec::IntoIter<String>,
+/// Fail unless `raw` passes `flag`'s check.
+fn check(flag: &str, raw: &str, check: Check) {
+    let real = || number::<f64>(flag, raw);
+    let why = match check {
+        Any => return,
+        AtLeast(min) if number::<u64>(flag, raw) >= min => return,
+        AtLeast(min) => format!("must be at least {min}"),
+        Secs if matches!(real(), t if t > 0.0 && t.is_finite()) => return,
+        Secs => "must be a positive number of seconds".to_string(),
+        Fraction if (0.0..f64::INFINITY).contains(&real()) => return,
+        Fraction => "must be a non-negative fraction, e.g. 0.01".to_string(),
+        Factor if real() >= 1.0 => return,
+        Factor => "is an error *factor*, so it must be >= 1.0".to_string(),
+    };
+    fail(&format!("{flag} {why}"));
 }
 
-impl Args {
-    fn new(args: Vec<String>) -> Self {
-        Args {
-            args: args.into_iter(),
-        }
+/// A command line parsed against its [`Command`].
+struct Parsed {
+    cmd: &'static Command,
+    args: Vec<String>,
+    /// Each flag given, in order, with its value ("" for a switch).
+    flags: Vec<(&'static str, String)>,
+}
+
+impl Parsed {
+    /// Positional `i`; a line without it fails with the command's usage error.
+    fn arg(&self, i: usize) -> &str {
+        self.args
+            .get(i)
+            .map_or_else(|| fail(self.cmd.missing), String::as_str)
     }
 
-    fn next(&mut self) -> Option<String> {
-        self.args.next()
+    /// The value of `flag`, the last one where it is given twice.
+    fn text(&self, flag: &str) -> Option<&str> {
+        let mut given = self.flags.iter().rev();
+        given.find(|(f, _)| *f == flag).map(|(_, v)| v.as_str())
     }
 
-    fn value_of(&mut self, flag: &str) -> String {
-        match self.next() {
-            Some(v) if !v.starts_with("--") => v,
-            _ => fail(&format!("{flag} requires a value")),
-        }
+    fn has(&self, flag: &str) -> bool {
+        self.text(flag).is_some()
     }
 
-    fn parse_of<T: std::str::FromStr>(&mut self, flag: &str) -> T {
-        let raw = self.value_of(flag);
-        raw.parse()
-            .unwrap_or_else(|_| fail(&format!("invalid value for {flag}: {raw:?}")))
+    /// The value of `flag` as a number, which its check has accepted.
+    fn num<T: FromStr>(&self, flag: &str) -> Option<T> {
+        self.text(flag).map(|raw| number(flag, raw))
     }
 }
 
-fn main() -> ExitCode {
-    let mut argv: Vec<String> = std::env::args().skip(1).collect();
-    // Global log-level flags are position-independent — `campaign run
-    // --quiet` and `--quiet campaign run` mean the same thing — so they
-    // are extracted before subcommand dispatch. Everything they affect
-    // is stderr narration; stdout reports and exit codes never change.
+/// The words that select a command: the first, and for a command of
+/// several verbs the second.
+fn words(c: &Command) -> (&str, &str) {
+    c.name.split_once(' ').unwrap_or((c.name, ""))
+}
+
+/// Parse a command line against [`COMMANDS`]: the global log-level
+/// flags anywhere on it, then the words that select a command, then its
+/// positionals and its flags, each value checked. Every usage error in
+/// the shape of the line fails here, before anything is read or run.
+fn parse(mut argv: Vec<String>) -> Parsed {
+    // `campaign run --quiet` and `--quiet campaign run` mean the same.
     let quiet = argv.iter().any(|a| a == "--quiet");
     let verbose = argv.iter().any(|a| a == "-v" || a == "--verbose");
     if quiet && verbose {
@@ -136,33 +273,85 @@ fn main() -> ExitCode {
     } else if verbose {
         simbench_obs::log::set_level(simbench_obs::log::LEVEL_DEBUG);
     }
-    match argv.first().map(String::as_str) {
-        Some("campaign") => {
-            argv.remove(0);
-            campaign_main(argv)
+
+    let first = argv.first().cloned().unwrap_or_default();
+    let group: Vec<&'static Command> = COMMANDS
+        .iter()
+        .filter(|c| !c.name.is_empty() && words(c).0 == first)
+        .collect();
+    let cmd = match group[..] {
+        [] => &COMMANDS[0],
+        [c] if c.name == first => c,
+        _ => match argv.get(1) {
+            Some(verb) => group
+                .iter()
+                .find(|c| words(c).1 == verb)
+                .unwrap_or_else(|| fail(&format!("unknown {first} subcommand {verb:?}"))),
+            None => {
+                let verbs: Vec<&str> = group.iter().map(|c| words(c).1).collect();
+                fail(&format!(
+                    "{first} needs a subcommand: {}",
+                    verbs.join(" | ")
+                ))
+            }
+        },
+    };
+    let arity = cmd.args.split_whitespace().count();
+    let mut parsed = Parsed {
+        cmd,
+        args: Vec::new(),
+        flags: Vec::new(),
+    };
+    let mut argv = argv.into_iter().skip(cmd.name.split_whitespace().count());
+    while let Some(arg) = argv.next() {
+        if !arg.starts_with('-') {
+            if parsed.args.len() == arity {
+                let given = match cmd.given {
+                    "" => String::new(),
+                    what => format!(" ({what} already given)"),
+                };
+                fail(&format!("unexpected argument {arg:?}{given}"));
+            }
+            parsed.args.push(arg);
+            continue;
         }
-        Some("report") => {
-            argv.remove(0);
-            report_main(argv)
+        if !cmd.takes(&arg) {
+            // A flag that another verb of this command takes is refused
+            // by name, not ignored: a gate never consulted (`--max-error`
+            // on `model calibrate`) would silently weaken CI.
+            if group.iter().any(|c| c.takes(&arg)) {
+                fail(&format!("{arg} does not apply to {}", cmd.name));
+            }
+            fail(&format!("unknown flag {arg:?}"));
         }
-        Some("model") => {
-            argv.remove(0);
-            model_main(argv)
-        }
-        Some("differ") => {
-            argv.remove(0);
-            differ_main(argv)
-        }
-        Some("analyze") => {
-            argv.remove(0);
-            analyze_main(argv)
-        }
-        Some("lint") => {
-            argv.remove(0);
-            lint_main(argv)
-        }
-        _ => figures_main(argv),
+        let &Flag(name, value, rule) = flag(&arg);
+        let raw = match value {
+            "" => String::new(),
+            _ => argv
+                .next()
+                .filter(|v| !v.starts_with("--"))
+                .unwrap_or_else(|| fail(&format!("{name} requires a value"))),
+        };
+        check(name, &raw, rule);
+        parsed.flags.push((name, raw));
     }
+    parsed
+}
+
+fn main() -> ExitCode {
+    let parsed = parse(std::env::args().skip(1).collect());
+    (parsed.cmd.run)(&parsed)
+}
+
+/// Exit 0 when `clean`, else 1.
+fn exit(clean: bool) -> ExitCode {
+    ExitCode::from(u8::from(!clean))
+}
+
+/// `"armlet | petix | riscle"` — the guest ids accepted on the CLI,
+/// from the registry table.
+fn guest_ids() -> String {
+    Guest::ALL.map(|g| g.isa_name()).join(" | ")
 }
 
 // ---------------------------------------------------------------------------
@@ -171,59 +360,36 @@ fn main() -> ExitCode {
 
 const FIGURES: [&str; 7] = ["fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8"];
 
-fn figures_main(argv: Vec<String>) -> ExitCode {
-    if argv.is_empty() {
-        fail("missing figure name");
+fn figures_main(p: &Parsed) -> ExitCode {
+    if p.has("--help") || p.has("-h") {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
     }
-    let mut which: Option<String> = None;
-    let mut scale: Option<u64> = None;
-    let mut from: Option<String> = None;
-    let mut out_path: Option<String> = None;
-    let mut args = Args::new(argv);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--scale" => scale = Some(args.parse_of("--scale")),
-            "--from" => from = Some(args.value_of("--from")),
-            "--out" => out_path = Some(args.value_of("--out")),
-            "--list" | "list" => {
-                print!("{}", render_list());
-                return ExitCode::SUCCESS;
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            name if !name.starts_with('-') && which.is_none() => which = Some(name.to_string()),
-            name if !name.starts_with('-') => fail(&format!(
-                "unexpected argument {name:?} (figure already given)"
-            )),
-            flag => fail(&format!("unknown flag {flag:?}")),
-        }
+    if p.has("--list") || p.args.first().is_some_and(|a| a == "list") {
+        return list_main(p);
     }
-    let which = which.unwrap_or_else(|| fail("missing figure name"));
-    if which != "all" && !FIGURES.contains(&which.as_str()) {
+    let which = p.arg(0);
+    if which != "all" && !FIGURES.contains(&which) {
         fail(&format!("unknown figure {which:?}"));
     }
-    if from.is_some() && scale.is_some() {
+    let from = p.text("--from");
+    if from.is_some() && p.has("--scale") {
         fail("--from renders a stored campaign: --scale does not apply");
     }
-    let scale = scale.unwrap_or(5000);
-    if scale == 0 {
-        fail("--scale must be at least 1");
-    }
+    let scale = p.num("--scale").unwrap_or(5000);
     let names: Vec<&str> = if which == "all" {
         ["fig5", "fig4"]
             .into_iter()
             .chain(MEASURED_FIGURES)
             .collect()
     } else {
-        vec![which.as_str()]
+        vec![which]
     };
 
     // Every measured figure renders from one campaign: the stored one,
     // or the paper campaign measured once, on one worker, for the first
     // that needs it.
-    let load_or_run = || match &from {
+    let load_or_run = || match from {
         Some(path) => load_timed(path),
         None => {
             let spec = CampaignSpec::paper(scale);
@@ -250,8 +416,8 @@ fn figures_main(argv: Vec<String>) -> ExitCode {
     }
 
     print!("{output}");
-    if let Some(path) = out_path {
-        write_file(&path, output.as_bytes());
+    if let Some(path) = p.text("--out") {
+        write_file(path, output.as_bytes());
     }
     ExitCode::SUCCESS
 }
@@ -274,107 +440,44 @@ fn load_timed(path: &str) -> CampaignResult {
 // Campaign mode.
 // ---------------------------------------------------------------------------
 
-fn campaign_main(argv: Vec<String>) -> ExitCode {
-    let mut args = Args::new(argv);
-    match args.next().as_deref() {
-        Some("run") => campaign_run(args),
-        Some("compare") => campaign_compare(args),
-        Some("list") => {
-            print!("{}", render_list());
-            ExitCode::SUCCESS
-        }
-        Some(other) => fail(&format!("unknown campaign subcommand {other:?}")),
-        None => fail("campaign needs a subcommand: run | compare | list"),
+fn campaign_run(p: &Parsed) -> ExitCode {
+    let mut spec = CampaignSpec::full_matrix(p.num("--scale").unwrap_or(20_000));
+    spec.name = p.text("--name").unwrap_or("campaign").to_string();
+    spec.reps = p.num::<u32>("--reps").unwrap_or(1).max(1);
+    let jobs = p.num::<usize>("--jobs").unwrap_or(1).max(1);
+    if let Some(raw) = p.text("--guests") {
+        spec.guests = list_of(raw, "guest", Guest::by_isa_name);
     }
-}
-
-fn campaign_run(mut args: Args) -> ExitCode {
-    let mut spec = CampaignSpec::full_matrix(20_000);
-    spec.name = "campaign".to_string();
-    let mut jobs = 1usize;
-    let mut out_path: Option<String> = None;
-    let mut version_sweep = false;
-    let mut with_apps = false;
-    let mut trace_path: Option<String> = None;
-    let mut journal_dir: Option<String> = None;
-    let mut resume_dir: Option<String> = None;
-    let mut cell_timeout: Option<f64> = None;
-    let mut retries = 0u32;
-    let mut failpoints: Option<String> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--trace" => trace_path = Some(args.value_of("--trace")),
-            "--journal" => journal_dir = Some(args.value_of("--journal")),
-            "--resume" => resume_dir = Some(args.value_of("--resume")),
-            "--cell-timeout" => {
-                let t: f64 = args.parse_of("--cell-timeout");
-                if !(t > 0.0 && t.is_finite()) {
-                    fail("--cell-timeout must be a positive number of seconds");
-                }
-                cell_timeout = Some(t);
-            }
-            "--retries" => retries = args.parse_of("--retries"),
-            "--failpoints" => failpoints = Some(args.value_of("--failpoints")),
-            "--progress" => {
-                simbench_obs::progress::set_mode(simbench_obs::ProgressMode::Human);
-            }
-            "--progress=ndjson" => {
-                simbench_obs::progress::set_mode(simbench_obs::ProgressMode::Ndjson);
-            }
-            "--scale" => spec.scale = args.parse_of("--scale"),
-            "--jobs" => jobs = args.parse_of::<usize>("--jobs").max(1),
-            "--reps" => spec.reps = args.parse_of::<u32>("--reps").max(1),
-            "--out" => out_path = Some(args.value_of("--out")),
-            "--name" => spec.name = args.value_of("--name"),
-            "--guests" => {
-                spec.guests = split_list(&args.value_of("--guests"))
-                    .iter()
-                    .map(|id| {
-                        Guest::by_isa_name(id)
-                            .unwrap_or_else(|| fail(&format!("unknown guest {id:?}")))
-                    })
-                    .collect();
-            }
-            "--engines" => {
-                spec.engines = split_list(&args.value_of("--engines"))
-                    .iter()
-                    .map(|id| {
-                        EngineKind::by_id(id)
-                            .unwrap_or_else(|| fail(&format!("unknown engine {id:?}")))
-                    })
-                    .collect();
-            }
-            "--benches" => {
-                spec.workloads = split_list(&args.value_of("--benches"))
-                    .iter()
-                    .map(|name| {
-                        Benchmark::ALL
-                            .iter()
-                            .copied()
-                            .find(|b| b.name().eq_ignore_ascii_case(name))
-                            .map(Workload::Suite)
-                            .unwrap_or_else(|| fail(&format!("unknown benchmark {name:?}")))
-                    })
-                    .collect();
-            }
-            "--apps" => with_apps = true,
-            "--versions" => version_sweep = true,
-            flag => fail(&format!("unknown flag {flag:?}")),
-        }
+    if let Some(raw) = p.text("--engines") {
+        spec.engines = list_of(raw, "engine", EngineKind::by_id);
     }
-    if spec.scale == 0 {
-        fail("--scale must be at least 1");
+    if let Some(raw) = p.text("--benches") {
+        spec.workloads = list_of(raw, "benchmark", |name| {
+            Benchmark::ALL
+                .iter()
+                .copied()
+                .find(|b| b.name().eq_ignore_ascii_case(name))
+                .map(Workload::Suite)
+        });
     }
-    if version_sweep {
+    if p.has("--versions") {
         // The twenty profiles join the engine axis, oldest first, in
         // place of any single DBT profile already on it.
         spec.engines.retain(|e| !matches!(e, EngineKind::Dbt(_)));
         spec.engines.extend(EngineKind::all_dbt_versions());
     }
-    if with_apps {
+    if p.has("--apps") {
         spec.workloads
             .extend(App::ALL.iter().copied().map(Workload::App));
     }
+    if p.has("--progress=ndjson") {
+        simbench_obs::progress::set_mode(simbench_obs::ProgressMode::Ndjson);
+    } else if p.has("--progress") {
+        simbench_obs::progress::set_mode(simbench_obs::ProgressMode::Human);
+    }
+    let trace_path = p.text("--trace");
+    let journal_dir = p.text("--journal");
+    let resume_dir = p.text("--resume");
     if journal_dir.is_some() && resume_dir.is_some() {
         fail("--journal conflicts with --resume: --resume already appends to DIR's journal");
     }
@@ -382,7 +485,7 @@ fn campaign_run(mut args: Args) -> ExitCode {
     // SIMBENCH_FAILPOINTS environment variable. A bad spec is a usage
     // error either way — injecting the wrong fault silently would make
     // every fault-tolerance test meaningless.
-    match &failpoints {
+    match p.text("--failpoints") {
         Some(fp) => simbench_campaign::failpoint::arm(fp).unwrap_or_else(|e| fail(&e)),
         None => {
             simbench_campaign::failpoint::arm_from_env().unwrap_or_else(|e| fail(&e));
@@ -415,8 +518,10 @@ fn campaign_run(mut args: Args) -> ExitCode {
     let mut opts = RunnerOpts {
         jobs,
         verbose: false,
-        cell_timeout: cell_timeout.map(std::time::Duration::from_secs_f64),
-        retries,
+        cell_timeout: p
+            .num("--cell-timeout")
+            .map(std::time::Duration::from_secs_f64),
+        retries: p.num("--retries").unwrap_or(0),
         journal: None,
     };
     // Resume reconstructs finished cells from the write-ahead journal
@@ -426,10 +531,10 @@ fn campaign_run(mut args: Args) -> ExitCode {
     // fresh journaled start (the campaign never ran far enough to
     // record anything); a journal written for a *different* campaign
     // is a data error — resuming it would mismeasure.
-    let mut done: Vec<(usize, simbench_campaign::CellResult)> = Vec::new();
-    if let Some(dir) = &resume_dir {
+    let mut done = Vec::new();
+    if let Some(dir) = resume_dir.or(journal_dir) {
         let journal_file = std::path::Path::new(dir).join(simbench_campaign::JOURNAL_FILE);
-        if journal_file.exists() {
+        let journal = if resume_dir.is_some() && journal_file.exists() {
             let replayed = match simbench_campaign::replay(dir, &spec) {
                 Ok(r) => r,
                 Err(e) => {
@@ -455,31 +560,20 @@ fn campaign_run(mut args: Args) -> ExitCode {
                 },
             );
             done = replayed.cells;
-            match simbench_campaign::Journal::resume(dir) {
-                Ok(j) => opts.journal = Some(std::sync::Arc::new(j)),
-                Err(e) => {
-                    simbench_obs::warn!("simbench-harness: cannot reopen journal in {dir}: {e}");
-                    return ExitCode::from(4);
-                }
-            }
+            simbench_campaign::Journal::resume(dir).map_err(|e| ("reopen", e))
         } else {
-            simbench_obs::warn!(
-                "[campaign {}: no journal in {dir} — starting fresh (and journaling there)]",
-                spec.name
-            );
-            match simbench_campaign::Journal::create(dir, &spec, None) {
-                Ok(j) => opts.journal = Some(std::sync::Arc::new(j)),
-                Err(e) => {
-                    simbench_obs::warn!("simbench-harness: cannot create journal in {dir}: {e}");
-                    return ExitCode::from(4);
-                }
+            if resume_dir.is_some() {
+                simbench_obs::warn!(
+                    "[campaign {}: no journal in {dir} — starting fresh (and journaling there)]",
+                    spec.name
+                );
             }
-        }
-    } else if let Some(dir) = &journal_dir {
-        match simbench_campaign::Journal::create(dir, &spec, None) {
+            simbench_campaign::Journal::create(dir, &spec, None).map_err(|e| ("create", e))
+        };
+        match journal {
             Ok(j) => opts.journal = Some(std::sync::Arc::new(j)),
-            Err(e) => {
-                simbench_obs::warn!("simbench-harness: cannot create journal in {dir}: {e}");
+            Err((verb, e)) => {
+                simbench_obs::warn!("simbench-harness: cannot {verb} journal in {dir}: {e}");
                 return ExitCode::from(4);
             }
         }
@@ -498,16 +592,16 @@ fn campaign_run(mut args: Args) -> ExitCode {
         }
     }
     print!("{}", render_summary(&result));
-    if let Some(path) = out_path {
+    if let Some(path) = p.text("--out") {
         let _obs = simbench_obs::span!("campaign.persist");
-        write_file(&path, result.to_json().as_bytes());
+        write_file(path, result.to_json().as_bytes());
     }
     if let Some(path) = trace_path {
         // Stop recording before draining, so the drain observes a
         // complete, quiescent set of rings (the persist span above is
         // the last thing recorded).
         simbench_obs::set_tracing(false);
-        write_file(&path, simbench_obs::trace::chrome_trace_json().as_bytes());
+        write_file(path, simbench_obs::trace::chrome_trace_json().as_bytes());
     }
     // An interrupted run persisted a valid partial artifact above;
     // exit 130 tells the caller (and CI) the campaign is incomplete by
@@ -534,38 +628,18 @@ fn campaign_run(mut args: Args) -> ExitCode {
             "[campaign {}: some cells failed — exiting non-zero]",
             spec.name
         );
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
     }
+    exit(!failed)
 }
 
-fn campaign_compare(mut args: Args) -> ExitCode {
-    let mut current_path: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
-    let mut tolerance = 0.0;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--baseline" => baseline_path = Some(args.value_of("--baseline")),
-            "--tolerance" => {
-                tolerance = args.parse_of("--tolerance");
-                if !(0.0..f64::INFINITY).contains(&tolerance) {
-                    fail("--tolerance must be a non-negative fraction, e.g. 0.01");
-                }
-            }
-            path if !path.starts_with('-') && current_path.is_none() => {
-                current_path = Some(path.to_string())
-            }
-            path if !path.starts_with('-') => fail(&format!(
-                "unexpected argument {path:?} (current result already given)"
-            )),
-            flag => fail(&format!("unknown flag {flag:?}")),
-        }
-    }
-    let current_path = current_path.unwrap_or_else(|| fail("compare needs a current result file"));
-    let baseline_path = baseline_path.unwrap_or_else(|| fail("compare needs --baseline FILE"));
-    let current = CampaignResult::load(&current_path).unwrap_or_else(|e| fail(&e.to_string()));
-    let baseline = CampaignResult::load(&baseline_path).unwrap_or_else(|e| fail(&e.to_string()));
+fn campaign_compare(p: &Parsed) -> ExitCode {
+    let current_path = p.arg(0);
+    let baseline_path = p
+        .text("--baseline")
+        .unwrap_or_else(|| fail("compare needs --baseline FILE"));
+    let tolerance = p.num("--tolerance").unwrap_or(0.0);
+    let current = CampaignResult::load(current_path).unwrap_or_else(|e| fail(&e.to_string()));
+    let baseline = CampaignResult::load(baseline_path).unwrap_or_else(|e| fail(&e.to_string()));
     // Exit codes: 0 clean, 1 any counter difference beyond --tolerance
     // (counters are machine-independent, so CI hard-fails on it), 2 when
     // a cell that completed in the baseline no longer completes, 3 for
@@ -581,166 +655,101 @@ fn campaign_compare(mut args: Args) -> ExitCode {
     }
 }
 
+fn list_main(_: &Parsed) -> ExitCode {
+    print!("{}", render_list());
+    ExitCode::SUCCESS
+}
+
 // ---------------------------------------------------------------------------
 // Model mode.
 // ---------------------------------------------------------------------------
 
-/// Shared argument set of the three model subcommands.
-struct ModelArgs {
-    result: CampaignResult,
-    guest: String,
-    engine: String,
-    profile_engine: String,
-    max_error: Option<f64>,
-}
-
-fn model_args(mut args: Args, verb: &str) -> ModelArgs {
-    let mut campaign_path: Option<String> = None;
-    let mut guest = "armlet".to_string();
-    let mut engine = "dbt".to_string();
-    let mut profile_engine: Option<String> = None;
-    let mut max_error: Option<f64> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--guest" => {
-                guest = args.value_of("--guest");
-                if Guest::by_isa_name(&guest).is_none() {
-                    fail(&format!("unknown guest {guest:?}"));
-                }
-            }
-            "--engine" => engine = args.value_of("--engine"),
-            "--profile-engine" if verb != "calibrate" => {
-                profile_engine = Some(args.value_of("--profile-engine"))
-            }
-            "--max-error" if verb == "validate" => {
-                let f: f64 = args.parse_of("--max-error");
-                if f < 1.0 || f.is_nan() {
-                    fail("--max-error is an error *factor*, so it must be >= 1.0");
-                }
-                max_error = Some(f);
-            }
-            // Flags that exist but don't apply to this subcommand are
-            // rejected, not ignored: accepting a gate like --max-error
-            // and never consulting it would silently weaken CI.
-            flag @ ("--profile-engine" | "--max-error") => {
-                fail(&format!("{flag} does not apply to model {verb}"))
-            }
-            path if !path.starts_with('-') && campaign_path.is_none() => {
-                campaign_path = Some(path.to_string())
-            }
-            path if !path.starts_with('-') => fail(&format!(
-                "unexpected argument {path:?} (campaign file already given)"
-            )),
-            flag => fail(&format!("unknown flag {flag:?}")),
-        }
-    }
-    let path = campaign_path.unwrap_or_else(|| fail("model needs a stored campaign JSON file"));
-    let result = load_timed(&path);
-    // Engine ids are validated against the known set and canonicalized
-    // (`dbt` means the latest version profile) before cell lookup.
-    let engine = EngineKind::by_id(&engine)
-        .unwrap_or_else(|| fail(&format!("unknown engine {engine:?}")))
-        .id();
-    let profile_engine = match profile_engine {
-        Some(p) => EngineKind::by_id(&p)
-            .unwrap_or_else(|| fail(&format!("unknown engine {p:?}")))
-            .id(),
-        // calibrate never reads profiles; don't scan for a default.
-        None if verb == "calibrate" => String::new(),
-        None => model::default_profile_engine(&result, &guest, &engine),
-    };
-    ModelArgs {
-        result,
-        guest,
-        engine,
-        profile_engine,
-        max_error,
-    }
-}
-
-fn model_main(argv: Vec<String>) -> ExitCode {
+fn model_main(p: &Parsed) -> ExitCode {
     use simbench_campaign::table::{fmt_secs, Table};
 
-    let mut args = Args::new(argv);
-    let verb = match args.next() {
-        Some(v) => v,
-        None => fail("model needs a subcommand: calibrate | predict | validate"),
+    let verb = words(p.cmd).1;
+    let guest = p.text("--guest").unwrap_or("armlet");
+    if Guest::by_isa_name(guest).is_none() {
+        fail(&format!("unknown guest {guest:?}"));
+    }
+    let result = load_timed(p.arg(0));
+    // Engine ids are validated against the known set and canonicalized
+    // (`dbt` means the latest version profile) before cell lookup.
+    let engine_id = |id: &str| {
+        EngineKind::by_id(id)
+            .unwrap_or_else(|| fail(&format!("unknown engine {id:?}")))
+            .id()
     };
-    // Validate the verb before touching flags or loading the campaign,
-    // so a typo'd subcommand is reported as exactly that.
-    if !matches!(verb.as_str(), "calibrate" | "predict" | "validate") {
-        fail(&format!("unknown model subcommand {verb:?}"));
-    }
-    let m = model_args(args, &verb);
-    match verb.as_str() {
-        "calibrate" => {
-            let cost = model::CostModel::from_campaign(&m.result, &m.guest, &m.engine)
-                .unwrap_or_else(|e| fail(&e));
-            println!(
-                "cost model for {}/{} (campaign {:?}, scale {})",
-                m.guest, m.engine, m.result.name, m.result.scale
-            );
-            println!("  base cost per instruction: {:.3e} s", cost.per_insn);
-            let mut table = Table::new(["benchmark", "cost per tested op"]);
-            for (bench, cost) in &cost.per_op {
-                table.row([bench.name().to_string(), format!("{cost:.3e} s")]);
-            }
-            print!("{}", table.render());
-            ExitCode::SUCCESS
+    let engine = engine_id(p.text("--engine").unwrap_or("dbt"));
+    if verb == "calibrate" {
+        let cost =
+            model::CostModel::from_campaign(&result, guest, &engine).unwrap_or_else(|e| fail(&e));
+        println!(
+            "cost model for {guest}/{engine} (campaign {:?}, scale {})",
+            result.name, result.scale
+        );
+        println!("  base cost per instruction: {:.3e} s", cost.per_insn);
+        let mut table = Table::new(["benchmark", "cost per tested op"]);
+        for (bench, cost) in &cost.per_op {
+            table.row([bench.name().to_string(), format!("{cost:.3e} s")]);
         }
-        "predict" | "validate" => {
-            let preds =
-                model::predict_from_campaign(&m.result, &m.guest, &m.engine, &m.profile_engine)
-                    .unwrap_or_else(|e| fail(&e));
-            println!(
-                "model {verb} for {}/{} — costs calibrated from campaign {:?}, \
-                 app event profiles from engine {}",
-                m.guest, m.engine, m.result.name, m.profile_engine
-            );
-            let validating = verb == "validate";
-            if validating && preds.iter().all(|p| p.measured.is_none()) {
-                fail(&format!(
-                    "campaign {:?} has no measured app cells for {}/{} to validate against",
-                    m.result.name, m.guest, m.engine
-                ));
-            }
-            let mut table = Table::new(["app", "predicted", "measured", "error factor"]);
-            let mut errors = Vec::new();
-            for p in &preds {
-                let error = p.error_factor();
-                if let Some(e) = error {
-                    errors.push(e);
-                }
-                table.row([
-                    p.app.clone(),
-                    fmt_secs(p.predicted),
-                    p.measured.map(fmt_secs).unwrap_or_else(|| "-".to_string()),
-                    error
-                        .map(|e| format!("{e:.2}×"))
-                        .unwrap_or_else(|| "-".to_string()),
-                ]);
-            }
-            print!("{}", table.render());
-            if validating {
-                let geo = simbench_campaign::geomean(&errors);
-                let max = errors.iter().cloned().fold(f64::MIN, f64::max);
-                println!(
-                    "prediction error over {} app(s): geomean {geo:.2}×, worst {max:.2}×",
-                    errors.len()
+        print!("{}", table.render());
+        return ExitCode::SUCCESS;
+    }
+    let profile_engine = match p.text("--profile-engine") {
+        Some(id) => engine_id(id),
+        None => model::default_profile_engine(&result, guest, &engine),
+    };
+    let preds = model::predict_from_campaign(&result, guest, &engine, &profile_engine)
+        .unwrap_or_else(|e| fail(&e));
+    println!(
+        "model {verb} for {guest}/{engine} — costs calibrated from campaign {:?}, \
+         app event profiles from engine {profile_engine}",
+        result.name
+    );
+    let validating = verb == "validate";
+    if validating && preds.iter().all(|pred| pred.measured.is_none()) {
+        fail(&format!(
+            "campaign {:?} has no measured app cells for {guest}/{engine} to validate against",
+            result.name
+        ));
+    }
+    let mut table = Table::new(["app", "predicted", "measured", "error factor"]);
+    let mut errors = Vec::new();
+    for pred in &preds {
+        let error = pred.error_factor();
+        if let Some(e) = error {
+            errors.push(e);
+        }
+        table.row([
+            pred.app.clone(),
+            fmt_secs(pred.predicted),
+            pred.measured
+                .map(fmt_secs)
+                .unwrap_or_else(|| "-".to_string()),
+            error
+                .map(|e| format!("{e:.2}×"))
+                .unwrap_or_else(|| "-".to_string()),
+        ]);
+    }
+    print!("{}", table.render());
+    if validating {
+        let geo = simbench_campaign::geomean(&errors);
+        let max = errors.iter().cloned().fold(f64::MIN, f64::max);
+        println!(
+            "prediction error over {} app(s): geomean {geo:.2}×, worst {max:.2}×",
+            errors.len()
+        );
+        if let Some(limit) = p.num::<f64>("--max-error") {
+            if geo > limit {
+                simbench_obs::warn!(
+                    "[model validate: geomean error {geo:.2}× exceeds --max-error {limit}×]"
                 );
-                if let Some(limit) = m.max_error {
-                    if geo > limit {
-                        simbench_obs::warn!(
-                            "[model validate: geomean error {geo:.2}× exceeds --max-error {limit}×]"
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                }
+                return ExitCode::FAILURE;
             }
-            ExitCode::SUCCESS
         }
-        _ => unreachable!("verb validated above"),
     }
+    ExitCode::SUCCESS
 }
 
 // ---------------------------------------------------------------------------
@@ -750,22 +759,8 @@ fn model_main(argv: Vec<String>) -> ExitCode {
 /// `report <CAMPAIGN.json>`: the human summary of a stored campaign
 /// plus its `telemetry` block — engine-metric counters and histograms
 /// snapshotted by `campaign run --trace`.
-fn report_main(argv: Vec<String>) -> ExitCode {
-    let mut args = Args::new(argv);
-    let mut campaign_path: Option<String> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            path if !path.starts_with('-') && campaign_path.is_none() => {
-                campaign_path = Some(path.to_string())
-            }
-            path if !path.starts_with('-') => fail(&format!(
-                "unexpected argument {path:?} (campaign file already given)"
-            )),
-            flag => fail(&format!("unknown flag {flag:?}")),
-        }
-    }
-    let path = campaign_path.unwrap_or_else(|| fail("report needs a stored campaign JSON file"));
-    let result = CampaignResult::load(&path).unwrap_or_else(|e| fail(&e.to_string()));
+fn report_main(p: &Parsed) -> ExitCode {
+    let result = CampaignResult::load(p.arg(0)).unwrap_or_else(|e| fail(&e.to_string()));
     print!("{}", render_summary(&result));
     print!("{}", simbench_harness::report::render_telemetry(&result));
     ExitCode::SUCCESS
@@ -775,47 +770,40 @@ fn report_main(argv: Vec<String>) -> ExitCode {
 // Differ mode.
 // ---------------------------------------------------------------------------
 
-fn differ_main(argv: Vec<String>) -> ExitCode {
+/// Run the same binary on both engines in checkpointed lockstep and
+/// compare architectural state digests; a mismatch is bisected to the
+/// first divergent instruction and reported with a named state diff
+/// (exit 1). `--workload` takes a benchmark or app name, a
+/// `suite:`/`app:` id, or `all` for every suite benchmark the guest
+/// supports; `--fuzz` sweeps `--programs` seeded random programs instead.
+fn differ_main(p: &Parsed) -> ExitCode {
     use simbench_differ::{check_workload, fuzz_pair, DifferConfig};
 
-    let mut args = Args::new(argv);
-    let guest_id = args
-        .next()
-        .unwrap_or_else(|| fail("differ needs <guest> <engineA> <engineB>"));
-    let guest = Guest::by_isa_name(&guest_id)
+    let guest_id = p.arg(0);
+    let guest = Guest::by_isa_name(guest_id)
         .unwrap_or_else(|| fail(&format!("unknown guest {guest_id:?} ({})", guest_ids())));
-    let parse_engine = |id: Option<String>| {
-        let id = id.unwrap_or_else(|| fail("differ needs <guest> <engineA> <engineB>"));
-        EngineKind::by_id(&id).unwrap_or_else(|| {
+    let engine = |i: usize| {
+        let id = p.arg(i);
+        EngineKind::by_id(id).unwrap_or_else(|| {
             fail(&format!(
                 "unknown engine {id:?} (interp | dbt[@VERSION] | detailed | virt | native)"
             ))
         })
     };
-    let engine_a = parse_engine(args.next());
-    let engine_b = parse_engine(args.next());
-
-    let mut workload: Option<String> = None;
-    let mut fuzz_seed: Option<u64> = None;
-    let mut programs = 25u32;
-    let mut cfg = DifferConfig::default();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--workload" => workload = Some(args.value_of("--workload")),
-            "--fuzz" => fuzz_seed = Some(args.parse_of("--fuzz")),
-            "--programs" => programs = args.parse_of("--programs"),
-            "--max-insns" => cfg.max_insns = args.parse_of("--max-insns"),
-            "--checkpoints" => cfg.checkpoints = args.parse_of("--checkpoints"),
-            "--scale" => cfg.scale = args.parse_of("--scale"),
-            flag => fail(&format!("unknown flag {flag:?}")),
-        }
-    }
+    let (engine_a, engine_b) = (engine(1), engine(2));
+    let programs = p.num("--programs").unwrap_or(25u32);
+    let default = DifferConfig::default();
+    let cfg = DifferConfig {
+        max_insns: p.num("--max-insns").unwrap_or(default.max_insns),
+        checkpoints: p.num("--checkpoints").unwrap_or(default.checkpoints),
+        scale: p.num("--scale").unwrap_or(default.scale),
+    };
 
     // Ctrl-C / SIGTERM stops the sweep before the next subject: the
     // comparisons already completed are still reported, and the exit
     // code says "interrupted", not "agree" or "disagree".
     simbench_obs::shutdown::install();
-    let (reports, planned) = match (workload, fuzz_seed) {
+    let (reports, planned) = match (p.text("--workload"), p.num::<u64>("--fuzz")) {
         (Some(_), Some(_)) => fail("--workload conflicts with --fuzz"),
         (None, None) => fail("differ needs --workload <W|all> or --fuzz SEED"),
         (Some(w), None) => {
@@ -825,7 +813,7 @@ fn differ_main(argv: Vec<String>) -> ExitCode {
                     .filter(|wl| wl.supported_on(guest))
                     .collect()
             } else {
-                vec![named_workload(&w)]
+                vec![named_workload(w)]
             };
             let planned = workloads.len();
             let mut reports = Vec::with_capacity(planned);
@@ -854,31 +842,20 @@ fn differ_main(argv: Vec<String>) -> ExitCode {
         ),
     };
 
-    let mut disagreements = 0usize;
-    for report in &reports {
-        print!("{}", report.render());
-        if !report.agree() {
-            disagreements += 1;
-        }
-    }
+    let agree = reports
+        .iter()
+        .inspect(|r| print!("{}", r.render()))
+        .filter(|r| r.agree())
+        .count();
+    let done = reports.len();
     if simbench_obs::shutdown::interrupted() {
         println!(
-            "differ: interrupted — {} of {planned} comparison(s) completed, {} agree",
-            reports.len(),
-            reports.len() - disagreements,
+            "differ: interrupted — {done} of {planned} comparison(s) completed, {agree} agree"
         );
         return ExitCode::from(simbench_obs::shutdown::EXIT_INTERRUPTED as u8);
     }
-    println!(
-        "differ: {}/{} comparison(s) agree",
-        reports.len() - disagreements,
-        reports.len()
-    );
-    if disagreements > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    println!("differ: {agree}/{done} comparison(s) agree");
+    exit(agree == done)
 }
 
 /// Resolve a named `--workload`: a `suite:`/`app:` id or a bare
@@ -903,146 +880,112 @@ fn named_workload(selector: &str) -> Workload {
 // Analyze mode.
 // ---------------------------------------------------------------------------
 
-fn analyze_main(argv: Vec<String>) -> ExitCode {
+/// Run the static analyzer over guest images without executing them on
+/// an engine: CFG recovery with invariant proofs and a static
+/// event-profile prediction (`--check` verifies it counter-for-counter
+/// against the reference interpreter), persisted by `--out` as the
+/// `simbench-analysis/v2` artifact. Exit 1 when any subject has an
+/// invariant violation or check mismatch. `--workload all` (the default)
+/// sweeps every suite benchmark and app the guest supports; `--fuzz SEED`
+/// analyzes the differ's seeded program stream instead.
+fn analyze_main(p: &Parsed) -> ExitCode {
     use simbench_analyzer::{analyze_fuzz, analyze_workload, AnalyzeOpts};
 
-    let mut args = Args::new(argv);
-    let guest_id = args
-        .next()
-        .unwrap_or_else(|| fail("analyze needs <guest|all>"));
+    let guest_id = p.arg(0);
     let guests: Vec<Guest> = if guest_id == "all" {
         Guest::ALL.to_vec()
     } else {
-        vec![Guest::by_isa_name(&guest_id).unwrap_or_else(|| {
+        vec![Guest::by_isa_name(guest_id).unwrap_or_else(|| {
             fail(&format!(
                 "unknown guest {guest_id:?} ({} | all)",
                 guest_ids()
             ))
         })]
     };
-
-    let mut workload: Option<String> = None;
-    let mut fuzz_seed: Option<u64> = None;
-    let mut programs = 25u32;
-    let mut scale = 20_000u64;
-    let mut out_path: Option<String> = None;
-    let mut opts = AnalyzeOpts::default();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--workload" => workload = Some(args.value_of("--workload")),
-            "--fuzz" => fuzz_seed = Some(args.parse_of("--fuzz")),
-            "--programs" => programs = args.parse_of("--programs"),
-            "--scale" => scale = args.parse_of("--scale"),
-            "--fuel" => opts.fuel = args.parse_of("--fuel"),
-            "--check" => opts.check = true,
-            "--out" => out_path = Some(args.value_of("--out")),
-            flag => fail(&format!("unknown flag {flag:?}")),
-        }
-    }
-    if scale == 0 {
-        fail("--scale must be at least 1");
-    }
-    if opts.fuel == 0 {
-        fail("--fuel must be at least 1");
-    }
+    let programs = p.num("--programs").unwrap_or(25u32);
+    let scale = p.num("--scale").unwrap_or(20_000u64);
+    let opts = AnalyzeOpts {
+        fuel: p.num("--fuel").unwrap_or(AnalyzeOpts::default().fuel),
+        check: p.has("--check"),
+    };
 
     // Ctrl-C / SIGTERM stops the sweep before the next subject; the
     // analyses already completed are reported (and persisted with
     // --out) and the exit code says "interrupted".
     simbench_obs::shutdown::install();
     let interrupted = || simbench_obs::shutdown::interrupted();
-    let analyses: Vec<simbench_analyzer::SubjectAnalysis> = match (workload, fuzz_seed) {
-        (Some(_), Some(_)) => fail("--workload conflicts with --fuzz"),
-        (w, None) => {
-            let selector = w.unwrap_or_else(|| "all".to_string());
-            let explicit = selector != "all";
-            // `all`: every suite benchmark and app; matrix holes are
-            // skipped per guest below.
-            let workloads = if explicit {
-                vec![named_workload(&selector)]
-            } else {
-                let mut all = CampaignSpec::suite_workloads();
-                all.extend(CampaignSpec::app_workloads());
-                all
-            };
-            guests
+    let analyses: Vec<simbench_analyzer::SubjectAnalysis> =
+        match (p.text("--workload"), p.num::<u64>("--fuzz")) {
+            (Some(_), Some(_)) => fail("--workload conflicts with --fuzz"),
+            (w, None) => {
+                let selector = w.unwrap_or("all");
+                let explicit = selector != "all";
+                // `all`: every suite benchmark and app; matrix holes are
+                // skipped per guest below.
+                let workloads = if explicit {
+                    vec![named_workload(selector)]
+                } else {
+                    let mut all = CampaignSpec::suite_workloads();
+                    all.extend(CampaignSpec::app_workloads());
+                    all
+                };
+                guests
+                    .iter()
+                    .flat_map(|&guest| workloads.iter().map(move |&wl| (guest, wl)))
+                    .take_while(|_| !interrupted())
+                    .filter_map(|(guest, wl)| {
+                        let a = analyze_workload(guest, wl, scale, &opts);
+                        // Matrix holes are expected under `all`, but a
+                        // workload the user named must exist on the guest.
+                        if a.is_none() && explicit {
+                            fail(&format!(
+                                "workload {:?} does not exist on guest {:?}",
+                                wl.id(),
+                                guest.isa_name()
+                            ));
+                        }
+                        a
+                    })
+                    .collect()
+            }
+            (None, Some(seed)) => guests
                 .iter()
-                .flat_map(|&guest| workloads.iter().map(move |&wl| (guest, wl)))
+                .flat_map(|&guest| (0..programs).map(move |k| (guest, k)))
                 .take_while(|_| !interrupted())
-                .filter_map(|(guest, wl)| {
-                    let a = analyze_workload(guest, wl, scale, &opts);
-                    // Matrix holes are expected under `all`, but a
-                    // workload the user named must exist on the guest.
-                    if a.is_none() && explicit {
-                        fail(&format!(
-                            "workload {:?} does not exist on guest {:?}",
-                            wl.id(),
-                            guest.isa_name()
-                        ));
-                    }
-                    a
-                })
-                .collect()
-        }
-        (None, Some(seed)) => guests
-            .iter()
-            .flat_map(|&guest| (0..programs).map(move |k| (guest, k)))
-            .take_while(|_| !interrupted())
-            .map(|(guest, k)| analyze_fuzz(guest, seed, k, &opts))
-            .collect(),
-    };
+                .map(|(guest, k)| analyze_fuzz(guest, seed, k, &opts))
+                .collect(),
+        };
     if analyses.is_empty() && !interrupted() {
         fail("nothing to analyze (with --fuzz, --programs must be at least 1)");
     }
 
-    let mut problems = 0usize;
     for a in &analyses {
         println!("{}", a.render_line());
         for line in a.render_problems() {
             println!("{line}");
         }
-        if !a.ok() {
-            problems += 1;
-        }
     }
-    if let Some(path) = out_path {
-        write_file(&path, simbench_analyzer::to_json(&analyses).as_bytes());
+    if let Some(path) = p.text("--out") {
+        write_file(path, simbench_analyzer::to_json(&analyses).as_bytes());
     }
+    let (clean, done) = (analyses.iter().filter(|a| a.ok()).count(), analyses.len());
     if interrupted() {
-        println!(
-            "analyze: interrupted — {} subject(s) completed, {} clean",
-            analyses.len(),
-            analyses.len() - problems,
-        );
+        println!("analyze: interrupted — {done} subject(s) completed, {clean} clean");
         return ExitCode::from(simbench_obs::shutdown::EXIT_INTERRUPTED as u8);
     }
-    println!(
-        "analyze: {}/{} subject(s) clean",
-        analyses.len() - problems,
-        analyses.len()
-    );
-    if problems > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    println!("analyze: {clean}/{done} subject(s) clean");
+    exit(clean == done)
 }
 
 // ---------------------------------------------------------------------------
 // Lint mode.
 // ---------------------------------------------------------------------------
 
-fn lint_main(argv: Vec<String>) -> ExitCode {
-    let mut args = Args::new(argv);
-    let mut root: Option<String> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--root" => root = Some(args.value_of("--root")),
-            flag => fail(&format!("unknown flag {flag:?}")),
-        }
-    }
-    let root = root.unwrap_or_else(|| ".".to_string());
-    let findings = simbench_analyzer::lint_root(std::path::Path::new(&root));
+/// The hot-path source lint over the designated allocation-free modules,
+/// and the workspace line budget (exit 1 on any finding).
+fn lint_main(p: &Parsed) -> ExitCode {
+    let root = p.text("--root").unwrap_or(".");
+    let findings = simbench_analyzer::lint_root(std::path::Path::new(root));
     for f in &findings {
         println!("{f}");
     }
@@ -1051,23 +994,21 @@ fn lint_main(argv: Vec<String>) -> ExitCode {
         findings.len(),
         simbench_analyzer::HOT_PATH_FILES.len()
     );
-    if findings.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    exit(findings.is_empty())
 }
 
 // ---------------------------------------------------------------------------
 // Shared helpers.
 // ---------------------------------------------------------------------------
 
-fn split_list(raw: &str) -> Vec<String> {
-    let items: Vec<String> = raw
+/// A comma-separated `--guests`/`--engines`/`--benches` list, each item
+/// resolved by `find`; an item it does not know is an unknown `what`.
+fn list_of<T>(raw: &str, what: &str, find: impl Fn(&str) -> Option<T>) -> Vec<T> {
+    let items: Vec<T> = raw
         .split(',')
         .map(str::trim)
         .filter(|s| !s.is_empty())
-        .map(str::to_string)
+        .map(|id| find(id).unwrap_or_else(|| fail(&format!("unknown {what} {id:?}"))))
         .collect();
     if items.is_empty() {
         fail(&format!("empty list {raw:?}"));
@@ -1154,39 +1095,31 @@ fn render_summary(result: &CampaignResult) -> String {
     // names every hole in its coverage: failed (limits, transient
     // errors, interrupts), quarantined (panicking engines) and
     // timed-out (hung engines) cells are never silent.
-    for (title, pick) in [
-        (
-            "failed cells",
-            &(|s: &CellStatus| match s {
-                CellStatus::Failed(why) => Some(why.clone()),
-                _ => None,
-            }) as &dyn Fn(&CellStatus) -> Option<String>,
-        ),
-        (
-            "quarantined cells (engine panicked)",
-            &|s: &CellStatus| match s {
-                CellStatus::Quarantined(payload) => Some(payload.clone()),
-                _ => None,
-            },
-        ),
-        ("timed-out cells", &|s: &CellStatus| match s {
-            CellStatus::TimedOut(why) => Some(why.clone()),
-            _ => None,
-        }),
-    ] {
-        let listed: Vec<String> = result
+    let problem = |s: &CellStatus| match s {
+        CellStatus::Failed(why) => Some((0, why.clone())),
+        CellStatus::Quarantined(payload) => Some((1, payload.clone())),
+        CellStatus::TimedOut(why) => Some((2, why.clone())),
+        _ => None,
+    };
+    let titles = [
+        "failed cells",
+        "quarantined cells (engine panicked)",
+        "timed-out cells",
+    ];
+    for (kind, title) in titles.into_iter().enumerate() {
+        let listed: String = result
             .cells
             .iter()
-            .filter_map(|c| {
-                pick(&c.status)
-                    .map(|why| format!("  {}/{} {}: {why}\n", c.guest, c.engine, c.workload))
+            .filter_map(|c| match problem(&c.status) {
+                Some((k, why)) if k == kind => Some(format!(
+                    "  {}/{} {}: {why}\n",
+                    c.guest, c.engine, c.workload
+                )),
+                _ => None,
             })
             .collect();
         if !listed.is_empty() {
-            out.push_str(&format!("\n{title}:\n"));
-            for line in listed {
-                out.push_str(&line);
-            }
+            out.push_str(&format!("\n{title}:\n{listed}"));
         }
     }
     out

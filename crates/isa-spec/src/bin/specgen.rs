@@ -76,7 +76,14 @@ fn find_specs(root: &Path) -> Vec<PathBuf> {
 }
 
 fn main() -> ExitCode {
-    let check = std::env::args().any(|a| a == "--check");
+    // Refuse a mistyped `--check` before any file is read: run as a
+    // rewrite, it would pass in CI whatever the committed files hold.
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(bad) = args.iter().find(|a| *a != "--check") {
+        eprintln!("specgen: unknown argument {bad:?} (usage: specgen [--check])");
+        return ExitCode::from(2);
+    }
+    let check = !args.is_empty();
     let root = workspace_root();
     let specs = find_specs(&root);
     if specs.is_empty() {

@@ -41,8 +41,8 @@ const FLAGS: &[Flag] = &[
     Flag("--list", "", Any),
     Flag("--help", "", Any),
     Flag("-h", "", Any),
-    Flag("--jobs", "N", AtLeast(0)),
-    Flag("--reps", "R", AtLeast(0)),
+    Flag("--jobs", "N", AtLeast(1)),
+    Flag("--reps", "R", AtLeast(1)),
     Flag("--name", "S", Any),
     Flag("--guests", "LIST", Any),
     Flag("--engines", "LIST", Any),
@@ -443,8 +443,8 @@ fn load_timed(path: &str) -> CampaignResult {
 fn campaign_run(p: &Parsed) -> ExitCode {
     let mut spec = CampaignSpec::full_matrix(p.num("--scale").unwrap_or(20_000));
     spec.name = p.text("--name").unwrap_or("campaign").to_string();
-    spec.reps = p.num::<u32>("--reps").unwrap_or(1).max(1);
-    let jobs = p.num::<usize>("--jobs").unwrap_or(1).max(1);
+    spec.reps = p.num("--reps").unwrap_or(1);
+    let jobs = p.num("--jobs").unwrap_or(1);
     if let Some(raw) = p.text("--guests") {
         spec.guests = list_of(raw, "guest", Guest::by_isa_name);
     }

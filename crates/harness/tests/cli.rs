@@ -1227,6 +1227,8 @@ campaign run --precision 0.2 | 3 | unknown flag "--precision"
 campaign run --min-reps 3 | 3 | unknown flag "--min-reps"
 campaign run --max-reps 3 | 3 | unknown flag "--max-reps"
 campaign run --scale 0 | 3 | --scale must be at least 1
+campaign run --reps 0 | 3 | --reps must be at least 1
+campaign run --jobs 0 | 3 | --jobs must be at least 1
 campaign run --guests , | 3 | empty list ","
 campaign run --guests z80 | 3 | unknown guest "z80"
 campaign run --engines interp,qemu | 3 | unknown engine "qemu"
@@ -1260,6 +1262,7 @@ differ armlet interp dbt | 3 | differ needs --workload <W|all> or --fuzz SEED
 differ armlet interp dbt --workload all --fuzz 1 | 3 | --workload conflicts with --fuzz
 differ armlet interp dbt --fuzz 1 --bogus | 3 | unknown flag "--bogus"
 differ armlet interp dbt --fuzz 1 --programs 0 | 3 | nothing to compare (with --fuzz, --programs must be at least 1)
+differ armlet interp dbt --workload all --scale 0 | 3 | --scale must be at least 1
 differ armlet interp dbt --workload nope | 3 | unknown workload "nope" (try a name from `campaign list`, a suite:/app: id, or `all`)
 analyze | 3 | analyze needs <guest|all>
 analyze z80 | 3 | unknown guest "z80" (armlet | petix | riscle | all)

@@ -1124,3 +1124,44 @@ fn render_summary(result: &CampaignResult) -> String {
     }
     out
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn line(words: &str) -> Parsed {
+        parse(words.split(' ').map(str::to_string).collect())
+    }
+
+    #[test]
+    fn every_flag_is_declared_once_and_taken_by_some_command() {
+        for Flag(name, ..) in FLAGS {
+            let declared = FLAGS.iter().filter(|f| f.0 == *name).count();
+            assert_eq!(declared, 1, "{name}");
+            assert!(COMMANDS.iter().any(|c| c.takes(name)), "{name}");
+        }
+        for c in COMMANDS {
+            for name in c.flags.split_whitespace() {
+                assert!(FLAGS.iter().any(|f| f.0 == name), "{}: {name}", c.name);
+            }
+        }
+    }
+
+    #[test]
+    fn a_switch_takes_no_value_and_positionals_may_follow_flags() {
+        let p = line("analyze --check armlet --fuel 9");
+        assert_eq!(p.cmd.name, "analyze");
+        assert_eq!(p.args, ["armlet"]);
+        assert!(p.has("--check"));
+        assert_eq!(p.num::<u64>("--fuel"), Some(9));
+    }
+
+    #[test]
+    fn a_flag_given_twice_keeps_its_last_value() {
+        let p = line("campaign run --scale 5 --name a --scale 6");
+        assert_eq!(p.cmd.name, "campaign run");
+        assert_eq!(p.num::<u64>("--scale"), Some(6));
+        assert_eq!(p.text("--name"), Some("a"));
+        assert_eq!(p.text("--out"), None);
+    }
+}

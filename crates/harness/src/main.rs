@@ -343,11 +343,6 @@ fn main() -> ExitCode {
     (parsed.cmd.run)(&parsed)
 }
 
-/// Exit 0 when `clean`, else 1.
-fn exit(clean: bool) -> ExitCode {
-    ExitCode::from(u8::from(!clean))
-}
-
 /// `"armlet | petix | riscle"` — the guest ids accepted on the CLI,
 /// from the registry table.
 fn guest_ids() -> String {
@@ -531,10 +526,10 @@ fn campaign_run(p: &Parsed) -> ExitCode {
     // fresh journaled start (the campaign never ran far enough to
     // record anything); a journal written for a *different* campaign
     // is a data error — resuming it would mismeasure.
-    let mut done = Vec::new();
-    if let Some(dir) = resume_dir.or(journal_dir) {
+    let mut done: Vec<(usize, simbench_campaign::CellResult)> = Vec::new();
+    if let Some(dir) = resume_dir {
         let journal_file = std::path::Path::new(dir).join(simbench_campaign::JOURNAL_FILE);
-        let journal = if resume_dir.is_some() && journal_file.exists() {
+        if journal_file.exists() {
             let replayed = match simbench_campaign::replay(dir, &spec) {
                 Ok(r) => r,
                 Err(e) => {
@@ -560,20 +555,31 @@ fn campaign_run(p: &Parsed) -> ExitCode {
                 },
             );
             done = replayed.cells;
-            simbench_campaign::Journal::resume(dir).map_err(|e| ("reopen", e))
-        } else {
-            if resume_dir.is_some() {
-                simbench_obs::warn!(
-                    "[campaign {}: no journal in {dir} — starting fresh (and journaling there)]",
-                    spec.name
-                );
+            match simbench_campaign::Journal::resume(dir) {
+                Ok(j) => opts.journal = Some(std::sync::Arc::new(j)),
+                Err(e) => {
+                    simbench_obs::warn!("simbench-harness: cannot reopen journal in {dir}: {e}");
+                    return ExitCode::from(4);
+                }
             }
-            simbench_campaign::Journal::create(dir, &spec, None).map_err(|e| ("create", e))
-        };
-        match journal {
+        } else {
+            simbench_obs::warn!(
+                "[campaign {}: no journal in {dir} — starting fresh (and journaling there)]",
+                spec.name
+            );
+            match simbench_campaign::Journal::create(dir, &spec, None) {
+                Ok(j) => opts.journal = Some(std::sync::Arc::new(j)),
+                Err(e) => {
+                    simbench_obs::warn!("simbench-harness: cannot create journal in {dir}: {e}");
+                    return ExitCode::from(4);
+                }
+            }
+        }
+    } else if let Some(dir) = journal_dir {
+        match simbench_campaign::Journal::create(dir, &spec, None) {
             Ok(j) => opts.journal = Some(std::sync::Arc::new(j)),
-            Err((verb, e)) => {
-                simbench_obs::warn!("simbench-harness: cannot {verb} journal in {dir}: {e}");
+            Err(e) => {
+                simbench_obs::warn!("simbench-harness: cannot create journal in {dir}: {e}");
                 return ExitCode::from(4);
             }
         }
@@ -628,8 +634,10 @@ fn campaign_run(p: &Parsed) -> ExitCode {
             "[campaign {}: some cells failed — exiting non-zero]",
             spec.name
         );
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     }
-    exit(!failed)
 }
 
 fn campaign_compare(p: &Parsed) -> ExitCode {
@@ -842,20 +850,31 @@ fn differ_main(p: &Parsed) -> ExitCode {
         ),
     };
 
-    let agree = reports
-        .iter()
-        .inspect(|r| print!("{}", r.render()))
-        .filter(|r| r.agree())
-        .count();
-    let done = reports.len();
+    let mut disagreements = 0usize;
+    for report in &reports {
+        print!("{}", report.render());
+        if !report.agree() {
+            disagreements += 1;
+        }
+    }
     if simbench_obs::shutdown::interrupted() {
         println!(
-            "differ: interrupted — {done} of {planned} comparison(s) completed, {agree} agree"
+            "differ: interrupted — {} of {planned} comparison(s) completed, {} agree",
+            reports.len(),
+            reports.len() - disagreements,
         );
         return ExitCode::from(simbench_obs::shutdown::EXIT_INTERRUPTED as u8);
     }
-    println!("differ: {agree}/{done} comparison(s) agree");
-    exit(agree == done)
+    println!(
+        "differ: {}/{} comparison(s) agree",
+        reports.len() - disagreements,
+        reports.len()
+    );
+    if disagreements > 0 {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
 }
 
 /// Resolve a named `--workload`: a `suite:`/`app:` id or a bare
@@ -959,22 +978,37 @@ fn analyze_main(p: &Parsed) -> ExitCode {
         fail("nothing to analyze (with --fuzz, --programs must be at least 1)");
     }
 
+    let mut problems = 0usize;
     for a in &analyses {
         println!("{}", a.render_line());
         for line in a.render_problems() {
             println!("{line}");
         }
+        if !a.ok() {
+            problems += 1;
+        }
     }
     if let Some(path) = p.text("--out") {
         write_file(path, simbench_analyzer::to_json(&analyses).as_bytes());
     }
-    let (clean, done) = (analyses.iter().filter(|a| a.ok()).count(), analyses.len());
     if interrupted() {
-        println!("analyze: interrupted — {done} subject(s) completed, {clean} clean");
+        println!(
+            "analyze: interrupted — {} subject(s) completed, {} clean",
+            analyses.len(),
+            analyses.len() - problems,
+        );
         return ExitCode::from(simbench_obs::shutdown::EXIT_INTERRUPTED as u8);
     }
-    println!("analyze: {clean}/{done} subject(s) clean");
-    exit(clean == done)
+    println!(
+        "analyze: {}/{} subject(s) clean",
+        analyses.len() - problems,
+        analyses.len()
+    );
+    if problems > 0 {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -994,7 +1028,11 @@ fn lint_main(p: &Parsed) -> ExitCode {
         findings.len(),
         simbench_analyzer::HOT_PATH_FILES.len()
     );
-    exit(findings.is_empty())
+    if findings.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1095,31 +1133,39 @@ fn render_summary(result: &CampaignResult) -> String {
     // names every hole in its coverage: failed (limits, transient
     // errors, interrupts), quarantined (panicking engines) and
     // timed-out (hung engines) cells are never silent.
-    let problem = |s: &CellStatus| match s {
-        CellStatus::Failed(why) => Some((0, why.clone())),
-        CellStatus::Quarantined(payload) => Some((1, payload.clone())),
-        CellStatus::TimedOut(why) => Some((2, why.clone())),
-        _ => None,
-    };
-    let titles = [
-        "failed cells",
-        "quarantined cells (engine panicked)",
-        "timed-out cells",
-    ];
-    for (kind, title) in titles.into_iter().enumerate() {
-        let listed: String = result
+    for (title, pick) in [
+        (
+            "failed cells",
+            &(|s: &CellStatus| match s {
+                CellStatus::Failed(why) => Some(why.clone()),
+                _ => None,
+            }) as &dyn Fn(&CellStatus) -> Option<String>,
+        ),
+        (
+            "quarantined cells (engine panicked)",
+            &|s: &CellStatus| match s {
+                CellStatus::Quarantined(payload) => Some(payload.clone()),
+                _ => None,
+            },
+        ),
+        ("timed-out cells", &|s: &CellStatus| match s {
+            CellStatus::TimedOut(why) => Some(why.clone()),
+            _ => None,
+        }),
+    ] {
+        let listed: Vec<String> = result
             .cells
             .iter()
-            .filter_map(|c| match problem(&c.status) {
-                Some((k, why)) if k == kind => Some(format!(
-                    "  {}/{} {}: {why}\n",
-                    c.guest, c.engine, c.workload
-                )),
-                _ => None,
+            .filter_map(|c| {
+                pick(&c.status)
+                    .map(|why| format!("  {}/{} {}: {why}\n", c.guest, c.engine, c.workload))
             })
             .collect();
         if !listed.is_empty() {
-            out.push_str(&format!("\n{title}:\n{listed}"));
+            out.push_str(&format!("\n{title}:\n"));
+            for line in listed {
+                out.push_str(&line);
+            }
         }
     }
     out

@@ -78,6 +78,7 @@ struct Flag(&'static str, &'static str, Check);
 /// What a flag's value must be, checked as the line is parsed.
 #[derive(Clone, Copy)]
 enum Check {
+    /// Any text; a switch has none.
     Any,
     /// An unsigned integer of at least this.
     AtLeast(u64),
@@ -102,7 +103,7 @@ struct Command {
     flags: &'static str,
     /// The usage error of a line that lacks a positional.
     missing: &'static str,
-    /// What an extra positional would repeat.
+    /// What the error of an extra positional says is already given.
     given: &'static str,
     run: fn(&Parsed) -> ExitCode,
 }

@@ -34,7 +34,6 @@ use std::fmt::Write as _;
 
 use simbench_campaign::json;
 
-use crate::predict::Prediction;
 use crate::SubjectAnalysis;
 
 /// Schema identifier written to (and expected from) every artifact.
@@ -72,22 +71,18 @@ pub fn to_json(subjects: &[SubjectAnalysis]) -> String {
                 .collect::<Vec<_>>()
                 .join(", ")
         );
-        match &s.prediction {
-            Prediction::Exact { counters } => {
-                out.push_str("      \"prediction\": {\"status\": \"exact\", \"exit\": \"halted\", \"counters\": {");
-                push_counters(&mut out, counters);
-                out.push_str("}}");
-            }
-            Prediction::Abstained { cause, partial } => {
+        match s.prediction.abstain_reason() {
+            None => out.push_str("      \"prediction\": {\"status\": \"exact\", \"exit\": \"halted\", \"counters\": {"),
+            Some(reason) => {
                 let _ = write!(
                     out,
                     "      \"prediction\": {{\"status\": \"abstained\", \"reason\": {}, \"counters\": {{",
-                    json::quote(&cause.to_string())
+                    json::quote(&reason)
                 );
-                push_counters(&mut out, partial);
-                out.push_str("}}");
             }
         }
+        push_counters(&mut out, s.prediction.counters());
+        out.push_str("}}");
         if let Some(check) = &s.check {
             let _ = write!(
                 out,
@@ -206,11 +201,10 @@ mod tests {
         assert_eq!(status(0, "status").as_deref(), Some("exact"));
         assert_eq!(status(0, "reason"), None);
         assert_eq!(status(1, "status").as_deref(), Some("abstained"));
-        let reason = status(1, "reason").unwrap();
-        let Prediction::Abstained { cause, .. } = &batch[1].prediction else {
-            panic!("fuel 1000 must abstain");
-        };
-        assert_eq!(reason, cause.to_string());
+        assert_eq!(status(1, "reason"), batch[1].prediction.abstain_reason());
+        assert!(status(1, "reason")
+            .unwrap()
+            .starts_with("fuel exhausted after 1000 "));
         for s in subjects {
             assert!(s.get("check").is_none(), "no --check, no check member");
             assert_eq!(

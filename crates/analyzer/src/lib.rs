@@ -15,7 +15,7 @@
 //!    a bug in a workload generator or a decoder, surfaced before any
 //!    engine runs the bytes.
 //! 2. **Static event-profile prediction** ([`predict`]) — for
-//!    deterministic bounded programs, the exact [`Counters`] vector a
+//!    bounded programs, the exact [`Counters`] vector a
 //!    correct interpreter-structured engine must retire. With
 //!    [`AnalyzeOpts::check`] the prediction is verified against a real
 //!    interpreter run, which makes the analyzer and the interpreter
@@ -32,7 +32,7 @@ pub mod predict;
 
 pub use artifact::{to_json, SCHEMA};
 pub use lint::{lint_file, lint_root, LintFinding, HOT_PATH_FILES};
-pub use predict::{predict, AbstainCause, Prediction};
+pub use predict::{predict, Prediction};
 
 use simbench_campaign::registry::{dispatch_guest, GuestSpec, GuestVisitor};
 use simbench_campaign::{measure, Guest, Workload};
@@ -75,8 +75,7 @@ impl Default for AnalyzeOpts {
 /// Outcome of the static-vs-dynamic counter check.
 #[derive(Debug, Clone)]
 pub struct CheckResult {
-    /// True when the interpreter agreed with the prediction (or the
-    /// check was inapplicable and says so in `detail`).
+    /// True when the interpreter agreed with the prediction.
     pub matched: bool,
     /// Human-readable mismatch rows, empty on success.
     pub detail: Vec<String>,
@@ -120,11 +119,12 @@ impl SubjectAnalysis {
 
     /// One-line summary for CLI output.
     pub fn render_line(&self) -> String {
-        let pred = match &self.prediction {
-            Prediction::Exact { counters } => {
-                format!("predicted {} insns", counters.instructions)
-            }
-            Prediction::Abstained { cause, .. } => format!("abstained ({cause})"),
+        let pred = match self.prediction.abstain_reason() {
+            None => format!(
+                "predicted {} insns",
+                self.prediction.counters().instructions
+            ),
+            Some(reason) => format!("abstained ({reason})"),
         };
         let check = match &self.check {
             None => String::new(),
@@ -257,25 +257,10 @@ fn analyze_on<I: Isa>(
 /// Run the reference interpreter under the same instruction budget and
 /// require counter-for-counter agreement with the prediction.
 fn run_check<I: Isa>(image: &GuestImage, prediction: &Prediction, fuel: u64) -> CheckResult {
-    let (want_counters, want_exit) = match prediction {
-        Prediction::Exact { counters } => (counters, ExitReason::Halted),
-        Prediction::Abstained {
-            cause: AbstainCause::FuelExhausted { .. },
-            partial,
-        } => (partial, ExitReason::InsnLimit),
-        Prediction::Abstained {
-            cause: AbstainCause::TimerRead,
-            ..
-        } => {
-            // A timer-reading program's executions are not comparable
-            // run to run; there is nothing exact to check.
-            return CheckResult {
-                matched: true,
-                detail: vec![
-                    "check inapplicable: nondeterministic timer input, no exact claim".to_string(),
-                ],
-            };
-        }
+    let want_counters = prediction.counters();
+    let want_exit = match prediction {
+        Prediction::Exact { .. } => ExitReason::Halted,
+        Prediction::Abstained { .. } => ExitReason::InsnLimit,
     };
 
     let mut m = Machine::<I, Platform>::boot(image, Platform::new());
@@ -423,16 +408,46 @@ mod tests {
         )
         .unwrap();
         match &a.prediction {
-            Prediction::Abstained {
-                cause: AbstainCause::FuelExhausted { at },
-                partial,
-            } => {
-                assert_eq!(*at, 1_000);
-                assert_eq!(partial.instructions, 1_000);
-            }
+            Prediction::Abstained { partial } => assert_eq!(partial.instructions, 1_000),
             other => panic!("expected fuel abstention, got {other:?}"),
         }
+        assert!(a.render_line().contains(
+            "abstained (fuel exhausted after 1000 instructions (unbounded or under-fueled region))"
+        ));
         let check = a.check.as_ref().unwrap();
         assert!(check.matched, "{:?}", check.detail);
+    }
+
+    #[test]
+    fn a_load_from_a_device_hole_is_predicted_as_one_data_fault() {
+        use simbench_core::asm::{PReg, PortableAsm};
+        use simbench_isa_armlet::ArmletAsm;
+
+        // A halt at every vector, so the data abort ends the run.
+        let mut asm = ArmletAsm::new();
+        for v in VECTOR_ROOTS {
+            asm.org(v);
+            asm.halt();
+        }
+        asm.org(0x100);
+        asm.mov_imm(PReg::A, 0xF000_2000);
+        asm.load(PReg::B, PReg::A, 0);
+        asm.halt();
+        let image = asm.finish(0x100);
+        let opts = AnalyzeOpts {
+            fuel: 1_000,
+            check: true,
+        };
+        let a = analyze_image(Guest::Armlet, "armlet/hole", &image, &opts);
+        let Prediction::Exact { counters } = &a.prediction else {
+            panic!("{}", a.render_line());
+        };
+        assert_eq!(counters.data_faults, 1);
+        assert!(
+            a.ok() && a.render_line().ends_with(", check ok"),
+            "{}\n{}",
+            a.render_line(),
+            a.render_problems().join("\n")
+        );
     }
 }

@@ -12,20 +12,18 @@
 //! must agree counter-for-counter, which is an N-version check on the
 //! reference semantics itself.
 //!
-//! The prediction is *exact* whenever the program is deterministic and
-//! bounded. The one nondeterministic input on the platform is the
-//! host-clock timer device; the predictor runs the guest on a bus
-//! wrapper that watches for loads from the timer page and abstains from
-//! predicting (rather than predicting wrongly) if one occurs. Unbounded
-//! programs exhaust the instruction-fuel budget and abstain likewise —
-//! abstention is a statement about the input class, not a violation.
+//! The prediction is *exact* whenever the program is bounded: no
+//! platform device reads host time, so a run is a function of its image
+//! alone. An unbounded program exhausts the instruction-fuel budget and
+//! the predictor abstains (rather than predicting wrongly) — abstention
+//! is a statement about the input class, not a violation.
 //!
 //! Predicted counters are the reference event profile: engines with
 //! different memory-access structures legitimately differ on the
 //! `tlb_*` rows (the paper's Fig 4 "Memory Access" axis), so those rows
 //! bind only interpreter-structured engines.
 
-use simbench_core::bus::{Bus, BusEvent};
+use simbench_core::bus::Bus;
 use simbench_core::cpu::{CpuState, Flags};
 use simbench_core::events::Counters;
 use simbench_core::exec::{step_op, ExecCtx, OpOutcome, Trap};
@@ -37,53 +35,22 @@ use simbench_core::machine::Machine;
 use simbench_core::page_of;
 use simbench_core::run::ram_end_chunk;
 use simbench_core::tlb::SingleEntryCache;
-use simbench_platform::{Platform, TIMER_BASE};
-
-/// Why the predictor declined to claim an exact profile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AbstainCause {
-    /// The program read the host-clock timer device — the platform's
-    /// one nondeterministic input — so later behaviour is not a
-    /// function of the image alone.
-    TimerRead,
-    /// The instruction-fuel budget ran out before `halt`.
-    FuelExhausted {
-        /// Instructions retired when the budget ran out.
-        at: u64,
-    },
-}
-
-impl std::fmt::Display for AbstainCause {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AbstainCause::TimerRead => {
-                f.write_str("program reads the host-clock timer (nondeterministic input)")
-            }
-            AbstainCause::FuelExhausted { at } => write!(
-                f,
-                "fuel exhausted after {at} instructions (unbounded or under-fueled region)"
-            ),
-        }
-    }
-}
+use simbench_platform::Platform;
 
 /// Outcome of a static event-profile prediction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Prediction {
-    /// The program is deterministic and bounded: a correct
-    /// interpreter-structured engine retires exactly these counters and
-    /// halts.
+    /// The program is bounded: a correct interpreter-structured engine
+    /// retires exactly these counters and halts.
     Exact {
         /// The predicted event profile.
         counters: Counters,
     },
-    /// No exact prediction is claimed for this input.
+    /// The instruction-fuel budget ran out before `halt`, so no exact
+    /// prediction is claimed for the whole run.
     Abstained {
-        /// Why the predictor abstained.
-        cause: AbstainCause,
-        /// Counters accumulated up to the abstention point. For
-        /// [`AbstainCause::FuelExhausted`] this is still exact for the
-        /// executed prefix; for timer reads it is not a claim at all.
+        /// Counters accumulated until the fuel ran out: still exact for
+        /// the executed prefix.
         partial: Counters,
     },
 }
@@ -98,55 +65,20 @@ impl Prediction {
     pub fn counters(&self) -> &Counters {
         match self {
             Prediction::Exact { counters } => counters,
-            Prediction::Abstained { partial, .. } => partial,
+            Prediction::Abstained { partial } => partial,
         }
     }
-}
 
-/// Bus wrapper that detects reads from the host-clock timer page — the
-/// single nondeterministic device input — so the predictor can abstain
-/// instead of predicting an unpredictable value's consequences.
-struct WatchedBus {
-    inner: Platform,
-    timer_read: bool,
-}
-
-impl WatchedBus {
-    fn new() -> Self {
-        WatchedBus {
-            inner: Platform::new(),
-            timer_read: false,
+    /// Why the predictor abstained, as the CLI line and the artifact's
+    /// `"reason"` word it; `None` for an exact prediction.
+    pub fn abstain_reason(&self) -> Option<String> {
+        match self {
+            Prediction::Exact { .. } => None,
+            Prediction::Abstained { partial } => Some(format!(
+                "fuel exhausted after {} instructions (unbounded or under-fueled region)",
+                partial.instructions
+            )),
         }
-    }
-}
-
-impl Bus for WatchedBus {
-    fn ram(&self) -> &[u8] {
-        self.inner.ram()
-    }
-    fn ram_mut(&mut self) -> &mut [u8] {
-        self.inner.ram_mut()
-    }
-    fn load(&mut self, addr: u32, bytes: &[u8]) {
-        self.inner.load(addr, bytes)
-    }
-    fn ram_size(&self) -> u32 {
-        self.inner.ram_size()
-    }
-    fn is_mmio(&self, pa: u32) -> bool {
-        self.inner.is_mmio(pa)
-    }
-    fn read(&mut self, pa: u32, size: MemSize) -> Result<u32, MemFault> {
-        if pa & !0xFFF == TIMER_BASE {
-            self.timer_read = true;
-        }
-        self.inner.read(pa, size)
-    }
-    fn write(&mut self, pa: u32, val: u32, size: MemSize) -> Result<Option<BusEvent>, MemFault> {
-        self.inner.write(pa, val, size)
-    }
-    fn irq_pending(&self) -> bool {
-        self.inner.irq_pending()
     }
 }
 
@@ -155,7 +87,7 @@ impl Bus for WatchedBus {
 struct PredictCtx<'a, I: Isa> {
     cpu: &'a mut CpuState,
     sys: &'a mut I::Sys,
-    bus: &'a mut WatchedBus,
+    bus: &'a mut Platform,
     dcache: &'a mut SingleEntryCache,
     icache: &'a mut SingleEntryCache,
     counters: &'a mut Counters,
@@ -331,7 +263,7 @@ impl<I: Isa> ExecCtx for PredictCtx<'_, I> {
 /// Predict the event profile of `image` run from reset to halt, with a
 /// budget of `fuel` retired instructions.
 pub fn predict<I: Isa>(image: &GuestImage, fuel: u64) -> Prediction {
-    let mut m = Machine::<I, WatchedBus>::boot(image, WatchedBus::new());
+    let mut m = Machine::<I, Platform>::boot(image, Platform::new());
     let mut counters = Counters::default();
     let mut icache = SingleEntryCache::new();
     let mut dcache = SingleEntryCache::new();
@@ -451,19 +383,9 @@ pub fn predict<I: Isa>(image: &GuestImage, fuel: u64) -> Prediction {
         }
     };
 
-    if m.bus.timer_read {
-        return Prediction::Abstained {
-            cause: AbstainCause::TimerRead,
-            partial: counters,
-        };
+    if halted {
+        Prediction::Exact { counters }
+    } else {
+        Prediction::Abstained { partial: counters }
     }
-    if !halted {
-        return Prediction::Abstained {
-            cause: AbstainCause::FuelExhausted {
-                at: counters.instructions,
-            },
-            partial: counters,
-        };
-    }
-    Prediction::Exact { counters }
 }

@@ -13,9 +13,8 @@
 //! * the body is a bounded counted loop of forward-only control flow,
 //! * loads and stores stay inside the mapped scratch window (plus the
 //!   deliberately unmapped fault address, whose handler returns),
-//! * the host-clock platform timer is never touched — its value is the
-//!   one nondeterministic input on the platform and would make digests
-//!   incomparable across engines,
+//! * every device it reads (INTC, UART, safe device) returns a constant
+//!   or what guest stores put there — the platform has no clock,
 //! * a drain epilogue gives block-granular engines interrupt-delivery
 //!   boundaries and then scrubs the handler-clobbered registers, so a
 //!   quiesced final state is comparable across delivery granularities
@@ -328,8 +327,7 @@ fn emit_step<S: Support>(
             }
         }
         // External interrupt: pend line 0 (unmasked at boot); the
-        // handler acknowledges. The platform timer is never read — it
-        // exposes the host clock, the one nondeterministic device.
+        // handler acknowledges.
         78..=83 => {
             a.mov_imm(ADDR, layout.intc);
             a.mov_imm(PReg::A, 1);

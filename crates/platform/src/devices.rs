@@ -2,8 +2,6 @@
 //!
 //! Register offsets are within each device's 4 KB page.
 
-use std::time::Instant;
-
 /// UART data register (write: transmit byte; read: 0).
 const UART_DATA: u32 = 0x0;
 /// UART status register (read: always ready).
@@ -87,53 +85,6 @@ impl Intc {
             INTC_ACK => self.pending &= !val,
             _ => {}
         }
-    }
-}
-
-/// Timer nanoseconds, low word.
-const TIMER_NS_LO: u32 = 0x0;
-/// Timer nanoseconds, high word (latched by the preceding low-word read).
-const TIMER_NS_HI: u32 = 0x4;
-
-/// Free-running nanosecond timer backed by the host monotonic clock.
-///
-/// Reading `TIMER_NS_LO` latches the full 64-bit value so a subsequent
-/// `TIMER_NS_HI` read is coherent.
-#[derive(Debug)]
-pub struct Timer {
-    epoch: Instant,
-    latched_hi: u32,
-}
-
-impl Timer {
-    /// A timer starting now.
-    pub fn new() -> Self {
-        Timer {
-            epoch: Instant::now(),
-            latched_hi: 0,
-        }
-    }
-
-    /// Register read.
-    pub fn read(&mut self, off: u32) -> u32 {
-        match off {
-            TIMER_NS_LO => {
-                let ns = self.epoch.elapsed().as_nanos() as u64;
-                self.latched_hi = (ns >> 32) as u32;
-                ns as u32
-            }
-            TIMER_NS_HI => self.latched_hi,
-            _ => 0,
-        }
-    }
-
-    /// Register write (ignored; the timer is read-only).
-    pub fn write(&mut self, _off: u32, _val: u32) {}
-}
-
-impl Default for Timer {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -263,18 +214,6 @@ mod tests {
         i.write(INTC_ACK, 0b001);
         assert_eq!(i.read(INTC_PENDING), 0b100);
         assert!(!i.line_asserted());
-    }
-
-    #[test]
-    fn timer_latch_coherent() {
-        let mut t = Timer::new();
-        let lo = t.read(TIMER_NS_LO);
-        let hi = t.read(TIMER_NS_HI);
-        let total = ((hi as u64) << 32) | lo as u64;
-        assert!(
-            total < 60_000_000_000,
-            "fresh timer should read well under a minute"
-        );
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! The simulated hardware platform every engine runs against: RAM at
 //! physical address zero plus a small set of memory-mapped devices. This
 //! is the analogue of the paper's platform support package (§II-C): it
-//! provides the serial connection to the host, a timer, an interrupt
-//! controller capable of software-generated interrupts, and a
-//! side-effect-free "safe device" for the memory-mapped I/O benchmark.
+//! provides the serial connection to the host, an interrupt controller
+//! capable of software-generated interrupts, and a side-effect-free
+//! "safe device" for the memory-mapped I/O benchmark. No device reads
+//! host time, so every run is a function of its image alone.
 //!
 //! ## Memory map
 //!
@@ -14,9 +15,11 @@
 //! | `0x0000_0000..ram_size`   | RAM    |
 //! | `0xF000_0000` (1 page)    | UART   |
 //! | `0xF000_1000` (1 page)    | INTC   |
-//! | `0xF000_2000` (1 page)    | Timer  |
+//! | `0xF000_2000` (1 page)    | none: a hole, like every unmapped page |
 //! | `0xF000_3000` (1 page)    | Safe device (ID/scratch registers) |
 //! | `0xF000_4000` (1 page)    | Control (benchmark phase marks)    |
+//!
+//! An access to a hole, below the devices or among them, is a bus error.
 //!
 //! ## Example
 //!
@@ -37,7 +40,7 @@ use simbench_core::bus::{bus_error, ram_read, Bus, BusEvent};
 use simbench_core::fault::{AccessKind, MemFault};
 use simbench_core::ir::MemSize;
 
-use devices::{Ctl, Intc, SafeDev, Timer, Uart};
+use devices::{Ctl, Intc, SafeDev, Uart};
 use ram::Ram;
 
 /// Base physical address of the device region.
@@ -46,8 +49,6 @@ pub const DEVICE_BASE: u32 = 0xF000_0000;
 pub const UART_BASE: u32 = 0xF000_0000;
 /// Interrupt controller base.
 pub const INTC_BASE: u32 = 0xF000_1000;
-/// Timer base.
-pub const TIMER_BASE: u32 = 0xF000_2000;
 /// Safe (side-effect-free) device base.
 pub const SAFEDEV_BASE: u32 = 0xF000_3000;
 /// Benchmark control device base.
@@ -64,8 +65,6 @@ pub struct Platform {
     pub uart: Uart,
     /// Interrupt controller.
     pub intc: Intc,
-    /// Free-running timer.
-    pub timer: Timer,
     /// Side-effect-free benchmark device.
     pub safedev: SafeDev,
     /// Benchmark phase-control device.
@@ -92,7 +91,6 @@ impl Platform {
             ram: Ram::take(ram_size),
             uart: Uart::new(),
             intc: Intc::new(),
-            timer: Timer::new(),
             safedev: SafeDev::new(),
             ctl: Ctl::new(),
         }
@@ -103,7 +101,6 @@ impl Platform {
         match pa & !0xFFF {
             UART_BASE => Ok(self.uart.read(off)),
             INTC_BASE => Ok(self.intc.read(off)),
-            TIMER_BASE => Ok(self.timer.read(off)),
             SAFEDEV_BASE => Ok(self.safedev.read(off)),
             CTL_BASE => Ok(self.ctl.read(off)),
             _ => Err(bus_error(pa, AccessKind::Read)),
@@ -130,10 +127,6 @@ impl Platform {
             INTC_BASE => {
                 self.intc.write(off, val);
                 Ok(Some(BusEvent::IrqLine))
-            }
-            TIMER_BASE => {
-                self.timer.write(off, val);
-                Ok(None)
             }
             SAFEDEV_BASE => {
                 self.safedev.write(off, val);
@@ -206,10 +199,12 @@ mod tests {
     #[test]
     fn hole_between_ram_and_devices_is_bus_error() {
         let mut p = Platform::with_ram(1 << 16);
-        assert!(p.read(0x10_0000, MemSize::B4).is_err());
-        assert!(p.write(0x10_0000, 0, MemSize::B4).is_err());
-        // One past the last device page.
-        assert!(p.read(CTL_BASE + 0x1000, MemSize::B4).is_err());
+        // Above RAM, between the UART/INTC and the safe device, and one
+        // past the last device page.
+        for pa in [0x10_0000, 0xF000_2000, CTL_BASE + 0x1000] {
+            assert!(p.read(pa, MemSize::B4).is_err(), "{pa:#x}");
+            assert!(p.write(pa, 0, MemSize::B4).is_err(), "{pa:#x}");
+        }
     }
 
     #[test]
@@ -243,14 +238,6 @@ mod tests {
         assert!(!p.irq_pending(), "pending but masked");
         p.write(INTC_BASE + INTC_ENABLE, 1, MemSize::B4).unwrap();
         assert!(p.irq_pending(), "unmasking exposes pending");
-    }
-
-    #[test]
-    fn timer_monotonic() {
-        let mut p = Platform::with_ram(4096);
-        let t1 = p.read(TIMER_BASE, MemSize::B4).unwrap();
-        let t2 = p.read(TIMER_BASE, MemSize::B4).unwrap();
-        assert!(t2 >= t1);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   event counters, engine traits, portable assembler interface.
 //! * [`armlet`] / [`petix`] / [`riscle`] — the three guest ISAs
 //!   (ARM-like, x86-like and RISC-V-like).
-//! * [`platform`] — RAM + UART / INTC / timer / safe-device board model.
+//! * [`platform`] — RAM + UART / INTC / safe-device board model.
 //! * [`interp`] / [`detailed`] / [`dbt`] / [`virt`] — the four
 //!   full-system engines (SimIt-ARM, Gem5, QEMU and QEMU-KVM analogues).
 //! * [`suite`] — the eighteen SimBench micro-benchmarks.

@@ -66,8 +66,8 @@ const FLAGS: &[Flag] = &[
     Flag("--workload", "<W|all>", Any),
     Flag("--fuzz", "SEED", AtLeast(0)),
     Flag("--programs", "N", AtLeast(0)),
-    Flag("--max-insns", "K", AtLeast(0)),
-    Flag("--checkpoints", "C", AtLeast(0)),
+    Flag("--max-insns", "K", AtLeast(1)),
+    Flag("--checkpoints", "C", AtLeast(1)),
     Flag("--fuel", "N", AtLeast(1)),
     Flag("--check", "", Any),
     Flag("--root", "DIR", Any),
@@ -190,9 +190,10 @@ fn usage() -> String {
     out + USAGE_TAIL
 }
 
+/// Exit 3 with `msg` and the usage text on stderr. A stderr that cannot
+/// be written (a closed pipe) loses the text, never the exit code.
 fn fail(msg: &str) -> ! {
-    eprintln!("simbench-harness: {msg}");
-    eprintln!("{}", usage());
+    let _ = writeln!(std::io::stderr(), "simbench-harness: {msg}\n{}", usage());
     std::process::exit(3);
 }
 

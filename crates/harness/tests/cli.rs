@@ -1263,6 +1263,8 @@ differ armlet interp dbt --workload all --fuzz 1 | 3 | --workload conflicts with
 differ armlet interp dbt --fuzz 1 --bogus | 3 | unknown flag "--bogus"
 differ armlet interp dbt --fuzz 1 --programs 0 | 3 | nothing to compare (with --fuzz, --programs must be at least 1)
 differ armlet interp dbt --workload all --scale 0 | 3 | --scale must be at least 1
+differ armlet interp dbt --workload all --max-insns 0 | 3 | --max-insns must be at least 1
+differ armlet interp dbt --workload all --checkpoints 0 | 3 | --checkpoints must be at least 1
 differ armlet interp dbt --workload nope | 3 | unknown workload "nope" (try a name from `campaign list`, a suite:/app: id, or `all`)
 analyze | 3 | analyze needs <guest|all>
 analyze z80 | 3 | unknown guest "z80" (armlet | petix | riscle | all)
@@ -1274,6 +1276,18 @@ analyze armlet --fuzz 1 --programs 0 | 3 | nothing to analyze (with --fuzz, --pr
 analyze petix --workload Nonprivileged_Access | 3 | workload "suite:Nonprivileged Access" does not exist on guest "petix"
 lint --root | 3 | --root requires a value
 "#;
+
+#[test]
+fn a_usage_error_on_a_closed_stderr_still_exits_3() {
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let status = Command::new(env!("CARGO_BIN_EXE_simbench-harness"))
+        .args(["campaign", "compare"])
+        .stderr(writer)
+        .status()
+        .expect("spawn simbench-harness");
+    assert_eq!(status.code(), Some(3), "{status}");
+}
 
 #[test]
 fn usage_errors_exit_3_and_name_the_error() {

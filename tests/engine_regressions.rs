@@ -23,8 +23,13 @@ use simbench_platform::INTC_BASE;
 
 /// An IRQ whose handler can never be fetched: delivery degenerates into
 /// a prefetch-abort storm in which no iteration retires an instruction,
-/// and the wall-clock limit must still end the run.
-fn non_retiring_storm_honors_wall_limit<E: Engine<Armlet, Platform>>(name: &str, mut e: E) {
+/// and the wall-clock limit must still end the run. A loop that looks
+/// at the clock only as work retires spins forever, so the run has a
+/// thread of its own and a watchdog fails the test instead of hanging it.
+fn non_retiring_storm_honors_wall_limit<E>(name: &str, mut e: E)
+where
+    E: Engine<Armlet, Platform> + Send + 'static,
+{
     let mut a = ArmletAsm::new();
     a.org(0x8000);
     // Unmask and raise INTC line 0.
@@ -43,14 +48,18 @@ fn non_retiring_storm_honors_wall_limit<E: Engine<Armlet, Platform>>(name: &str,
     a.bind(spin);
     a.b(spin);
     let img = a.finish(0x8000);
-    let mut m = Machine::<Armlet, _>::boot(&img, Platform::with_ram(1 << 20));
-    let out = e.run(
-        &mut m,
-        &RunLimits {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut m = Machine::<Armlet, _>::boot(&img, Platform::with_ram(1 << 20));
+        let limits = RunLimits {
             max_insns: u64::MAX,
             wall_limit: Some(Duration::from_millis(30)),
-        },
-    );
+        };
+        let _ = done.send(e.run(&mut m, &limits));
+    });
+    let out = finished
+        .recv_timeout(Duration::from_secs(20))
+        .unwrap_or_else(|_| panic!("{name}: a 30 ms wall limit did not end the run in 20 s"));
     assert_eq!(out.exit, ExitReason::WallLimit, "{name}");
     assert_eq!(out.counters.irqs_delivered, 1, "{name}");
     assert!(

@@ -8,6 +8,7 @@
 #[allow(dead_code)]
 mod common;
 
+use std::sync::mpsc::RecvTimeoutError;
 use std::time::Duration;
 
 use common::PagedGuest;
@@ -49,17 +50,21 @@ where
     a.b(spin);
     let img = a.finish(0x8000);
     let (done, finished) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
+    let run = std::thread::spawn(move || {
         let mut m = Machine::<Armlet, _>::boot(&img, Platform::with_ram(1 << 20));
         let limits = RunLimits {
             max_insns: u64::MAX,
             wall_limit: Some(Duration::from_millis(30)),
         };
-        let _ = done.send(e.run(&mut m, &limits));
+        let out = e.run(&mut m, &limits);
+        let _ = done.send(());
+        out
     });
-    let out = finished
-        .recv_timeout(Duration::from_secs(20))
-        .unwrap_or_else(|_| panic!("{name}: a 30 ms wall limit did not end the run in 20 s"));
+    // A run that never ends cannot be joined: it is left spinning.
+    if finished.recv_timeout(Duration::from_secs(20)) == Err(RecvTimeoutError::Timeout) {
+        panic!("{name}: a 30 ms wall limit did not end the run in 20 s");
+    }
+    let out = run.join().expect("the engine panicked");
     assert_eq!(out.exit, ExitReason::WallLimit, "{name}");
     assert_eq!(out.counters.irqs_delivered, 1, "{name}");
     assert!(

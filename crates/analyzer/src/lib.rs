@@ -14,9 +14,9 @@
 //!    falling off the end, overlapping decodings, no reachable halt) is
 //!    a bug in a workload generator or a decoder, surfaced before any
 //!    engine runs the bytes.
-//! 2. **Static event-profile prediction** ([`predict`]) — for
-//!    bounded programs, the exact [`Counters`] vector a
-//!    correct interpreter-structured engine must retire. With
+//! 2. **Static event-profile prediction** ([`predict`]) — for bounded
+//!    programs, the exact [`Counters`] vector a correct
+//!    interpreter-structured engine must retire. With
 //!    [`AnalyzeOpts::check`] the prediction is verified against a real
 //!    interpreter run, which makes the analyzer and the interpreter
 //!    N-version implementations of the same reference semantics.

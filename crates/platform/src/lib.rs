@@ -15,11 +15,11 @@
 //! | `0x0000_0000..ram_size`   | RAM    |
 //! | `0xF000_0000` (1 page)    | UART   |
 //! | `0xF000_1000` (1 page)    | INTC   |
-//! | `0xF000_2000` (1 page)    | none: a hole, like every unmapped page |
+//! | `0xF000_2000` (1 page)    | none (a hole) |
 //! | `0xF000_3000` (1 page)    | Safe device (ID/scratch registers) |
 //! | `0xF000_4000` (1 page)    | Control (benchmark phase marks)    |
 //!
-//! An access to a hole, below the devices or among them, is a bus error.
+//! Every other address is a hole: an access there is a bus error.
 //!
 //! ## Example
 //!

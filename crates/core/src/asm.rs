@@ -2,7 +2,8 @@
 //!
 //! SimBench's benchmarks are written once against [`PortableAsm`] — the
 //! analogue of the paper's "standards-compliant C" benchmark bodies — and
-//! each ISA crate supplies a concrete assembler. Architecture-specific
+//! each ISA crate supplies only instruction selection: labels, label uses
+//! and the output buffer are provided here, once. Architecture-specific
 //! operations (MMU setup, coprocessor reads, non-privileged accesses)
 //! are *not* part of this trait; they live in the suite's support
 //! packages, exactly as the paper splits benchmarks from architecture /
@@ -52,7 +53,7 @@ impl PReg {
 }
 
 /// A code label. Created unbound, bound once, referenced freely before or
-/// after binding (fixups are resolved at [`PortableAsm::finish`]).
+/// after binding (uses are resolved at [`PortableAsm::finish`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Label(pub(crate) usize);
 
@@ -63,12 +64,35 @@ impl Label {
     }
 }
 
-/// Sparse output buffer with label management, shared by both ISA
-/// assemblers. ISA crates embed one and layer encoding on top.
+/// What an instruction does with the label it names: the four portable
+/// operations whose encoding depends on where a label is bound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LabelUse {
+    /// Unconditional branch to the label.
+    B,
+    /// Conditional branch to the label.
+    BCond(Cond),
+    /// Direct call of the label.
+    Call,
+    /// `rd = address-of(label)`.
+    MovAddr(PReg),
+}
+
+/// A guest's encoder of label uses: appends to `out` the bytes of `use`
+/// at address `at` naming `target`
+/// ([`PortableAsm::encode_label_use`]).
+pub type EncodeUse = fn(LabelUse, u32, u32, &mut Vec<u8>);
+
+/// A recorded label use: chunk index, address, label, use and length.
+type Fixup = (usize, u32, Label, LabelUse, usize);
+
+/// Sparse output buffer with labels and label uses, shared by every ISA
+/// assembler. ISA crates embed one and layer encoding on top.
 #[derive(Debug, Clone, Default)]
 pub struct AsmBuffer {
     chunks: Vec<(u32, Vec<u8>)>,
     labels: Vec<Option<u32>>,
+    fixups: Vec<Fixup>,
 }
 
 impl AsmBuffer {
@@ -106,19 +130,21 @@ impl AsmBuffer {
 
     /// Reserve `n` zero bytes.
     pub fn skip(&mut self, n: u32) {
-        let chunk = self.chunks.last_mut().expect("org() before emitting");
-        chunk.1.extend(std::iter::repeat_n(0, n as usize));
+        self.cursor().extend(std::iter::repeat_n(0, n as usize));
     }
 
     /// Append raw bytes at the cursor.
     pub fn emit(&mut self, bytes: &[u8]) {
-        let chunk = self.chunks.last_mut().expect("org() before emitting");
-        chunk.1.extend_from_slice(bytes);
+        self.cursor().extend_from_slice(bytes);
     }
 
     /// Append a little-endian 32-bit word.
     pub fn emit_u32(&mut self, w: u32) {
         self.emit(&w.to_le_bytes());
+    }
+
+    fn cursor(&mut self) -> &mut Vec<u8> {
+        &mut self.chunks.last_mut().expect("org() before emitting").1
     }
 
     /// Allocate an unbound label.
@@ -144,45 +170,39 @@ impl AsmBuffer {
         self.labels.get(l.0).copied().flatten()
     }
 
-    /// Read back the 32-bit word previously emitted at `addr` (for fixup
-    /// patching).
+    /// Emit `use` of `l` at the cursor, encoded with the use's own
+    /// address as a placeholder target, and record it for
+    /// [`AsmBuffer::finish`] to encode again once `l` is bound.
+    pub fn use_label(&mut self, l: Label, use_: LabelUse, encode: EncodeUse) {
+        let at = self.here();
+        let chunk = self.chunks.len() - 1;
+        let out = self.cursor();
+        let start = out.len();
+        encode(use_, at, at, out);
+        let len = out.len() - start;
+        self.fixups.push((chunk, at, l, use_, len));
+    }
+
+    /// Encode every label use again with its label's address, then
+    /// finish into a bootable image entering at `entry`. Empty chunks
+    /// are dropped.
     ///
     /// # Panics
     ///
-    /// Panics if `addr` was never emitted.
-    pub fn read_u32_at(&self, addr: u32) -> u32 {
-        let (base, bytes) = self
-            .chunk_containing(addr, 4)
-            .expect("patch address not emitted");
-        let i = (addr - base) as usize;
-        u32::from_le_bytes([bytes[i], bytes[i + 1], bytes[i + 2], bytes[i + 3]])
-    }
-
-    /// Overwrite the 32-bit word at `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` was never emitted.
-    pub fn write_u32_at(&mut self, addr: u32, w: u32) {
-        let idx = self
-            .chunks
-            .iter()
-            .position(|(base, bytes)| addr >= *base && addr + 4 <= *base + bytes.len() as u32)
-            .expect("patch address not emitted");
-        let (base, bytes) = &mut self.chunks[idx];
-        let i = (addr - *base) as usize;
-        bytes[i..i + 4].copy_from_slice(&w.to_le_bytes());
-    }
-
-    fn chunk_containing(&self, addr: u32, len: u32) -> Option<(u32, &[u8])> {
-        self.chunks
-            .iter()
-            .find(|(base, bytes)| addr >= *base && addr + len <= *base + bytes.len() as u32)
-            .map(|(base, bytes)| (*base, bytes.as_slice()))
-    }
-
-    /// Finish into a bootable image. Empty chunks are dropped.
-    pub fn into_image(self, entry: u32) -> GuestImage {
+    /// Panics if a used label was never bound, or if a use's encoding
+    /// changes length with its target.
+    pub fn finish(mut self, entry: u32, encode: EncodeUse) -> GuestImage {
+        let mut insn = Vec::new();
+        for &(chunk, at, l, use_, len) in &self.fixups {
+            let target = self.labels[l.0]
+                .unwrap_or_else(|| panic!("unbound label {l:?} referenced at {at:#x}"));
+            insn.clear();
+            encode(use_, at, target, &mut insn);
+            assert_eq!(insn.len(), len, "{use_:?} at {at:#x} changed length");
+            let (base, bytes) = &mut self.chunks[chunk];
+            let i = (at - *base) as usize;
+            bytes[i..i + len].copy_from_slice(&insn);
+        }
         let mut img = GuestImage::new(entry);
         for (addr, bytes) in self.chunks {
             if !bytes.is_empty() {
@@ -195,34 +215,71 @@ impl AsmBuffer {
 
 /// The portable assembler interface benchmarks are written against.
 ///
+/// A guest implements instruction selection: the buffer accessors,
+/// [`PortableAsm::encode_label_use`] and the operations that do not
+/// name a label. Labels, the cursor and label-use resolution are
+/// provided, once, on top of [`AsmBuffer`].
+///
 /// Immediate-range contract: `alu_ri` and `cmp_ri` accept `imm` up to
-/// 4095; `load`/`store` displacements span ±2047 bytes. Both ISA
-/// encodings honour at least these ranges; use [`PortableAsm::mov_imm`]
+/// 4095; `load`/`store` displacements span ±2047 bytes. Every ISA
+/// encoding honours at least these ranges; use [`PortableAsm::mov_imm`]
 /// (unrestricted) plus register forms beyond them.
-pub trait PortableAsm {
+pub trait PortableAsm: Sized {
+    /// The output buffer.
+    fn buf(&self) -> &AsmBuffer;
+    /// The output buffer, mutably.
+    fn buf_mut(&mut self) -> &mut AsmBuffer;
+    /// Append to `out` the encoding of `use_` at address `at` naming
+    /// `target`. Called once with a placeholder target when the use is
+    /// emitted and again with the label's address at
+    /// [`PortableAsm::finish`], so its length must not depend on
+    /// `target`.
+    fn encode_label_use(use_: LabelUse, at: u32, target: u32, out: &mut Vec<u8>);
+
     /// Current emission address.
-    fn here(&self) -> u32;
+    fn here(&self) -> u32 {
+        self.buf().here()
+    }
     /// Start emitting at an address.
-    fn org(&mut self, addr: u32);
+    fn org(&mut self, addr: u32) {
+        self.buf_mut().org(addr);
+    }
     /// Align the cursor.
-    fn align(&mut self, align: u32);
+    fn align(&mut self, align: u32) {
+        self.buf_mut().align(align);
+    }
     /// Reserve zeroed bytes.
-    fn skip(&mut self, n: u32);
+    fn skip(&mut self, n: u32) {
+        self.buf_mut().skip(n);
+    }
     /// Emit a raw data word.
-    fn word(&mut self, w: u32);
+    fn word(&mut self, w: u32) {
+        self.buf_mut().emit_u32(w);
+    }
     /// Emit raw bytes.
-    fn bytes(&mut self, data: &[u8]);
+    fn bytes(&mut self, data: &[u8]) {
+        self.buf_mut().emit(data);
+    }
     /// Allocate an unbound label.
-    fn new_label(&mut self) -> Label;
+    fn new_label(&mut self) -> Label {
+        self.buf_mut().new_label()
+    }
     /// Bind a label at the cursor.
-    fn bind(&mut self, l: Label);
+    fn bind(&mut self, l: Label) {
+        self.buf_mut().bind(l);
+    }
     /// Address of a bound label.
-    fn label_addr(&self, l: Label) -> Option<u32>;
+    fn label_addr(&self, l: Label) -> Option<u32> {
+        self.buf().label_addr(l)
+    }
 
     /// `rd = imm` (any 32-bit value).
     fn mov_imm(&mut self, rd: PReg, imm: u32);
     /// `rd = address-of(label)` (fixed up at finish).
-    fn mov_label(&mut self, rd: PReg, l: Label);
+    fn mov_label(&mut self, rd: PReg, l: Label) {
+        self.buf_mut()
+            .use_label(l, LabelUse::MovAddr(rd), Self::encode_label_use);
+    }
     /// `rd = rn <op> rm`.
     fn alu_rr(&mut self, op: AluOp, rd: PReg, rn: PReg, rm: PReg);
     /// `rd = rn <op> imm`, `imm <= 4095`.
@@ -240,13 +297,22 @@ pub trait PortableAsm {
     /// Byte store.
     fn store8(&mut self, rs: PReg, base: PReg, off: i32);
     /// Unconditional branch.
-    fn b(&mut self, l: Label);
+    fn b(&mut self, l: Label) {
+        self.buf_mut()
+            .use_label(l, LabelUse::B, Self::encode_label_use);
+    }
     /// Conditional branch.
-    fn b_cond(&mut self, c: Cond, l: Label);
+    fn b_cond(&mut self, c: Cond, l: Label) {
+        self.buf_mut()
+            .use_label(l, LabelUse::BCond(c), Self::encode_label_use);
+    }
     /// Indirect branch through a register.
     fn br_reg(&mut self, r: PReg);
     /// Direct call (links per the architecture's discipline).
-    fn call(&mut self, l: Label);
+    fn call(&mut self, l: Label) {
+        self.buf_mut()
+            .use_label(l, LabelUse::Call, Self::encode_label_use);
+    }
     /// Indirect call through a register.
     fn call_reg(&mut self, r: PReg);
     /// Return from a call.
@@ -273,10 +339,11 @@ pub trait PortableAsm {
     /// pre-seeded with at their rewrite slot).
     fn smc_nop_word(&self) -> u32;
 
-    /// Resolve fixups and produce the bootable image, entering at `entry`.
-    fn finish(self, entry: u32) -> GuestImage
-    where
-        Self: Sized;
+    /// Resolve label uses and produce the bootable image, entering at
+    /// `entry`.
+    fn finish(mut self, entry: u32) -> GuestImage {
+        std::mem::take(self.buf_mut()).finish(entry, Self::encode_label_use)
+    }
 }
 
 #[cfg(test)]
@@ -298,28 +365,55 @@ mod tests {
         assert_eq!(b.here(), 0x1014);
     }
 
-    #[test]
-    fn buffer_patching() {
-        let mut b = AsmBuffer::new();
-        b.org(0x2000);
-        b.emit_u32(0x1111_1111);
-        b.emit_u32(0x2222_2222);
-        assert_eq!(b.read_u32_at(0x2004), 0x2222_2222);
-        b.write_u32_at(0x2004, 0x3333_3333);
-        assert_eq!(b.read_u32_at(0x2004), 0x3333_3333);
+    /// A toy encoding: one tag byte, then the target as a little-endian
+    /// word.
+    fn toy(use_: LabelUse, _at: u32, target: u32, out: &mut Vec<u8>) {
+        let tag = match use_ {
+            LabelUse::B => 0xB0,
+            LabelUse::BCond(c) => 0xC0 | c.code(),
+            LabelUse::Call => 0xCA,
+            LabelUse::MovAddr(_) => 0xAD,
+        };
+        out.push(tag);
+        out.extend_from_slice(&target.to_le_bytes());
     }
 
     #[test]
-    fn buffer_to_image() {
+    fn uses_resolve_forward_backward_and_across_chunks() {
         let mut b = AsmBuffer::new();
-        b.org(0x100);
-        b.emit(&[1, 2, 3]);
-        b.org(0x200);
-        b.org(0x300); // empty chunk at 0x200 dropped
-        b.emit(&[9]);
-        let img = b.into_image(0x100);
-        assert_eq!(img.sections.len(), 2);
-        assert_eq!(img.entry, 0x100);
+        b.org(0x1000);
+        let l = b.new_label();
+        b.use_label(l, LabelUse::B, toy); // forward, other chunk
+        b.org(0x1800); // empty: dropped from the image
+        b.org(0x2000);
+        b.emit(&[0xEE]);
+        b.use_label(l, LabelUse::BCond(Cond::Ne), toy); // forward, same chunk
+        b.bind(l);
+        b.emit(&[0xEE]);
+        b.use_label(l, LabelUse::Call, toy); // backward
+        let img = b.finish(0x1000, toy);
+        assert_eq!((img.entry, img.sections.len()), (0x1000, 2));
+        assert_eq!(img.sections[0].addr, 0x1000);
+        assert_eq!(img.sections[0].bytes, [0xB0, 0x06, 0x20, 0, 0]);
+        assert_eq!(img.sections[1].addr, 0x2000);
+        let ne = 0xC0 | Cond::Ne.code();
+        assert_eq!(
+            img.sections[1].bytes,
+            [0xEE, ne, 0x06, 0x20, 0, 0, 0xEE, 0xCA, 0x06, 0x20, 0, 0]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "unbound label Label(1) referenced at 0x3005")]
+    fn an_unbound_label_panics_naming_its_use() {
+        let mut b = AsmBuffer::new();
+        b.org(0x3000);
+        let bound = b.new_label();
+        let unbound = b.new_label();
+        b.bind(bound);
+        b.use_label(bound, LabelUse::B, toy);
+        b.use_label(unbound, LabelUse::MovAddr(PReg::A), toy);
+        let _ = b.finish(0x3000, toy);
     }
 
     #[test]

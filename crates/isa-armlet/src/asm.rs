@@ -1,11 +1,11 @@
 //! armlet assembler: implements the portable interface plus
 //! architecture-specific extensions used by the armlet support package.
 
-use simbench_core::asm::{AsmBuffer, Label, PReg, PortableAsm};
-use simbench_core::image::GuestImage;
-use simbench_core::ir::{AluOp, Cond};
+use simbench_core::asm::{AsmBuffer, LabelUse, PReg, PortableAsm};
+use simbench_core::ir::AluOp;
 
 use crate::encoding as enc;
+use crate::encoding::LsSize::{self, Byte, Half, Word};
 
 /// Map a portable register onto an armlet GPR.
 ///
@@ -24,23 +24,10 @@ pub fn reg(r: PReg) -> u8 {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Fix {
-    /// Unconditional branch at `addr`.
-    B,
-    /// Branch-and-link at `addr`.
-    Bl,
-    /// Conditional branch at `addr` (condition already encoded).
-    BCond,
-    /// movw/movt pair at `addr`, `addr+4` loading an absolute address.
-    MovAbs,
-}
-
 /// The armlet assembler.
 #[derive(Debug, Default)]
 pub struct ArmletAsm {
     buf: AsmBuffer,
-    fixups: Vec<(u32, Label, Fix)>,
 }
 
 impl ArmletAsm {
@@ -59,37 +46,21 @@ impl ArmletAsm {
         self.raw(enc::alu_ri(op, reg(rd), reg(rn), imm, true));
     }
 
-    /// Load a full 32-bit constant into a raw register (movw + movt).
-    fn mov_imm_raw(&mut self, rd: u8, imm: u32) {
-        self.raw(enc::movw(rd, imm & 0xFFFF));
-        if imm >> 16 != 0 {
-            self.raw(enc::movt(rd, imm >> 16));
-        }
+    /// A load (or store) of `size` at `base + off`, non-privileged if
+    /// `np`.
+    fn ldst(&mut self, load: bool, size: LsSize, np: bool, r: PReg, base: PReg, off: i32) {
+        self.raw(enc::ldst(load, size, np, reg(r), reg(base), off));
     }
 
     /// Non-privileged word load (`ldrt`): the ARM-only feature behind the
     /// Nonprivileged Access benchmark.
     pub fn ldrt(&mut self, rd: PReg, base: PReg, off: i32) {
-        self.raw(enc::ldst(
-            true,
-            enc::LsSize::Word,
-            true,
-            reg(rd),
-            reg(base),
-            off,
-        ));
+        self.ldst(true, Word, true, rd, base, off);
     }
 
     /// Non-privileged word store (`strt`).
     pub fn strt(&mut self, rs: PReg, base: PReg, off: i32) {
-        self.raw(enc::ldst(
-            false,
-            enc::LsSize::Word,
-            true,
-            reg(rs),
-            reg(base),
-            off,
-        ));
+        self.ldst(false, Word, true, rs, base, off);
     }
 
     /// Coprocessor read into a portable register.
@@ -104,77 +75,43 @@ impl ArmletAsm {
 
     /// Halfword load.
     pub fn load16(&mut self, rd: PReg, base: PReg, off: i32) {
-        self.raw(enc::ldst(
-            true,
-            enc::LsSize::Half,
-            false,
-            reg(rd),
-            reg(base),
-            off,
-        ));
+        self.ldst(true, Half, false, rd, base, off);
     }
 
     /// Halfword store.
     pub fn store16(&mut self, rs: PReg, base: PReg, off: i32) {
-        self.raw(enc::ldst(
-            false,
-            enc::LsSize::Half,
-            false,
-            reg(rs),
-            reg(base),
-            off,
-        ));
+        self.ldst(false, Half, false, rs, base, off);
     }
 }
 
 impl PortableAsm for ArmletAsm {
-    fn here(&self) -> u32 {
-        self.buf.here()
+    fn buf(&self) -> &AsmBuffer {
+        &self.buf
     }
 
-    fn org(&mut self, addr: u32) {
-        self.buf.org(addr);
+    fn buf_mut(&mut self) -> &mut AsmBuffer {
+        &mut self.buf
     }
 
-    fn align(&mut self, align: u32) {
-        self.buf.align(align);
-    }
-
-    fn skip(&mut self, n: u32) {
-        self.buf.skip(n);
-    }
-
-    fn word(&mut self, w: u32) {
-        self.buf.emit_u32(w);
-    }
-
-    fn bytes(&mut self, data: &[u8]) {
-        self.buf.emit(data);
-    }
-
-    fn new_label(&mut self) -> Label {
-        self.buf.new_label()
-    }
-
-    fn bind(&mut self, l: Label) {
-        self.buf.bind(l);
-    }
-
-    fn label_addr(&self, l: Label) -> Option<u32> {
-        self.buf.label_addr(l)
+    fn encode_label_use(use_: LabelUse, at: u32, target: u32, out: &mut Vec<u8>) {
+        let word = match use_ {
+            LabelUse::B => enc::b(at, target),
+            LabelUse::BCond(c) => enc::b_cond(c, at, target),
+            LabelUse::Call => enc::bl(at, target),
+            LabelUse::MovAddr(rd) => {
+                // Always the full movw/movt pair, whatever the target.
+                out.extend_from_slice(&enc::movw(reg(rd), target & 0xFFFF).to_le_bytes());
+                enc::movt(reg(rd), target >> 16)
+            }
+        };
+        out.extend_from_slice(&word.to_le_bytes());
     }
 
     fn mov_imm(&mut self, rd: PReg, imm: u32) {
-        self.mov_imm_raw(reg(rd), imm);
-    }
-
-    fn mov_label(&mut self, rd: PReg, l: Label) {
-        let at = self.here();
-        // Always emit the full movw/movt pair so the fixup site has a
-        // fixed shape.
-        self.raw(enc::movw(reg(rd), 0));
-        self.raw(enc::movt(reg(rd), 0));
-        self.fixups.push((at, l, Fix::MovAbs));
+        self.raw(enc::movw(reg(rd), imm & 0xFFFF));
+        if imm >> 16 != 0 {
+            self.raw(enc::movt(reg(rd), imm >> 16));
+        }
     }
 
     fn alu_rr(&mut self, op: AluOp, rd: PReg, rn: PReg, rm: PReg) {
@@ -194,69 +131,23 @@ impl PortableAsm for ArmletAsm {
     }
 
     fn load(&mut self, rd: PReg, base: PReg, off: i32) {
-        self.raw(enc::ldst(
-            true,
-            enc::LsSize::Word,
-            false,
-            reg(rd),
-            reg(base),
-            off,
-        ));
+        self.ldst(true, Word, false, rd, base, off);
     }
 
     fn store(&mut self, rs: PReg, base: PReg, off: i32) {
-        self.raw(enc::ldst(
-            false,
-            enc::LsSize::Word,
-            false,
-            reg(rs),
-            reg(base),
-            off,
-        ));
+        self.ldst(false, Word, false, rs, base, off);
     }
 
     fn load8(&mut self, rd: PReg, base: PReg, off: i32) {
-        self.raw(enc::ldst(
-            true,
-            enc::LsSize::Byte,
-            false,
-            reg(rd),
-            reg(base),
-            off,
-        ));
+        self.ldst(true, Byte, false, rd, base, off);
     }
 
     fn store8(&mut self, rs: PReg, base: PReg, off: i32) {
-        self.raw(enc::ldst(
-            false,
-            enc::LsSize::Byte,
-            false,
-            reg(rs),
-            reg(base),
-            off,
-        ));
-    }
-
-    fn b(&mut self, l: Label) {
-        let at = self.here();
-        self.raw(enc::b(at, at.wrapping_add(4)));
-        self.fixups.push((at, l, Fix::B));
-    }
-
-    fn b_cond(&mut self, c: Cond, l: Label) {
-        let at = self.here();
-        self.raw(enc::b_cond(c, at, at.wrapping_add(4)));
-        self.fixups.push((at, l, Fix::BCond));
+        self.ldst(false, Byte, false, rs, base, off);
     }
 
     fn br_reg(&mut self, r: PReg) {
         self.raw(enc::bx(reg(r)));
-    }
-
-    fn call(&mut self, l: Label) {
-        let at = self.here();
-        self.raw(enc::bl(at, at.wrapping_add(4)));
-        self.fixups.push((at, l, Fix::Bl));
     }
 
     fn call_reg(&mut self, r: PReg) {
@@ -298,37 +189,13 @@ impl PortableAsm for ArmletAsm {
     fn smc_nop_word(&self) -> u32 {
         enc::SMC_NOP_WORD
     }
-
-    fn finish(mut self, entry: u32) -> GuestImage {
-        for (at, label, fix) in std::mem::take(&mut self.fixups) {
-            let target = self
-                .buf
-                .label_addr(label)
-                .unwrap_or_else(|| panic!("unbound label {label:?} referenced at {at:#x}"));
-            match fix {
-                Fix::B => self.buf.write_u32_at(at, enc::b(at, target)),
-                Fix::Bl => self.buf.write_u32_at(at, enc::bl(at, target)),
-                Fix::BCond => {
-                    let old = self.buf.read_u32_at(at);
-                    let cond = Cond::from_code(((old >> 24) & 0xF) as u8).expect("bcond fixup");
-                    self.buf.write_u32_at(at, enc::b_cond(cond, at, target));
-                }
-                Fix::MovAbs => {
-                    let old = self.buf.read_u32_at(at);
-                    let rd = ((old >> 20) & 0xF) as u8;
-                    self.buf.write_u32_at(at, enc::movw(rd, target & 0xFFFF));
-                    self.buf.write_u32_at(at + 4, enc::movt(rd, target >> 16));
-                }
-            }
-        }
-        self.buf.into_image(entry)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::decode::decode;
+    use simbench_core::image::GuestImage;
     use simbench_core::ir::Op;
 
     fn words(img: &GuestImage, addr: u32) -> Vec<u32> {

@@ -6,9 +6,8 @@
 //! exactly the kind of per-architecture lowering a real support package
 //! performs.
 
-use simbench_core::asm::{AsmBuffer, Label, PReg, PortableAsm};
-use simbench_core::image::GuestImage;
-use simbench_core::ir::{AluOp, Cond};
+use simbench_core::asm::{AsmBuffer, LabelUse, PReg, PortableAsm};
+use simbench_core::ir::AluOp;
 
 use crate::encoding as enc;
 
@@ -27,19 +26,10 @@ pub fn reg(r: PReg) -> u8 {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Fix {
-    /// rel32 at `at + imm_off` for an instruction of `len` bytes.
-    Rel { imm_off: u32, len: u32 },
-    /// Absolute 32-bit at `at + imm_off`.
-    Abs { imm_off: u32 },
-}
-
 /// The petix assembler.
 #[derive(Debug, Default)]
 pub struct PetixAsm {
     buf: AsmBuffer,
-    fixups: Vec<(u32, Label, Fix)>,
 }
 
 impl PetixAsm {
@@ -115,42 +105,25 @@ impl PetixAsm {
 }
 
 impl PortableAsm for PetixAsm {
-    fn here(&self) -> u32 {
-        self.buf.here()
+    fn buf(&self) -> &AsmBuffer {
+        &self.buf
     }
-    fn org(&mut self, addr: u32) {
-        self.buf.org(addr);
+
+    fn buf_mut(&mut self) -> &mut AsmBuffer {
+        &mut self.buf
     }
-    fn align(&mut self, align: u32) {
-        self.buf.align(align);
-    }
-    fn skip(&mut self, n: u32) {
-        self.buf.skip(n);
-    }
-    fn word(&mut self, w: u32) {
-        self.buf.emit_u32(w);
-    }
-    fn bytes(&mut self, data: &[u8]) {
-        self.buf.emit(data);
-    }
-    fn new_label(&mut self) -> Label {
-        self.buf.new_label()
-    }
-    fn bind(&mut self, l: Label) {
-        self.buf.bind(l);
-    }
-    fn label_addr(&self, l: Label) -> Option<u32> {
-        self.buf.label_addr(l)
+
+    fn encode_label_use(use_: LabelUse, at: u32, target: u32, out: &mut Vec<u8>) {
+        out.extend_from_slice(&match use_ {
+            LabelUse::B => enc::jmp(at, target),
+            LabelUse::BCond(c) => enc::jcc(c, at, target),
+            LabelUse::Call => enc::call(at, target),
+            LabelUse::MovAddr(rd) => enc::mov_imm32(reg(rd), target),
+        });
     }
 
     fn mov_imm(&mut self, rd: PReg, imm: u32) {
         self.emit(enc::mov_imm32(reg(rd), imm));
-    }
-
-    fn mov_label(&mut self, rd: PReg, l: Label) {
-        let at = self.here();
-        self.emit(enc::mov_imm32(reg(rd), 0));
-        self.fixups.push((at, l, Fix::Abs { imm_off: 2 }));
     }
 
     fn alu_rr(&mut self, op: AluOp, rd: PReg, rn: PReg, rm: PReg) {
@@ -194,26 +167,8 @@ impl PortableAsm for PetixAsm {
         self.emit(enc::ldst(false, enc::Width::Byte, reg(rs), reg(base), off));
     }
 
-    fn b(&mut self, l: Label) {
-        let at = self.here();
-        self.emit(enc::jmp(at, at.wrapping_add(5)));
-        self.fixups.push((at, l, Fix::Rel { imm_off: 1, len: 5 }));
-    }
-
-    fn b_cond(&mut self, c: Cond, l: Label) {
-        let at = self.here();
-        self.emit(enc::jcc(c, at, at.wrapping_add(6)));
-        self.fixups.push((at, l, Fix::Rel { imm_off: 2, len: 6 }));
-    }
-
     fn br_reg(&mut self, r: PReg) {
         self.emit(enc::jmp_reg(reg(r)));
-    }
-
-    fn call(&mut self, l: Label) {
-        let at = self.here();
-        self.emit(enc::call(at, at.wrapping_add(5)));
-        self.fixups.push((at, l, Fix::Rel { imm_off: 1, len: 5 }));
     }
 
     fn call_reg(&mut self, r: PReg) {
@@ -256,31 +211,13 @@ impl PortableAsm for PetixAsm {
     fn smc_nop_word(&self) -> u32 {
         enc::SMC_NOP_WORD
     }
-
-    fn finish(mut self, entry: u32) -> GuestImage {
-        for (at, label, fix) in std::mem::take(&mut self.fixups) {
-            let target = self
-                .buf
-                .label_addr(label)
-                .unwrap_or_else(|| panic!("unbound label {label:?} referenced at {at:#x}"));
-            match fix {
-                Fix::Rel { imm_off, len } => {
-                    let rel = target.wrapping_sub(at.wrapping_add(len));
-                    self.buf.write_u32_at(at + imm_off, rel);
-                }
-                Fix::Abs { imm_off } => {
-                    self.buf.write_u32_at(at + imm_off, target);
-                }
-            }
-        }
-        self.buf.into_image(entry)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::decode::decode;
+    use simbench_core::image::GuestImage;
     use simbench_core::ir::Op;
 
     fn section_bytes(img: &GuestImage, addr: u32) -> &[u8] {
@@ -320,23 +257,16 @@ mod tests {
         a.align(4);
         a.bind(data);
         a.word(0x1234);
+        let (f_at, data_at) = (a.label_addr(f).unwrap(), a.label_addr(data).unwrap());
         let img = a.finish(0x8000);
         let d = decode(section_bytes(&img, 0x8000), 0x8000).unwrap();
-        assert!(matches!(d.ops[0], Op::Call { ret: 0x8005, .. }));
+        assert!(matches!(d.ops[0], Op::Call { target, ret: 0x8005, .. } if target == f_at));
         // The mov imm32 at 0x8005 carries the bound address of `data`.
         let d = decode(section_bytes(&img, 0x8005), 0x8005).unwrap();
-        let expect = img.sections[0].bytes.len() as u32; // data is last in section
-        let _ = expect;
-        if let Op::Alu {
-            src: simbench_core::ir::Operand::Imm(v),
-            ..
-        } = d.ops[0]
-        {
-            assert_eq!(v & 3, 0, "aligned data address");
-            assert!(v > 0x8005);
-        } else {
-            panic!("expected mov imm");
-        }
+        assert!(matches!(
+            d.ops[0],
+            Op::Alu { src: simbench_core::ir::Operand::Imm(v), .. } if v == data_at
+        ));
     }
 
     #[test]

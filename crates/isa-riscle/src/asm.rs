@@ -8,9 +8,8 @@
 //! expresses the portable operation, so every benchmark image exercises
 //! the variable-width fetch path.
 
-use simbench_core::asm::{AsmBuffer, Label, PReg, PortableAsm};
-use simbench_core::image::GuestImage;
-use simbench_core::ir::{AluOp, Cond};
+use simbench_core::asm::{AsmBuffer, LabelUse, PReg, PortableAsm};
+use simbench_core::ir::AluOp;
 
 use crate::encoding as enc;
 
@@ -30,21 +29,10 @@ pub fn reg(r: PReg) -> u8 {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Fix {
-    /// `b`/`jal` at `at`: patch the simm25 halfword field `[31:7]`.
-    Rel25,
-    /// `b<cond>` at `at`: patch the simm21 halfword field `[31:11]`.
-    Rel21,
-    /// `li`+`lih` pair at `at`: patch both 16-bit immediates.
-    AbsPair,
-}
-
 /// The riscle assembler.
 #[derive(Debug, Default)]
 pub struct RiscleAsm {
     buf: AsmBuffer,
-    fixups: Vec<(u32, Label, Fix)>,
 }
 
 impl RiscleAsm {
@@ -61,14 +49,9 @@ impl RiscleAsm {
         self.buf.emit(&h.to_le_bytes());
     }
 
-    /// `rd = rn` (register move, raw register numbers).
-    fn mov_rr_raw(&mut self, rd: u8, rn: u8) {
-        self.emit16(enc::c_mv(rd, rn));
-    }
-
     /// `rd = rn` (register move).
     pub fn mov_rr(&mut self, rd: PReg, rn: PReg) {
-        self.mov_rr_raw(reg(rd), reg(rn));
+        self.emit16(enc::c_mv(reg(rd), reg(rn)));
     }
 
     /// Read a system register: `rd = csr`.
@@ -93,32 +76,26 @@ impl RiscleAsm {
 }
 
 impl PortableAsm for RiscleAsm {
-    fn here(&self) -> u32 {
-        self.buf.here()
+    fn buf(&self) -> &AsmBuffer {
+        &self.buf
     }
-    fn org(&mut self, addr: u32) {
-        self.buf.org(addr);
+
+    fn buf_mut(&mut self) -> &mut AsmBuffer {
+        &mut self.buf
     }
-    fn align(&mut self, align: u32) {
-        self.buf.align(align);
-    }
-    fn skip(&mut self, n: u32) {
-        self.buf.skip(n);
-    }
-    fn word(&mut self, w: u32) {
-        self.buf.emit_u32(w);
-    }
-    fn bytes(&mut self, data: &[u8]) {
-        self.buf.emit(data);
-    }
-    fn new_label(&mut self) -> Label {
-        self.buf.new_label()
-    }
-    fn bind(&mut self, l: Label) {
-        self.buf.bind(l);
-    }
-    fn label_addr(&self, l: Label) -> Option<u32> {
-        self.buf.label_addr(l)
+
+    fn encode_label_use(use_: LabelUse, at: u32, target: u32, out: &mut Vec<u8>) {
+        let word = match use_ {
+            LabelUse::B => enc::b(at, target),
+            LabelUse::BCond(c) => enc::b_cond(c, at, target),
+            LabelUse::Call => enc::jal(at, target),
+            LabelUse::MovAddr(rd) => {
+                // Always the full li/lih pair, whatever the target.
+                out.extend_from_slice(&enc::li(reg(rd), target as u16).to_le_bytes());
+                enc::lih(reg(rd), (target >> 16) as u16)
+            }
+        };
+        out.extend_from_slice(&word.to_le_bytes());
     }
 
     fn mov_imm(&mut self, rd: PReg, imm: u32) {
@@ -131,15 +108,6 @@ impl PortableAsm for RiscleAsm {
             self.emit32(enc::li(rd, imm as u16));
             self.emit32(enc::lih(rd, (imm >> 16) as u16));
         }
-    }
-
-    fn mov_label(&mut self, rd: PReg, l: Label) {
-        // Fixed-size li+lih pair so the fixup never changes layout.
-        let at = self.here();
-        let rd = reg(rd);
-        self.emit32(enc::li(rd, 0));
-        self.emit32(enc::lih(rd, 0));
-        self.fixups.push((at, l, Fix::AbsPair));
     }
 
     fn alu_rr(&mut self, op: AluOp, rd: PReg, rn: PReg, rm: PReg) {
@@ -180,26 +148,8 @@ impl PortableAsm for RiscleAsm {
         self.emit32(enc::ldst(false, enc::Width::Byte, reg(rs), reg(base), off));
     }
 
-    fn b(&mut self, l: Label) {
-        let at = self.here();
-        self.emit32(enc::b(at, at.wrapping_add(4)));
-        self.fixups.push((at, l, Fix::Rel25));
-    }
-
-    fn b_cond(&mut self, c: Cond, l: Label) {
-        let at = self.here();
-        self.emit32(enc::b_cond(c, at, at.wrapping_add(4)));
-        self.fixups.push((at, l, Fix::Rel21));
-    }
-
     fn br_reg(&mut self, r: PReg) {
         self.emit16(enc::c_jr(reg(r)));
-    }
-
-    fn call(&mut self, l: Label) {
-        let at = self.here();
-        self.emit32(enc::jal(at, at.wrapping_add(4)));
-        self.fixups.push((at, l, Fix::Rel25));
     }
 
     fn call_reg(&mut self, r: PReg) {
@@ -242,53 +192,13 @@ impl PortableAsm for RiscleAsm {
     fn smc_nop_word(&self) -> u32 {
         enc::SMC_NOP_WORD
     }
-
-    fn finish(mut self, entry: u32) -> GuestImage {
-        for (at, label, fix) in std::mem::take(&mut self.fixups) {
-            let target = self
-                .buf
-                .label_addr(label)
-                .unwrap_or_else(|| panic!("unbound label {label:?} referenced at {at:#x}"));
-            match fix {
-                Fix::Rel25 => {
-                    let w = self.buf.read_u32_at(at) & 0x7F;
-                    // Re-encode through the range-checked helpers; the
-                    // opcode bits are preserved from the placeholder.
-                    let patched = if (w >> 2) & 0x1F == 0x05 {
-                        crate::encoding::b(at, target)
-                    } else {
-                        crate::encoding::jal(at, target)
-                    };
-                    self.buf.write_u32_at(at, patched);
-                }
-                Fix::Rel21 => {
-                    let w = self.buf.read_u32_at(at);
-                    let delta = target.wrapping_sub(at.wrapping_add(4)) as i32;
-                    assert_eq!(delta & 1, 0, "odd riscle branch target");
-                    let off = delta >> 1;
-                    assert!(
-                        (-(1 << 20)..(1 << 20)).contains(&off),
-                        "riscle b<cond> fixup out of range at {at:#x}"
-                    );
-                    self.buf
-                        .write_u32_at(at, (w & 0x7FF) | (((off as u32) & 0x1F_FFFF) << 11));
-                }
-                Fix::AbsPair => {
-                    let lo = self.buf.read_u32_at(at) & 0xFFFF;
-                    let hi = self.buf.read_u32_at(at + 4) & 0xFFFF;
-                    self.buf.write_u32_at(at, lo | (target << 16));
-                    self.buf.write_u32_at(at + 4, hi | (target & 0xFFFF_0000));
-                }
-            }
-        }
-        self.buf.into_image(entry)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::decode::decode;
+    use simbench_core::image::GuestImage;
     use simbench_core::ir::{Op, Operand};
 
     fn section_bytes(img: &GuestImage, addr: u32) -> &[u8] {

@@ -239,7 +239,7 @@ fn fire_armed(site: &str) -> Result<(), String> {
         Action::Abort => {
             // Simulates a hard crash (power loss / kill -9): no unwind,
             // no destructors, no flush of buffered state.
-            eprintln!("failpoint {site}: aborting process");
+            simbench_obs::log::line(format_args!("failpoint {site}: aborting process"));
             std::process::abort();
         }
     }

@@ -437,13 +437,13 @@ fn run_pool(
             );
             let done = done.fetch_add(1, Ordering::Relaxed) + 1;
             if opts.verbose || simbench_obs::log::enabled(simbench_obs::log::LEVEL_DEBUG) {
-                eprintln!(
+                simbench_obs::log::line(format_args!(
                     "[campaign {done}/{total}] {}/{} {} rep {} (worker {me})",
                     job.key.guest.isa_name(),
                     job.key.engine.id(),
                     job.key.workload.id(),
                     job.rep,
-                );
+                ));
             }
         }
     };

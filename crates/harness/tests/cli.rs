@@ -1290,6 +1290,37 @@ fn a_usage_error_on_a_closed_stderr_still_exits_3() {
 }
 
 #[test]
+fn a_campaign_on_a_closed_stderr_still_runs_and_writes_its_result() {
+    let out = scratch("closed-stderr");
+    let _ = std::fs::remove_file(&out);
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    // `-v` and `--progress` add the per-job and per-cell lines to the
+    // status lines every run logs.
+    let status = Command::new(env!("CARGO_BIN_EXE_simbench-harness"))
+        .args([
+            "-v", "campaign", "run", "--scale", "20000", "--guests", "armlet",
+        ])
+        .args([
+            "--engines",
+            "interp",
+            "--benches",
+            "System Call",
+            "--progress",
+        ])
+        .arg("--out")
+        .arg(&out)
+        .stdout(std::process::Stdio::null())
+        .stderr(writer)
+        .status()
+        .expect("spawn simbench-harness");
+    assert_eq!(status.code(), Some(0), "{status}");
+    let result = CampaignResult::load(&out).expect("the result was written");
+    assert_eq!(result.cells.len(), 1);
+    std::fs::remove_file(&out).unwrap();
+}
+
+#[test]
 fn usage_errors_exit_3_and_name_the_error() {
     for row in USAGE_ERRORS.lines().skip(1) {
         let f: Vec<&str> = row.splitn(3, " | ").collect();

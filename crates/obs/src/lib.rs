@@ -84,7 +84,7 @@ macro_rules! event {
 #[macro_export]
 macro_rules! warn {
     ($($t:tt)*) => {{
-        eprintln!($($t)*);
+        $crate::log::line(format_args!($($t)*));
     }};
 }
 
@@ -93,7 +93,7 @@ macro_rules! warn {
 macro_rules! info {
     ($($t:tt)*) => {{
         if $crate::log::enabled($crate::log::LEVEL_INFO) {
-            eprintln!($($t)*);
+            $crate::log::line(format_args!($($t)*));
         }
     }};
 }
@@ -103,7 +103,7 @@ macro_rules! info {
 macro_rules! debug {
     ($($t:tt)*) => {{
         if $crate::log::enabled($crate::log::LEVEL_DEBUG) {
-            eprintln!($($t)*);
+            $crate::log::line(format_args!($($t)*));
         }
     }};
 }

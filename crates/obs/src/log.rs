@@ -5,8 +5,11 @@
 //! per log site. Status output goes to stderr; stdout stays reserved
 //! for data (tables, reports, JSON), so piping results never captures
 //! chatter. Use via the crate-root macros [`crate::warn!`],
-//! [`crate::info!`] and [`crate::debug!`].
+//! [`crate::info!`] and [`crate::debug!`]; every line they print goes
+//! through [`line`].
 
+use std::fmt;
+use std::io::Write;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Warnings only (`--quiet`).
@@ -32,6 +35,13 @@ pub fn level() -> u8 {
 #[inline]
 pub fn enabled(at: u8) -> bool {
     at <= LEVEL.load(Ordering::Relaxed)
+}
+
+/// Write one line to stderr under its lock, dropping the error: a
+/// stderr that cannot be written (a closed pipe) loses the line, never
+/// the process.
+pub fn line(args: fmt::Arguments<'_>) {
+    let _ = writeln!(std::io::stderr().lock(), "{args}");
 }
 
 #[cfg(test)]

@@ -10,12 +10,14 @@
 //!
 //! Emission sites live in the campaign runner and check the
 //! process-global mode with one relaxed load, so the off path costs a
-//! branch. Records are written with a single `eprintln!` each, which
-//! locks stderr per line — concurrent workers interleave *lines*,
-//! never bytes, keeping the NDJSON stream parseable.
+//! branch. Each record is one [`crate::log::line`], which locks stderr
+//! per line — concurrent workers interleave *lines*, never bytes,
+//! keeping the NDJSON stream parseable — and drops a write error, so a
+//! closed stderr never stops a run.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
+use crate::log::line;
 use crate::trace::escape;
 
 /// How progress records are emitted.
@@ -81,13 +83,13 @@ pub fn cell_start(cell: CellId<'_>) {
     match mode() {
         ProgressMode::Off => {}
         ProgressMode::Human => {
-            eprintln!(
+            line(format_args!(
                 "[cell] start {}/{} {}",
                 cell.guest, cell.engine, cell.workload
-            );
+            ));
         }
         ProgressMode::Ndjson => {
-            eprintln!("{}}}", cell.ndjson_head("cell_start"));
+            line(format_args!("{}}}", cell.ndjson_head("cell_start")));
         }
     }
 }
@@ -98,17 +100,17 @@ pub fn cell_finish(cell: CellId<'_>, status: &str, reps: u32) {
     match mode() {
         ProgressMode::Off => {}
         ProgressMode::Human => {
-            eprintln!(
+            line(format_args!(
                 "[cell] finish {}/{} {} — {status}, {reps} rep(s)",
                 cell.guest, cell.engine, cell.workload
-            );
+            ));
         }
         ProgressMode::Ndjson => {
-            eprintln!(
+            line(format_args!(
                 "{}, \"status\": \"{}\", \"reps\": {reps}}}",
                 cell.ndjson_head("cell_finish"),
                 escape(status),
-            );
+            ));
         }
     }
 }

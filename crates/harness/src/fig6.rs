@@ -6,9 +6,11 @@
 //! control-flow and exception panels degrade monotonically from v2.1,
 //! and the data-fault fast path appears at v2.5.0-rc0.
 //!
-//! The paper's lift of most categories by 2.0.0's TCG optimiser
-//! improvements is not modelled: every profile translates with the same
-//! optimizer, so v2.0.x reads as v1.7.x (see `simbench_dbt::versions`).
+//! Two of the paper's steps are not modelled (see
+//! `simbench_dbt::versions`): the lift of most categories by 2.0.0's TCG
+//! optimiser improvements, since every profile translates with the same
+//! optimizer, so v2.0.x reads as v1.7.x; and the further control-flow
+//! degradation at v2.4, since v2.4.x runs v2.3.x's profile.
 //!
 //! It renders the suite cells of every DBT version profile in the
 //! paper campaign.

@@ -104,7 +104,9 @@ impl App {
     }
 }
 
-/// Number of nodes in the mcf-like pointer cycle (each on its own page).
+/// Number of nodes mcf-like links (each on its own page). The chase
+/// from node 0 visits a 1,024-node cycle of them; the other 1,024 are
+/// written but never read.
 const MCF_NODES: u32 = 2048;
 
 /// Number of dispatch targets in the sjeng/xalanc-like tables.
@@ -201,11 +203,11 @@ fn sjeng_like<S: Support>(
     finish_kernel(a, layout);
 }
 
-/// mcf-like: build a pseudo-random pointer cycle with one node per page
-/// of the cold region, then chase it.
+/// mcf-like: link one node per page of the cold region pseudo-randomly,
+/// then chase the cycle through node 0.
 fn mcf_like<S: Support>(a: &mut S::Asm, _s: &S, layout: &Layout, iterations: u32) {
     let cold = layout.cold;
-    // Setup: node i (at cold + i*PAGE) points to node (i*787 + 0x261) & mask.
+    // Setup: node i (at cold + i*PAGE) points to node ((i + 0x261) * 787) & mask.
     a.mov_imm(PReg::A, 0); // i
     let fill = a.new_label();
     a.bind(fill);

@@ -38,8 +38,8 @@ impl PetixAsm {
         Self::default()
     }
 
-    fn emit(&mut self, bytes: Vec<u8>) {
-        self.buf.emit(&bytes);
+    fn emit(&mut self, bytes: impl AsRef<[u8]>) {
+        self.buf.emit(bytes.as_ref());
     }
 
     /// `rd = rn` (register move).
@@ -114,12 +114,12 @@ impl PortableAsm for PetixAsm {
     }
 
     fn encode_label_use(use_: LabelUse, at: u32, target: u32, out: &mut Vec<u8>) {
-        out.extend_from_slice(&match use_ {
-            LabelUse::B => enc::jmp(at, target),
-            LabelUse::BCond(c) => enc::jcc(c, at, target),
-            LabelUse::Call => enc::call(at, target),
-            LabelUse::MovAddr(rd) => enc::mov_imm32(reg(rd), target),
-        });
+        match use_ {
+            LabelUse::B => out.extend_from_slice(&enc::jmp(at, target)),
+            LabelUse::BCond(c) => out.extend_from_slice(&enc::jcc(c, at, target)),
+            LabelUse::Call => out.extend_from_slice(&enc::call(at, target)),
+            LabelUse::MovAddr(rd) => out.extend_from_slice(&enc::mov_imm32(reg(rd), target)),
+        }
     }
 
     fn mov_imm(&mut self, rd: PReg, imm: u32) {

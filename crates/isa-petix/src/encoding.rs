@@ -117,24 +117,21 @@ fn rel32(pc: u32, len: u32, target: u32) -> [u8; 4] {
 }
 
 /// Unconditional direct jump.
-pub fn jmp(pc: u32, target: u32) -> Vec<u8> {
-    let mut v = vec![0x80];
-    v.extend_from_slice(&rel32(pc, 5, target));
-    v
+pub fn jmp(pc: u32, target: u32) -> [u8; 5] {
+    let [a, b, c, d] = rel32(pc, 5, target);
+    [0x80, a, b, c, d]
 }
 
 /// Conditional jump.
-pub fn jcc(cond: Cond, pc: u32, target: u32) -> Vec<u8> {
-    let mut v = vec![0x81, cond.code()];
-    v.extend_from_slice(&rel32(pc, 6, target));
-    v
+pub fn jcc(cond: Cond, pc: u32, target: u32) -> [u8; 6] {
+    let [a, b, c, d] = rel32(pc, 6, target);
+    [0x81, cond.code(), a, b, c, d]
 }
 
 /// Direct call (pushes the return address).
-pub fn call(pc: u32, target: u32) -> Vec<u8> {
-    let mut v = vec![0x82];
-    v.extend_from_slice(&rel32(pc, 5, target));
-    v
+pub fn call(pc: u32, target: u32) -> [u8; 5] {
+    let [a, b, c, d] = rel32(pc, 5, target);
+    [0x82, a, b, c, d]
 }
 
 /// Indirect jump through a register.
@@ -197,10 +194,9 @@ pub fn mov_to_cr(cr: u8, r: u8) -> Vec<u8> {
 }
 
 /// Load a 32-bit immediate.
-pub fn mov_imm32(rd: u8, imm: u32) -> Vec<u8> {
-    let mut v = vec![0xA0, r2(rd, 0)];
-    v.extend_from_slice(&imm.to_le_bytes());
-    v
+pub fn mov_imm32(rd: u8, imm: u32) -> [u8; 6] {
+    let [a, b, c, d] = imm.to_le_bytes();
+    [0xA0, r2(rd, 0), a, b, c, d]
 }
 
 /// Single-byte forms.

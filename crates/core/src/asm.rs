@@ -81,7 +81,7 @@ pub enum LabelUse {
 /// A guest's encoder of label uses: appends to `out` the bytes of `use`
 /// at address `at` naming `target`
 /// ([`PortableAsm::encode_label_use`]).
-pub type EncodeUse = fn(LabelUse, u32, u32, &mut Vec<u8>);
+pub(crate) type EncodeUse = fn(LabelUse, u32, u32, &mut Vec<u8>);
 
 /// A recorded label use: chunk index, address, label, use and length.
 type Fixup = (usize, u32, Label, LabelUse, usize);
@@ -173,7 +173,7 @@ impl AsmBuffer {
     /// Emit `use` of `l` at the cursor, encoded with the use's own
     /// address as a placeholder target, and record it for
     /// [`AsmBuffer::finish`] to encode again once `l` is bound.
-    pub fn use_label(&mut self, l: Label, use_: LabelUse, encode: EncodeUse) {
+    pub(crate) fn use_label(&mut self, l: Label, use_: LabelUse, encode: EncodeUse) {
         let at = self.here();
         let chunk = self.chunks.len() - 1;
         let out = self.cursor();
@@ -191,7 +191,7 @@ impl AsmBuffer {
     ///
     /// Panics if a used label was never bound, or if a use's encoding
     /// changes length with its target.
-    pub fn finish(mut self, entry: u32, encode: EncodeUse) -> GuestImage {
+    pub(crate) fn finish(mut self, entry: u32, encode: EncodeUse) -> GuestImage {
         let mut insn = Vec::new();
         for &(chunk, at, l, use_, len) in &self.fixups {
             let target = self.labels[l.0]

@@ -44,7 +44,7 @@ use std::path::Path;
 /// | xargs cat | wc -l` prints), exactly: a change that deletes code
 /// lowers it in the same commit (the lint fails on a tree under it too);
 /// one that raises it says why in CHANGES.md.
-pub const LINE_BUDGET: usize = 43_524;
+pub const LINE_BUDGET: usize = 43_267;
 
 /// Directories whose `.rs` files count against [`LINE_BUDGET`].
 const BUDGET_DIRS: &[&str] = &["crates", "src", "tests", "examples"];
@@ -60,7 +60,6 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/tlb.rs",
     "crates/dbt/src/cache.rs",
     "crates/dbt/src/lib.rs",
-    "crates/dbt/src/opt.rs",
     "crates/dbt/src/tlb.rs",
     "crates/dbt/src/versions.rs",
     "crates/detailed/src/cachemodel.rs",

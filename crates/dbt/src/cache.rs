@@ -19,8 +19,8 @@
 //! ([`CodeCache::steps`]); a [`Tb`] holds an `(offset, len)` range into
 //! it. Dispatch is therefore a pure index into one cache-friendly
 //! allocation instead of chasing a per-block `Rc<[TbStep]>`, and
-//! steady-state translation re-uses the slab's capacity rather than
-//! allocating per block. Invalidation tombstones a block (its range
+//! translation appends a block's steps to the slab's end as it decodes
+//! them, re-using the slab's capacity rather than allocating per block. Invalidation tombstones a block (its range
 //! simply goes dark in the slab) until [`CodeCache::flush_all`]
 //! compacts everything back to empty — the same lifecycle as a real
 //! DBT's fixed-size translation cache.
@@ -330,10 +330,29 @@ impl CodeCache {
         })
     }
 
-    /// Insert a freshly translated block, copying its steps into the
-    /// arena. Returns its id and whether the page *gained* its first
-    /// translation (the caller must then flush data TLBs so stale
-    /// unprotected entries disappear).
+    /// Append one instruction's steps to the arena: `ops` in order,
+    /// each resuming at `next_pc`. The block being translated is the
+    /// arena's tail until [`CodeCache::insert`] enters it.
+    #[inline]
+    pub fn push_insn(&mut self, ops: &[Op], next_pc: u32) {
+        if self.steps.capacity() - self.steps.len() < ops.len() {
+            static OBS_ARENA_GROWTHS: simbench_obs::Counter =
+                simbench_obs::Counter::new("dbt.arena_growths");
+            OBS_ARENA_GROWTHS.add(1);
+            simbench_obs::event!("dbt.arena_growth");
+        }
+        self.steps
+            .extend(ops.iter().enumerate().map(|(i, &op)| TbStep {
+                op,
+                next_pc,
+                insn_start: i == 0,
+            }));
+    }
+
+    /// Insert a freshly translated block: the steps from `steps_start`
+    /// to the end of the arena. Returns its id and whether the page
+    /// *gained* its first translation (the caller must then flush data
+    /// TLBs so stale unprotected entries disappear).
     ///
     /// A block that runs past the end of its page — one instruction that
     /// continues on the next — depends on that page's mapping and
@@ -346,18 +365,9 @@ impl CodeCache {
         ppage: u32,
         end_pc: u32,
         taken_target: Option<u32>,
-        steps: &[TbStep],
+        steps_start: usize,
     ) -> (TbId, bool) {
         let id = self.blocks.len() as TbId;
-        let steps_start = self.steps.len() as u32;
-        let cap_before = self.steps.capacity();
-        self.steps.extend_from_slice(steps);
-        if self.steps.capacity() != cap_before {
-            static OBS_ARENA_GROWTHS: simbench_obs::Counter =
-                simbench_obs::Counter::new("dbt.arena_growths");
-            OBS_ARENA_GROWTHS.add(1);
-            simbench_obs::event!("dbt.arena_growth");
-        }
         let cached = page_of(end_pc.wrapping_sub(1)) == page_of(pc);
         let mut first_in_page = false;
         if cached {
@@ -375,8 +385,8 @@ impl CodeCache {
         self.blocks.push(Tb {
             pc,
             ppage,
-            steps_start,
-            steps_len: steps.len() as u32,
+            steps_start: steps_start as u32,
+            steps_len: (self.steps.len() - steps_start) as u32,
             end_pc,
             taken_target,
             dead: !cached,
@@ -485,12 +495,9 @@ mod tests {
     use super::*;
 
     fn insert(c: &mut CodeCache, pc: u32, ppage: u32) -> (TbId, bool) {
-        let steps = [TbStep {
-            op: Op::Nop,
-            next_pc: pc + 4,
-            insn_start: true,
-        }];
-        c.insert(pc, ppage, pc + 4, None, &steps)
+        let start = c.arena_steps();
+        c.push_insn(&[Op::Nop], pc + 4);
+        c.insert(pc, ppage, pc + 4, None, start)
     }
 
     #[test]
@@ -525,6 +532,12 @@ mod tests {
         assert_eq!(c.steps_of(b)[0].next_pc, 0x9004);
         let tb = c.blocks[b as usize];
         assert_eq!((tb.steps_start, tb.steps_len), (1, 1));
+        // An instruction of two ops: only its first step starts it.
+        c.push_insn(&[Op::Nop, Op::Halt], 0xa004);
+        let (d, _) = c.insert(0xa000, 10, 0xa004, None, 2);
+        let starts: Vec<_> = c.steps_of(d).iter().map(|s| s.insn_start).collect();
+        assert_eq!(starts, [true, false]);
+        assert!(c.steps_of(d).iter().all(|s| s.next_pc == 0xa004));
     }
 
     #[test]
@@ -599,17 +612,18 @@ mod tests {
     #[test]
     fn a_block_that_runs_past_its_page_is_never_cached() {
         let mut c = CodeCache::new();
-        let steps = [TbStep {
-            op: Op::Nop,
-            next_pc: 0x9002,
-            insn_start: true,
-        }];
-        let (id, first) = c.insert(0x8ffe, 8, 0x9002, None, &steps);
+        c.push_insn(&[Op::Nop], 0x9002);
+        let (id, first) = c.insert(0x8ffe, 8, 0x9002, None, 0);
         assert!(!first && !c.page_has_code(8) && !c.page_has_code(9));
         assert_eq!(c.lookup(0x8ffe, 8), None);
         assert_eq!(c.follow(c.link(id), 0x8ffe), None);
         assert!(!c.holds_code_at(0x8ffe, 2) && !c.holds_code_at(0x9000, 2));
-        assert_eq!(c.steps_of(id), steps, "but its id runs once");
+        let step = TbStep {
+            op: Op::Nop,
+            next_pc: 0x9002,
+            insn_start: true,
+        };
+        assert_eq!(c.steps_of(id), [step], "but its id runs once");
         // One that ends with the page is a block like any other.
         let (id, first) = insert(&mut c, 0x8ffc, 8);
         assert!(first);

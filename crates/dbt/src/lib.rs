@@ -4,8 +4,9 @@
 //! the paper's evaluation. Mechanisms implemented (and self-described for
 //! the Fig 4 reproduction):
 //!
-//! * block-based code generation over the shared micro-op IR with a
-//!   block-local constant folding at translation time ([`opt`]),
+//! * block-based code generation over the shared micro-op IR: each
+//!   instruction's micro-ops go into the code cache's step arena as
+//!   decoded, with no IR optimiser in between,
 //! * a translation-block cache found by (virtual PC, physical page)
 //!   through per-page slot tables, with full-flush-on-overflow
 //!   ([`cache`]),
@@ -35,13 +36,12 @@
 //! Translation reads instruction bytes with the fixed-size in-page read
 //! every engine's fetch shares ([`simbench_core::run::in_page_window`]).
 //!
-//! The TLB, the code cache and the translation buffer are the same
-//! types for every guest and are emptied with their capacity kept, so
-//! they outlive the engine: dropping one leaves them in `SPARES` and
-//! [`Dbt::with_profile`] takes them from there before allocating.
+//! The TLB and the code cache are the same types for every guest and
+//! are emptied with their capacity kept, so they outlive the engine:
+//! dropping one leaves them in `SPARES` and [`Dbt::with_profile`] takes
+//! them from there before allocating.
 
 pub mod cache;
-pub mod opt;
 pub mod tlb;
 pub mod versions;
 
@@ -56,14 +56,14 @@ use simbench_core::engine::{Engine, EngineInfo, ExitReason, PhaseTracker, RunLim
 use simbench_core::events::Counters;
 use simbench_core::exec::{step_op, BranchFlavor, OpOutcome, Trap};
 use simbench_core::fault::{AccessKind, MemFault};
-use simbench_core::ir::{MemSize, Op};
+use simbench_core::ir::{Decoded, MemSize, Op};
 use simbench_core::isa::{undecodable, Isa};
 use simbench_core::machine::Machine;
 use simbench_core::pool::Pool;
 use simbench_core::run::{count_branch, in_page_window, Event, ExecCore, Policy, PolicyObs, Tlb};
 use simbench_core::{page_of, PAGE_SHIFT, PAGE_SIZE};
 
-use cache::{CodeCache, TbId, TbStep};
+use cache::{CodeCache, TbId};
 use tlb::DbtTlb;
 
 /// Maximum guest instructions per translation block.
@@ -75,7 +75,7 @@ const TLB_BITS: u8 = 10;
 
 /// What dropped engines leave for the next one, in whatever state their
 /// last run ended: [`Dbt::with_profile`] makes them as new.
-static SPARES: Pool<(DbtTlb, CodeCache, Vec<TbStep>)> = Pool::new();
+static SPARES: Pool<(DbtTlb, CodeCache)> = Pool::new();
 
 /// The DBT engine.
 #[derive(Debug)]
@@ -83,10 +83,6 @@ pub struct Dbt<I: Isa> {
     profile: VersionProfile,
     tlb: DbtTlb,
     code: CodeCache,
-    /// Reusable translation buffer: blocks are decoded and optimized
-    /// here, then copied into the code cache's step arena. Steady-state
-    /// translation therefore allocates nothing.
-    scratch: Vec<TbStep>,
     _isa: PhantomData<I>,
 }
 
@@ -104,19 +100,18 @@ impl<I: Isa> Dbt<I> {
 
     /// An engine configured as a specific version.
     pub fn with_profile(profile: VersionProfile) -> Self {
-        let (tlb, code, scratch) = match SPARES.take(|_| true) {
-            Some((mut tlb, mut code, scratch)) => {
+        let (tlb, code) = match SPARES.take(|_| true) {
+            Some((mut tlb, mut code)) => {
                 tlb.flush();
                 code.rearm();
-                (tlb, code, scratch)
+                (tlb, code)
             }
-            None => (DbtTlb::new(TLB_BITS), CodeCache::new(), Vec::new()),
+            None => (DbtTlb::new(TLB_BITS), CodeCache::new()),
         };
         Dbt {
             profile,
             tlb,
             code,
-            scratch,
             _isa: PhantomData,
         }
     }
@@ -246,25 +241,33 @@ impl<I: Isa> Dbt<I> {
         self.with_core(m, counters, |core| core.deliver(event, return_pc));
     }
 
-    /// Translate a new block starting at `pc`.
-    fn translate_block<B: Bus>(
+    /// Walk the block at `pc`, whose first byte translates to `first_pa`:
+    /// fetch and decode each instruction in turn and hand it to `visit`
+    /// with the code cache and the address after it. Returns where the
+    /// block ends and the static target of the direct branch that ends
+    /// it, if one does.
+    ///
+    /// The block ends after an instruction that may transfer control,
+    /// at the end of its page, before an instruction that continues on
+    /// the next page (one that starts the block is a block of its own),
+    /// before an instruction whose fetch faults, or after
+    /// [`MAX_BLOCK_INSNS`]. A fault on the first instruction is the
+    /// walk's error, and nothing was visited.
+    #[inline(always)]
+    fn walk_block<B: Bus>(
         &mut self,
         m: &mut Machine<I, B>,
         counters: &mut Counters,
         pc: u32,
-    ) -> Result<TbId, MemFault> {
-        let _obs = simbench_obs::span!("dbt.translate");
-        let first_pa = self.translate_exec(m, counters, pc)?;
-        let ppage = page_of(first_pa);
-        self.scratch.clear();
+        first_pa: u32,
+        mut visit: impl FnMut(&mut CodeCache, &Decoded, u32),
+    ) -> Result<(u32, Option<u32>), MemFault> {
         let mut cur = pc;
-        let mut taken_target = None;
         let mut buf = [0u8; 8];
-
         for _ in 0..MAX_BLOCK_INSNS {
             let have = match self.fetch_in_block(m, counters, pc, first_pa, cur, &mut buf) {
                 Ok(n) => n,
-                Err(f) if self.scratch.is_empty() => return Err(f),
+                Err(f) if cur == pc => return Err(f),
                 Err(_) => break,
             };
             // Undecodable bytes translate to an explicit UDF trap of
@@ -278,40 +281,51 @@ impl<I: Isa> Dbt<I> {
                 break;
             }
             cur = next;
-            for (i, op) in decoded.ops.iter().enumerate() {
-                self.scratch.push(TbStep {
-                    op: *op,
-                    next_pc: next,
-                    insn_start: i == 0,
-                });
-            }
+            visit(&mut self.code, decoded, next);
             if decoded.ends_block() {
-                taken_target = match decoded.ops.last() {
+                let target = match decoded.ops.last() {
                     Some(Op::Branch { target }) => Some(*target),
                     Some(Op::BranchCond { target, .. }) => Some(*target),
                     Some(Op::Call { target, .. }) => Some(*target),
                     _ => None,
                 };
-                break;
+                return Ok((cur, target));
             }
             // Blocks never span pages: stop before leaving the first one.
             if page_of(cur) != page_of(pc) {
                 break;
             }
         }
+        Ok((cur, None))
+    }
 
-        opt::constant_fold(&mut self.scratch);
+    /// Translate a new block starting at `pc`, appending its steps to
+    /// the code cache's step arena.
+    fn translate_block<B: Bus>(
+        &mut self,
+        m: &mut Machine<I, B>,
+        counters: &mut Counters,
+        pc: u32,
+    ) -> Result<TbId, MemFault> {
+        let _obs = simbench_obs::span!("dbt.translate");
+        let first_pa = self.translate_exec(m, counters, pc)?;
+        let steps_start = self.code.arena_steps();
+        let (end_pc, taken_target) =
+            self.walk_block(m, counters, pc, first_pa, |code, d, next| {
+                code.push_insn(&d.ops, next);
+            })?;
+
         counters.blocks_translated += 1;
         static OBS_TRANSLATIONS: simbench_obs::Counter =
             simbench_obs::Counter::new("dbt.translations");
         static OBS_BLOCK_STEPS: simbench_obs::Histogram =
             simbench_obs::Histogram::new("dbt.block_steps");
         OBS_TRANSLATIONS.add(1);
-        OBS_BLOCK_STEPS.observe(self.scratch.len() as u64);
+        OBS_BLOCK_STEPS.observe((self.code.arena_steps() - steps_start) as u64);
 
-        let (id, first_in_page) = self
-            .code
-            .insert(pc, ppage, cur, taken_target, &self.scratch);
+        let (id, first_in_page) =
+            self.code
+                .insert(pc, page_of(first_pa), end_pc, taken_target, steps_start);
         if first_in_page {
             // Stale TLB entries for this page lack the write-protect
             // flag; drop them all so future fills pick it up.
@@ -373,24 +387,8 @@ impl<I: Isa> Dbt<I> {
         counters: &mut Counters,
         block_pc: u32,
     ) {
-        let Ok(first_pa) = self.translate_exec(m, counters, block_pc) else {
-            return;
-        };
-        let mut buf = [0u8; 8];
-        let mut cur = block_pc;
-        for _ in 0..MAX_BLOCK_INSNS {
-            let Ok(have) = self.fetch_in_block(m, counters, block_pc, first_pa, cur, &mut buf)
-            else {
-                return;
-            };
-            let res = I::decode(&buf[..have], cur);
-            let Ok(d) = &res else {
-                return;
-            };
-            cur = cur.wrapping_add(d.len as u32);
-            if d.ends_block() || page_of(cur) != page_of(block_pc) {
-                return;
-            }
+        if let Ok(first_pa) = self.translate_exec(m, counters, block_pc) {
+            let _ = self.walk_block(m, counters, block_pc, first_pa, |_, _, _| {});
         }
     }
 
@@ -476,11 +474,7 @@ impl<I: Isa> Dbt<I> {
 impl<I: Isa> Drop for Dbt<I> {
     fn drop(&mut self) {
         if !std::thread::panicking() {
-            SPARES.give((
-                mem::take(&mut self.tlb),
-                mem::take(&mut self.code),
-                mem::take(&mut self.scratch),
-            ));
+            SPARES.give((mem::take(&mut self.tlb), mem::take(&mut self.code)));
         }
     }
 }
@@ -914,14 +908,13 @@ mod tests {
     }
 
     #[test]
-    fn constant_folding_rewrites_ops_without_removing_them() {
+    fn a_constant_chain_matches_interp() {
         let mut a = ArmletAsm::new();
         a.org(0x8000);
-        // A constant chain the optimizer can fold.
         a.mov_imm(PReg::A, 10);
         a.alu_ri(AluOp::Add, PReg::B, PReg::A, 5);
         a.alu_ri(AluOp::Lsl, PReg::C, PReg::B, 2);
-        a.mov_imm(PReg::D, 0xDEAD_BEEF); // movw+movt: foldable movt
+        a.mov_imm(PReg::D, 0xDEAD_BEEF); // movw+movt
         a.halt();
         let img = a.finish(0x8000);
         let mut reference = Machine::<Armlet, _>::boot(&img, FlatRam::new(1 << 20));
@@ -932,6 +925,48 @@ mod tests {
         assert_eq!(out.exit, ExitReason::Halted);
         assert_eq!((m.cpu.regs[2], m.cpu.regs[3]), (60, 0xDEAD_BEEF));
         assert_eq!(out.counters.uops, expected.counters.uops);
+    }
+
+    /// Four instructions at 0x8000 and RAM that ends right after them:
+    /// fetching at `RAM_END` is a bus-error prefetch abort.
+    const RAM_END: u32 = 0x8010;
+
+    fn ram_end_machine() -> Machine<Armlet, FlatRam> {
+        let mut a = ArmletAsm::new();
+        a.org(0x8000);
+        a.mov_imm(PReg::A, 0xDEAD_BEEF); // movw, then movt: two ops
+        a.mov_imm(PReg::B, 1);
+        a.alu_ri(AluOp::Add, PReg::A, PReg::A, 1);
+        Machine::<Armlet, _>::boot(&a.finish(0x8000), FlatRam::new(RAM_END as usize))
+    }
+
+    #[test]
+    fn a_translation_whose_first_fetch_faults_leaves_the_cache_as_it_was() {
+        let mut m = ram_end_machine();
+        let mut e = Dbt::<Armlet>::new();
+        let mut counters = Counters::default();
+        e.translate_block(&mut m, &mut counters, 0x8000).unwrap();
+        let before = (e.code.arena_steps(), e.code.blocks.len());
+        let fault = e
+            .translate_block(&mut m, &mut counters, RAM_END)
+            .unwrap_err();
+        assert_eq!(fault.kind, simbench_core::fault::FaultKind::BusError);
+        assert_eq!((e.code.arena_steps(), e.code.blocks.len()), before);
+        assert_eq!(counters.blocks_translated, 1);
+    }
+
+    #[test]
+    fn a_block_cut_short_by_a_fetch_fault_holds_whole_instructions() {
+        let mut m = ram_end_machine();
+        let mut e = Dbt::<Armlet>::new();
+        let id = e
+            .translate_block(&mut m, &mut Counters::default(), 0x8000)
+            .unwrap();
+        assert_eq!(e.code.blocks[id as usize].end_pc, RAM_END);
+        let starts: Vec<_> = e.code.steps_of(id).iter().map(|s| s.insn_start).collect();
+        assert_eq!(starts, [true, true, false, true, true]);
+        let resume: Vec<_> = e.code.steps_of(id).iter().map(|s| s.next_pc).collect();
+        assert_eq!(resume, [0x8004, 0x8008, 0x8008, 0x800c, RAM_END]);
     }
 
     #[test]

@@ -20,8 +20,9 @@
 //! moved a counter anywhere in the paper matrix:
 //!
 //! * 2.0.0's "improvements to the TCG optimiser" lifting most
-//!   categories — every release runs the same block-local constant
-//!   folding ([`crate::opt`]);
+//!   categories — no release optimises: the dbt has no IR optimiser,
+//!   and every release translates each instruction's micro-ops as
+//!   decoded;
 //! * 2.2.x's better indirect-branch handling giving the sjeng-like
 //!   workload its Fig 2 peak at 2.2.1 — every release has the same
 //!   256-entry indirect-branch target cache, and sjeng-like dispatches

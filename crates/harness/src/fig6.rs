@@ -8,8 +8,8 @@
 //!
 //! Two of the paper's steps are not modelled (see
 //! `simbench_dbt::versions`): the lift of most categories by 2.0.0's TCG
-//! optimiser improvements, since every profile translates with the same
-//! optimizer, so v2.0.x reads as v1.7.x; and the further control-flow
+//! optimiser improvements, since the dbt has no IR optimiser, so v2.0.x
+//! reads as v1.7.x; and the further control-flow
 //! degradation at v2.4, since v2.4.x runs v2.3.x's profile.
 //!
 //! It renders the suite cells of every DBT version profile in the

@@ -1,8 +1,8 @@
 //! Allocation audit of the engine hot loops.
 //!
 //! A test-only counting `#[global_allocator]` wrapper proves the
-//! PR-level claim behind `OpList`, the DBT step arena, slot tables and
-//! page lists, the reusable translation scratch buffer and the
+//! PR-level claim behind `OpList`, the DBT step arena (which translation
+//! appends to directly), slot tables and page lists, and the
 //! decoded-page front end: once an engine is warm, executing guest code
 //! touches the allocator **zero** times — decode, dispatch, execute,
 //! invalidation and code-cache overflow run entirely on inline storage
@@ -239,8 +239,8 @@ fn warm_hot_loops_allocate_nothing() {
     assert_eq!(out.exit, ExitReason::Halted);
     assert_eq!(steady, 0, "interp steady state allocated {steady} times");
 
-    // DBT: the first run grows the step arena, block table, page slot
-    // tables and the translation scratch buffer (warm-up may allocate).
+    // DBT: the first run grows the step arena, block table and page slot
+    // tables (warm-up may allocate).
     // Every later run retranslates the same program into that retained
     // capacity, so the steady state is allocation-free — including the
     // full re-translation after the run-start reset.

@@ -58,22 +58,20 @@ fn r2(a: u8, b: u8) -> u8 {
 }
 
 /// ALU register form: `rd = rd <op> rm`.
-pub fn alu_rr(op: AluOp, rd: u8, rm: u8) -> Vec<u8> {
-    vec![0x10 + op.code(), r2(rd, rm)]
+pub fn alu_rr(op: AluOp, rd: u8, rm: u8) -> [u8; 2] {
+    [0x10 + op.code(), r2(rd, rm)]
 }
 
 /// ALU 32-bit-immediate form: `rd = rd <op> imm`.
-pub fn alu_ri32(op: AluOp, rd: u8, imm: u32) -> Vec<u8> {
-    let mut v = vec![0x30 + op.code(), r2(rd, 0)];
-    v.extend_from_slice(&imm.to_le_bytes());
-    v
+pub fn alu_ri32(op: AluOp, rd: u8, imm: u32) -> [u8; 6] {
+    let [a, b, c, d] = imm.to_le_bytes();
+    [0x30 + op.code(), r2(rd, 0), a, b, c, d]
 }
 
 /// ALU 16-bit-immediate form: `rd = rd <op> imm16` (zero-extended).
-pub fn alu_ri16(op: AluOp, rd: u8, imm: u16) -> Vec<u8> {
-    let mut v = vec![0x50 + op.code(), r2(rd, 0)];
-    v.extend_from_slice(&imm.to_le_bytes());
-    v
+pub fn alu_ri16(op: AluOp, rd: u8, imm: u16) -> [u8; 4] {
+    let [a, b] = imm.to_le_bytes();
+    [0x50 + op.code(), r2(rd, 0), a, b]
 }
 
 /// Memory access width selector for [`ldst`].
@@ -92,7 +90,7 @@ pub enum Width {
 /// # Panics
 ///
 /// Panics if `disp` exceeds ±32767.
-pub fn ldst(load: bool, width: Width, r: u8, base: u8, disp: i32) -> Vec<u8> {
+pub fn ldst(load: bool, width: Width, r: u8, base: u8, disp: i32) -> [u8; 4] {
     assert!(
         (-32768..=32767).contains(&disp),
         "petix displacement {disp} exceeds 16 bits"
@@ -105,9 +103,8 @@ pub fn ldst(load: bool, width: Width, r: u8, base: u8, disp: i32) -> Vec<u8> {
         (Width::Half, true) => 0x74,
         (Width::Half, false) => 0x75,
     };
-    let mut v = vec![op, r2(r, base)];
-    v.extend_from_slice(&(disp as i16).to_le_bytes());
-    v
+    let [a, b] = (disp as i16).to_le_bytes();
+    [op, r2(r, base), a, b]
 }
 
 /// Relative displacement from the end of an instruction of `len` bytes at
@@ -135,62 +132,60 @@ pub fn call(pc: u32, target: u32) -> [u8; 5] {
 }
 
 /// Indirect jump through a register.
-pub fn jmp_reg(rm: u8) -> Vec<u8> {
-    vec![0x83, rm & 0x7]
+pub fn jmp_reg(rm: u8) -> [u8; 2] {
+    [0x83, rm & 0x7]
 }
 
 /// Indirect call through a register.
-pub fn call_reg(rm: u8) -> Vec<u8> {
-    vec![0x84, rm & 0x7]
+pub fn call_reg(rm: u8) -> [u8; 2] {
+    [0x84, rm & 0x7]
 }
 
 /// Push a register.
-pub fn push(r: u8) -> Vec<u8> {
-    vec![0x85, r & 0x7]
+pub fn push(r: u8) -> [u8; 2] {
+    [0x85, r & 0x7]
 }
 
 /// Pop into a register.
-pub fn pop(r: u8) -> Vec<u8> {
-    vec![0x86, r & 0x7]
+pub fn pop(r: u8) -> [u8; 2] {
+    [0x86, r & 0x7]
 }
 
 /// Software interrupt (system call).
-pub fn int(n: u8) -> Vec<u8> {
-    vec![0x87, n]
+pub fn int(n: u8) -> [u8; 2] {
+    [0x87, n]
 }
 
 /// Compare registers.
-pub fn cmp_rr(rn: u8, rm: u8) -> Vec<u8> {
-    vec![0x88, r2(rn, rm)]
+pub fn cmp_rr(rn: u8, rm: u8) -> [u8; 2] {
+    [0x88, r2(rn, rm)]
 }
 
 /// Compare with a 32-bit immediate.
-pub fn cmp_ri(rn: u8, imm: u32) -> Vec<u8> {
-    let mut v = vec![0x89, r2(rn, 0)];
-    v.extend_from_slice(&imm.to_le_bytes());
-    v
+pub fn cmp_ri(rn: u8, imm: u32) -> [u8; 6] {
+    let [a, b, c, d] = imm.to_le_bytes();
+    [0x89, r2(rn, 0), a, b, c, d]
 }
 
 /// Bit-test registers.
-pub fn tst_rr(rn: u8, rm: u8) -> Vec<u8> {
-    vec![0x8A, r2(rn, rm)]
+pub fn tst_rr(rn: u8, rm: u8) -> [u8; 2] {
+    [0x8A, r2(rn, rm)]
 }
 
 /// Bit-test with a 32-bit immediate.
-pub fn tst_ri(rn: u8, imm: u32) -> Vec<u8> {
-    let mut v = vec![0x8B, r2(rn, 0)];
-    v.extend_from_slice(&imm.to_le_bytes());
-    v
+pub fn tst_ri(rn: u8, imm: u32) -> [u8; 6] {
+    let [a, b, c, d] = imm.to_le_bytes();
+    [0x8B, r2(rn, 0), a, b, c, d]
 }
 
 /// Read a control register: `r = cr`.
-pub fn mov_from_cr(r: u8, cr: u8) -> Vec<u8> {
-    vec![0x90, r << 4 | (cr & 0xF)]
+pub fn mov_from_cr(r: u8, cr: u8) -> [u8; 2] {
+    [0x90, r << 4 | (cr & 0xF)]
 }
 
 /// Write a control register: `cr = r`.
-pub fn mov_to_cr(cr: u8, r: u8) -> Vec<u8> {
-    vec![0x91, r << 4 | (cr & 0xF)]
+pub fn mov_to_cr(cr: u8, r: u8) -> [u8; 2] {
+    [0x91, r << 4 | (cr & 0xF)]
 }
 
 /// Load a 32-bit immediate.
@@ -200,24 +195,24 @@ pub fn mov_imm32(rd: u8, imm: u32) -> [u8; 6] {
 }
 
 /// Single-byte forms.
-pub fn nop() -> Vec<u8> {
-    vec![0x00]
+pub fn nop() -> [u8; 1] {
+    [0x00]
 }
 /// `halt`.
-pub fn halt() -> Vec<u8> {
-    vec![0x01]
+pub fn halt() -> [u8; 1] {
+    [0x01]
 }
 /// `ret`.
-pub fn ret() -> Vec<u8> {
-    vec![0x02]
+pub fn ret() -> [u8; 1] {
+    [0x02]
 }
 /// `iret`.
-pub fn iret() -> Vec<u8> {
-    vec![0x03]
+pub fn iret() -> [u8; 1] {
+    [0x03]
 }
 /// `ud2`.
-pub fn ud2() -> Vec<u8> {
-    UD2.to_vec()
+pub fn ud2() -> [u8; 2] {
+    UD2
 }
 
 #[cfg(test)]
@@ -239,7 +234,7 @@ mod tests {
     #[test]
     fn smc_word_matches_alu_ri16_mov_r5() {
         let bytes = alu_ri16(AluOp::Mov, 5, 0);
-        let word = u32::from_le_bytes(bytes.try_into().unwrap());
+        let word = u32::from_le_bytes(bytes);
         assert_eq!(word, SMC_NOP_WORD);
     }
 

@@ -267,7 +267,17 @@ mod tests {
 
     #[test]
     fn mov_imm_picks_shortest_form() {
-        for (imm, len) in [(0u32, 2), (31, 2), (32, 4), (0xFFFF, 4), (0x1_0000, 8)] {
+        // c.li sign-extends: -1 fits it, -33 takes the li + lih pair.
+        let table = [
+            (0u32, 2),
+            (31, 2),
+            (32, 4),
+            (0xFFFF, 4),
+            (0x1_0000, 8),
+            (0xFFFF_FFFF, 2),
+            (0xFFFF_FFDF, 8),
+        ];
+        for (imm, len) in table {
             let mut a = RiscleAsm::new();
             a.org(0x100);
             a.mov_imm(PReg::A, imm);
@@ -309,25 +319,5 @@ mod tests {
             let d = decode(&bytes[pc..], pc as u32).unwrap();
             pc += d.len as usize;
         }
-    }
-
-    #[test]
-    fn negative_mov_imm_uses_wide_pair() {
-        // 0xFFFF_FFFF is c.li -1 territory? No: mov_imm treats imm as
-        // unsigned, and c.li sign-extends — only values whose sign
-        // extension reproduces them may use it.
-        let mut a = RiscleAsm::new();
-        a.org(0);
-        a.mov_imm(PReg::A, 0xFFFF_FFFF);
-        let img = a.finish(0);
-        assert_eq!(img.sections[0].bytes.len(), 2, "-1 round-trips via c.li");
-        let d = decode(&img.sections[0].bytes, 0).unwrap();
-        assert!(matches!(
-            d.ops[0],
-            Op::Alu {
-                src: Operand::Imm(0xFFFF_FFFF),
-                ..
-            }
-        ));
     }
 }

@@ -49,9 +49,9 @@ static OBS_SUBJECTS: Counter = Counter::new("analyzer.subjects");
 static OBS_VIOLATIONS: Counter = Counter::new("analyzer.violations");
 static OBS_CHECK_MISMATCHES: Counter = Counter::new("analyzer.check_mismatches");
 
-/// Exception-vector roots added to every recovery: both ISAs reset
-/// their vector base to 0 and lay the five vectors out at stride 0x20
-/// (undef, syscall, data abort, prefetch abort, irq).
+/// Exception-vector roots added to every recovery: armlet, petix and
+/// riscle reset their vector base to 0 and lay the five vectors out at
+/// stride 0x20 (undef, syscall, data abort, prefetch abort, irq).
 pub const VECTOR_ROOTS: [u32; 5] = [0x00, 0x20, 0x40, 0x60, 0x80];
 
 /// Analysis options.

@@ -116,7 +116,7 @@ pub struct CampaignSpec {
 
 impl CampaignSpec {
     /// The paper's Fig 7 matrix: all suite benchmarks × the five engine
-    /// columns × both guests.
+    /// columns × the three guests.
     pub fn full_matrix(scale: u64) -> Self {
         CampaignSpec {
             name: "full-matrix".to_string(),

@@ -103,7 +103,8 @@ impl ExceptionKind {
         ExceptionKind::Irq,
     ];
 
-    /// Index of this exception in the vector table used by both ISAs.
+    /// Index of this exception in the vector table of armlet, petix and
+    /// riscle.
     pub fn vector_index(self) -> usize {
         match self {
             ExceptionKind::Undef => 0,

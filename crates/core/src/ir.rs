@@ -67,7 +67,8 @@ impl AluOp {
         AluOp::Ror,
     ];
 
-    /// Stable numeric encoding used by both ISA instruction formats.
+    /// Stable numeric encoding used by the armlet, petix and riscle
+    /// instruction formats.
     pub fn code(self) -> u8 {
         AluOp::ALL.iter().position(|&o| o == self).unwrap() as u8
     }
@@ -133,7 +134,7 @@ impl Cond {
         Cond::Al,
     ];
 
-    /// Stable numeric encoding shared by both ISAs.
+    /// Stable numeric encoding shared by armlet, petix and riscle.
     pub fn code(self) -> u8 {
         Cond::ALL.iter().position(|&c| c == self).unwrap() as u8
     }

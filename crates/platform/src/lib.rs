@@ -54,7 +54,7 @@ pub const SAFEDEV_BASE: u32 = 0xF000_3000;
 /// Benchmark control device base.
 pub const CTL_BASE: u32 = 0xF000_4000;
 /// Default RAM size: 96 MiB, enough for the suite's 16 MiB cold region,
-/// page tables for both ISAs, and application heaps.
+/// page tables for armlet, petix and riscle, and application heaps.
 pub const DEFAULT_RAM: u32 = 96 << 20;
 
 /// The platform: RAM plus devices, implementing [`Bus`].

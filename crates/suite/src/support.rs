@@ -92,8 +92,8 @@ impl Default for Layout {
 /// The three handler shapes the suite needs (paper §II-B3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HandlerKind {
-    /// Return to the banked resume address (which both ISAs set to the
-    /// *next* instruction for synchronous exceptions).
+    /// Return to the banked resume address (which armlet, petix and
+    /// riscle set to the *next* instruction for synchronous exceptions).
     #[default]
     Eret,
     /// Recover the caller's return address — from the link register on

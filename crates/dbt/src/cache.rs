@@ -20,10 +20,11 @@
 //! it. Dispatch is therefore a pure index into one cache-friendly
 //! allocation instead of chasing a per-block `Rc<[TbStep]>`, and
 //! translation appends a block's steps to the slab's end as it decodes
-//! them, re-using the slab's capacity rather than allocating per block. Invalidation tombstones a block (its range
-//! simply goes dark in the slab) until [`CodeCache::flush_all`]
-//! compacts everything back to empty — the same lifecycle as a real
-//! DBT's fixed-size translation cache.
+//! them, re-using the slab's capacity rather than allocating per block.
+//! Invalidation tombstones a block (its range simply goes dark in the
+//! slab) until [`CodeCache::flush_all`] compacts everything back to
+//! empty — the same lifecycle as a real DBT's fixed-size translation
+//! cache.
 //!
 //! **Slots are hints.** Each physical code page owns a table with one
 //! slot per byte offset (the decoded-page front end's layout, one level
@@ -334,7 +335,7 @@ impl CodeCache {
     /// each resuming at `next_pc`. The block being translated is the
     /// arena's tail until [`CodeCache::insert`] enters it.
     #[inline]
-    pub fn push_insn(&mut self, ops: &[Op], next_pc: u32) {
+    pub(crate) fn push_insn(&mut self, ops: &[Op], next_pc: u32) {
         if self.steps.capacity() - self.steps.len() < ops.len() {
             static OBS_ARENA_GROWTHS: simbench_obs::Counter =
                 simbench_obs::Counter::new("dbt.arena_growths");
@@ -359,7 +360,7 @@ impl CodeCache {
     /// contents, which nothing here tracks. It is born dead: in no page
     /// list and no slot, refused by [`CodeCache::follow`], good for the
     /// one dispatch of the id returned here.
-    pub fn insert(
+    pub(crate) fn insert(
         &mut self,
         pc: u32,
         ppage: u32,

@@ -969,6 +969,122 @@ mod tests {
         assert_eq!(resume, [0x8004, 0x8008, 0x8008, 0x800c, RAM_END]);
     }
 
+    /// Boot `asm` and translate the block at `pc` on a new engine.
+    fn translate_at(asm: ArmletAsm, pc: u32) -> (Machine<Armlet, FlatRam>, Dbt<Armlet>, TbId) {
+        let mut m = Machine::<Armlet, _>::boot(&asm.finish(pc), FlatRam::new(1 << 20));
+        let mut e = Dbt::<Armlet>::new();
+        let id = e
+            .translate_block(&mut m, &mut Counters::default(), pc)
+            .unwrap();
+        (m, e, id)
+    }
+
+    #[test]
+    fn a_block_ends_after_max_block_insns() {
+        let mut a = ArmletAsm::new();
+        a.org(0x8000);
+        for _ in 0..MAX_BLOCK_INSNS + 10 {
+            a.nop();
+        }
+        a.halt();
+        let (_, e, id) = translate_at(a, 0x8000);
+        let tb = e.code.blocks[id as usize];
+        assert_eq!(tb.end_pc, 0x8000 + 4 * MAX_BLOCK_INSNS as u32);
+        assert_eq!(tb.taken_target, None);
+        assert_eq!(e.code.steps_of(id).len(), MAX_BLOCK_INSNS);
+    }
+
+    #[test]
+    fn a_block_ends_at_the_end_of_its_page() {
+        let mut a = ArmletAsm::new();
+        a.org(0x8ff8);
+        for _ in 0..4 {
+            a.nop();
+        }
+        a.halt();
+        let (_, e, id) = translate_at(a, 0x8ff8);
+        let tb = e.code.blocks[id as usize];
+        assert_eq!(tb.end_pc, 0x9000);
+        assert!(!tb.dead, "a block that stops at its page end is cached");
+        let resume: Vec<_> = e.code.steps_of(id).iter().map(|s| s.next_pc).collect();
+        assert_eq!(resume, [0x8ffc, 0x9000]);
+    }
+
+    #[test]
+    fn a_direct_branch_ends_the_block_and_names_its_target() {
+        let mut a = ArmletAsm::new();
+        a.org(0x8000);
+        let target = a.new_label();
+        a.nop();
+        a.b(target);
+        a.nop();
+        a.org(0x8100);
+        a.bind(target);
+        a.br_reg(PReg::A);
+        a.nop();
+        a.halt();
+        let (mut m, mut e, direct) = translate_at(a, 0x8000);
+        let tb = e.code.blocks[direct as usize];
+        assert_eq!((tb.end_pc, tb.taken_target), (0x8008, Some(0x8100)));
+        // An indirect branch ends its block too, with no static target.
+        let indirect = e
+            .translate_block(&mut m, &mut Counters::default(), 0x8100)
+            .unwrap();
+        let tb = e.code.blocks[indirect as usize];
+        assert_eq!((tb.end_pc, tb.taken_target), (0x8104, None));
+    }
+
+    #[test]
+    fn back_to_back_translations_tile_the_arena() {
+        let mut a = ArmletAsm::new();
+        a.org(0x8000);
+        let (second, third) = (a.new_label(), a.new_label());
+        a.mov_imm(PReg::A, 0xDEAD_BEEF);
+        a.b(second);
+        a.bind(second);
+        a.nop();
+        a.b(third);
+        a.bind(third);
+        a.halt();
+        let (mut m, mut e, first) = translate_at(a, 0x8000);
+        let mut ids = vec![first];
+        for pc in [0x800c, 0x8014] {
+            ids.push(
+                e.translate_block(&mut m, &mut Counters::default(), pc)
+                    .unwrap(),
+            );
+        }
+        let ranges: Vec<_> = ids
+            .iter()
+            .map(|&id| {
+                let tb = e.code.blocks[id as usize];
+                (tb.steps_start, tb.steps_len)
+            })
+            .collect();
+        // movw and movt's two ops, then the branch.
+        assert_eq!(ranges, [(0, 4), (4, 2), (6, 1)]);
+        assert_eq!(e.code.arena_steps(), 7);
+    }
+
+    #[test]
+    fn recover_state_leaves_the_code_cache_as_it_was() {
+        let mut a = ArmletAsm::new();
+        a.org(0x8000);
+        a.mov_imm(PReg::A, 0xDEAD_BEEF);
+        a.udf();
+        a.halt();
+        let (mut m, mut e, id) = translate_at(a, 0x8000);
+        let before = (e.code.arena_steps(), e.code.blocks.len(), e.live_blocks());
+        let mut counters = Counters::default();
+        e.recover_state(&mut m, &mut counters, 0x8000);
+        assert_eq!(
+            (e.code.arena_steps(), e.code.blocks.len(), e.live_blocks()),
+            before
+        );
+        assert_eq!(counters.blocks_translated, 0);
+        assert_eq!(e.code.lookup(0x8000, page_of(0x8000)), Some(id));
+    }
+
     #[test]
     fn block_cache_hit_on_revisit() {
         let mut a = ArmletAsm::new();

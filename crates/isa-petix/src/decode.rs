@@ -125,6 +125,24 @@ mod tests {
     }
 
     #[test]
+    fn displacements_round_trip_at_both_ends_of_16_bits() {
+        for off in [-32768, -1, 0, 32767] {
+            let d = dec(&enc::ldst(true, enc::Width::Half, 5, 6, off));
+            assert_eq!(
+                d.ops,
+                vec![Op::Load {
+                    rd: 5,
+                    base: 6,
+                    off,
+                    size: MemSize::B2,
+                    nonpriv: false
+                }],
+                "offset {off}"
+            );
+        }
+    }
+
+    #[test]
     fn branch_targets() {
         let b = enc::jmp(0x8000, 0x8100);
         assert_eq!(dec(&b).ops, vec![Op::Branch { target: 0x8100 }]);

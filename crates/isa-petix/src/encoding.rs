@@ -232,6 +232,42 @@ mod tests {
     }
 
     #[test]
+    fn every_encoder_fills_exactly_its_array() {
+        let forms: [(&str, &[u8]); 26] = [
+            ("alu_rr", &alu_rr(AluOp::Sub, 3, 4)),
+            ("alu_ri32", &alu_ri32(AluOp::Eor, 2, 0xDEAD_BEEF)),
+            ("alu_ri16", &alu_ri16(AluOp::Add, 1, 0xBEEF)),
+            ("ldst word", &ldst(true, Width::Word, 1, 2, -4)),
+            ("ldst byte", &ldst(false, Width::Byte, 3, 4, 8)),
+            ("ldst half", &ldst(true, Width::Half, 5, 6, 32767)),
+            ("jmp", &jmp(0x8000, 0x7000)),
+            ("jcc", &jcc(Cond::Ne, 0x8000, 0x9000)),
+            ("call", &call(0x8000, 0x8100)),
+            ("jmp_reg", &jmp_reg(3)),
+            ("call_reg", &call_reg(4)),
+            ("push", &push(5)),
+            ("pop", &pop(5)),
+            ("int", &int(0x80)),
+            ("cmp_rr", &cmp_rr(1, 2)),
+            ("cmp_ri", &cmp_ri(1, 0xFFFF_FFFF)),
+            ("tst_rr", &tst_rr(1, 2)),
+            ("tst_ri", &tst_ri(1, 0x8000_0000)),
+            ("mov_from_cr", &mov_from_cr(1, 2)),
+            ("mov_to_cr", &mov_to_cr(2, 1)),
+            ("mov_imm32", &mov_imm32(7, 0x1234_5678)),
+            ("nop", &nop()),
+            ("halt", &halt()),
+            ("ret", &ret()),
+            ("iret", &iret()),
+            ("ud2", &ud2()),
+        ];
+        for (name, bytes) in forms {
+            let d = crate::decode::decode(bytes, 0x8000).expect(name);
+            assert_eq!(d.len as usize, bytes.len(), "{name}");
+        }
+    }
+
+    #[test]
     fn smc_word_matches_alu_ri16_mov_r5() {
         let bytes = alu_ri16(AluOp::Mov, 5, 0);
         let word = u32::from_le_bytes(bytes);

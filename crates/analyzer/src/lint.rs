@@ -44,7 +44,7 @@ use std::path::Path;
 /// | xargs cat | wc -l` prints), exactly: a change that deletes code
 /// lowers it in the same commit (the lint fails on a tree under it too);
 /// one that raises it says why in CHANGES.md.
-pub const LINE_BUDGET: usize = 43_438;
+pub const LINE_BUDGET: usize = 43_780;
 
 /// Directories whose `.rs` files count against [`LINE_BUDGET`].
 const BUDGET_DIRS: &[&str] = &["crates", "src", "tests", "examples"];

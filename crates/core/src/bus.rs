@@ -80,15 +80,16 @@ pub fn bus_error(pa: u32, access: AccessKind) -> MemFault {
     }
 }
 
-/// Read little-endian from a RAM slice. Caller guarantees bounds.
+/// Read little-endian from a RAM slice, zero-extended: one bounds
+/// check, `None` for a range that does not lie inside `ram`.
 #[inline]
-pub fn ram_read(ram: &[u8], pa: u32, size: MemSize) -> u32 {
+pub fn ram_load(ram: &[u8], pa: u32, size: MemSize) -> Option<u32> {
     let i = pa as usize;
-    match size {
-        MemSize::B1 => ram[i] as u32,
-        MemSize::B2 => u16::from_le_bytes([ram[i], ram[i + 1]]) as u32,
-        MemSize::B4 => u32::from_le_bytes([ram[i], ram[i + 1], ram[i + 2], ram[i + 3]]),
-    }
+    Some(match size {
+        MemSize::B1 => u32::from(*ram.get(i)?),
+        MemSize::B2 => u32::from(u16::from_le_bytes(*ram.get(i..i + 2)?.first_chunk()?)),
+        MemSize::B4 => u32::from_le_bytes(*ram.get(i..i + 4)?.first_chunk()?),
+    })
 }
 
 /// Write little-endian into a RAM slice. Caller guarantees bounds.
@@ -125,13 +126,7 @@ impl Bus for FlatRam {
     }
 
     fn read(&mut self, pa: u32, size: MemSize) -> Result<u32, MemFault> {
-        if pa
-            .checked_add(size.bytes())
-            .is_none_or(|end| end > self.ram_size())
-        {
-            return Err(bus_error(pa, AccessKind::Read));
-        }
-        Ok(ram_read(&self.mem, pa, size))
+        ram_load(&self.mem, pa, size).ok_or(bus_error(pa, AccessKind::Read))
     }
 
     fn write(&mut self, pa: u32, val: u32, size: MemSize) -> Result<Option<BusEvent>, MemFault> {

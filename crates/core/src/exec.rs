@@ -327,14 +327,11 @@ mod tests {
                     kind: FaultKind::Unaligned,
                 });
             }
-            if va as usize + size.bytes() as usize > self.mem.len() {
-                return Err(MemFault {
-                    addr: va,
-                    access: AccessKind::Read,
-                    kind: FaultKind::Unmapped,
-                });
-            }
-            Ok(crate::bus::ram_read(&self.mem, va, size))
+            crate::bus::ram_load(&self.mem, va, size).ok_or(MemFault {
+                addr: va,
+                access: AccessKind::Read,
+                kind: FaultKind::Unmapped,
+            })
         }
         fn write(&mut self, va: u32, val: u32, size: MemSize, _np: bool) -> Result<(), MemFault> {
             if va as usize + size.bytes() as usize > self.mem.len() {

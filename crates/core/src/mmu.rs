@@ -98,6 +98,15 @@ impl TlbEntry {
         }
     }
 
+    /// Both levels' permissions as six bits, user r/w/x then kernel
+    /// r/w/x: what a TLB resolves when it is filled, so that a hit is
+    /// one test of the [`perm_bit`] of the access.
+    #[inline]
+    pub fn perm_bits(&self) -> u8 {
+        let rwx = |p: Perms| u8::from(p.r) | u8::from(p.w) << 1 | u8::from(p.x) << 2;
+        rwx(self.user) | rwx(self.kernel) << 3
+    }
+
     /// Check an access, producing the architectural fault on violation.
     ///
     /// # Errors
@@ -122,6 +131,19 @@ impl TlbEntry {
             })
         }
     }
+}
+
+/// The bit of [`TlbEntry::perm_bits`] that allows `access` at the
+/// effective privilege `kernel`: the current level is privileged and
+/// the access is not `nonpriv` ([`TlbEntry::perms`]).
+#[inline]
+pub fn perm_bit(access: AccessKind, kernel: bool) -> u8 {
+    let rwx = match access {
+        AccessKind::Read => 0,
+        AccessKind::Write => 1,
+        AccessKind::Execute => 2,
+    };
+    1 << (rwx + 3 * u8::from(kernel))
 }
 
 /// Outcome of a page-table walk.

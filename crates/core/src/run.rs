@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use simbench_obs::Counter;
 
-use crate::bus::{Bus, BusEvent};
+use crate::bus::{ram_load, Bus, BusEvent};
 use crate::cpu::{CpuState, Flags};
 use crate::engine::{ExitReason, PhaseTracker, RunLimits, RunOutcome};
 use crate::events::Counters;
@@ -38,12 +38,30 @@ use crate::ir::{Decoded, MemSize, Op};
 use crate::isa::{undecodable, CopEffect, Isa};
 use crate::machine::Machine;
 use crate::mmu::TlbEntry;
-use crate::{page_base, page_of, PAGE_SIZE};
+use crate::{page_base, page_of, PAGE_SHIFT, PAGE_SIZE};
 
 /// Main-loop iterations between wall-clock limit checks. Iterations,
 /// not retired instructions: IRQ-delivery and prefetch-abort iterations
 /// retire nothing, and a storm of them must still honor `--wall-limit`.
 const WALL_CHECK_PERIOD: u64 = 0x1_0000;
+
+/// A TLB's answer to one access: [`TlbEntry::check`] on the entry it
+/// holds for the page, if it holds one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lookup {
+    /// Cached and permitted: the physical page and the entry's
+    /// write-protect flag.
+    Hit {
+        /// Physical page number.
+        ppage: u32,
+        /// The write-protect flag.
+        holds_code: bool,
+    },
+    /// Cached, and the access is not permitted: a permission fault.
+    Denied,
+    /// Nothing cached for the page.
+    Miss,
+}
 
 /// A translation cache the core can drive.
 ///
@@ -51,11 +69,14 @@ const WALL_CHECK_PERIOD: u64 = 0x1_0000;
 /// (the fast interpreter's split single-entry caches); unified TLBs
 /// ignore it. `holds_code` is the DBT's write-protect flag: structures
 /// that do not track code pages ignore it on insert and report `true`
-/// ("cannot rule it out") on lookup, which sends every store to
+/// ("cannot rule it out") on a hit, which sends every store to
 /// [`Policy::store`] unfiltered.
 pub trait Tlb {
-    /// The cached translation for `vpage` and its write-protect flag.
-    fn lookup(&mut self, vpage: u32, access: AccessKind) -> Option<(TlbEntry, bool)>;
+    /// Answer `access` to `vpage` at the effective privilege `kernel`
+    /// (the current level is privileged and the access is not
+    /// nonprivileged). A structure that resolves permissions when an
+    /// entry is filled answers a hit with one bit test.
+    fn lookup(&mut self, vpage: u32, access: AccessKind, kernel: bool) -> Lookup;
     /// Install a translation.
     fn insert(&mut self, e: TlbEntry, access: AccessKind, holds_code: bool);
     /// Drop any translation for `vpage`.
@@ -346,14 +367,22 @@ impl<'a, I: Isa, B: Bus, P: Policy> ExecCore<'a, I, B, P> {
             return Ok((va, true));
         }
         let counted = access != AccessKind::Execute || P::COUNTS_FETCH_PROBES;
-        let (entry, holds_code) = match self.policy.tlb().lookup(page_of(va), access) {
-            Some(hit) => {
-                if counted {
-                    self.counters.tlb_hits += 1;
-                }
-                hit
+        let privileged = self.cpu.level.is_kernel();
+        let effective = privileged && !nonpriv;
+        let answer = self.policy.tlb().lookup(page_of(va), access, effective);
+        if counted && answer != Lookup::Miss {
+            self.counters.tlb_hits += 1;
+        }
+        match answer {
+            Lookup::Hit { ppage, holds_code } => {
+                Ok((ppage << PAGE_SHIFT | va & (PAGE_SIZE - 1), holds_code))
             }
-            None => {
+            Lookup::Denied => Err(MemFault {
+                addr: va,
+                access,
+                kind: FaultKind::Permission,
+            }),
+            Lookup::Miss => {
                 if counted {
                     self.counters.tlb_misses += 1;
                     self.policy.obs().tlb_refills.add(1);
@@ -368,11 +397,10 @@ impl<'a, I: Isa, B: Bus, P: Policy> ExecCore<'a, I, B, P> {
                 if access != AccessKind::Execute {
                     self.policy.data_tlb_filled::<I, B>(self.sys, self.bus, va);
                 }
-                (e, holds_code)
+                let pa = e.check(va, access, privileged, nonpriv)?;
+                Ok((pa, holds_code))
             }
-        };
-        let pa = entry.check(va, access, self.cpu.level.is_kernel(), nonpriv)?;
-        Ok((pa, holds_code))
+        }
     }
 
     /// Translate an instruction-fetch address.
@@ -524,13 +552,10 @@ impl<'a, I: Isa, B: Bus, P: Policy> ExecCore<'a, I, B, P> {
             return (pbase, tlb_hits) == (page_base(pc), 0);
         }
         let kernel = self.cpu.level.is_kernel();
-        self.policy
-            .tlb()
-            .lookup(page_of(pc), AccessKind::Execute)
-            .is_some_and(|(e, _)| {
-                e.check(pc, AccessKind::Execute, kernel, false) == Ok(pbase | (pc & 0xFFF))
-                    && tlb_hits == u64::from(P::COUNTS_FETCH_PROBES)
-            })
+        matches!(
+            self.policy.tlb().lookup(page_of(pc), AccessKind::Execute, kernel),
+            Lookup::Hit { ppage, .. } if ppage << PAGE_SHIFT == pbase
+        ) && tlb_hits == u64::from(P::COUNTS_FETCH_PROBES)
     }
 
     /// The decoded form of a fetched instruction. The borrow covers the
@@ -687,7 +712,11 @@ impl<I: Isa, B: Bus, P: Policy> ExecCtx for ExecCore<'_, I, B, P> {
             }
         } else {
             self.policy.data_cost(pa);
+            if let Some(val) = ram_load(self.bus.ram(), pa, size) {
+                return Ok(val);
+            }
         }
+        // Devices, and the holes between them and RAM.
         self.bus.read(pa, size).map_err(|mut f| {
             f.addr = va;
             f

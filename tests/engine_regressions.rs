@@ -13,12 +13,16 @@ use std::time::Duration;
 
 use common::PagedGuest;
 use simbench::prelude::*;
+use simbench_core::asm::Label;
 use simbench_core::bus::Bus;
 use simbench_core::bus::FlatRam;
+use simbench_core::cpu::{Privilege, Status};
 use simbench_core::image::GuestImage;
 use simbench_core::ir::AluOp;
 use simbench_core::isa::Isa;
+use simbench_core::mmu::{PtFlags, PteEncoding, TableBuilder};
 use simbench_isa_armlet::sys::{cp14, cp15, CP_BANK, CP_SYS};
+use simbench_isa_riscle::{Riscle, RiscleAsm};
 use simbench_platform::devices::{INTC_ENABLE, INTC_TRIGGER};
 use simbench_platform::INTC_BASE;
 
@@ -422,7 +426,6 @@ fn petix_unassigned_opcode_is_undefined_on_every_engine() {
 
 #[test]
 fn riscle_unassigned_wide_opcode_is_undefined_on_every_engine() {
-    use simbench_isa_riscle::{Riscle, RiscleAsm};
     // Quadrant 3 (a 32-bit form) with op5 = 0x1F.
     undecodable_bytes_trap_past_their_nominal_length::<Riscle, _>(
         RiscleAsm::new(),
@@ -496,7 +499,6 @@ fn fetches_at_the_end_of_ram<I: Isa, A: PortableAsm>(mut a: A, nop_len: usize, r
 
 #[test]
 fn the_last_instruction_in_ram_runs_and_the_next_fetch_aborts_on_every_engine() {
-    use simbench_isa_riscle::{Riscle, RiscleAsm};
     fetches_at_the_end_of_ram::<Armlet, _>(ArmletAsm::new(), 4, BARE_RAM);
     fetches_at_the_end_of_ram::<Petix, _>(PetixAsm::new(), 1, BARE_RAM);
     fetches_at_the_end_of_ram::<Riscle, _>(RiscleAsm::new(), 2, BARE_RAM);
@@ -507,7 +509,6 @@ fn the_last_instruction_in_ram_runs_and_the_next_fetch_aborts_on_every_engine() 
 /// at the end still run.
 #[test]
 fn the_last_instruction_in_ram_that_ends_mid_page_runs_on_every_engine() {
-    use simbench_isa_riscle::{Riscle, RiscleAsm};
     const MID_PAGE: usize = BARE_RAM - 0x800;
     fetches_at_the_end_of_ram::<Armlet, _>(ArmletAsm::new(), 4, MID_PAGE);
     fetches_at_the_end_of_ram::<Petix, _>(PetixAsm::new(), 1, MID_PAGE);
@@ -547,4 +548,152 @@ fn an_instruction_that_overwrites_itself_finishes_from_the_decode_it_started_wit
     assert_eq!(m.cpu.pc, push_at, "halted on the pushed bytes");
     assert_eq!((reg(PReg::B), reg(PReg::Sp)), (1, push_at));
     assert_eq!(code_invalidations::<Petix>(&image), [1; 3]);
+}
+
+/// What [`cached_pages_deny`] needs of a guest beyond paging.
+trait PermissionGuest: PagedGuest {
+    /// Page tables at [`common::TABLES`] mapping the low megabyte onto
+    /// itself, readable and executable from user mode, `read_only`
+    /// read-only at both levels and `kernel_only` kernel-only: each a
+    /// `(virtual page, frame)`. The root register value and the table
+    /// bytes.
+    fn permission_tables(read_only: (u32, u32), kernel_only: (u32, u32)) -> (u32, Vec<u8>);
+    /// Bank `at` and a user-mode status, then `eret` to them. Clobbers
+    /// `C`.
+    fn eret_to_user(a: &mut common::Asm<Self>, at: Label);
+}
+
+/// The banked status word of user mode, interrupts masked.
+fn user_status() -> u32 {
+    let user = Status {
+        level: Privilege::User,
+        ..Status::default()
+    };
+    user.word()
+}
+
+impl PermissionGuest for Armlet {
+    fn permission_tables(read_only: (u32, u32), kernel_only: (u32, u32)) -> (u32, Vec<u8>) {
+        use simbench_isa_armlet::{Access, TableBuilder};
+        let mut tb = TableBuilder::new(common::TABLES);
+        tb.map_range(0, 0, 0x0010_0000, Access::UserRead);
+        tb.map_page(read_only.0, read_only.1, Access::ReadOnly);
+        tb.map_page(kernel_only.0, kernel_only.1, Access::KernelOnly);
+        tb.into_blob()
+    }
+    fn eret_to_user(a: &mut ArmletAsm, at: Label) {
+        a.mov_label(PReg::C, at);
+        a.mcr(CP_BANK, cp14::SAVED_PC, PReg::C);
+        a.mov_imm(PReg::C, user_status());
+        a.mcr(CP_BANK, cp14::SAVED_STATUS, PReg::C);
+        a.eret();
+    }
+}
+
+/// petix's and riscle's [`PermissionGuest::permission_tables`]: one
+/// builder, each guest's entry encoding.
+fn flag_tables<E: PteEncoding>(read_only: (u32, u32), kernel_only: (u32, u32)) -> (u32, Vec<u8>) {
+    let mut tb = TableBuilder::<E>::new(common::TABLES);
+    tb.map_range(0, 0, 0x0010_0000, PtFlags::USER_FULL);
+    tb.map_page(read_only.0, read_only.1, PtFlags::READ_ONLY);
+    tb.map_page(kernel_only.0, kernel_only.1, PtFlags::KERNEL);
+    tb.into_blob()
+}
+
+impl PermissionGuest for Petix {
+    fn permission_tables(read_only: (u32, u32), kernel_only: (u32, u32)) -> (u32, Vec<u8>) {
+        flag_tables::<simbench_isa_petix::mmu::PetixPte>(read_only, kernel_only)
+    }
+    fn eret_to_user(a: &mut PetixAsm, at: Label) {
+        use simbench_isa_petix::sys::cr;
+        a.mov_label(PReg::C, at);
+        a.mov_to_cr(cr::SAVED_PC, PReg::C);
+        a.mov_imm(PReg::C, user_status());
+        a.mov_to_cr(cr::SAVED_STATUS, PReg::C);
+        a.eret();
+    }
+}
+
+impl PermissionGuest for Riscle {
+    fn permission_tables(read_only: (u32, u32), kernel_only: (u32, u32)) -> (u32, Vec<u8>) {
+        flag_tables::<simbench_isa_riscle::mmu::RisclePte>(read_only, kernel_only)
+    }
+    fn eret_to_user(a: &mut RiscleAsm, at: Label) {
+        use simbench_isa_riscle::sys::csr;
+        a.mov_label(PReg::C, at);
+        a.csrw(csr::SAVED_PC, PReg::C);
+        a.mov_imm(PReg::C, user_status());
+        a.csrw(csr::SAVED_STATUS, PReg::C);
+        a.eret();
+    }
+}
+
+/// A permission fault on a TLB *hit*. A permitted access caches each
+/// page first; then a store to a read-only page, a nonprivileged load of
+/// a kernel-only page from kernel mode (armlet's `ldrt`) and a user-mode
+/// load of it must each raise the same data fault, counted the same, on
+/// every engine as on the interpreter.
+fn cached_pages_deny<G: PermissionGuest>(nonpriv_load: Option<fn(&mut common::Asm<G>)>) {
+    use simbench_core::fault::ExceptionKind;
+    const READ_ONLY: u32 = 0x0040_0000;
+    const KERNEL_ONLY: u32 = 0x0040_1000;
+
+    let (root, tables) = G::permission_tables((READ_ONLY, 0x0020_0000), (KERNEL_ONLY, 0x0020_1000));
+    let mut a = G::asm();
+    a.org(ExceptionKind::Syscall.vector(0));
+    a.halt();
+    a.org(ExceptionKind::DataAbort.vector(0));
+    a.eret(); // past the faulting access
+    a.org(0x8000);
+    G::paging_on(&mut a, root);
+    a.mov_imm(PReg::A, READ_ONLY);
+    a.load(PReg::B, PReg::A, 0);
+    a.store(PReg::B, PReg::A, 0);
+    a.mov_imm(PReg::A, KERNEL_ONLY);
+    a.load(PReg::B, PReg::A, 0);
+    if let Some(emit) = nonpriv_load {
+        emit(&mut a);
+    }
+    let user = a.new_label();
+    G::eret_to_user(&mut a, user);
+    a.bind(user);
+    a.load(PReg::B, PReg::A, 0);
+    a.svc(0); // back to kernel mode, to halt
+    let mut image = a.finish(0x8000);
+    image.push_section(root, tables);
+
+    let nonpriv = u64::from(nonpriv_load.is_some());
+    common::interp_then_every_engine::<G>(&image, "denied", |m| {
+        let mut far = vec![];
+        G::sys_regs(&m.sys, &mut |name, v| {
+            if matches!(name, "far" | "cr2" | "tval") {
+                far.push(v);
+            }
+        });
+        assert_eq!(far, [KERNEL_ONLY], "{}: the last fault's address", G::NAME);
+    });
+    let dbt = run_to_halt(Dbt::<G>::new(), &image);
+    for (name, out) in [
+        ("interp", &run_to_halt(Interp::<G>::new(), &image)),
+        ("detailed", &run_to_halt(Detailed::<G>::new(), &image)),
+        ("virt", &run_to_halt(Virt::<G>::kvm(), &image)),
+        ("native", &run_to_halt(Virt::<G>::native(), &image)),
+        ("dbt", &dbt),
+    ] {
+        let c = out.counters;
+        let counts = (c.data_faults, c.mem_reads, c.mem_writes, c.nonpriv_accesses);
+        let expected = (2 + nonpriv, 3 + nonpriv, 1, nonpriv);
+        assert_eq!(counts, expected, "{}: {name}", G::NAME);
+    }
+    // The dbt counts data-side probes only: two fills, and every fault
+    // a hit.
+    let probes = (dbt.counters.tlb_hits, dbt.counters.tlb_misses);
+    assert_eq!(probes, (2 + nonpriv, 2), "{}", G::NAME);
+}
+
+#[test]
+fn a_cached_page_denies_on_every_engine() {
+    cached_pages_deny::<Armlet>(Some(|a| a.ldrt(PReg::B, PReg::A, 0)));
+    cached_pages_deny::<Petix>(None);
+    cached_pages_deny::<Riscle>(None);
 }
